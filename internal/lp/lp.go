@@ -15,8 +15,7 @@
 //     least-index rule (a complete anti-cycling guarantee in exact
 //     arithmetic). Phase 2 enters by Bland's least-index rule and leaves
 //     by the lexicographic minimum-ratio rule anchored at the phase-1
-//     basis — the same primal perturbation internal/revsearch uses —
-//     so no basis ever repeats even on heavily degenerate cones.
+//     basis, so no basis ever repeats even on heavily degenerate cones.
 //
 //   - Inconsistent or redundant rows. Solve pre-eliminates dependent
 //     constraint rows exactly (ratmat.IndependentRows) and detects
@@ -24,9 +23,12 @@
 //     caller may hand over raw stoichiometry.
 //
 // Beyond Solve, the package exposes the simplex dictionary (Dict) with
-// exact pivot/ratio primitives: the on-demand generator walks the basis
-// graph of the lex-perturbed polytope through these, and the
-// FuzzSimplexPivot harness round-trips pivot/unpivot exactness on them.
+// exact pivot/ratio primitives. It is the only exact dictionary in the
+// tree: the on-demand generator walks the basis graph of the
+// lex-perturbed polytope through it, internal/revsearch runs its
+// reverse search on it (starting from a nil-objective Solve, i.e. the
+// phase-1 dictionary), and the FuzzSimplexPivot and FuzzRevsearchPivot
+// harnesses round-trip pivot/unpivot exactness on it.
 package lp
 
 import (
@@ -75,6 +77,31 @@ type Problem struct {
 	A *ratmat.Matrix
 	B []*big.Rat
 	C []*big.Rat
+}
+
+// NormalizedCone returns the constraints of the polytope
+// {x : Nx = 0, 1ᵀx = 1, x >= 0}: N stacked over the normalization row
+// 1ᵀ, with right-hand side e_last. For a pointed cone {x : Nx = 0,
+// x >= 0} its vertices are exactly the normalized extreme rays, which
+// is how both internal/revsearch and internal/ondemand pose the EFM
+// problem. C is left nil for the caller to set.
+func NormalizedCone(N *ratmat.Matrix) *Problem {
+	m, n := N.Rows(), N.Cols()
+	A := ratmat.New(m+1, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			A.Set(i, j, N.At(i, j))
+		}
+	}
+	for j := 0; j < n; j++ {
+		A.SetInt(m, j, 1)
+	}
+	b := make([]*big.Rat, m+1)
+	for i := 0; i < m; i++ {
+		b[i] = newRat()
+	}
+	b[m] = big.NewRat(1, 1)
+	return &Problem{A: A, B: b}
 }
 
 // Options controls a solve.
@@ -226,7 +253,8 @@ func (p *program) cAt(j int) *big.Rat {
 // program, with the right-hand side in column n. The representation is
 // exact and uniquely determined by the basis and row order, so a pivot
 // followed by its inverse restores the identical big.Rat entries — the
-// invariant FuzzSimplexPivot pins.
+// invariant FuzzSimplexPivot and FuzzRevsearchPivot pin. Methods that
+// do not mutate (including Rebuild) are safe for concurrent use.
 type Dict struct {
 	prog    *program
 	rows    [][]*big.Rat // m x (n+1); column n is bbar
@@ -282,9 +310,9 @@ func (p *program) fromBasis(basis []int) (*Dict, error) {
 }
 
 // Rebuild constructs the dictionary of another basis of the same
-// program (sharing its lexicographic anchor) from scratch — the
-// priority-queue pop path of the on-demand generator, which stores
-// bases, not dictionaries.
+// program (sharing its lexicographic anchor) from scratch: the
+// on-demand frontier and the reverse-search job queue store bases, not
+// dictionaries.
 func (d *Dict) Rebuild(basis []int) (*Dict, error) {
 	return d.prog.fromBasis(basis)
 }
@@ -361,6 +389,21 @@ func (d *Dict) Basis() []int {
 	out := make([]int, 0, d.prog.m)
 	for v := 0; v < d.prog.n; v++ {
 		if d.rowOf[v] >= 0 {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// BasisAfter returns the ascending basis Pivot(r, s) would produce,
+// without pivoting: a basis is a complete continuation (Rebuild), so
+// deferring or enqueueing a neighbor needs nothing else. s must be
+// cobasic.
+func (d *Dict) BasisAfter(r, s int) []int {
+	w := d.basisOf[r]
+	out := make([]int, 0, d.prog.m)
+	for v := 0; v < d.prog.n; v++ {
+		if v == s || (d.rowOf[v] >= 0 && v != w) {
 			out = append(out, v)
 		}
 	}

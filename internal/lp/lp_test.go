@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math/big"
+	"reflect"
 	"testing"
 
 	"elmocomp/internal/ratmat"
@@ -220,9 +221,10 @@ func TestRebuildRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPricingIdentity checks the neighbor-pricing identity the ranked
-// generator uses: after Pivot(r, s), the new objective value equals
-// value + ReducedCost(s) * (bbar_r / T[r][s]) computed in the parent.
+// TestPricingIdentity checks the two pivot-free neighbor identities the
+// traversals use: after Pivot(r, s), the new objective value equals
+// value + ReducedCost(s) * (bbar_r / T[r][s]) computed in the parent,
+// and the new basis equals BasisAfter(r, s) read off the parent.
 func TestPricingIdentity(t *testing.T) {
 	p := prob(t, [][]string{{"1", "1", "1", "0"}, {"1", "-1", "0", "1"}},
 		[]string{"1", "0"}, []string{"-2", "1", "0", "3"})
@@ -240,13 +242,34 @@ func TestPricingIdentity(t *testing.T) {
 		d.RatioInto(&ratio, r, s)
 		pred := new(big.Rat).Mul(d.ReducedCost(s), &ratio)
 		pred.Add(pred, d.Value())
+		after := d.BasisAfter(r, s)
 		child := d.Clone()
 		child.Pivot(r, s)
+		if got := child.Basis(); !reflect.DeepEqual(got, after) {
+			t.Fatalf("enter %d: pivoted basis %v, BasisAfter %v", s, got, after)
+		}
 		if child.Value().Cmp(pred) != 0 {
 			t.Fatalf("enter %d: pivoted value %v, priced %v", s, child.Value(), pred)
 		}
 		if !child.LexFeasible() {
 			t.Fatalf("enter %d: lex-min-ratio pivot lost lex-feasibility", s)
 		}
+	}
+}
+
+// TestNormalizedCone pins the constructor's layout: N on top, the
+// normalization row 1ᵀ below it, right-hand side e_last, no objective.
+func TestNormalizedCone(t *testing.T) {
+	N := ratmat.FromInts([][]int64{{1, -1, 0}, {0, 2, -3}})
+	p := NormalizedCone(N)
+	want := ratmat.FromInts([][]int64{{1, -1, 0}, {0, 2, -3}, {1, 1, 1}})
+	if !p.A.Equal(want) {
+		t.Fatalf("A =\n%v\nwant\n%v", p.A, want)
+	}
+	if len(p.B) != 3 || p.B[0].Sign() != 0 || p.B[1].Sign() != 0 || p.B[2].Cmp(ratOne) != 0 {
+		t.Fatalf("b = %v, want (0, 0, 1)", p.B)
+	}
+	if p.C != nil {
+		t.Fatalf("c = %v, want nil", p.C)
 	}
 }

@@ -52,9 +52,9 @@
 package ondemand
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
-	"sort"
 	"time"
 
 	"elmocomp/internal/bitset"
@@ -222,36 +222,21 @@ func Generate(N *ratmat.Matrix, rev []bool, opts Options, emit func(Mode)) (Stat
 	}
 	q, m := p.Q(), p.M()
 
-	// Stack the split stoichiometry over the normalization row; the
-	// objective maps each split column back to its owning reduced
+	// The objective maps each split column back to its owning reduced
 	// column's weight.
-	A := ratmat.New(m+1, q)
-	for i := 0; i < m; i++ {
-		for j := 0; j < q; j++ {
-			A.Set(i, j, p.NExact.At(i, j))
-		}
-	}
-	for j := 0; j < q; j++ {
-		A.SetInt(m, j, 1)
-	}
-	b := make([]*big.Rat, m+1)
-	for i := 0; i < m; i++ {
-		b[i] = new(big.Rat)
-	}
-	b[m] = big.NewRat(1, 1)
-	var c []*big.Rat
+	prob := lp.NormalizedCone(p.NExact)
 	if opts.Objective != nil {
-		c = make([]*big.Rat, q)
+		prob.C = make([]*big.Rat, q)
 		for j := 0; j < q; j++ {
 			if w := opts.Objective[p.OrigCol(p.Perm[j])]; w != nil && w.Sign() != 0 {
-				c[j] = w
+				prob.C[j] = w
 			}
 		}
 	}
 
-	sol, err := lp.Solve(&lp.Problem{A: A, B: b, C: c}, lp.Options{Cancel: opts.Cancel})
+	sol, err := lp.Solve(prob, lp.Options{Cancel: opts.Cancel})
 	if err != nil {
-		if err == lp.ErrCanceled {
+		if errors.Is(err, lp.ErrCanceled) {
 			return st, core.ErrCanceled
 		}
 		return st, err
@@ -357,7 +342,7 @@ func Generate(N *ratmat.Matrix, rev []bool, opts Options, emit func(Mode)) (Stat
 			if r < 0 {
 				continue
 			}
-			child := neighborBasis(n.basis, d.BasicVar(r), s)
+			child := d.BasisAfter(r, s)
 			key := basisKey(child)
 			if visited[key] {
 				continue
@@ -375,31 +360,6 @@ func Generate(N *ratmat.Matrix, rev []bool, opts Options, emit func(Mode)) (Stat
 	}
 	st.Exhausted = true
 	return st, nil
-}
-
-// neighborBasis returns the sorted basis with leave replaced by enter.
-func neighborBasis(basis []int, leave, enter int) []int {
-	out := make([]int, 0, len(basis))
-	inserted := false
-	for _, v := range basis {
-		if v == leave {
-			continue
-		}
-		if !inserted && enter < v {
-			out = append(out, enter)
-			inserted = true
-		}
-		out = append(out, v)
-	}
-	if !inserted {
-		out = append(out, enter)
-	}
-	// The two-pointer merge above assumes basis is sorted; fall back to
-	// an explicit sort if a caller ever hands an unsorted basis.
-	if !sort.IntsAreSorted(out) {
-		sort.Ints(out)
-	}
-	return out
 }
 
 func seenSupport(byHash map[uint64][]bitset.Set, b bitset.Set) bool {

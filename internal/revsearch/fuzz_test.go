@@ -4,19 +4,24 @@ import (
 	"math/big"
 	"testing"
 
+	"elmocomp/internal/lp"
 	"elmocomp/internal/ratmat"
 )
 
 // FuzzRevsearchPivot pins the two exactness properties the traversal
-// stands on. First, dictionaries are uniquely determined by their basis:
-// pivot(r, s) followed by pivot(r, w) — with w the variable displaced by
-// the first call — must restore every entry of the tableau EXACTLY
-// (numerator, denominator and row association), because walk() descends
-// and unpivots along the same (row, column) pair and any drift would
-// corrupt every sibling subtree explored afterwards. Second, the lazy
-// child test must agree with reality: for a positive pivot element, the
-// sign childEntrySign predicts from the parent must equal the sign the
-// entry actually has after pivoting.
+// stands on, against the one lp.Dict. First, dictionaries are uniquely
+// determined by their basis: Pivot(r, s) followed by Pivot(r, w) — with
+// w the variable displaced by the first call — must restore every entry
+// of the dictionary EXACTLY (numerator, denominator and row
+// association), because walk() descends and unpivots along the same
+// (row, column) pair and any drift would corrupt every sibling subtree
+// explored afterwards. Unlike FuzzSimplexPivot, which only takes the
+// lex-min-ratio pivots of a feasible walk, this holds the restore on ANY
+// nonzero pivot element — negative ones and dictionaries that are not
+// primal feasible included. Second, the lazy child test must agree with
+// reality: for a positive pivot element, the sign childEntrySign
+// predicts from the parent must equal the sign the entry actually has
+// after pivoting.
 func FuzzRevsearchPivot(f *testing.F) {
 	f.Add([]byte{2, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{0, 0, 255, 254, 253, 1, 2, 3})
@@ -46,12 +51,37 @@ func FuzzRevsearchPivot(f *testing.F) {
 			v := next()
 			b[i] = big.NewRat(int64(v%7)-3, int64(v%3)+1)
 		}
+		// A Dict comes out of lp.Solve only, which wants a feasible
+		// program; neither property depends on the right-hand side, so
+		// an infeasible draw trades it for the row sums (x = 1 is then
+		// feasible). Solve drops dependent rows, hence m is re-read.
+		prob := &lp.Problem{A: A, B: b}
+		sol, err := lp.Solve(prob, lp.Options{})
+		if err == nil && sol.Status == lp.Infeasible {
+			ones := make([]*big.Rat, n)
+			for j := range ones {
+				ones[j] = big.NewRat(1, 1)
+			}
+			prob.B = A.MulVec(ones)
+			sol, err = lp.Solve(prob, lp.Options{})
+		}
+		if err != nil {
+			t.Fatalf("solve: %v", err)
+		}
+		if sol.Status != lp.Optimal {
+			t.Fatalf("feasibility program is %v", sol.Status)
+		}
+		m = sol.Dict.NumRows()
+		if m == 0 {
+			t.Skip() // A is zero: nothing to pivot on
+		}
+		// The dictionary under test is the one of the first m columns,
+		// feasible or not.
 		basis := make([]int, m)
 		for i := range basis {
 			basis[i] = i
 		}
-		l := &lp{m: m, n: n, A: A, b: b, lexCols: basis}
-		tab, err := l.fromBasis(basis)
+		tab, err := sol.Dict.Rebuild(basis)
 		if err != nil {
 			t.Skip() // dependent basis columns; not a dictionary
 		}
@@ -61,7 +91,7 @@ func FuzzRevsearchPivot(f *testing.F) {
 		off := int(next())
 		for k := 0; k < n; k++ {
 			c := (off + k) % n
-			if tab.rowOf[c] < 0 && tab.rows[r][c].Sign() != 0 {
+			if tab.RowOf(c) < 0 && tab.Entry(r, c).Sign() != 0 {
 				s = c
 				break
 			}
@@ -69,28 +99,28 @@ func FuzzRevsearchPivot(f *testing.F) {
 		if s < 0 {
 			t.Skip() // row is zero on every cobasic column
 		}
-		orig := tab.clone()
-		w := tab.basisOf[r]
-		positivePivot := tab.rows[r][s].Sign() > 0
-		tab.pivot(r, s)
+		orig := tab.Clone()
+		w := tab.BasicVar(r)
+		positivePivot := tab.Entry(r, s).Sign() > 0
+		tab.Pivot(r, s)
 		if positivePivot {
 			for i := 0; i < m; i++ {
 				if i == r {
 					continue
 				}
 				for j := 0; j < n; j++ {
-					if got, want := orig.childEntrySign(i, j, r, s), tab.rows[i][j].Sign(); got != want {
+					if got, want := childEntrySign(orig, i, j, r, s), tab.Entry(i, j).Sign(); got != want {
 						t.Fatalf("childEntrySign(%d,%d) predicted %d from the parent, pivoted entry has sign %d", i, j, got, want)
 					}
 				}
 			}
 		}
-		tab.pivot(r, w)
-		if !tab.equal(orig) {
-			t.Fatal("pivot/unpivot did not restore the tableau exactly")
+		tab.Pivot(r, w)
+		if !tab.Equal(orig) {
+			t.Fatal("pivot/unpivot did not restore the dictionary exactly")
 		}
-		if tab.basisOf[r] != w || tab.rowOf[s] >= 0 {
-			t.Fatalf("basis association corrupted: row %d holds %d, rowOf[%d]=%d", r, tab.basisOf[r], s, tab.rowOf[s])
+		if tab.BasicVar(r) != w || tab.RowOf(s) >= 0 {
+			t.Fatalf("basis association corrupted: row %d holds %d, RowOf(%d)=%d", r, tab.BasicVar(r), s, tab.RowOf(s))
 		}
 	})
 }

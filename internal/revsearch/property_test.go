@@ -108,11 +108,7 @@ func TestRevsearchWorkerDeterminism(t *testing.T) {
 // reverse search on the reduced problem.
 func runPoint(t *testing.T, pt synth.Params, opts Options) *Result {
 	t.Helper()
-	n, err := synth.Network(pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	red := reducedNet(t, n)
+	red := reducedNet(t, synthNet(t, pt))
 	res, err := Run(red.N, red.Reversibilities(), opts)
 	if err != nil {
 		t.Fatal(err)

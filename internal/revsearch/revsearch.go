@@ -20,6 +20,11 @@
 // never O(output). Disjoint subtrees are independent, so a worker pool
 // splits the traversal at basis snapshots with no synchronization
 // beyond the job queue and the support-dedup set.
+//
+// The dictionary, its phase 1 and the primal perturbation are
+// internal/lp's (lp.Dict); this package holds only what is reverse
+// search: the dual perturbation and lazy child test (dict.go) and the
+// traversal with its job pool (search.go).
 package revsearch
 
 import (
@@ -30,6 +35,7 @@ import (
 	"sync"
 
 	"elmocomp/internal/core"
+	"elmocomp/internal/lp"
 	"elmocomp/internal/nullspace"
 	"elmocomp/internal/ratmat"
 )
@@ -53,9 +59,6 @@ type Options struct {
 	// Cancel aborts the run with ErrCanceled when closed. Polled at
 	// every tree node and every 64 simplex iterations.
 	Cancel <-chan struct{}
-	// MemGauge, when set, receives the estimated resident dictionary
-	// bytes after each finished subtree job.
-	MemGauge func(bytes int64)
 	// Progress, when set, receives (bases visited, distinct vertices)
 	// every 4096 nodes.
 	Progress func(bases, vertices int64)
@@ -130,29 +133,34 @@ func RunProblem(p *nullspace.Problem, opts Options) (*Result, error) {
 		}
 	}
 	res := &Result{Problem: p}
-	l, err := buildLP(p)
-	if err != nil {
-		if errors.Is(err, errInfeasible) {
-			res.Modes = core.NewModeSet(p.Q(), p.Q(), nil)
-			return res, nil
-		}
-		return nil, err
-	}
 
-	t, err := phase1(l, opts.Cancel)
+	// A nil objective stops lp.Solve at the phase-1 dictionary: rebuilt
+	// on the feasible basis, which also anchors the lexicographic
+	// perturbation every later dictionary of the run shares.
+	sol, err := lp.Solve(lp.NormalizedCone(p.NExact), lp.Options{Cancel: opts.Cancel})
 	if err != nil {
-		if errors.Is(err, errInfeasible) {
-			res.Modes = core.NewModeSet(p.Q(), p.Q(), nil)
-			return res, nil
+		if errors.Is(err, lp.ErrCanceled) {
+			return nil, ErrCanceled
 		}
 		return nil, err
 	}
-	res.Stats.Phase1Pivots = t.pivots
-	t, err = rootDictionary(t, opts.Cancel)
-	if err != nil {
+	if sol.Status == lp.Infeasible {
+		// No nonzero non-negative steady-state flux: the normalization
+		// slice is empty and so is the EFM set — a successful zero-mode
+		// run, mirroring the double-description drivers.
+		res.Modes = core.NewModeSet(p.Q(), p.Q(), nil)
+		return res, nil
+	}
+	root := sol.Dict
+	if !root.LexFeasible() {
+		return nil, errors.New("revsearch: phase-1 dictionary is not lex-feasible")
+	}
+	res.Stats.Phase1Pivots = sol.Pivots
+	rebuild := root.Pivots()
+	if err := rootDictionary(root, opts.Cancel); err != nil {
 		return nil, err
 	}
-	res.Stats.RootPivots = t.pivots - res.Stats.Phase1Pivots
+	res.Stats.RootPivots = root.Pivots() - rebuild
 
 	workers := opts.Workers
 	if workers <= 0 {
@@ -167,10 +175,10 @@ func RunProblem(p *nullspace.Problem, opts Options) (*Result, error) {
 		budget = int(^uint(0) >> 1)
 	}
 
-	s := &search{lp: l, col: newCollector(l.n), opts: opts, budget: budget}
+	s := &search{root: root, col: newCollector(p.Q()), opts: opts, budget: budget}
 	s.cond = sync.NewCond(&s.mu)
-	s.pivots.Add(t.pivots)
-	s.enqueue(&job{basis: t.basis(), depth: 0})
+	s.pivots.Add(res.Stats.Phase1Pivots + res.Stats.RootPivots)
+	s.enqueue(&job{basis: root.Basis(), depth: 0})
 
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {

@@ -3,6 +3,7 @@ package revsearch
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"elmocomp/internal/core"
 	"elmocomp/internal/model"
@@ -116,5 +117,76 @@ func TestRevsearchCancelPreClosed(t *testing.T) {
 	_, err := Run(red.N, red.Reversibilities(), Options{Workers: 1, Cancel: cancel})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("pre-closed cancel returned %v, want ErrCanceled", err)
+	}
+}
+
+// TestRevsearchStatsPinned holds every work counter to a recorded
+// value: the traversal, its pivot accounting (Phase1Pivots = phase 1
+// plus the m-pivot rebuild = lp's Solution.Pivots for a nil objective)
+// and the job split are public numbers, and a change to the simplex
+// underneath — a different dictionary, fraction-free pivoting — must
+// not move them. Every tree here fits the default budget, so workers 1
+// and 4 agree on Pivots and Jobs too.
+func TestRevsearchStatsPinned(t *testing.T) {
+	points := propertyPoints(t)
+	cases := []struct {
+		name string
+		net  *model.Network
+		want Stats
+	}{
+		{"toy", model.Builtin("toy"),
+			Stats{Bases: 26, Vertices: 10, Pivots: 67, Phase1Pivots: 11, RootPivots: 1, Jobs: 1, MaxDepth: 6}},
+		{"seed7", synthNet(t, points[0]),
+			Stats{Bases: 15, Vertices: 5, Pivots: 46, Phase1Pivots: 12, RootPivots: 1, Jobs: 1, MaxDepth: 4}},
+		{"seed8", synthNet(t, points[1]),
+			Stats{Bases: 190, Vertices: 23, Pivots: 402, Phase1Pivots: 15, RootPivots: 3, Jobs: 1, MaxDepth: 9}},
+		{"seed9", synthNet(t, points[2]),
+			Stats{Bases: 500, Vertices: 32, Pivots: 1033, Phase1Pivots: 24, RootPivots: 2, Jobs: 1, MaxDepth: 9}},
+		{"seed10", synthNet(t, points[3]),
+			Stats{Bases: 911, Vertices: 100, Pivots: 1844, Phase1Pivots: 16, RootPivots: 2, Jobs: 1, MaxDepth: 12}},
+	}
+	for _, c := range cases {
+		red := reducedNet(t, c.net)
+		for _, workers := range []int{1, 4} {
+			res, err := Run(red.N, red.Reversibilities(), Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", c.name, workers, err)
+			}
+			got := res.Stats
+			got.PeakBytes = 0 // an estimate, not a work counter
+			if got != c.want {
+				t.Errorf("%s workers=%d:\n got  %+v\n want %+v", c.name, workers, got, c.want)
+			}
+		}
+	}
+}
+
+func synthNet(t *testing.T, pt synth.Params) *model.Network {
+	t.Helper()
+	n, err := synth.Network(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestRevsearchCancelMidRunRace closes Cancel while four workers are
+// mid-traversal on one-node jobs, at delays staggered in 100 µs steps
+// from 0 to 6 ms so the close lands in phase 1, in the root walk and —
+// the case that matters — deep in the tree (a full run takes ~80 ms,
+// ~300 ms under the race detector, of which start-up is the first few).
+// The run must end in ErrCanceled or (cancel lost the race) success; the
+// point is the -race lane, which sees every walker's poll of the stop
+// flag against fail()'s write.
+func TestRevsearchCancelMidRunRace(t *testing.T) {
+	red := reducedNet(t, synthNet(t, propertyPoints(t)[3]))
+	for i := 0; i < 60; i++ {
+		cancel := make(chan struct{})
+		timer := time.AfterFunc(time.Duration(i)*100*time.Microsecond, func() { close(cancel) })
+		_, err := Run(red.N, red.Reversibilities(), Options{Workers: 4, SubtreeBudget: 1, Cancel: cancel})
+		timer.Stop()
+		if err != nil && !errors.Is(err, ErrCanceled) {
+			t.Fatalf("delay step %d: %v, want ErrCanceled or success", i, err)
+		}
 	}
 }

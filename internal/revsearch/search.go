@@ -3,26 +3,25 @@ package revsearch
 import (
 	"sync"
 	"sync/atomic"
+
+	"elmocomp/internal/lp"
 )
 
-// rootDictionary runs the forward lexicographic simplex from the
-// phase-1 dictionary to the optimum of the symbolically perturbed
+// rootDictionary pivots the phase-1 dictionary in place, by the forward
+// lexicographic simplex, to the optimum of the symbolically perturbed
 // objective. Primal perturbation (lex-ratio leaving rule) excludes
 // cycling; dual perturbation (reducedSign) makes the optimal dictionary
 // unique — the root of the reverse-search tree.
-func rootDictionary(t *tableau, cancel <-chan struct{}) (*tableau, error) {
+func rootDictionary(d *lp.Dict, cancel <-chan struct{}) error {
 	for iter := 0; ; iter++ {
 		if iter%64 == 0 && canceled(cancel) {
-			return nil, ErrCanceled
+			return ErrCanceled
 		}
-		s, r, ok, err := t.selectPivot()
-		if err != nil {
-			return nil, err
+		s, r, ok, err := selectPivot(d)
+		if err != nil || !ok {
+			return err
 		}
-		if !ok {
-			return t, nil
-		}
-		t.pivot(r, s)
+		d.Pivot(r, s)
 	}
 }
 
@@ -70,28 +69,6 @@ type job struct {
 	depth int
 }
 
-// childBasis derives the ascending child basis from the parent's by
-// swapping leaving variable w for entering variable l — deferring a
-// subtree needs only the basis, not the pivoted dictionary.
-func childBasis(parent []int, w, l int) []int {
-	out := make([]int, 0, len(parent))
-	placed := false
-	for _, v := range parent {
-		if v == w {
-			continue
-		}
-		if !placed && l < v {
-			out = append(out, l)
-			placed = true
-		}
-		out = append(out, v)
-	}
-	if !placed {
-		out = append(out, l)
-	}
-	return out
-}
-
 // walker explores subtrees of the reverse-search tree. One walker runs
 // per worker goroutine; all share the search state.
 type walker struct {
@@ -101,17 +78,22 @@ type walker struct {
 
 // search is the shared state of one enumeration run.
 type search struct {
-	lp      *lp
-	col     *collector
-	opts    Options
-	budget  int // nodes a job may visit before deferring children
+	// root is the reverse-search root dictionary. Jobs only Rebuild
+	// from it (which reads the shared immutable program), never pivot
+	// it, so workers share it without locking.
+	root   *lp.Dict
+	col    *collector
+	opts   Options
+	budget int // nodes a job may visit before deferring children
 
 	mu      sync.Mutex
 	cond    *sync.Cond
 	queue   []*job
 	pending int
 	failed  error
-	stopped bool
+	// stopped is set (under mu, with failed) on the first failure and
+	// polled lock-free by every walker's inner loop.
+	stopped atomic.Bool
 
 	bases    atomic.Int64
 	pivots   atomic.Int64
@@ -125,7 +107,7 @@ func (s *search) fail(err error) {
 	if s.failed == nil {
 		s.failed = err
 	}
-	s.stopped = true
+	s.stopped.Store(true)
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
@@ -145,7 +127,7 @@ func (s *search) next() *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if s.stopped {
+		if s.stopped.Load() {
 			return nil
 		}
 		if len(s.queue) > 0 {
@@ -187,23 +169,20 @@ func (s *search) noteDepth(d int) {
 // so a basis snapshot is a complete continuation.
 func (w *walker) runJob(j *job) {
 	s := w.s
-	t, err := s.lp.fromBasis(j.basis)
+	d, err := s.root.Rebuild(j.basis)
 	if err != nil {
 		s.fail(err)
 		return
 	}
 	remaining := s.budget
-	w.walk(t, j.depth, &remaining)
-	s.pivots.Add(t.pivots)
-	est := t.memEstimate()
+	w.walk(d, j.depth, &remaining)
+	s.pivots.Add(d.Pivots())
+	est := memEstimate(d)
 	for {
 		cur := s.peak.Load()
 		if est <= cur || s.peak.CompareAndSwap(cur, est) {
 			break
 		}
-	}
-	if s.opts.MemGauge != nil {
-		s.opts.MemGauge(est)
 	}
 }
 
@@ -231,9 +210,9 @@ func (w *walker) runJob(j *job) {
 //     rows with T[i][l] < 0, and those rows' lex-ratios exceed row r's
 //     by (p/-T[i][l]) times row i's lex-positive parent tuple. So the
 //     ratio test needs no verification at all.
-func (w *walker) walk(t *tableau, depth int, remaining *int) {
+func (w *walker) walk(d *lp.Dict, depth int, remaining *int) {
 	s := w.s
-	if s.stopped {
+	if s.stopped.Load() {
 		return
 	}
 	if canceled(s.opts.Cancel) {
@@ -243,7 +222,7 @@ func (w *walker) walk(t *tableau, depth int, remaining *int) {
 	s.bases.Add(1)
 	s.noteDepth(depth)
 	*remaining--
-	w.scratch = t.supportWords(w.scratch)
+	w.scratch = d.SupportWords(w.scratch)
 	s.col.add(w.scratch)
 	if s.opts.Progress != nil {
 		if n := s.bases.Load(); n%4096 == 0 {
@@ -251,29 +230,29 @@ func (w *walker) walk(t *tableau, depth int, remaining *int) {
 		}
 	}
 
-	n := s.lp.n
+	n := d.NumVars()
 	for l := 0; l < n; l++ {
-		if s.stopped {
+		if s.stopped.Load() {
 			return
 		}
-		if t.rowOf[l] >= 0 || t.reducedSign(l) > 0 {
+		if d.RowOf(l) >= 0 || reducedSign(d, l) > 0 {
 			continue
 		}
-		r := t.lexMinRatioRow(l)
+		r := d.LexMinRatioRow(l)
 		if r < 0 {
 			continue
 		}
-		wvar := t.basisOf[r]
+		wvar := d.BasicVar(r)
 		// Forward entering at the child is the least-index cobasic with
 		// a positive reduced cost; it must be wvar. Its own sign is
 		// positive by construction, so reject iff any cobasic below it
 		// is positive too — read off the parent without pivoting.
 		ok := true
 		for j := 0; j < wvar; j++ {
-			if j == l || t.rowOf[j] >= 0 {
+			if j == l || d.RowOf(j) >= 0 {
 				continue
 			}
-			if t.childReducedSign(j, r, l) > 0 {
+			if childReducedSign(d, j, r, l) > 0 {
 				ok = false
 				break
 			}
@@ -284,14 +263,27 @@ func (w *walker) walk(t *tableau, depth int, remaining *int) {
 		// (r, l) inverts the child's forward pivot: descend, or defer
 		// the subtree when the budget is spent.
 		if *remaining > 0 {
-			t.pivot(r, l)
-			w.walk(t, depth+1, remaining)
-			if s.stopped {
+			d.Pivot(r, l)
+			w.walk(d, depth+1, remaining)
+			if s.stopped.Load() {
 				return
 			}
-			t.pivot(r, wvar) // unpivot: exact restore
+			d.Pivot(r, wvar) // unpivot: exact restore
 		} else {
-			s.enqueue(&job{basis: childBasis(t.basis(), wvar, l), depth: depth + 1})
+			// Deferring a subtree needs only the child's basis.
+			s.enqueue(&job{basis: d.BasisAfter(r, l), depth: depth + 1})
 		}
+	}
+}
+
+func canceled(cancel <-chan struct{}) bool {
+	if cancel == nil {
+		return false
+	}
+	select {
+	case <-cancel:
+		return true
+	default:
+		return false
 	}
 }
