@@ -28,19 +28,18 @@ import (
 )
 
 type benchConfig struct {
-	full            bool
-	nodes           []int
-	workers         []int
-	groups          []int
-	budget          int
-	commTimeout     time.Duration
-	verbose         bool
-	jsonPath        string
-	hybridJSONPath  string
-	dncJSONPath     string
+	full             bool
+	nodes            []int
+	workers          []int
+	groups           []int
+	budget           int
+	commTimeout      time.Duration
+	verbose          bool
+	jsonPath         string
+	hybridJSONPath   string
+	dncJSONPath      string
 	memwallJSONPath  string
 	distJSONPath     string
-	distwireJSONPath string
 	backendsJSONPath string
 	ondemandJSONPath string
 }
@@ -65,32 +64,30 @@ var experiments = []experiment{
 	{"dnc-sched", "divide-and-conquer subproblem scheduler across group counts (writes BENCH_dnc.json)", expDncSched},
 	{"memwall", "compressed and spill mode-store tiers vs flat on the pointed workload (writes BENCH_memwall.json)", expMemwall},
 	{"dist", "coordinator/worker class sharding over loopback TCP across fleet sizes (writes BENCH_dist.json)", expDist},
-	{"distwire", "distributed data plane: protocol-1 JSON vs protocol-2 binary/interned/compressed links (writes BENCH_distwire.json)", expDistwire},
 	{"backends", "double-description vs reverse-search enumeration families, fingerprint-gated (writes BENCH_backends.json)", expBackends},
 	{"ondemand", "interactive tier: first-mode latency and modes/sec vs full-enumeration wall, fingerprint-gated on the exhaustive rows (writes BENCH_ondemand.json)", expOndemand},
 }
 
 func main() {
 	var (
-		exp         = flag.String("exp", "all", "experiment to run (or 'all'); see -list")
-		list        = flag.Bool("list", false, "list experiments")
-		full        = flag.Bool("full", false, "run the complete yeast workloads (CPU-minutes to hours)")
-		nodes       = flag.String("nodes", "1,2,4,8,16", "node counts for scaling tables")
-		workers     = flag.String("workers", "1,2,4,8", "worker counts for the workers experiment")
-		jsonOut     = flag.String("json", "BENCH_efm.json", "machine-readable output file for the workers experiment")
-		hybridJSON  = flag.String("hybrid-json", "BENCH_hybrid.json", "machine-readable output file for the hybrid experiment")
-		dncJSON     = flag.String("dnc-json", "BENCH_dnc.json", "machine-readable output file for the dnc-sched experiment")
-		memwallJSON = flag.String("memwall-json", "BENCH_memwall.json", "machine-readable output file for the memwall experiment")
+		exp          = flag.String("exp", "all", "experiment to run (or 'all'); see -list")
+		list         = flag.Bool("list", false, "list experiments")
+		full         = flag.Bool("full", false, "run the complete yeast workloads (CPU-minutes to hours)")
+		nodes        = flag.String("nodes", "1,2,4,8,16", "node counts for scaling tables")
+		workers      = flag.String("workers", "1,2,4,8", "worker counts for the workers experiment")
+		jsonOut      = flag.String("json", "BENCH_efm.json", "machine-readable output file for the workers experiment")
+		hybridJSON   = flag.String("hybrid-json", "BENCH_hybrid.json", "machine-readable output file for the hybrid experiment")
+		dncJSON      = flag.String("dnc-json", "BENCH_dnc.json", "machine-readable output file for the dnc-sched experiment")
+		memwallJSON  = flag.String("memwall-json", "BENCH_memwall.json", "machine-readable output file for the memwall experiment")
 		distJSON     = flag.String("dist-json", "BENCH_dist.json", "machine-readable output file for the dist experiment")
-		distwireJSON = flag.String("distwire-json", "BENCH_distwire.json", "machine-readable output file for the distwire experiment")
 		backendsJSON = flag.String("backends-json", "BENCH_backends.json", "machine-readable output file for the backends experiment")
 		ondemandJSON = flag.String("ondemand-json", "BENCH_ondemand.json", "machine-readable output file for the ondemand experiment")
-		groups      = flag.String("groups", "1,2,4", "group counts for the dnc-sched experiment")
-		budget      = flag.Int("budget", 150000, "intermediate-mode budget for the Table IV simulation")
-		commTO      = flag.Duration("comm-timeout", 0, "abort a run when an inter-node collective stalls longer than this (0 = no deadline)")
-		cpuProf     = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProf     = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-		verbose     = flag.Bool("v", false, "progress to stderr")
+		groups       = flag.String("groups", "1,2,4", "group counts for the dnc-sched experiment")
+		budget       = flag.Int("budget", 150000, "intermediate-mode budget for the Table IV simulation")
+		commTO       = flag.Duration("comm-timeout", 0, "abort a run when an inter-node collective stalls longer than this (0 = no deadline)")
+		cpuProf      = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memProf      = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
+		verbose      = flag.Bool("v", false, "progress to stderr")
 	)
 	flag.Parse()
 
@@ -106,7 +103,7 @@ func main() {
 	}
 	cfg := benchConfig{full: *full, budget: *budget, commTimeout: *commTO, verbose: *verbose,
 		jsonPath: *jsonOut, hybridJSONPath: *hybridJSON, dncJSONPath: *dncJSON,
-		memwallJSONPath: *memwallJSON, distJSONPath: *distJSON, distwireJSONPath: *distwireJSON,
+		memwallJSONPath: *memwallJSON, distJSONPath: *distJSON,
 		backendsJSONPath: *backendsJSON, ondemandJSONPath: *ondemandJSON}
 	for _, part := range strings.Split(*nodes, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))

@@ -61,7 +61,6 @@ func main() {
 		peers        = flag.String("peers", "", "comma-separated worker addresses (requires -coordinator)")
 		classTimeout = flag.Duration("class-timeout", 2*time.Minute, "coordinator's per-class worker deadline before the class is re-enqueued elsewhere")
 		inflight     = flag.Int("inflight", 2, "coordinator's per-worker-link in-flight class credit (pipelines the next class while a worker computes)")
-		wireCompress = flag.Bool("wire-compress", true, "DEFLATE large support payloads on protocol-2 worker links")
 	)
 	flag.Parse()
 
@@ -116,7 +115,6 @@ func main() {
 		pool = distrib.NewPool(fleet, distrib.PoolOptions{
 			ClassTimeout: *classTimeout,
 			Inflight:     *inflight,
-			NoCompress:   !*wireCompress,
 		})
 		defer pool.Close()
 		log.Printf("efmd: coordinating %d worker(s): %s", len(fleet), *peers)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
 	"sort"
 
 	"elmocomp/internal/bitset"
@@ -78,4 +80,52 @@ func SupportsFingerprint(supports []bitset.Set) uint64 {
 		}
 	}
 	return h
+}
+
+// EncodeSupportList serializes a support list over q reduced columns
+// into the flat EFMS byte stream (ModeSet.Encode): one bit-only mode per
+// support. It is the one payload shape the job cache stores and the
+// distrib workers ship.
+func EncodeSupportList(supports []bitset.Set, q int) []byte {
+	set := NewModeSet(q, q, nil)
+	set.Grow(len(supports))
+	var words []uint64
+	for _, b := range supports {
+		if cap(words) < b.Words() {
+			words = make([]uint64, b.Words())
+		}
+		words = words[:b.Words()]
+		for w := range words {
+			words[w] = b.Word(w)
+		}
+		set.AppendMode(words, nil, nil, 0)
+	}
+	return set.Encode()
+}
+
+// DecodeSupportList inverts EncodeSupportList, validating the payload
+// against the expected column count. It accepts the flat EFMS form and
+// the compressed EFMC form (EncodeCompressed), keyed on the codec magic.
+func DecodeSupportList(payload []byte, q int) ([]bitset.Set, error) {
+	var set *ModeSet
+	var err error
+	if len(payload) >= 4 && binary.LittleEndian.Uint32(payload) == StoreCodecMagic {
+		set, err = DecodeCompressed(payload)
+	} else {
+		set, err = DecodeModeSet(payload)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if set.Q() != q {
+		return nil, fmt.Errorf("core: supports span %d columns, want %d", set.Q(), q)
+	}
+	if set.FirstRow() != set.Q() || len(set.RevRows()) != 0 {
+		return nil, fmt.Errorf("core: payload is an intermediate mode set, not a support list")
+	}
+	out := make([]bitset.Set, set.Len())
+	for i := range out {
+		out[i] = set.Support(i)
+	}
+	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -55,53 +56,27 @@ func TestRingDeterministicAndCovering(t *testing.T) {
 
 func TestFrameRoundTripAndLimit(t *testing.T) {
 	var buf bytes.Buffer
-	in := classRequest{Seq: 7, Key: "k", Network: "net", Partition: []int{3, 5}, Class: 2}
-	if err := writeMsg(&buf, &in); err != nil {
+	in := classRequest{Seq: 7, Key: "k", classSpec: classSpec{Network: "net"}, Partition: []int{3, 5}, Class: 2}
+	if err := writeFrame(&buf, encodeClass(&in, true)); err != nil {
 		t.Fatal(err)
 	}
-	var out classRequest
-	if err := readMsg(&buf, &out, 0); err != nil {
+	body, err := readFrame(&buf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := decodeClass(body)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Seq != 7 || out.Class != 2 || len(out.Partition) != 2 {
 		t.Fatalf("round trip mangled: %+v", out)
 	}
 	buf.Reset()
-	if err := writeMsg(&buf, &in); err != nil {
+	if err := writeFrame(&buf, encodeClass(&in, true)); err != nil {
 		t.Fatal(err)
 	}
-	if err := readMsg(&buf, &out, 8); err == nil {
+	if _, err := readFrame(&buf, 8); err == nil {
 		t.Fatal("oversized frame accepted")
-	}
-}
-
-func TestSupportsCodecRoundTrip(t *testing.T) {
-	q := 70 // spans two words
-	var supports []bitset.Set
-	for i := 0; i < 5; i++ {
-		b := bitset.New(q)
-		b.Set(i)
-		b.Set(69 - i)
-		supports = append(supports, b)
-	}
-	payload := encodeSupports(supports, q)
-	got, err := decodeSupports(payload, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(supports) {
-		t.Fatalf("decoded %d supports, want %d", len(got), len(supports))
-	}
-	for i := range got {
-		if !got[i].Equal(supports[i]) {
-			t.Fatalf("support %d differs: %s vs %s", i, got[i], supports[i])
-		}
-	}
-	if _, err := decodeSupports(payload, q+1); err == nil {
-		t.Fatal("column-count mismatch accepted")
-	}
-	if _, err := decodeSupports([]byte("garbage"), q); err == nil {
-		t.Fatal("garbage payload accepted")
 	}
 }
 
@@ -335,48 +310,140 @@ func TestPoolRedialAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestWorkerProtocolMismatch: the negotiation matrix. Clients within
-// [protoFloor, protoVersion] settle on min(client, worker); a client
-// below the floor, or one whose own floor is above the worker's version,
-// gets a refusal — not a hung or misparsed connection.
+// TestWorkerProtocolMismatch: a hello on this build's version is
+// accepted; one on any other version gets a refusal naming both versions
+// and a closed connection — not a hung or misparsed one.
 func TestWorkerProtocolMismatch(t *testing.T) {
 	w := startWorker(t, WorkerOptions{})
 	for _, tc := range []struct {
-		name   string
-		hello  helloRequest
-		want   int  // negotiated version when accepted
-		refuse bool // hello must be refused with an error
+		proto  int
+		refuse bool
 	}{
-		{"v2-v2", helloRequest{Proto: protoVersion, Min: protoFloor}, protoVersion, false},
-		{"v1-client", helloRequest{Proto: 1}, 1, false},
-		{"future-client-downgrades", helloRequest{Proto: protoVersion + 1, Min: protoFloor}, protoVersion, false},
-		{"future-client-floor-too-new", helloRequest{Proto: protoVersion + 1, Min: protoVersion + 1}, 0, true},
-		{"below-floor", helloRequest{Proto: protoFloor - 1}, 0, true},
+		{protoVersion, false},
+		{protoVersion - 1, true},
+		{protoVersion + 1, true},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(fmt.Sprint("proto-", tc.proto), func(t *testing.T) {
 			conn, err := net.DialTimeout("tcp", w.Addr(), 2*time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer conn.Close()
 			conn.SetDeadline(time.Now().Add(5 * time.Second))
-			if err := writeMsg(conn, tc.hello); err != nil {
+			if err := writeHello(conn, hello{Proto: tc.proto}); err != nil {
 				t.Fatal(err)
 			}
-			var resp helloResponse
-			if err := readMsg(conn, &resp, 1<<16); err != nil {
+			resp, err := readHello(conn)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.refuse {
-				if resp.Error == "" || !strings.Contains(resp.Error, "protocol") {
-					t.Fatalf("hello %+v not refused: %+v", tc.hello, resp)
+			if !tc.refuse {
+				if resp.Error != "" || resp.Proto != protoVersion {
+					t.Fatalf("hello at protocol %d answered %+v, want acceptance at %d", tc.proto, resp, protoVersion)
 				}
 				return
 			}
-			if resp.Error != "" || resp.Proto != tc.want {
-				t.Fatalf("hello %+v negotiated %+v, want protocol %d", tc.hello, resp, tc.want)
+			for _, want := range []string{fmt.Sprint("protocol ", tc.proto), fmt.Sprint("protocol ", protoVersion)} {
+				if !strings.Contains(resp.Error, want) {
+					t.Fatalf("refusal %q does not name %q", resp.Error, want)
+				}
+			}
+			if _, err := readFrame(conn, 0); !errors.Is(err, io.EOF) {
+				t.Fatalf("connection not closed after the refusal: %v", err)
 			}
 		})
+	}
+}
+
+// TestPoolProtoRefusal: the coordinator's half of the hello. A worker
+// that refuses the connection, or answers on another protocol version,
+// costs the link — reported as worker-lost with the reason, marked dead,
+// neither wedged nor redialed in a loop.
+func TestPoolProtoRefusal(t *testing.T) {
+	for name, answer := range map[string]hello{
+		"refused":       {Proto: protoVersion + 1, Error: "coordinator speaks another protocol"},
+		"other-version": {Proto: protoVersion + 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				for {
+					c, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					if _, err := readHello(c); err == nil {
+						writeHello(c, answer)
+					}
+					c.Close()
+				}
+			}()
+
+			spec, _, _ := toyJob(t)
+			pool := NewPool([]string{ln.Addr().String()}, PoolOptions{DialTimeout: 2 * time.Second, ClassTimeout: 5 * time.Second})
+			defer pool.Close()
+			cancel := make(chan struct{})
+			defer close(cancel)
+			_, err = pool.Bind(spec).Run(0, dnc.RemoteClass{ID: 0, Partition: []int{0}, Label: "0"}, cancel)
+			if !errors.Is(err, dnc.ErrWorkerLost) {
+				t.Fatalf("hello %+v surfaced as %v, want worker-lost", answer, err)
+			}
+			if !strings.Contains(err.Error(), "protocol") {
+				t.Fatalf("error %q does not say why the link was refused", err)
+			}
+			if pool.Stats()[0].Alive {
+				t.Fatal("refused link still marked alive")
+			}
+		})
+	}
+}
+
+// TestWorkerSilentHelloTimeout: a peer that connects and sends nothing
+// is dropped once the hello bound passes, instead of pinning a goroutine
+// and a socket until Close. A real class on another connection, still
+// computing when the bound passes, completes: the deadline covers the
+// hello only and is cleared after it.
+func TestWorkerSilentHelloTimeout(t *testing.T) {
+	spec, _, _ := toyJob(t)
+	w, err := NewWorker("127.0.0.1:0", WorkerOptions{DelayPerClass: 400 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.helloTimeout = 100 * time.Millisecond
+	go w.Serve()
+	t.Cleanup(func() { w.Close() })
+
+	silent, err := net.DialTimeout("tcp", w.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+
+	pool := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second})
+	defer pool.Close()
+	cancel := make(chan struct{})
+	defer close(cancel)
+	classDone := make(chan error, 1)
+	go func() {
+		_, err := pool.Bind(spec).Run(0, dnc.RemoteClass{ID: 0, Partition: []int{0}, Label: "0"}, cancel)
+		classDone <- err
+	}()
+
+	silent.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := silent.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("silent connection not closed by the worker: %v", err)
+	}
+	select {
+	case err := <-classDone:
+		t.Fatalf("class finished (err %v) before the silent peer was dropped; the test proved nothing about overlap", err)
+	default:
+	}
+	if err := <-classDone; err != nil {
+		t.Fatalf("class on a healthy connection failed: %v", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package distrib
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -29,13 +28,6 @@ type PoolOptions struct {
 	// current one, overlapping transfer with compute; the worker still
 	// executes serially per connection.
 	Inflight int
-	// NoCompress disables asking workers to DEFLATE large support
-	// payloads (protocol 2 links compress by default).
-	NoCompress bool
-	// ForceProto, when > 0, caps the protocol version offered at hello.
-	// Benchmarks and tests use it to run a modern fleet in protocol-1
-	// mode; production leaves it zero.
-	ForceProto int
 }
 
 // JobSpec is the per-job half of a class request: the canonical network
@@ -110,13 +102,11 @@ func (p *Pool) Close() {
 // on /varz. PayloadBytes counts the logical bytes of each class exchange
 // (the canonical spec-bearing request encoding plus flat support
 // payloads); WireBytes counts the framed bytes actually sent and
-// received, so their ratio is the data-plane win from interning,
-// binary framing, and compression.
+// received, so their ratio is the data-plane win from interning and
+// compression.
 type WorkerStats struct {
 	Addr         string `json:"addr"`
 	Alive        bool   `json:"alive"`
-	Proto        int    `json:"proto,omitempty"`
-	Compress     bool   `json:"compress,omitempty"`
 	Dispatched   int64  `json:"dispatched"`
 	Completed    int64  `json:"completed"`
 	CacheHits    int64  `json:"cache_hits"`
@@ -132,14 +122,10 @@ func (p *Pool) Stats() []WorkerStats {
 	for i, w := range p.workers {
 		w.mu.Lock()
 		alive := !w.down
-		proto := w.proto
-		compress := w.compress
 		w.mu.Unlock()
 		out[i] = WorkerStats{
 			Addr:         w.addr,
 			Alive:        alive,
-			Proto:        proto,
-			Compress:     compress,
 			Dispatched:   atomic.LoadInt64(&w.dispatched),
 			Completed:    atomic.LoadInt64(&w.completed),
 			CacheHits:    atomic.LoadInt64(&w.cacheHits),
@@ -181,16 +167,13 @@ type workerLink struct {
 	// emits a spec-less class ahead of the frame that interns its spec.
 	wmu sync.Mutex
 
-	mu       sync.Mutex
-	conn     net.Conn
-	gen      uint64 // connection generation, bumped by every successful dial
-	proto    int    // negotiated protocol of the current connection
-	compress bool   // negotiated payload compression
-	learned  int    // highest protocol a refusal taught us this worker speaks
-	seq      uint64
-	down     bool // link failed; cleared by a successful redial
-	pending  map[uint64]chan linkReply
-	specs    map[string]bool // job keys whose spec this connection has interned
+	mu      sync.Mutex
+	conn    net.Conn
+	gen     uint64 // connection generation, bumped by every successful dial
+	seq     uint64
+	down    bool // link failed; cleared by a successful redial
+	pending map[uint64]chan linkReply
+	specs   map[string]bool // job keys whose spec this connection has interned
 
 	dispatched   int64
 	completed    int64
@@ -235,17 +218,19 @@ func (e *boundExec) Affine(slot int, c dnc.RemoteClass) bool {
 func (e *boundExec) Run(slot int, c dnc.RemoteClass, cancel <-chan struct{}) (*dnc.ClassOutcome, error) {
 	w := e.link(slot)
 	req := &classRequest{
-		Key:            e.spec.Key,
-		Network:        e.spec.Network,
+		Key: e.spec.Key,
+		classSpec: classSpec{
+			Network:        e.spec.Network,
+			Tol:            e.spec.Tol,
+			MaxModes:       e.spec.MaxModes,
+			Workers:        e.spec.Workers,
+			Nodes:          e.spec.Nodes,
+			MemBudget:      e.spec.MemBudget,
+			CommTimeoutSec: e.spec.CommTimeoutSec,
+		},
 		KeepDuplicates: e.spec.KeepDuplicates,
-		Tol:            e.spec.Tol,
-		MaxModes:       e.spec.MaxModes,
-		Workers:        e.spec.Workers,
-		Nodes:          e.spec.Nodes,
 		Tree:           e.spec.Tree,
 		NoHybrid:       e.spec.NoHybrid,
-		MemBudget:      e.spec.MemBudget,
-		CommTimeoutSec: e.spec.CommTimeoutSec,
 		Partition:      c.Partition,
 		Class:          c.ID,
 		Depth:          c.Depth,
@@ -257,7 +242,7 @@ func (e *boundExec) Run(slot int, c dnc.RemoteClass, cancel <-chan struct{}) (*d
 	}
 	switch resp.Status {
 	case statusOK:
-		supports, derr := decodeSupports(resp.Supports, e.spec.Q)
+		supports, derr := core.DecodeSupportList(resp.Supports, e.spec.Q)
 		if derr != nil {
 			// A payload the coordinator cannot decode means the link (or
 			// the worker) is unreliable: sever it and let the class rerun
@@ -276,11 +261,8 @@ func (e *boundExec) Run(slot int, c dnc.RemoteClass, cancel <-chan struct{}) (*d
 		return nil, fmt.Errorf("distrib: worker %s: class %s over mode budget: %w", w.addr, c.Label, core.ErrBudget)
 	case statusMemBudget:
 		return nil, fmt.Errorf("distrib: worker %s: class %s over memory budget: %w", w.addr, c.Label, core.ErrMemBudget)
-	case statusError:
+	default: // statusError; decodeResult admits no other byte
 		return nil, fmt.Errorf("distrib: worker %s: class %s: %s", w.addr, c.Label, resp.Error)
-	default:
-		w.hardFail(fmt.Errorf("unknown status %q", resp.Status))
-		return nil, fmt.Errorf("distrib: worker %s: unknown status %q: %w", w.addr, resp.Status, dnc.ErrWorkerLost)
 	}
 }
 
@@ -318,25 +300,14 @@ func (w *workerLink) callOnce(req *classRequest, cancel <-chan struct{}, forceSp
 	req.Seq = w.seq
 	gen := w.gen
 	conn := w.conn
-	proto := w.proto
-	withSpec := proto < 2 || forceSpec || !w.specs[req.Key]
-	if proto >= 2 && withSpec {
-		w.specs[req.Key] = true
-	}
+	withSpec := forceSpec || !w.specs[req.Key]
+	w.specs[req.Key] = true
 	ch := make(chan linkReply, 1)
 	w.pending[req.Seq] = ch
 	w.mu.Unlock()
 
-	var body []byte
-	var err error
-	if proto >= 2 {
-		body = encodeClassV2(req, withSpec)
-	} else {
-		body, err = json.Marshal(req)
-	}
-	if err == nil {
-		err = writeFrame(conn, body)
-	}
+	body := encodeClass(req, withSpec)
+	err := writeFrame(conn, body)
 	w.wmu.Unlock()
 	if err != nil {
 		w.sever(gen, err)
@@ -345,13 +316,11 @@ func (w *workerLink) callOnce(req *classRequest, cancel <-chan struct{}, forceSp
 	}
 	atomic.AddInt64(&w.dispatched, 1)
 	atomic.AddInt64(&w.wireBytes, int64(len(body))+frameHeaderLen)
-	if proto >= 2 && !withSpec {
-		atomic.AddInt64(&w.payloadBytes, int64(len(encodeClassV2(req, true))))
-	} else if proto >= 2 {
-		atomic.AddInt64(&w.payloadBytes, int64(len(body)))
-	} else {
-		atomic.AddInt64(&w.payloadBytes, int64(len(encodeClassV2(req, true))))
+	logical := len(body)
+	if !withSpec {
+		logical = len(encodeClass(req, true))
 	}
+	atomic.AddInt64(&w.payloadBytes, int64(logical))
 
 	timer := time.NewTimer(opts.ClassTimeout)
 	defer timer.Stop()
@@ -398,82 +367,55 @@ func (w *workerLink) ensureLocked(opts PoolOptions) error {
 	if w.conn != nil {
 		return nil
 	}
-	target := protoVersion
-	if opts.ForceProto > 0 && opts.ForceProto < target {
-		target = opts.ForceProto
-	}
-	if w.learned > 0 && w.learned < target {
-		target = w.learned
-	}
-	for {
-		conn, proto, compress, err := dialHello(w.addr, target, opts)
-		if err == nil {
-			w.conn = conn
-			w.gen++
-			w.proto = proto
-			w.compress = compress
-			w.down = false
-			w.pending = make(map[uint64]chan linkReply)
-			w.specs = make(map[string]bool)
-			go w.readLoop(conn, w.gen, proto, opts.MaxFrameBytes)
-			return nil
-		}
-		// A refusal that carries the worker's own version (a protocol-1
-		// worker refuses anything newer) teaches us where to redial.
-		var rerr *refusedError
-		if errors.As(err, &rerr) && rerr.proto >= protoFloor && rerr.proto < target {
-			target = rerr.proto
-			w.learned = rerr.proto
-			continue
-		}
+	conn, err := dialHello(w.addr, opts.DialTimeout)
+	if err != nil {
 		return err
 	}
+	w.conn = conn
+	w.gen++
+	w.down = false
+	w.pending = make(map[uint64]chan linkReply)
+	w.specs = make(map[string]bool)
+	go w.readLoop(conn, w.gen, opts.MaxFrameBytes)
+	return nil
 }
 
-// refusedError is a worker's hello refusal; proto is the version the
-// worker itself speaks.
-type refusedError struct {
-	proto int
-	msg   string
-}
-
-func (e *refusedError) Error() string { return e.msg }
-
-// dialHello connects and negotiates: offer target, accept whatever the
-// worker answers within [protoFloor, target].
-func dialHello(addr string, target int, opts PoolOptions) (net.Conn, int, bool, error) {
-	conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
+// dialHello connects and completes the hello exchange, all within
+// timeout.
+func dialHello(addr string, timeout time.Duration) (net.Conn, error) {
+	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, err
 	}
-	conn.SetDeadline(time.Now().Add(opts.DialTimeout))
-	wantCompress := target >= 2 && !opts.NoCompress
-	if err := writeMsg(conn, helloRequest{Proto: target, Min: protoFloor, Compress: wantCompress}); err != nil {
+	conn.SetDeadline(time.Now().Add(timeout))
+	if err := greet(conn); err != nil {
 		conn.Close()
-		return nil, 0, false, err
-	}
-	var hello helloResponse
-	if err := readMsg(conn, &hello, 1<<16); err != nil {
-		conn.Close()
-		return nil, 0, false, err
-	}
-	if hello.Error != "" {
-		conn.Close()
-		return nil, 0, false, &refusedError{proto: hello.Proto, msg: hello.Error}
-	}
-	if hello.Proto < protoFloor || hello.Proto > target {
-		conn.Close()
-		return nil, 0, false, fmt.Errorf("worker answered protocol %d outside [%d, %d]", hello.Proto, protoFloor, target)
+		return nil, err
 	}
 	conn.SetDeadline(time.Time{})
-	return conn, hello.Proto, hello.Compress && wantCompress, nil
+	return conn, nil
+}
+
+// greet sends the coordinator's hello and checks the worker's answer.
+func greet(conn net.Conn) error {
+	if err := writeHello(conn, hello{Proto: protoVersion}); err != nil {
+		return err
+	}
+	answer, err := readHello(conn)
+	if err != nil {
+		return err
+	}
+	if answer.Error != "" {
+		return fmt.Errorf("worker refused the connection: %s", answer.Error)
+	}
+	return answer.mismatch("worker")
 }
 
 // readLoop is the link's reader pump: it decodes frames off one
 // connection and delivers them to the pending calls by sequence number,
 // severing the connection (which fails every pending call) on any read
 // or decode error.
-func (w *workerLink) readLoop(conn net.Conn, gen uint64, proto int, maxFrame int) {
+func (w *workerLink) readLoop(conn net.Conn, gen uint64, maxFrame int) {
 	for {
 		body, err := readFrame(conn, maxFrame)
 		if err != nil {
@@ -481,39 +423,10 @@ func (w *workerLink) readLoop(conn net.Conn, gen uint64, proto int, maxFrame int
 			return
 		}
 		atomic.AddInt64(&w.wireBytes, int64(len(body))+frameHeaderLen)
-		var seq uint64
-		var rep linkReply
-		if proto >= 2 {
-			if len(body) == 0 {
-				w.sever(gen, errors.New("empty frame"))
-				return
-			}
-			switch body[0] {
-			case msgResultV2:
-				resp, raw, derr := decodeResultV2(body)
-				if derr != nil {
-					w.sever(gen, derr)
-					return
-				}
-				seq, rep = resp.Seq, linkReply{resp: resp, raw: raw}
-			case msgNeedSpecV2:
-				s, _, derr := decodeNeedSpecV2(body)
-				if derr != nil {
-					w.sever(gen, derr)
-					return
-				}
-				seq, rep = s, linkReply{needSpec: true}
-			default:
-				w.sever(gen, fmt.Errorf("unknown message type %#x", body[0]))
-				return
-			}
-		} else {
-			var resp classResponse
-			if derr := json.Unmarshal(body, &resp); derr != nil {
-				w.sever(gen, derr)
-				return
-			}
-			seq, rep = resp.Seq, linkReply{resp: &resp, raw: int64(len(resp.Supports))}
+		seq, rep, err := decodeReply(body)
+		if err != nil {
+			w.sever(gen, err)
+			return
 		}
 		w.mu.Lock()
 		var ch chan linkReply
@@ -529,6 +442,20 @@ func (w *workerLink) readLoop(conn net.Conn, gen uint64, proto int, maxFrame int
 		// class raced the sever) is dropped; the sever closes the
 		// connection either way.
 	}
+}
+
+// decodeReply parses one worker-to-coordinator frame into the sequence
+// number it answers and the reply for that caller.
+func decodeReply(body []byte) (uint64, linkReply, error) {
+	if len(body) > 0 && body[0] == msgNeedSpec {
+		seq, _, err := decodeNeedSpec(body)
+		return seq, linkReply{needSpec: true}, err
+	}
+	resp, raw, err := decodeResult(body) // rejects every other type byte
+	if err != nil {
+		return 0, linkReply{}, err
+	}
+	return resp.Seq, linkReply{resp: resp, raw: raw}, nil
 }
 
 // sever tears down the link's current connection if it still is the

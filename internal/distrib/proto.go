@@ -1,21 +1,35 @@
 // Package distrib is the coordinator/worker fabric of the distributed
-// efmd deployment: a versioned wire protocol for shipping
-// divide-and-conquer classes to remote worker processes, a multiplexed
-// connection pool implementing the scheduler's RemoteExecutor on top of
-// it, and a consistent-hash ring that routes identical requests back to
-// the same worker's cache.
+// efmd deployment: one wire protocol for shipping divide-and-conquer
+// classes to remote worker processes, a multiplexed connection pool
+// implementing the scheduler's RemoteExecutor on top of it, and a
+// consistent-hash ring that routes identical requests back to the same
+// worker's cache.
 //
-// Two protocol versions coexist. Version 1 (the original) frames JSON
-// bodies: one class per round trip, the full network text re-sent with
-// every class, support payloads base64-inflated inside JSON. Version 2
-// keeps the 4-byte length framing but replaces the bodies with a
-// compact binary codec, interns the per-job spec per (link, key) so
-// repeat classes carry only their coordinates, optionally compresses
-// large support payloads with the core EFMC delta+DEFLATE codec, and
-// multiplexes several seq-tagged classes over one connection so
-// transfer overlaps compute. The hello exchange negotiates the version
-// (both ends settle on the smaller one) and refuses only below a floor,
-// so mixed-version fleets interoperate instead of wedging.
+// The wire (this file). Every message is a frame: a 4-byte little-endian
+// length, then the body. A connection opens with one JSON hello frame
+// each way carrying the sender's protocol version; the versions must be
+// equal, and a worker that disagrees answers with a hello whose error
+// names both before closing. After the hello, bodies are binary: a type
+// byte, then varints, raw float bits and length-prefixed byte strings.
+//
+//	class     0x01 seq flags key class depth |partition| partition...
+//	          [tol maxModes workers nodes memBudget commTimeout network]
+//	result    0x02 seq status flags error pairs peakNodeBytes rawLen supports
+//	need-spec 0x03 seq key
+//
+// The bracketed spec block (network text plus result-shaping options) is
+// the per-job half of a class. A link sends it with the first class of a
+// job key and interns it: later classes of the key carry coordinates
+// only, and a worker that no longer holds the spec answers need-spec to
+// have the class re-sent whole. Supports travel as the core EFMS codec,
+// or as its compressed EFMC form whenever that is smaller — the codec
+// magic tells the receiver which, so nothing is negotiated. Several
+// seq-tagged classes share a connection (PoolOptions.Inflight credit
+// slots), so the next class ships while the worker computes the current
+// one.
+//
+// The class, result and need-spec layouts are frozen: bench/expected.json
+// pins the payload bytes they add up to.
 package distrib
 
 import (
@@ -23,23 +37,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"elmocomp/internal/bitset"
-	"elmocomp/internal/core"
+	"math"
 )
 
-// protoVersion is this build's newest protocol; the hello exchange may
-// settle lower, down to protoFloor. Bump on any wire change.
+// protoVersion is the protocol this build speaks. Bump on any wire
+// change; peers on another version are refused at hello.
 const protoVersion = 2
-
-// protoFloor is the oldest protocol this build still speaks. Peers
-// below it are refused at hello instead of served badly.
-const protoFloor = 1
 
 // defaultMaxFrame bounds a single frame. Support payloads dominate, and
 // a worker answering a class with more encoded modes than this is more
 // plausibly corrupt than correct.
 const defaultMaxFrame = 256 << 20
+
+// helloMaxFrame bounds the hello frame, read before the peer has proven
+// it speaks the protocol at all.
+const helloMaxFrame = 1 << 16
 
 // frameHeaderLen is the 4-byte little-endian length prefix, matching the
 // cluster substrate's TCP framing.
@@ -76,147 +88,385 @@ func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
 	return body, nil
 }
 
-// writeMsg frames and writes one JSON message (the hello exchange and
-// every protocol-1 body).
-func writeMsg(w io.Writer, v interface{}) error {
-	body, err := json.Marshal(v)
+// hello is the frame each side sends once when a connection opens: the
+// coordinator first, then the worker. Error is set only by a worker
+// refusing the connection.
+type hello struct {
+	Proto int    `json:"proto"`
+	Error string `json:"error,omitempty"`
+}
+
+func writeHello(w io.Writer, h hello) error {
+	body, err := json.Marshal(h)
 	if err != nil {
 		return err
 	}
 	return writeFrame(w, body)
 }
 
-// readMsg reads and decodes one framed JSON message into v.
-func readMsg(r io.Reader, v interface{}, maxFrame int) error {
-	body, err := readFrame(r, maxFrame)
+func decodeHello(body []byte) (hello, error) {
+	var h hello
+	err := json.Unmarshal(body, &h)
+	return h, err
+}
+
+func readHello(r io.Reader) (hello, error) {
+	body, err := readFrame(r, helloMaxFrame)
 	if err != nil {
-		return err
+		return hello{}, err
 	}
-	return json.Unmarshal(body, v)
+	return decodeHello(body)
 }
 
-// helloRequest opens every connection. Proto is the newest version the
-// client speaks, Min the oldest; the worker answers with the largest
-// version both sides share, or an error when the ranges are disjoint. A
-// protocol-1 peer sends {"proto":1} and ignores the newer fields, which
-// is exactly the old exchange.
-type helloRequest struct {
-	Proto int `json:"proto"`
-	Min   int `json:"min,omitempty"`
-	// Compress asks the worker to DEFLATE large support payloads with
-	// the core EFMC codec (protocol >= 2 only).
-	Compress bool `json:"compress,omitempty"`
+// mismatch is the refusal both ends report for a peer ("coordinator" or
+// "worker") on another protocol version; it names both versions so an
+// operator can tell which binary is stale.
+func (h hello) mismatch(peer string) error {
+	if h.Proto == protoVersion {
+		return nil
+	}
+	return fmt.Errorf("distrib: %s speaks protocol %d, this build speaks protocol %d", peer, h.Proto, protoVersion)
 }
 
-type helloResponse struct {
-	Proto    int    `json:"proto"`
-	Compress bool   `json:"compress,omitempty"`
-	Error    string `json:"error,omitempty"`
+// classSpec is the spec block: the per-job half of a class request that
+// a link interns. Network is the canonical network text (the worker
+// re-derives the identical reduction); the rest shape the result.
+type classSpec struct {
+	Network        string
+	Tol            float64
+	MaxModes       int
+	Workers        int
+	Nodes          int
+	MemBudget      int64
+	CommTimeoutSec float64
 }
 
-// classRequest ships one divide-and-conquer class: the canonical network
-// text (the worker re-derives the identical reduction), the
-// result-shaping options, and the class coordinates. Seq pairs the
-// response on the connection; Key is the job's content-addressed
-// RequestKey, shared by every class of one job so the worker can reuse
-// its parsed reduction and key its class cache.
-//
-// The JSON field set is the frozen protocol-1 body. Protocol 2 carries
-// the same struct through the binary codec in proto2.go and elides the
-// spec fields (Network through CommTimeoutSec) once a link has interned
-// them for the key.
+// classRequest ships one divide-and-conquer class: the job's spec and
+// the class coordinates. Seq pairs the response on the connection; Key
+// is the job's content-addressed RequestKey, shared by every class of
+// one job so the worker can reuse its parsed reduction, intern the spec
+// and key its class cache.
 type classRequest struct {
-	Seq uint64 `json:"seq"`
-	Key string `json:"key"`
+	Seq uint64
+	Key string
+	classSpec
 
-	Network        string  `json:"network"`
-	KeepDuplicates bool    `json:"keep_duplicates,omitempty"`
-	Tol            float64 `json:"tol,omitempty"`
-	MaxModes       int     `json:"max_modes,omitempty"`
-	Workers        int     `json:"workers,omitempty"`
-	Nodes          int     `json:"nodes,omitempty"`
-	Tree           bool    `json:"tree,omitempty"`
-	NoHybrid       bool    `json:"no_hybrid,omitempty"`
-	MemBudget      int64   `json:"mem_budget,omitempty"`
-	CommTimeoutSec float64 `json:"comm_timeout_sec,omitempty"`
+	KeepDuplicates bool
+	Tree           bool
+	NoHybrid       bool
 
-	Partition []int  `json:"partition"`
-	Class     uint64 `json:"class"`
-	Depth     int    `json:"depth,omitempty"`
-	StrictMem bool   `json:"strict_mem,omitempty"`
+	Partition []int
+	Class     uint64
+	Depth     int
+	StrictMem bool
 }
 
-// Response statuses. Budget overflows are statuses, not errors: they are
-// the coordinator's re-split signal and must survive the wire with their
-// exact identity.
+// status is a class response's outcome byte. Budget overflows are
+// statuses, not errors: they are the coordinator's re-split signal and
+// must survive the wire with their exact identity.
+type status byte
+
 const (
-	statusOK        = "ok"
-	statusSkipped   = "skipped"
-	statusBudget    = "budget"
-	statusMemBudget = "membudget"
-	statusError     = "error"
+	statusOK status = iota
+	statusSkipped
+	statusBudget
+	statusMemBudget
+	statusError
 )
 
+func (s status) String() string {
+	return [...]string{"ok", "skipped", "budget", "membudget", "error"}[s]
+}
+
 type classResponse struct {
-	Seq    uint64 `json:"seq"`
-	Status string `json:"status"`
-	Error  string `json:"error,omitempty"`
+	Seq    uint64
+	Status status
+	Error  string
 
-	Pairs         int64 `json:"pairs,omitempty"`
-	PeakNodeBytes int64 `json:"peak_node_bytes,omitempty"`
-	Cached        bool  `json:"cached,omitempty"`
+	Pairs         int64
+	PeakNodeBytes int64
+	Cached        bool
 	// Supports is the class's EFM supports over the reduced network's
-	// columns: always the flat EFMS codec in the protocol-1 JSON body
-	// and in the worker's class cache; on a protocol-2 link the payload
-	// may instead travel in the compressed EFMC form (the codecs'
-	// magics disambiguate).
-	Supports []byte `json:"supports,omitempty"`
+	// columns: flat EFMS in the worker's class cache, EFMS or EFMC on
+	// the wire.
+	Supports []byte
 }
 
-// encodeSupports serializes a support list over q reduced columns into
-// the EFMS codec — the same payload shape the job cache stores, so both
-// ends share one versioned format.
-func encodeSupports(supports []bitset.Set, q int) []byte {
-	set := core.NewModeSet(q, q, nil)
-	set.Grow(len(supports))
-	var words []uint64
-	for _, b := range supports {
-		if cap(words) < b.Words() {
-			words = make([]uint64, b.Words())
-		}
-		words = words[:b.Words()]
-		for w := range words {
-			words[w] = b.Word(w)
-		}
-		set.AppendMode(words, nil, nil, 0)
-	}
-	return set.Encode()
+// Message type bytes, the first byte of every frame body after the hello.
+const (
+	// msgClass carries one class request, coordinator to worker.
+	msgClass = 0x01
+	// msgResult carries one class response, worker to coordinator.
+	msgResult = 0x02
+	// msgNeedSpec asks the coordinator to re-send a class with its job
+	// spec attached: the worker does not hold the spec for the key
+	// (restarted, or the bounded spec store evicted it).
+	msgNeedSpec = 0x03
+)
+
+// Class request flag bits.
+const (
+	classHasSpec = 1 << iota
+	classStrictMem
+	classKeepDup
+	classTree
+	classNoHybrid
+)
+
+// Result flag bits.
+const (
+	resultCached = 1 << iota
+)
+
+func appendBytes(dst []byte, p []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(p)))
+	return append(dst, p...)
 }
 
-// decodeSupports inverts encodeSupports, validating the payload against
-// the expected column count. It accepts both the flat EFMS form and the
-// compressed EFMC form (protocol-2 links deflate large payloads), keyed
-// on the codec magic.
-func decodeSupports(payload []byte, q int) ([]bitset.Set, error) {
-	var set *core.ModeSet
-	var err error
-	if len(payload) >= 4 && binary.LittleEndian.Uint32(payload) == core.StoreCodecMagic {
-		set, err = core.DecodeCompressed(payload)
-	} else {
-		set, err = core.DecodeModeSet(payload)
+func appendF64(dst []byte, v float64) []byte {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+	return append(dst, b[:]...)
+}
+
+// wireReader decodes a frame body with sticky error state, so decoders
+// read straight through and check once.
+type wireReader struct {
+	b   []byte
+	o   int
+	err error
+}
+
+func (r *wireReader) fail(format string, args ...interface{}) {
+	if r.err == nil {
+		r.err = fmt.Errorf("distrib: "+format, args...)
 	}
-	if err != nil {
-		return nil, err
+}
+
+func (r *wireReader) u8() byte {
+	if r.err != nil {
+		return 0
 	}
-	if set.Q() != q {
-		return nil, fmt.Errorf("distrib: supports span %d columns, want %d", set.Q(), q)
+	if r.o >= len(r.b) {
+		r.fail("frame truncated at byte %d", r.o)
+		return 0
 	}
-	if set.FirstRow() != set.Q() || len(set.RevRows()) != 0 {
-		return nil, fmt.Errorf("distrib: payload is an intermediate mode set, not a support list")
+	v := r.b[r.o]
+	r.o++
+	return v
+}
+
+func (r *wireReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
 	}
-	out := make([]bitset.Set, set.Len())
-	for i := range out {
-		out[i] = set.Support(i)
+	v, n := binary.Uvarint(r.b[r.o:])
+	if n <= 0 {
+		r.fail("bad varint at byte %d", r.o)
+		return 0
 	}
-	return out, nil
+	r.o += n
+	return v
+}
+
+// intv reads a varint that must fit a non-negative int.
+func (r *wireReader) intv() int {
+	v := r.uvarint()
+	if v > math.MaxInt32 {
+		r.fail("varint %d out of int range", v)
+		return 0
+	}
+	return int(v)
+}
+
+func (r *wireReader) f64() float64 {
+	if r.err != nil {
+		return 0
+	}
+	if len(r.b)-r.o < 8 {
+		r.fail("frame truncated in float at byte %d", r.o)
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.o:]))
+	r.o += 8
+	return v
+}
+
+func (r *wireReader) bytes() []byte {
+	n := r.uvarint()
+	if r.err != nil {
+		return nil
+	}
+	if uint64(len(r.b)-r.o) < n {
+		r.fail("frame truncated in %d-byte field at byte %d", n, r.o)
+		return nil
+	}
+	v := r.b[r.o : r.o+int(n)]
+	r.o += int(n)
+	return v
+}
+
+func (r *wireReader) done() error {
+	if r.err != nil {
+		return r.err
+	}
+	if r.o != len(r.b) {
+		return fmt.Errorf("distrib: frame has %d trailing bytes", len(r.b)-r.o)
+	}
+	return nil
+}
+
+// encodeClass serializes a class request. withSpec attaches the spec
+// block; an interned request carries only its key and coordinates.
+//
+// The spec-attached encoding with Seq zeroed doubles as the worker's
+// class-cache key material: it is a total, deterministic function of the
+// request with no error path.
+func encodeClass(req *classRequest, withSpec bool) []byte {
+	out := make([]byte, 0, 64+len(req.Key))
+	out = append(out, msgClass)
+	out = binary.AppendUvarint(out, req.Seq)
+	var flags byte
+	if withSpec {
+		flags |= classHasSpec
+	}
+	if req.StrictMem {
+		flags |= classStrictMem
+	}
+	if req.KeepDuplicates {
+		flags |= classKeepDup
+	}
+	if req.Tree {
+		flags |= classTree
+	}
+	if req.NoHybrid {
+		flags |= classNoHybrid
+	}
+	out = append(out, flags)
+	out = appendBytes(out, []byte(req.Key))
+	out = binary.AppendUvarint(out, req.Class)
+	out = binary.AppendUvarint(out, uint64(req.Depth))
+	out = binary.AppendUvarint(out, uint64(len(req.Partition)))
+	for _, j := range req.Partition {
+		out = binary.AppendUvarint(out, uint64(j))
+	}
+	if withSpec {
+		out = appendF64(out, req.Tol)
+		out = binary.AppendUvarint(out, uint64(req.MaxModes))
+		out = binary.AppendUvarint(out, uint64(req.Workers))
+		out = binary.AppendUvarint(out, uint64(req.Nodes))
+		out = binary.AppendUvarint(out, uint64(req.MemBudget))
+		out = appendF64(out, req.CommTimeoutSec)
+		out = appendBytes(out, []byte(req.Network))
+	}
+	return out
+}
+
+// decodeClass inverts encodeClass. hasSpec reports whether the spec
+// block was attached; without it the spec fields are zero and the
+// worker must fill them from its spec store (or answer need-spec).
+func decodeClass(body []byte) (req classRequest, hasSpec bool, err error) {
+	r := &wireReader{b: body}
+	if t := r.u8(); t != msgClass {
+		return req, false, fmt.Errorf("distrib: message type %#x is not a class request", t)
+	}
+	req.Seq = r.uvarint()
+	flags := r.u8()
+	req.Key = string(r.bytes())
+	req.Class = r.uvarint()
+	req.Depth = r.intv()
+	np := r.intv()
+	if r.err == nil && np > len(body) { // each partition entry is >= 1 byte
+		return req, false, fmt.Errorf("distrib: class request claims %d partition entries in a %d-byte frame", np, len(body))
+	}
+	if r.err == nil {
+		req.Partition = make([]int, np)
+		for i := range req.Partition {
+			req.Partition[i] = r.intv()
+		}
+	}
+	req.StrictMem = flags&classStrictMem != 0
+	req.KeepDuplicates = flags&classKeepDup != 0
+	req.Tree = flags&classTree != 0
+	req.NoHybrid = flags&classNoHybrid != 0
+	hasSpec = flags&classHasSpec != 0
+	if hasSpec {
+		req.Tol = r.f64()
+		req.MaxModes = r.intv()
+		req.Workers = r.intv()
+		req.Nodes = r.intv()
+		req.MemBudget = int64(r.uvarint())
+		req.CommTimeoutSec = r.f64()
+		req.Network = string(r.bytes())
+	}
+	return req, hasSpec, r.done()
+}
+
+// encodeResult serializes a class response. payload is the support
+// bytes actually shipped (flat EFMS or compressed EFMC); rawLen is the
+// flat payload size, carried so the coordinator's payload-vs-wire
+// accounting never has to re-encode.
+func encodeResult(resp *classResponse, payload []byte, rawLen int) []byte {
+	out := make([]byte, 0, 32+len(payload))
+	out = append(out, msgResult)
+	out = binary.AppendUvarint(out, resp.Seq)
+	out = append(out, byte(resp.Status))
+	var flags byte
+	if resp.Cached {
+		flags |= resultCached
+	}
+	out = append(out, flags)
+	out = appendBytes(out, []byte(resp.Error))
+	out = binary.AppendUvarint(out, uint64(resp.Pairs))
+	out = binary.AppendUvarint(out, uint64(resp.PeakNodeBytes))
+	out = binary.AppendUvarint(out, uint64(rawLen))
+	out = appendBytes(out, payload)
+	return out
+}
+
+// decodeResult inverts encodeResult, returning the flat-equivalent
+// payload size alongside the response.
+func decodeResult(body []byte) (*classResponse, int64, error) {
+	r := &wireReader{b: body}
+	if t := r.u8(); t != msgResult {
+		return nil, 0, fmt.Errorf("distrib: message type %#x is not a class result", t)
+	}
+	resp := &classResponse{}
+	resp.Seq = r.uvarint()
+	resp.Status = status(r.u8())
+	if r.err == nil && resp.Status > statusError {
+		return nil, 0, fmt.Errorf("distrib: unknown status byte %d", byte(resp.Status))
+	}
+	resp.Cached = r.u8()&resultCached != 0
+	resp.Error = string(r.bytes())
+	resp.Pairs = int64(r.uvarint())
+	resp.PeakNodeBytes = int64(r.uvarint())
+	rawLen := int64(r.uvarint())
+	if payload := r.bytes(); len(payload) > 0 {
+		resp.Supports = payload
+	}
+	if err := r.done(); err != nil {
+		return nil, 0, err
+	}
+	return resp, rawLen, nil
+}
+
+// encodeNeedSpec serializes the worker's spec retransmit request.
+func encodeNeedSpec(seq uint64, key string) []byte {
+	out := make([]byte, 0, 16+len(key))
+	out = append(out, msgNeedSpec)
+	out = binary.AppendUvarint(out, seq)
+	out = appendBytes(out, []byte(key))
+	return out
+}
+
+// decodeNeedSpec inverts encodeNeedSpec.
+func decodeNeedSpec(body []byte) (seq uint64, key string, err error) {
+	r := &wireReader{b: body}
+	if t := r.u8(); t != msgNeedSpec {
+		return 0, "", fmt.Errorf("distrib: message type %#x is not a need-spec request", t)
+	}
+	seq = r.uvarint()
+	key = string(r.bytes())
+	return seq, key, r.done()
 }

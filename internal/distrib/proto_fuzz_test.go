@@ -1,0 +1,81 @@
+package distrib
+
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+)
+
+// FuzzDecodeFrame hammers every decoder that takes bytes off the network
+// — class, result, need-spec and the hello — with mutated frame bodies.
+// None may panic; whatever one accepts must re-encode to a frame that
+// decodes to the same value (compared through the canonical encoding, so
+// NaN floats and non-minimal varints in the input are no obstacle); and
+// nothing a decoder builds may be larger than the input it was handed,
+// whatever a length field claims.
+func FuzzDecodeFrame(f *testing.F) {
+	full := fullClass
+	f.Add(encodeClass(&full, true))
+	f.Add(encodeClass(&full, false))
+	payload := []byte("EFMS-or-EFMC-payload-bytes")
+	f.Add(encodeResult(&classResponse{Seq: 9, Status: statusError, Error: "boom", Pairs: 12345,
+		PeakNodeBytes: 1 << 20, Cached: true}, payload, 4*len(payload)))
+	f.Add(encodeResult(&classResponse{Seq: 1, Status: statusOK}, nil, 0))
+	f.Add(encodeNeedSpec(77, "some-job-key"))
+	for _, h := range []hello{{Proto: protoVersion}, {Proto: protoVersion, Error: "peer speaks protocol 1"}} {
+		body, err := json.Marshal(h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if req, hasSpec, err := decodeClass(b); err == nil {
+			if len(req.Partition) > len(b) || len(req.Key)+len(req.Network) > len(b) {
+				t.Fatalf("class decoded from %d bytes holds %d partition entries, %d key and %d network bytes",
+					len(b), len(req.Partition), len(req.Key), len(req.Network))
+			}
+			enc := encodeClass(&req, hasSpec)
+			again, againSpec, err := decodeClass(enc)
+			if err != nil {
+				t.Fatalf("re-encoded class rejected: %v", err)
+			}
+			if againSpec != hasSpec || !bytes.Equal(encodeClass(&again, againSpec), enc) {
+				t.Fatalf("class does not round-trip:\n first %+v\nsecond %+v", req, again)
+			}
+		}
+		if resp, raw, err := decodeResult(b); err == nil {
+			if len(resp.Error)+len(resp.Supports) > len(b) {
+				t.Fatalf("result decoded from %d bytes holds %d error and %d support bytes",
+					len(b), len(resp.Error), len(resp.Supports))
+			}
+			enc := encodeResult(resp, resp.Supports, int(raw))
+			again, againRaw, err := decodeResult(enc)
+			if err != nil {
+				t.Fatalf("re-encoded result rejected: %v", err)
+			}
+			if againRaw != raw || !bytes.Equal(encodeResult(again, again.Supports, int(againRaw)), enc) {
+				t.Fatalf("result does not round-trip:\n first %+v\nsecond %+v", resp, again)
+			}
+		}
+		if seq, key, err := decodeNeedSpec(b); err == nil {
+			if len(key) > len(b) {
+				t.Fatalf("need-spec decoded from %d bytes holds a %d-byte key", len(b), len(key))
+			}
+			againSeq, againKey, err := decodeNeedSpec(encodeNeedSpec(seq, key))
+			if err != nil || againSeq != seq || againKey != key {
+				t.Fatalf("need-spec does not round-trip: (%d, %q) became (%d, %q), err %v", seq, key, againSeq, againKey, err)
+			}
+		}
+		if h, err := decodeHello(b); err == nil {
+			enc, err := json.Marshal(h)
+			if err != nil {
+				t.Fatalf("accepted hello %+v does not marshal: %v", h, err)
+			}
+			if again, err := decodeHello(enc); err != nil || again != h {
+				t.Fatalf("hello does not round-trip: %+v became %+v, err %v", h, again, err)
+			}
+		}
+	})
+}

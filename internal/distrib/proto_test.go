@@ -1,0 +1,203 @@
+package distrib
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"elmocomp/internal/dnc"
+)
+
+// fullClass sets every field of a class request to a non-zero value; the
+// codec round trip and the fuzz seeds share it.
+var fullClass = classRequest{
+	Seq: 42,
+	Key: "job-key",
+	classSpec: classSpec{
+		Network:        "A -> B\nB -> C\n",
+		Tol:            1e-9,
+		MaxModes:       100,
+		Workers:        3,
+		Nodes:          2,
+		MemBudget:      1 << 30,
+		CommTimeoutSec: 2.5,
+	},
+	KeepDuplicates: true,
+	Tree:           true,
+	NoHybrid:       true,
+	Partition:      []int{0, 3, 7},
+	Class:          5,
+	Depth:          2,
+	StrictMem:      true,
+}
+
+func TestClassCodecRoundTrip(t *testing.T) {
+	full := fullClass
+	for _, withSpec := range []bool{true, false} {
+		body := encodeClass(&full, withSpec)
+		got, hasSpec, err := decodeClass(body)
+		if err != nil {
+			t.Fatalf("withSpec=%v: %v", withSpec, err)
+		}
+		if hasSpec != withSpec {
+			t.Fatalf("withSpec=%v decoded as hasSpec=%v", withSpec, hasSpec)
+		}
+		want := full
+		if !withSpec {
+			// Interned requests drop the spec block but keep the class
+			// coordinates and their flags.
+			want.classSpec = classSpec{}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("withSpec=%v round trip mangled:\n got %+v\nwant %+v", withSpec, got, want)
+		}
+	}
+
+	// Every truncation of a valid frame must be rejected, never
+	// misparsed into a valid request.
+	body := encodeClass(&full, true)
+	for cut := 0; cut < len(body); cut++ {
+		if _, _, err := decodeClass(body[:cut]); err == nil {
+			t.Fatalf("truncation at %d/%d accepted", cut, len(body))
+		}
+	}
+	if _, _, err := decodeClass(append(body, 0)); err == nil {
+		t.Fatal("trailing byte accepted")
+	}
+	if _, _, err := decodeClass([]byte{msgResult, 0}); err == nil {
+		t.Fatal("wrong message type accepted")
+	}
+}
+
+func TestResultCodecRoundTrip(t *testing.T) {
+	payload := []byte("EFMS-or-EFMC-payload-bytes")
+	for _, st := range []status{statusOK, statusSkipped, statusBudget, statusMemBudget, statusError} {
+		in := classResponse{
+			Seq:           9,
+			Status:        st,
+			Error:         "boom",
+			Pairs:         12345,
+			PeakNodeBytes: 1 << 20,
+			Cached:        true,
+			Supports:      payload,
+		}
+		body := encodeResult(&in, payload, 4*len(payload))
+		got, rawLen, err := decodeResult(body)
+		if err != nil {
+			t.Fatalf("%s: %v", st, err)
+		}
+		if rawLen != int64(4*len(payload)) {
+			t.Fatalf("%s: rawLen %d, want %d", st, rawLen, 4*len(payload))
+		}
+		if !reflect.DeepEqual(*got, in) {
+			t.Fatalf("%s: round trip mangled:\n got %+v\nwant %+v", st, *got, in)
+		}
+	}
+	body := encodeResult(&classResponse{Seq: 1, Status: statusOK}, payload, len(payload))
+	for cut := 0; cut < len(body); cut++ {
+		if _, _, err := decodeResult(body[:cut]); err == nil {
+			t.Fatalf("truncation at %d/%d accepted", cut, len(body))
+		}
+	}
+	// An unknown status byte is a protocol violation, not a guess.
+	bad := append([]byte(nil), body...)
+	bad[2] = 200
+	if _, _, err := decodeResult(bad); err == nil {
+		t.Fatal("unknown status byte accepted")
+	}
+}
+
+func TestNeedSpecCodecRoundTrip(t *testing.T) {
+	body := encodeNeedSpec(77, "some-job-key")
+	seq, key, err := decodeNeedSpec(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq != 77 || key != "some-job-key" {
+		t.Fatalf("round trip mangled: seq=%d key=%q", seq, key)
+	}
+	for cut := 0; cut < len(body); cut++ {
+		if _, _, err := decodeNeedSpec(body[:cut]); err == nil {
+			t.Fatalf("truncation at %d/%d accepted", cut, len(body))
+		}
+	}
+}
+
+// TestSpecInterningNeedSpec: a worker whose spec store evicted a job's
+// spec answers need-spec; the coordinator re-sends the class with the
+// spec attached and the job still completes. Exercises worker-restart
+// correctness without restarting anything.
+func TestSpecInterningNeedSpec(t *testing.T) {
+	specA, red, seq := toyJob(t)
+	specB := specA
+	specB.Key = "test-job-2"
+	w := startWorker(t, WorkerOptions{SpecCache: 1})
+	pool := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second})
+	defer pool.Close()
+
+	// Job A interns its spec; job B evicts it (SpecCache 1); job A again
+	// finds the link still believes A is interned, the worker answers
+	// need-spec, and the retransmit path heals it.
+	for round, spec := range []JobSpec{specA, specB, specA} {
+		res, err := dnc.Run(red.N, red.Reversibilities(), dnc.Options{Qsub: 2, Remote: pool.Bind(spec)})
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if fp(res.Supports) != fp(seq.Supports) {
+			t.Fatalf("round %d: fingerprint differs", round)
+		}
+	}
+	if c := w.Counters(); c.NeedSpecs == 0 {
+		t.Fatal("spec eviction never triggered a need-spec retransmit")
+	}
+	if st := pool.Stats()[0]; !st.Alive {
+		t.Fatal("link severed by the need-spec path")
+	}
+}
+
+// TestPoolPipelinedPrefetch: with in-flight credit 2 and slow classes,
+// the link must ship the next class while the worker computes the
+// current one — the worker observes pipelining depth >= 2.
+func TestPoolPipelinedPrefetch(t *testing.T) {
+	spec, red, seq := toyJob(t)
+	w := startWorker(t, WorkerOptions{DelayPerClass: 50 * time.Millisecond})
+	pool := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second, Inflight: 2})
+	defer pool.Close()
+
+	res, err := dnc.Run(red.N, red.Reversibilities(), dnc.Options{Qsub: 2, Remote: pool.Bind(spec)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp(res.Supports) != fp(seq.Supports) {
+		t.Fatal("fingerprint differs under pipelining")
+	}
+	if res.Sched.RemoteClasses < 2 {
+		t.Skipf("only %d remote classes; cannot observe pipelining", res.Sched.RemoteClasses)
+	}
+	if c := w.Counters(); c.MaxPipelined < 2 {
+		t.Fatalf("MaxPipelined = %d, want >= 2 (credit 2 never overlapped transfer with compute)", c.MaxPipelined)
+	}
+}
+
+// TestPoolWireAccounting: protocol 2 must ship fewer wire bytes than
+// the logical payload on a multi-class job (spec interning alone
+// guarantees it), and the v1 baseline must ship more.
+func TestPoolWireAccounting(t *testing.T) {
+	spec, red, _ := toyJob(t)
+	w := startWorker(t, WorkerOptions{})
+	pool := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second})
+	defer pool.Close()
+
+	res, err := dnc.Run(red.N, red.Reversibilities(), dnc.Options{Qsub: 2, Remote: pool.Bind(spec)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := pool.Stats()[0]
+	if st.PayloadBytes == 0 || st.WireBytes == 0 {
+		t.Fatalf("byte accounting missing: payload=%d wire=%d", st.PayloadBytes, st.WireBytes)
+	}
+	if res.Sched.RemoteClasses >= 2 && st.WireBytes >= st.PayloadBytes {
+		t.Fatalf("protocol 2 shipped %d wire bytes for %d payload bytes over %d classes",
+			st.WireBytes, st.PayloadBytes, res.Sched.RemoteClasses)
+	}
+}

@@ -3,7 +3,6 @@ package distrib
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -13,6 +12,7 @@ import (
 
 	"elmocomp/internal/core"
 	"elmocomp/internal/dnc"
+	"elmocomp/internal/lru"
 	"elmocomp/internal/model"
 	"elmocomp/internal/parallel"
 	"elmocomp/internal/reduce"
@@ -22,6 +22,11 @@ import (
 // through the EFMC compressor: below it the codec's block headers eat
 // the win.
 const wireCompressMin = 512
+
+// helloTimeout bounds the hello exchange on an accepted connection, so a
+// peer that connects and says nothing cannot pin a goroutine and a
+// socket until Close. The coordinator bounds its half with DialTimeout.
+const helloTimeout = 5 * time.Second
 
 // WorkerOptions configure a worker process.
 type WorkerOptions struct {
@@ -40,15 +45,6 @@ type WorkerOptions struct {
 	SpecCache int
 	// MaxFrameBytes bounds incoming frames (default 256 MiB).
 	MaxFrameBytes int
-	// MaxProto caps the protocol this worker speaks (0 means the
-	// build's newest). MaxProto 1 reproduces a legacy protocol-1 worker
-	// exactly, including its pre-negotiation refusal of any other
-	// version — tests use it to stand in for an old binary in a mixed
-	// fleet.
-	MaxProto int
-	// NoCompress refuses payload compression even when the coordinator
-	// asks for it.
-	NoCompress bool
 	// DelayPerClass, when > 0, sleeps before executing each class —
 	// a test hook making compute slow enough to observe transfer
 	// pipelining deterministically.
@@ -75,6 +71,9 @@ type WorkerOptions struct {
 type Worker struct {
 	opts WorkerOptions
 	ln   net.Listener
+	// helloTimeout is the package constant; a field so the silent-peer
+	// test need not wait the full bound.
+	helloTimeout time.Duration
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -84,13 +83,8 @@ type Worker struct {
 	redKey string
 	red    *reduce.Reduced
 
-	cacheMu    sync.Mutex
-	cache      map[string]*classResponse
-	cacheOrder []string
-
-	specMu    sync.Mutex
-	specs     map[string]*classRequest
-	specOrder []string
+	classes *lru.Cache[*classResponse] // completed classes by cacheKey
+	specs   *lru.Cache[classSpec]      // interned job specs by job key
 
 	reqCount     int64 // lifetime class requests (fault-injection trigger)
 	served       int64
@@ -112,11 +106,12 @@ func NewWorker(addr string, opts WorkerOptions) (*Worker, error) {
 		opts.SpecCache = 16
 	}
 	return &Worker{
-		opts:  opts,
-		ln:    ln,
-		conns: make(map[net.Conn]struct{}),
-		cache: make(map[string]*classResponse),
-		specs: make(map[string]*classRequest),
+		opts:         opts,
+		ln:           ln,
+		helloTimeout: helloTimeout,
+		conns:        make(map[net.Conn]struct{}),
+		classes:      lru.New(int64(opts.CacheClasses), func(*classResponse) int64 { return 1 }),
+		specs:        lru.New(int64(opts.SpecCache), func(classSpec) int64 { return 1 }),
 	}, nil
 }
 
@@ -194,33 +189,6 @@ func (w *Worker) Counters() WorkerCounters {
 	}
 }
 
-// negotiate settles the connection's protocol version from the client's
-// hello, or returns a refusal message.
-func (w *Worker) negotiate(hello helloRequest) (proto int, refuse string) {
-	max := protoVersion
-	if w.opts.MaxProto > 0 && w.opts.MaxProto < max {
-		max = w.opts.MaxProto
-	}
-	if max == 1 {
-		// Legacy emulation: protocol-1 workers predate negotiation and
-		// refuse anything but their own version outright.
-		if hello.Proto != 1 {
-			return 1, fmt.Sprintf("protocol %d, want 1", hello.Proto)
-		}
-		return 1, ""
-	}
-	switch {
-	case hello.Proto < protoFloor:
-		return max, fmt.Sprintf("protocol %d below floor %d", hello.Proto, protoFloor)
-	case hello.Min > max:
-		return max, fmt.Sprintf("client requires protocol >= %d, this worker speaks <= %d", hello.Min, max)
-	}
-	if hello.Proto < max {
-		return hello.Proto, ""
-	}
-	return max, ""
-}
-
 // inbound is one decoded class request queued for execution. hasSpec
 // records whether the frame carried the job spec.
 type inbound struct {
@@ -236,19 +204,21 @@ func (w *Worker) serveConn(c net.Conn) {
 		c.Close()
 	}()
 
-	var hello helloRequest
-	if err := readMsg(c, &hello, 1<<16); err != nil {
+	c.SetDeadline(time.Now().Add(w.helloTimeout))
+	peer, err := readHello(c)
+	if err != nil {
 		return
 	}
-	proto, refuse := w.negotiate(hello)
-	if refuse != "" {
-		writeMsg(c, helloResponse{Proto: proto, Error: refuse})
+	// A refusal is written before closing, so the coordinator can
+	// report why.
+	answer := hello{Proto: protoVersion}
+	if err := peer.mismatch("coordinator"); err != nil {
+		answer.Error = err.Error()
+	}
+	if err := writeHello(c, answer); err != nil || answer.Error != "" {
 		return
 	}
-	compress := proto >= 2 && hello.Compress && !w.opts.NoCompress
-	if err := writeMsg(c, helloResponse{Proto: proto, Compress: compress}); err != nil {
-		return
-	}
+	c.SetDeadline(time.Time{})
 
 	// Reader pump: decodes frames into a buffered queue so the
 	// coordinator's in-flight credit can ship the next class while this
@@ -269,18 +239,9 @@ func (w *Worker) serveConn(c net.Conn) {
 			if err != nil {
 				return
 			}
-			var in inbound
-			if proto >= 2 {
-				req, hasSpec, derr := decodeClassV2(body)
-				if derr != nil {
-					return // garbage on a negotiated link: drop the connection
-				}
-				in = inbound{req: req, hasSpec: hasSpec}
-			} else {
-				if derr := json.Unmarshal(body, &in.req); derr != nil {
-					return
-				}
-				in.hasSpec = true // protocol 1 ships the full spec every time
+			req, hasSpec, derr := decodeClass(body)
+			if derr != nil {
+				return // garbage after a good hello: drop the connection
 			}
 			depth := atomic.AddInt64(&inflight, 1)
 			for {
@@ -290,7 +251,7 @@ func (w *Worker) serveConn(c net.Conn) {
 				}
 			}
 			select {
-			case reqs <- in:
+			case reqs <- inbound{req: req, hasSpec: hasSpec}:
 			case <-done:
 				return
 			}
@@ -314,17 +275,17 @@ func (w *Worker) serveConn(c net.Conn) {
 			return
 		}
 		req := in.req
-		if proto >= 2 {
-			if in.hasSpec {
-				w.specPut(&req)
-			} else if !w.specFill(&req) {
-				atomic.AddInt64(&w.needSpecs, 1)
-				if err := writeFrame(c, encodeNeedSpecV2(req.Seq, req.Key)); err != nil {
-					return
-				}
-				atomic.AddInt64(&inflight, -1)
-				continue
+		if in.hasSpec {
+			w.specs.Put(req.Key, req.classSpec)
+		} else if spec, ok := w.specs.Get(req.Key); ok {
+			req.classSpec = spec
+		} else {
+			atomic.AddInt64(&w.needSpecs, 1)
+			if err := writeFrame(c, encodeNeedSpec(req.Seq, req.Key)); err != nil {
+				return
 			}
+			atomic.AddInt64(&inflight, -1)
+			continue
 		}
 		if w.opts.DelayPerClass > 0 {
 			select {
@@ -334,83 +295,35 @@ func (w *Worker) serveConn(c net.Conn) {
 			}
 		}
 		resp := w.exec(&req, closed)
-		if err := w.writeReply(c, proto, compress, resp); err != nil {
+		if err := writeReply(c, resp); err != nil {
 			return
 		}
 		atomic.AddInt64(&inflight, -1)
 	}
 }
 
-// writeReply encodes one response for the connection's negotiated
-// protocol. Protocol-2 links ship large support payloads through the
-// EFMC compressor when negotiated and the deflated form actually wins;
-// the payload stays flat EFMS otherwise (the codec magics disambiguate
+// writeReply ships one response. A large support payload goes through
+// the EFMC compressor and travels compressed when that is actually
+// smaller; it stays flat EFMS otherwise (the codec magics disambiguate
 // at the receiver).
-func (w *Worker) writeReply(c net.Conn, proto int, compress bool, resp *classResponse) error {
-	if proto < 2 {
-		return writeMsg(c, resp)
-	}
+func writeReply(c net.Conn, resp *classResponse) error {
 	payload := resp.Supports
 	rawLen := len(payload)
-	if compress && rawLen >= wireCompressMin {
+	if rawLen >= wireCompressMin {
 		if set, err := core.DecodeModeSet(payload); err == nil && set.Q() < 1<<16 {
 			if enc := core.EncodeCompressed(set); len(enc) < rawLen {
 				payload = enc
 			}
 		}
 	}
-	return writeFrame(c, encodeResultV2(resp, payload, rawLen))
-}
-
-// specPut interns the spec fields of a spec-bearing request under its
-// job key, evicting the oldest entry past the bound.
-func (w *Worker) specPut(req *classRequest) {
-	w.specMu.Lock()
-	defer w.specMu.Unlock()
-	if _, ok := w.specs[req.Key]; ok {
-		return
-	}
-	for len(w.specOrder) >= w.opts.SpecCache && len(w.specOrder) > 0 {
-		oldest := w.specOrder[0]
-		w.specOrder = w.specOrder[1:]
-		delete(w.specs, oldest)
-	}
-	spec := *req
-	spec.Seq = 0
-	spec.Partition = nil
-	spec.Class = 0
-	spec.Depth = 0
-	spec.StrictMem = false
-	w.specs[spec.Key] = &spec
-	w.specOrder = append(w.specOrder, spec.Key)
-}
-
-// specFill copies the interned spec fields into a spec-less request,
-// reporting whether the key was held. The class coordinates and their
-// flags (strict-mem, keep-duplicates, tree, no-hybrid) always travel
-// with the request and are left untouched.
-func (w *Worker) specFill(req *classRequest) bool {
-	w.specMu.Lock()
-	spec, ok := w.specs[req.Key]
-	w.specMu.Unlock()
-	if !ok {
-		return false
-	}
-	req.Network = spec.Network
-	req.Tol = spec.Tol
-	req.MaxModes = spec.MaxModes
-	req.Workers = spec.Workers
-	req.Nodes = spec.Nodes
-	req.MemBudget = spec.MemBudget
-	req.CommTimeoutSec = spec.CommTimeoutSec
-	return true
+	return writeFrame(c, encodeResult(resp, payload, rawLen))
 }
 
 // exec runs one class request, serving from the class cache when the
 // identical request was answered before.
 func (w *Worker) exec(req *classRequest, cancel <-chan struct{}) *classResponse {
 	ck := cacheKey(req)
-	if hit := w.cacheGet(ck); hit != nil {
+	if hit, ok := w.classes.Get(ck); ok {
 		atomic.AddInt64(&w.hits, 1)
 		resp := *hit
 		resp.Seq = req.Seq
@@ -463,7 +376,7 @@ func (w *Worker) exec(req *classRequest, cancel <-chan struct{}) *classResponse 
 		resp.Status = statusOK
 		resp.Pairs = out.Pairs
 		resp.PeakNodeBytes = out.PeakNodeBytes
-		resp.Supports = encodeSupports(out.Supports, red.N.Cols())
+		resp.Supports = core.EncodeSupportList(out.Supports, red.N.Cols())
 	}
 	if w.opts.Logf != nil {
 		w.opts.Logf("class %d/%v: %s, %d modes in %v",
@@ -473,7 +386,7 @@ func (w *Worker) exec(req *classRequest, cancel <-chan struct{}) *classResponse 
 	// differential harness enforces), so caching them is sound. Budget
 	// statuses are deterministic too but cheap to reproduce and carry
 	// policy (strictness) in the key; only completed classes are kept.
-	w.cachePut(ck, resp)
+	w.classes.Put(ck, resp)
 	return resp
 }
 
@@ -499,38 +412,11 @@ func (w *Worker) reduced(req *classRequest) (*reduce.Reduced, error) {
 }
 
 // cacheKey is the content address of a class request: everything but the
-// connection-scoped sequence number, hashed over the canonical binary
-// request encoding. The binary codec is total — unlike the JSON marshal
-// this replaces, there is no error to swallow and no way for the key to
-// silently collapse to a constant.
+// connection-scoped sequence number, hashed over the canonical
+// spec-attached request encoding.
 func cacheKey(req *classRequest) string {
 	c := *req
 	c.Seq = 0
-	sum := sha256.Sum256(encodeClassV2(&c, true))
+	sum := sha256.Sum256(encodeClass(&c, true))
 	return hex.EncodeToString(sum[:])
-}
-
-func (w *Worker) cacheGet(key string) *classResponse {
-	w.cacheMu.Lock()
-	defer w.cacheMu.Unlock()
-	return w.cache[key]
-}
-
-func (w *Worker) cachePut(key string, resp *classResponse) {
-	if w.opts.CacheClasses < 0 {
-		return
-	}
-	w.cacheMu.Lock()
-	defer w.cacheMu.Unlock()
-	if _, ok := w.cache[key]; ok {
-		return
-	}
-	for len(w.cacheOrder) >= w.opts.CacheClasses && len(w.cacheOrder) > 0 {
-		oldest := w.cacheOrder[0]
-		w.cacheOrder = w.cacheOrder[1:]
-		delete(w.cache, oldest)
-	}
-	cp := *resp
-	w.cache[key] = &cp
-	w.cacheOrder = append(w.cacheOrder, key)
 }

@@ -23,6 +23,7 @@ import (
 	"elmocomp"
 	"elmocomp/internal/cluster"
 	"elmocomp/internal/distrib"
+	"elmocomp/internal/lru"
 )
 
 // The manager's failure vocabulary.
@@ -112,9 +113,9 @@ type Config struct {
 // and asserted by the cache/coalescing tests: a cache hit must not move
 // RunsStarted.
 type Counters struct {
-	Submitted    int64 `json:"submitted"`
-	Coalesced    int64 `json:"coalesced"`
-	CacheHits    int64 `json:"cache_hits"`
+	Submitted int64 `json:"submitted"`
+	Coalesced int64 `json:"coalesced"`
+	CacheHits int64 `json:"cache_hits"`
 	// PrefixHits counts on-demand submissions served by truncating a
 	// stored longer stream of the same request family (no driver run).
 	PrefixHits   int64 `json:"prefix_hits"`
@@ -147,13 +148,13 @@ type Counters struct {
 
 // Stats is the /varz snapshot.
 type Stats struct {
-	Counters Counters   `json:"counters"`
-	Cache    CacheStats `json:"cache"`
+	Counters Counters  `json:"counters"`
+	Cache    lru.Stats `json:"cache"`
 	// PrefixCache snapshots the on-demand prefix cache.
-	PrefixCache CacheStats `json:"prefix_cache"`
-	Queued      int        `json:"queued"`
-	Running  int        `json:"running"`
-	Jobs     int        `json:"jobs"`
+	PrefixCache lru.Stats `json:"prefix_cache"`
+	Queued      int       `json:"queued"`
+	Running     int       `json:"running"`
+	Jobs        int       `json:"jobs"`
 	// ResidentBytes is the sum of the memory-budget reservations of all
 	// queued and running jobs — the in-flight resident-bytes gauge the
 	// MaxResidentBytes admission check compares against.
@@ -170,14 +171,42 @@ type Stats struct {
 	RemoteWireBytes    int64 `json:"remote_wire_bytes,omitempty"`
 }
 
+// stored is one cached result: the EncodeSupports payload and the
+// producing run's fingerprint, which Submit re-verifies against the
+// reconstructed result before serving, making corruption detectable end
+// to end.
+type stored struct {
+	payload     []byte
+	fingerprint uint64
+	// modes and complete are the prefix cache's policy inputs: the
+	// stream's length, and whether the run exhausted the family so the
+	// payload is its entire EFM set and serves ANY k.
+	modes    int
+	complete bool
+}
+
+func (s stored) bytes() int64 { return int64(len(s.payload)) }
+
 // Manager owns the job lifecycle. Construct with New, stop with
 // Shutdown.
 type Manager struct {
 	cfg     Config
 	compute ComputeFunc
-	cache   *Cache
-	prefix  *PrefixCache
-	queue   chan *Job
+	// cache is the content-addressed result cache: request key → stored
+	// result, LRU-evicted under a byte budget. Identical networks are
+	// re-analyzed constantly in practice (knockout screens resubmit the
+	// same wild-type enumeration dozens of times), so a hit converts
+	// minutes of driver compute into a byte copy.
+	cache *lru.Cache[stored]
+	// prefix is the on-demand tier's second-chance cache. Bounded
+	// (MaxModes > 0) requests cannot share cache entries across k — each
+	// k is its own request key — but the ranked stream is a pure function
+	// of (network, config, objective), so a completed k-mode run IS the
+	// first k modes of every longer run. Entries are keyed by the request
+	// FAMILY (elmocomp.OnDemandPrefixKey, k elided) and hold the longest
+	// stream seen so far, in emission order.
+	prefix *lru.Cache[stored]
+	queue  chan *Job
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -214,8 +243,8 @@ func New(cfg Config) *Manager {
 	m := &Manager{
 		cfg:      cfg,
 		compute:  cfg.Compute,
-		cache:    NewCache(cfg.CacheBytes),
-		prefix:   NewPrefixCache(cfg.PrefixCacheBytes),
+		cache:    lru.New(cfg.CacheBytes, stored.bytes),
+		prefix:   lru.New(cfg.PrefixCacheBytes, stored.bytes),
 		queue:    make(chan *Job, cfg.Queue),
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
@@ -279,23 +308,25 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	// Cache probe outside the manager lock: reconstructing a result
 	// re-reduces the network, which is cheap next to enumeration but too
 	// heavy for a lock held by every submission.
-	if payload, fp, _, ok := m.cache.Get(key); ok {
-		res, err := elmocomp.ResultFromEncodedSupports(req.Network, req.Config, payload)
-		if err == nil && res.Fingerprint() == fp {
-			return m.adoptCacheHit(key, req, res, fp, false)
+	if hit, ok := m.cache.Get(key); ok {
+		res, err := elmocomp.ResultFromEncodedSupports(req.Network, req.Config, hit.payload)
+		if err == nil && res.Fingerprint() == hit.fingerprint {
+			return m.adoptCacheHit(key, req, res, hit.fingerprint, false)
 		}
 		// Poisoned entry (stale format, corruption): drop it and run.
 		m.cache.Remove(key)
 	}
 	// Second chance for bounded on-demand requests: a stored LONGER
 	// stream of the same family serves this k by truncation — the
-	// ranked stream is a pure prefix function of k.
-	if req.Config.Backend == elmocomp.OnDemandBackend && req.Config.MaxModes > 0 {
+	// ranked stream is a pure prefix function of k. A held stream shorter
+	// than k cannot serve it: the run must happen (and will upgrade the
+	// entry).
+	if k := req.Config.MaxModes; req.Config.Backend == elmocomp.OnDemandBackend && k > 0 {
 		pkey := elmocomp.OnDemandPrefixKey(req.Network, req.Config)
-		if payload, fp, _, _, ok := m.prefix.Get(pkey, req.Config.MaxModes); ok {
-			res, err := elmocomp.ResultFromEncodedSupports(req.Network, req.Config, payload)
-			if err == nil && res.Fingerprint() == fp {
-				res.Truncate(req.Config.MaxModes)
+		if hit, ok := m.prefix.Get(pkey); ok && (hit.complete || hit.modes >= k) {
+			res, err := elmocomp.ResultFromEncodedSupports(req.Network, req.Config, hit.payload)
+			if err == nil && res.Fingerprint() == hit.fingerprint {
+				res.Truncate(k)
 				return m.adoptCacheHit(key, req, res, res.Fingerprint(), true)
 			}
 			m.prefix.Remove(pkey)
@@ -467,14 +498,17 @@ func (m *Manager) runJob(j *Job) {
 		fp = res.Fingerprint()
 		state = StateDone
 		note = fmt.Sprintf("%d modes, fingerprint %016x", res.Len(), fp)
-		payload := res.EncodeSupports()
-		m.cache.Put(j.Key, payload, fp, res.Len())
+		run := stored{payload: res.EncodeSupports(), fingerprint: fp, modes: res.Len()}
+		m.cache.Put(j.Key, run)
 		if req.Config.Backend == elmocomp.OnDemandBackend {
-			// Upgrade the family's prefix entry: the stored stream only
-			// ever grows, and an exhausted run completes the family so
-			// every future k is served from cache.
-			complete := res.OnDemand != nil && res.OnDemand.Exhausted
-			m.prefix.Put(elmocomp.OnDemandPrefixKey(req.Network, req.Config), payload, fp, res.Len(), complete)
+			// Upgrade the family's prefix entry, never downgrade it: a
+			// complete stream (an exhausted run: every future k is served
+			// from cache) beats an incomplete one, and among incomplete
+			// streams the longer wins.
+			run.complete = res.OnDemand != nil && res.OnDemand.Exhausted
+			m.prefix.PutIf(elmocomp.OnDemandPrefixKey(req.Network, req.Config), run, func(old stored) bool {
+				return !old.complete && (run.complete || run.modes > old.modes)
+			})
 		}
 	case j.latch.Cause() != nil:
 		// The latch tripped and the driver unwound: report the cancel

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 
-	"elmocomp/internal/bitset"
 	"elmocomp/internal/cluster"
 	"elmocomp/internal/core"
 	"elmocomp/internal/distrib"
@@ -210,20 +209,7 @@ func (r *Result) EncodeSupports() []byte {
 	if r.red != nil {
 		q = r.red.N.Cols()
 	}
-	set := core.NewModeSet(q, q, nil)
-	set.Grow(len(r.supports))
-	var words []uint64
-	for _, b := range r.supports {
-		if cap(words) < b.Words() {
-			words = make([]uint64, b.Words())
-		}
-		words = words[:b.Words()]
-		for w := range words {
-			words[w] = b.Word(w)
-		}
-		set.AppendMode(words, nil, nil, 0)
-	}
-	return set.Encode()
+	return core.EncodeSupportList(r.supports, q)
 }
 
 // ResultFromEncodedSupports reconstructs a Result from a cached
@@ -241,19 +227,9 @@ func ResultFromEncodedSupports(n *Network, cfg Config, payload []byte) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	set, err := core.DecodeModeSet(payload)
+	supports, err := core.DecodeSupportList(payload, red.N.Cols())
 	if err != nil {
-		return nil, err
-	}
-	if set.Q() != red.N.Cols() {
-		return nil, fmt.Errorf("elmocomp: cached supports span %d columns, reduction has %d — stale payload", set.Q(), red.N.Cols())
-	}
-	if set.FirstRow() != set.Q() || len(set.RevRows()) != 0 {
-		return nil, fmt.Errorf("elmocomp: payload is an intermediate mode set, not a support list")
-	}
-	supports := make([]bitset.Set, set.Len())
-	for i := range supports {
-		supports[i] = set.Support(i)
+		return nil, fmt.Errorf("elmocomp: cached payload: %w", err)
 	}
 	return &Result{network: n.inner, red: red, supports: supports}, nil
 }
