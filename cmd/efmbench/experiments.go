@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"elmocomp"
@@ -403,501 +401,4 @@ func expMemory(cfg benchConfig) error {
 	tb.AddNote("Algorithm 2's replicated matrix does not shrink with more nodes (the paper's")
 	tb.AddNote("motivation); the divide-and-conquer peak drops as the largest class shrinks")
 	return tb.Render(os.Stdout)
-}
-
-// workersBenchEntry is one row of the machine-readable BENCH_efm.json the
-// workers experiment emits so the perf trajectory is tracked across PRs.
-type workersBenchEntry struct {
-	Workers     int     `json:"workers"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	ModesPerSec float64 `json:"modes_per_sec"`
-	PeakBytes   int64   `json:"peak_bytes"`
-	EFMs        int     `json:"efms"`
-	Candidates  int64   `json:"candidates"`
-	Speedup     float64 `json:"speedup_vs_1"`
-}
-
-type workersBenchReport struct {
-	Benchmark  string              `json:"benchmark"`
-	Network    string              `json:"network"`
-	GoMaxProcs int                 `json:"gomaxprocs"`
-	Results    []workersBenchEntry `json:"results"`
-}
-
-// expWorkers measures the shared-memory worker layer: one serial-driver
-// run of the medium workload per worker count, reported as a table and
-// as BENCH_efm.json.
-func expWorkers(cfg benchConfig) error {
-	var net *elmocomp.Network
-	var err error
-	if cfg.full {
-		net, err = elmocomp.Builtin("yeast1")
-	} else {
-		net, err = mediumWorkload()
-	}
-	if err != nil {
-		return err
-	}
-	report := workersBenchReport{
-		Benchmark:  "workers-sweep",
-		Network:    net.Name(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-	}
-	sweep := cfg.workers
-	if len(sweep) == 0 {
-		sweep = []int{1, 2, 4, 8}
-	}
-	tb := stats.NewTable("shared-memory worker scaling (serial driver)",
-		"workers", "wall (s)", "modes/sec", "speedup", "peak mem", "EFMs", "candidates")
-	var base float64
-	for _, w := range sweep {
-		start := time.Now()
-		res, err := elmocomp.ComputeEFMs(net, elmocomp.Config{Workers: w, Progress: progress(cfg)})
-		if err != nil {
-			return err
-		}
-		elapsed := time.Since(start)
-		if base == 0 {
-			base = elapsed.Seconds()
-		}
-		entry := workersBenchEntry{
-			Workers:     w,
-			NsPerOp:     elapsed.Nanoseconds(),
-			ModesPerSec: float64(res.Len()) / elapsed.Seconds(),
-			PeakBytes:   res.PeakNodeBytes,
-			EFMs:        res.Len(),
-			Candidates:  res.CandidateModes,
-			Speedup:     base / elapsed.Seconds(),
-		}
-		report.Results = append(report.Results, entry)
-		tb.AddRow(w, stats.Seconds(elapsed.Seconds()),
-			fmt.Sprintf("%.0f", entry.ModesPerSec),
-			fmt.Sprintf("%.2fx", entry.Speedup),
-			stats.Bytes(entry.PeakBytes),
-			stats.Count(int64(entry.EFMs)), stats.Count(entry.Candidates))
-	}
-	tb.AddNote("results are bit-identical across worker counts (determinism-tested); only time moves")
-	tb.AddNote(fmt.Sprintf("GOMAXPROCS=%d — speedups flatten at the physical core count", report.GoMaxProcs))
-	if err := tb.Render(os.Stdout); err != nil {
-		return err
-	}
-	if cfg.jsonPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", cfg.jsonPath)
-	}
-	return nil
-}
-
-// dncSchedEntry is one row of BENCH_dnc.json: a divide-and-conquer run
-// at one group count.
-type dncSchedEntry struct {
-	Groups        int     `json:"groups"` // 0 = sequential driver (baseline)
-	NsPerOp       int64   `json:"ns_per_op"`
-	Speedup       float64 `json:"speedup_vs_seq"`
-	EFMs          int     `json:"efms"`
-	Candidates    int64   `json:"candidates"`
-	PeakNodeBytes int64   `json:"peak_node_bytes"`
-	PeakConcBytes int64   `json:"peak_concurrent_bytes"`
-	Enqueued      int64   `json:"enqueued"`
-	Steals        int64   `json:"steals"`
-	Resplits      int64   `json:"resplits"`
-	MaxQueueDepth int     `json:"max_queue_depth"`
-	MaxActive     int     `json:"max_active"`
-	Fingerprint   string  `json:"fingerprint"`
-}
-
-type dncSchedReport struct {
-	Benchmark  string          `json:"benchmark"`
-	Network    string          `json:"network"`
-	Qsub       int             `json:"qsub"`
-	GoMaxProcs int             `json:"gomaxprocs"`
-	Results    []dncSchedEntry `json:"results"`
-}
-
-// expDncSched measures the divide-and-conquer subproblem scheduler:
-// the medium workload at qsub=3 (eight classes), swept across group
-// counts against the sequential driver. Inner parallelism is pinned to
-// one node and one worker so group concurrency is the only axis. Every
-// run's cross-driver fingerprint must equal the sequential baseline's —
-// the experiment fails otherwise.
-func expDncSched(cfg benchConfig) error {
-	var net *elmocomp.Network
-	var err error
-	if cfg.full {
-		net, err = elmocomp.Builtin("yeast1")
-	} else {
-		net, err = mediumWorkload()
-	}
-	if err != nil {
-		return err
-	}
-	report := dncSchedReport{
-		Benchmark:  "dnc-sched",
-		Network:    net.Name(),
-		Qsub:       3,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-	}
-	sweep := append([]int{0}, cfg.groups...) // 0 = sequential baseline
-	run := func(groups int) (*elmocomp.Result, float64, error) {
-		start := time.Now()
-		res, err := elmocomp.ComputeEFMs(net, elmocomp.Config{
-			Algorithm:        elmocomp.DivideAndConquer,
-			Qsub:             report.Qsub,
-			Nodes:            1,
-			Workers:          1,
-			GroupConcurrency: groups,
-			CommTimeout:      cfg.commTimeout,
-			Progress:         progress(cfg),
-		})
-		return res, time.Since(start).Seconds(), err
-	}
-	tb := stats.NewTable("divide-and-conquer scheduler scaling (qsub=3, 1 node x 1 worker per group)",
-		"groups", "wall (s)", "speedup", "EFMs", "candidates", "peak node mem", "peak concurrent mem", "steals", "fingerprint")
-	var base float64
-	var baseFP uint64
-	for _, g := range sweep {
-		res, elapsed, err := run(g)
-		if err != nil {
-			return fmt.Errorf("groups=%d: %w", g, err)
-		}
-		if base == 0 {
-			base = elapsed
-			baseFP = res.Fingerprint()
-		} else if res.Fingerprint() != baseFP {
-			return fmt.Errorf("groups=%d: fingerprint %016x differs from sequential baseline %016x",
-				g, res.Fingerprint(), baseFP)
-		}
-		entry := dncSchedEntry{
-			Groups:        g,
-			NsPerOp:       int64(elapsed * 1e9),
-			Speedup:       base / elapsed,
-			EFMs:          res.Len(),
-			Candidates:    res.CandidateModes,
-			PeakNodeBytes: res.PeakNodeBytes,
-			PeakConcBytes: res.PeakConcurrentBytes,
-			Fingerprint:   fmt.Sprintf("%016x", res.Fingerprint()),
-		}
-		if s := res.Scheduler; s != nil {
-			entry.Enqueued, entry.Steals, entry.Resplits = s.Enqueued, s.Steals, s.Resplits
-			entry.MaxQueueDepth, entry.MaxActive = s.MaxQueueDepth, s.MaxActive
-		}
-		report.Results = append(report.Results, entry)
-		label := fmt.Sprintf("%d", g)
-		if g == 0 {
-			label = "seq"
-		}
-		tb.AddRow(label, stats.Seconds(elapsed), fmt.Sprintf("%.2fx", entry.Speedup),
-			stats.Count(int64(entry.EFMs)), stats.Count(entry.Candidates),
-			stats.Bytes(entry.PeakNodeBytes), stats.Bytes(entry.PeakConcBytes),
-			stats.Count(entry.Steals), entry.Fingerprint)
-	}
-	tb.AddNote("fingerprints are cross-driver canonical-support hashes: identical by construction")
-	tb.AddNote(fmt.Sprintf("GOMAXPROCS=%d — group speedup needs physical cores; on 1 CPU the rows tie", report.GoMaxProcs))
-	if err := tb.Render(os.Stdout); err != nil {
-		return err
-	}
-	if cfg.dncJSONPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.dncJSONPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", cfg.dncJSONPath)
-	}
-	return nil
-}
-
-// memwallVariant is one run of the memwall experiment: the same pointed
-// workload under one mode-store tier.
-type memwallVariant struct {
-	Name        string  `json:"name"`
-	WallSeconds float64 `json:"wall_seconds"`
-	NsPerRow    int64   `json:"ns_per_row"`
-	// RowOverheadPct is the per-row slowdown against the flat baseline.
-	RowOverheadPct float64 `json:"row_overhead_pct_vs_flat"`
-	// PeakWorkingBytes is the within-row working peak (current set +
-	// survivor set, always flat); PeakHeldBytes the largest between-rounds
-	// resident footprint the store kept — the memory the tier saves.
-	PeakWorkingBytes int64 `json:"peak_working_bytes"`
-	PeakHeldBytes    int64 `json:"peak_held_bytes"`
-	FlatBytes        int64 `json:"flat_bytes"`
-	HeldBytes        int64 `json:"held_bytes"`
-	// BytesPerModeRatio is flat bytes per mode over stored bytes per mode
-	// (encoded bytes for the compressed tier, spill-file bytes for the
-	// spill tier).
-	BytesPerModeRatio float64 `json:"bytes_per_mode_ratio"`
-	Compressions      int64   `json:"compressions"`
-	Spills            int64   `json:"spills"`
-	SpillBytes        int64   `json:"spill_bytes"`
-	Modes             int     `json:"modes"`
-	Fingerprint       string  `json:"fingerprint"`
-}
-
-type memwallReport struct {
-	Benchmark   string           `json:"benchmark"`
-	Network     string           `json:"network"`
-	Problem     string           `json:"problem"`
-	LastRow     int              `json:"last_row"`
-	BudgetBytes int64            `json:"budget_bytes"`
-	GoMaxProcs  int              `json:"gomaxprocs"`
-	Variants    []memwallVariant `json:"variants"`
-}
-
-// expMemwall measures the between-rounds mode store against the memory
-// wall: the pointed Network I workload of the hybrid experiment run flat,
-// with every surviving set forced through the compressed tier, forced to
-// spill, and under an automatic budget of half the flat working peak.
-// Every variant must reproduce the flat run's fingerprint bit for bit —
-// the experiment fails otherwise. The table reports the bytes/mode
-// reduction and the per-row time overhead each tier pays for it.
-func expMemwall(cfg benchConfig) error {
-	net := model.Builtin("yeast1")
-	red, err := reduce.Network(net, reduce.Options{MergeDuplicates: true})
-	if err != nil {
-		return err
-	}
-	p, err := nullspace.New(red.N, red.Reversibilities(), nullspace.Heuristics{SplitAllReversible: true})
-	if err != nil {
-		return err
-	}
-	rows := 22
-	if cfg.full {
-		rows = 27
-	}
-	lastRow := p.D + rows
-	report := memwallReport{
-		Benchmark:  "memwall",
-		Network:    net.Name,
-		Problem:    fmt.Sprintf("%dx%d pointed (all reversibles split), first %d rows", p.M(), p.Q(), rows),
-		LastRow:    lastRow,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-	}
-	run := func(name string, opts core.Options) (*memwallVariant, error) {
-		opts.LastRow = lastRow
-		start := time.Now()
-		res, err := core.Run(p, opts)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		wall := time.Since(start).Seconds()
-		v := &memwallVariant{
-			Name:             name,
-			WallSeconds:      wall,
-			NsPerRow:         int64(wall * 1e9 / float64(rows)),
-			PeakWorkingBytes: res.PeakBytes(),
-			PeakHeldBytes:    res.Store.PeakHeldBytes,
-			FlatBytes:        res.Store.FlatBytes,
-			HeldBytes:        res.Store.HeldBytes,
-			Compressions:     res.Store.Compressions,
-			Spills:           res.Store.Spills,
-			SpillBytes:       res.Store.SpillBytes,
-			Modes:            res.Modes.Len(),
-			Fingerprint:      fmt.Sprintf("%016x", res.Modes.Fingerprint()),
-		}
-		stored := v.HeldBytes + v.SpillBytes
-		if stored > 0 {
-			v.BytesPerModeRatio = float64(v.FlatBytes) / float64(stored)
-		}
-		return v, nil
-	}
-
-	flat, err := run("flat", core.Options{})
-	if err != nil {
-		return err
-	}
-	report.BudgetBytes = flat.PeakWorkingBytes / 2
-	variants := []struct {
-		name string
-		opts core.Options
-	}{
-		{"compressed", core.Options{ForceStoreTier: core.TierCompressed}},
-		{"spill", core.Options{ForceStoreTier: core.TierSpill}},
-		{"auto-budget", core.Options{MemBudget: report.BudgetBytes}},
-	}
-	report.Variants = []memwallVariant{*flat}
-	for _, vr := range variants {
-		v, err := run(vr.name, vr.opts)
-		if err != nil {
-			return err
-		}
-		if v.Fingerprint != flat.Fingerprint || v.Modes != flat.Modes {
-			return fmt.Errorf("memwall: %s diverged — %d modes fp %s, flat %d modes fp %s",
-				vr.name, v.Modes, v.Fingerprint, flat.Modes, flat.Fingerprint)
-		}
-		v.RowOverheadPct = (v.WallSeconds - flat.WallSeconds) / flat.WallSeconds * 100
-		report.Variants = append(report.Variants, *v)
-	}
-
-	tb := stats.NewTable("mode-store tiers vs the flat baseline ("+report.Problem+")",
-		"variant", "wall (s)", "ns/row", "row overhead", "peak held", "bytes/mode ratio", "spills", "modes", "fingerprint")
-	for _, v := range report.Variants {
-		ratio := "-"
-		if v.BytesPerModeRatio > 0 {
-			ratio = fmt.Sprintf("%.2fx", v.BytesPerModeRatio)
-		}
-		tb.AddRow(v.Name, stats.Seconds(v.WallSeconds), stats.Count(v.NsPerRow),
-			fmt.Sprintf("%+.1f%%", v.RowOverheadPct), stats.Bytes(v.PeakHeldBytes),
-			ratio, stats.Count(v.Spills), stats.Count(int64(v.Modes)), v.Fingerprint)
-	}
-	tb.AddNote("fingerprints are bit-identical across tiers (gated: the experiment fails on divergence)")
-	tb.AddNote("acceptance targets: compressed bytes/mode ratio >= 2x at <= 15%% per-row overhead")
-	tb.AddNote("auto-budget runs with MemBudget = half the flat working peak (%s)", stats.Bytes(report.BudgetBytes))
-	if err := tb.Render(os.Stdout); err != nil {
-		return err
-	}
-	if cfg.memwallJSONPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.memwallJSONPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", cfg.memwallJSONPath)
-	}
-	return nil
-}
-
-// hybridRowEntry is one iteration of one variant in BENCH_hybrid.json.
-type hybridRowEntry struct {
-	Row         int     `json:"row"`
-	Pairs       int64   `json:"pairs"`
-	Prefiltered int64   `json:"prefiltered"`
-	TreeRejects int64   `json:"tree_rejects"`
-	Tested      int64   `json:"tested"`
-	WallSeconds float64 `json:"wall_seconds"`
-}
-
-// hybridVariant is one full enumeration (rank-only or hybrid).
-type hybridVariant struct {
-	Name        string           `json:"name"`
-	WallSeconds float64          `json:"wall_seconds"`
-	Pairs       int64            `json:"pairs"`
-	Prefiltered int64            `json:"prefiltered"`
-	TreeRejects int64            `json:"tree_rejects"`
-	Tested      int64            `json:"tested"`
-	Accepted    int64            `json:"accepted"`
-	Modes       int              `json:"modes"`
-	Fingerprint string           `json:"fingerprint"`
-	Rows        []hybridRowEntry `json:"rows"`
-}
-
-type hybridBenchReport struct {
-	Benchmark  string          `json:"benchmark"`
-	Network    string          `json:"network"`
-	Problem    string          `json:"problem"`
-	LastRow    int             `json:"last_row"`
-	GoMaxProcs int             `json:"gomaxprocs"`
-	Speedup    float64         `json:"speedup_hybrid_vs_rank"`
-	Variants   []hybridVariant `json:"variants"`
-}
-
-// expHybrid measures the hybrid elementarity fast path against the pure
-// rank test on a pointed problem: Network I with every reversible
-// reaction split (the Heuristics.SplitAllReversible configuration),
-// iterated to a fixed row cap so the run stays bounded while the
-// intermediate sets — and with them the pair space — are large enough
-// for the tree prefilter to matter. Reports per-row candidate
-// accounting and verifies both variants produce bit-identical mode
-// sets.
-func expHybrid(cfg benchConfig) error {
-	net := model.Builtin("yeast1")
-	red, err := reduce.Network(net, reduce.Options{MergeDuplicates: true})
-	if err != nil {
-		return err
-	}
-	p, err := nullspace.New(red.N, red.Reversibilities(), nullspace.Heuristics{SplitAllReversible: true})
-	if err != nil {
-		return err
-	}
-	rows := 22
-	if cfg.full {
-		rows = 27
-	}
-	lastRow := p.D + rows
-	report := hybridBenchReport{
-		Benchmark:  "hybrid-prefilter",
-		Network:    net.Name,
-		Problem:    fmt.Sprintf("%dx%d pointed (all reversibles split), first %d rows", p.M(), p.Q(), rows),
-		LastRow:    lastRow,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-	}
-	run := func(name string, disable bool) (*hybridVariant, *core.Result, error) {
-		start := time.Now()
-		res, err := core.Run(p, core.Options{LastRow: lastRow, DisableHybrid: disable})
-		if err != nil {
-			return nil, nil, err
-		}
-		v := &hybridVariant{
-			Name:        name,
-			WallSeconds: time.Since(start).Seconds(),
-			Modes:       res.Modes.Len(),
-			Fingerprint: fmt.Sprintf("%016x", res.Modes.Fingerprint()),
-		}
-		for _, s := range res.Stats {
-			v.Pairs += s.Pairs
-			v.Prefiltered += s.Prefiltered
-			v.TreeRejects += s.TreeRejects
-			v.Tested += s.Tested
-			v.Accepted += s.Accepted
-			v.Rows = append(v.Rows, hybridRowEntry{
-				Row:         s.Row,
-				Pairs:       s.Pairs,
-				Prefiltered: s.Prefiltered,
-				TreeRejects: s.TreeRejects,
-				Tested:      s.Tested,
-				WallSeconds: s.GenSeconds + s.TestSeconds + s.MergeSeconds,
-			})
-		}
-		return v, res, nil
-	}
-	rank, _, err := run("rank-only", true)
-	if err != nil {
-		return err
-	}
-	hybrid, _, err := run("hybrid", false)
-	if err != nil {
-		return err
-	}
-	report.Variants = []hybridVariant{*rank, *hybrid}
-	report.Speedup = rank.WallSeconds / hybrid.WallSeconds
-
-	tb := stats.NewTable("hybrid tree-prefilter vs rank-only ("+report.Problem+")",
-		"variant", "wall (s)", "pairs", "prefiltered", "tree rejects", "rank tests", "modes")
-	for _, v := range report.Variants {
-		tb.AddRow(v.Name, stats.Seconds(v.WallSeconds), stats.Count(v.Pairs),
-			stats.Count(v.Prefiltered), stats.Count(v.TreeRejects),
-			stats.Count(v.Tested), stats.Count(int64(v.Modes)))
-	}
-	tb.AddNote("speedup: %.2fx; combined rejects %s (hybrid) vs %s (rank-only prefilter alone)",
-		report.Speedup,
-		stats.Count(hybrid.Prefiltered+hybrid.TreeRejects), stats.Count(rank.Prefiltered))
-	if rank.Fingerprint == hybrid.Fingerprint {
-		tb.AddNote("mode-set fingerprints match: %s (bit-identical results)", rank.Fingerprint)
-	} else {
-		return fmt.Errorf("hybrid: fingerprint mismatch — rank-only %s vs hybrid %s",
-			rank.Fingerprint, hybrid.Fingerprint)
-	}
-	if err := tb.Render(os.Stdout); err != nil {
-		return err
-	}
-	if cfg.hybridJSONPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.hybridJSONPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", cfg.hybridJSONPath)
-	}
-	return nil
 }

@@ -1,7 +1,10 @@
 // Command efmbench regenerates the paper's experimental artifacts:
 // the worked toy example (Figures 1–2, section III-A), the network
 // inventories (Figures 3–5), and Tables II–IV, plus the scaling claims
-// of section IV (candidate-count reduction, memory behaviour).
+// of section IV (candidate-count reduction, memory behaviour). It is not
+// the performance benchmark: that is BENCHMARK.json + bench/ (bash
+// bench/run.sh), which pins fingerprints and counters and times every
+// layer.
 //
 // Default workloads finish in about a minute on a laptop; pass -full to
 // run the complete yeast Network I computations (CPU-minutes to hours —
@@ -28,20 +31,11 @@ import (
 )
 
 type benchConfig struct {
-	full             bool
-	nodes            []int
-	workers          []int
-	groups           []int
-	budget           int
-	commTimeout      time.Duration
-	verbose          bool
-	jsonPath         string
-	hybridJSONPath   string
-	dncJSONPath      string
-	memwallJSONPath  string
-	distJSONPath     string
-	backendsJSONPath string
-	ondemandJSONPath string
+	full        bool
+	nodes       []int
+	budget      int
+	commTimeout time.Duration
+	verbose     bool
 }
 
 type experiment struct {
@@ -59,35 +53,19 @@ var experiments = []experiment{
 	{"table4", "Table IV: Network II with partition {R54r,R90r,R60r} and adaptive re-split", expTable4},
 	{"candreduction", "section IV-A: cumulative candidate modes vs partition size", expCandReduction},
 	{"memory", "section IV-B: per-node memory, Algorithm 2 vs Algorithm 3", expMemory},
-	{"workers", "shared-memory worker scaling of candidate generation (writes BENCH_efm.json)", expWorkers},
-	{"hybrid", "hybrid tree-prefilter vs rank-only elementarity on a pointed problem (writes BENCH_hybrid.json)", expHybrid},
-	{"dnc-sched", "divide-and-conquer subproblem scheduler across group counts (writes BENCH_dnc.json)", expDncSched},
-	{"memwall", "compressed and spill mode-store tiers vs flat on the pointed workload (writes BENCH_memwall.json)", expMemwall},
-	{"dist", "coordinator/worker class sharding over loopback TCP across fleet sizes (writes BENCH_dist.json)", expDist},
-	{"backends", "double-description vs reverse-search enumeration families, fingerprint-gated (writes BENCH_backends.json)", expBackends},
-	{"ondemand", "interactive tier: first-mode latency and modes/sec vs full-enumeration wall, fingerprint-gated on the exhaustive rows (writes BENCH_ondemand.json)", expOndemand},
 }
 
 func main() {
 	var (
-		exp          = flag.String("exp", "all", "experiment to run (or 'all'); see -list")
-		list         = flag.Bool("list", false, "list experiments")
-		full         = flag.Bool("full", false, "run the complete yeast workloads (CPU-minutes to hours)")
-		nodes        = flag.String("nodes", "1,2,4,8,16", "node counts for scaling tables")
-		workers      = flag.String("workers", "1,2,4,8", "worker counts for the workers experiment")
-		jsonOut      = flag.String("json", "BENCH_efm.json", "machine-readable output file for the workers experiment")
-		hybridJSON   = flag.String("hybrid-json", "BENCH_hybrid.json", "machine-readable output file for the hybrid experiment")
-		dncJSON      = flag.String("dnc-json", "BENCH_dnc.json", "machine-readable output file for the dnc-sched experiment")
-		memwallJSON  = flag.String("memwall-json", "BENCH_memwall.json", "machine-readable output file for the memwall experiment")
-		distJSON     = flag.String("dist-json", "BENCH_dist.json", "machine-readable output file for the dist experiment")
-		backendsJSON = flag.String("backends-json", "BENCH_backends.json", "machine-readable output file for the backends experiment")
-		ondemandJSON = flag.String("ondemand-json", "BENCH_ondemand.json", "machine-readable output file for the ondemand experiment")
-		groups       = flag.String("groups", "1,2,4", "group counts for the dnc-sched experiment")
-		budget       = flag.Int("budget", 150000, "intermediate-mode budget for the Table IV simulation")
-		commTO       = flag.Duration("comm-timeout", 0, "abort a run when an inter-node collective stalls longer than this (0 = no deadline)")
-		cpuProf      = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProf      = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-		verbose      = flag.Bool("v", false, "progress to stderr")
+		exp     = flag.String("exp", "all", "experiment to run (or 'all'); see -list")
+		list    = flag.Bool("list", false, "list experiments")
+		full    = flag.Bool("full", false, "run the complete yeast workloads (CPU-minutes to hours)")
+		nodes   = flag.String("nodes", "1,2,4,8,16", "node counts for scaling tables")
+		budget  = flag.Int("budget", 150000, "intermediate-mode budget for the Table IV simulation")
+		commTO  = flag.Duration("comm-timeout", 0, "abort a run when an inter-node collective stalls longer than this (0 = no deadline)")
+		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memProf = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
+		verbose = flag.Bool("v", false, "progress to stderr")
 	)
 	flag.Parse()
 
@@ -101,30 +79,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg := benchConfig{full: *full, budget: *budget, commTimeout: *commTO, verbose: *verbose,
-		jsonPath: *jsonOut, hybridJSONPath: *hybridJSON, dncJSONPath: *dncJSON,
-		memwallJSONPath: *memwallJSON, distJSONPath: *distJSON,
-		backendsJSONPath: *backendsJSON, ondemandJSONPath: *ondemandJSON}
+	cfg := benchConfig{full: *full, budget: *budget, commTimeout: *commTO, verbose: *verbose}
 	for _, part := range strings.Split(*nodes, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n <= 0 {
 			fatal(fmt.Errorf("bad -nodes entry %q", part))
 		}
 		cfg.nodes = append(cfg.nodes, n)
-	}
-	for _, part := range strings.Split(*workers, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			fatal(fmt.Errorf("bad -workers entry %q", part))
-		}
-		cfg.workers = append(cfg.workers, n)
-	}
-	for _, part := range strings.Split(*groups, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			fatal(fmt.Errorf("bad -groups entry %q", part))
-		}
-		cfg.groups = append(cfg.groups, n)
 	}
 
 	ran := 0

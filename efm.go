@@ -183,32 +183,6 @@ const (
 	CombinatorialTest
 )
 
-// StoreTier selects the between-rounds mode storage representation.
-type StoreTier int
-
-const (
-	// StoreAuto lets Config.MemBudgetBytes pick the tier per round.
-	StoreAuto StoreTier = iota
-	// StoreFlat always keeps surviving sets flat in RAM.
-	StoreFlat
-	// StoreCompressed always holds surviving sets delta-compressed.
-	StoreCompressed
-	// StoreSpill always writes surviving sets to temp files on disk.
-	StoreSpill
-)
-
-func coreStoreTier(t StoreTier) core.StoreTier {
-	switch t {
-	case StoreFlat:
-		return core.TierFlat
-	case StoreCompressed:
-		return core.TierCompressed
-	case StoreSpill:
-		return core.TierSpill
-	}
-	return core.TierAuto
-}
-
 // Config controls a computation. The zero value runs the serial
 // algorithm with the paper's defaults.
 type Config struct {
@@ -296,10 +270,6 @@ type Config struct {
 	// directory). Operator configuration — servers must not let remote
 	// clients choose this path.
 	SpillDir string
-	// StoreTier pins the between-rounds storage tier regardless of the
-	// budget (ablation and benchmarks). StoreAuto (default) lets
-	// MemBudgetBytes decide.
-	StoreTier StoreTier
 	// DisableRowOrdering / DisableReversibleLast switch off the paper's
 	// row-ordering heuristics (for ablation studies).
 	DisableRowOrdering    bool
@@ -389,9 +359,9 @@ type SchedulerStats struct {
 }
 
 // StoreStats summarizes the between-rounds mode store's tier activity
-// (Config.MemBudgetBytes or a pinned Config.StoreTier; all zero when the
-// store was bypassed). Counters are deterministic for a given problem
-// and configuration, and sum over nodes and subproblems.
+// (Config.MemBudgetBytes; all zero when the store was bypassed).
+// Counters are deterministic for a given problem and configuration, and
+// sum over nodes and subproblems.
 type StoreStats struct {
 	// Compressions and Spills count the iteration rounds whose surviving
 	// set was held delta-compressed in RAM, respectively written to disk.
@@ -452,8 +422,7 @@ type Result struct {
 	// (scheduler runs only; 0 otherwise).
 	PeakConcurrentBytes int64
 	// Store summarizes the between-rounds store's compression and spill
-	// activity (zero when Config.MemBudgetBytes and Config.StoreTier were
-	// unset).
+	// activity (zero when Config.MemBudgetBytes was unset).
 	Store StoreStats
 	// MemResplits counts divide-and-conquer re-splits triggered by the
 	// memory budget (both drivers).
@@ -810,13 +779,12 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 		SplitAllReversible:    cfg.Test == CombinatorialTest || cfg.SplitReversible,
 	}
 	copts := core.Options{
-		Tol:            cfg.Tolerance,
-		MaxModes:       cfg.MaxIntermediateModes,
-		Workers:        cfg.Workers,
-		DisableHybrid:  cfg.DisableHybridPrefilter,
-		MemBudget:      cfg.MemBudgetBytes,
-		SpillDir:       cfg.SpillDir,
-		ForceStoreTier: coreStoreTier(cfg.StoreTier),
+		Tol:           cfg.Tolerance,
+		MaxModes:      cfg.MaxIntermediateModes,
+		Workers:       cfg.Workers,
+		DisableHybrid: cfg.DisableHybridPrefilter,
+		MemBudget:     cfg.MemBudgetBytes,
+		SpillDir:      cfg.SpillDir,
 	}
 	if cfg.Test == CombinatorialTest {
 		copts.Test = core.CombinatorialTest

@@ -139,8 +139,8 @@ func TestSchedulerCounters(t *testing.T) {
 }
 
 // TestSchedStatsFreshPerRepetition pins the benchmark-repetition
-// contract behind BENCH_dnc.json: every scheduled run allocates its own
-// recorder (runScheduled), so back-to-back runs — efmbench rows, or any
+// contract: every scheduled run allocates its own recorder
+// (runScheduled), so back-to-back runs — bench repetitions, or any
 // harness looping over group counts — must report identical
 // deterministic counters, never the previous repetition's folded in.
 func TestSchedStatsFreshPerRepetition(t *testing.T) {

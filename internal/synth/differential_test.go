@@ -76,14 +76,14 @@ func variants() []variant {
 			dnc:  true,
 		})
 	}
-	// Store tiers: every tier of the between-rounds mode store — and a
-	// deliberately tiny memory budget that forces compression, spilling
-	// and (under dnc) memory re-splits — must be invisible in the result.
+	// Memory budget: a deliberately tiny one forces every surviving set
+	// through the spill tier and (under dnc) memory re-splits, and must
+	// be invisible in the result. The compressed tier on its own is
+	// pinned below the public API, by core's TestStoreTierEquivalence and
+	// parallel's TestRunStoreTierEquivalence.
 	v = append(v,
-		variant{name: "serial/store=compressed", cfg: elmocomp.Config{Workers: 1, StoreTier: elmocomp.StoreCompressed}},
-		variant{name: "serial/store=spill", cfg: elmocomp.Config{Workers: 1, StoreTier: elmocomp.StoreSpill}},
 		variant{name: "serial/membudget=1", cfg: elmocomp.Config{Workers: 1, MemBudgetBytes: 1}},
-		variant{name: "parallel/store=spill/nodes=2", cfg: elmocomp.Config{Algorithm: elmocomp.Parallel, Nodes: 2, Workers: 1, StoreTier: elmocomp.StoreSpill}},
+		variant{name: "parallel/membudget=1/nodes=2", cfg: elmocomp.Config{Algorithm: elmocomp.Parallel, Nodes: 2, Workers: 1, MemBudgetBytes: 1}},
 		variant{
 			name: "dnc/scheduler/groups=2/membudget=1",
 			cfg: elmocomp.Config{Algorithm: elmocomp.DivideAndConquer, Workers: 1,

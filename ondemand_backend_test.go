@@ -199,13 +199,22 @@ func TestBackendOnDemandYeastSub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	start := time.Now()
 	od, err := ComputeEFMs(net, Config{Backend: OnDemandBackend, MaxModes: dd.Len()})
+	wall := time.Since(start).Seconds()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if od.Len() != dd.Len() || od.Fingerprint() != dd.Fingerprint() {
 		t.Fatalf("cross-family divergence on yeast1 sub-model: ondemand %d modes fp %016x, dd %d modes fp %016x",
 			od.Len(), od.Fingerprint(), dd.Len(), dd.Fingerprint())
+	}
+	// The tier's reason to exist: a first result long before the full
+	// set. The wall to the last mode is a lower bound on the exhaustive
+	// wall, so this is the stricter form of "first mode < 10% of the
+	// full enumeration".
+	if first := od.OnDemand.FirstModeSeconds; first >= 0.1*wall {
+		t.Fatalf("first mode after %.3fs of a %.3fs stream: want under 10%%", first, wall)
 	}
 	t.Logf("yeast1-sub: %d modes, first after %.3fs, %d bases, %d pivots",
 		od.Len(), od.OnDemand.FirstModeSeconds, od.OnDemand.Bases, od.OnDemand.LPPivots)

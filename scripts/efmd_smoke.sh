@@ -88,7 +88,7 @@ esac
 echo "== on-demand stream: backend=ondemand k=3 delivers 3 mode events"
 OID=$(curl -fsS "$BASE/v1/jobs" -d '{"model":"toy","options":{"backend":"ondemand","k":3}}' | jq -r .id)
 [ -n "$OID" ] && [ "$OID" != null ] || fail "no job id for the on-demand submission"
-curl -fsS "$BASE/v1/jobs/$OID/events" > "$WORKDIR/odevents.ndjson"
+curl -fsSN "$BASE/v1/jobs/$OID/events" > "$WORKDIR/odevents.ndjson"
 N_MODE=$(jq -rs '[.[] | select(.type == "mode")] | length' "$WORKDIR/odevents.ndjson")
 [ "$N_MODE" = 3 ] || fail "on-demand k=3 streamed $N_MODE mode events, want 3"
 RANKS=$(jq -rs '[.[] | select(.type == "mode") | .rank] | join(",")' "$WORKDIR/odevents.ndjson")
@@ -103,7 +103,9 @@ echo "   3 mode events (ranks $RANKS) before the terminal event"
 
 echo "== on-demand cancel mid-stream resolves in under a second"
 CID2=$(curl -fsS "$BASE/v1/jobs" -d '{"model":"yeast1","options":{"backend":"ondemand","k":100000}}' | jq -r .id)
-curl -fsS "$BASE/v1/jobs/$CID2/events" > "$WORKDIR/cancel.ndjson" &
+# -N: without it curl holds the stream in a 4 KiB stdout buffer, and the
+# first mode event (server-side after ~0.1 s) reaches the file ~9-10 s in.
+curl -fsSN "$BASE/v1/jobs/$CID2/events" > "$WORKDIR/cancel.ndjson" &
 STREAM_PID=$!
 for i in $(seq 1 100); do
   grep -q '"type":"mode"' "$WORKDIR/cancel.ndjson" 2>/dev/null && break

@@ -99,14 +99,14 @@ func (n *Network) Canonical() string { return n.inner.String() }
 //
 // Execution-shape options that are proven result-neutral — Workers,
 // Nodes, GroupConcurrency, OverTCP, CommTimeout, DisableHybridPrefilter,
-// MemBudgetBytes, SpillDir, StoreTier, Progress — are excluded: a
-// 1-worker serial run and an 8-node cluster
-// run of the same request share one key (the differential harness
-// enforces exactly this fingerprint equality). When MaxIntermediateModes
-// is 0 the algorithm choice itself is result-neutral too (every driver
-// enumerates the full set) and Algorithm, Qsub and Partition are
-// likewise normalized away; with a budget set they shape which classes
-// go unresolved, so they are part of the identity.
+// MemBudgetBytes, SpillDir, Progress — are excluded: a 1-worker serial
+// run and an 8-node cluster run of the same request share one key (the
+// differential harness enforces exactly this fingerprint equality). When
+// MaxIntermediateModes is 0 the algorithm choice itself is
+// result-neutral too (every driver enumerates the full set) and
+// Algorithm, Qsub and Partition are likewise normalized away; with a
+// budget set they shape which classes go unresolved, so they are part of
+// the identity.
 //
 // Backend is normalized away for the exhaustive families: the
 // reverse-search backend rejects MaxIntermediateModes (it has no
