@@ -33,7 +33,7 @@ func main() {
 		nodes     = flag.Int("nodes", 1, "simulated compute nodes (parallel, dnc)")
 		workers   = flag.Int("workers", 0, "shared-memory workers per engine/node (0 = all cores)")
 		qsub      = flag.Int("qsub", 2, "divide-and-conquer partition size")
-		groups    = flag.Int("groups", 0, "dnc subproblem scheduler: node groups pulling classes concurrently (0 = sequential)")
+		groups    = flag.Int("groups", 0, "dnc: local node groups pulling classes off the queue concurrently (0 = one group)")
 		partition = flag.String("partition", "", "comma-separated partition reaction names (dnc)")
 		test      = flag.String("test", "rank", "elementarity test: rank | tree")
 		split     = flag.Bool("split", false, "split every reversible reaction so the cone is pointed (implied by -test tree)")

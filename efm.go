@@ -202,12 +202,12 @@ type Config struct {
 	Workers int
 	// Qsub is the divide-and-conquer partition size (default 2).
 	Qsub int
-	// GroupConcurrency selects the divide-and-conquer subproblem
-	// scheduler: the number of node groups concurrently pulling classes
-	// from a largest-estimated-first work queue. 0 runs subproblems one
-	// at a time (the sequential driver); >= 1 runs that many groups.
-	// Results are byte-identical at every setting. DivideAndConquer
-	// only; ignored by the other drivers.
+	// GroupConcurrency is the number of local node groups concurrently
+	// pulling divide-and-conquer classes from a largest-estimated-first
+	// work queue. 0 means one group (under ComputeEFMsDistributed: no
+	// local group, every class runs on the workers). Results are
+	// byte-identical at every setting. DivideAndConquer only; ignored by
+	// the other drivers.
 	GroupConcurrency int
 	// Partition names the partition reactions explicitly (overrides
 	// Qsub). Reactions must survive network reduction.
@@ -334,10 +334,9 @@ type SubproblemStat struct {
 	Seconds    PhaseSeconds
 }
 
-// SchedulerStats summarizes a divide-and-conquer scheduler run
-// (Config.GroupConcurrency >= 1). Counter totals are deterministic for
-// a given problem and budget; the queue/active peaks are scheduling
-// diagnostics.
+// SchedulerStats summarizes the class queue of a divide-and-conquer
+// run. Counter totals are deterministic for a given problem and budget;
+// the queue/active peaks are scheduling diagnostics.
 type SchedulerStats struct {
 	// Enqueued counts work items pushed onto the class queue (initial
 	// classes plus two per re-split); Steals counts items pulled by a
@@ -414,18 +413,18 @@ type Result struct {
 	// PeakNodeBytes is the largest mode-matrix payload held by any
 	// single node at any time.
 	PeakNodeBytes int64
-	// Scheduler holds the divide-and-conquer scheduler's counters
-	// (Config.GroupConcurrency >= 1 only; nil otherwise).
+	// Scheduler holds the divide-and-conquer class queue's counters
+	// (nil for every other algorithm and backend).
 	Scheduler *SchedulerStats
 	// PeakConcurrentBytes is the largest mode-matrix payload resident
-	// across all concurrently enumerating node groups at any instant
-	// (scheduler runs only; 0 otherwise).
+	// across all concurrently enumerating local node groups at any
+	// instant (DivideAndConquer only; 0 otherwise).
 	PeakConcurrentBytes int64
 	// Store summarizes the between-rounds store's compression and spill
 	// activity (zero when Config.MemBudgetBytes was unset).
 	Store StoreStats
 	// MemResplits counts divide-and-conquer re-splits triggered by the
-	// memory budget (both drivers).
+	// memory budget.
 	MemResplits int
 	// RevSearch holds the reverse-search backend's counters
 	// (Config.Backend == ReverseSearchBackend only; nil otherwise).
@@ -986,20 +985,18 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 		res.PeakConcurrentBytes = run.PeakConcurrentBytes
 		res.Store = storeStats(run.Store())
 		res.MemResplits = run.MemResplits()
-		if run.Sched != nil {
-			res.Scheduler = &SchedulerStats{
-				Enqueued:       run.Sched.Enqueued,
-				Steals:         run.Sched.Steals,
-				Resplits:       run.Sched.Resplits,
-				MemResplits:    run.Sched.MemResplits,
-				Unresolved:     run.Sched.Unresolved,
-				RemoteClasses:  run.Sched.RemoteClasses,
-				RemoteSteals:   run.Sched.RemoteSteals,
-				RemoteRequeues: run.Sched.RemoteRequeues,
-				RemoteTimeouts: run.Sched.RemoteTimeouts,
-				MaxQueueDepth:  run.Sched.MaxQueueDepth,
-				MaxActive:      run.Sched.MaxActive,
-			}
+		res.Scheduler = &SchedulerStats{
+			Enqueued:       run.Sched.Enqueued,
+			Steals:         run.Sched.Steals,
+			Resplits:       run.Sched.Resplits,
+			MemResplits:    run.Sched.MemResplits,
+			Unresolved:     run.Sched.Unresolved,
+			RemoteClasses:  run.Sched.RemoteClasses,
+			RemoteSteals:   run.Sched.RemoteSteals,
+			RemoteRequeues: run.Sched.RemoteRequeues,
+			RemoteTimeouts: run.Sched.RemoteTimeouts,
+			MaxQueueDepth:  run.Sched.MaxQueueDepth,
+			MaxActive:      run.Sched.MaxActive,
 		}
 		res.Subproblems = subStats(run, red)
 		for _, s := range res.Subproblems {
@@ -1047,8 +1044,7 @@ func phasesFromStats(stats []core.IterStats) PhaseSeconds {
 
 func subStats(run *dnc.Result, red *reduce.Reduced) []SubproblemStat {
 	var out []SubproblemStat
-	var walk func(s *dnc.Subproblem)
-	walk = func(s *dnc.Subproblem) {
+	run.Walk(func(s *dnc.Subproblem) {
 		pattern := ""
 		for i, col := range s.Partition {
 			if i > 0 {
@@ -1074,12 +1070,6 @@ func subStats(run *dnc.Result, red *reduce.Reduced) []SubproblemStat {
 				s.Phases.Communicate, s.Phases.Merge,
 			},
 		})
-		for _, c := range s.Children {
-			walk(c)
-		}
-	}
-	for _, s := range run.Subproblems {
-		walk(s)
-	}
+	})
 	return out
 }

@@ -227,6 +227,12 @@ func TestDncStatsPopulated(t *testing.T) {
 	if len(progress) == 0 {
 		t.Fatal("no progress callbacks")
 	}
+	// Every divide-and-conquer run reports its class queue: the default
+	// is one local group, not a separate queue-less path.
+	if res.Scheduler == nil || res.Scheduler.MaxActive != 1 || res.PeakConcurrentBytes <= 0 {
+		t.Fatalf("scheduler stats %+v, peak concurrent bytes %d: want one active group and a measured peak",
+			res.Scheduler, res.PeakConcurrentBytes)
+	}
 }
 
 func TestIterationStatsNamed(t *testing.T) {

@@ -779,16 +779,9 @@ func (it *RowIter) assemble(candSets []*ModeSet, refs []candRef, t0 time.Time) (
 	return next, nil
 }
 
-// IsElementary runs the exact-support algebraic rank test on mode i of
+// IsElementaryWS runs the exact-support algebraic rank test on mode i of
 // the set: true iff the stoichiometric submatrix over the mode's support
-// has nullity exactly one. Not for hot paths — it allocates a workspace
-// per call; batch callers should hold one workspace and use
-// IsElementaryWS.
-func IsElementary(p *nullspace.Problem, set *ModeSet, i int, tol float64) bool {
-	return IsElementaryWS(p, set, i, tol, linalg.NewWorkspace(p.M()+2, p.M()+2), nil)
-}
-
-// IsElementaryWS is IsElementary with a caller-owned workspace and
+// has nullity exactly one. The caller owns the workspace and the
 // support-index scratch (scratch may be nil), so batch re-validation —
 // the divide-and-conquer driver re-checks every extracted column at its
 // early stop point — reuses one elimination buffer across calls instead

@@ -52,33 +52,30 @@ type Options struct {
 	Qsub int
 	// MaxDepth bounds adaptive re-splitting recursion (default 3).
 	MaxDepth int
-	// GroupConcurrency selects the subproblem scheduler: the number of
-	// node groups concurrently pulling classes from a
-	// largest-estimated-first work queue (the paper's farming of the
-	// 2^qsub independent subproblems across groups of compute nodes).
-	// 0 runs the sequential driver (one class at a time, re-splits
-	// recursed inline); >= 1 runs the scheduler with that many groups.
-	// Result.Supports and the subproblem tree are byte-identical at
-	// every setting — only wall-clock, Progress arrival order and the
-	// scheduler diagnostics change.
+	// GroupConcurrency is the number of local node groups concurrently
+	// pulling classes from the largest-estimated-first work queue (the
+	// paper's farming of the 2^qsub independent subproblems across
+	// groups of compute nodes). 0 means one group — or, with Remote set,
+	// no local group at all. Result.Supports and the subproblem tree are
+	// byte-identical at every setting — only wall-clock, Progress
+	// arrival order and the scheduler diagnostics change.
 	GroupConcurrency int
-	// Remote, when set, adds remote dispatch to the scheduler: one
-	// dispatcher per executor slot pulls classes off the same queue the
-	// local groups use (affinity-first, stealing when the affine slot is
-	// busy elsewhere) and runs them on remote workers. GroupConcurrency
-	// may then be 0 — a pure-remote run, where an emergency local group
-	// takes over only if every worker dies with classes outstanding.
-	// Worker loss re-enqueues the class; results stay byte-identical to
-	// the local drivers because workers run the same prepare→enumerate
-	// path (see ExecClass).
+	// Remote, when set, adds remote dispatch: one dispatcher per executor
+	// slot pulls classes off the same queue the local groups use
+	// (affinity-first, stealing when the affine slot is busy elsewhere)
+	// and runs them on remote workers. GroupConcurrency 0 is then a
+	// pure-remote run, where an emergency local group takes over only if
+	// every worker dies with classes outstanding. Worker loss re-enqueues
+	// the class; results stay byte-identical to a local run because
+	// workers run the same prepare→enumerate path (see ExecClass).
 	Remote RemoteExecutor
 	// Progress, when set, is called as each subproblem finishes
 	// (enumerated or left unresolved; infeasible skipped classes are
-	// silent). Under GroupConcurrency > 1 subproblems finish on
-	// concurrent group goroutines: invocations are serialized by an
-	// internal mutex — the callback is never entered concurrently with
-	// itself — but the arrival ORDER is scheduling-dependent. The
-	// callback must not block for long: it stalls the completing group.
+	// silent). Subproblems finish on concurrent group goroutines:
+	// invocations are serialized by an internal mutex — the callback is
+	// never entered concurrently with itself — but the arrival ORDER is
+	// scheduling-dependent. The callback must not block for long: it
+	// stalls the completing group.
 	Progress func(sub *Subproblem)
 }
 
@@ -141,36 +138,40 @@ type Result struct {
 	Subproblems []*Subproblem
 	// Supports is the union of all subproblem EFM supports, sorted.
 	Supports []bitset.Set
-	// Sched holds the scheduler's counters (GroupConcurrency >= 1
-	// runs only; nil on the sequential driver). Counter totals are
-	// deterministic; queue-depth/active peaks and class completion
-	// order are scheduling diagnostics.
+	// Sched holds the driver's queue counters. Counter totals are
+	// deterministic; queue-depth/active peaks and class completion order
+	// are scheduling diagnostics.
 	Sched *stats.SchedStats
 	// PeakConcurrentBytes is the largest mode-set payload resident
-	// across ALL concurrently enumerating node groups at any instant
-	// (scheduler runs only; 0 on the sequential driver, where it would
-	// equal PeakNodeBytes times the node count of the largest
-	// iteration). Together with PeakNodeBytes it bounds the memory a
-	// GroupConcurrency-wide deployment needs.
+	// across ALL concurrently enumerating local node groups at any
+	// instant (classes run on remote workers are not counted). Together
+	// with PeakNodeBytes it bounds the memory a GroupConcurrency-wide
+	// deployment needs.
 	PeakConcurrentBytes int64
+}
+
+// Walk visits every subproblem in pre-order: root classes in ID order,
+// a re-split class before its children, the zero-flux child first.
+func (r *Result) Walk(visit func(*Subproblem)) {
+	var walk func(subs []*Subproblem)
+	walk = func(subs []*Subproblem) {
+		for _, s := range subs {
+			visit(s)
+			walk(s.Children)
+		}
+	}
+	walk(r.Subproblems)
 }
 
 // Complete reports whether every class was fully enumerated (no
 // Unresolved leaves).
 func (r *Result) Complete() bool {
 	complete := true
-	var walk func(s *Subproblem)
-	walk = func(s *Subproblem) {
+	r.Walk(func(s *Subproblem) {
 		if s.Unresolved {
 			complete = false
 		}
-		for _, c := range s.Children {
-			walk(c)
-		}
-	}
-	for _, s := range r.Subproblems {
-		walk(s)
-	}
+	})
 	return complete
 }
 
@@ -188,18 +189,11 @@ func (r *Result) TotalPairs() int64 {
 // the quantity divide-and-conquer exists to bound (§IV-B).
 func (r *Result) PeakNodeBytes() int64 {
 	var m int64
-	var walk func(s *Subproblem)
-	walk = func(s *Subproblem) {
+	r.Walk(func(s *Subproblem) {
 		if s.PeakNodeBytes > m {
 			m = s.PeakNodeBytes
 		}
-		for _, c := range s.Children {
-			walk(c)
-		}
-	}
-	for _, s := range r.Subproblems {
-		walk(s)
-	}
+	})
 	return m
 }
 
@@ -207,35 +201,19 @@ func (r *Result) PeakNodeBytes() int64 {
 // the run-wide compression and spill activity a memory budget produced.
 func (r *Result) Store() core.StoreStats {
 	var t core.StoreStats
-	var walk func(s *Subproblem)
-	walk = func(s *Subproblem) {
-		t.Add(s.Store)
-		for _, c := range s.Children {
-			walk(c)
-		}
-	}
-	for _, s := range r.Subproblems {
-		walk(s)
-	}
+	r.Walk(func(s *Subproblem) { t.Add(s.Store) })
 	return t
 }
 
-// MemResplits counts the re-splits triggered by the memory budget (both
-// drivers; the scheduler additionally reports the count in Sched).
+// MemResplits counts the re-splits triggered by the memory budget (the
+// tree's view of Sched.MemResplits).
 func (r *Result) MemResplits() int {
 	n := 0
-	var walk func(s *Subproblem)
-	walk = func(s *Subproblem) {
+	r.Walk(func(s *Subproblem) {
 		if s.MemResplit {
 			n++
 		}
-		for _, c := range s.Children {
-			walk(c)
-		}
-	}
-	for _, s := range r.Subproblems {
-		walk(s)
-	}
+	})
 	return n
 }
 
@@ -265,39 +243,17 @@ func Run(N *ratmat.Matrix, rev []bool, opts Options) (*Result, error) {
 			return nil, fmt.Errorf("dnc: partition column %d out of range", j)
 		}
 	}
-
-	if opts.GroupConcurrency >= 1 || opts.Remote != nil {
-		return runScheduled(N, rev, partition, opts)
-	}
-
-	res := &Result{Partition: partition}
-	for id := uint64(0); id < 1<<uint(len(partition)); id++ {
-		sub, err := solve(N, rev, partition, id, 0, opts)
-		if err != nil {
-			return nil, fmt.Errorf("dnc: subset %d: %w", id, err)
-		}
-		res.Subproblems = append(res.Subproblems, sub)
-	}
-	collectSupports(res)
-	return res, nil
+	return runScheduled(N, rev, partition, opts)
 }
 
 // collectSupports walks the finished subproblem tree in class-ID order
 // and assembles the sorted union. Classes are disjoint, so the supports
 // are pairwise distinct and the total comparator makes the sorted order
-// independent of completion order — the determinism anchor both the
-// sequential driver and the scheduler share.
+// independent of completion order — the determinism anchor of the run.
 func collectSupports(res *Result) {
-	var collect func(s *Subproblem)
-	collect = func(s *Subproblem) {
+	res.Walk(func(s *Subproblem) {
 		res.Supports = append(res.Supports, s.Supports...)
-		for _, c := range s.Children {
-			collect(c)
-		}
-	}
-	for _, s := range res.Subproblems {
-		collect(s)
-	}
+	})
 	sort.Slice(res.Supports, func(a, b int) bool {
 		return res.Supports[a].Compare(res.Supports[b]) < 0
 	})
@@ -435,99 +391,6 @@ func enumerate(sub *Subproblem, pr *prepared, copts parallel.Options, fullCols i
 	sub.Store = run.Result.Store
 	sub.Supports = extract(run.Result, pr.p, pr.keep, pr.nzfLocal, fullCols)
 	return nil
-}
-
-// solve handles one zero/non-zero class sequentially, re-splitting on
-// budget errors (the GroupConcurrency == 0 driver).
-func solve(N *ratmat.Matrix, rev []bool, partition []int, id uint64, depth int, opts Options) (*Subproblem, error) {
-	sub := &Subproblem{ID: id, Partition: append([]int(nil), partition...), Depth: depth}
-
-	pr := prepare(N, rev, partition, id, opts.Parallel.Core.Tol)
-	if pr == nil {
-		sub.Skipped = true
-		return sub, nil
-	}
-	copts := opts.Parallel
-	// The memory budget is strict only while re-split depth remains: an
-	// over-budget surviving set then surfaces as core.ErrMemBudget and
-	// refines the class, exactly like a mode-count overflow. At the depth
-	// limit the store degrades to compression and spilling instead, so
-	// the class still completes (result-identical, just slower).
-	copts.Core.StrictMemBudget = copts.Core.MemBudget > 0 && depth < opts.MaxDepth
-	if err := enumerate(sub, pr, copts, N.Cols()); err != nil {
-		// Only a blown budget (mode count or strict memory) triggers
-		// adaptive re-splitting; any other failure (a node crash, a
-		// communication timeout, an aborted group) is a fault, not a
-		// size signal, and propagates.
-		if errors.Is(err, core.ErrBudget) {
-			memTriggered := errors.Is(err, core.ErrMemBudget)
-			if depth < opts.MaxDepth {
-				res, rerr := resplit(N, rev, partition, id, depth, opts, sub)
-				if rerr == nil {
-					sub.MemResplit = memTriggered
-					return res, nil
-				}
-				if !memTriggered || !errors.Is(rerr, errNoRefinement) {
-					return nil, rerr
-				}
-				// A memory re-split with no reaction left to refine by:
-				// fall through to the soft retry — spilling beats failing.
-			}
-			if memTriggered {
-				// Depth limit reached or partition unrefinable: drop the
-				// strictness and let the store compress and spill the
-				// class to completion. Results are identical either way.
-				copts.Core.StrictMemBudget = false
-				if err := enumerate(sub, pr, copts, N.Cols()); err != nil {
-					if errors.Is(err, core.ErrBudget) {
-						// The soft retry can still blow the mode-count
-						// budget; that is a genuine unresolved class.
-						sub.Unresolved = true
-						if opts.Progress != nil {
-							opts.Progress(sub)
-						}
-						return sub, nil
-					}
-					return nil, err
-				}
-				if opts.Progress != nil {
-					opts.Progress(sub)
-				}
-				return sub, nil
-			}
-			// Budget exhausted at the depth limit: report the class as
-			// unresolved instead of failing the whole run, so budgeted
-			// explorations (the Table IV simulation) degrade gracefully.
-			sub.Unresolved = true
-			if opts.Progress != nil {
-				opts.Progress(sub)
-			}
-			return sub, nil
-		}
-		return nil, err
-	}
-	if opts.Progress != nil {
-		opts.Progress(sub)
-	}
-	return sub, nil
-}
-
-// resplit extends the partition by one more reaction and solves the two
-// refined classes.
-func resplit(N *ratmat.Matrix, rev []bool, partition []int, id uint64, depth int, opts Options, sub *Subproblem) (*Subproblem, error) {
-	extra, err := nextPartitionReaction(N, rev, partition)
-	if err != nil {
-		return nil, err
-	}
-	wider := append(append([]int(nil), partition...), extra)
-	for bit := uint64(0); bit < 2; bit++ {
-		child, err := solve(N, rev, wider, id|bit<<uint(len(partition)), depth+1, opts)
-		if err != nil {
-			return nil, err
-		}
-		sub.Children = append(sub.Children, child)
-	}
-	return sub, nil
 }
 
 // errNoRefinement marks a partition that cannot grow: every pivot

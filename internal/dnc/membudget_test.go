@@ -7,48 +7,39 @@ import (
 	"elmocomp/internal/parallel"
 )
 
-// TestMemBudgetResplit forces the memory-budget path: a budget far below
-// any class's flat surviving set makes every class refine through
-// core.ErrMemBudget until the depth limit, where strictness lapses and
-// the store spills the classes to completion. The union must equal the
-// unbudgeted run exactly, with the MemResplit markers and spill counters
-// proving the path was actually taken.
+// TestMemBudgetResplit forces the memory-budget path (memResplitOpts).
+// The union must equal the unbudgeted run exactly and the tree must hash
+// to pinMemResplitTree at every group count, with the MemResplit markers
+// and spill counters proving the path was actually taken.
 func TestMemBudgetResplit(t *testing.T) {
 	red := toyReduced(t)
 	want := keysOf(serialSupports(t, red.N, red.Reversibilities()))
-	for _, groups := range []int{0, 2} {
-		res, err := Run(red.N, red.Reversibilities(), Options{
-			Qsub:     1,
-			MaxDepth: 2,
-			Parallel: parallel.Options{Core: core.Options{
-				MemBudget: 1, // below any flat set: strict rounds refine, depth-limit rounds spill
-				SpillDir:  t.TempDir(),
-			}},
-			GroupConcurrency: groups,
-		})
+	for _, groups := range []int{0, 1, 2, 4} {
+		o := memResplitOpts(t)
+		o.GroupConcurrency = groups
+		res, err := Run(red.N, red.Reversibilities(), o)
 		if err != nil {
 			t.Fatalf("groups=%d: %v", groups, err)
 		}
 		if got := keysOf(res.Supports); got != want {
 			t.Fatalf("groups=%d: budgeted union differs:\n got %s\nwant %s", groups, got, want)
 		}
+		if got := treeHash(res); got != pinMemResplitTree {
+			t.Fatalf("groups=%d: memory re-split tree hash %s, want %s\n%s", groups, got, pinMemResplitTree, treeKey(res))
+		}
 		if !res.Complete() {
 			t.Fatalf("groups=%d: memory budget left classes unresolved", groups)
-		}
-		if res.MemResplits() == 0 {
-			t.Fatalf("groups=%d: no memory re-splits recorded under a 1-byte budget", groups)
 		}
 		if st := res.Store(); st.Spills == 0 {
 			t.Fatalf("groups=%d: depth-limit classes never spilled: %+v", groups, st)
 		}
-		if groups > 0 {
-			if res.Sched == nil || res.Sched.MemResplits == 0 {
-				t.Fatalf("groups=%d: scheduler did not count memory re-splits: %+v", groups, res.Sched)
-			}
-			if res.Sched.MemResplits > res.Sched.Resplits {
-				t.Fatalf("groups=%d: memory re-splits %d exceed total re-splits %d",
-					groups, res.Sched.MemResplits, res.Sched.Resplits)
-			}
+		if n := res.MemResplits(); n == 0 || int64(n) != res.Sched.MemResplits {
+			t.Fatalf("groups=%d: %d memory re-splits in the tree, %d counted by the scheduler (want equal, > 0)",
+				groups, n, res.Sched.MemResplits)
+		}
+		if res.Sched.MemResplits > res.Sched.Resplits {
+			t.Fatalf("groups=%d: memory re-splits %d exceed total re-splits %d",
+				groups, res.Sched.MemResplits, res.Sched.Resplits)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"elmocomp/internal/core"
 	"elmocomp/internal/parallel"
 	"elmocomp/internal/ratmat"
 )
@@ -88,17 +87,17 @@ func (f *fakeExec) Run(slot int, c RemoteClass, cancel <-chan struct{}) (*ClassO
 	return ExecClass(f.N, f.rev, c.Partition, c.ID, popts)
 }
 
-// TestRemoteMatchesSequential: a pure-remote run (no local groups) and a
-// mixed local+remote run must both reproduce the sequential driver's
+// TestRemoteMatchesOneGroup: a pure-remote run (no local groups) and a
+// mixed local+remote run must both reproduce the default one-group run's
 // supports and subproblem tree byte-for-byte.
-func TestRemoteMatchesSequential(t *testing.T) {
+func TestRemoteMatchesOneGroup(t *testing.T) {
 	red := toyReduced(t)
 	rev := red.Reversibilities()
-	seq, err := Run(red.N, rev, Options{Qsub: 2})
+	one, err := Run(red.N, rev, Options{Qsub: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantTree, wantSup := treeKey(seq), keysOf(seq.Supports)
+	wantTree, wantSup := treeKey(one), keysOf(one.Supports)
 	for _, tc := range []struct {
 		name   string
 		groups int
@@ -119,8 +118,9 @@ func TestRemoteMatchesSequential(t *testing.T) {
 		if got := treeKey(res); got != wantTree {
 			t.Fatalf("%s: subproblem tree differs\n got %s\nwant %s", tc.name, got, wantTree)
 		}
-		if tc.groups == 0 && res.Sched.RemoteClasses == 0 {
-			t.Fatalf("%s: no classes ran remotely", tc.name)
+		if tc.groups == 0 && res.Sched.RemoteClasses != res.Sched.Enqueued {
+			t.Fatalf("%s: %d of %d classes ran remotely on a healthy pure-remote pool",
+				tc.name, res.Sched.RemoteClasses, res.Sched.Enqueued)
 		}
 		if res.Sched.RemoteRequeues != 0 {
 			t.Fatalf("%s: %d requeues on a healthy pool", tc.name, res.Sched.RemoteRequeues)
@@ -128,36 +128,39 @@ func TestRemoteMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRemoteResplitMatchesSequential: budget overflows raised by remote
-// workers (core.ErrBudget through the wire-independent executor) must
-// drive the coordinator's re-split policy into the exact tree the
-// sequential driver builds.
-func TestRemoteResplitMatchesSequential(t *testing.T) {
+// TestRemoteResplitTreePinned: budget overflows raised by remote workers
+// (core.ErrBudget / core.ErrMemBudget through the wire-independent
+// executor) must drive the one re-split policy into exactly the frozen
+// trees the local lanes are pinned to — including the memory fixture's
+// soft retry on the same worker at the depth limit.
+func TestRemoteResplitTreePinned(t *testing.T) {
 	red := toyReduced(t)
 	rev := red.Reversibilities()
-	opts := Options{
-		Qsub:     1,
-		MaxDepth: 6,
-		Parallel: parallel.Options{Core: core.Options{MaxModes: 4}},
-	}
-	seq, err := Run(red.N, rev, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantTree := treeKey(seq)
-	exec := newFakeExec(red.N, rev, 2)
-	exec.popts = opts.Parallel
-	o := opts
-	o.Remote = exec
-	res, err := Run(red.N, rev, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := treeKey(res); got != wantTree {
-		t.Fatalf("remote re-split tree differs\n got %s\nwant %s", got, wantTree)
-	}
-	if res.Sched.Resplits == 0 {
-		t.Fatal("no re-splits recorded (MaxModes=4 must overflow)")
+	for _, tc := range []struct {
+		name string
+		opts Options
+		pin  string
+	}{
+		{"mode-budget", modeResplitOpts(), pinModeResplitTree},
+		{"mem-budget", memResplitOpts(t), pinMemResplitTree},
+	} {
+		exec := newFakeExec(red.N, rev, 2)
+		exec.popts = tc.opts.Parallel
+		o := tc.opts
+		o.Remote = exec
+		res, err := Run(red.N, rev, o)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := treeHash(res); got != tc.pin {
+			t.Fatalf("%s: remote re-split tree hash %s, want %s\n%s", tc.name, got, tc.pin, treeKey(res))
+		}
+		if res.Sched.Resplits == 0 {
+			t.Fatalf("%s: no re-splits recorded (the budget must overflow)", tc.name)
+		}
+		if !res.Complete() {
+			t.Fatalf("%s: classes left unresolved", tc.name)
+		}
 	}
 }
 
@@ -167,7 +170,7 @@ func TestRemoteResplitMatchesSequential(t *testing.T) {
 func TestRemoteWorkerLossRequeues(t *testing.T) {
 	red := toyReduced(t)
 	rev := red.Reversibilities()
-	seq, err := Run(red.N, rev, Options{Qsub: 2})
+	one, err := Run(red.N, rev, Options{Qsub: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +181,10 @@ func TestRemoteWorkerLossRequeues(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run failed despite a surviving worker: %v", err)
 	}
-	if got, want := keysOf(res.Supports), keysOf(seq.Supports); got != want {
+	if got, want := keysOf(res.Supports), keysOf(one.Supports); got != want {
 		t.Fatalf("supports differ after worker loss\n got %s\nwant %s", got, want)
 	}
-	if got, want := treeKey(res), treeKey(seq); got != want {
+	if got, want := treeKey(res), treeKey(one); got != want {
 		t.Fatalf("tree differs after worker loss\n got %s\nwant %s", got, want)
 	}
 	if res.Sched.RemoteRequeues != 1 {

@@ -1,11 +1,14 @@
-// Subproblem scheduler: the GroupConcurrency >= 1 driver of Algorithm 3.
+// The Algorithm 3 driver: every divide-and-conquer run goes through this
+// scheduler, at one node group by default.
 //
-// Instead of enumerating the 2^qsub classes one after another, a bounded
-// pool of node groups pulls classes from a shared work queue ordered
-// largest-estimated-first (the kernel's pair-count estimate), runs each
-// through the inner parallel algorithm, and converts budget-triggered
-// re-splits into new queue items instead of recursing inline. The result
-// is byte-identical to the sequential driver at every concurrency level:
+// A bounded pool of node groups (and, under Options.Remote, one
+// dispatcher per remote executor slot) pulls classes from a shared work
+// queue ordered largest-estimated-first (the kernel's pair-count
+// estimate), runs each through the inner parallel algorithm, and converts
+// budget-triggered re-splits into new queue items. One policy function,
+// runClass, owns the budget / re-split / soft-retry / unresolved state
+// machine for local and remote classes alike. The result is
+// byte-identical at every concurrency level and executor mix:
 //
 //   - The subproblem tree is indexed by class, not by completion order.
 //     Root classes are pre-created in ID order before any group starts;
@@ -65,7 +68,7 @@ func (q *itemQueue) Pop() interface{} {
 	return it
 }
 
-// scheduler carries the shared state of one GroupConcurrency run.
+// scheduler carries the shared state of one run.
 type scheduler struct {
 	N      *ratmat.Matrix
 	rev    []bool
@@ -101,14 +104,13 @@ type scheduler struct {
 	peakBytes  int64
 }
 
-// runScheduled is the scheduler entry point, dispatched from Run when
-// GroupConcurrency >= 1.
+// runScheduled is the body of Run once the partition is fixed.
 func runScheduled(N *ratmat.Matrix, rev []bool, partition []int, opts Options) (*Result, error) {
 	s := &scheduler{
 		N:      N,
 		rev:    rev,
 		opts:   opts,
-		groups: opts.GroupConcurrency,
+		groups: max(opts.GroupConcurrency, 0),
 		remote: opts.Remote,
 		latch:  cluster.NewLatch(),
 		rec:    stats.NewSchedRecorder(),
@@ -118,7 +120,8 @@ func runScheduled(N *ratmat.Matrix, rev []bool, partition []int, opts Options) (
 		slots = s.remote.Slots()
 	}
 	if s.groups == 0 && slots == 0 {
-		// Remote mode with an empty pool: degrade to one local group.
+		// Nobody else to serve the queue (the GroupConcurrency 0 default,
+		// or a remote pool with no slots): one local group.
 		s.groups = 1
 	}
 	s.aliveSlots = slots
@@ -220,6 +223,9 @@ func (s *scheduler) push(it *schedItem) {
 // groupLoop is one node group's life: steal the largest queued class,
 // enumerate it, repeat until the queue drains or the run aborts.
 func (s *scheduler) groupLoop(group int) {
+	copts := s.opts.Parallel
+	copts.Cancel = s.latch.Done()
+	copts.MemGauge = s.memGauge(group)
 	for {
 		s.mu.Lock()
 		for len(s.queue) == 0 && s.pending > 0 && s.latch.Cause() == nil {
@@ -234,7 +240,13 @@ func (s *scheduler) groupLoop(group int) {
 		it := heap.Pop(&s.queue).(*schedItem)
 		s.mu.Unlock()
 
-		s.runItem(group, it)
+		s.runClass(it, func(strict bool) error {
+			// Clear the group's residency afterwards — belt and braces for
+			// error paths where node goroutines never reported their zero.
+			defer s.zeroMem(group)
+			copts.Core.StrictMemBudget = strict
+			return enumerate(it.sub, it.prep, copts, s.N.Cols())
+		})
 
 		s.mu.Lock()
 		s.pending--
@@ -245,87 +257,79 @@ func (s *scheduler) groupLoop(group int) {
 	}
 }
 
-// runItem enumerates one class within the given group. Budget overflows
-// below the depth limit re-enqueue two refined children; at the limit
-// the class is recorded unresolved. Any other failure trips the abort
-// latch with the root cause.
-func (s *scheduler) runItem(group int, it *schedItem) {
-	sub, pr := it.sub, it.prep
-	copts := s.opts.Parallel
-	copts.Cancel = s.latch.Done()
-	copts.MemGauge = s.memGauge(group)
-	// Strict memory budget only while re-split depth remains (mirrors the
-	// sequential driver): below the limit an over-budget set refines the
-	// class; at the limit the store compresses or spills and completes.
-	copts.Core.StrictMemBudget = copts.Core.MemBudget > 0 && sub.Depth < s.opts.MaxDepth
-	s.rec.BeginClass()
-	start := time.Now()
-	err := enumerate(sub, pr, copts, s.N.Cols())
-	defer s.zeroMem(group)
-	if err == nil {
-		s.rec.EndClass(stats.SchedClass{
-			Label:   classLabel(sub),
-			Depth:   sub.Depth,
-			Seconds: time.Since(start).Seconds(),
-			Pairs:   sub.Pairs,
-			EFMs:    len(sub.Supports),
-		})
-		s.progress(sub)
-		return
-	}
-	s.rec.AbortClass()
-	if !errors.Is(err, core.ErrBudget) {
-		s.latch.Trip(fmt.Errorf("dnc: subset %d: %w", sub.ID, err))
-		return
-	}
-	memTriggered := errors.Is(err, core.ErrMemBudget)
-	if sub.Depth < s.opts.MaxDepth {
-		rerr := s.resplitEnqueue(sub)
-		if rerr == nil {
-			if memTriggered {
-				sub.MemResplit = true
-				s.rec.MemResplit()
-			}
-			return
-		}
-		if !memTriggered || !errors.Is(rerr, errNoRefinement) {
-			s.latch.Trip(fmt.Errorf("dnc: subset %d: %w", sub.ID, rerr))
-			return
-		}
-		// Memory re-split with no reaction left to refine by: fall
-		// through to the soft retry (mirrors the sequential driver).
-	}
-	if memTriggered {
-		// Re-run without strictness: the store compresses and spills the
-		// class to completion instead of the run failing.
-		copts.Core.StrictMemBudget = false
+// runClass drives one popped class to a terminal state — enumerated,
+// re-split into two queued children, unresolved, or the run aborted —
+// and is the only copy of Algorithm 3's budget policy. attempt runs the
+// class once, on a local group or a remote worker, with the given
+// memory-budget strictness. It reports false only when attempt lost its
+// worker: the class went back on the queue and is still pending.
+func (s *scheduler) runClass(it *schedItem, attempt func(strict bool) error) (done bool) {
+	sub := it.sub
+	// The memory budget is strict only while re-split depth remains: an
+	// over-budget surviving set then surfaces as core.ErrMemBudget and
+	// refines the class, exactly like a mode-count overflow. At the depth
+	// limit the store degrades to compression and spilling instead, so
+	// the class still completes (result-identical, just slower).
+	deeper := sub.Depth < s.opts.MaxDepth
+	strict := s.opts.Parallel.Core.MemBudget > 0 && deeper
+	for retry := false; ; retry = true {
 		s.rec.BeginClass()
-		start = time.Now()
-		if err := enumerate(sub, pr, copts, s.N.Cols()); err != nil {
-			s.rec.AbortClass()
-			if errors.Is(err, core.ErrBudget) {
-				// The soft retry can still blow the mode-count budget.
-				sub.Unresolved = true
-				s.rec.UnresolvedClass()
-				s.progress(sub)
-				return
-			}
-			s.latch.Trip(fmt.Errorf("dnc: subset %d: %w", sub.ID, err))
-			return
+		start := time.Now()
+		err := attempt(strict && !retry)
+		if err == nil {
+			s.rec.EndClass(stats.SchedClass{
+				Label:   classLabel(sub),
+				Depth:   sub.Depth,
+				Seconds: time.Since(start).Seconds(),
+				Pairs:   sub.Pairs,
+				EFMs:    len(sub.Supports),
+			})
+			s.progress(sub)
+			return true
 		}
-		s.rec.EndClass(stats.SchedClass{
-			Label:   classLabel(sub),
-			Depth:   sub.Depth,
-			Seconds: time.Since(start).Seconds(),
-			Pairs:   sub.Pairs,
-			EFMs:    len(sub.Supports),
-		})
-		s.progress(sub)
-		return
+		s.rec.AbortClass()
+		if errors.Is(err, ErrWorkerLost) {
+			s.rec.RemoteRequeue(errors.Is(err, ErrWorkerTimeout))
+			s.requeue(it)
+			return false
+		}
+		// Only a blown budget (mode count or strict memory) is a size
+		// signal; any other failure (a node crash, a communication
+		// timeout, an aborted group) is a fault and aborts the run.
+		if !errors.Is(err, core.ErrBudget) {
+			s.latch.Trip(fmt.Errorf("dnc: subset %d: %w", sub.ID, err))
+			return true
+		}
+		memTriggered := errors.Is(err, core.ErrMemBudget)
+		if deeper && !retry {
+			rerr := s.resplitEnqueue(sub)
+			if rerr == nil {
+				if memTriggered {
+					sub.MemResplit = true
+					s.rec.MemResplit()
+				}
+				return true
+			}
+			if !memTriggered || !errors.Is(rerr, errNoRefinement) {
+				s.latch.Trip(fmt.Errorf("dnc: subset %d: %w", sub.ID, rerr))
+				return true
+			}
+			// A memory re-split with no reaction left to refine by falls
+			// through to the soft retry — spilling beats failing.
+		}
+		if retry || !memTriggered {
+			// Mode budget exhausted at the depth limit (the soft retry can
+			// still blow it): report the class unresolved instead of
+			// failing the run, so budgeted explorations (the Table IV
+			// simulation) degrade gracefully.
+			sub.Unresolved = true
+			s.rec.UnresolvedClass()
+			s.progress(sub)
+			return true
+		}
+		// Soft retry: same executor, strictness dropped, so the store
+		// compresses and spills the class to completion.
 	}
-	sub.Unresolved = true
-	s.rec.UnresolvedClass()
-	s.progress(sub)
 }
 
 // remoteLoop is one executor slot's dispatcher: pull the slot's affine
@@ -348,7 +352,13 @@ func (s *scheduler) remoteLoop(slot int) {
 		it, stolen := s.popFor(slot)
 		s.mu.Unlock()
 
-		done := s.runRemoteItem(slot, it, stolen)
+		done := s.runClass(it, func(strict bool) error {
+			out, err := s.remote.Run(slot, s.remoteSpec(it, strict), s.latch.Done())
+			if err == nil {
+				s.adoptOutcome(it.sub, out, stolen)
+			}
+			return err
+		})
 
 		s.mu.Lock()
 		if done {
@@ -421,85 +431,8 @@ func (s *scheduler) requeue(it *schedItem) {
 	s.mu.Unlock()
 }
 
-// runRemoteItem runs one class on a slot's worker, mirroring runItem's
-// budget policy. It reports whether the item reached a terminal state:
-// false means the worker was lost and the class went back on the queue
-// (pending must not be decremented).
-func (s *scheduler) runRemoteItem(slot int, it *schedItem, stolen bool) (done bool) {
-	sub := it.sub
-	// Same strictness rule as runItem: fail fast while re-split depth
-	// remains, let the store spill at the limit.
-	strict := s.opts.Parallel.Core.MemBudget > 0 && sub.Depth < s.opts.MaxDepth
-	spec := s.remoteSpec(it, strict)
-	s.rec.BeginClass()
-	start := time.Now()
-	out, err := s.remote.Run(slot, spec, s.latch.Done())
-	if err == nil {
-		s.adoptOutcome(sub, out, spec, start, stolen)
-		return true
-	}
-	s.rec.AbortClass()
-	if errors.Is(err, ErrWorkerLost) {
-		s.rec.RemoteRequeue(errors.Is(err, ErrWorkerTimeout))
-		s.requeue(it)
-		return false
-	}
-	if !errors.Is(err, core.ErrBudget) {
-		s.latch.Trip(fmt.Errorf("dnc: subset %d: %w", sub.ID, err))
-		return true
-	}
-	memTriggered := errors.Is(err, core.ErrMemBudget)
-	if sub.Depth < s.opts.MaxDepth {
-		rerr := s.resplitEnqueue(sub)
-		if rerr == nil {
-			if memTriggered {
-				sub.MemResplit = true
-				s.rec.MemResplit()
-			}
-			return true
-		}
-		if !memTriggered || !errors.Is(rerr, errNoRefinement) {
-			s.latch.Trip(fmt.Errorf("dnc: subset %d: %w", sub.ID, rerr))
-			return true
-		}
-		// Memory re-split with no refinement reaction left: soft retry.
-	}
-	if memTriggered {
-		// Re-run on the same worker without strictness so its store
-		// compresses and spills the class to completion.
-		spec.StrictMem = false
-		s.rec.BeginClass()
-		start = time.Now()
-		out, err = s.remote.Run(slot, spec, s.latch.Done())
-		if err == nil {
-			s.adoptOutcome(sub, out, spec, start, stolen)
-			return true
-		}
-		s.rec.AbortClass()
-		if errors.Is(err, ErrWorkerLost) {
-			s.rec.RemoteRequeue(errors.Is(err, ErrWorkerTimeout))
-			s.requeue(it)
-			return false
-		}
-		if errors.Is(err, core.ErrBudget) {
-			// The soft retry can still blow the mode-count budget.
-			sub.Unresolved = true
-			s.rec.UnresolvedClass()
-			s.progress(sub)
-			return true
-		}
-		s.latch.Trip(fmt.Errorf("dnc: subset %d: %w", sub.ID, err))
-		return true
-	}
-	sub.Unresolved = true
-	s.rec.UnresolvedClass()
-	s.progress(sub)
-	return true
-}
-
-// adoptOutcome folds a completed remote class into its subproblem shell
-// and records the completion.
-func (s *scheduler) adoptOutcome(sub *Subproblem, out *ClassOutcome, spec RemoteClass, start time.Time, stolen bool) {
+// adoptOutcome folds a completed remote class into its subproblem shell.
+func (s *scheduler) adoptOutcome(sub *Subproblem, out *ClassOutcome, stolen bool) {
 	sub.Supports = out.Supports
 	sub.Pairs = out.Pairs
 	sub.PeakNodeBytes = out.PeakNodeBytes
@@ -509,21 +442,13 @@ func (s *scheduler) adoptOutcome(sub *Subproblem, out *ClassOutcome, spec Remote
 		sub.Skipped = true
 	}
 	s.rec.RemoteClass(stolen)
-	s.rec.EndClass(stats.SchedClass{
-		Label:   spec.Label,
-		Depth:   sub.Depth,
-		Seconds: time.Since(start).Seconds(),
-		Pairs:   sub.Pairs,
-		EFMs:    len(sub.Supports),
-	})
-	s.progress(sub)
 }
 
 // resplitEnqueue converts a budget overflow into two new queue items:
 // the partition gains one reaction and the class refines into its
 // zero-flux and non-zero-flux children. The children are appended to
 // sub.Children in bit order by this single owning group, so the tree
-// shape matches the sequential driver's inline recursion exactly.
+// shape cannot depend on scheduling.
 func (s *scheduler) resplitEnqueue(sub *Subproblem) error {
 	extra, err := nextPartitionReaction(s.N, s.rev, sub.Partition)
 	if err != nil {
@@ -580,9 +505,7 @@ func (s *scheduler) memGauge(group int) func(rank int, bytes int64) {
 	}
 }
 
-// zeroMem clears a group's residency after its enumeration returns —
-// belt and braces for error paths where node goroutines never reported
-// their final zero.
+// zeroMem clears a group's residency after its enumeration returns.
 func (s *scheduler) zeroMem(group int) {
 	s.memMu.Lock()
 	defer s.memMu.Unlock()

@@ -1,6 +1,7 @@
 package dnc
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"strings"
@@ -41,18 +42,59 @@ func treeKey(res *Result) string {
 	return b.String()
 }
 
-// TestSchedulerMatchesSequential is the core determinism contract: at
-// every GroupConcurrency the scheduler's supports AND subproblem tree
-// must be byte-identical to the sequential driver's.
-func TestSchedulerMatchesSequential(t *testing.T) {
+// Frozen references for the re-split fixtures: SHA-256 of treeKey as the
+// sequential divide-and-conquer loop (solve/resplit, deleted in PR 17)
+// built it on the toy network at commit 0d14ba4. That loop recursed
+// inline in class-ID order with no queue at all, so a tree that still
+// hashes to these literals has not been reshaped by scheduling.
+const (
+	// Options{Qsub: 1, MaxDepth: 6, Core.MaxModes: 4}
+	pinModeResplitTree = "5f7471cc03fcd1703456a0e5132f476baf90fa2d959598229395614d8423ac43"
+	// Options{Qsub: 1, MaxDepth: 2, Core.MemBudget: 1}
+	pinMemResplitTree = "7956507f6d54335690f1dd315da40d09f3e8337c89f7b3c7574cdc1a7807cb0e"
+)
+
+func treeHash(res *Result) string {
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(treeKey(res))))
+}
+
+// modeResplitOpts is the fixture behind pinModeResplitTree.
+func modeResplitOpts() Options {
+	return Options{
+		Qsub:     1,
+		MaxDepth: 6,
+		Parallel: parallel.Options{Core: core.Options{MaxModes: 4}},
+	}
+}
+
+// memResplitOpts is the fixture behind pinMemResplitTree: a budget far
+// below any class's flat surviving set makes every class refine through
+// core.ErrMemBudget until the depth limit, where strictness lapses and
+// the store spills the classes to completion.
+func memResplitOpts(t *testing.T) Options {
+	return Options{
+		Qsub:     1,
+		MaxDepth: 2,
+		Parallel: parallel.Options{Core: core.Options{MemBudget: 1, SpillDir: t.TempDir()}},
+	}
+}
+
+// TestGroupsMatchOneGroup is the core determinism contract: the default
+// run is one local group, and at every GroupConcurrency the supports
+// AND subproblem tree must be byte-identical to it. (Equality with
+// Algorithm 1 is TestUnionMatchesSerial's and TestProposition1's job.)
+func TestGroupsMatchOneGroup(t *testing.T) {
 	red := toyReduced(t)
 	for _, qsub := range []int{1, 2} {
-		seq, err := Run(red.N, red.Reversibilities(), Options{Qsub: qsub})
+		one, err := Run(red.N, red.Reversibilities(), Options{Qsub: qsub})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantTree := treeKey(seq)
-		wantSup := keysOf(seq.Supports)
+		if one.Sched == nil || one.Sched.MaxActive != 1 {
+			t.Fatalf("qsub=%d: default run is not one local group: %+v", qsub, one.Sched)
+		}
+		wantTree := treeKey(one)
+		wantSup := keysOf(one.Supports)
 		for _, groups := range []int{1, 2, 4} {
 			res, err := Run(red.N, red.Reversibilities(), Options{Qsub: qsub, GroupConcurrency: groups})
 			if err != nil {
@@ -64,37 +106,24 @@ func TestSchedulerMatchesSequential(t *testing.T) {
 			if got := treeKey(res); got != wantTree {
 				t.Fatalf("qsub=%d groups=%d: subproblem tree differs\n got %s\nwant %s", qsub, groups, got, wantTree)
 			}
-			if res.Sched == nil {
-				t.Fatalf("qsub=%d groups=%d: no scheduler stats", qsub, groups)
-			}
 		}
 	}
 }
 
-// TestSchedulerResplitMatchesSequential forces budget-triggered
-// re-splits and checks the scheduler's re-enqueued children rebuild the
-// exact tree the sequential driver's inline recursion produces.
-func TestSchedulerResplitMatchesSequential(t *testing.T) {
+// TestResplitTreePinnedAcrossGroups forces budget-triggered re-splits
+// and checks that the re-enqueued children rebuild, at every group
+// count, exactly the tree frozen in pinModeResplitTree.
+func TestResplitTreePinnedAcrossGroups(t *testing.T) {
 	red := toyReduced(t)
-	opts := Options{
-		Qsub:     1,
-		MaxDepth: 6,
-		Parallel: parallel.Options{Core: core.Options{MaxModes: 4}},
-	}
-	seq, err := Run(red.N, red.Reversibilities(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantTree := treeKey(seq)
-	for _, groups := range []int{1, 2, 4} {
-		o := opts
+	for _, groups := range []int{-1, 0, 1, 2, 4} { // a negative count reads as 0
+		o := modeResplitOpts()
 		o.GroupConcurrency = groups
 		res, err := Run(red.N, red.Reversibilities(), o)
 		if err != nil {
 			t.Fatalf("groups=%d: %v", groups, err)
 		}
-		if got := treeKey(res); got != wantTree {
-			t.Fatalf("groups=%d: re-split tree differs\n got %s\nwant %s", groups, got, wantTree)
+		if got := treeHash(res); got != pinModeResplitTree {
+			t.Fatalf("groups=%d: re-split tree hash %s, want %s\n%s", groups, got, pinModeResplitTree, treeKey(res))
 		}
 		if res.Sched.Resplits == 0 {
 			t.Fatalf("groups=%d: no re-splits recorded (MaxModes=4 must overflow)", groups)
@@ -139,8 +168,8 @@ func TestSchedulerCounters(t *testing.T) {
 }
 
 // TestSchedStatsFreshPerRepetition pins the benchmark-repetition
-// contract: every scheduled run allocates its own recorder
-// (runScheduled), so back-to-back runs — bench repetitions, or any
+// contract: every run allocates its own recorder (runScheduled), so
+// back-to-back runs — bench repetitions, or any
 // harness looping over group counts — must report identical
 // deterministic counters, never the previous repetition's folded in.
 func TestSchedStatsFreshPerRepetition(t *testing.T) {

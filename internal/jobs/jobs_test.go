@@ -384,3 +384,56 @@ func TestTerminalJobRetention(t *testing.T) {
 		t.Errorf("jobs gauge = %d, want 2", got)
 	}
 }
+
+// TestStatsSettledWhenWaitReturns pins the ordering inside runJob: the
+// manager's bookkeeping precedes the job's terminal transition, so the
+// instant Wait returns the run is counted, its slot is free, and a
+// resubmission cannot coalesce onto the finished job.
+func TestStatsSettledWhenWaitReturns(t *testing.T) {
+	f := newFakeDriver(t)
+	close(f.release) // immediate completion
+	m := New(Config{Workers: 1, Compute: f.compute, CacheBytes: -1})
+	defer shutdown(t, m)
+
+	// Readers keep the manager lock contended, as /varz pollers and
+	// other submitters do: a worker that released Wait before taking the
+	// lock for its bookkeeping then queues behind them.
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	defer readers.Wait()
+	defer close(stop)
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					m.Stats()
+				}
+			}
+		}()
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req := toyRequest(t, elmocomp.Config{})
+	for i := 1; i <= 500; i++ {
+		j, err := m.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		st := m.Stats()
+		if st.Counters.RunsDone != int64(i) || st.Running != 0 {
+			t.Fatalf("round %d: runs_done = %d, running = %d right after Wait", i, st.Counters.RunsDone, st.Running)
+		}
+		if st.Counters.Coalesced != 0 {
+			t.Fatalf("round %d: a submission coalesced onto a finished job", i)
+		}
+	}
+}

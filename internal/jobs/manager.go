@@ -124,8 +124,8 @@ type Counters struct {
 	RunsDone     int64 `json:"runs_done"`
 	RunsFailed   int64 `json:"runs_failed"`
 	RunsCanceled int64 `json:"runs_canceled"`
-	// Scheduler counter totals summed over completed divide-and-conquer
-	// scheduler runs (elmocomp.SchedulerStats).
+	// Class-queue counter totals summed over completed divide-and-conquer
+	// runs (elmocomp.SchedulerStats).
 	SchedEnqueued   int64 `json:"sched_enqueued"`
 	SchedSteals     int64 `json:"sched_steals"`
 	SchedResplits   int64 `json:"sched_resplits"`
@@ -518,8 +518,11 @@ func (m *Manager) runJob(j *Job) {
 	default:
 		state = StateFailed
 	}
-	j.finalize(state, res, fp, err, note)
-
+	// Manager bookkeeping first, finalize last, in one critical section:
+	// finalize releases Job.Wait and the event stream's terminal event,
+	// and a client that sees its job terminal may read Stats or resubmit
+	// at once — it must find the counters bumped and the in-flight entry
+	// gone, not coalesce onto a finished job.
 	m.mu.Lock()
 	if m.inflight[j.Key] == j {
 		delete(m.inflight, j.Key)
@@ -550,6 +553,7 @@ func (m *Manager) runJob(j *Job) {
 		m.counters.RemoteTimeouts += res.Scheduler.RemoteTimeouts
 	}
 	m.retireLocked(j)
+	j.finalize(state, res, fp, err, note)
 	m.mu.Unlock()
 }
 

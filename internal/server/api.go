@@ -214,15 +214,13 @@ func Summarize(net *elmocomp.Network, res *elmocomp.Result, elapsed time.Duratio
 		CommMessages:   res.CommMessages,
 		ElapsedSeconds: elapsed.Seconds(),
 	}
-	if res.Scheduler != nil {
-		s.PeakConcurrentBytes = res.PeakConcurrentBytes
-	}
 	if res.Store.Engaged() {
 		s.StoreCompressions = res.Store.Compressions
 		s.StoreSpills = res.Store.Spills
 		s.StoreSpillBytes = res.Store.SpillBytes
 		s.StorePeakHeldBytes = res.Store.PeakHeldBytes
 	}
+	s.PeakConcurrentBytes = res.PeakConcurrentBytes
 	s.MemResplits = res.MemResplits
 	if rs := res.RevSearch; rs != nil {
 		s.RevsearchBases = rs.Bases

@@ -36,7 +36,7 @@ type SchedStats struct {
 	// Steals counts items pulled off the queue by a node group.
 	Steals int64
 	// Resplits counts budget-triggered re-splits converted into new
-	// queue items (instead of inline recursion).
+	// queue items.
 	Resplits int64
 	// MemResplits counts the subset of Resplits triggered by the memory
 	// budget (a flat mode set too large for core.Options.MemBudget)
@@ -202,18 +202,4 @@ func (r *SchedRecorder) Snapshot() *SchedStats {
 	out := r.s
 	out.Classes = append([]SchedClass(nil), r.s.Classes...)
 	return &out
-}
-
-// Reset clears every counter and the class list, returning the recorder
-// to its NewSchedRecorder state. The scheduler allocates a fresh
-// recorder per run, so per-run stats can never bleed into each other
-// through the normal path — Reset exists for callers that hold a
-// recorder across repetitions (benchmark harnesses re-running one
-// scheduler instance) and must not report first-run counters inflated
-// into later rows.
-func (r *SchedRecorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.s = SchedStats{}
-	r.active = 0
 }

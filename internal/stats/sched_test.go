@@ -37,38 +37,6 @@ func TestSchedRecorderCounters(t *testing.T) {
 	}
 }
 
-// TestSchedRecorderReset pins the repetition contract: a recorder held
-// across runs must start each run from zero, or every row after the
-// first reports the previous rows' counters folded in.
-func TestSchedRecorderReset(t *testing.T) {
-	r := NewSchedRecorder()
-	record := func() *SchedStats {
-		r.Enqueue(1)
-		r.Enqueue(2)
-		r.Steal(2)
-		r.BeginClass()
-		r.Resplit()
-		r.MemResplit()
-		r.EndClass(SchedClass{Label: "01", Seconds: 0.25, Pairs: 10, EFMs: 3})
-		r.RemoteClass(true)
-		r.RemoteRequeue(false)
-		r.UnresolvedClass()
-		return r.Snapshot()
-	}
-	first := record()
-	r.Reset()
-	if empty := r.Snapshot(); empty.String() != NewSchedRecorder().Snapshot().String() {
-		t.Fatalf("Reset left state behind: %s", empty)
-	}
-	second := record()
-	if first.String() != second.String() {
-		t.Fatalf("second run after Reset differs from the first:\n  first  %s\n  second %s", first, second)
-	}
-	if second.Enqueued != 2 || len(second.Classes) != 1 || second.RemoteClasses != 1 {
-		t.Fatalf("second-run counters inflated by the first run: %s", second)
-	}
-}
-
 func TestSchedRecorderConcurrent(t *testing.T) {
 	r := NewSchedRecorder()
 	var wg sync.WaitGroup

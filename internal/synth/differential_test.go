@@ -65,13 +65,9 @@ func variants() []variant {
 		{name: "parallel/inproc/nodes=2", cfg: elmocomp.Config{Algorithm: elmocomp.Parallel, Nodes: 2, Workers: 1}},
 		{name: "parallel/tcp/nodes=2", cfg: elmocomp.Config{Algorithm: elmocomp.Parallel, Nodes: 2, Workers: 1, OverTCP: true}},
 	}
-	for _, groups := range []int{0, 1, 2, 4} {
-		name := "dnc/sequential"
-		if groups > 0 {
-			name = fmt.Sprintf("dnc/scheduler/groups=%d", groups)
-		}
+	for _, groups := range []int{0, 2, 4} { // 0 = the default, one group
 		v = append(v, variant{
-			name: name,
+			name: fmt.Sprintf("dnc/groups=%d", groups),
 			cfg:  elmocomp.Config{Algorithm: elmocomp.DivideAndConquer, Workers: 1, GroupConcurrency: groups},
 			dnc:  true,
 		})
@@ -85,7 +81,7 @@ func variants() []variant {
 		variant{name: "serial/membudget=1", cfg: elmocomp.Config{Workers: 1, MemBudgetBytes: 1}},
 		variant{name: "parallel/membudget=1/nodes=2", cfg: elmocomp.Config{Algorithm: elmocomp.Parallel, Nodes: 2, Workers: 1, MemBudgetBytes: 1}},
 		variant{
-			name: "dnc/scheduler/groups=2/membudget=1",
+			name: "dnc/groups=2/membudget=1",
 			cfg: elmocomp.Config{Algorithm: elmocomp.DivideAndConquer, Workers: 1,
 				GroupConcurrency: 2, MemBudgetBytes: 1},
 			dnc: true,
@@ -113,8 +109,8 @@ func dncQsub(t *testing.T, n *model.Network) int {
 
 // TestDifferentialDrivers is the cross-driver property harness: for a
 // grid of random networks, every driver — serial, worker-pool, cluster
-// in-process and over TCP, sequential divide-and-conquer, and the
-// subproblem scheduler at several group counts — must produce the same
+// in-process and over TCP, and divide-and-conquer at several group
+// counts — must produce the same
 // canonical-support fingerprint and EFM count.
 // TestDifferentialSpillBudget pins the memory-wall property on its own:
 // a budget of one byte forces every surviving set through the spill tier

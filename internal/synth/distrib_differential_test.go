@@ -21,7 +21,7 @@ func startTestWorker(t *testing.T, opts distrib.WorkerOptions) *distrib.Worker {
 	return w
 }
 
-// distribNet builds the grid point's network and its local sequential
+// distribNet builds the grid point's network and its local serial
 // baseline — the reference every distributed run must reproduce.
 func distribNet(t *testing.T, gi int) (*elmocomp.Network, *elmocomp.Result, int) {
 	t.Helper()
@@ -54,8 +54,8 @@ func distribNet(t *testing.T, gi int) (*elmocomp.Network, *elmocomp.Result, int)
 
 // TestDifferentialDistributed extends the cross-driver harness over the
 // wire: the coordinator/worker deployment — healthy, and with an
-// injected worker crash mid-run — must reproduce the local sequential
-// driver's canonical fingerprint exactly.
+// injected worker crash mid-run — must reproduce the local serial
+// engine's canonical fingerprint exactly.
 func TestDifferentialDistributed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential harness runs full driver sweeps; skipped with -short")
