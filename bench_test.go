@@ -19,7 +19,6 @@ package elmocomp
 //
 //	BenchmarkRowOrdering{On,Off}     — fewest-nonzeros-first heuristic
 //	BenchmarkReversibleLast{On,Off}  — reversible-rows-last heuristic
-//	BenchmarkRankVsTree{Rank,Tree}   — algebraic rank test vs bit-pattern tree
 //	BenchmarkPartitionChoice{Auto,First} — D&C partition selection
 //	BenchmarkTransport{Chan,TCP}     — cluster transport cost
 
@@ -28,6 +27,9 @@ import (
 	"sync"
 	"testing"
 
+	"elmocomp/internal/core"
+	"elmocomp/internal/nullspace"
+	"elmocomp/internal/reduce"
 	"elmocomp/internal/synth"
 )
 
@@ -184,19 +186,38 @@ func BenchmarkMemoryAlg3(b *testing.B) {
 
 // --- ablations ---
 
-func BenchmarkRowOrderingOn(b *testing.B) { runBench(b, mustBenchNet(b), Config{}) }
+// benchHeuristics runs the serial engine on the bench network prepared
+// with h. The paper's two row-ordering heuristics (§II-C) are fixed
+// set-up on every request path, so their ablation drives the internal
+// types that still carry the switches.
+func benchHeuristics(b *testing.B, h nullspace.Heuristics) {
+	b.Helper()
+	red, err := reduce.Network(mustBenchNet(b).inner, reduce.Options{MergeDuplicates: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var res *core.Result
+	for i := 0; i < b.N; i++ {
+		p, err := nullspace.New(red.N, red.Reversibilities(), h)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res, err = core.Run(p, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Modes.Len()), "EFMs")
+	b.ReportMetric(float64(res.TotalPairs()), "candidates")
+}
+
+func BenchmarkRowOrderingOn(b *testing.B) { benchHeuristics(b, nullspace.Heuristics{}) }
 func BenchmarkRowOrderingOff(b *testing.B) {
-	runBench(b, mustBenchNet(b), Config{DisableRowOrdering: true})
+	benchHeuristics(b, nullspace.Heuristics{DisableNonzeroOrder: true})
 }
 
-func BenchmarkReversibleLastOn(b *testing.B) { runBench(b, mustBenchNet(b), Config{}) }
+func BenchmarkReversibleLastOn(b *testing.B) { benchHeuristics(b, nullspace.Heuristics{}) }
 func BenchmarkReversibleLastOff(b *testing.B) {
-	runBench(b, mustBenchNet(b), Config{DisableReversibleLast: true})
-}
-
-func BenchmarkRankVsTreeRank(b *testing.B) { runBench(b, mustBenchNet(b), Config{Test: RankTest}) }
-func BenchmarkRankVsTreeTree(b *testing.B) {
-	runBench(b, mustBenchNet(b), Config{Test: CombinatorialTest})
+	benchHeuristics(b, nullspace.Heuristics{DisableReversibleLast: true})
 }
 
 func BenchmarkPartitionChoiceAuto(b *testing.B) {

@@ -35,9 +35,7 @@ func main() {
 		qsub      = flag.Int("qsub", 2, "divide-and-conquer partition size")
 		groups    = flag.Int("groups", 0, "dnc: local node groups pulling classes off the queue concurrently (0 = one group)")
 		partition = flag.String("partition", "", "comma-separated partition reaction names (dnc)")
-		test      = flag.String("test", "rank", "elementarity test: rank | tree")
-		split     = flag.Bool("split", false, "split every reversible reaction so the cone is pointed (implied by -test tree)")
-		noHybrid  = flag.Bool("no-hybrid", false, "disable the bit-pattern-tree prefilter ahead of the rank test on pointed problems")
+		split     = flag.Bool("split", false, "split every reversible reaction so the cone is pointed and the bit-pattern-tree prefilter runs ahead of the rank test")
 		tcp       = flag.Bool("tcp", false, "route node traffic over loopback TCP")
 		commTO    = flag.Duration("comm-timeout", 0, "abort the run when an inter-node collective stalls longer than this (0 = no deadline)")
 		keepDup   = flag.Bool("keep-duplicates", false, "do not merge duplicate reactions during reduction")
@@ -72,74 +70,51 @@ func main() {
 		fatal(err)
 	}
 
-	cfg := elmocomp.Config{
-		Nodes:                  *nodes,
-		Workers:                *workers,
-		Qsub:                   *qsub,
-		GroupConcurrency:       *groups,
-		OverTCP:                *tcp,
-		CommTimeout:            *commTO,
-		KeepDuplicateReactions: *keepDup,
-		MaxIntermediateModes:   *maxModes,
-		SplitReversible:        *split,
-		DisableHybridPrefilter: *noHybrid,
-		SpillDir:               *spillDir,
+	// The flags fill the same options struct the efmd API decodes, so
+	// option strings and sizes are checked in one place (Config); only
+	// what a remote client must not choose is set on the Config directly.
+	opts := server.RunOptions{
+		Backend:            *backend,
+		Algorithm:          *algorithm,
+		Nodes:              *nodes,
+		Workers:            *workers,
+		Qsub:               *qsub,
+		Groups:             *groups,
+		Split:              *split,
+		KeepDuplicates:     *keepDup,
+		MaxModes:           *maxModes,
+		K:                  *kModes,
+		CommTimeoutSeconds: commTO.Seconds(),
+	}
+	if *partition != "" {
+		opts.Partition = strings.Split(*partition, ",")
 	}
 	if *memBudget != "" {
 		b, err := stats.ParseBytes(*memBudget)
 		if err != nil {
 			fatal(fmt.Errorf("-mem-budget: %w", err))
 		}
-		cfg.MemBudgetBytes = b
+		opts.MemBudgetBytes = b
 	}
-	switch *backend {
-	case "nullspace":
-		cfg.Backend = elmocomp.NullspaceBackend
-	case "revsearch":
-		cfg.Backend = elmocomp.ReverseSearchBackend
-	case "ondemand":
-		cfg.Backend = elmocomp.OnDemandBackend
-		cfg.MaxModes = *kModes
-		if *objective != "" {
-			obj, err := parseObjective(*objective)
-			if err != nil {
-				fatal(fmt.Errorf("-objective: %w", err))
-			}
-			cfg.Objective = obj
+	if *objective != "" {
+		obj, err := parseObjective(*objective)
+		if err != nil {
+			fatal(fmt.Errorf("-objective: %w", err))
 		}
-		if !*jsonOut {
-			// Interactive tier: print each mode the moment it is emitted,
-			// long before the run summary.
-			cfg.OnMode = func(e elmocomp.ModeEvent) {
-				fmt.Printf("mode %d (value %s): %s\n", e.Rank, e.Value, strings.Join(e.Support, " "))
-			}
+		opts.Objective = obj
+	}
+	cfg, err := opts.Config()
+	if err != nil {
+		fatal(err)
+	}
+	cfg.OverTCP = *tcp
+	cfg.SpillDir = *spillDir
+	if cfg.Backend == elmocomp.OnDemandBackend && !*jsonOut {
+		// Interactive tier: print each mode the moment it is emitted,
+		// long before the run summary.
+		cfg.OnMode = func(e elmocomp.ModeEvent) {
+			fmt.Printf("mode %d (value %s): %s\n", e.Rank, e.Value, strings.Join(e.Support, " "))
 		}
-	default:
-		fatal(fmt.Errorf("unknown -backend %q (nullspace | revsearch | ondemand)", *backend))
-	}
-	if cfg.Backend != elmocomp.OnDemandBackend && (*kModes != 0 || *objective != "") {
-		fatal(fmt.Errorf("-k and -objective require -backend ondemand"))
-	}
-	switch *algorithm {
-	case "serial":
-		cfg.Algorithm = elmocomp.Serial
-	case "parallel":
-		cfg.Algorithm = elmocomp.Parallel
-	case "dnc":
-		cfg.Algorithm = elmocomp.DivideAndConquer
-	default:
-		fatal(fmt.Errorf("unknown -algorithm %q", *algorithm))
-	}
-	switch *test {
-	case "rank":
-		cfg.Test = elmocomp.RankTest
-	case "tree":
-		cfg.Test = elmocomp.CombinatorialTest
-	default:
-		fatal(fmt.Errorf("unknown -test %q", *test))
-	}
-	if *partition != "" {
-		cfg.Partition = strings.Split(*partition, ",")
 	}
 	if *verbose {
 		cfg.Progress = func(m string) { fmt.Fprintln(os.Stderr, m) }

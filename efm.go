@@ -24,7 +24,6 @@
 package elmocomp
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math/big"
@@ -145,7 +144,8 @@ type Backend int
 
 const (
 	// NullspaceBackend is the double-description family: the paper's
-	// Nullspace Algorithm, driven by Config.Algorithm (serial, cluster
+	// Nullspace Algorithm with its algebraic rank test as the one
+	// elementarity verdict, driven by Config.Algorithm (serial, cluster
 	// parallel, divide-and-conquer, distributed). The default.
 	NullspaceBackend Backend = iota
 	// ReverseSearchBackend enumerates by lexicographic reverse search
@@ -172,19 +172,10 @@ const (
 	OnDemandBackend
 )
 
-// ElementarityTest selects the candidate test of the core engine.
-type ElementarityTest int
-
-const (
-	// RankTest is the paper's algebraic rank test (default).
-	RankTest ElementarityTest = iota
-	// CombinatorialTest is the superset adjacency test on bit-pattern
-	// trees; it implies the fully split ("binary approach") formulation.
-	CombinatorialTest
-)
-
 // Config controls a computation. The zero value runs the serial
-// algorithm with the paper's defaults.
+// algorithm with the paper's defaults. Elementarity is always decided by
+// the paper's algebraic rank test and the kernel rows are always ordered
+// by its two heuristics (§II-C); neither is configurable.
 type Config struct {
 	// Backend selects the enumeration algorithm family (default: the
 	// double-description Nullspace drivers). See Backend.
@@ -212,22 +203,14 @@ type Config struct {
 	// Partition names the partition reactions explicitly (overrides
 	// Qsub). Reactions must survive network reduction.
 	Partition []string
-	// Test selects the elementarity test.
-	Test ElementarityTest
 	// SplitReversible prepares the problem with every reversible
 	// reaction split into an irreversible pair (the binary/pointed
-	// formulation) even under RankTest. On the resulting pointed cone
-	// the engine enables the hybrid fast path: a bit-pattern-tree
-	// superset prefilter rejects candidates ahead of the rank test
-	// without changing any result. Implied by CombinatorialTest.
-	// Serial and Parallel only; the divide-and-conquer driver manages
-	// its own row ordering and ignores this flag.
+	// formulation). On the resulting pointed cone the engine runs a
+	// bit-pattern-tree superset prefilter that rejects candidates ahead
+	// of the rank test without changing any result. Serial and Parallel
+	// only; the divide-and-conquer driver manages its own row ordering
+	// and ignores this flag.
 	SplitReversible bool
-	// DisableHybridPrefilter switches off the automatic bit-pattern-tree
-	// prefilter the engine runs ahead of the rank test on pointed
-	// problems. Results are identical either way; the switch exists for
-	// A/B benchmarking and ablation.
-	DisableHybridPrefilter bool
 	// KeepDuplicateReactions disables the duplicate-column merge during
 	// reduction (see package reduce for the semantics).
 	KeepDuplicateReactions bool
@@ -270,10 +253,6 @@ type Config struct {
 	// directory). Operator configuration — servers must not let remote
 	// clients choose this path.
 	SpillDir string
-	// DisableRowOrdering / DisableReversibleLast switch off the paper's
-	// row-ordering heuristics (for ablation studies).
-	DisableRowOrdering    bool
-	DisableReversibleLast bool
 	// OverTCP routes inter-node traffic through loopback TCP sockets
 	// instead of in-process channels.
 	OverTCP bool
@@ -296,7 +275,7 @@ type IterationStat struct {
 	CandidateModes int64 // |pos|·|neg| combinations generated
 	Prefiltered    int64 // rejected by the support-size pre-test
 	TreeRejects    int64 // rejected by the hybrid bit-pattern-tree prefilter
-	Tested         int64 // rank / superset tests run
+	Tested         int64 // rank tests run
 	Accepted       int64
 	Duplicates     int64
 	ModesOut       int
@@ -746,12 +725,13 @@ func ComputeEFMs(n *Network, cfg Config) (*Result, error) {
 // as it is closed (between iterations for the serial engine, through the
 // communicator group's abort latch for the distributed drivers) and the
 // returned error matches ErrCanceled. remoteBind, when non-nil, is
-// called with the reduced column count and returns the remote executor
-// the divide-and-conquer scheduler dispatches classes to
+// called with the reduced column count and the per-class options local
+// groups run under, and returns the remote executor the
+// divide-and-conquer scheduler dispatches classes to
 // (ComputeEFMsDistributed); the indirection exists because the binding
-// needs the reduction's width for response validation and the reduction
-// happens here.
-func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func(q int) dnc.RemoteExecutor) (*Result, error) {
+// needs the reduction's width for response validation and the options a
+// remote class must share with a local one, and both are built here.
+func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func(q int, popts parallel.Options) dnc.RemoteExecutor) (*Result, error) {
 	if cfg.Backend != OnDemandBackend {
 		// The streaming request fields belong to the interactive tier
 		// alone; silently ignoring them on a batch backend would return
@@ -772,21 +752,13 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 	if red.N.Cols() == 0 {
 		return &Result{network: n.inner, red: red}, nil
 	}
-	h := nullspace.Heuristics{
-		DisableNonzeroOrder:   cfg.DisableRowOrdering,
-		DisableReversibleLast: cfg.DisableReversibleLast,
-		SplitAllReversible:    cfg.Test == CombinatorialTest || cfg.SplitReversible,
-	}
+	h := nullspace.Heuristics{SplitAllReversible: cfg.SplitReversible}
 	copts := core.Options{
-		Tol:           cfg.Tolerance,
-		MaxModes:      cfg.MaxIntermediateModes,
-		Workers:       cfg.Workers,
-		DisableHybrid: cfg.DisableHybridPrefilter,
-		MemBudget:     cfg.MemBudgetBytes,
-		SpillDir:      cfg.SpillDir,
-	}
-	if cfg.Test == CombinatorialTest {
-		copts.Test = core.CombinatorialTest
+		Tol:       cfg.Tolerance,
+		MaxModes:  cfg.MaxIntermediateModes,
+		Workers:   cfg.Workers,
+		MemBudget: cfg.MemBudgetBytes,
+		SpillDir:  cfg.SpillDir,
 	}
 	if cfg.Progress != nil {
 		copts.Trace = func(it core.IterStats, set *core.ModeSet) {
@@ -811,9 +783,6 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 		}
 		run, err := revsearch.Run(red.N, red.Reversibilities(), ropts)
 		if err != nil {
-			if errors.Is(err, core.ErrCanceled) {
-				err = fmt.Errorf("%v: %w", err, cluster.ErrCanceled)
-			}
 			return nil, err
 		}
 		res.supports = core.CanonicalSupports(run.CoreResult())
@@ -878,9 +847,6 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 			}
 		})
 		if err != nil {
-			if errors.Is(err, core.ErrCanceled) {
-				err = fmt.Errorf("%v: %w", err, cluster.ErrCanceled)
-			}
 			return nil, err
 		}
 		res.CandidateModes = st.Bases
@@ -912,11 +878,6 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 		copts.Cancel = cancel
 		run, err := core.Run(p, copts)
 		if err != nil {
-			if errors.Is(err, core.ErrCanceled) {
-				// Normalize on the cluster substrate's sentinel so callers
-				// classify cancellation uniformly across drivers.
-				err = fmt.Errorf("%v: %w", err, cluster.ErrCanceled)
-			}
 			return nil, err
 		}
 		res.supports = core.CanonicalSupports(run)
@@ -955,7 +916,7 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 			GroupConcurrency: cfg.GroupConcurrency,
 		}
 		if remoteBind != nil {
-			dopts.Remote = remoteBind(red.N.Cols())
+			dopts.Remote = remoteBind(red.N.Cols(), dopts.Parallel)
 		}
 		if cfg.OverTCP {
 			dopts.Parallel.Transport = parallel.TCP

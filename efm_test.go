@@ -38,13 +38,12 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 	}
 	configs := []Config{
 		{Algorithm: Serial},
-		{Algorithm: Serial, Test: CombinatorialTest},
+		{Algorithm: Serial, SplitReversible: true},
 		{Algorithm: Parallel, Nodes: 3},
 		{Algorithm: Parallel, Nodes: 2, OverTCP: true},
 		{Algorithm: DivideAndConquer, Qsub: 2},
 		{Algorithm: DivideAndConquer, Qsub: 2, Nodes: 2},
 		{Algorithm: DivideAndConquer, Partition: []string{"r6r", "r8r"}},
-		{Algorithm: Serial, DisableRowOrdering: true, DisableReversibleLast: true},
 	}
 	var want []string
 	for ci, cfg := range configs {

@@ -58,12 +58,6 @@ func (s Set) Set(i int) {
 	s.words[i/wordBits] |= 1 << uint(i%wordBits)
 }
 
-// Clear clears bit i.
-func (s Set) Clear(i int) {
-	s.check(i)
-	s.words[i/wordBits] &^= 1 << uint(i%wordBits)
-}
-
 // Test reports whether bit i is set.
 func (s Set) Test(i int) bool {
 	s.check(i)
@@ -83,14 +77,6 @@ func (s Set) Clone() Set {
 	return Set{words: w, n: s.n}
 }
 
-// CopyFrom overwrites s with the contents of t. Widths must match.
-func (s Set) CopyFrom(t Set) {
-	if s.n != t.n {
-		panic("bitset: width mismatch")
-	}
-	copy(s.words, t.words)
-}
-
 // Reset clears all bits.
 func (s Set) Reset() {
 	for i := range s.words {
@@ -107,16 +93,6 @@ func (s Set) Count() int {
 	return c
 }
 
-// IsEmpty reports whether no bit is set.
-func (s Set) IsEmpty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // OrInto sets dst = a | b. All three must have equal width. dst may alias a
 // or b. This is the hot path of candidate generation (combining the supports
 // of a positive and a negative mode).
@@ -129,13 +105,6 @@ func OrInto(dst, a, b Set) {
 	}
 }
 
-// Or returns a ∪ b as a new set.
-func Or(a, b Set) Set {
-	dst := New(a.n)
-	OrInto(dst, a, b)
-	return dst
-}
-
 // AndInto sets dst = a & b.
 func AndInto(dst, a, b Set) {
 	if dst.n != a.n || a.n != b.n {
@@ -144,13 +113,6 @@ func AndInto(dst, a, b Set) {
 	for i := range dst.words {
 		dst.words[i] = a.words[i] & b.words[i]
 	}
-}
-
-// And returns a ∩ b as a new set.
-func And(a, b Set) Set {
-	dst := New(a.n)
-	AndInto(dst, a, b)
-	return dst
 }
 
 // AndNotInto sets dst = a &^ b.
@@ -174,11 +136,6 @@ func (s Set) IsSubsetOf(t Set) bool {
 		}
 	}
 	return true
-}
-
-// IsProperSubsetOf reports whether s ⊂ t.
-func (s Set) IsProperSubsetOf(t Set) bool {
-	return s.IsSubsetOf(t) && !s.Equal(t)
 }
 
 // Intersects reports whether s and t share at least one set bit.

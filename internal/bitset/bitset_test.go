@@ -13,9 +13,6 @@ func TestNewIsEmpty(t *testing.T) {
 		if s.Len() != n {
 			t.Errorf("New(%d).Len() = %d", n, s.Len())
 		}
-		if !s.IsEmpty() {
-			t.Errorf("New(%d) not empty", n)
-		}
 		if s.Count() != 0 {
 			t.Errorf("New(%d).Count() = %d", n, s.Count())
 		}
@@ -36,13 +33,6 @@ func TestSetTestClear(t *testing.T) {
 	if got := s.Count(); got != 8 {
 		t.Fatalf("Count = %d, want 8", got)
 	}
-	s.Clear(64)
-	if s.Test(64) {
-		t.Fatal("bit 64 still set after Clear")
-	}
-	if got := s.Count(); got != 7 {
-		t.Fatalf("Count = %d, want 7", got)
-	}
 }
 
 func TestOutOfRangePanics(t *testing.T) {
@@ -50,9 +40,8 @@ func TestOutOfRangePanics(t *testing.T) {
 		func() { New(10).Set(10) },
 		func() { New(10).Set(-1) },
 		func() { New(10).Test(10) },
-		func() { New(10).Clear(11) },
 		func() { New(-1) },
-		func() { Or(New(10), New(11)) },
+		func() { OrInto(New(10), New(10), New(11)) },
 		func() { New(10).IsSubsetOf(New(11)) },
 		func() { New(10).Compare(New(64)) },
 	}
@@ -87,7 +76,8 @@ func TestFromIndicesAndIndices(t *testing.T) {
 func TestOrAndSubset(t *testing.T) {
 	a := FromIndices(70, 1, 65)
 	b := FromIndices(70, 2, 65)
-	u := Or(a, b)
+	u, i := New(70), New(70)
+	OrInto(u, a, b)
 	if u.Count() != 3 || !u.Test(1) || !u.Test(2) || !u.Test(65) {
 		t.Fatalf("Or wrong: %v", u.Indices(nil))
 	}
@@ -97,15 +87,9 @@ func TestOrAndSubset(t *testing.T) {
 	if u.IsSubsetOf(a) {
 		t.Fatal("union subset of operand")
 	}
-	i := And(a, b)
+	AndInto(i, a, b)
 	if i.Count() != 1 || !i.Test(65) {
 		t.Fatalf("And wrong: %v", i.Indices(nil))
-	}
-	if !a.IsProperSubsetOf(u) {
-		t.Fatal("a not proper subset of union")
-	}
-	if a.IsProperSubsetOf(a) {
-		t.Fatal("a proper subset of itself")
 	}
 }
 
@@ -150,12 +134,8 @@ func TestCloneIndependence(t *testing.T) {
 	a := FromIndices(40, 5)
 	b := a.Clone()
 	b.Set(6)
-	if a.Test(6) {
-		t.Fatal("Clone shares storage")
-	}
-	a.CopyFrom(b)
-	if !a.Test(6) {
-		t.Fatal("CopyFrom did not copy")
+	if a.Test(6) || !b.Test(5) {
+		t.Fatal("Clone shares storage or dropped a bit")
 	}
 }
 
@@ -192,7 +172,7 @@ func TestString(t *testing.T) {
 func TestResetAndReuse(t *testing.T) {
 	s := FromIndices(90, 1, 89)
 	s.Reset()
-	if !s.IsEmpty() {
+	if s.Count() != 0 {
 		t.Fatal("Reset left bits set")
 	}
 }
@@ -241,16 +221,23 @@ func TestQuickUnionLaws(t *testing.T) {
 	f := func(sa, sb, sc int64) bool {
 		const n = 150
 		a, b, c := randomSet(n, sa), randomSet(n, sb), randomSet(n, sc)
-		if !Or(a, b).Equal(Or(b, a)) {
+		ab, ba, bc, l, r, aa := New(n), New(n), New(n), New(n), New(n), New(n)
+		OrInto(ab, a, b)
+		OrInto(ba, b, a)
+		if !ab.Equal(ba) {
 			return false
 		}
-		if !Or(Or(a, b), c).Equal(Or(a, Or(b, c))) {
+		OrInto(bc, b, c)
+		OrInto(l, ab, c)
+		OrInto(r, a, bc)
+		if !l.Equal(r) {
 			return false
 		}
-		if !Or(a, a).Equal(a) {
+		OrInto(aa, a, a)
+		if !aa.Equal(a) {
 			return false
 		}
-		return a.IsSubsetOf(Or(a, b))
+		return a.IsSubsetOf(ab)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -273,7 +260,10 @@ func TestQuickSubsetAndCount(t *testing.T) {
 		if a.IsSubsetOf(b) != sub {
 			return false
 		}
-		return Or(a, b).Count() == a.Count()+b.Count()-And(a, b).Count()
+		u, i := New(n), New(n)
+		OrInto(u, a, b)
+		AndInto(i, a, b)
+		return u.Count() == a.Count()+b.Count()-i.Count()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -335,7 +325,8 @@ func BenchmarkOrInto(b *testing.B) {
 
 func BenchmarkIsSubsetOf(b *testing.B) {
 	x := randomSet(64, 3)
-	u := Or(x, randomSet(64, 4))
+	u := New(64)
+	OrInto(u, x, randomSet(64, 4))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if !x.IsSubsetOf(u) {

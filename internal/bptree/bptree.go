@@ -176,12 +176,6 @@ func (t *Tree) HasSubsetOf(s []uint64) bool {
 	return t.HasSubsetOfExcluding(s, -1, -1)
 }
 
-// CountSubsetsOf returns the number of stored patterns that are subsets
-// of s (used in tests and diagnostics).
-func (t *Tree) CountSubsetsOf(s []uint64) int {
-	return t.count(t.root, s)
-}
-
 func (t *Tree) search(n *node, s []uint64, exclA, exclB int32) bool {
 	if n == nil {
 		return false
@@ -212,31 +206,6 @@ func (t *Tree) search(n *node, s []uint64, exclA, exclB int32) bool {
 	return false
 }
 
-func (t *Tree) count(n *node, s []uint64) int {
-	if n == nil {
-		return 0
-	}
-	for w, c := range n.common {
-		if c&^s[w] != 0 {
-			return 0
-		}
-	}
-	if n.entries != nil {
-		c := 0
-		for _, i := range n.entries {
-			if isSubset(t.pats[i], s) {
-				c++
-			}
-		}
-		return c
-	}
-	c := t.count(n.zero, s)
-	if s[n.bit/64]&(1<<uint(n.bit%64)) != 0 {
-		c += t.count(n.one, s)
-	}
-	return c
-}
-
 func isSubset(p, s []uint64) bool {
 	for w, v := range p {
 		if v&^s[w] != 0 {
@@ -244,41 +213,4 @@ func isSubset(p, s []uint64) bool {
 		}
 	}
 	return true
-}
-
-// Stats describes the tree shape (diagnostics).
-type Stats struct {
-	Patterns, Leaves, Inner, MaxDepth int
-}
-
-// Shape walks the tree and returns its statistics.
-func (t *Tree) Shape() Stats {
-	st := Stats{Patterns: len(t.pats)}
-	var walk func(n *node, d int)
-	walk = func(n *node, d int) {
-		if n == nil {
-			return
-		}
-		if d > st.MaxDepth {
-			st.MaxDepth = d
-		}
-		if n.entries != nil {
-			st.Leaves++
-			return
-		}
-		st.Inner++
-		walk(n.zero, d+1)
-		walk(n.one, d+1)
-	}
-	walk(t.root, 0)
-	return st
-}
-
-// PopcountOf returns the population count of pattern i (diagnostics).
-func (t *Tree) PopcountOf(i int) int {
-	c := 0
-	for _, w := range t.pats[i] {
-		c += bits.OnesCount64(w)
-	}
-	return c
 }

@@ -32,9 +32,6 @@ func TestBasicSubsetQueries(t *testing.T) {
 	if !tree.HasSubsetOf(pat(10, 0, 5, 9)) {
 		t.Fatal("a pattern is a subset of itself")
 	}
-	if got := tree.CountSubsetsOf(pat(10, 0, 1, 2, 3)); got != 2 {
-		t.Fatalf("CountSubsetsOf = %d, want 2", got)
-	}
 }
 
 func TestExclusions(t *testing.T) {
@@ -78,29 +75,6 @@ func TestBuilderPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestShape(t *testing.T) {
-	b := NewBuilder(64)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 500; i++ {
-		var bits []int
-		for j := 0; j < 8; j++ {
-			bits = append(bits, rng.Intn(64))
-		}
-		b.Add(pat(64, bits...))
-	}
-	tree := b.Build()
-	st := tree.Shape()
-	if st.Patterns != 500 || st.Leaves == 0 || st.Inner == 0 {
-		t.Fatalf("degenerate shape: %+v", st)
-	}
-	if st.MaxDepth > 64 {
-		t.Fatalf("depth overflow: %+v", st)
-	}
-	if tree.PopcountOf(0) <= 0 {
-		t.Fatal("PopcountOf broken")
 	}
 }
 
@@ -151,7 +125,7 @@ func TestQuickAgainstLinearScan(t *testing.T) {
 			if tree.HasSubsetOfExcluding(q, exA, exB) != want {
 				return false
 			}
-			if tree.CountSubsetsOf(q) != count {
+			if tree.HasSubsetOf(q) != (count > 0) {
 				return false
 			}
 		}

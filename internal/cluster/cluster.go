@@ -79,11 +79,9 @@ type Options struct {
 	Buffered int
 	// SendRetries is how many times the TCP transport retries a
 	// transient send failure (a timeout before any frame byte reached
-	// the socket) before returning the error. 0 disables retries.
+	// the socket) before returning the error, backing off from 1 ms and
+	// doubling per attempt. 0 disables retries.
 	SendRetries int
-	// RetryBackoff is the initial retry backoff, doubled per attempt
-	// (default 1ms when SendRetries > 0).
-	RetryBackoff time.Duration
 }
 
 // counters is embedded by transports for traffic accounting.

@@ -300,11 +300,11 @@ func TestWireByteAccounting(t *testing.T) {
 	if got := comms[0].BytesSent(); got != 123 {
 		t.Errorf("tcp BytesSent = %d, want 123 (payload only)", got)
 	}
-	if got := comms[0].WireBytesSent(); got != 123+2*frameHeaderLen {
-		t.Errorf("tcp WireBytesSent = %d, want %d", got, 123+2*frameHeaderLen)
+	if got := comms[0].WireBytesSent(); got != 123+2*FrameHeaderLen {
+		t.Errorf("tcp WireBytesSent = %d, want %d", got, 123+2*FrameHeaderLen)
 	}
 	g := StatsOf(comms)
-	if g.Bytes != 123 || g.WireBytes != 123+2*frameHeaderLen || g.Messages != 2 {
+	if g.Bytes != 123 || g.WireBytes != 123+2*FrameHeaderLen || g.Messages != 2 {
 		t.Errorf("group stats = %+v", g)
 	}
 }

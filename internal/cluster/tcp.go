@@ -10,9 +10,9 @@ import (
 	"time"
 )
 
-// frameHeaderLen is the per-message framing overhead of the TCP
-// transport: a 4-byte little-endian payload length.
-const frameHeaderLen = 4
+// retryBackoff is the initial backoff of a transient-send retry, doubled
+// per attempt.
+const retryBackoff = time.Millisecond
 
 // Dial/listen indirections, overridable by tests to inject setup and
 // send failures deterministically.
@@ -188,15 +188,9 @@ func NewTCPGroupOpts(n int, opts Options) ([]Comm, error) {
 func (c *tcpComm) pump(from int) {
 	defer c.wg.Done()
 	conn := c.peers[from]
-	var hdr [4]byte
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			close(c.inbox[from])
-			return
-		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		msg := make([]byte, n)
-		if _, err := io.ReadFull(conn, msg); err != nil {
+		msg, err := ReadFrame(conn, MaxFrame)
+		if err != nil {
 			close(c.inbox[from])
 			return
 		}
@@ -232,17 +226,9 @@ func (c *tcpComm) Send(to int, msg []byte) error {
 	}
 	c.sendMu[to].Lock()
 	defer c.sendMu[to].Unlock()
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(msg)))
-	backoff := c.opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = time.Millisecond
-	}
-	var wrote int64
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
-		bufs := net.Buffers{hdr[:], msg}
-		n, err := bufs.WriteTo(c.peers[to])
-		wrote += n
+		wrote, err := WriteFrame(c.peers[to], msg)
 		if err == nil {
 			break
 		}
@@ -259,7 +245,7 @@ func (c *tcpComm) Send(to int, msg []byte) error {
 		}
 		return fmt.Errorf("cluster: send to %d: %w", to, err)
 	}
-	c.account(len(msg), len(msg)+frameHeaderLen)
+	c.account(len(msg), len(msg)+FrameHeaderLen)
 	return nil
 }
 

@@ -208,7 +208,7 @@ func failFirstN(n int32) func() bool {
 }
 
 func TestTCPSendRetriesTransientFailure(t *testing.T) {
-	comms, flaky := flakyTCPPair(t, Options{SendRetries: 3, RetryBackoff: time.Millisecond})
+	comms, flaky := flakyTCPPair(t, Options{SendRetries: 3})
 	defer closeAll(comms)
 	flaky.failWrite = failFirstN(2)
 	done := make(chan []byte, 1)
@@ -255,7 +255,7 @@ func TestTCPSendNoRetryAfterPartialWrite(t *testing.T) {
 	// net.Buffers on a wrapped (non-*net.TCPConn) connection falls back
 	// to sequential Write calls, so failing the second write simulates a
 	// frame whose header reached the socket but whose payload did not.
-	comms, flaky := flakyTCPPair(t, Options{SendRetries: 5, RetryBackoff: time.Millisecond})
+	comms, flaky := flakyTCPPair(t, Options{SendRetries: 5})
 	defer closeAll(comms)
 	var writes atomic.Int32
 	flaky.failWrite = func() bool { return writes.Add(1) == 2 }
@@ -265,5 +265,30 @@ func TestTCPSendNoRetryAfterPartialWrite(t *testing.T) {
 	}
 	if writes.Load() > 2 {
 		t.Fatalf("Send retried after a partial write (%d writes observed)", writes.Load())
+	}
+}
+
+// TestTCPPumpRefusesOversizedFrame: a header announcing more than
+// MaxFrame must end the link, not make the pump allocate the announced
+// size (up to 4 GiB off four bytes) and wait for a body that never
+// comes.
+func TestTCPPumpRefusesOversizedFrame(t *testing.T) {
+	comms, flaky := flakyTCPPair(t, Options{})
+	defer closeAll(comms)
+	if _, err := flaky.Conn.Write([]byte{0xff, 0xff, 0xff, 0xff}); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() {
+		_, err := comms[1].Recv(0)
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("Recv after an oversized header: %v, want ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("pump is still waiting for the body of an oversized frame")
 	}
 }

@@ -121,30 +121,6 @@ func TestToyEFMsExactFluxes(t *testing.T) {
 	}
 }
 
-func TestCombinatorialTestAgreesWithRankTest(t *testing.T) {
-	for _, src := range testNetworks {
-		n, err := model.ParseString(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		red, err := reduce.Network(n, reduce.Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", n.Name, err)
-		}
-		a := algorithmSupports(t, red.N, red.Reversibilities(), RankTest)
-		b := algorithmSupports(t, red.N, red.Reversibilities(), CombinatorialTest)
-		if len(a) != len(b) {
-			t.Fatalf("%s: rank test %d modes != combinatorial test %d: %s",
-				n.Name, len(a), len(b), diffSets(a, b))
-		}
-		for k := range a {
-			if !b[k] {
-				t.Fatalf("%s: combinatorial test missing %s", n.Name, k)
-			}
-		}
-	}
-}
-
 func TestHeuristicsDoNotChangeResult(t *testing.T) {
 	n := model.Toy()
 	red, err := reduce.Network(n, reduce.Options{})
@@ -285,21 +261,21 @@ func bruteForceEFMs(N *ratmat.Matrix, rev []bool) map[string]bool {
 	return out
 }
 
-// algorithmSupports runs the Nullspace Algorithm directly on (N, rev) and
-// returns the canonical support set in reduced-column index space.
-func algorithmSupports(t *testing.T, N *ratmat.Matrix, rev []bool, kind TestKind) map[string]bool {
+// pointedFormulation is the binary-approach preparation: every reversible
+// reaction split, so the cone is pointed and the engine's bit-pattern-tree
+// prefilter runs ahead of the rank test.
+var pointedFormulation = nullspace.Heuristics{SplitAllReversible: true}
+
+// algorithmSupports runs the Nullspace Algorithm directly on (N, rev)
+// prepared with h and returns the canonical support set in
+// reduced-column index space.
+func algorithmSupports(t *testing.T, N *ratmat.Matrix, rev []bool, h nullspace.Heuristics) map[string]bool {
 	t.Helper()
-	h := nullspace.Heuristics{}
-	if kind == CombinatorialTest {
-		// The superset adjacency test requires a pointed cone: use the
-		// binary-approach formulation with all reversibles split.
-		h.SplitAllReversible = true
-	}
 	p, err := nullspace.New(N, rev, h)
 	if err != nil {
 		t.Fatalf("nullspace: %v", err)
 	}
-	res, err := Run(p, Options{Test: kind})
+	res, err := Run(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,14 +312,14 @@ func TestAgainstBruteForceToy(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := bruteForceEFMs(red.N, red.Reversibilities())
-	for _, kind := range []TestKind{RankTest, CombinatorialTest} {
-		got := algorithmSupports(t, red.N, red.Reversibilities(), kind)
+	for _, h := range []nullspace.Heuristics{{}, pointedFormulation} {
+		got := algorithmSupports(t, red.N, red.Reversibilities(), h)
 		if len(got) != len(want) {
-			t.Fatalf("test %d: %d EFMs, brute force %d: %s", kind, len(got), len(want), diffSets(got, want))
+			t.Fatalf("%+v: %d EFMs, brute force %d: %s", h, len(got), len(want), diffSets(got, want))
 		}
 		for k := range want {
 			if !got[k] {
-				t.Fatalf("test %d: missing EFM %s", kind, k)
+				t.Fatalf("%+v: missing EFM %s", h, k)
 			}
 		}
 	}
@@ -379,7 +355,7 @@ func TestAgainstBruteForceRandom(t *testing.T) {
 			rev[j] = rng.Intn(4) == 0
 		}
 		want := bruteForceEFMs(N, rev)
-		got := algorithmSupports(t, N, rev, RankTest)
+		got := algorithmSupports(t, N, rev, nullspace.Heuristics{})
 		if len(got) != len(want) {
 			t.Fatalf("seed %d (%dx%d): algorithm %d vs brute force %d EFMs: %s\nN:\n%v rev: %v",
 				seed, N.Rows(), q, len(got), len(want), diffSets(got, want), N, rev)
@@ -389,9 +365,9 @@ func TestAgainstBruteForceRandom(t *testing.T) {
 				t.Fatalf("seed %d: missing EFM %s", seed, k)
 			}
 		}
-		gotC := algorithmSupports(t, N, rev, CombinatorialTest)
-		if len(gotC) != len(want) {
-			t.Fatalf("seed %d: combinatorial test %d vs %d EFMs: %s", seed, len(gotC), len(want), diffSets(gotC, want))
+		gotP := algorithmSupports(t, N, rev, pointedFormulation)
+		if len(gotP) != len(want) {
+			t.Fatalf("seed %d: pointed formulation %d vs %d EFMs: %s", seed, len(gotP), len(want), diffSets(gotP, want))
 		}
 		checked++
 	}
@@ -446,9 +422,11 @@ func TestCuratedNetworksAgainstBruteForce(t *testing.T) {
 			t.Fatalf("%s: %v", n.Name, err)
 		}
 		want := bruteForceEFMs(red.N, red.Reversibilities())
-		got := algorithmSupports(t, red.N, red.Reversibilities(), RankTest)
-		if len(got) != len(want) {
-			t.Fatalf("%s: algorithm %d vs brute force %d: %s", n.Name, len(got), len(want), diffSets(got, want))
+		for _, h := range []nullspace.Heuristics{{}, pointedFormulation} {
+			got := algorithmSupports(t, red.N, red.Reversibilities(), h)
+			if len(got) != len(want) {
+				t.Fatalf("%s %+v: algorithm %d vs brute force %d: %s", n.Name, h, len(got), len(want), diffSets(got, want))
+			}
 		}
 	}
 }

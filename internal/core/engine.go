@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"elmocomp/internal/bptree"
+	"elmocomp/internal/cluster"
 	"elmocomp/internal/linalg"
 	"elmocomp/internal/nullspace"
 )
@@ -18,32 +19,17 @@ import (
 // e.g. a communication fault, unchanged).
 var ErrBudget = errors.New("core: intermediate mode budget exceeded")
 
-// ErrCanceled marks a run aborted through Options.Cancel. The serial
-// driver checks the channel between iterations; the distributed drivers
-// carry their own cancellation through the cluster substrate's abort
-// latch and never see this error.
-var ErrCanceled = errors.New("core: run canceled")
-
-// TestKind selects the elementarity test applied to candidate modes.
-type TestKind int
-
-const (
-	// RankTest is the paper's algebraic test: a candidate is elementary
-	// iff the submatrix of N over its support has nullity exactly 1.
-	RankTest TestKind = iota
-	// CombinatorialTest is the double-description adjacency test: a
-	// candidate is elementary iff no other current column's support is a
-	// subset of the candidate's (implemented with a bit-pattern tree).
-	CombinatorialTest
-)
+// ErrCanceled marks a run aborted through Options.Cancel. It is the
+// cluster substrate's sentinel, so a cancel matches the same error
+// whether the serial driver saw the channel between iterations or a
+// distributed driver carried it through the group's abort latch.
+var ErrCanceled = cluster.ErrCanceled
 
 // Options configure a Nullspace Algorithm run.
 type Options struct {
 	// Tol is the zero tolerance applied to normalized mode values;
 	// 0 means linalg.DefaultTol.
 	Tol float64
-	// Test selects the elementarity test (default RankTest).
-	Test TestKind
 	// LastRow, when positive, stops the iteration before processing
 	// permuted row LastRow (exclusive bound). Used by divide-and-conquer
 	// via Proposition 1. 0 means run to completion.
@@ -76,12 +62,13 @@ type Options struct {
 	// regardless of budget — ablation and benchmarking only; results
 	// are identical at every tier.
 	ForceStoreTier StoreTier
-	// DisableHybrid switches off the hybrid fast path: under RankTest on
-	// a pointed problem (no reversible rows) the engine normally builds
-	// the per-row bit-pattern tree and uses the combinatorial superset
-	// query as a reject-only prefilter ahead of the exact rank test. The
-	// prefilter never changes the result (the rank test stays the final
-	// arbiter); this switch exists for A/B benchmarking and ablation.
+	// DisableHybrid switches off the hybrid fast path: on a pointed
+	// problem (no reversible rows) the engine normally builds the per-row
+	// bit-pattern tree and uses the combinatorial superset query as a
+	// reject-only prefilter ahead of the rank test. The prefilter never
+	// changes the result (the rank test is the only arbiter); no request
+	// path sets this — tests and benchmarks use the switched-off engine
+	// as the reference for the default one.
 	DisableHybrid bool
 	// Workers is the number of shared-memory worker goroutines used for
 	// candidate generation and merging within one engine (or, in the
@@ -124,7 +111,7 @@ type IterStats struct {
 	Pairs          int64 // candidate modes generated (|pos|·|neg|)
 	Prefiltered    int64 // rejected by the support-size pre-test
 	TreeRejects    int64 // rejected by the hybrid bit-pattern-tree prefilter
-	Tested         int64 // rank / superset tests run
+	Tested         int64 // rank tests run
 	Accepted       int64 // candidates surviving the test
 	Duplicates     int64 // removed duplicate candidates
 	ModesOut       int   // columns entering the next iteration
@@ -205,13 +192,6 @@ func InitialModeSet(p *nullspace.Problem, tol float64) *ModeSet {
 // a shared-memory worker pool; the result is bit-identical to the
 // single-threaded engine.
 func Run(p *nullspace.Problem, opts Options) (*Result, error) {
-	if opts.Test == CombinatorialTest {
-		for _, r := range p.Rev {
-			if r {
-				return nil, fmt.Errorf("core: the combinatorial adjacency test is only sound on a pointed flux cone; prepare the problem with Heuristics.SplitAllReversible")
-			}
-		}
-	}
 	last := opts.LastRow
 	if last <= 0 || last > p.Q() {
 		last = p.Q()
@@ -275,11 +255,7 @@ type RowIter struct {
 
 	opts    Options
 	nextRev []int        // revRows of the next iteration's sets
-	tree    *bptree.Tree // adjacency tree (CombinatorialTest or hybrid prefilter)
-	// treeFinal marks the tree query as the elementarity verdict itself
-	// (CombinatorialTest). When false and tree != nil, the tree is the
-	// hybrid reject-only prefilter and the rank test stays the arbiter.
-	treeFinal bool
+	tree    *bptree.Tree // reject-only prefilter ahead of the rank test; nil off a pointed cone
 	// Per-row constants of the pair sweep, computed once in BeginRow:
 	// the processed-prefix mask (rows 0..Row), the support bounds, and
 	// per-column popcount caches over the current set so the sweep can
@@ -357,11 +333,7 @@ func BeginRow(p *nullspace.Problem, set *ModeSet, row int, opts Options) *RowIte
 			it.suppSize[i] = int32(total)
 			it.prefixSize[i] = int32(pfx)
 		}
-		switch {
-		case opts.Test == CombinatorialTest:
-			it.treeFinal = true
-			it.buildTree()
-		case !opts.DisableHybrid && pointed(p.Rev):
+		if !opts.DisableHybrid && pointed(p.Rev) {
 			// Hybrid fast path: on a pointed cone the superset query is a
 			// sound necessary condition for adjacency, so the tree can
 			// reject candidates before the (much costlier) rank test
@@ -407,10 +379,10 @@ func (it *RowIter) NewCandidateSet() *ModeSet {
 
 // GenerateInto produces the candidate modes for pair indices [from, to)
 // — pair k combines Pos[k/len(Neg)] with Neg[k%len(Neg)] — applying the
-// support-size pre-test and the configured elementarity test, and appends
-// survivors to cands. Statistics accumulate into st. Distinct slices of
-// the pair space may be generated concurrently into distinct
-// (cands, ws, st) triples; the RowIter itself is read-only here.
+// support-size pre-test and the rank test, and appends survivors to
+// cands. Statistics accumulate into st. Distinct slices of the pair space
+// may be generated concurrently into distinct (cands, ws, st) triples;
+// the RowIter itself is read-only here.
 func (it *RowIter) GenerateInto(cands *ModeSet, ws *linalg.Workspace, from, to int64, st *IterStats) {
 	it.GenerateIntoScratch(cands, ws, from, to, st, nil)
 }
@@ -495,20 +467,6 @@ func (it *RowIter) GenerateIntoScratch(cands *ModeSet, ws *linalg.Workspace, fro
 			for w := 0; w < words; w++ {
 				orWords[w] = bp[w] | bn[w]
 			}
-			if it.treeFinal {
-				// Combinatorial adjacency test on the parents' support
-				// union: any third column whose support fits inside it
-				// proves the pair non-adjacent. Bits only — run before
-				// the numeric combination; the verdict is final and timed
-				// per query.
-				tTest := time.Now()
-				st.Tested++
-				hit := it.tree.HasSubsetOfExcluding(orWords, pi, ni)
-				testSeconds += time.Since(tTest).Seconds()
-				if hit {
-					continue
-				}
-			}
 			tn := set.Tail(ni)
 			alpha := -tn[0] // positive
 			// Values below clamp are cancellation residue, not signal:
@@ -568,7 +526,7 @@ func (it *RowIter) GenerateIntoScratch(cands *ModeSet, ws *linalg.Workspace, fro
 				st.Prefiltered++
 				continue
 			}
-			if it.tree != nil && !it.treeFinal {
+			if it.tree != nil {
 				// Hybrid fast path: bit-pattern-tree superset query on the
 				// candidate's EXACT support (not the parents' union — exact
 				// cancellations in unprocessed rows can shrink the support
@@ -598,28 +556,25 @@ func (it *RowIter) GenerateIntoScratch(cands *ModeSet, ws *linalg.Workspace, fro
 					continue
 				}
 			}
-			if !it.treeFinal {
-				// Algebraic rank test (the paper's default): the
-				// support submatrix of N must have nullity exactly 1.
-				// On the hybrid path it runs after the tree prefilter
-				// and remains the final arbiter. Timing is sampled
-				// (1 in 64) to keep time.Now() off the hot path.
-				st.Tested++
-				sample := st.Tested&63 == 0
-				var tTest time.Time
-				if sample {
-					tTest = time.Now()
-				}
-				ok := nullityIsOne(it.Problem, ws, cands, idx, s, tol, supportIdx[:0])
-				if sample {
-					testSeconds += time.Since(tTest).Seconds()
-					sampledTests++
-				}
-				timedTests++
-				if !ok {
-					cands.truncateLast()
-					continue
-				}
+			// Algebraic rank test: the support submatrix of N must have
+			// nullity exactly 1. It is the only arbiter (the tree above
+			// rejects, never accepts). Timing is sampled (1 in 64) to
+			// keep time.Now() off the hot path.
+			st.Tested++
+			sample := st.Tested&63 == 0
+			var tTest time.Time
+			if sample {
+				tTest = time.Now()
+			}
+			ok := nullityIsOne(it.Problem, ws, cands, idx, s, tol, supportIdx[:0])
+			if sample {
+				testSeconds += time.Since(tTest).Seconds()
+				sampledTests++
+			}
+			timedTests++
+			if !ok {
+				cands.truncateLast()
+				continue
 			}
 			st.Accepted++
 		}
@@ -731,8 +686,7 @@ func (it *RowIter) assemble(candSets []*ModeSet, refs []candRef, t0 time.Time) (
 	// Survivor supports, hashed, so candidates that re-derive a kept ray
 	// can be dropped: a rank-passed candidate's support submatrix has a
 	// one-dimensional kernel, so any kept column with the same support
-	// is necessarily the same ray. (Under the combinatorial test such
-	// collisions are rejected by the tree query already.)
+	// is necessarily the same ray.
 	survivorIdx := make(map[uint64][]int)
 	addSurvivor := func(src int) {
 		j := next.appendShifted(it.Set, src, it.Reversible)

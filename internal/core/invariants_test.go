@@ -189,7 +189,7 @@ func TestRandomSeedsSweep(t *testing.T) {
 			rev[j] = rng.Intn(3) == 0
 		}
 		want := bruteForceEFMs(N, rev)
-		got := algorithmSupports(t, N, rev, RankTest)
+		got := algorithmSupports(t, N, rev, nullspace.Heuristics{})
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: %d vs %d EFMs: %s", seed, len(got), len(want), diffSets(got, want))
 		}

@@ -101,30 +101,6 @@ func TestWorkersDeterminism(t *testing.T) {
 	}
 }
 
-// TestWorkersDeterminismCombinatorial covers the bit-pattern-tree test
-// path (concurrent read-only tree queries) for worker independence.
-func TestWorkersDeterminismCombinatorial(t *testing.T) {
-	red, err := reduce.Network(model.Toy(), reduce.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := nullspace.New(red.N, red.Reversibilities(), nullspace.Heuristics{SplitAllReversible: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := Run(p, Options{Workers: 1, Test: CombinatorialTest})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		res, err := Run(p, Options{Workers: workers, Test: CombinatorialTest})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		requireIdenticalSets(t, "toy/tree", serial.Modes, res.Modes)
-	}
-}
-
 // TestGenerateRangeMatchesGenerateInto: sharding the pair range must
 // reproduce the single-call candidate sequence and counters exactly.
 func TestGenerateRangeMatchesGenerateInto(t *testing.T) {

@@ -84,23 +84,16 @@ func (s *StoreStats) Add(o StoreStats) {
 // Engaged reports whether any round actually left the flat tier.
 func (s StoreStats) Engaged() bool { return s.Compressions > 0 || s.Spills > 0 }
 
-// ModeStore is the between-rounds custody of the surviving mode set:
+// StoreManager is the between-rounds custody of the surviving mode set:
 // Hold takes the set after a row's assemble, Materialize returns it
 // flat before the next row begins, Release drops whatever is held.
 // The engine's within-row working state (current set, candidates, next
 // set) is always flat — the store bounds what stays resident BETWEEN
 // iteration rounds, which is what the per-node memory gauge and the
 // scheduler's PeakConcurrentBytes see across concurrent subproblems.
-type ModeStore interface {
-	Hold(set *ModeSet) error
-	Materialize() (*ModeSet, error)
-	Release()
-	ResidentBytes() int64
-	Stats() StoreStats
-}
-
-// StoreManager is the tiered ModeStore. Tier choice per round, with
-// flatBytes the set's flat footprint and B = Options.MemBudget:
+//
+// Tier choice per round, with flatBytes the set's flat footprint and
+// B = Options.MemBudget:
 //
 //	flat        while 2·flatBytes ≤ B (headroom for the next round's
 //	            survivor set alongside this one)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"elmocomp/internal/bitset"
+	"elmocomp/internal/cluster"
 	"elmocomp/internal/core"
 	"elmocomp/internal/dnc"
 	"elmocomp/internal/model"
@@ -57,10 +58,10 @@ func TestRingDeterministicAndCovering(t *testing.T) {
 func TestFrameRoundTripAndLimit(t *testing.T) {
 	var buf bytes.Buffer
 	in := classRequest{Seq: 7, Key: "k", classSpec: classSpec{Network: "net"}, Partition: []int{3, 5}, Class: 2}
-	if err := writeFrame(&buf, encodeClass(&in, true)); err != nil {
+	if _, err := cluster.WriteFrame(&buf, encodeClass(&in, true)); err != nil {
 		t.Fatal(err)
 	}
-	body, err := readFrame(&buf, 0)
+	body, err := cluster.ReadFrame(&buf, cluster.MaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +73,10 @@ func TestFrameRoundTripAndLimit(t *testing.T) {
 		t.Fatalf("round trip mangled: %+v", out)
 	}
 	buf.Reset()
-	if err := writeFrame(&buf, encodeClass(&in, true)); err != nil {
+	if _, err := cluster.WriteFrame(&buf, encodeClass(&in, true)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrame(&buf, 8); err == nil {
+	if _, err := cluster.ReadFrame(&buf, 8); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
@@ -331,7 +332,8 @@ func TestWorkerProtocolMismatch(t *testing.T) {
 		refuse bool
 	}{
 		{protoVersion, false},
-		{protoVersion - 1, true},
+		{protoVersion - 1, true}, // protocol 2 set flag bits this build refuses
+		{protoVersion - 2, true},
 		{protoVersion + 1, true},
 	} {
 		t.Run(fmt.Sprint("proto-", tc.proto), func(t *testing.T) {
@@ -359,7 +361,7 @@ func TestWorkerProtocolMismatch(t *testing.T) {
 					t.Fatalf("refusal %q does not name %q", resp.Error, want)
 				}
 			}
-			if _, err := readFrame(conn, 0); !errors.Is(err, io.EOF) {
+			if _, err := cluster.ReadFrame(conn, helloMaxFrame); !errors.Is(err, io.EOF) {
 				t.Fatalf("connection not closed after the refusal: %v", err)
 			}
 		})
@@ -466,7 +468,7 @@ func TestPoolBudgetStatusIdentity(t *testing.T) {
 	w := startWorker(t, WorkerOptions{})
 	pool := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second})
 	defer pool.Close()
-	spec.MaxModes = 1 // every class overflows
+	spec.Exec.Core.MaxModes = 1 // every class overflows
 	exec := pool.Bind(spec)
 	cancel := make(chan struct{})
 	defer close(cancel)

@@ -8,8 +8,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"elmocomp/internal/cluster"
 	"elmocomp/internal/core"
 	"elmocomp/internal/dnc"
+	"elmocomp/internal/parallel"
 )
 
 // PoolOptions configure the coordinator's worker-connection pool.
@@ -20,8 +22,6 @@ type PoolOptions struct {
 	// a class longer is declared wedged, its link severed, and the class
 	// requeued (default 2m). Must comfortably exceed the slowest class.
 	ClassTimeout time.Duration
-	// MaxFrameBytes bounds incoming frames (default 256 MiB).
-	MaxFrameBytes int
 	// Inflight is the per-link credit: how many classes may be in flight
 	// on one worker connection at once (default 2). Credit 2 lets a
 	// dispatcher ship the next class while the worker computes the
@@ -31,23 +31,18 @@ type PoolOptions struct {
 }
 
 // JobSpec is the per-job half of a class request: the canonical network
-// and the result-shaping options every class of the job shares. Q is the
-// reduced column count the caller derived — responses are validated
-// against it so a worker disagreeing about the reduction is caught at
-// the codec, not in the merged result.
+// and the options every class of the job shares. Q is the reduced column
+// count the caller derived — responses are validated against it so a
+// worker disagreeing about the reduction is caught at the codec, not in
+// the merged result. Exec is the parallel.Options the job's local groups
+// run classes under; a remote class runs under its wire image (see
+// appendSpec), so the two cannot drift apart field by field.
 type JobSpec struct {
 	Key            string
 	Network        string
 	Q              int
 	KeepDuplicates bool
-	Tol            float64
-	MaxModes       int
-	Workers        int
-	Nodes          int
-	Tree           bool
-	NoHybrid       bool
-	MemBudget      int64
-	CommTimeoutSec float64
+	Exec           parallel.Options
 }
 
 // Pool is a fixed fleet of worker links. It implements nothing itself;
@@ -218,19 +213,9 @@ func (e *boundExec) Affine(slot int, c dnc.RemoteClass) bool {
 func (e *boundExec) Run(slot int, c dnc.RemoteClass, cancel <-chan struct{}) (*dnc.ClassOutcome, error) {
 	w := e.link(slot)
 	req := &classRequest{
-		Key: e.spec.Key,
-		classSpec: classSpec{
-			Network:        e.spec.Network,
-			Tol:            e.spec.Tol,
-			MaxModes:       e.spec.MaxModes,
-			Workers:        e.spec.Workers,
-			Nodes:          e.spec.Nodes,
-			MemBudget:      e.spec.MemBudget,
-			CommTimeoutSec: e.spec.CommTimeoutSec,
-		},
+		Key:            e.spec.Key,
+		classSpec:      classSpec{Network: e.spec.Network, Exec: e.spec.Exec},
 		KeepDuplicates: e.spec.KeepDuplicates,
-		Tree:           e.spec.Tree,
-		NoHybrid:       e.spec.NoHybrid,
 		Partition:      c.Partition,
 		Class:          c.ID,
 		Depth:          c.Depth,
@@ -307,7 +292,7 @@ func (w *workerLink) callOnce(req *classRequest, cancel <-chan struct{}, forceSp
 	w.mu.Unlock()
 
 	body := encodeClass(req, withSpec)
-	err := writeFrame(conn, body)
+	_, err := cluster.WriteFrame(conn, body)
 	w.wmu.Unlock()
 	if err != nil {
 		w.sever(gen, err)
@@ -315,7 +300,7 @@ func (w *workerLink) callOnce(req *classRequest, cancel <-chan struct{}, forceSp
 		return nil, false, fmt.Errorf("distrib: worker %s: %v: %w", w.addr, err, dnc.ErrWorkerLost)
 	}
 	atomic.AddInt64(&w.dispatched, 1)
-	atomic.AddInt64(&w.wireBytes, int64(len(body))+frameHeaderLen)
+	atomic.AddInt64(&w.wireBytes, int64(len(body))+cluster.FrameHeaderLen)
 	logical := len(body)
 	if !withSpec {
 		logical = len(encodeClass(req, true))
@@ -376,7 +361,7 @@ func (w *workerLink) ensureLocked(opts PoolOptions) error {
 	w.down = false
 	w.pending = make(map[uint64]chan linkReply)
 	w.specs = make(map[string]bool)
-	go w.readLoop(conn, w.gen, opts.MaxFrameBytes)
+	go w.readLoop(conn, w.gen)
 	return nil
 }
 
@@ -415,14 +400,14 @@ func greet(conn net.Conn) error {
 // connection and delivers them to the pending calls by sequence number,
 // severing the connection (which fails every pending call) on any read
 // or decode error.
-func (w *workerLink) readLoop(conn net.Conn, gen uint64, maxFrame int) {
+func (w *workerLink) readLoop(conn net.Conn, gen uint64) {
 	for {
-		body, err := readFrame(conn, maxFrame)
+		body, err := cluster.ReadFrame(conn, cluster.MaxFrame)
 		if err != nil {
 			w.sever(gen, err)
 			return
 		}
-		atomic.AddInt64(&w.wireBytes, int64(len(body))+frameHeaderLen)
+		atomic.AddInt64(&w.wireBytes, int64(len(body))+cluster.FrameHeaderLen)
 		seq, rep, err := decodeReply(body)
 		if err != nil {
 			w.sever(gen, err)

@@ -5,28 +5,34 @@
 // consistent-hash ring that routes identical requests back to the same
 // worker's cache.
 //
-// The wire (this file). Every message is a frame: a 4-byte little-endian
-// length, then the body. A connection opens with one JSON hello frame
-// each way carrying the sender's protocol version; the versions must be
-// equal, and a worker that disagrees answers with a hello whose error
-// names both before closing. After the hello, bodies are binary: a type
-// byte, then varints, raw float bits and length-prefixed byte strings.
+// The wire (this file). Every message is a frame of the cluster
+// substrate's codec (cluster.WriteFrame: a 4-byte little-endian length,
+// then the body). A connection opens with one JSON hello frame each way
+// carrying the sender's protocol version; the versions must be equal,
+// and a worker that disagrees answers with a hello whose error names
+// both before closing. After the hello, bodies are binary: a type byte,
+// then varints, raw float bits and length-prefixed byte strings.
 //
 //	class     0x01 seq flags key class depth |partition| partition...
 //	          [tol maxModes workers nodes memBudget commTimeout network]
 //	result    0x02 seq status flags error pairs peakNodeBytes rawLen supports
 //	need-spec 0x03 seq key
 //
-// The bracketed spec block (network text plus result-shaping options) is
-// the per-job half of a class. A link sends it with the first class of a
-// job key and interns it: later classes of the key carry coordinates
-// only, and a worker that no longer holds the spec answers need-spec to
-// have the class re-sent whole. Supports travel as the core EFMS codec,
-// or as its compressed EFMC form whenever that is smaller — the codec
-// magic tells the receiver which, so nothing is negotiated. Several
-// seq-tagged classes share a connection (PoolOptions.Inflight credit
-// slots), so the next class ships while the worker computes the current
-// one.
+// The class flags byte: bit 0 spec block attached, bit 1 strict memory
+// budget, bit 2 keep duplicate reactions; a class with any other bit set
+// is refused. The bracketed spec block is the per-job half of a class:
+// the wire image of the parallel.Options every class of the job runs
+// under (Core.Tol, Core.MaxModes, Core.Workers, Nodes, Core.MemBudget,
+// Timeout in seconds — what a remote class must share with a local one;
+// the rest of that struct is process-local and never travels), then the
+// network text. A link sends it with the first class of a job key and
+// interns it: later classes of the key carry coordinates only, and a
+// worker that no longer holds the spec answers need-spec to have the
+// class re-sent whole. Supports travel as the core EFMS codec, or as its
+// compressed EFMC form whenever that is smaller — the codec magic tells
+// the receiver which, so nothing is negotiated. Several seq-tagged
+// classes share a connection (PoolOptions.Inflight credit slots), so the
+// next class ships while the worker computes the current one.
 //
 // The class, result and need-spec layouts are frozen: bench/expected.json
 // pins the payload bytes they add up to.
@@ -38,55 +44,25 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"time"
+
+	"elmocomp/internal/cluster"
+	"elmocomp/internal/parallel"
 )
 
 // protoVersion is the protocol this build speaks. Bump on any wire
 // change; peers on another version are refused at hello.
-const protoVersion = 2
-
-// defaultMaxFrame bounds a single frame. Support payloads dominate, and
-// a worker answering a class with more encoded modes than this is more
-// plausibly corrupt than correct.
-const defaultMaxFrame = 256 << 20
+const protoVersion = 3
 
 // helloMaxFrame bounds the hello frame, read before the peer has proven
 // it speaks the protocol at all.
 const helloMaxFrame = 1 << 16
 
-// frameHeaderLen is the 4-byte little-endian length prefix, matching the
-// cluster substrate's TCP framing.
-const frameHeaderLen = 4
-
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, body []byte) error {
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
-// readFrame reads one length-prefixed frame body.
-func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if maxFrame <= 0 {
-		maxFrame = defaultMaxFrame
-	}
-	if int64(n) > int64(maxFrame) {
-		return nil, fmt.Errorf("distrib: %d-byte frame exceeds the %d-byte limit", n, maxFrame)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return body, nil
-}
+// maxCommTimeout bounds the collective deadline a class frame may carry.
+// It travels as float64 seconds; below a day the conversion to and from
+// time.Duration is exact to the nanosecond, and a longer deadline on one
+// class's collectives is no deadline at all.
+const maxCommTimeout = 24 * time.Hour
 
 // hello is the frame each side sends once when a connection opens: the
 // coordinator first, then the worker. Error is set only by a worker
@@ -101,7 +77,8 @@ func writeHello(w io.Writer, h hello) error {
 	if err != nil {
 		return err
 	}
-	return writeFrame(w, body)
+	_, err = cluster.WriteFrame(w, body)
+	return err
 }
 
 func decodeHello(body []byte) (hello, error) {
@@ -111,7 +88,7 @@ func decodeHello(body []byte) (hello, error) {
 }
 
 func readHello(r io.Reader) (hello, error) {
-	body, err := readFrame(r, helloMaxFrame)
+	body, err := cluster.ReadFrame(r, helloMaxFrame)
 	if err != nil {
 		return hello{}, err
 	}
@@ -130,15 +107,11 @@ func (h hello) mismatch(peer string) error {
 
 // classSpec is the spec block: the per-job half of a class request that
 // a link interns. Network is the canonical network text (the worker
-// re-derives the identical reduction); the rest shape the result.
+// re-derives the identical reduction); Exec is the options the class
+// runs under, of which only the fields appendSpec writes travel.
 type classSpec struct {
-	Network        string
-	Tol            float64
-	MaxModes       int
-	Workers        int
-	Nodes          int
-	MemBudget      int64
-	CommTimeoutSec float64
+	Network string
+	Exec    parallel.Options
 }
 
 // classRequest ships one divide-and-conquer class: the job's spec and
@@ -152,8 +125,6 @@ type classRequest struct {
 	classSpec
 
 	KeepDuplicates bool
-	Tree           bool
-	NoHybrid       bool
 
 	Partition []int
 	Class     uint64
@@ -204,13 +175,12 @@ const (
 	msgNeedSpec = 0x03
 )
 
-// Class request flag bits.
+// Class request flag bits; every other bit is reserved and refused.
 const (
 	classHasSpec = 1 << iota
 	classStrictMem
 	classKeepDup
-	classTree
-	classNoHybrid
+	classFlagMask = classHasSpec | classStrictMem | classKeepDup
 )
 
 // Result flag bits.
@@ -336,12 +306,6 @@ func encodeClass(req *classRequest, withSpec bool) []byte {
 	if req.KeepDuplicates {
 		flags |= classKeepDup
 	}
-	if req.Tree {
-		flags |= classTree
-	}
-	if req.NoHybrid {
-		flags |= classNoHybrid
-	}
 	out = append(out, flags)
 	out = appendBytes(out, []byte(req.Key))
 	out = binary.AppendUvarint(out, req.Class)
@@ -351,15 +315,46 @@ func encodeClass(req *classRequest, withSpec bool) []byte {
 		out = binary.AppendUvarint(out, uint64(j))
 	}
 	if withSpec {
-		out = appendF64(out, req.Tol)
-		out = binary.AppendUvarint(out, uint64(req.MaxModes))
-		out = binary.AppendUvarint(out, uint64(req.Workers))
-		out = binary.AppendUvarint(out, uint64(req.Nodes))
-		out = binary.AppendUvarint(out, uint64(req.MemBudget))
-		out = appendF64(out, req.CommTimeoutSec)
+		out = appendSpec(out, &req.Exec)
 		out = appendBytes(out, []byte(req.Network))
 	}
 	return out
+}
+
+// appendSpec writes the wire image of the options a class runs under.
+// readSpec is its inverse; the two are the only places that know which
+// fields of parallel.Options cross the link.
+func appendSpec(out []byte, o *parallel.Options) []byte {
+	out = appendF64(out, o.Core.Tol)
+	out = binary.AppendUvarint(out, uint64(o.Core.MaxModes))
+	out = binary.AppendUvarint(out, uint64(o.Core.Workers))
+	out = binary.AppendUvarint(out, uint64(o.Nodes))
+	out = binary.AppendUvarint(out, uint64(o.Core.MemBudget))
+	return appendF64(out, o.Timeout.Seconds())
+}
+
+// readSpec inverts appendSpec, refusing sizes no coordinator of this
+// repository sends: Nodes and Workers become allocation counts on the
+// worker (a node mesh, a workspace pool), so a peer must not be able to
+// name 2^31 of either.
+func (r *wireReader) readSpec() (o parallel.Options) {
+	o.Core.Tol = r.f64()
+	o.Core.MaxModes = r.intv()
+	o.Core.Workers = r.intv()
+	o.Nodes = r.intv()
+	o.Core.MemBudget = int64(r.uvarint())
+	sec := r.f64()
+	switch {
+	case r.err != nil:
+	case o.Nodes > parallel.MaxNodes:
+		r.fail("class asks for %d nodes, limit %d", o.Nodes, parallel.MaxNodes)
+	case o.Core.Workers > parallel.MaxWorkers:
+		r.fail("class asks for %d workers, limit %d", o.Core.Workers, parallel.MaxWorkers)
+	case !(sec >= 0 && sec <= maxCommTimeout.Seconds()): // also refuses NaN
+		r.fail("class carries a %g-second collective deadline", sec)
+	}
+	o.Timeout = time.Duration(math.Round(sec * float64(time.Second)))
+	return o
 }
 
 // decodeClass inverts encodeClass. hasSpec reports whether the spec
@@ -372,6 +367,9 @@ func decodeClass(body []byte) (req classRequest, hasSpec bool, err error) {
 	}
 	req.Seq = r.uvarint()
 	flags := r.u8()
+	if flags&^classFlagMask != 0 {
+		r.fail("class request sets reserved flag bits %#x", flags&^classFlagMask)
+	}
 	req.Key = string(r.bytes())
 	req.Class = r.uvarint()
 	req.Depth = r.intv()
@@ -387,16 +385,9 @@ func decodeClass(body []byte) (req classRequest, hasSpec bool, err error) {
 	}
 	req.StrictMem = flags&classStrictMem != 0
 	req.KeepDuplicates = flags&classKeepDup != 0
-	req.Tree = flags&classTree != 0
-	req.NoHybrid = flags&classNoHybrid != 0
 	hasSpec = flags&classHasSpec != 0
 	if hasSpec {
-		req.Tol = r.f64()
-		req.MaxModes = r.intv()
-		req.Workers = r.intv()
-		req.Nodes = r.intv()
-		req.MemBudget = int64(r.uvarint())
-		req.CommTimeoutSec = r.f64()
+		req.Exec = r.readSpec()
 		req.Network = string(r.bytes())
 	}
 	return req, hasSpec, r.done()

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"elmocomp/internal/parallel"
 )
 
 // FuzzDecodeFrame hammers every decoder that takes bytes off the network
@@ -29,12 +31,28 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		f.Add(body)
 	}
+	// Frames the decoder must refuse: sizes that would become allocation
+	// counts on the worker, and a protocol-2 flag bit.
+	for _, mutate := range []func(*classRequest){
+		func(r *classRequest) { r.Exec.Nodes = 200000 },
+		func(r *classRequest) { r.Exec.Core.Workers = 50000000 },
+	} {
+		huge := fullClass
+		mutate(&huge)
+		f.Add(encodeClass(&huge, true))
+	}
+	treeBit := encodeClass(&full, true)
+	treeBit[2] |= 1 << 3
+	f.Add(treeBit)
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if req, hasSpec, err := decodeClass(b); err == nil {
 			if len(req.Partition) > len(b) || len(req.Key)+len(req.Network) > len(b) {
 				t.Fatalf("class decoded from %d bytes holds %d partition entries, %d key and %d network bytes",
 					len(b), len(req.Partition), len(req.Key), len(req.Network))
+			}
+			if req.Exec.Nodes > parallel.MaxNodes || req.Exec.Core.Workers > parallel.MaxWorkers {
+				t.Fatalf("class accepted with %d nodes and %d workers", req.Exec.Nodes, req.Exec.Core.Workers)
 			}
 			enc := encodeClass(&req, hasSpec)
 			again, againSpec, err := decodeClass(enc)

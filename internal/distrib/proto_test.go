@@ -5,26 +5,25 @@ import (
 	"testing"
 	"time"
 
+	"elmocomp/internal/core"
 	"elmocomp/internal/dnc"
+	"elmocomp/internal/parallel"
 )
 
-// fullClass sets every field of a class request to a non-zero value; the
-// codec round trip and the fuzz seeds share it.
+// fullClass sets every field of a class request that travels to a
+// non-zero value; the codec round trip and the fuzz seeds share it.
 var fullClass = classRequest{
 	Seq: 42,
 	Key: "job-key",
 	classSpec: classSpec{
-		Network:        "A -> B\nB -> C\n",
-		Tol:            1e-9,
-		MaxModes:       100,
-		Workers:        3,
-		Nodes:          2,
-		MemBudget:      1 << 30,
-		CommTimeoutSec: 2.5,
+		Network: "A -> B\nB -> C\n",
+		Exec: parallel.Options{
+			Core:    core.Options{Tol: 1e-9, MaxModes: 100, Workers: 3, MemBudget: 1 << 30},
+			Nodes:   2,
+			Timeout: 2500 * time.Millisecond,
+		},
 	},
 	KeepDuplicates: true,
-	Tree:           true,
-	NoHybrid:       true,
 	Partition:      []int{0, 3, 7},
 	Class:          5,
 	Depth:          2,
@@ -66,6 +65,41 @@ func TestClassCodecRoundTrip(t *testing.T) {
 	}
 	if _, _, err := decodeClass([]byte{msgResult, 0}); err == nil {
 		t.Fatal("wrong message type accepted")
+	}
+
+	// The flags byte follows the one-byte seq varint. Bits 3 and 4 were
+	// protocol 2's tree-test and no-prefilter switches; a peer setting
+	// them (or any other reserved bit) expects behaviour this build does
+	// not have, so the class is refused, not run under other options.
+	for bit := 3; bit < 8; bit++ {
+		bad := append([]byte(nil), body...)
+		bad[2] |= 1 << bit
+		if _, _, err := decodeClass(bad); err == nil {
+			t.Fatalf("class with reserved flag bit %d accepted", bit)
+		}
+	}
+}
+
+// TestClassSpecLimits: the spec block's node and worker counts become
+// allocation sizes on the worker and its deadline a Duration, so a frame
+// naming more than any coordinator sends is refused at the codec.
+func TestClassSpecLimits(t *testing.T) {
+	for name, mutate := range map[string]func(*parallel.Options){
+		"nodes":        func(o *parallel.Options) { o.Nodes = parallel.MaxNodes + 1 },
+		"workers":      func(o *parallel.Options) { o.Core.Workers = parallel.MaxWorkers + 1 },
+		"timeout":      func(o *parallel.Options) { o.Timeout = maxCommTimeout + time.Second },
+		"neg-timeout":  func(o *parallel.Options) { o.Timeout = -time.Second },
+		"at-the-limit": nil,
+	} {
+		req := fullClass
+		req.Exec.Nodes, req.Exec.Core.Workers, req.Exec.Timeout = parallel.MaxNodes, parallel.MaxWorkers, maxCommTimeout
+		if mutate != nil {
+			mutate(&req.Exec)
+		}
+		_, _, err := decodeClass(encodeClass(&req, true))
+		if (err == nil) != (mutate == nil) {
+			t.Errorf("%s: decodeClass error = %v", name, err)
+		}
 	}
 }
 
@@ -179,9 +213,9 @@ func TestPoolPipelinedPrefetch(t *testing.T) {
 	}
 }
 
-// TestPoolWireAccounting: protocol 2 must ship fewer wire bytes than
-// the logical payload on a multi-class job (spec interning alone
-// guarantees it), and the v1 baseline must ship more.
+// TestPoolWireAccounting: the link must ship fewer wire bytes than the
+// logical payload on a multi-class job (spec interning alone guarantees
+// it).
 func TestPoolWireAccounting(t *testing.T) {
 	spec, red, _ := toyJob(t)
 	w := startWorker(t, WorkerOptions{})
@@ -197,7 +231,7 @@ func TestPoolWireAccounting(t *testing.T) {
 		t.Fatalf("byte accounting missing: payload=%d wire=%d", st.PayloadBytes, st.WireBytes)
 	}
 	if res.Sched.RemoteClasses >= 2 && st.WireBytes >= st.PayloadBytes {
-		t.Fatalf("protocol 2 shipped %d wire bytes for %d payload bytes over %d classes",
+		t.Fatalf("the link shipped %d wire bytes for %d payload bytes over %d classes",
 			st.WireBytes, st.PayloadBytes, res.Sched.RemoteClasses)
 	}
 }

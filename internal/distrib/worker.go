@@ -10,11 +10,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"elmocomp/internal/cluster"
 	"elmocomp/internal/core"
 	"elmocomp/internal/dnc"
 	"elmocomp/internal/lru"
 	"elmocomp/internal/model"
-	"elmocomp/internal/parallel"
 	"elmocomp/internal/reduce"
 )
 
@@ -43,8 +43,6 @@ type WorkerOptions struct {
 	// arriving for an evicted (or never-seen) key is answered with
 	// need-spec and the coordinator re-sends it spec-attached.
 	SpecCache int
-	// MaxFrameBytes bounds incoming frames (default 256 MiB).
-	MaxFrameBytes int
 	// DelayPerClass, when > 0, sleeps before executing each class —
 	// a test hook making compute slow enough to observe transfer
 	// pipelining deterministically.
@@ -235,7 +233,7 @@ func (w *Worker) serveConn(c net.Conn) {
 	go func() {
 		defer close(closed)
 		for {
-			body, err := readFrame(c, w.opts.MaxFrameBytes)
+			body, err := cluster.ReadFrame(c, cluster.MaxFrame)
 			if err != nil {
 				return
 			}
@@ -281,7 +279,7 @@ func (w *Worker) serveConn(c net.Conn) {
 			req.classSpec = spec
 		} else {
 			atomic.AddInt64(&w.needSpecs, 1)
-			if err := writeFrame(c, encodeNeedSpec(req.Seq, req.Key)); err != nil {
+			if _, err := cluster.WriteFrame(c, encodeNeedSpec(req.Seq, req.Key)); err != nil {
 				return
 			}
 			atomic.AddInt64(&inflight, -1)
@@ -316,7 +314,8 @@ func writeReply(c net.Conn, resp *classResponse) error {
 			}
 		}
 	}
-	return writeFrame(c, encodeResult(resp, payload, rawLen))
+	_, err := cluster.WriteFrame(c, encodeResult(resp, payload, rawLen))
+	return err
 }
 
 // exec runs one class request, serving from the class cache when the
@@ -338,23 +337,12 @@ func (w *Worker) exec(req *classRequest, cancel <-chan struct{}) *classResponse 
 		resp.Error = err.Error()
 		return resp
 	}
-	popts := parallel.Options{
-		Nodes:   req.Nodes,
-		Timeout: time.Duration(req.CommTimeoutSec * float64(time.Second)),
-		Cancel:  cancel,
-		Core: core.Options{
-			Tol:             req.Tol,
-			MaxModes:        req.MaxModes,
-			Workers:         req.Workers,
-			DisableHybrid:   req.NoHybrid,
-			MemBudget:       req.MemBudget,
-			StrictMemBudget: req.StrictMem,
-			SpillDir:        w.opts.SpillDir,
-		},
-	}
-	if req.Tree {
-		popts.Core.Test = core.CombinatorialTest
-	}
+	// The decoded options carry what the coordinator's local groups run
+	// under; only what must never come off the wire is set here.
+	popts := req.Exec
+	popts.Cancel = cancel
+	popts.Core.SpillDir = w.opts.SpillDir
+	popts.Core.StrictMemBudget = req.StrictMem
 	start := time.Now()
 	out, err := dnc.ExecClass(red.N, red.Reversibilities(), req.Partition, req.Class, popts)
 	if err != nil {

@@ -262,33 +262,3 @@ func (w *Workspace) permBuf(n int) []int {
 	}
 	return w.perm
 }
-
-// Dot returns the dot product of equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: length mismatch")
-	}
-	s := 0.0
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// MaxAbs returns the largest absolute value in v (0 for empty v).
-func MaxAbs(v []float64) float64 {
-	m := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// ScaleInPlace multiplies every element of v by s.
-func ScaleInPlace(v []float64, s float64) {
-	for i := range v {
-		v[i] *= s
-	}
-}

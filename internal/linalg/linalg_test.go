@@ -185,29 +185,6 @@ func TestWorkspaceGrows(t *testing.T) {
 	}
 }
 
-func TestDotAndHelpers(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Fatalf("Dot = %g", got)
-	}
-	if got := MaxAbs([]float64{-3, 2}); got != 3 {
-		t.Fatalf("MaxAbs = %g", got)
-	}
-	if got := MaxAbs(nil); got != 0 {
-		t.Fatalf("MaxAbs(nil) = %g", got)
-	}
-	v := []float64{1, -2}
-	ScaleInPlace(v, 2)
-	if v[0] != 2 || v[1] != -4 {
-		t.Fatalf("ScaleInPlace = %v", v)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on Dot length mismatch")
-		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
-}
-
 // Property: float64 rank agrees with the exact rational rank on random
 // small-integer matrices (which are exactly representable).
 func TestQuickRankMatchesExact(t *testing.T) {

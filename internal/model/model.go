@@ -278,18 +278,6 @@ func cloneTerms(ts []Term) []Term {
 	return out
 }
 
-// SetReversible changes the reversibility of the named reaction; used to
-// construct Network II from Network I (Fig. 5's "reactions made
-// reversible"). Returns an error if the reaction does not exist.
-func (n *Network) SetReversible(name string, rev bool) error {
-	i := n.ReactionIndex(name)
-	if i < 0 {
-		return fmt.Errorf("model: no reaction %s", name)
-	}
-	n.Reactions[i].Reversible = rev
-	return nil
-}
-
 // ReplaceReaction swaps the named reaction's stoichiometry for the given
 // one, preserving position (Fig. 5's "modified reaction").
 func (n *Network) ReplaceReaction(name string, r Reaction) error {

@@ -260,18 +260,12 @@ func TestCloneIsDeep(t *testing.T) {
 
 func TestSetReversibleAndReplace(t *testing.T) {
 	n := Toy()
-	if err := n.SetReversible("r2", true); err != nil {
+	r, _ := ParseReaction("r2 : A <=> B")
+	if err := n.ReplaceReaction("r2", r); err != nil {
 		t.Fatal(err)
 	}
 	if !n.Reactions[n.ReactionIndex("r2")].Reversible {
-		t.Fatal("SetReversible had no effect")
-	}
-	if err := n.SetReversible("bogus", true); err == nil {
-		t.Fatal("SetReversible on missing reaction succeeded")
-	}
-	r, _ := ParseReaction("r2 : A => B")
-	if err := n.ReplaceReaction("r2", r); err != nil {
-		t.Fatal(err)
+		t.Fatal("ReplaceReaction had no effect")
 	}
 	if err := n.ReplaceReaction("bogus", r); err == nil {
 		t.Fatal("ReplaceReaction on missing reaction succeeded")

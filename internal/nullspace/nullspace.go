@@ -60,26 +60,6 @@ type Split struct {
 	SplitCols []int
 }
 
-// Pair returns the (fwd, bwd) problem columns of original column j, or
-// (-1, -1) if j was not split.
-func (s *Split) Pair(j int) (fwd, bwd int) {
-	fwd, bwd = -1, -1
-	for c, o := range s.ColOf {
-		if o != j {
-			continue
-		}
-		if s.Bwd[c] {
-			bwd = c
-		} else {
-			fwd = c
-		}
-	}
-	if bwd < 0 {
-		return -1, -1
-	}
-	return fwd, bwd
-}
-
 // Problem is a fully prepared Nullspace Algorithm instance. Row/column
 // index i of the permuted system corresponds to problem column Perm[i];
 // rows 0..D-1 carry the identity block.

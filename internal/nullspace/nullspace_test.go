@@ -156,27 +156,24 @@ out : B => Bext
 	if p.Q() <= p.OrigQ() {
 		t.Fatalf("split did not widen the system: %d vs %d", p.Q(), p.OrigQ())
 	}
-	// Split bookkeeping: Pair returns a valid fwd/bwd pair.
-	for _, sc := range p.Split.SplitCols {
-		fwd, bwd := p.Split.Pair(sc)
-		if fwd < 0 || bwd < 0 {
-			t.Fatalf("Pair(%d) = %d,%d", sc, fwd, bwd)
-		}
-		if p.Split.ColOf[fwd] != sc || p.Split.ColOf[bwd] != sc {
-			t.Fatal("ColOf inconsistent with Pair")
+	// Split bookkeeping: every split column maps to exactly one forward
+	// and one backward problem column, every other column to one forward.
+	fwd, bwd := make(map[int]int), make(map[int]int)
+	for c, o := range p.Split.ColOf {
+		if p.Split.Bwd[c] {
+			bwd[o]++
+		} else {
+			fwd[o]++
 		}
 	}
-	if fwd, bwd := p.Split.Pair(0); fwd != -1 || bwd != -1 {
-		// Column 0 of this network is unsplit unless it was an offender.
-		found := false
-		for _, sc := range p.Split.SplitCols {
-			if sc == 0 {
-				found = true
-			}
+	for _, sc := range p.Split.SplitCols {
+		if fwd[sc] != 1 || bwd[sc] != 1 {
+			t.Fatalf("split column %d has %d forward and %d backward copies", sc, fwd[sc], bwd[sc])
 		}
-		if !found {
-			t.Fatal("Pair on unsplit column should be (-1,-1)")
-		}
+		delete(bwd, sc)
+	}
+	if len(bwd) != 0 {
+		t.Fatalf("unsplit columns carry backward copies: %v", bwd)
 	}
 	// Identity rows must still be irreversible after splitting.
 	for i := 0; i < p.D; i++ {

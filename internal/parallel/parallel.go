@@ -36,6 +36,19 @@ const (
 	TCP
 )
 
+// MaxNodes and MaxWorkers bound the node and worker counts the service
+// boundaries accept from outside the process (the HTTP API's RunOptions,
+// a distrib class frame). Both become allocation sizes — Nodes² mesh
+// links per group, one rank-test workspace per worker — so an unchecked
+// request is a memory bomb. The bounds sit above anything the repository
+// runs: the paper's largest machine is 256 nodes, efmbench's tables stop
+// at 64, the benchmark uses 2, and no host has 1024 cores to give one
+// engine.
+const (
+	MaxNodes   = 512
+	MaxWorkers = 1024
+)
+
 // Options configure a parallel run.
 type Options struct {
 	Core      core.Options
@@ -301,10 +314,7 @@ func runNode(p *nullspace.Problem, copts core.Options, comm cluster.Comm, last i
 		if copts.Cancel != nil {
 			select {
 			case <-copts.Cancel:
-				// Return the abort-shaped error directly so Run's
-				// classification reports cluster.ErrCanceled, exactly as
-				// if the group abort had interrupted a collective.
-				return nil, &cluster.AbortError{Cause: cluster.ErrCanceled}
+				return nil, fmt.Errorf("%w at row %d", core.ErrCanceled, row)
 			default:
 			}
 		}

@@ -264,11 +264,6 @@ func (m *Matrix) Rank() int {
 	return len(m.Clone().RREF())
 }
 
-// Nullity returns the dimension of the right nullspace of m.
-func (m *Matrix) Nullity() int {
-	return m.c - m.Rank()
-}
-
 // Kernel returns a basis for the right nullspace of m as the columns of a
 // Cols×nullity matrix, along with the free-column indices that carry the
 // identity structure: Kernel()[freeCols[j], j] == 1 and
@@ -310,22 +305,6 @@ func (m *Matrix) IndependentRows() []int {
 	return t.RREF()
 }
 
-// ScaleRow multiplies row i by s in place.
-func (m *Matrix) ScaleRow(i int, s *big.Rat) {
-	for k := 0; k < m.c; k++ {
-		m.a[i*m.c+k].Mul(m.a[i*m.c+k], s)
-	}
-}
-
-// AddScaledRow adds s·row j to row i in place.
-func (m *Matrix) AddScaledRow(i, j int, s *big.Rat) {
-	tmp := new(big.Rat)
-	for k := 0; k < m.c; k++ {
-		tmp.Mul(s, m.a[j*m.c+k])
-		m.a[i*m.c+k].Add(m.a[i*m.c+k], tmp)
-	}
-}
-
 // Float64 returns the matrix converted to float64 rows.
 func (m *Matrix) Float64() [][]float64 {
 	out := make([][]float64, m.r)
@@ -336,16 +315,6 @@ func (m *Matrix) Float64() [][]float64 {
 			f, _ := m.a[i*m.c+j].Float64()
 			out[i][j] = f
 		}
-	}
-	return out
-}
-
-// ColumnFloat64 returns column j converted to float64.
-func (m *Matrix) ColumnFloat64(j int) []float64 {
-	out := make([]float64, m.r)
-	for i := 0; i < m.r; i++ {
-		f, _ := m.a[i*m.c+j].Float64()
-		out[i] = f
 	}
 	return out
 }

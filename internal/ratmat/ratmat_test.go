@@ -120,9 +120,6 @@ func TestRankAndNullity(t *testing.T) {
 	if r := m.Rank(); r != 2 {
 		t.Fatalf("Rank = %d, want 2", r)
 	}
-	if n := m.Nullity(); n != 2 {
-		t.Fatalf("Nullity = %d, want 2", n)
-	}
 	// Rank must not modify the receiver.
 	if m.At(2, 0).Cmp(big.NewRat(1, 1)) != 0 {
 		t.Fatal("Rank modified receiver")
@@ -206,28 +203,12 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
-func TestRowOps(t *testing.T) {
-	m := FromInts(ints([]int64{1, 2}, []int64{3, 4}))
-	m.ScaleRow(0, big.NewRat(2, 1))
-	if m.At(0, 1).Cmp(big.NewRat(4, 1)) != 0 {
-		t.Fatal("ScaleRow wrong")
-	}
-	m.AddScaledRow(1, 0, big.NewRat(-1, 2))
-	if m.At(1, 0).Cmp(big.NewRat(2, 1)) != 0 || m.At(1, 1).Cmp(big.NewRat(2, 1)) != 0 {
-		t.Fatalf("AddScaledRow wrong:\n%v", m)
-	}
-}
-
 func TestFloat64(t *testing.T) {
 	m := FromInts(ints([]int64{1, -3}))
 	m.Set(0, 0, big.NewRat(1, 2))
 	f := m.Float64()
 	if f[0][0] != 0.5 || f[0][1] != -3 {
 		t.Fatalf("Float64 = %v", f)
-	}
-	col := m.ColumnFloat64(1)
-	if len(col) != 1 || col[0] != -3 {
-		t.Fatalf("ColumnFloat64 = %v", col)
 	}
 }
 

@@ -73,16 +73,15 @@ type Options struct {
 	// MergeDuplicates collapses duplicate and antiparallel columns (see
 	// the package comment for the semantics).
 	MergeDuplicates bool
-	// MaxRounds bounds the fixpoint iteration; 0 means a generous default.
-	MaxRounds int
 }
+
+// maxRounds is a generous bound on the fixpoint iteration; reaching it
+// means the passes oscillate, which is a bug, not an input property.
+const maxRounds = 50
 
 // Network compresses a metabolic network. The zero Options value performs
 // only the exactly-EFM-preserving reductions.
 func Network(n *model.Network, opts Options) (*Reduced, error) {
-	if opts.MaxRounds == 0 {
-		opts.MaxRounds = 50
-	}
 	N, mets := n.Stoichiometry()
 	cols := make([]Column, len(n.Reactions))
 	for i, r := range n.Reactions {
@@ -94,7 +93,7 @@ func Network(n *model.Network, opts Options) (*Reduced, error) {
 	}
 	red := &Reduced{Original: n, N: N, Mets: mets, Cols: cols}
 
-	for round := 0; round < opts.MaxRounds; round++ {
+	for round := 0; round < maxRounds; round++ {
 		changed := false
 		if red.signPrune() {
 			changed = true
@@ -116,7 +115,7 @@ func Network(n *model.Network, opts Options) (*Reduced, error) {
 			return red, nil
 		}
 	}
-	return nil, fmt.Errorf("reduce: no fixpoint after %d rounds", opts.MaxRounds)
+	return nil, fmt.Errorf("reduce: no fixpoint after %d rounds", maxRounds)
 }
 
 // signPrune removes reactions that the irreversibility constraints force
@@ -591,15 +590,6 @@ func (r *Reduced) originalIndices(i int) []int {
 	return out
 }
 
-// ColumnNames returns the reduced column names in order.
-func (r *Reduced) ColumnNames() []string {
-	out := make([]string, len(r.Cols))
-	for i, c := range r.Cols {
-		out[i] = c.Name
-	}
-	return out
-}
-
 // Reversibilities returns the reversibility flags of the reduced columns.
 func (r *Reduced) Reversibilities() []bool {
 	out := make([]bool, len(r.Cols))
@@ -658,28 +648,6 @@ func cloneMembers(ms []Member) []Member {
 	out := make([]Member, len(ms))
 	for i, m := range ms {
 		out[i] = Member{Index: m.Index, Coef: new(big.Rat).Set(m.Coef)}
-	}
-	return out
-}
-
-// ExpandFloat maps a reduced float64 flux vector to the original space.
-func (r *Reduced) ExpandFloat(v []float64) []float64 {
-	if len(v) != len(r.Cols) {
-		panic(fmt.Sprintf("reduce: flux length %d != %d columns", len(v), len(r.Cols)))
-	}
-	out := make([]float64, len(r.Original.Reactions))
-	for j, c := range r.Cols {
-		if v[j] == 0 {
-			continue
-		}
-		members := c.Members
-		if v[j] < 0 && c.NegMembers != nil {
-			members = c.NegMembers
-		}
-		for _, m := range members {
-			f, _ := m.Coef.Float64()
-			out[m.Index] += f * v[j]
-		}
 	}
 	return out
 }

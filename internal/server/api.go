@@ -12,10 +12,13 @@ import (
 
 	"elmocomp"
 	"elmocomp/internal/jobs"
+	"elmocomp/internal/parallel"
 )
 
 // RunOptions is the JSON mirror of elmocomp.Config. Zero values mean
-// the library defaults; the field vocabulary matches the efmcalc flags.
+// the library defaults; the field vocabulary matches the efmcalc flags,
+// and efmcalc builds its Config through this struct too, so Config() is
+// the one place option strings and sizes from outside are checked.
 type RunOptions struct {
 	// Backend picks the enumeration family: "nullspace" (default, the
 	// double-description drivers selected by Algorithm), "revsearch"
@@ -31,9 +34,7 @@ type RunOptions struct {
 	Qsub           int      `json:"qsub,omitempty"`
 	Groups         int      `json:"groups,omitempty"`
 	Partition      []string `json:"partition,omitempty"`
-	Test           string   `json:"test,omitempty"` // rank | tree
 	Split          bool     `json:"split,omitempty"`
-	NoHybrid       bool     `json:"no_hybrid,omitempty"`
 	KeepDuplicates bool     `json:"keep_duplicates,omitempty"`
 	MaxModes       int      `json:"max_modes,omitempty"`
 	Tolerance      float64  `json:"tolerance,omitempty"`
@@ -55,8 +56,33 @@ type RunOptions struct {
 	MemBudgetBytes int64 `json:"mem_budget_bytes,omitempty"`
 }
 
-// Config translates the wire options into a library Config.
+// maxGroups and maxPartition bound the remaining request sizes that turn
+// into allocations: every local group builds its own node mesh, and a
+// partition of p reactions makes the scheduler prepare 2^p root classes.
+// The paper partitions by 3+1 reactions and the benchmark runs 2 groups.
+const (
+	maxGroups    = 64
+	maxPartition = 16
+)
+
+// Config translates the wire options into a library Config, refusing
+// unknown option strings and sizes no legitimate request needs.
 func (o RunOptions) Config() (elmocomp.Config, error) {
+	for _, lim := range []struct {
+		name   string
+		v, max int
+	}{
+		{"nodes", o.Nodes, parallel.MaxNodes},
+		{"workers", o.Workers, parallel.MaxWorkers},
+		{"groups", o.Groups, maxGroups},
+		{"nodes x groups", o.Nodes * o.Groups, parallel.MaxNodes},
+		{"qsub", o.Qsub, maxPartition},
+		{"partition length", len(o.Partition), maxPartition},
+	} {
+		if lim.v > lim.max {
+			return elmocomp.Config{}, fmt.Errorf("%s %d exceeds the limit of %d", lim.name, lim.v, lim.max)
+		}
+	}
 	cfg := elmocomp.Config{
 		Nodes:                  o.Nodes,
 		Workers:                o.Workers,
@@ -64,7 +90,6 @@ func (o RunOptions) Config() (elmocomp.Config, error) {
 		GroupConcurrency:       o.Groups,
 		Partition:              o.Partition,
 		SplitReversible:        o.Split,
-		DisableHybridPrefilter: o.NoHybrid,
 		KeepDuplicateReactions: o.KeepDuplicates,
 		MaxIntermediateModes:   o.MaxModes,
 		Tolerance:              o.Tolerance,
@@ -95,14 +120,6 @@ func (o RunOptions) Config() (elmocomp.Config, error) {
 		cfg.Algorithm = elmocomp.DivideAndConquer
 	default:
 		return cfg, fmt.Errorf("unknown algorithm %q (serial | parallel | dnc)", o.Algorithm)
-	}
-	switch strings.ToLower(o.Test) {
-	case "", "rank":
-		cfg.Test = elmocomp.RankTest
-	case "tree":
-		cfg.Test = elmocomp.CombinatorialTest
-	default:
-		return cfg, fmt.Errorf("unknown test %q (rank | tree)", o.Test)
 	}
 	return cfg, nil
 }

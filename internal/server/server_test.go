@@ -17,6 +17,7 @@ import (
 	"elmocomp"
 	"elmocomp/internal/cluster"
 	"elmocomp/internal/jobs"
+	"elmocomp/internal/parallel"
 )
 
 func newTestServer(t *testing.T, cfg jobs.Config) (*httptest.Server, *jobs.Manager) {
@@ -132,7 +133,6 @@ func TestEndToEndConcurrentJobs(t *testing.T) {
 	}{
 		{"serial", SubmitRequest{Model: "toy"}},
 		{"dnc", SubmitRequest{Model: "toy", Options: RunOptions{Algorithm: "dnc", Nodes: 2}}},
-		{"tree", SubmitRequest{Model: "toy", Options: RunOptions{Test: "tree"}}},
 		{"split", SubmitRequest{Model: "toy", Options: RunOptions{Split: true}}},
 	}
 
@@ -477,11 +477,27 @@ func TestSubmitValidationAndBackpressure(t *testing.T) {
 		{Model: "no-such-model"},            // unknown builtin
 		{Network: "not a network"},          // parse failure
 		{Model: "toy", Options: RunOptions{Algorithm: "quantum"}},
-		{Model: "toy", Options: RunOptions{Test: "vibes"}},
+		{Model: "toy", Options: RunOptions{Algorithm: "parallel", Nodes: 200000}},
 	}
 	for i, req := range bad {
 		if _, code := postJob(t, ts, req); code != http.StatusBadRequest {
 			t.Errorf("bad request %d: status %d, want 400", i, code)
+		}
+	}
+	// Options the API no longer has are unknown fields, not ignored ones:
+	// a client asking for the tree test must not silently get the rank test.
+	for _, body := range []string{
+		`{"model":"toy","options":{"test":"tree"}}`,
+		`{"model":"toy","options":{"no_hybrid":true}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
 		}
 	}
 
@@ -531,5 +547,36 @@ func TestSubmitValidationAndBackpressure(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz status %d", resp.StatusCode)
+	}
+}
+
+// TestRunOptionsLimits: every request size that becomes an allocation
+// count — node mesh links, worker workspaces, node groups, 2^partition
+// root classes — is refused by Config() before a job exists.
+func TestRunOptionsLimits(t *testing.T) {
+	names := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprint("R", i)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		opts RunOptions
+		ok   bool
+	}{
+		{"paper-scale", RunOptions{Algorithm: "dnc", Nodes: 256, Workers: 64, Groups: 2, Qsub: 4}, true},
+		{"at-the-limits", RunOptions{Nodes: parallel.MaxNodes, Workers: parallel.MaxWorkers, Groups: 1, Qsub: maxPartition, Partition: names(maxPartition)}, true},
+		{"nodes", RunOptions{Algorithm: "parallel", Nodes: 200000}, false},
+		{"workers", RunOptions{Workers: 50000000}, false},
+		{"groups", RunOptions{Algorithm: "dnc", Groups: maxGroups + 1}, false},
+		{"nodes-times-groups", RunOptions{Algorithm: "dnc", Nodes: parallel.MaxNodes, Groups: 2}, false},
+		{"qsub", RunOptions{Algorithm: "dnc", Qsub: 40}, false},
+		{"partition", RunOptions{Algorithm: "dnc", Partition: names(40)}, false},
+	} {
+		if _, err := tc.opts.Config(); (err == nil) != tc.ok {
+			t.Errorf("%s: Config() error = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }

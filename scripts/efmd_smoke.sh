@@ -76,6 +76,22 @@ RUNS_AFTER=$(curl -fsS "$BASE/varz" | jq -r .counters.runs_started)
 [ "$(curl -fsS "$BASE/varz" | jq -r .counters.cache_hits)" = 1 ] || fail "cache_hits counter != 1"
 echo "   served from cache (runs_started stayed $RUNS_AFTER; execution-shape options did not fork the key)"
 
+echo "== removed and oversized options answer 400, and the daemon keeps serving"
+status_of() { curl -sS -o /dev/null -w '%{http_code}' --max-time 1 "$BASE/v1/jobs" -d "$1"; }
+# The second elementarity test and the prefilter switch are gone from the
+# API: a client naming them must hear so, not silently get the rank test.
+for BODY in '{"model":"toy","options":{"test":"tree"}}' '{"model":"toy","options":{"no_hybrid":true}}'; do
+  CODE=$(status_of "$BODY") || fail "no answer within a second to $BODY"
+  [ "$CODE" = 400 ] || fail "$BODY answered $CODE, want 400 (unknown field)"
+done
+# nodes used to go straight into an allocation size (200000^2 channels).
+CODE=$(status_of '{"model":"toy","options":{"algorithm":"parallel","nodes":200000}}') \
+  || fail "oversized nodes request not answered within a second"
+[ "$CODE" = 400 ] || fail "nodes=200000 answered $CODE, want 400"
+NEXT=$(curl -fsS "$BASE/v1/jobs" -d '{"model":"toy"}')
+[ "$(echo "$NEXT" | jq -r .fingerprint)" = "$REF_FP" ] || fail "daemon did not serve the next toy job: $NEXT"
+echo "   test=tree, no_hybrid and nodes=200000 refused; next toy job served"
+
 echo "== cancel a job"
 CID=$(curl -fsS "$BASE/v1/jobs" -d '{"model":"toy","options":{"tolerance":1e-8}}' | jq -r .id)
 curl -fsS -X DELETE "$BASE/v1/jobs/$CID" >/dev/null

@@ -14,6 +14,7 @@ import (
 	"elmocomp/internal/core"
 	"elmocomp/internal/distrib"
 	"elmocomp/internal/dnc"
+	"elmocomp/internal/parallel"
 	"elmocomp/internal/reduce"
 )
 
@@ -62,22 +63,14 @@ func ComputeEFMsDistributed(n *Network, cfg Config, cancel <-chan struct{}, pool
 	if cfg.Algorithm != DivideAndConquer {
 		return nil, fmt.Errorf("elmocomp: distributed runs require Algorithm == DivideAndConquer")
 	}
-	spec := distrib.JobSpec{
-		Key:            RequestKey(n, cfg),
-		Network:        n.Canonical(),
-		KeepDuplicates: cfg.KeepDuplicateReactions,
-		Tol:            cfg.Tolerance,
-		MaxModes:       cfg.MaxIntermediateModes,
-		Workers:        cfg.Workers,
-		Nodes:          cfg.Nodes,
-		Tree:           cfg.Test == CombinatorialTest,
-		NoHybrid:       cfg.DisableHybridPrefilter,
-		MemBudget:      cfg.MemBudgetBytes,
-		CommTimeoutSec: cfg.CommTimeout.Seconds(),
-	}
-	return computeEFMs(n, cfg, cancel, func(q int) dnc.RemoteExecutor {
-		spec.Q = q
-		return pool.Bind(spec)
+	return computeEFMs(n, cfg, cancel, func(q int, popts parallel.Options) dnc.RemoteExecutor {
+		return pool.Bind(distrib.JobSpec{
+			Key:            RequestKey(n, cfg),
+			Network:        n.Canonical(),
+			Q:              q,
+			KeepDuplicates: cfg.KeepDuplicateReactions,
+			Exec:           popts,
+		})
 	})
 }
 
@@ -98,10 +91,10 @@ func (n *Network) Canonical() string { return n.inner.String() }
 // coalescer can key on it.
 //
 // Execution-shape options that are proven result-neutral — Workers,
-// Nodes, GroupConcurrency, OverTCP, CommTimeout, DisableHybridPrefilter,
-// MemBudgetBytes, SpillDir, Progress — are excluded: a 1-worker serial
-// run and an 8-node cluster run of the same request share one key (the
-// differential harness enforces exactly this fingerprint equality). When
+// Nodes, GroupConcurrency, OverTCP, CommTimeout, MemBudgetBytes,
+// SpillDir, Progress — are excluded: a 1-worker serial run and an 8-node
+// cluster run of the same request share one key (the differential
+// harness enforces exactly this fingerprint equality). When
 // MaxIntermediateModes is 0 the algorithm choice itself is
 // result-neutral too (every driver enumerates the full set) and
 // Algorithm, Qsub and Partition are likewise normalized away; with a
@@ -124,7 +117,7 @@ func (n *Network) Canonical() string { return n.inner.String() }
 // the one place Backend leaks into the key.
 func RequestKey(n *Network, cfg Config) string {
 	h := sha256.New()
-	io.WriteString(h, "elmocomp/request-key/v1\n")
+	io.WriteString(h, "elmocomp/request-key/v2\n")
 	canon := n.Canonical()
 	fmt.Fprintf(h, "network %d\n", len(canon))
 	io.WriteString(h, canon)
@@ -143,10 +136,9 @@ func RequestKey(n *Network, cfg Config) string {
 	if tol == 0 {
 		tol = 1e-9 // the documented default zero tolerance
 	}
-	split := cfg.SplitReversible || cfg.Test == CombinatorialTest
-	fmt.Fprintf(h, "\nalg=%d qsub=%d partition=%q test=%d split=%v tol=%g maxmodes=%d keepdup=%v noroworder=%v norevlast=%v\n",
-		alg, qsub, partition, cfg.Test, split, tol, cfg.MaxIntermediateModes,
-		cfg.KeepDuplicateReactions, cfg.DisableRowOrdering, cfg.DisableReversibleLast)
+	fmt.Fprintf(h, "\nalg=%d qsub=%d partition=%q split=%v tol=%g maxmodes=%d keepdup=%v\n",
+		alg, qsub, partition, cfg.SplitReversible, tol, cfg.MaxIntermediateModes,
+		cfg.KeepDuplicateReactions)
 	if cfg.Backend == OnDemandBackend && cfg.MaxModes > 0 {
 		fmt.Fprintf(h, "ondemand k=%d objective=%s\n", cfg.MaxModes, canonicalObjective(cfg.Objective))
 	}

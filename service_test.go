@@ -2,7 +2,10 @@ package elmocomp
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -15,13 +18,22 @@ func TestRequestKeyCoalescesExecutionShape(t *testing.T) {
 	if len(base) != 64 {
 		t.Fatalf("key length %d, want 64 hex chars", len(base))
 	}
+	// The key's field list changed (the test= / noroworder= / norevlast=
+	// terms are gone), so every key value did: the domain string is what
+	// keeps a v1 key from ever being compared with a v2 one.
+	h := sha256.New()
+	canon := net.Canonical()
+	fmt.Fprintf(h, "elmocomp/request-key/v2\nnetwork %d\n%s", len(canon), canon)
+	fmt.Fprintf(h, "\nalg=0 qsub=0 partition=\"\" split=false tol=1e-09 maxmodes=0 keepdup=false\n")
+	if want := hex.EncodeToString(h.Sum(nil)); base != want {
+		t.Fatalf("default-config key %s is not the v2 derivation %s", base, want)
+	}
 	// Execution-shape knobs must not fork the key.
 	same := []Config{
 		{Workers: 8},
 		{Algorithm: Parallel, Nodes: 4},
 		{Algorithm: DivideAndConquer, Qsub: 3, GroupConcurrency: 2},
 		{OverTCP: true, CommTimeout: 1e9},
-		{DisableHybridPrefilter: true},
 	}
 	for i, cfg := range same {
 		if got := RequestKey(net, cfg); got != base {
@@ -32,10 +44,8 @@ func TestRequestKeyCoalescesExecutionShape(t *testing.T) {
 	diff := []Config{
 		{Tolerance: 1e-6},
 		{KeepDuplicateReactions: true},
-		{Test: CombinatorialTest},
 		{SplitReversible: true},
 		{MaxIntermediateModes: 10},
-		{DisableRowOrdering: true},
 	}
 	seen := map[string]int{base: -1}
 	for i, cfg := range diff {
