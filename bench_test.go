@@ -84,8 +84,8 @@ func BenchmarkFig2Toy(b *testing.B) {
 func benchmarkTable2(b *testing.B, nodes int) {
 	res := runBench(b, mustBenchNet(b), Config{Algorithm: Parallel, Nodes: nodes})
 	b.ReportMetric(float64(res.CommBytes), "commBytes")
-	b.ReportMetric(res.Phases.GenerateCandidates, "genSec")
-	b.ReportMetric(res.Phases.RankTests, "rankSec")
+	b.ReportMetric(res.Phases.GenCand, "genSec")
+	b.ReportMetric(res.Phases.RankTest, "rankSec")
 	b.ReportMetric(res.Phases.Communicate, "commSec")
 	b.ReportMetric(res.Phases.Merge, "mergeSec")
 }

@@ -194,8 +194,8 @@ func expTable2(cfg benchConfig) error {
 		}
 		tb.AddRow(row...)
 	}
-	addPhase("gen cand (s)", func(c col) string { return stats.Seconds(c.res.Phases.GenerateCandidates) })
-	addPhase("rank test (s)", func(c col) string { return stats.Seconds(c.res.Phases.RankTests) })
+	addPhase("gen cand (s)", func(c col) string { return stats.Seconds(c.res.Phases.GenCand) })
+	addPhase("rank test (s)", func(c col) string { return stats.Seconds(c.res.Phases.RankTest) })
 	addPhase("communicate (s)", func(c col) string { return stats.Seconds(c.res.Phases.Communicate) })
 	addPhase("merge (s)", func(c col) string { return stats.Seconds(c.res.Phases.Merge) })
 	addPhase("total wall (s)", func(c col) string { return stats.Seconds(c.elapsed) })
@@ -260,7 +260,7 @@ func expTable3(cfg benchConfig) error {
 		"class", "EFMs", "candidates", "gen(s)", "rank(s)", "comm(s)", "merge(s)")
 	for _, s := range res.Subproblems {
 		tb.AddRow(s.Pattern, stats.Count(int64(s.EFMs)), stats.Count(s.CandidateModes),
-			s.Seconds.GenerateCandidates, s.Seconds.RankTests,
+			s.Seconds.GenCand, s.Seconds.RankTest,
 			s.Seconds.Communicate, s.Seconds.Merge)
 	}
 	tb.AddNote("total: %s EFMs, %s candidates, %.1fs wall",

@@ -152,7 +152,7 @@ func main() {
 			}
 			fmt.Printf("on-demand stream: %d modes (%s), first after %.3fs, %s bases, %s pivots (%s phase 1)\n",
 				od.Emitted, state, od.FirstModeSeconds,
-				stats.Count(od.Bases), stats.Count(od.LPPivots), stats.Count(od.Phase1Pivots))
+				stats.Count(od.Bases), stats.Count(od.Pivots), stats.Count(od.Phase1Pivots))
 		}
 		fmt.Printf("peak per-node mode matrix: %s\n", stats.Bytes(res.PeakNodeBytes))
 		if res.Scheduler != nil {
@@ -164,8 +164,8 @@ func main() {
 				res.Store.Compressions, res.Store.Spills,
 				stats.Bytes(res.Store.SpillBytes), stats.Bytes(res.Store.PeakHeldBytes))
 		}
-		if res.MemResplits > 0 {
-			fmt.Printf("memory re-splits: %d\n", res.MemResplits)
+		if s := res.Scheduler; s != nil && s.MemResplits > 0 {
+			fmt.Printf("memory re-splits: %d\n", s.MemResplits)
 		}
 		if res.CommBytes > 0 {
 			fmt.Printf("communication: %s payload (%s on the wire) in %s messages\n",
@@ -257,7 +257,7 @@ func printStats(res *elmocomp.Result) {
 				note = "re-split"
 			}
 			tb.AddRow(s.Pattern, stats.Count(int64(s.EFMs)), stats.Count(s.CandidateModes),
-				s.Seconds.GenerateCandidates, s.Seconds.RankTests,
+				s.Seconds.GenCand, s.Seconds.RankTest,
 				s.Seconds.Communicate, s.Seconds.Merge, note)
 		}
 		tb.Render(os.Stdout)
@@ -268,7 +268,7 @@ func printStats(res *elmocomp.Result) {
 	}
 	p := res.Phases
 	fmt.Printf("phases: gen=%s rank=%s comm=%s merge=%s\n",
-		stats.Seconds(p.GenerateCandidates), stats.Seconds(p.RankTests),
+		stats.Seconds(p.GenCand), stats.Seconds(p.RankTest),
 		stats.Seconds(p.Communicate), stats.Seconds(p.Merge))
 }
 

@@ -282,18 +282,8 @@ type IterationStat struct {
 }
 
 // PhaseSeconds is the per-phase timing of a distributed run (Table II's
-// row structure).
-type PhaseSeconds struct {
-	GenerateCandidates float64
-	RankTests          float64
-	Communicate        float64
-	Merge              float64
-}
-
-// Total sums the phases.
-func (p PhaseSeconds) Total() float64 {
-	return p.GenerateCandidates + p.RankTests + p.Communicate + p.Merge
-}
+// row structure), as the parallel driver measures it.
+type PhaseSeconds = parallel.PhaseTimes
 
 // SubproblemStat describes one divide-and-conquer class.
 type SubproblemStat struct {
@@ -313,60 +303,17 @@ type SubproblemStat struct {
 	Seconds    PhaseSeconds
 }
 
-// SchedulerStats summarizes the class queue of a divide-and-conquer
-// run. Counter totals are deterministic for a given problem and budget;
-// the queue/active peaks are scheduling diagnostics.
-type SchedulerStats struct {
-	// Enqueued counts work items pushed onto the class queue (initial
-	// classes plus two per re-split); Steals counts items pulled by a
-	// node group; Resplits counts budget overflows converted into new
-	// queue items; MemResplits is the subset of Resplits triggered by
-	// the memory budget rather than the mode count; Unresolved counts
-	// classes abandoned at the re-split depth limit.
-	Enqueued, Steals, Resplits, MemResplits, Unresolved int64
-	// RemoteClasses counts classes completed on remote workers
-	// (ComputeEFMsDistributed runs; 0 otherwise); RemoteSteals is the
-	// subset a worker pulled against its cache affinity; RemoteRequeues
-	// counts classes re-enqueued after a worker was lost mid-class;
-	// RemoteTimeouts is the subset of those losses declared by the
-	// per-class deadline rather than a severed connection.
-	RemoteClasses, RemoteSteals, RemoteRequeues, RemoteTimeouts int64
-	// MaxQueueDepth and MaxActive are the observed queue-length and
-	// concurrently-enumerating-group peaks.
-	MaxQueueDepth, MaxActive int
-}
+// SchedulerStats holds the counters of a divide-and-conquer run's class
+// queue, as the scheduler keeps them. Counter totals are deterministic
+// for a given problem and budget; the queue/active peaks and the order
+// of Classes are scheduling diagnostics.
+type SchedulerStats = dnc.SchedStats
 
-// StoreStats summarizes the between-rounds mode store's tier activity
-// (Config.MemBudgetBytes; all zero when the store was bypassed).
-// Counters are deterministic for a given problem and configuration, and
-// sum over nodes and subproblems.
-type StoreStats struct {
-	// Compressions and Spills count the iteration rounds whose surviving
-	// set was held delta-compressed in RAM, respectively written to disk.
-	Compressions, Spills int64
-	// SpillBytes totals the encoded bytes written to spill files.
-	SpillBytes int64
-	// FlatBytes totals what an unbudgeted run would have kept resident
-	// between rounds; HeldBytes what actually stayed resident. Their
-	// ratio is the realized compression factor.
-	FlatBytes, HeldBytes int64
-	// PeakHeldBytes is the largest single between-rounds footprint.
-	PeakHeldBytes int64
-}
-
-// Engaged reports whether any round left the flat tier.
-func (s StoreStats) Engaged() bool { return s.Compressions > 0 || s.Spills > 0 }
-
-func storeStats(s core.StoreStats) StoreStats {
-	return StoreStats{
-		Compressions:  s.Compressions,
-		Spills:        s.Spills,
-		SpillBytes:    s.SpillBytes,
-		FlatBytes:     s.FlatBytes,
-		HeldBytes:     s.HeldBytes,
-		PeakHeldBytes: s.PeakHeldBytes,
-	}
-}
+// StoreStats holds the between-rounds mode store's tier activity
+// (Config.MemBudgetBytes; all zero when the store was bypassed), as the
+// engine keeps it. Counters are deterministic for a given problem and
+// configuration, and sum over nodes and subproblems.
+type StoreStats = core.StoreStats
 
 // Result holds the computed elementary flux modes and the run's
 // statistics. Supports are stored compactly; accessors expand on demand.
@@ -392,25 +339,24 @@ type Result struct {
 	// PeakNodeBytes is the largest mode-matrix payload held by any
 	// single node at any time.
 	PeakNodeBytes int64
-	// Scheduler holds the divide-and-conquer class queue's counters
-	// (nil for every other algorithm and backend).
+	// Scheduler is the divide-and-conquer scheduler's own counter struct
+	// (nil for every other algorithm and backend); its MemResplits is
+	// the count of re-splits the memory budget triggered.
 	Scheduler *SchedulerStats
 	// PeakConcurrentBytes is the largest mode-matrix payload resident
 	// across all concurrently enumerating local node groups at any
 	// instant (DivideAndConquer only; 0 otherwise).
 	PeakConcurrentBytes int64
-	// Store summarizes the between-rounds store's compression and spill
-	// activity (zero when Config.MemBudgetBytes was unset).
+	// Store is the engine's between-rounds store counters, summed over
+	// nodes and subproblems (zero when Config.MemBudgetBytes was unset).
 	Store StoreStats
-	// MemResplits counts divide-and-conquer re-splits triggered by the
-	// memory budget.
-	MemResplits int
-	// RevSearch holds the reverse-search backend's counters
+	// RevSearch is the reverse-search run's own counter struct
 	// (Config.Backend == ReverseSearchBackend only; nil otherwise).
 	RevSearch *RevSearchStats
-	// OnDemand holds the on-demand backend's counters (Config.Backend
-	// == OnDemandBackend only; nil otherwise). When set, the Result's
-	// supports are in EMISSION (rank) order, not canonical order.
+	// OnDemand is the on-demand generator's own counter struct plus the
+	// emitted objective values (Config.Backend == OnDemandBackend only;
+	// nil otherwise). When set, the Result's supports are in EMISSION
+	// (rank) order, not canonical order.
 	OnDemand *OnDemandStats
 }
 
@@ -427,53 +373,21 @@ type ModeEvent struct {
 	Value string
 }
 
-// OnDemandStats summarizes an on-demand backend run.
+// OnDemandStats is the on-demand generator's counters (Bases is
+// mirrored into Result.CandidateModes) plus what only this layer knows.
 type OnDemandStats struct {
-	// Emitted counts streamed modes; Exhausted reports that the stream
-	// covered the complete EFM set (MaxModes unreached).
-	Emitted   int
-	Exhausted bool
-	// FirstModeSeconds is the latency from run start to the first
-	// streamed mode — the interactive tier's headline metric.
-	FirstModeSeconds float64
-	// LPPivots counts every exact simplex pivot across the root solve
-	// and per-basis rebuilds; Phase1Pivots the feasibility subset.
-	LPPivots, Phase1Pivots int64
-	// Bases counts visited simplex bases (mirrored into
-	// Result.CandidateModes); Enqueued pushed frontier nodes;
-	// PeakFrontier the largest in-memory frontier.
-	Bases, Enqueued int64
-	PeakFrontier    int
-	// Duplicates, FutileSkips and VerifyRejects count vertices dropped
-	// before emission (already-streamed supports, split two-cycles,
-	// elementarity-check failures).
-	Duplicates, FutileSkips, VerifyRejects int64
+	ondemand.Stats
 	// Values holds the exact objective value of each emitted mode in
-	// stream order, as rational strings.
-	Values []string
+	// stream order, as rational strings. Per-mode like the supports, so
+	// not part of the JSON summary.
+	Values []string `json:"-"`
 }
 
-// RevSearchStats summarizes a reverse-search backend run. Bases,
-// Vertices and MaxDepth are deterministic for a given network; Jobs is
-// deterministic for a given subtree budget.
-type RevSearchStats struct {
-	// Bases counts visited reverse-search tree nodes (lex-feasible
-	// simplex dictionaries) — the backend's candidate-cost analogue,
-	// mirrored into Result.CandidateModes.
-	Bases int64
-	// Vertices counts distinct polytope vertices (EFM supports before
-	// canonical split folding).
-	Vertices int64
-	// Pivots counts exact tableau pivots, including trial child-test
-	// pivots and their inverses.
-	Pivots int64
-	// Phase1Pivots and RootPivots count the startup simplex work.
-	Phase1Pivots, RootPivots int64
-	// Jobs counts scheduled restartable subtree jobs; MaxDepth is the
-	// deepest tree level.
-	Jobs     int64
-	MaxDepth int
-}
+// RevSearchStats holds a reverse-search run's counters, as the backend
+// keeps them (Bases is mirrored into Result.CandidateModes, PeakBytes
+// into PeakNodeBytes). Bases, Vertices and MaxDepth are deterministic
+// for a given network; Jobs for a given subtree budget.
+type RevSearchStats = revsearch.Stats
 
 // Fingerprint folds the result's canonical support list into a 64-bit
 // hash that is comparable ACROSS drivers AND backends: serial, parallel,
@@ -786,17 +700,10 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 			return nil, err
 		}
 		res.supports = core.CanonicalSupports(run.CoreResult())
-		res.CandidateModes = run.Stats.Bases
-		res.PeakNodeBytes = run.Stats.PeakBytes
-		res.RevSearch = &RevSearchStats{
-			Bases:        run.Stats.Bases,
-			Vertices:     run.Stats.Vertices,
-			Pivots:       run.Stats.Pivots,
-			Phase1Pivots: run.Stats.Phase1Pivots,
-			RootPivots:   run.Stats.RootPivots,
-			Jobs:         run.Stats.Jobs,
-			MaxDepth:     run.Stats.MaxDepth,
-		}
+		st := run.Stats // a copy: &run.Stats would pin the run's mode set
+		res.CandidateModes = st.Bases
+		res.PeakNodeBytes = st.PeakBytes
+		res.RevSearch = &st
 		return res, nil
 	} else if cfg.Backend == OnDemandBackend {
 		if cfg.MaxIntermediateModes != 0 {
@@ -850,21 +757,7 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 			return nil, err
 		}
 		res.CandidateModes = st.Bases
-		ods := &OnDemandStats{
-			Emitted:          st.Emitted,
-			Exhausted:        st.Exhausted,
-			FirstModeSeconds: st.FirstModeSeconds,
-			LPPivots:         st.Pivots,
-			Phase1Pivots:     st.Phase1Pivots,
-			Bases:            st.Bases,
-			Enqueued:         st.Enqueued,
-			PeakFrontier:     st.PeakFrontier,
-			Duplicates:       st.Duplicates,
-			FutileSkips:      st.FutileSkips,
-			VerifyRejects:    st.VerifyRejects,
-			Values:           values,
-		}
-		res.OnDemand = ods
+		res.OnDemand = &OnDemandStats{Stats: st, Values: values}
 		return res, nil
 	} else if cfg.Backend != NullspaceBackend {
 		return nil, fmt.Errorf("elmocomp: unknown backend %d", cfg.Backend)
@@ -883,7 +776,7 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 		res.supports = core.CanonicalSupports(run)
 		res.CandidateModes = run.TotalPairs()
 		res.PeakNodeBytes = run.PeakBytes()
-		res.Store = storeStats(run.Store)
+		res.Store = run.Store
 		res.Iterations = iterStats(run.Stats, red, p)
 		res.Phases = phasesFromStats(run.Stats)
 	case Parallel:
@@ -902,13 +795,12 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 		res.supports = core.CanonicalSupports(run.Result)
 		res.CandidateModes = run.TotalPairs()
 		res.PeakNodeBytes = run.PeakNodeBytes
-		res.Store = storeStats(run.Result.Store)
+		res.Store = run.Result.Store
 		res.CommBytes = run.Comm.Bytes
 		res.CommWireBytes = run.Comm.WireBytes
 		res.CommMessages = run.Comm.Messages
 		res.Iterations = iterStats(run.Stats, red, p)
-		mp := run.MaxPhases()
-		res.Phases = PhaseSeconds{mp.GenCand, mp.RankTest, mp.Communicate, mp.Merge}
+		res.Phases = run.MaxPhases()
 	case DivideAndConquer:
 		dopts := dnc.Options{
 			Parallel:         parallel.Options{Core: copts, Nodes: cfg.Nodes, Timeout: cfg.CommTimeout, Cancel: cancel},
@@ -944,25 +836,12 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 		res.CandidateModes = run.TotalPairs()
 		res.PeakNodeBytes = run.PeakNodeBytes()
 		res.PeakConcurrentBytes = run.PeakConcurrentBytes
-		res.Store = storeStats(run.Store())
-		res.MemResplits = run.MemResplits()
-		res.Scheduler = &SchedulerStats{
-			Enqueued:       run.Sched.Enqueued,
-			Steals:         run.Sched.Steals,
-			Resplits:       run.Sched.Resplits,
-			MemResplits:    run.Sched.MemResplits,
-			Unresolved:     run.Sched.Unresolved,
-			RemoteClasses:  run.Sched.RemoteClasses,
-			RemoteSteals:   run.Sched.RemoteSteals,
-			RemoteRequeues: run.Sched.RemoteRequeues,
-			RemoteTimeouts: run.Sched.RemoteTimeouts,
-			MaxQueueDepth:  run.Sched.MaxQueueDepth,
-			MaxActive:      run.Sched.MaxActive,
-		}
+		res.Store = run.Store()
+		res.Scheduler = run.Sched
 		res.Subproblems = subStats(run, red)
 		for _, s := range res.Subproblems {
-			res.Phases.GenerateCandidates += s.Seconds.GenerateCandidates
-			res.Phases.RankTests += s.Seconds.RankTests
+			res.Phases.GenCand += s.Seconds.GenCand
+			res.Phases.RankTest += s.Seconds.RankTest
 			res.Phases.Communicate += s.Seconds.Communicate
 			res.Phases.Merge += s.Seconds.Merge
 		}
@@ -996,8 +875,8 @@ func iterStats(stats []core.IterStats, red *reduce.Reduced, p *nullspace.Problem
 func phasesFromStats(stats []core.IterStats) PhaseSeconds {
 	var p PhaseSeconds
 	for _, s := range stats {
-		p.GenerateCandidates += s.GenSeconds
-		p.RankTests += s.TestSeconds
+		p.GenCand += s.GenSeconds
+		p.RankTest += s.TestSeconds
 		p.Merge += s.MergeSeconds
 	}
 	return p
@@ -1026,10 +905,7 @@ func subStats(run *dnc.Result, red *reduce.Reduced) []SubproblemStat {
 			ReSplit:        len(s.Children) > 0,
 			MemReSplit:     s.MemResplit,
 			Unresolved:     s.Unresolved,
-			Seconds: PhaseSeconds{
-				s.Phases.GenCand, s.Phases.RankTest,
-				s.Phases.Communicate, s.Phases.Merge,
-			},
+			Seconds:        s.Phases,
 		})
 	})
 	return out

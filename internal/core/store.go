@@ -52,21 +52,21 @@ var ErrMemBudget = fmt.Errorf("%w (resident bytes over the memory budget)", ErrB
 type StoreStats struct {
 	// Compressions counts rounds whose surviving set was held
 	// delta-encoded in RAM.
-	Compressions int64
+	Compressions int64 `json:"compressions"`
 	// Spills counts rounds whose surviving set was written to disk.
-	Spills int64
+	Spills int64 `json:"spills"`
 	// SpillBytes totals the encoded bytes written to spill files.
-	SpillBytes int64
+	SpillBytes int64 `json:"spill_bytes"`
 	// FlatBytes totals the flat payload bytes offered to the store —
 	// what an unbudgeted run would have kept resident between rounds.
-	FlatBytes int64
+	FlatBytes int64 `json:"flat_bytes"`
 	// HeldBytes totals the bytes actually kept resident between rounds
 	// (encoded size for compressed rounds, ~0 for spilled rounds).
 	// FlatBytes/HeldBytes is the realized compression ratio.
-	HeldBytes int64
+	HeldBytes int64 `json:"held_bytes"`
 	// PeakHeldBytes is the largest single between-rounds resident
 	// footprint.
-	PeakHeldBytes int64
+	PeakHeldBytes int64 `json:"peak_held_bytes"`
 }
 
 // Add folds another store's counters into s (driver aggregation).

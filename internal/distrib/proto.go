@@ -58,12 +58,6 @@ const protoVersion = 3
 // it speaks the protocol at all.
 const helloMaxFrame = 1 << 16
 
-// maxCommTimeout bounds the collective deadline a class frame may carry.
-// It travels as float64 seconds; below a day the conversion to and from
-// time.Duration is exact to the nanosecond, and a longer deadline on one
-// class's collectives is no deadline at all.
-const maxCommTimeout = 24 * time.Hour
-
 // hello is the frame each side sends once when a connection opens: the
 // coordinator first, then the worker. Error is set only by a worker
 // refusing the connection.
@@ -350,7 +344,7 @@ func (r *wireReader) readSpec() (o parallel.Options) {
 		r.fail("class asks for %d nodes, limit %d", o.Nodes, parallel.MaxNodes)
 	case o.Core.Workers > parallel.MaxWorkers:
 		r.fail("class asks for %d workers, limit %d", o.Core.Workers, parallel.MaxWorkers)
-	case !(sec >= 0 && sec <= maxCommTimeout.Seconds()): // also refuses NaN
+	case !(sec >= 0 && sec <= parallel.MaxCommTimeout.Seconds()): // also refuses NaN
 		r.fail("class carries a %g-second collective deadline", sec)
 	}
 	o.Timeout = time.Duration(math.Round(sec * float64(time.Second)))

@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -82,23 +83,41 @@ func TestClassCodecRoundTrip(t *testing.T) {
 
 // TestClassSpecLimits: the spec block's node and worker counts become
 // allocation sizes on the worker and its deadline a Duration, so a frame
-// naming more than any coordinator sends is refused at the codec.
+// naming more than any coordinator sends is refused at the codec — and
+// everything server.RunOptions.Config() admits (its TestRunOptionsLimits
+// names the same constants: zero values, and every field at its upper
+// limit) decodes to the options it was encoded from, so no admitted
+// request can make a worker drop its link over the class frame.
 func TestClassSpecLimits(t *testing.T) {
-	for name, mutate := range map[string]func(*parallel.Options){
-		"nodes":        func(o *parallel.Options) { o.Nodes = parallel.MaxNodes + 1 },
-		"workers":      func(o *parallel.Options) { o.Core.Workers = parallel.MaxWorkers + 1 },
-		"timeout":      func(o *parallel.Options) { o.Timeout = maxCommTimeout + time.Second },
-		"neg-timeout":  func(o *parallel.Options) { o.Timeout = -time.Second },
-		"at-the-limit": nil,
+	atLimit := parallel.Options{
+		Core:    core.Options{Tol: 1e-9, MaxModes: math.MaxInt32, Workers: parallel.MaxWorkers, MemBudget: math.MaxInt64},
+		Nodes:   parallel.MaxNodes,
+		Timeout: parallel.MaxCommTimeout,
+	}
+	for name, tc := range map[string]struct {
+		mutate func(*parallel.Options)
+		ok     bool
+	}{
+		"zero":         {func(o *parallel.Options) { *o = parallel.Options{} }, true},
+		"at-the-limit": {func(*parallel.Options) {}, true},
+		"sub-second":   {func(o *parallel.Options) { o.Timeout = 1500 * time.Microsecond }, true},
+		"nodes":        {func(o *parallel.Options) { o.Nodes++ }, false},
+		"workers":      {func(o *parallel.Options) { o.Core.Workers++ }, false},
+		"max-modes":    {func(o *parallel.Options) { o.Core.MaxModes++ }, false},
+		"timeout":      {func(o *parallel.Options) { o.Timeout += time.Second }, false},
+		"neg-timeout":  {func(o *parallel.Options) { o.Timeout = -time.Second }, false},
+		"neg-workers":  {func(o *parallel.Options) { o.Core.Workers = -1 }, false},
+		"neg-nodes":    {func(o *parallel.Options) { o.Nodes = -1 }, false},
 	} {
 		req := fullClass
-		req.Exec.Nodes, req.Exec.Core.Workers, req.Exec.Timeout = parallel.MaxNodes, parallel.MaxWorkers, maxCommTimeout
-		if mutate != nil {
-			mutate(&req.Exec)
+		req.Exec = atLimit
+		tc.mutate(&req.Exec)
+		got, _, err := decodeClass(encodeClass(&req, true))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: decodeClass error = %v, want ok=%v", name, err, tc.ok)
 		}
-		_, _, err := decodeClass(encodeClass(&req, true))
-		if (err == nil) != (mutate == nil) {
-			t.Errorf("%s: decodeClass error = %v", name, err)
+		if tc.ok && !reflect.DeepEqual(got.Exec, req.Exec) {
+			t.Errorf("%s: spec round trip mangled:\n got %+v\nwant %+v", name, got.Exec, req.Exec)
 		}
 	}
 }

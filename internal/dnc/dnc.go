@@ -30,7 +30,6 @@ import (
 	"elmocomp/internal/nullspace"
 	"elmocomp/internal/parallel"
 	"elmocomp/internal/ratmat"
-	"elmocomp/internal/stats"
 )
 
 // Options configure a divide-and-conquer run.
@@ -141,7 +140,7 @@ type Result struct {
 	// Sched holds the driver's queue counters. Counter totals are
 	// deterministic; queue-depth/active peaks and class completion order
 	// are scheduling diagnostics.
-	Sched *stats.SchedStats
+	Sched *SchedStats
 	// PeakConcurrentBytes is the largest mode-set payload resident
 	// across ALL concurrently enumerating local node groups at any
 	// instant (classes run on remote workers are not counted). Together
@@ -203,18 +202,6 @@ func (r *Result) Store() core.StoreStats {
 	var t core.StoreStats
 	r.Walk(func(s *Subproblem) { t.Add(s.Store) })
 	return t
-}
-
-// MemResplits counts the re-splits triggered by the memory budget (the
-// tree's view of Sched.MemResplits).
-func (r *Result) MemResplits() int {
-	n := 0
-	r.Walk(func(s *Subproblem) {
-		if s.MemResplit {
-			n++
-		}
-	})
-	return n
 }
 
 // Run executes Algorithm 3 on a reduced stoichiometry (full row rank)

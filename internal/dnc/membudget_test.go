@@ -33,7 +33,13 @@ func TestMemBudgetResplit(t *testing.T) {
 		if st := res.Store(); st.Spills == 0 {
 			t.Fatalf("groups=%d: depth-limit classes never spilled: %+v", groups, st)
 		}
-		if n := res.MemResplits(); n == 0 || int64(n) != res.Sched.MemResplits {
+		var n int64 // the tree's view of the scheduler's counter
+		res.Walk(func(s *Subproblem) {
+			if s.MemResplit {
+				n++
+			}
+		})
+		if n == 0 || n != res.Sched.MemResplits {
 			t.Fatalf("groups=%d: %d memory re-splits in the tree, %d counted by the scheduler (want equal, > 0)",
 				groups, n, res.Sched.MemResplits)
 		}

@@ -35,8 +35,70 @@ import (
 	"elmocomp/internal/cluster"
 	"elmocomp/internal/core"
 	"elmocomp/internal/ratmat"
-	"elmocomp/internal/stats"
 )
+
+// SchedClass is one completed work unit of the scheduler: a
+// zero/non-zero class (or a re-split child) with its measured wall time.
+type SchedClass struct {
+	// Label is the zero-padded non-zero-flux bit pattern over the class's
+	// partition, e.g. "011".
+	Label string `json:"label"`
+	// Depth is the re-split depth (0 for the initial classes).
+	Depth int `json:"depth"`
+	// Seconds is the class's enumeration wall time on its group or worker.
+	Seconds float64 `json:"seconds"`
+	// Pairs is the class's candidate-mode count.
+	Pairs int64 `json:"pairs"`
+	// EFMs is the class's elementary-mode count.
+	EFMs int `json:"efms"`
+}
+
+// SchedStats holds the counters of one scheduler run. Counter totals are
+// deterministic for a given problem and budget (the same classes are
+// enqueued, stolen and re-split at every concurrency level);
+// MaxQueueDepth, MaxActive and the order of Classes depend on scheduling
+// and are diagnostics, not part of the byte-identical result contract.
+type SchedStats struct {
+	// Enqueued counts work items pushed onto the queue: the initial
+	// 2^qsub classes plus two per re-split.
+	Enqueued int64 `json:"enqueued"`
+	// Steals counts items pulled off the queue by a node group or a
+	// remote dispatcher.
+	Steals int64 `json:"steals"`
+	// Resplits counts budget overflows converted into new queue items.
+	Resplits int64 `json:"resplits"`
+	// MemResplits counts the subset of Resplits triggered by the memory
+	// budget (a flat mode set too large for core.Options.MemBudget)
+	// rather than the intermediate mode-count budget.
+	MemResplits int64 `json:"mem_resplits"`
+	// Unresolved counts classes abandoned at the re-split depth limit.
+	Unresolved int64 `json:"unresolved"`
+	// RemoteClasses counts classes completed on a remote worker
+	// (coordinator/worker runs only; a class re-run locally after every
+	// worker died is not counted here).
+	RemoteClasses int64 `json:"remote_classes"`
+	// RemoteSteals counts classes a remote dispatcher pulled off the
+	// queue against the consistent-hash affinity — work-stealing across
+	// workers when the affine dispatcher was busy.
+	RemoteSteals int64 `json:"remote_steals"`
+	// RemoteRequeues counts classes pushed back onto the queue after the
+	// worker running them was lost (crash, link failure, or timeout).
+	// Like MemResplits, a resilience counter: nonzero means the run
+	// survived a fault, not that it failed.
+	RemoteRequeues int64 `json:"remote_requeues"`
+	// RemoteTimeouts counts the subset of RemoteRequeues caused by a
+	// class exceeding the coordinator's per-class deadline on a wedged
+	// worker.
+	RemoteTimeouts int64 `json:"remote_timeouts"`
+	// MaxQueueDepth is the largest queue length reached (sampled wherever
+	// the queue grows: an enqueue or a worker-lost requeue).
+	MaxQueueDepth int `json:"max_queue_depth"`
+	// MaxActive is the peak number of concurrently enumerating groups
+	// and dispatchers.
+	MaxActive int `json:"max_active"`
+	// Classes lists per-class wall times in completion order.
+	Classes []SchedClass `json:"classes,omitempty"`
+}
 
 // schedItem is one queued unit of work: a subproblem shell waiting to be
 // enumerated, with its prepared inputs and priority.
@@ -77,14 +139,17 @@ type scheduler struct {
 	remote RemoteExecutor
 
 	latch *cluster.Latch
-	rec   *stats.SchedRecorder
 	wg    sync.WaitGroup // group + dispatcher goroutines (fallback included)
 
+	// mu guards the queue and, because nearly every counter moves with a
+	// queue operation, the run's counters too.
 	mu      sync.Mutex
 	cond    *sync.Cond
 	queue   itemQueue
 	pending int // items enqueued or being worked; 0 + empty queue = done
 	seq     int
+	stats   SchedStats
+	active  int // classes being enumerated right now (MaxActive's gauge)
 	// aliveSlots counts remote dispatchers still usable. When it hits 0
 	// with classes outstanding and no local groups, the last dying
 	// dispatcher spawns one emergency local group so the job finishes
@@ -113,7 +178,6 @@ func runScheduled(N *ratmat.Matrix, rev []bool, partition []int, opts Options) (
 		groups: max(opts.GroupConcurrency, 0),
 		remote: opts.Remote,
 		latch:  cluster.NewLatch(),
-		rec:    stats.NewSchedRecorder(),
 	}
 	slots := 0
 	if s.remote != nil {
@@ -205,7 +269,8 @@ func runScheduled(N *ratmat.Matrix, rev []bool, partition []int, opts Options) (
 		return nil, cause
 	}
 	collectSupports(res)
-	res.Sched = s.rec.Snapshot()
+	st := s.stats // every goroutine that counted has exited
+	res.Sched = &st
 	res.PeakConcurrentBytes = s.peakBytes
 	return res, nil
 }
@@ -216,8 +281,17 @@ func (s *scheduler) push(it *schedItem) {
 	s.seq++
 	s.pending++
 	heap.Push(&s.queue, it)
-	s.rec.Enqueue(len(s.queue))
+	s.stats.Enqueued++
+	s.stats.MaxQueueDepth = max(s.stats.MaxQueueDepth, len(s.queue))
 	s.cond.Broadcast()
+}
+
+// count applies one counter update under s.mu, for the sites in runClass
+// and adoptOutcome that do not hold it already.
+func (s *scheduler) count(update func(st *SchedStats)) {
+	s.mu.Lock()
+	update(&s.stats)
+	s.mu.Unlock()
 }
 
 // groupLoop is one node group's life: steal the largest queued class,
@@ -236,7 +310,7 @@ func (s *scheduler) groupLoop(group int) {
 			s.mu.Unlock()
 			return
 		}
-		s.rec.Steal(len(s.queue))
+		s.stats.Steals++
 		it := heap.Pop(&s.queue).(*schedItem)
 		s.mu.Unlock()
 
@@ -273,24 +347,30 @@ func (s *scheduler) runClass(it *schedItem, attempt func(strict bool) error) (do
 	deeper := sub.Depth < s.opts.MaxDepth
 	strict := s.opts.Parallel.Core.MemBudget > 0 && deeper
 	for retry := false; ; retry = true {
-		s.rec.BeginClass()
+		s.count(func(st *SchedStats) {
+			s.active++
+			st.MaxActive = max(st.MaxActive, s.active)
+		})
 		start := time.Now()
 		err := attempt(strict && !retry)
+		s.count(func(st *SchedStats) {
+			s.active--
+			if err == nil {
+				st.Classes = append(st.Classes, SchedClass{
+					Label:   classLabel(sub),
+					Depth:   sub.Depth,
+					Seconds: time.Since(start).Seconds(),
+					Pairs:   sub.Pairs,
+					EFMs:    len(sub.Supports),
+				})
+			}
+		})
 		if err == nil {
-			s.rec.EndClass(stats.SchedClass{
-				Label:   classLabel(sub),
-				Depth:   sub.Depth,
-				Seconds: time.Since(start).Seconds(),
-				Pairs:   sub.Pairs,
-				EFMs:    len(sub.Supports),
-			})
 			s.progress(sub)
 			return true
 		}
-		s.rec.AbortClass()
 		if errors.Is(err, ErrWorkerLost) {
-			s.rec.RemoteRequeue(errors.Is(err, ErrWorkerTimeout))
-			s.requeue(it)
+			s.requeue(it, errors.Is(err, ErrWorkerTimeout))
 			return false
 		}
 		// Only a blown budget (mode count or strict memory) is a size
@@ -306,7 +386,7 @@ func (s *scheduler) runClass(it *schedItem, attempt func(strict bool) error) (do
 			if rerr == nil {
 				if memTriggered {
 					sub.MemResplit = true
-					s.rec.MemResplit()
+					s.count(func(st *SchedStats) { st.MemResplits++ })
 				}
 				return true
 			}
@@ -323,7 +403,7 @@ func (s *scheduler) runClass(it *schedItem, attempt func(strict bool) error) (do
 			// failing the run, so budgeted explorations (the Table IV
 			// simulation) degrade gracefully.
 			sub.Unresolved = true
-			s.rec.UnresolvedClass()
+			s.count(func(st *SchedStats) { st.Unresolved++ })
 			s.progress(sub)
 			return true
 		}
@@ -348,7 +428,7 @@ func (s *scheduler) remoteLoop(slot int) {
 			s.mu.Unlock()
 			return
 		}
-		s.rec.Steal(len(s.queue))
+		s.stats.Steals++
 		it, stolen := s.popFor(slot)
 		s.mu.Unlock()
 
@@ -421,12 +501,18 @@ func (s *scheduler) remoteSpec(it *schedItem, strict bool) RemoteClass {
 
 // requeue pushes a worker-lost item back with a fresh sequence number
 // but WITHOUT touching pending: the item never left the
-// enqueued-or-being-worked state, it just changes hands.
-func (s *scheduler) requeue(it *schedItem) {
+// enqueued-or-being-worked state, it just changes hands. timeout marks
+// the per-class-deadline flavor of the loss.
+func (s *scheduler) requeue(it *schedItem, timeout bool) {
 	s.mu.Lock()
+	s.stats.RemoteRequeues++
+	if timeout {
+		s.stats.RemoteTimeouts++
+	}
 	it.seq = s.seq
 	s.seq++
 	heap.Push(&s.queue, it)
+	s.stats.MaxQueueDepth = max(s.stats.MaxQueueDepth, len(s.queue))
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
@@ -441,7 +527,12 @@ func (s *scheduler) adoptOutcome(sub *Subproblem, out *ClassOutcome, stolen bool
 		// them before enqueueing), but honor a worker's verdict anyway.
 		sub.Skipped = true
 	}
-	s.rec.RemoteClass(stolen)
+	s.count(func(st *SchedStats) {
+		st.RemoteClasses++
+		if stolen {
+			st.RemoteSteals++
+		}
+	})
 }
 
 // resplitEnqueue converts a budget overflow into two new queue items:
@@ -454,7 +545,6 @@ func (s *scheduler) resplitEnqueue(sub *Subproblem) error {
 	if err != nil {
 		return err
 	}
-	s.rec.Resplit()
 	wider := append(append([]int(nil), sub.Partition...), extra)
 	var items []*schedItem
 	for bit := uint64(0); bit < 2; bit++ {
@@ -469,6 +559,7 @@ func (s *scheduler) resplitEnqueue(sub *Subproblem) error {
 		items = append(items, &schedItem{sub: child, prep: pr})
 	}
 	s.mu.Lock()
+	s.stats.Resplits++
 	for _, it := range items {
 		s.push(it)
 	}

@@ -168,7 +168,7 @@ func TestSchedulerCounters(t *testing.T) {
 }
 
 // TestSchedStatsFreshPerRepetition pins the benchmark-repetition
-// contract: every run allocates its own recorder (runScheduled), so
+// contract: every run counts into its own scheduler (runScheduled), so
 // back-to-back runs — bench repetitions, or any
 // harness looping over group counts — must report identical
 // deterministic counters, never the previous repetition's folded in.
@@ -191,7 +191,7 @@ func TestSchedStatsFreshPerRepetition(t *testing.T) {
 		s, w := res.Sched, first.Sched
 		if s.Enqueued != w.Enqueued || s.Steals != w.Steals || s.Resplits != w.Resplits ||
 			s.MemResplits != w.MemResplits || s.Unresolved != w.Unresolved || len(s.Classes) != len(w.Classes) {
-			t.Fatalf("repetition %d counters inflated:\n got %s\nwant %s", rep, s, w)
+			t.Fatalf("repetition %d counters inflated:\n got %+v\nwant %+v", rep, s, w)
 		}
 	}
 }

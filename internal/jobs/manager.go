@@ -541,9 +541,9 @@ func (m *Manager) runJob(j *Job) {
 		m.counters.StoreCompressions += res.Store.Compressions
 		m.counters.StoreSpills += res.Store.Spills
 		m.counters.StoreSpillBytes += res.Store.SpillBytes
-		m.counters.MemResplits += int64(res.MemResplits)
 	}
 	if res != nil && res.Scheduler != nil {
+		m.counters.MemResplits += res.Scheduler.MemResplits
 		m.counters.SchedEnqueued += res.Scheduler.Enqueued
 		m.counters.SchedSteals += res.Scheduler.Steals
 		m.counters.SchedResplits += res.Scheduler.Resplits

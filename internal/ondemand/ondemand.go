@@ -104,29 +104,32 @@ type Mode struct {
 type Stats struct {
 	// Emitted counts streamed modes; Exhausted reports that the basis
 	// graph was fully traversed (the stream is the complete EFM set).
-	Emitted   int
-	Exhausted bool
+	Emitted   int  `json:"emitted"`
+	Exhausted bool `json:"exhausted"`
 	// FirstModeSeconds is the latency from Generate entry to the first
 	// emission — the interactive tier's headline metric.
-	FirstModeSeconds float64
+	FirstModeSeconds float64 `json:"first_mode_seconds"`
 	// Pivots counts every exact simplex pivot (phase 1, root solve,
 	// and one dictionary rebuild per popped basis); Phase1Pivots the
 	// feasibility subset.
-	Pivots, Phase1Pivots int64
+	Pivots       int64 `json:"pivots"`
+	Phase1Pivots int64 `json:"phase1_pivots"`
 	// Bases counts popped (visited) bases — the traversal cost
 	// analogue of revsearch's Bases.
-	Bases int64
+	Bases int64 `json:"bases"`
 	// Enqueued counts pushed frontier nodes; PeakFrontier the largest
 	// in-memory frontier.
-	Enqueued     int64
-	PeakFrontier int
+	Enqueued     int64 `json:"enqueued"`
+	PeakFrontier int   `json:"peak_frontier"`
 	// Duplicates counts pops whose folded support was already emitted
 	// (degenerate co-bases and ± orientation twins); FutileSkips the
 	// split forward/backward two-cycles dropped on emission;
 	// VerifyRejects vertices failing the elementarity fast check
 	// (always 0 unless the float tolerance disagrees with the exact
 	// acceptance — counted, never silently dropped).
-	Duplicates, FutileSkips, VerifyRejects int64
+	Duplicates    int64 `json:"duplicates"`
+	FutileSkips   int64 `json:"futile_skips"`
+	VerifyRejects int64 `json:"verify_rejects"`
 }
 
 // node is one frontier entry: a basis of the lex-perturbed polytope

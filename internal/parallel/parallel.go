@@ -44,9 +44,15 @@ const (
 // runs: the paper's largest machine is 256 nodes, efmbench's tables stop
 // at 64, the benchmark uses 2, and no host has 1024 cores to give one
 // engine.
+//
+// MaxCommTimeout bounds the collective deadline at the same boundaries.
+// It crosses the distrib link as float64 seconds; below a day the
+// conversion to and from time.Duration is exact to the nanosecond, and a
+// longer deadline on one class's collectives is no deadline at all.
 const (
-	MaxNodes   = 512
-	MaxWorkers = 1024
+	MaxNodes       = 512
+	MaxWorkers     = 1024
+	MaxCommTimeout = 24 * time.Hour
 )
 
 // Options configure a parallel run.

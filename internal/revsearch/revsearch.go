@@ -71,26 +71,26 @@ type Stats struct {
 	// Bases is the number of reverse-search tree nodes — lex-feasible
 	// dictionaries — visited. The backend's analogue of the
 	// double-description drivers' candidate count.
-	Bases int64
+	Bases int64 `json:"bases"`
 	// Vertices is the number of distinct polytope vertices found (EFM
 	// supports before canonical folding of split futile pairs and ±
 	// orientation duplicates).
-	Vertices int64
+	Vertices int64 `json:"vertices"`
 	// Pivots is the total number of exact tableau pivots, including
 	// tentative child-test pivots, their inverses, and basis rebuilds.
-	Pivots int64
+	Pivots int64 `json:"pivots"`
 	// Phase1Pivots and RootPivots count the startup cost: reaching a
 	// feasible basis, then the reverse-search root.
-	Phase1Pivots int64
-	RootPivots   int64
+	Phase1Pivots int64 `json:"phase1_pivots"`
+	RootPivots   int64 `json:"root_pivots"`
 	// Jobs is the number of subtree jobs scheduled (1 when the whole
 	// tree fit in the first budget).
-	Jobs int64
+	Jobs int64 `json:"jobs"`
 	// MaxDepth is the deepest tree level visited.
-	MaxDepth int
+	MaxDepth int `json:"max_depth"`
 	// PeakBytes is the largest estimated resident footprint: one
 	// dictionary per worker plus the support-dedup set.
-	PeakBytes int64
+	PeakBytes int64 `json:"peak_bytes"`
 }
 
 // Result is a completed enumeration.

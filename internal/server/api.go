@@ -7,6 +7,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -66,22 +67,32 @@ const (
 )
 
 // Config translates the wire options into a library Config, refusing
-// unknown option strings and sizes no legitimate request needs.
+// unknown option strings, sizes no legitimate request needs, and every
+// value the distrib class frame cannot carry (a negative count, a count
+// past int32, a deadline outside [0, parallel.MaxCommTimeout]): a
+// coordinator that admitted one would have its workers refuse the frame
+// and drop their links.
 func (o RunOptions) Config() (elmocomp.Config, error) {
 	for _, lim := range []struct {
 		name   string
-		v, max int
+		v, max int64
 	}{
-		{"nodes", o.Nodes, parallel.MaxNodes},
-		{"workers", o.Workers, parallel.MaxWorkers},
-		{"groups", o.Groups, maxGroups},
-		{"nodes x groups", o.Nodes * o.Groups, parallel.MaxNodes},
-		{"qsub", o.Qsub, maxPartition},
-		{"partition length", len(o.Partition), maxPartition},
+		{"nodes", int64(o.Nodes), parallel.MaxNodes},
+		{"workers", int64(o.Workers), parallel.MaxWorkers},
+		{"groups", int64(o.Groups), maxGroups},
+		{"nodes x groups", int64(o.Nodes) * int64(o.Groups), parallel.MaxNodes},
+		{"qsub", int64(o.Qsub), maxPartition},
+		{"partition length", int64(len(o.Partition)), maxPartition},
+		{"max_modes", int64(o.MaxModes), math.MaxInt32},
+		{"k", int64(o.K), math.MaxInt32},
+		{"mem_budget_bytes", o.MemBudgetBytes, math.MaxInt64},
 	} {
-		if lim.v > lim.max {
-			return elmocomp.Config{}, fmt.Errorf("%s %d exceeds the limit of %d", lim.name, lim.v, lim.max)
+		if lim.v < 0 || lim.v > lim.max {
+			return elmocomp.Config{}, fmt.Errorf("%s %d is outside [0, %d]", lim.name, lim.v, lim.max)
 		}
+	}
+	if day := parallel.MaxCommTimeout.Seconds(); o.CommTimeoutSeconds < 0 || o.CommTimeoutSeconds > day {
+		return elmocomp.Config{}, fmt.Errorf("comm_timeout_seconds %g is outside [0, %g]", o.CommTimeoutSeconds, day)
 	}
 	cfg := elmocomp.Config{
 		Nodes:                  o.Nodes,
@@ -189,69 +200,39 @@ type RunSummary struct {
 	CommWireBytes       int64   `json:"comm_wire_bytes,omitempty"`
 	CommMessages        int64   `json:"comm_messages,omitempty"`
 	ElapsedSeconds      float64 `json:"elapsed_seconds"`
-	// Mode-store engagement: zero unless a memory budget (or a forced
-	// store tier) pushed surviving sets into the compressed or spill tier.
-	StoreCompressions  int64 `json:"store_compressions,omitempty"`
-	StoreSpills        int64 `json:"store_spills,omitempty"`
-	StoreSpillBytes    int64 `json:"store_spill_bytes,omitempty"`
-	StorePeakHeldBytes int64 `json:"store_peak_held_bytes,omitempty"`
-	MemResplits        int   `json:"mem_resplits,omitempty"`
-	// Reverse-search traversal counters, set only by the revsearch
-	// backend (bases visited, exact pivots, restartable subtree jobs,
-	// deepest dictionary — the memory high-water mark is O(depth)).
-	RevsearchBases    int64 `json:"revsearch_bases,omitempty"`
-	RevsearchPivots   int64 `json:"revsearch_pivots,omitempty"`
-	RevsearchJobs     int64 `json:"revsearch_jobs,omitempty"`
-	RevsearchMaxDepth int   `json:"revsearch_max_depth,omitempty"`
-	// On-demand streaming counters, set only by the ondemand backend:
-	// modes emitted (== Modes), whether the basis graph was exhausted
-	// (false when a k bound stopped the stream), latency to the first
-	// verified mode, and the exact-LP work behind the stream.
-	OndemandEmitted          int     `json:"ondemand_emitted,omitempty"`
-	OndemandExhausted        bool    `json:"ondemand_exhausted,omitempty"`
-	OndemandFirstModeSeconds float64 `json:"ondemand_first_mode_seconds,omitempty"`
-	OndemandLPPivots         int64   `json:"ondemand_lp_pivots,omitempty"`
-	OndemandPhase1Pivots     int64   `json:"ondemand_lp_phase1_pivots,omitempty"`
-	OndemandBases            int64   `json:"ondemand_bases,omitempty"`
+	// The four blocks below are the engine's own counter structs, not
+	// copies: every field the measuring package declares is here. Store
+	// is set when a memory budget pushed surviving sets into the
+	// compressed or spill tier, Scheduler by the divide-and-conquer
+	// driver, Revsearch and Ondemand by their backends.
+	Store     *elmocomp.StoreStats     `json:"store,omitempty"`
+	Scheduler *elmocomp.SchedulerStats `json:"scheduler,omitempty"`
+	Revsearch *elmocomp.RevSearchStats `json:"revsearch,omitempty"`
+	Ondemand  *elmocomp.OnDemandStats  `json:"ondemand,omitempty"`
 }
 
 // Summarize builds the shared summary from a finished run.
 func Summarize(net *elmocomp.Network, res *elmocomp.Result, elapsed time.Duration) RunSummary {
 	s := RunSummary{
-		Network:        net.Name(),
-		Metabolites:    net.NumInternalMetabolites(),
-		Reactions:      net.NumReactions(),
-		Reduction:      res.ReductionSummary(),
-		Modes:          res.Len(),
-		CandidateModes: res.CandidateModes,
-		Fingerprint:    fmt.Sprintf("%016x", res.Fingerprint()),
-		PeakNodeBytes:  res.PeakNodeBytes,
-		CommBytes:      res.CommBytes,
-		CommWireBytes:  res.CommWireBytes,
-		CommMessages:   res.CommMessages,
-		ElapsedSeconds: elapsed.Seconds(),
+		Network:             net.Name(),
+		Metabolites:         net.NumInternalMetabolites(),
+		Reactions:           net.NumReactions(),
+		Reduction:           res.ReductionSummary(),
+		Modes:               res.Len(),
+		CandidateModes:      res.CandidateModes,
+		Fingerprint:         fmt.Sprintf("%016x", res.Fingerprint()),
+		PeakNodeBytes:       res.PeakNodeBytes,
+		PeakConcurrentBytes: res.PeakConcurrentBytes,
+		CommBytes:           res.CommBytes,
+		CommWireBytes:       res.CommWireBytes,
+		CommMessages:        res.CommMessages,
+		ElapsedSeconds:      elapsed.Seconds(),
+		Scheduler:           res.Scheduler,
+		Revsearch:           res.RevSearch,
+		Ondemand:            res.OnDemand,
 	}
 	if res.Store.Engaged() {
-		s.StoreCompressions = res.Store.Compressions
-		s.StoreSpills = res.Store.Spills
-		s.StoreSpillBytes = res.Store.SpillBytes
-		s.StorePeakHeldBytes = res.Store.PeakHeldBytes
-	}
-	s.PeakConcurrentBytes = res.PeakConcurrentBytes
-	s.MemResplits = res.MemResplits
-	if rs := res.RevSearch; rs != nil {
-		s.RevsearchBases = rs.Bases
-		s.RevsearchPivots = rs.Pivots
-		s.RevsearchJobs = rs.Jobs
-		s.RevsearchMaxDepth = rs.MaxDepth
-	}
-	if od := res.OnDemand; od != nil {
-		s.OndemandEmitted = od.Emitted
-		s.OndemandExhausted = od.Exhausted
-		s.OndemandFirstModeSeconds = od.FirstModeSeconds
-		s.OndemandLPPivots = od.LPPivots
-		s.OndemandPhase1Pivots = od.Phase1Pivots
-		s.OndemandBases = od.Bases
+		s.Store = &res.Store
 	}
 	return s
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -346,7 +347,7 @@ func TestEventsStreamShape(t *testing.T) {
 // wire: a backend=ondemand k=2 submission streams exactly two "mode"
 // NDJSON events — rank-ordered, named supports, exact rational values —
 // strictly before the terminal state event, and the result summary
-// carries the ondemand_* counters.
+// carries the ondemand block.
 func TestOnDemandStreamOverHTTP(t *testing.T) {
 	ts, _ := newTestServer(t, jobs.Config{Workers: 1})
 	st, code := postJob(t, ts, SubmitRequest{Model: "toy", Options: RunOptions{Backend: "ondemand", K: 2}})
@@ -375,10 +376,10 @@ func TestOnDemandStreamOverHTTP(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("result status %d", code)
 	}
-	s := rr.Summary
-	if s.Modes != 2 || s.OndemandEmitted != 2 || s.OndemandExhausted ||
-		s.OndemandFirstModeSeconds <= 0 || s.OndemandBases <= 0 || s.OndemandLPPivots <= 0 {
-		t.Fatalf("ondemand summary implausible: %+v", s)
+	od := rr.Summary.Ondemand
+	if rr.Summary.Modes != 2 || od == nil || od.Emitted != 2 || od.Exhausted ||
+		od.FirstModeSeconds <= 0 || od.Bases <= 0 || od.Pivots <= 0 {
+		t.Fatalf("ondemand summary implausible: %+v ondemand=%+v", rr.Summary, od)
 	}
 	if len(rr.Supports) != 2 {
 		t.Fatalf("%d supports for k=2", len(rr.Supports))
@@ -419,8 +420,8 @@ func TestVarzStoreCounters(t *testing.T) {
 	if got := fmt.Sprintf("%016x", want.Fingerprint()); rr.Summary.Fingerprint != got {
 		t.Errorf("budgeted fingerprint %s, unbudgeted %s", rr.Summary.Fingerprint, got)
 	}
-	if rr.Summary.StoreSpills == 0 || rr.Summary.StoreSpillBytes == 0 {
-		t.Errorf("1-byte budget never spilled in the summary: %+v", rr.Summary)
+	if st := rr.Summary.Store; st == nil || st.Spills == 0 || st.SpillBytes == 0 {
+		t.Errorf("1-byte budget never spilled in the summary: %+v store=%+v", rr.Summary, st)
 	}
 
 	vz := varz(t, ts)
@@ -478,6 +479,7 @@ func TestSubmitValidationAndBackpressure(t *testing.T) {
 		{Network: "not a network"},          // parse failure
 		{Model: "toy", Options: RunOptions{Algorithm: "quantum"}},
 		{Model: "toy", Options: RunOptions{Algorithm: "parallel", Nodes: 200000}},
+		{Model: "toy", Options: RunOptions{Algorithm: "dnc", Workers: -1}},
 	}
 	for i, req := range bad {
 		if _, code := postJob(t, ts, req); code != http.StatusBadRequest {
@@ -552,7 +554,10 @@ func TestSubmitValidationAndBackpressure(t *testing.T) {
 
 // TestRunOptionsLimits: every request size that becomes an allocation
 // count — node mesh links, worker workspaces, node groups, 2^partition
-// root classes — is refused by Config() before a job exists.
+// root classes — and every value the distrib class frame cannot carry (a
+// negative count, a count past int32, a deadline outside [0, 24 h]) is
+// refused by Config() before a job exists. The accepted limits are the
+// ones distrib's TestClassSpecLimits round-trips through the class codec.
 func TestRunOptionsLimits(t *testing.T) {
 	names := func(n int) []string {
 		out := make([]string, n)
@@ -567,16 +572,91 @@ func TestRunOptionsLimits(t *testing.T) {
 		ok   bool
 	}{
 		{"paper-scale", RunOptions{Algorithm: "dnc", Nodes: 256, Workers: 64, Groups: 2, Qsub: 4}, true},
-		{"at-the-limits", RunOptions{Nodes: parallel.MaxNodes, Workers: parallel.MaxWorkers, Groups: 1, Qsub: maxPartition, Partition: names(maxPartition)}, true},
+		{"at-the-limits", RunOptions{Nodes: parallel.MaxNodes, Workers: parallel.MaxWorkers, Groups: 1, Qsub: maxPartition, Partition: names(maxPartition),
+			MaxModes: math.MaxInt32, MemBudgetBytes: math.MaxInt64, CommTimeoutSeconds: parallel.MaxCommTimeout.Seconds()}, true},
+		{"k-at-the-limit", RunOptions{Backend: "ondemand", K: math.MaxInt32}, true},
 		{"nodes", RunOptions{Algorithm: "parallel", Nodes: 200000}, false},
 		{"workers", RunOptions{Workers: 50000000}, false},
 		{"groups", RunOptions{Algorithm: "dnc", Groups: maxGroups + 1}, false},
 		{"nodes-times-groups", RunOptions{Algorithm: "dnc", Nodes: parallel.MaxNodes, Groups: 2}, false},
 		{"qsub", RunOptions{Algorithm: "dnc", Qsub: 40}, false},
 		{"partition", RunOptions{Algorithm: "dnc", Partition: names(40)}, false},
+		{"negative-nodes", RunOptions{Algorithm: "dnc", Nodes: -1}, false},
+		{"negative-workers", RunOptions{Algorithm: "dnc", Workers: -1}, false},
+		{"negative-qsub", RunOptions{Algorithm: "dnc", Qsub: -1}, false},
+		{"negative-groups", RunOptions{Algorithm: "dnc", Groups: -1}, false},
+		{"negative-max-modes", RunOptions{Algorithm: "dnc", MaxModes: -1}, false},
+		{"max-modes-past-int32", RunOptions{Algorithm: "dnc", MaxModes: 3000000000}, false},
+		{"negative-k", RunOptions{Backend: "ondemand", K: -1}, false},
+		{"k-past-int32", RunOptions{Backend: "ondemand", K: 3000000000}, false},
+		{"negative-mem-budget", RunOptions{MemBudgetBytes: -1}, false},
+		{"negative-timeout", RunOptions{Algorithm: "dnc", CommTimeoutSeconds: -1}, false},
+		{"timeout-past-a-day", RunOptions{Algorithm: "dnc", CommTimeoutSeconds: 90000}, false},
 	} {
 		if _, err := tc.opts.Config(); (err == nil) != tc.ok {
 			t.Errorf("%s: Config() error = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// TestSummarizeJSONShape pins the result schema: the top-level keys of a
+// marshalled summary and which of the four engine stat blocks each kind
+// of run carries. The blocks are the measuring packages' own structs, so
+// one counter per block that the flattened schema could not show stands
+// in for "every field is there".
+func TestSummarizeJSONShape(t *testing.T) {
+	net, err := elmocomp.Builtin("toy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	always := []string{"network", "metabolites", "reactions", "reduction", "modes", "candidate_modes",
+		"fingerprint", "peak_node_bytes", "elapsed_seconds"}
+	for _, tc := range []struct {
+		name   string
+		opts   RunOptions
+		extra  []string // top-level keys beyond always
+		within string   // "block.counter" that must be present
+	}{
+		{"serial", RunOptions{}, nil, ""},
+		{"dnc-budgeted", RunOptions{Algorithm: "dnc", MemBudgetBytes: 1},
+			[]string{"peak_concurrent_bytes", "store", "scheduler"}, "scheduler.enqueued"},
+		{"revsearch", RunOptions{Backend: "revsearch"}, []string{"revsearch"}, "revsearch.vertices"},
+		{"ondemand-k2", RunOptions{Backend: "ondemand", K: 2}, []string{"ondemand"}, "ondemand.verify_rejects"},
+	} {
+		cfg, err := tc.opts.Config()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		cfg.SpillDir = t.TempDir()
+		res, err := elmocomp.ComputeEFMs(net, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		raw, err := json.Marshal(Summarize(net, res, time.Second))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var got map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &got); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want := append(append([]string(nil), always...), tc.extra...)
+		if len(got) != len(want) {
+			t.Errorf("%s: %d top-level keys, want %d: %s", tc.name, len(got), len(want), raw)
+		}
+		for _, k := range want {
+			if _, ok := got[k]; !ok {
+				t.Errorf("%s: key %q missing: %s", tc.name, k, raw)
+			}
+		}
+		if block, counter, ok := strings.Cut(tc.within, "."); ok {
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(got[block], &fields); err != nil {
+				t.Fatalf("%s: block %q: %v", tc.name, block, err)
+			}
+			if _, ok := fields[counter]; !ok {
+				t.Errorf("%s: %s missing from %s", tc.name, tc.within, got[block])
+			}
 		}
 	}
 }

@@ -44,7 +44,7 @@ func TestBackendOnDemandToyEndToEnd(t *testing.T) {
 		}
 	}
 	st := od.OnDemand
-	if st == nil || !st.Exhausted || st.Emitted != od.Len() || st.LPPivots <= 0 ||
+	if st == nil || !st.Exhausted || st.Emitted != od.Len() || st.Pivots <= 0 ||
 		st.Bases <= 0 || st.FirstModeSeconds <= 0 || len(st.Values) != od.Len() {
 		t.Fatalf("on-demand stats missing or implausible: %+v", st)
 	}
@@ -217,7 +217,7 @@ func TestBackendOnDemandYeastSub(t *testing.T) {
 		t.Fatalf("first mode after %.3fs of a %.3fs stream: want under 10%%", first, wall)
 	}
 	t.Logf("yeast1-sub: %d modes, first after %.3fs, %d bases, %d pivots",
-		od.Len(), od.OnDemand.FirstModeSeconds, od.OnDemand.Bases, od.OnDemand.LPPivots)
+		od.Len(), od.OnDemand.FirstModeSeconds, od.OnDemand.Bases, od.OnDemand.Pivots)
 }
 
 // TestBackendOnDemandCancelLatency starts an unbounded on-demand stream

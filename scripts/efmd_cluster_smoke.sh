@@ -55,9 +55,14 @@ ID=$(curl -fsS "$BASE/v1/jobs" -d '{"model":"toy","options":{"algorithm":"dnc","
 [ -n "$ID" ] && [ "$ID" != null ] || fail "no job id in submit response"
 LAST_STATE=$(curl -fsS "$BASE/v1/jobs/$ID/events" | tail -1 | jq -r .state)
 [ "$LAST_STATE" = done ] || fail "fleet job ended $LAST_STATE, want done"
-GOT_FP=$(curl -fsS "$BASE/v1/jobs/$ID/result" | jq -r .summary.fingerprint)
+curl -fsS "$BASE/v1/jobs/$ID/result" > "$WORKDIR/result1.json"
+GOT_FP=$(jq -r .summary.fingerprint "$WORKDIR/result1.json")
 [ "$GOT_FP" = "$REF_FP" ] || fail "distributed fingerprint $GOT_FP != direct $REF_FP"
-echo "   job $ID done, fingerprint matches"
+# The job's own scheduler block says where its classes ran (/varz only
+# has the sum over jobs).
+JOB_REMOTE=$(jq -r '.summary.scheduler.remote_classes // 0' "$WORKDIR/result1.json")
+[ "$JOB_REMOTE" -gt 0 ] || fail "result's scheduler.remote_classes is $JOB_REMOTE on a fleet job"
+echo "   job $ID done, fingerprint matches, $JOB_REMOTE classes ran on workers"
 
 echo "== /varz shows remote dispatch"
 curl -fsS "$BASE/varz" > "$WORKDIR/varz1.json"

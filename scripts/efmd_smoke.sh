@@ -63,6 +63,10 @@ N_SUPPORTS=$(jq -r '.supports | length' "$WORKDIR/result.json")
 [ "$GOT_FP" = "$REF_FP" ] || fail "service fingerprint $GOT_FP != direct $REF_FP"
 [ "$GOT_MODES" = "$REF_MODES" ] || fail "service modes $GOT_MODES != direct $REF_MODES"
 [ "$N_SUPPORTS" = "$REF_MODES" ] || fail "$N_SUPPORTS supports for $REF_MODES modes"
+# The stat blocks are nested (store / scheduler / revsearch / ondemand);
+# the flattened store_* names must not come back beside them.
+jq -e '.summary | has("store_compressions") | not' "$WORKDIR/result.json" >/dev/null \
+  || fail "summary still carries a flattened store_* field"
 echo "   fingerprints match"
 
 echo "== resubmit: cache hit, no driver run"
@@ -88,9 +92,16 @@ done
 CODE=$(status_of '{"model":"toy","options":{"algorithm":"parallel","nodes":200000}}') \
   || fail "oversized nodes request not answered within a second"
 [ "$CODE" = 400 ] || fail "nodes=200000 answered $CODE, want 400"
+# Values the distrib class frame cannot carry: admitted, they would make
+# every worker of a coordinator drop its link.
+for OPTS in '"workers":-1' '"comm_timeout_seconds":90000'; do
+  CODE=$(status_of "{\"model\":\"toy\",\"options\":{\"algorithm\":\"dnc\",$OPTS}}") \
+    || fail "$OPTS request not answered within a second"
+  [ "$CODE" = 400 ] || fail "$OPTS answered $CODE, want 400"
+done
 NEXT=$(curl -fsS "$BASE/v1/jobs" -d '{"model":"toy"}')
 [ "$(echo "$NEXT" | jq -r .fingerprint)" = "$REF_FP" ] || fail "daemon did not serve the next toy job: $NEXT"
-echo "   test=tree, no_hybrid and nodes=200000 refused; next toy job served"
+echo "   test=tree, no_hybrid, nodes=200000, workers=-1 and a 25 h comm timeout refused; next toy job served"
 
 echo "== cancel a job"
 CID=$(curl -fsS "$BASE/v1/jobs" -d '{"model":"toy","options":{"tolerance":1e-8}}' | jq -r .id)
@@ -113,8 +124,11 @@ LAST_MODE_SEQ=$(jq -rs '[.[] | select(.type == "mode") | .seq] | max' "$WORKDIR/
 TERM_SEQ=$(tail -1 "$WORKDIR/odevents.ndjson" | jq -r .seq)
 [ "$(tail -1 "$WORKDIR/odevents.ndjson" | jq -r .state)" = done ] || fail "on-demand job did not finish done"
 [ "$LAST_MODE_SEQ" -lt "$TERM_SEQ" ] || fail "mode events did not precede the terminal event"
-OD_MODES=$(curl -fsS "$BASE/v1/jobs/$OID/result" | jq -r .summary.modes)
+curl -fsS "$BASE/v1/jobs/$OID/result" > "$WORKDIR/odresult.json"
+OD_MODES=$(jq -r .summary.modes "$WORKDIR/odresult.json")
 [ "$OD_MODES" = 3 ] || fail "on-demand result holds $OD_MODES modes, want 3"
+jq -e '.summary.ondemand.emitted == 3 and .summary.ondemand.bases > 0' "$WORKDIR/odresult.json" >/dev/null \
+  || fail "on-demand summary lacks its ondemand block: $(jq -c .summary "$WORKDIR/odresult.json")"
 echo "   3 mode events (ranks $RANKS) before the terminal event"
 
 echo "== on-demand cancel mid-stream resolves in under a second"

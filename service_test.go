@@ -6,7 +6,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
+	"time"
 )
 
 func TestRequestKeyCoalescesExecutionShape(t *testing.T) {
@@ -66,6 +68,80 @@ func TestRequestKeyCoalescesExecutionShape(t *testing.T) {
 	c := RequestKey(net, Config{MaxIntermediateModes: 10, Algorithm: DivideAndConquer, Qsub: 2})
 	if b != c {
 		t.Error("default Qsub not normalized")
+	}
+}
+
+// TestRequestKeyClassifiesEveryConfigField closes "a forgotten field is
+// silent cache poisoning": every field of Config is claimed by exactly
+// one of the two tables below and the claim is checked. A field added to
+// Config without a row here fails the test, so its author has to decide
+// whether RequestKey must hash it.
+func TestRequestKeyClassifiesEveryConfigField(t *testing.T) {
+	net, err := Builtin("toy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	budgetedDnC := Config{Algorithm: DivideAndConquer, MaxIntermediateModes: 10}
+	// Result-shaping: setting the field on top of under (the documented
+	// condition it shapes the result under) changes the key.
+	shaping := map[string]struct {
+		under Config
+		set   func(*Config)
+	}{
+		"Backend":                {Config{MaxModes: 3}, func(c *Config) { c.Backend = OnDemandBackend }},
+		"Algorithm":              {Config{MaxIntermediateModes: 10}, func(c *Config) { c.Algorithm = Parallel }},
+		"Qsub":                   {budgetedDnC, func(c *Config) { c.Qsub = 3 }},
+		"Partition":              {budgetedDnC, func(c *Config) { c.Partition = []string{"R1"} }},
+		"SplitReversible":        {Config{}, func(c *Config) { c.SplitReversible = true }},
+		"KeepDuplicateReactions": {Config{}, func(c *Config) { c.KeepDuplicateReactions = true }},
+		"Tolerance":              {Config{}, func(c *Config) { c.Tolerance = 1e-6 }},
+		"MaxIntermediateModes":   {Config{}, func(c *Config) { c.MaxIntermediateModes = 10 }},
+		"MaxModes":               {Config{Backend: OnDemandBackend}, func(c *Config) { c.MaxModes = 3 }},
+		"Objective":              {Config{Backend: OnDemandBackend, MaxModes: 3}, func(c *Config) { c.Objective = map[string]string{"R1": "1"} }},
+	}
+	// Result-neutral: setting the field never changes the key, whatever
+	// else the request says.
+	neutral := map[string]func(*Config){
+		"Nodes":            func(c *Config) { c.Nodes = 4 },
+		"Workers":          func(c *Config) { c.Workers = 8 },
+		"GroupConcurrency": func(c *Config) { c.GroupConcurrency = 2 },
+		"OnMode":           func(c *Config) { c.OnMode = func(ModeEvent) {} },
+		"MemBudgetBytes":   func(c *Config) { c.MemBudgetBytes = 1 << 20 },
+		"SpillDir":         func(c *Config) { c.SpillDir = "/elsewhere" },
+		"OverTCP":          func(c *Config) { c.OverTCP = true },
+		"CommTimeout":      func(c *Config) { c.CommTimeout = time.Second },
+		"Progress":         func(c *Config) { c.Progress = func(string) {} },
+	}
+	typ := reflect.TypeOf(Config{})
+	if typ.NumField() != len(shaping)+len(neutral) {
+		t.Errorf("Config has %d fields, the tables classify %d", typ.NumField(), len(shaping)+len(neutral))
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		row, shapes := shaping[name]
+		set, isNeutral := neutral[name]
+		switch {
+		case shapes == isNeutral:
+			t.Errorf("Config.%s must be classified as result-shaping or result-neutral, exactly once", name)
+		case shapes:
+			with := row.under
+			row.set(&with)
+			if RequestKey(net, with) == RequestKey(net, row.under) {
+				t.Errorf("Config.%s is listed as result-shaping but did not change the key", name)
+			}
+		default:
+			for other, row := range shaping {
+				shaped := row.under
+				row.set(&shaped)
+				for _, under := range []Config{row.under, shaped} {
+					with := under
+					set(&with)
+					if RequestKey(net, with) != RequestKey(net, under) {
+						t.Errorf("Config.%s is listed as result-neutral but forked the key (on top of the %s row)", name, other)
+					}
+				}
+			}
+		}
 	}
 }
 
