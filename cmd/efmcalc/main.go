@@ -42,8 +42,8 @@ func main() {
 		maxModes  = flag.Int("max-modes", 0, "abort/re-split when an intermediate matrix exceeds this many columns")
 		kModes    = flag.Int("k", 0, "ondemand: stop after the first k ranked modes (0 = run to exhaustion)")
 		objective = flag.String("objective", "", "ondemand: ranking objective as reaction=weight pairs with exact rationals, e.g. \"R1=1,R2=-1/2\"")
-		memBudget = flag.String("mem-budget", "", "resident-byte budget per engine, e.g. 64M or 2G; over budget, surviving modes are compressed then spilled to disk (dnc re-splits first)")
-		spillDir  = flag.String("spill-dir", "", "directory for mode-store spill files (default: the OS temp dir)")
+		memBudget = flag.String("mem-budget", "", "resident-byte budget per engine, e.g. 64M or 2G; over budget, surviving modes are spilled to disk between rounds (dnc re-splits first)")
+		spillDir  = flag.String("spill-dir", "", "directory for mode-store spill files, checked before a -mem-budget run starts (default: the OS temp dir)")
 		out       = flag.String("out", "", "write EFM supports to this file (default: count only)")
 		writeFlux = flag.Bool("flux", false, "include exact flux values in the output")
 		verify    = flag.Bool("verify", false, "re-verify every mode in exact arithmetic")
@@ -57,12 +57,6 @@ func main() {
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
 		fatal(err)
-	}
-
-	// Reclaim spill files leaked by a SIGKILL'd predecessor; the age
-	// guard protects any concurrently running process's live spills.
-	if n, _ := core.SweepStaleSpills(*spillDir, 0); n > 0 && *verbose {
-		fmt.Fprintf(os.Stderr, "removed %d stale spill file(s)\n", n)
 	}
 
 	net, err := loadNetwork(*modelName, *file)
@@ -95,6 +89,11 @@ func main() {
 			fatal(fmt.Errorf("-mem-budget: %w", err))
 		}
 		opts.MemBudgetBytes = b
+		// Only a budgeted run can spill; it learns now, not at its first
+		// over-budget round, that it has nowhere to.
+		if err := core.CheckSpillDir(*spillDir); err != nil {
+			fatal(err)
+		}
 	}
 	if *objective != "" {
 		obj, err := parseObjective(*objective)
@@ -160,8 +159,8 @@ func main() {
 				stats.Bytes(res.PeakConcurrentBytes), res.Scheduler.MaxActive)
 		}
 		if res.Store.Engaged() {
-			fmt.Printf("mode store: %d compressions, %d spills (%s to disk), peak held %s\n",
-				res.Store.Compressions, res.Store.Spills,
+			fmt.Printf("mode store: %d spills (%s to disk), peak held %s\n",
+				res.Store.Spills,
 				stats.Bytes(res.Store.SpillBytes), stats.Bytes(res.Store.PeakHeldBytes))
 		}
 		if s := res.Scheduler; s != nil && s.MemResplits > 0 {

@@ -55,7 +55,7 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace period for running jobs on shutdown before they are canceled")
 		memBudget    = flag.String("mem-budget", "", "default per-job resident-byte budget, e.g. 64M (jobs may pass their own mem_budget_bytes)")
 		maxResident  = flag.String("max-resident", "", "admission allowance over all in-flight jobs' budget reservations, e.g. 2G (429 when exceeded)")
-		spillDir     = flag.String("spill-dir", "", "directory for mode-store spill files (operator-only; default: the OS temp dir)")
+		spillDir     = flag.String("spill-dir", "", "directory for mode-store spill files, checked at start-up (operator-only; default: the OS temp dir)")
 		worker       = flag.Bool("worker", false, "serve divide-and-conquer classes over the distrib protocol on -addr instead of the HTTP API")
 		coordinator  = flag.Bool("coordinator", false, "dispatch divide-and-conquer jobs onto the -peers worker fleet")
 		peers        = flag.String("peers", "", "comma-separated worker addresses (requires -coordinator)")
@@ -71,13 +71,10 @@ func main() {
 		fatal(errors.New("-coordinator and -peers go together: pass both or neither"))
 	}
 
-	// A SIGKILL'd predecessor gets no cleanup path for its mode-store
-	// spill files; reclaim stale ones before accepting work. The age
-	// guard keeps a concurrently running process's live spills safe.
-	if n, err := core.SweepStaleSpills(*spillDir, 0); err != nil {
-		log.Printf("efmd: spill sweep: %v", err)
-	} else if n > 0 {
-		log.Printf("efmd: removed %d stale spill file(s)", n)
+	// Any job (or class, on a worker) may carry a memory budget, so every
+	// role refuses to start without somewhere to spill.
+	if err := core.CheckSpillDir(*spillDir); err != nil {
+		fatal(err)
 	}
 
 	if *worker {

@@ -139,7 +139,7 @@ const (
 // canonical support representation, and compute bitwise-identical
 // results (fingerprint equality is CI-enforced on the differential
 // grid), which is why Backend is normalized out of RequestKey: it is an
-// execution-shape option, like Workers or the store tier.
+// execution-shape option, like Workers or the memory budget.
 type Backend int
 
 const (
@@ -152,8 +152,8 @@ const (
 	// (the lrs/mplrs family) on the split-reversible cone: depth-first
 	// over the simplex-tree of the normalized polytope, O(tree depth)
 	// memory per worker, subtree-parallel via Config.Workers.
-	// Config.Algorithm, Nodes, Qsub, GroupConcurrency, Partition, the
-	// store tier and the memory budget do not apply and are ignored;
+	// Config.Algorithm, Nodes, Qsub, GroupConcurrency, Partition and
+	// the memory budget do not apply and are ignored;
 	// MaxIntermediateModes is rejected (reverse search has no
 	// intermediate mode matrices to budget — every run is exhaustive,
 	// which is what keeps the backend result-neutral).
@@ -241,13 +241,12 @@ type Config struct {
 	// OnDemandBackend only; rejected by the batch backends.
 	OnMode func(ModeEvent)
 	// MemBudgetBytes bounds the resident bytes each engine keeps between
-	// iteration rounds: surviving mode sets too large for the budget are
-	// held delta-compressed in RAM, or spilled to a temp file when even
-	// the compressed form does not fit. Under DivideAndConquer an
-	// over-budget class is additionally re-split (like a mode-count
-	// overflow) while re-split depth remains. 0 means unlimited (the
-	// store is bypassed entirely). The computed modes are bit-identical
-	// at every setting.
+	// iteration rounds: a surviving mode set whose flat size is more
+	// than half the budget is spilled to a temp file and read back
+	// before the next round. Under DivideAndConquer an over-budget class
+	// is additionally re-split (like a mode-count overflow) while
+	// re-split depth remains. 0 means unlimited (the store is bypassed
+	// entirely). The computed modes are bit-identical at every setting.
 	MemBudgetBytes int64
 	// SpillDir is the directory for spill files (default: the OS temp
 	// directory). Operator configuration — servers must not let remote
@@ -309,7 +308,7 @@ type SubproblemStat struct {
 // of Classes are scheduling diagnostics.
 type SchedulerStats = dnc.SchedStats
 
-// StoreStats holds the between-rounds mode store's tier activity
+// StoreStats holds the between-rounds mode store's spill activity
 // (Config.MemBudgetBytes; all zero when the store was bypassed), as the
 // engine keeps it. Counters are deterministic for a given problem and
 // configuration, and sum over nodes and subproblems.

@@ -38,30 +38,24 @@ type Options struct {
 	// exceeds this many columns (a memory guard). 0 means unlimited.
 	MaxModes int
 	// MemBudget, in bytes, bounds what the engine keeps resident
-	// BETWEEN iteration rounds: once the surviving mode set outgrows
-	// the budget's headroom the store compresses it in RAM, and past
-	// that spills it to disk, re-materializing it flat before the next
-	// row. Results are bit-identical at every setting. 0 means
-	// unbudgeted (always flat). The within-row working peak (current
-	// set + candidates + successor, all flat) is not reduced — bounding
-	// it is the divide-and-conquer driver's job, which re-splits via
-	// StrictMemBudget.
+	// BETWEEN iteration rounds: once twice the surviving mode set's flat
+	// size outgrows the budget the store spills it to disk,
+	// re-materializing it flat before the next row. Results are
+	// bit-identical at every setting. 0 means unbudgeted (always flat).
+	// The within-row working peak (current set + candidates + successor,
+	// all flat) is not reduced — bounding it is the divide-and-conquer
+	// driver's job, which re-splits via StrictMemBudget.
 	MemBudget int64
 	// StrictMemBudget makes Hold fail with ErrMemBudget (matching
 	// ErrBudget) when a surviving set's FLAT footprint exceeds
-	// MemBudget, instead of degrading to compression or spill. Set by
-	// the dnc driver while re-split depth remains, so over-budget
-	// subproblems split rather than thrash; standalone callers leave it
-	// false.
+	// MemBudget, instead of spilling. Set by the dnc driver while
+	// re-split depth remains, so over-budget subproblems split rather
+	// than thrash; standalone callers leave it false.
 	StrictMemBudget bool
-	// SpillDir is where the spill tier writes its temp files
-	// (os.TempDir when empty). Files are removed on materialization and
-	// on every abort/cancel path.
+	// SpillDir is where the store creates its spill files (os.TempDir
+	// when empty). A file is unlinked as soon as it is created, so the
+	// directory stays empty whatever happens to the process.
 	SpillDir string
-	// ForceStoreTier pins the between-rounds store representation
-	// regardless of budget — ablation and benchmarking only; results
-	// are identical at every tier.
-	ForceStoreTier StoreTier
 	// DisableHybrid switches off the hybrid fast path: on a pointed
 	// problem (no reversible rows) the engine normally builds the per-row
 	// bit-pattern tree and uses the combinatorial superset query as a
@@ -128,7 +122,7 @@ type Result struct {
 	// ==q), these are the elementary flux modes in permuted index space.
 	Modes *ModeSet
 	Stats []IterStats
-	// Store counts the between-rounds store's tier activity (zero for
+	// Store counts the between-rounds store's spill activity (zero for
 	// unbudgeted runs — the store is then an inert pass-through).
 	Store StoreStats
 }
@@ -225,9 +219,9 @@ func Run(p *nullspace.Problem, opts Options) (*Result, error) {
 		if opts.Trace != nil {
 			opts.Trace(it.Stats, next)
 		}
-		// Hold drops the flat reference on the non-flat tiers; `set` and
-		// `next` die with this iteration, so only the encoded (or
-		// spilled) form stays resident across the gap to the next row.
+		// Hold drops the flat reference when it spills; `set` and `next`
+		// die with this iteration, so nothing of the round stays resident
+		// across the gap to the next row.
 		if err := store.Hold(next); err != nil {
 			return nil, err
 		}

@@ -5,14 +5,15 @@ import (
 )
 
 // benchModeStore measures one Hold+Materialize round trip of the
-// yeast mid-run surviving set through a forced store tier — the exact
+// yeast mid-run surviving set through the store — the exact
 // between-rounds custody cycle the engine adds per row under a memory
-// budget. b.SetBytes reports throughput against the flat footprint, and
-// the compressed ratio metric is the realized FlatBytes/HeldBytes.
-func benchModeStore(b *testing.B, tier StoreTier) {
+// budget (none: flat pass-through; one byte: every round spills).
+// b.SetBytes reports throughput against the flat footprint, and the
+// ratio metric is the realized FlatBytes/SpillBytes.
+func benchModeStore(b *testing.B, budget int64) {
 	_, set := yeastMidRun(b)
 	flatBytes := set.MemoryBytes()
-	m := NewStoreManager(Options{ForceStoreTier: tier, SpillDir: b.TempDir()})
+	m := NewStoreManager(Options{MemBudget: budget, SpillDir: b.TempDir()})
 	defer m.Release()
 	b.SetBytes(flatBytes)
 	b.ResetTimer()
@@ -26,12 +27,11 @@ func benchModeStore(b *testing.B, tier StoreTier) {
 	}
 	b.StopTimer()
 	st := m.Stats()
-	if st.HeldBytes > 0 {
-		b.ReportMetric(float64(st.FlatBytes)/float64(st.HeldBytes), "ratio")
+	if st.SpillBytes > 0 {
+		b.ReportMetric(float64(st.FlatBytes)/float64(st.SpillBytes), "ratio")
 	}
 	b.ReportMetric(float64(flatBytes)/float64(set.Len()), "B/mode-flat")
 }
 
-func BenchmarkModeStoreFlat(b *testing.B)       { benchModeStore(b, TierFlat) }
-func BenchmarkModeStoreCompressed(b *testing.B) { benchModeStore(b, TierCompressed) }
-func BenchmarkModeStoreSpill(b *testing.B)      { benchModeStore(b, TierSpill) }
+func BenchmarkModeStoreFlat(b *testing.B)  { benchModeStore(b, 0) }
+func BenchmarkModeStoreSpill(b *testing.B) { benchModeStore(b, 1) }

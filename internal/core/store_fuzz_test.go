@@ -24,7 +24,7 @@ func compressedFuzzSeeds(tb testing.TB) [][]byte {
 	return seeds
 }
 
-// FuzzDecodeCompressed hammers the spill/compressed-tier decoder with
+// FuzzDecodeCompressed hammers the spill decoder with
 // mutated payloads: it must never panic, fault or over-allocate, and
 // any payload it accepts must describe a set whose canonical re-encoding
 // decodes back to the same modes and is stable under a second encode.
@@ -53,19 +53,6 @@ func FuzzDecodeCompressed(f *testing.F) {
 		}
 		if enc2 := EncodeCompressedBlocks(s2, blockSize); !bytes.Equal(enc2, enc) {
 			t.Fatalf("encoding not idempotent: %d bytes then %d bytes", len(enc), len(enc2))
-		}
-		// The sidecar fast path must agree with the decoded supports.
-		sizes, err := CompressedSupportSizes(data)
-		if err != nil {
-			t.Fatalf("accepted payload but sidecar scan failed: %v", err)
-		}
-		if len(sizes) != s.Len() {
-			t.Fatalf("sidecar has %d sizes for %d modes", len(sizes), s.Len())
-		}
-		for i, sz := range sizes {
-			if sz != s.SupportSize(i) {
-				t.Fatalf("mode %d: sidecar says %d, support has %d", i, sz, s.SupportSize(i))
-			}
 		}
 	})
 }

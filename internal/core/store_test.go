@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -101,24 +102,6 @@ func TestCompressedCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCompressedSupportSizesSidecar(t *testing.T) {
-	for name, set := range storeTestSets(t) {
-		enc := EncodeCompressed(set)
-		sizes, err := CompressedSupportSizes(enc)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(sizes) != set.Len() {
-			t.Fatalf("%s: %d sidecar sizes, want %d", name, len(sizes), set.Len())
-		}
-		for i, got := range sizes {
-			if want := set.SupportSize(i); got != want {
-				t.Fatalf("%s: mode %d sidecar support size %d, want %d", name, i, got, want)
-			}
-		}
-	}
-}
-
 // TestCompressedRatioYeast pins the acceptance bar: the delta encoding
 // must at least halve the between-rounds footprint on the yeast hybrid
 // workload.
@@ -173,29 +156,31 @@ func TestStoreBudgetStateMachine(t *testing.T) {
 			t.Fatalf("expected a flat hold, got %+v", st)
 		}
 		if got, _ := m.Materialize(); got != set {
-			t.Fatal("flat tier must alias the held set")
+			t.Fatal("a flat hold must alias the held set")
 		}
 	})
 
-	t.Run("compressed-when-tight", func(t *testing.T) {
-		m := NewStoreManager(Options{MemBudget: flat + flat/2})
+	t.Run("spill-when-tight", func(t *testing.T) {
+		// The set fits the budget but the next round's survivors would
+		// not fit beside it.
+		m := NewStoreManager(Options{MemBudget: flat + flat/2, SpillDir: t.TempDir()})
 		defer m.Release()
 		if err := m.Hold(set); err != nil {
 			t.Fatal(err)
 		}
 		st := m.Stats()
-		if st.Compressions != 1 || st.Spills != 0 || st.HeldBytes != enc {
-			t.Fatalf("expected one compression holding %d B, got %+v", enc, st)
+		if st.Spills != 1 || st.SpillBytes != enc || st.HeldBytes != 0 {
+			t.Fatalf("expected one %d-byte spill holding nothing, got %+v", enc, st)
 		}
-		if rb := m.ResidentBytes(); rb != enc {
-			t.Fatalf("resident %d B, want the encoded %d B", rb, enc)
+		if rb := m.ResidentBytes(); rb != 0 {
+			t.Fatalf("spilled store still resident: %d B", rb)
 		}
 		got, err := m.Materialize()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got == set || got.Fingerprint() != set.Fingerprint() {
-			t.Fatal("compressed materialization must rebuild an identical set")
+			t.Fatal("spill materialization must rebuild an identical set")
 		}
 	})
 
@@ -235,25 +220,26 @@ func TestStoreBudgetStateMachine(t *testing.T) {
 	})
 
 	t.Run("strict-under-budget", func(t *testing.T) {
-		m := NewStoreManager(Options{MemBudget: flat + flat/2, StrictMemBudget: true})
+		m := NewStoreManager(Options{MemBudget: flat + flat/2, StrictMemBudget: true, SpillDir: t.TempDir()})
 		defer m.Release()
 		if err := m.Hold(set); err != nil {
 			t.Fatal(err)
 		}
-		if st := m.Stats(); st.Compressions != 1 {
-			t.Fatalf("strict mode must still compress under budget, got %+v", st)
+		if st := m.Stats(); st.Spills != 1 {
+			t.Fatalf("strict mode must still spill under budget, got %+v", st)
 		}
 	})
 
 	t.Run("wide-set-stays-flat", func(t *testing.T) {
 		wide := NewModeSet(maxStoreQ+1, maxStoreQ+1, nil)
-		m := NewStoreManager(Options{ForceStoreTier: TierCompressed})
+		wide.appendRaw() // one all-zero mode: over a one-byte budget
+		m := NewStoreManager(Options{MemBudget: 1})
 		defer m.Release()
 		if err := m.Hold(wide); err != nil {
 			t.Fatal(err)
 		}
-		if st := m.Stats(); st.Engaged() {
-			t.Fatalf("sets beyond maxStoreQ must fall back to flat, got %+v", st)
+		if st := m.Stats(); st.Engaged() || st.HeldBytes != wide.MemoryBytes() {
+			t.Fatalf("sets beyond maxStoreQ must stay flat, got %+v", st)
 		}
 	})
 
@@ -268,7 +254,8 @@ func TestStoreBudgetStateMachine(t *testing.T) {
 }
 
 // TestStoreTierEquivalence is the engine-level determinism contract:
-// every tier and budget produces the byte-identical mode set.
+// flat or spilled, at every budget, the run produces the byte-identical
+// mode set.
 func TestStoreTierEquivalence(t *testing.T) {
 	red, err := reduce.Network(model.Toy(), reduce.Options{})
 	if err != nil {
@@ -292,10 +279,11 @@ func TestStoreTierEquivalence(t *testing.T) {
 		opts    Options
 		engaged bool
 	}{
-		{"forced-flat", Options{ForceStoreTier: TierFlat}, false},
-		{"forced-compressed", Options{ForceStoreTier: TierCompressed}, true},
-		{"forced-spill", Options{ForceStoreTier: TierSpill}, true},
-		{"tiny-budget", Options{MemBudget: 1}, true},
+		{"forced-flat", Options{}, false},
+		{"forced-spill", Options{MemBudget: 1}, true},
+		// One byte short of keeping the final set flat: the small early
+		// rounds stay in RAM and the run still spills.
+		{"tiny-budget", Options{MemBudget: 2*base.Modes.MemoryBytes() - 1}, true},
 		{"huge-budget", Options{MemBudget: 1 << 40}, false},
 	}
 	for _, tc := range cases {
@@ -321,9 +309,9 @@ func TestStoreTierEquivalence(t *testing.T) {
 }
 
 // TestCorruptSpillFailsCleanly damages the spill file between Hold and
-// Materialize in every structurally distinct way: the run must fail
-// loudly (never decode into plausible nonsense) and the temp file must
-// still be cleaned up.
+// Materialize in every structurally distinct way — through the store's
+// own handle, the file having no name to open — and the run must fail
+// loudly (never decode into plausible nonsense) with the file released.
 func TestCorruptSpillFailsCleanly(t *testing.T) {
 	_, set := yeastMidRun(t)
 	cases := []struct {
@@ -341,25 +329,28 @@ func TestCorruptSpillFailsCleanly(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			m := NewStoreManager(Options{ForceStoreTier: TierSpill, SpillDir: dir})
+			m := NewStoreManager(Options{MemBudget: 1, SpillDir: dir})
 			defer m.Release()
 			if err := m.Hold(set); err != nil {
 				t.Fatal(err)
 			}
-			ents, err := os.ReadDir(dir)
-			if err != nil || len(ents) != 1 {
-				t.Fatalf("want exactly one spill file, got %v (%v)", ents, err)
-			}
-			path := filepath.Join(dir, ents[0].Name())
-			data, err := os.ReadFile(path)
-			if err != nil {
+			f := m.spill.f
+			data := make([]byte, m.spill.size)
+			if _, err := f.ReadAt(data, 0); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, tc.corrupt(data), 0o644); err != nil {
+			data = tc.corrupt(data)
+			if err := f.Truncate(int64(len(data))); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt(data, 0); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := m.Materialize(); err == nil {
 				t.Fatal("materializing a damaged spill must fail")
+			}
+			if m.spill != nil {
+				t.Fatal("damaged spill file still held after the failed read")
 			}
 			if ents, _ := os.ReadDir(dir); len(ents) != 0 {
 				t.Fatalf("damaged spill file not cleaned up: %v", ents)
@@ -369,7 +360,7 @@ func TestCorruptSpillFailsCleanly(t *testing.T) {
 }
 
 // TestSpillCleanupOnCancel cancels a spilling run between rounds: the
-// engine's deferred release must remove the on-disk state.
+// engine's deferred release must leave no on-disk state.
 func TestSpillCleanupOnCancel(t *testing.T) {
 	red, err := reduce.Network(model.Toy(), reduce.Options{})
 	if err != nil {
@@ -383,9 +374,9 @@ func TestSpillCleanupOnCancel(t *testing.T) {
 	cancel := make(chan struct{})
 	rows := 0
 	_, err = Run(p, Options{
-		ForceStoreTier: TierSpill,
-		SpillDir:       dir,
-		Cancel:         cancel,
+		MemBudget: 1,
+		SpillDir:  dir,
+		Cancel:    cancel,
 		Trace: func(IterStats, *ModeSet) {
 			if rows++; rows == 2 {
 				close(cancel)
@@ -397,5 +388,57 @@ func TestSpillCleanupOnCancel(t *testing.T) {
 	}
 	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
 		t.Fatalf("canceled run leaked spill files: %v", ents)
+	}
+}
+
+// TestCheckSpillDir is the start-up probe's contract: every way a spill
+// directory can be unusable is an error naming it, found before any
+// enumeration work, and a usable one is left empty.
+func TestCheckSpillDir(t *testing.T) {
+	base := t.TempDir()
+	file := filepath.Join(base, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	readOnly := filepath.Join(base, "read-only")
+	if err := os.Mkdir(readOnly, 0o555); err != nil {
+		t.Fatal(err)
+	}
+	good := filepath.Join(base, "good")
+	if err := os.Mkdir(good, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, dir string
+		ok        bool
+	}{
+		{"missing-dir", filepath.Join(base, "missing"), false},
+		{"file-not-dir", file, false},
+		{"read-only-dir", readOnly, false},
+		{"good-dir", good, true},
+	}
+	_, set := yeastMidRun(t)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.dir == readOnly && os.Geteuid() == 0 {
+				t.Skip("root creates files in a read-only directory")
+			}
+			err := CheckSpillDir(tc.dir)
+			if tc.ok != (err == nil) {
+				t.Fatalf("CheckSpillDir(%s) = %v, want ok=%v", tc.dir, err, tc.ok)
+			}
+			if err != nil && !strings.Contains(err.Error(), tc.dir) {
+				t.Fatalf("error does not name the directory: %v", err)
+			}
+			// The failure an unprobed run would hit at its first spill.
+			m := NewStoreManager(Options{MemBudget: 1, SpillDir: tc.dir})
+			defer m.Release()
+			if herr := m.Hold(set); tc.ok != (herr == nil) {
+				t.Fatalf("probe said %v, the first spill said %v", err, herr)
+			}
+		})
+	}
+	if ents, _ := os.ReadDir(good); len(ents) != 0 {
+		t.Fatalf("probe left files behind: %v", ents)
 	}
 }

@@ -9,23 +9,23 @@ import (
 	"math"
 )
 
-// The compressed mode-set stream ("EFMC") is the storage format of the
-// non-flat store tiers: the same mode set the flat "EFMS" codec carries,
-// delta-encoded in the set's canonical radix-sorted support order and
-// entropy-coded per block. Adjacent modes in that order share most of
-// their support words, so each mode stores only the words that differ
-// from its predecessor (XOR deltas behind a changed-word bitmap);
-// values are stored sparsely behind a presence bitmap. The remaining
-// payload still carries repeated float bit patterns (metabolic
-// stoichiometries are heavily rational, so the same combination values
-// recur across modes), which a per-block DEFLATE pass converts into the
-// bulk of the compression win.
+// The compressed mode-set stream ("EFMC") is the format of a spilled
+// round and of a distrib result payload: the same mode set the flat
+// "EFMS" codec carries, delta-encoded in the set's canonical
+// radix-sorted support order and entropy-coded per block. Adjacent
+// modes in that order share most of their support words, so each mode
+// stores only the words that differ from its predecessor (XOR deltas
+// behind a changed-word bitmap); values are stored sparsely behind a
+// presence bitmap. The remaining payload still carries repeated float
+// bit patterns (metabolic stoichiometries are heavily rational, so the
+// same combination values recur across modes), which a per-block
+// DEFLATE pass converts into the bulk of the compression win.
 //
 // Modes are grouped into fixed-size blocks; each block is independently
 // decodable (the delta chain restarts at the block boundary), carries
 // its own byte lengths and FNV-1a checksum, and leads with an
-// UNCOMPRESSED per-mode popcount sidecar so support sizes are readable
-// in O(1) per mode without inflating the payload.
+// UNCOMPRESSED per-mode popcount sidecar that the decoder checks every
+// rebuilt support against.
 //
 // Decoding is strict: a truncated stream, a checksum mismatch, a
 // non-canonical raw encoding (zero delta word, zero "present" value,
@@ -46,9 +46,9 @@ const (
 	// (uint32), compressed payload length (uint32) and FNV-1a checksum
 	// (uint64) over the sidecar plus compressed bytes.
 	storeBlockHeaderLen = 16
-	// DefaultStoreBlock is the block granularity used by the store
-	// tiers: large enough to amortize the delta restart and the DEFLATE
-	// window, small enough that a cold block is a cheap unit to page.
+	// DefaultStoreBlock is the block granularity the store uses: large
+	// enough to amortize the delta restart and the DEFLATE window, small
+	// enough that one block's raw bytes are a cheap decode buffer.
 	DefaultStoreBlock = 256
 	// storeFlateLevel trades encode time for ratio. BestSpeed already
 	// clears the 2x bar on the yeast workload and keeps the per-row
@@ -62,11 +62,14 @@ const (
 	maxStoreQ = 1<<16 - 1
 )
 
-// fnv1a hashes block bytes (FNV-1a 64, the repo's standard fingerprint
-// primitive).
-func fnv1a(data []byte) uint64 {
+// fnv1aOffset is the FNV-1a 64 offset basis (FNV-1a is the repo's
+// standard fingerprint primitive).
+const fnv1aOffset = uint64(14695981039346656037)
+
+// fnv1a folds data into the running FNV-1a 64 hash h; a fresh hash
+// starts from fnv1aOffset.
+func fnv1a(h uint64, data []byte) uint64 {
 	const prime = 1099511628211
-	h := uint64(14695981039346656037)
 	for _, b := range data {
 		h = (h ^ uint64(b)) * prime
 	}
@@ -89,8 +92,7 @@ func EncodeCompressed(s *ModeSet) []byte {
 // EncodeCompressedBlocks is EncodeCompressed with an explicit block
 // size (exposed for the fuzz target, which must re-encode with the
 // block size the header declares). The set's column count must not
-// exceed maxStoreQ — the store tiers fall back to flat storage beyond
-// it.
+// exceed maxStoreQ — the store keeps a wider set flat.
 func EncodeCompressedBlocks(s *ModeSet, blockSize int) []byte {
 	if blockSize <= 0 {
 		blockSize = DefaultStoreBlock
@@ -131,7 +133,7 @@ func EncodeCompressedBlocks(s *ModeSet, blockSize int) []byte {
 			b1 = s.n
 		}
 		// Popcount sidecar: one uint16 support size per mode, stored
-		// uncompressed so sizes are readable without inflating.
+		// uncompressed.
 		sidecar = sidecar[:0]
 		for i := b0; i < b1; i++ {
 			pc := 0
@@ -188,11 +190,7 @@ func EncodeCompressedBlocks(s *ModeSet, blockSize int) []byte {
 		}
 		put32(uint32(len(raw)))
 		put32(uint32(comp.Len()))
-		h := fnv1a(sidecar)
-		for _, b := range comp.Bytes() {
-			h = (h ^ uint64(b)) * 1099511628211
-		}
-		binary.LittleEndian.PutUint64(b8[:], h)
+		binary.LittleEndian.PutUint64(b8[:], fnv1a(fnv1a(fnv1aOffset, sidecar), comp.Bytes()))
 		out = append(out, b8[:]...)
 		out = append(out, sidecar...)
 		out = append(out, comp.Bytes()...)
@@ -305,11 +303,7 @@ func scanStoreBlocks(data []byte, h storeHeader) ([]storeBlock, error) {
 // verifyBlock checks the block's FNV-1a checksum over sidecar plus
 // compressed bytes.
 func verifyBlock(b storeBlock) error {
-	h := fnv1a(b.sidecar)
-	for _, c := range b.comp {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
-	if h != b.checksum {
+	if fnv1a(fnv1a(fnv1aOffset, b.sidecar), b.comp) != b.checksum {
 		return fmt.Errorf("core: compressed block checksum mismatch (modes %d..%d)", b.b0, b.b1-1)
 	}
 	return nil
@@ -439,30 +433,4 @@ func DecodeCompressed(data []byte) (*ModeSet, error) {
 		}
 	}
 	return s, nil
-}
-
-// CompressedSupportSizes reads the per-mode support sizes straight out
-// of the uncompressed popcount sidecars — O(1) per mode after the
-// checksum pass, with no inflation and no flat allocation. This is what
-// keeps support-size lookups (the bit-pattern-tree prefilter's bound
-// inputs) cheap against a held compressed or spilled set.
-func CompressedSupportSizes(data []byte) ([]int, error) {
-	h, err := parseStoreHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	blocks, err := scanStoreBlocks(data, h)
-	if err != nil {
-		return nil, err
-	}
-	sizes := make([]int, 0, h.n)
-	for _, blk := range blocks {
-		if err := verifyBlock(blk); err != nil {
-			return nil, err
-		}
-		for i := blk.b0; i < blk.b1; i++ {
-			sizes = append(sizes, int(binary.LittleEndian.Uint16(blk.sidecar[(i-blk.b0)*2:])))
-		}
-	}
-	return sizes, nil
 }

@@ -197,7 +197,7 @@ func (r *Result) PeakNodeBytes() int64 {
 }
 
 // Store sums the between-rounds store counters over every subproblem —
-// the run-wide compression and spill activity a memory budget produced.
+// the run-wide spill activity a memory budget produced.
 func (r *Result) Store() core.StoreStats {
 	var t core.StoreStats
 	r.Walk(func(s *Subproblem) { t.Add(s.Store) })

@@ -342,8 +342,8 @@ func (s *scheduler) runClass(it *schedItem, attempt func(strict bool) error) (do
 	// The memory budget is strict only while re-split depth remains: an
 	// over-budget surviving set then surfaces as core.ErrMemBudget and
 	// refines the class, exactly like a mode-count overflow. At the depth
-	// limit the store degrades to compression and spilling instead, so
-	// the class still completes (result-identical, just slower).
+	// limit the store degrades to spilling instead, so the class still
+	// completes (result-identical, just slower).
 	deeper := sub.Depth < s.opts.MaxDepth
 	strict := s.opts.Parallel.Core.MemBudget > 0 && deeper
 	for retry := false; ; retry = true {
@@ -408,7 +408,7 @@ func (s *scheduler) runClass(it *schedItem, attempt func(strict bool) error) (do
 			return true
 		}
 		// Soft retry: same executor, strictness dropped, so the store
-		// compresses and spills the class to completion.
+		// spills the class to completion.
 	}
 }
 

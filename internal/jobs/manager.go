@@ -138,12 +138,11 @@ type Counters struct {
 	RemoteRequeues int64 `json:"remote_requeues"`
 	RemoteTimeouts int64 `json:"remote_timeouts"`
 	// Between-rounds store totals summed over completed runs
-	// (elmocomp.StoreStats): how often surviving mode sets were held
-	// compressed or spilled to disk, and the memory-budget re-splits.
-	StoreCompressions int64 `json:"store_compressions"`
-	StoreSpills       int64 `json:"store_spills"`
-	StoreSpillBytes   int64 `json:"store_spill_bytes"`
-	MemResplits       int64 `json:"mem_resplits"`
+	// (elmocomp.StoreStats): how often surviving mode sets were spilled
+	// to disk, and the memory-budget re-splits.
+	StoreSpills     int64 `json:"store_spills"`
+	StoreSpillBytes int64 `json:"store_spill_bytes"`
+	MemResplits     int64 `json:"mem_resplits"`
 }
 
 // Stats is the /varz snapshot.
@@ -538,7 +537,6 @@ func (m *Manager) runJob(j *Job) {
 	}
 	m.resident -= j.reserved
 	if res != nil {
-		m.counters.StoreCompressions += res.Store.Compressions
 		m.counters.StoreSpills += res.Store.Spills
 		m.counters.StoreSpillBytes += res.Store.SpillBytes
 	}

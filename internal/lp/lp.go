@@ -36,11 +36,14 @@ import (
 	"fmt"
 	"math/big"
 
+	"elmocomp/internal/cluster"
 	"elmocomp/internal/ratmat"
 )
 
-// ErrCanceled reports a solve aborted through Options.Cancel.
-var ErrCanceled = errors.New("lp: canceled")
+// ErrCanceled reports a solve aborted through Options.Cancel. It is the
+// cluster substrate's sentinel, like core.ErrCanceled, so a cancel
+// matches one error whichever layer saw the channel.
+var ErrCanceled = cluster.ErrCanceled
 
 // Status classifies a solved program.
 type Status int

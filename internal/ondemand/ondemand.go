@@ -52,7 +52,7 @@
 package ondemand
 
 import (
-	"errors"
+	"container/heap"
 	"fmt"
 	"math/big"
 	"time"
@@ -142,53 +142,24 @@ type node struct {
 	key   string
 }
 
-// frontier is a binary min-heap over (value, key).
+// frontier is a min-heap over (value, key), driven by container/heap.
 type frontier []*node
 
-func (f frontier) less(i, j int) bool {
+func (f frontier) Len() int { return len(f) }
+func (f frontier) Less(i, j int) bool {
 	if c := f[i].value.Cmp(f[j].value); c != 0 {
 		return c < 0
 	}
 	return f[i].key < f[j].key
 }
-
-func (f *frontier) push(n *node) {
-	*f = append(*f, n)
-	i := len(*f) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !(*f).less(i, p) {
-			break
-		}
-		(*f)[i], (*f)[p] = (*f)[p], (*f)[i]
-		i = p
-	}
-}
-
-func (f *frontier) pop() *node {
-	h := *f
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = nil
-	h = h[:last]
-	*f = h
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && h.less(l, small) {
-			small = l
-		}
-		if r < len(h) && h.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
+func (f frontier) Swap(i, j int)       { f[i], f[j] = f[j], f[i] }
+func (f *frontier) Push(x interface{}) { *f = append(*f, x.(*node)) }
+func (f *frontier) Pop() interface{} {
+	old := *f
+	n := len(old)
+	top := old[n-1]
+	old[n-1] = nil
+	*f = old[:n-1]
 	return top
 }
 
@@ -239,9 +210,6 @@ func Generate(N *ratmat.Matrix, rev []bool, opts Options, emit func(Mode)) (Stat
 
 	sol, err := lp.Solve(prob, lp.Options{Cancel: opts.Cancel})
 	if err != nil {
-		if errors.Is(err, lp.ErrCanceled) {
-			return st, core.ErrCanceled
-		}
 		return st, err
 	}
 	st.Pivots = sol.Pivots
@@ -264,7 +232,7 @@ func Generate(N *ratmat.Matrix, rev []bool, opts Options, emit func(Mode)) (Stat
 	visited := make(map[string]bool)
 	rootKey := basisKey(sol.Basis)
 	rootDict := sol.Dict
-	pq.push(&node{value: sol.Value, basis: sol.Basis, key: rootKey})
+	heap.Push(&pq, &node{value: sol.Value, basis: sol.Basis, key: rootKey})
 	visited[rootKey] = true
 	st.Enqueued++
 	st.PeakFrontier = 1
@@ -281,7 +249,7 @@ func Generate(N *ratmat.Matrix, rev []bool, opts Options, emit func(Mode)) (Stat
 		if canceled(opts.Cancel) {
 			return st, core.ErrCanceled
 		}
-		n := pq.pop()
+		n := heap.Pop(&pq).(*node)
 		var d *lp.Dict
 		if n.key == rootKey && rootDict != nil {
 			d, rootDict = rootDict, nil
@@ -354,7 +322,7 @@ func Generate(N *ratmat.Matrix, rev []bool, opts Options, emit func(Mode)) (Stat
 			d.RatioInto(&ratio, r, s)
 			val := new(big.Rat).Mul(d.ReducedCost(s), &ratio)
 			val.Add(val, n.value)
-			pq.push(&node{value: val, basis: child, key: key})
+			heap.Push(&pq, &node{value: val, basis: child, key: key})
 			st.Enqueued++
 			if len(pq) > st.PeakFrontier {
 				st.PeakFrontier = len(pq)

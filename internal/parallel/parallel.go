@@ -255,8 +255,8 @@ func Run(p *nullspace.Problem, opts Options) (*Result, error) {
 		if b := results[r].peakBytes; b > out.PeakNodeBytes {
 			out.PeakNodeBytes = b
 		}
-		// Store counters SUM over the replicas: every node holds (and
-		// compresses or spills) its own copy of the surviving set, so the
+		// Store counters SUM over the replicas: every node holds (or
+		// spills) its own copy of the surviving set, so the
 		// totals describe group-wide bytes, not one node's.
 		out.Result.Store.Add(results[r].store)
 	}
@@ -306,10 +306,10 @@ func runNode(p *nullspace.Problem, copts core.Options, comm cluster.Comm, last i
 	var local *core.ModeSet
 
 	// Each node runs its own between-rounds mode store: under a memory
-	// budget the replicated surviving set is compressed or spilled while
-	// the node waits at the next collective, instead of staying flat on
-	// every replica at once. The deferred Release covers every abort,
-	// fault and cancel path, so spill temp files never outlive the run.
+	// budget the replicated surviving set is spilled while the node
+	// waits at the next collective, instead of staying flat on every
+	// replica at once. The deferred Release covers every abort, fault
+	// and cancel path, so spill files never outlive the run.
 	store := core.NewStoreManager(copts)
 	defer store.Release()
 	if err := store.Hold(core.InitialModeSet(p, tolOf(copts))); err != nil {

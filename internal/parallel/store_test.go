@@ -20,42 +20,37 @@ func spillDirEntries(t *testing.T, dir string) int {
 }
 
 func TestRunStoreTierEquivalence(t *testing.T) {
-	// Every store tier must reproduce the unbudgeted group's modes
-	// bit-identically, with each node running its own store.
+	// A group that spills every round must reproduce the unbudgeted
+	// group's modes bit-identically, with each node running its own store.
 	p := toyProblem(t)
 	base, err := Run(p, Options{Nodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tier := range []core.StoreTier{core.TierCompressed, core.TierSpill} {
-		t.Run(tier.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			res, err := Run(p, Options{
-				Nodes: 3,
-				Core:  core.Options{ForceStoreTier: tier, SpillDir: dir},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := res.Modes.Fingerprint(), base.Modes.Fingerprint(); got != want {
-				t.Fatalf("tier %v diverged: fingerprint %016x, unbudgeted %016x", tier, got, want)
-			}
-			if !res.Store.Engaged() {
-				t.Fatalf("tier %v reported no store activity: %+v", tier, res.Store)
-			}
-			if tier == core.TierSpill && res.Store.Spills == 0 {
-				t.Fatalf("forced spill recorded no spills: %+v", res.Store)
-			}
-			// Store counters sum over the replicas: with 3 nodes the group
-			// must have held at least 3 rounds' worth of flat bytes.
-			if res.Store.FlatBytes < 3*base.Modes.MemoryBytes() {
-				t.Fatalf("store totals do not look summed over nodes: %+v", res.Store)
-			}
-			if n := spillDirEntries(t, dir); n != 0 {
-				t.Fatalf("%d spill files left behind after a clean run", n)
-			}
+	t.Run("spill", func(t *testing.T) {
+		dir := t.TempDir()
+		res, err := Run(p, Options{
+			Nodes: 3,
+			Core:  core.Options{MemBudget: 1, SpillDir: dir},
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.Modes.Fingerprint(), base.Modes.Fingerprint(); got != want {
+			t.Fatalf("spilling run diverged: fingerprint %016x, unbudgeted %016x", got, want)
+		}
+		if res.Store.Spills == 0 {
+			t.Fatalf("one-byte budget recorded no spills: %+v", res.Store)
+		}
+		// Store counters sum over the replicas: with 3 nodes the group
+		// must have held at least 3 rounds' worth of flat bytes.
+		if res.Store.FlatBytes < 3*base.Modes.MemoryBytes() {
+			t.Fatalf("store totals do not look summed over nodes: %+v", res.Store)
+		}
+		if n := spillDirEntries(t, dir); n != 0 {
+			t.Fatalf("%d spill files left behind after a clean run", n)
+		}
+	})
 }
 
 func TestSpillCleanupOnNodeFailure(t *testing.T) {
@@ -67,7 +62,7 @@ func TestSpillCleanupOnNodeFailure(t *testing.T) {
 	_, err := runBounded(t, Options{
 		Nodes:   3,
 		Timeout: 5 * time.Second,
-		Core:    core.Options{ForceStoreTier: core.TierSpill, SpillDir: dir},
+		Core:    core.Options{MemBudget: 1, SpillDir: dir},
 		Fault:   &cluster.FaultPlan{FailRank: 2, FailCollective: 2},
 	}, 30*time.Second)
 	if err == nil {
@@ -90,7 +85,7 @@ func TestSpillCleanupOnCancelParallel(t *testing.T) {
 	_, err := runBounded(t, Options{
 		Nodes:  2,
 		Cancel: cancel,
-		Core:   core.Options{ForceStoreTier: core.TierSpill, SpillDir: dir},
+		Core:   core.Options{MemBudget: 1, SpillDir: dir},
 		Fault:  &cluster.FaultPlan{Delay: 10 * time.Millisecond, DelayFrom: -1, DelayTo: -1},
 	}, 30*time.Second)
 	if err == nil {

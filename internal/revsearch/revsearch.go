@@ -139,9 +139,6 @@ func RunProblem(p *nullspace.Problem, opts Options) (*Result, error) {
 	// perturbation every later dictionary of the run shares.
 	sol, err := lp.Solve(lp.NormalizedCone(p.NExact), lp.Options{Cancel: opts.Cancel})
 	if err != nil {
-		if errors.Is(err, lp.ErrCanceled) {
-			return nil, ErrCanceled
-		}
 		return nil, err
 	}
 	if sol.Status == lp.Infeasible {

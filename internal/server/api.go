@@ -50,8 +50,8 @@ type RunOptions struct {
 	// CommTimeoutSeconds bounds each inter-node collective.
 	CommTimeoutSeconds float64 `json:"comm_timeout_seconds,omitempty"`
 	// MemBudgetBytes caps resident intermediate-mode bytes per engine;
-	// over budget, surviving sets are compressed and then spilled to
-	// disk (results stay bit-identical). The spill directory is operator
+	// over budget, surviving sets are spilled to disk between rounds
+	// (results stay bit-identical). The spill directory is operator
 	// configuration (efmd -spill-dir) — deliberately not a wire option,
 	// so remote clients cannot choose server filesystem paths.
 	MemBudgetBytes int64 `json:"mem_budget_bytes,omitempty"`
@@ -202,9 +202,9 @@ type RunSummary struct {
 	ElapsedSeconds      float64 `json:"elapsed_seconds"`
 	// The four blocks below are the engine's own counter structs, not
 	// copies: every field the measuring package declares is here. Store
-	// is set when a memory budget pushed surviving sets into the
-	// compressed or spill tier, Scheduler by the divide-and-conquer
-	// driver, Revsearch and Ondemand by their backends.
+	// is set when a memory budget made the engine spill surviving sets,
+	// Scheduler by the divide-and-conquer driver, Revsearch and Ondemand
+	// by their backends.
 	Store     *elmocomp.StoreStats     `json:"store,omitempty"`
 	Scheduler *elmocomp.SchedulerStats `json:"scheduler,omitempty"`
 	Revsearch *elmocomp.RevSearchStats `json:"revsearch,omitempty"`

@@ -72,11 +72,9 @@ func variants() []variant {
 			dnc:  true,
 		})
 	}
-	// Memory budget: a deliberately tiny one forces every surviving set
-	// through the spill tier and (under dnc) memory re-splits, and must
-	// be invisible in the result. The compressed tier on its own is
-	// pinned below the public API, by core's TestStoreTierEquivalence and
-	// parallel's TestRunStoreTierEquivalence.
+	// Memory budget: a deliberately tiny one spills every surviving set
+	// and (under dnc) forces memory re-splits, and must be invisible in
+	// the result.
 	v = append(v,
 		variant{name: "serial/membudget=1", cfg: elmocomp.Config{Workers: 1, MemBudgetBytes: 1}},
 		variant{name: "parallel/membudget=1/nodes=2", cfg: elmocomp.Config{Algorithm: elmocomp.Parallel, Nodes: 2, Workers: 1, MemBudgetBytes: 1}},

@@ -2,7 +2,8 @@
 # End-to-end smoke of the efmd job service: build the daemon and the
 # CLI, start the daemon, submit a job over HTTP, follow its event
 # stream, check the result fingerprint against a direct library run
-# (efmcalc -json emits the same summary schema), resubmit to hit the
+# (efmcalc -json emits the same summary schema), spill a budgeted job
+# and find the spill directory empty, resubmit to hit the
 # content-addressed cache without a driver run, exercise cancellation,
 # and shut down gracefully on SIGTERM.
 #
@@ -33,8 +34,16 @@ REF_FP=$(jq -r .fingerprint "$WORKDIR/direct.json")
 REF_MODES=$(jq -r .modes "$WORKDIR/direct.json")
 echo "   $REF_MODES modes, fingerprint $REF_FP"
 
+echo "== a missing spill directory stops the daemon at start-up"
+RC=0
+timeout 1 "$WORKDIR/efmd" -addr "127.0.0.1:$PORT" -spill-dir "$WORKDIR/nope" 2> "$WORKDIR/nope.err" || RC=$?
+[ "$RC" != 0 ] && [ "$RC" != 124 ] || fail "efmd -spill-dir <missing> exited $RC, want a start-up failure"
+grep -q "$WORKDIR/nope" "$WORKDIR/nope.err" || fail "start-up failure does not name the directory: $(cat "$WORKDIR/nope.err")"
+echo "   exit $RC: $(cat "$WORKDIR/nope.err")"
+
 echo "== start daemon on :$PORT"
-"$WORKDIR/efmd" -addr "127.0.0.1:$PORT" -concurrency 2 &
+mkdir "$WORKDIR/spill"
+"$WORKDIR/efmd" -addr "127.0.0.1:$PORT" -concurrency 2 -spill-dir "$WORKDIR/spill" &
 DAEMON_PID=$!
 for i in $(seq 1 100); do
   curl -fsS "$BASE/healthz" >/dev/null 2>&1 && break
@@ -65,9 +74,25 @@ N_SUPPORTS=$(jq -r '.supports | length' "$WORKDIR/result.json")
 [ "$N_SUPPORTS" = "$REF_MODES" ] || fail "$N_SUPPORTS supports for $REF_MODES modes"
 # The stat blocks are nested (store / scheduler / revsearch / ondemand);
 # the flattened store_* names must not come back beside them.
-jq -e '.summary | has("store_compressions") | not' "$WORKDIR/result.json" >/dev/null \
+jq -e '.summary | has("store_spills") | not' "$WORKDIR/result.json" >/dev/null \
   || fail "summary still carries a flattened store_* field"
 echo "   fingerprints match"
+
+echo "== a one-byte memory budget spills every round and leaves no file"
+# The tolerance only forks the cache key (a budget does not), so this
+# job runs instead of being served the result above.
+BID=$(curl -fsS "$BASE/v1/jobs" -d '{"model":"toy","options":{"mem_budget_bytes":1,"tolerance":1e-7}}' | jq -r .id)
+curl -fsS "$BASE/v1/jobs/$BID/events" > /dev/null
+curl -fsS "$BASE/v1/jobs/$BID/result" > "$WORKDIR/budget.json"
+[ "$(jq -r .summary.fingerprint "$WORKDIR/budget.json")" = "$REF_FP" ] || fail "budgeted fingerprint diverged"
+jq -e '.summary.store.spills > 0' "$WORKDIR/budget.json" >/dev/null \
+  || fail "one-byte budget never spilled: $(jq -c .summary.store "$WORKDIR/budget.json")"
+jq -e '.summary.store | has("compressions") | not' "$WORKDIR/budget.json" >/dev/null \
+  || fail "store block still reports compressions"
+curl -fsS "$BASE/varz" | jq -e '(.counters.store_spills > 0) and (.counters | has("store_compressions") | not)' >/dev/null \
+  || fail "/varz store counters wrong: $(curl -fsS "$BASE/varz" | jq -c .counters)"
+[ -z "$(ls -A "$WORKDIR/spill")" ] || fail "spill directory not empty with the daemon up: $(ls -A "$WORKDIR/spill")"
+echo "   $(jq -r .summary.store.spills "$WORKDIR/budget.json") spills, spill directory empty"
 
 echo "== resubmit: cache hit, no driver run"
 RUNS_BEFORE=$(curl -fsS "$BASE/varz" | jq -r .counters.runs_started)
