@@ -141,17 +141,17 @@ func main() {
 		fmt.Printf("elementary flux modes: %s\n", stats.Count(int64(res.Len())))
 		fmt.Printf("candidate modes generated: %s\n", stats.Count(res.CandidateModes))
 		if rs := res.RevSearch; rs != nil {
-			fmt.Printf("reverse search: %s bases in %d subtree jobs, %s pivots, max depth %d\n",
-				stats.Count(rs.Bases), rs.Jobs, stats.Count(rs.Pivots), rs.MaxDepth)
+			fmt.Printf("reverse search: %s bases in %d subtree jobs, %s pivots, max depth %d, %d dictionaries widened to big.Int\n",
+				stats.Count(rs.Bases), rs.Jobs, stats.Count(rs.Pivots), rs.MaxDepth, rs.Widened)
 		}
 		if od := res.OnDemand; od != nil {
 			state := "stopped at k"
 			if od.Exhausted {
 				state = "exhausted"
 			}
-			fmt.Printf("on-demand stream: %d modes (%s), first after %.3fs, %s bases, %s pivots (%s phase 1)\n",
+			fmt.Printf("on-demand stream: %d modes (%s), first after %.3fs, %s bases, %s pivots (%s phase 1), %d dictionaries widened to big.Int\n",
 				od.Emitted, state, od.FirstModeSeconds,
-				stats.Count(od.Bases), stats.Count(od.Pivots), stats.Count(od.Phase1Pivots))
+				stats.Count(od.Bases), stats.Count(od.Pivots), stats.Count(od.Phase1Pivots), od.Widened)
 		}
 		fmt.Printf("peak per-node mode matrix: %s\n", stats.Bytes(res.PeakNodeBytes))
 		if res.Scheduler != nil {

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"bytes"
 	"math/big"
 	"testing"
 
@@ -17,19 +18,29 @@ import (
 //   - the pricing identity holds: the child's exact objective value
 //     equals value + ReducedCost(s)·(bbar_r/T[r][s]) read off the
 //     parent,
-//   - pivot/unpivot round-trips to the bit-identical dictionary (the
+//   - pivot/unpivot round-trips to the identical dictionary (the
 //     exactness property: entries are uniquely determined by the basis
 //     and row order, so no drift can accumulate), and
 //   - rebuilding the current basis from scratch reproduces the same
 //     vertex and value.
+//
+// A first byte of 128 or more scales every constraint coefficient by a
+// drawn power of two up to 2^40, so that dictionaries start wide, or
+// start narrow and cross 2^31 mid-walk: the round trip then compares a
+// narrow clone with its widened, unpivoted twin.
 func FuzzSimplexPivot(f *testing.F) {
 	f.Add([]byte{2, 4, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3, 0, 1, 2, 3})
 	f.Add([]byte{1, 3, 1, 1, 1, 1, 255, 255, 0, 9, 9})
 	f.Add([]byte{3, 5, 0x10, 0x22, 0x31, 0x44, 0x50, 0x66, 0x71, 0x80, 0x9f, 1, 2, 3, 4, 5, 6, 7, 8})
+	// Crosses 2^31 at a pivot after the first of its walk (checked below).
+	widening := []byte("\xee200000c07000001000200111000010")
+	f.Add(widening)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			t.Skip()
 		}
+		mustCross, crossed := bytes.Equal(data, widening), false
+		scaled := data[0] >= 128
 		m := int(data[0])%3 + 1
 		n := int(data[1])%4 + m + 1
 		data = data[2:]
@@ -41,10 +52,18 @@ func FuzzSimplexPivot(f *testing.F) {
 			data = data[1:]
 			return v % 7
 		}
+		coef := func() int64 {
+			v := int64(next())
+			if scaled && len(data) > 0 {
+				v <<= uint(data[0]) % 41
+				data = data[1:]
+			}
+			return v
+		}
 		A := ratmat.New(m, n)
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
-				A.SetInt(i, j, int64(next()))
+				A.SetInt(i, j, coef())
 			}
 		}
 		p := &Problem{A: A, B: make([]*big.Rat, m), C: make([]*big.Rat, n)}
@@ -80,6 +99,7 @@ func FuzzSimplexPivot(f *testing.F) {
 			pred.Add(pred, d.Value())
 
 			d.Pivot(r, s)
+			crossed = crossed || (step > 0 && !before.Wide() && d.Wide())
 			if !d.Feasible() {
 				t.Fatalf("step %d: pivot (%d, %d) lost primal feasibility", step, r, s)
 			}
@@ -110,6 +130,9 @@ func FuzzSimplexPivot(f *testing.F) {
 			if !undo.Equal(before) {
 				t.Fatalf("step %d: pivot (%d, %d) / unpivot did not restore the dictionary", step, r, s)
 			}
+		}
+		if mustCross && !crossed {
+			t.Fatal("the widening seed no longer widens a dictionary mid-walk")
 		}
 	})
 }

@@ -1,5 +1,6 @@
-// Package lp is the exact-rational linear programming core of the
-// interactive tier: a revised-simplex solver over math/big.Rat for
+// Package lp is the exact linear programming core of the interactive
+// tier: a two-phase simplex solver on fraction-free integer
+// dictionaries (the lrs representation) for
 //
 //	minimize c^T x  subject to  A x = b, x >= 0,
 //
@@ -23,12 +24,19 @@
 //     caller may hand over raw stoichiometry.
 //
 // Beyond Solve, the package exposes the simplex dictionary (Dict) with
-// exact pivot/ratio primitives. It is the only exact dictionary in the
-// tree: the on-demand generator walks the basis graph of the
+// exact pivot/ratio/sign primitives. It is the only exact dictionary in
+// the tree: the on-demand generator walks the basis graph of the
 // lex-perturbed polytope through it, internal/revsearch runs its
 // reverse search on it (starting from a nil-objective Solve, i.e. the
 // phase-1 dictionary), and the FuzzSimplexPivot and FuzzRevsearchPivot
 // harnesses round-trip pivot/unpivot exactness on it.
+//
+// A dictionary stores det·T — integers under one positive denominator —
+// on int64 while every magnitude stays below 2^31 and on big.Int from
+// the pivot that crosses that bound (width.go holds the arithmetic that
+// differs by width; everything in this file exists once). Rationals
+// appear only at the edges: Problem, Solution, the objective weights
+// and the accessors that price a neighbor.
 package lp
 
 import (
@@ -101,7 +109,7 @@ func NormalizedCone(N *ratmat.Matrix) *Problem {
 	}
 	b := make([]*big.Rat, m+1)
 	for i := 0; i < m; i++ {
-		b[i] = newRat()
+		b[i] = new(big.Rat)
 	}
 	b[m] = big.NewRat(1, 1)
 	return &Problem{A: A, B: b}
@@ -131,11 +139,16 @@ type Solution struct {
 	// including the Gauss-Jordan rebuild); Phase1Pivots the phase-1
 	// subset.
 	Pivots, Phase1Pivots int64
+	// Phase1Wide reports that the extended phase-1 dictionary left
+	// int64 (Dict answers for itself through Wide).
+	Phase1Wide bool
 }
 
-func newRat() *big.Rat { return new(big.Rat) }
-
-var ratOne = big.NewRat(1, 1)
+// narrowBound is the magnitude below which a dictionary stays on int64:
+// with every |entry| and det under 2^31, each two-factor product and
+// each difference of two products fits int64 with no per-operation
+// check. Solve reads it once per program; only tests lower it.
+var narrowBound int64 = 1 << 31
 
 // Solve runs the two-phase exact simplex method on p.
 func Solve(p *Problem, opts Options) (*Solution, error) {
@@ -164,22 +177,17 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 	if aug.Rank() > len(keep) {
 		return &Solution{Status: Infeasible}, nil
 	}
-	A := p.A
-	b := p.B
 	if len(keep) < m {
-		A = A.SelectRows(keep)
-		nb := make([]*big.Rat, len(keep))
-		for i, r := range keep {
-			nb[i] = b[r]
-		}
-		b = nb
+		aug = aug.SelectRows(keep)
 	}
-	core := &program{m: A.Rows(), n: n, A: A, b: b, c: p.C}
+	core, scale := newProgram(aug, p.C, narrowBound)
 
-	basis, p1pivots, err := phase1(core, opts.Cancel)
+	basis, ext, err := phase1(core, scale, opts.Cancel)
+	sol := &Solution{Pivots: ext.pivots, Phase1Pivots: ext.pivots, Phase1Wide: ext.Wide()}
 	if err != nil {
 		if errors.Is(err, errInfeasible) {
-			return &Solution{Status: Infeasible, Pivots: p1pivots, Phase1Pivots: p1pivots}, nil
+			sol.Status = Infeasible
+			return sol, nil
 		}
 		return nil, err
 	}
@@ -190,7 +198,6 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	sol := &Solution{Phase1Pivots: p1pivots}
 
 	// Phase 2: Bland entering (least-index cobasic with a negative
 	// reduced cost), lexicographic minimum-ratio leaving. The lex rule
@@ -217,7 +224,7 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 		r := d.LexMinRatioRow(s)
 		if r < 0 {
 			sol.Status = Unbounded
-			sol.Pivots = p1pivots + d.pivots
+			sol.Pivots += d.pivots
 			return sol, nil
 		}
 		d.Pivot(r, s)
@@ -227,7 +234,7 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 	sol.Basis = d.Basis()
 	sol.X = d.X()
 	sol.Value = d.Value()
-	sol.Pivots = p1pivots + d.pivots
+	sol.Pivots += d.pivots
 	return sol, nil
 }
 
@@ -235,9 +242,14 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 // state every Dict of one solve points back to.
 type program struct {
 	m, n int
-	A    *ratmat.Matrix
-	b    []*big.Rat
-	c    []*big.Rat // nil = zero objective
+	// rows is the m x (n+1) integer matrix every dictionary of the
+	// program is a fraction-free elimination of: row i of [A | b] times
+	// the lcm Lᵢ of its denominators. narrow is the same image on int64,
+	// nil when an entry reaches bound.
+	rows   []big.Int
+	narrow []int64
+	bound  int64
+	c      []*big.Rat // nil = zero objective
 	// lexCols is the basis anchoring the primal lexicographic
 	// perturbation b(eps) = b + A_B0 (eps, eps^2, ...): row i's
 	// perturbed value reads (bbar_i, T[i][lexCols[0]], ...). Fixed
@@ -245,58 +257,83 @@ type program struct {
 	lexCols []int
 }
 
-func (p *program) cAt(j int) *big.Rat {
-	if p.c == nil {
-		return nil
+// newProgram scales each row of aug = [A | b] to integers and returns
+// the program with the row multipliers Lᵢ (phase 1 seeds its artificials
+// with them).
+func newProgram(aug *ratmat.Matrix, c []*big.Rat, bound int64) (*program, []big.Int) {
+	m, w := aug.Rows(), aug.Cols()
+	p := &program{m: m, n: w - 1, rows: make([]big.Int, m*w), bound: bound, c: c}
+	scale := make([]big.Int, m)
+	var g big.Int
+	for i := 0; i < m; i++ {
+		l := scale[i].SetInt64(1)
+		for j := 0; j < w; j++ {
+			den := aug.At(i, j).Denom()
+			l.Mul(l, g.Quo(den, g.GCD(nil, nil, l, den)))
+		}
+		for j := 0; j < w; j++ {
+			v := aug.At(i, j)
+			e := &p.rows[i*w+j]
+			e.Mul(v.Num(), e.Quo(l, v.Denom()))
+		}
 	}
-	return p.c[j]
+	p.seal()
+	return p, scale
+}
+
+// seal derives the int64 image of rows, when there is one.
+func (p *program) seal() {
+	p.narrow = make([]int64, len(p.rows))
+	for k := range p.rows {
+		v := &p.rows[k]
+		if !v.IsInt64() || v.Int64() >= p.bound || -v.Int64() >= p.bound {
+			p.narrow = nil
+			return
+		}
+		p.narrow[k] = v.Int64()
+	}
 }
 
 // Dict is one simplex dictionary T = A_B^{-1}[A | b] of a solved
-// program, with the right-hand side in column n. The representation is
-// exact and uniquely determined by the basis and row order, so a pivot
-// followed by its inverse restores the identical big.Rat entries — the
-// invariant FuzzSimplexPivot and FuzzRevsearchPivot pin. Methods that
-// do not mutate (including Rebuild) are safe for concurrent use.
+// program, with the right-hand side in column n, stored as the integers
+// det·T under one denominator det = |det A'_B| > 0 (A' the program's
+// integer rows). The representation is exact and uniquely determined by
+// the basis and row order at either width, so a pivot followed by its
+// inverse restores the identical entries — the invariant
+// FuzzSimplexPivot and FuzzRevsearchPivot pin. Methods that do not
+// mutate (including Rebuild) are safe for concurrent use.
 type Dict struct {
-	prog    *program
-	rows    [][]*big.Rat // m x (n+1); column n is bbar
-	basisOf []int        // row -> variable
-	rowOf   []int        // variable -> row, -1 when cobasic
+	prog *program
+	// Exactly one body is live, m x (n+1) row-major: a under det while
+	// the dictionary is narrow, w under wdet once it has widened.
+	a       []int64
+	det     int64
+	w       []big.Int
+	wdet    big.Int
+	basisOf []int // row -> variable
+	rowOf   []int // variable -> row, -1 when cobasic
 	pivots  int64
 }
 
-// fromBasis rebuilds the dictionary of a basis by Gauss-Jordan
-// elimination on the basis columns; rows end up sorted by basic
-// variable. Counts m pivots.
+var bigOne = big.NewInt(1)
+
+// fromBasis rebuilds the dictionary of a basis by fraction-free
+// Gauss-Jordan elimination on the basis columns of the program's
+// integer rows (det starts at 1); rows end up sorted by basic variable.
+// Counts m pivots.
 func (p *program) fromBasis(basis []int) (*Dict, error) {
 	if len(basis) != p.m {
 		return nil, fmt.Errorf("lp: basis has %d variables, want %d", len(basis), p.m)
 	}
-	d := &Dict{
-		prog:    p,
-		rows:    make([][]*big.Rat, p.m),
-		basisOf: append([]int(nil), basis...),
-		rowOf:   make([]int, p.n),
-	}
-	for i := range d.rowOf {
-		d.rowOf[i] = -1
-	}
-	for i := 0; i < p.m; i++ {
-		row := make([]*big.Rat, p.n+1)
-		for j := 0; j < p.n; j++ {
-			row[j] = newRat().Set(p.A.At(i, j))
-		}
-		row[p.n] = newRat().Set(p.b[i])
-		d.rows[i] = row
-	}
+	d := p.load(bigOne)
+	copy(d.basisOf, basis)
 	for i, v := range basis {
 		if v < 0 || v >= p.n {
 			return nil, fmt.Errorf("lp: basis variable %d out of range", v)
 		}
 		pr := -1
 		for r := i; r < p.m; r++ {
-			if d.rows[r][v].Sign() != 0 {
+			if d.Sign(r, v) != 0 {
 				pr = r
 				break
 			}
@@ -304,8 +341,8 @@ func (p *program) fromBasis(basis []int) (*Dict, error) {
 		if pr < 0 {
 			return nil, fmt.Errorf("lp: basis column %d is dependent", v)
 		}
-		d.rows[i], d.rows[pr] = d.rows[pr], d.rows[i]
-		d.scaleEliminate(i, v)
+		d.swapRows(i, pr)
+		d.eliminate(i, v)
 		d.rowOf[v] = i
 	}
 	d.pivots += int64(p.m)
@@ -320,44 +357,11 @@ func (d *Dict) Rebuild(basis []int) (*Dict, error) {
 	return d.prog.fromBasis(basis)
 }
 
-// scaleEliminate normalizes row r's entry in column c to one and clears
-// column c everywhere else.
-func (d *Dict) scaleEliminate(r, c int) {
-	n := d.prog.n
-	piv := d.rows[r][c]
-	if piv.Cmp(ratOne) != 0 {
-		inv := newRat().Inv(piv)
-		for j := 0; j <= n; j++ {
-			if d.rows[r][j].Sign() != 0 {
-				d.rows[r][j].Mul(d.rows[r][j], inv)
-			}
-		}
-	}
-	var tmp big.Rat
-	for i := 0; i < d.prog.m; i++ {
-		if i == r {
-			continue
-		}
-		f := d.rows[i][c]
-		if f.Sign() == 0 {
-			continue
-		}
-		fc := newRat().Set(f)
-		for j := 0; j <= n; j++ {
-			if d.rows[r][j].Sign() == 0 {
-				continue
-			}
-			tmp.Mul(fc, d.rows[r][j])
-			d.rows[i][j].Sub(d.rows[i][j], &tmp)
-		}
-	}
-}
-
 // Pivot makes cobasic variable s basic in row r. The inverse of
 // Pivot(r, s) is Pivot(r, w) with w the variable previously basic in r.
 func (d *Dict) Pivot(r, s int) {
 	w := d.basisOf[r]
-	d.scaleEliminate(r, s)
+	d.eliminate(r, s)
 	d.basisOf[r] = s
 	d.rowOf[w] = -1
 	d.rowOf[s] = r
@@ -380,12 +384,17 @@ func (d *Dict) BasicVar(r int) int { return d.basisOf[r] }
 // RowOf returns the row where variable j is basic, -1 when cobasic.
 func (d *Dict) RowOf(j int) int { return d.rowOf[j] }
 
-// RHS returns row r's right-hand side bbar_r. The caller must not
-// mutate it.
-func (d *Dict) RHS(r int) *big.Rat { return d.rows[r][d.prog.n] }
+// Wide reports that the dictionary has left int64.
+func (d *Dict) Wide() bool { return d.w != nil }
 
-// Entry returns tableau entry T[r][j]. The caller must not mutate it.
-func (d *Dict) Entry(r, j int) *big.Rat { return d.rows[r][j] }
+// RHS returns row r's right-hand side bbar_r.
+func (d *Dict) RHS(r int) *big.Rat { return d.Entry(r, d.prog.n) }
+
+// Entry returns tableau entry T[r][j].
+func (d *Dict) Entry(r, j int) *big.Rat {
+	var x, y big.Int
+	return new(big.Rat).SetFrac(d.num(&x, r, j), d.denom(&y))
+}
 
 // Basis returns the basic variable set in ascending order.
 func (d *Dict) Basis() []int {
@@ -417,55 +426,56 @@ func (d *Dict) BasisAfter(r, s int) []int {
 func (d *Dict) X() []*big.Rat {
 	x := make([]*big.Rat, d.prog.n)
 	for j := range x {
-		x[j] = newRat()
+		x[j] = new(big.Rat)
 	}
 	for r := 0; r < d.prog.m; r++ {
-		x[d.basisOf[r]].Set(d.rows[r][d.prog.n])
+		x[d.basisOf[r]] = d.RHS(r)
 	}
 	return x
 }
 
 // Value returns the objective value C·x of the vertex.
 func (d *Dict) Value() *big.Rat {
-	v := newRat()
+	v := new(big.Rat)
+	d.costInto(v, d.prog.n)
+	return v
+}
+
+// costInto sets out to c_B^T T[:,j]: the weighted numerators are summed
+// first and divided by det once.
+func (d *Dict) costInto(out *big.Rat, j int) {
+	out.SetInt64(0)
 	if d.prog.c == nil {
-		return v
+		return
 	}
 	var tmp big.Rat
+	var z big.Int
 	for r := 0; r < d.prog.m; r++ {
-		if cj := d.prog.c[d.basisOf[r]]; cj != nil && cj.Sign() != 0 {
-			tmp.Mul(cj, d.rows[r][d.prog.n])
-			v.Add(v, &tmp)
+		cb := d.prog.c[d.basisOf[r]]
+		if cb == nil || cb.Sign() == 0 || d.Sign(r, j) == 0 {
+			continue
 		}
+		tmp.SetInt(d.num(&z, r, j))
+		out.Add(out, tmp.Mul(cb, &tmp))
 	}
-	return v
+	if out.Sign() != 0 {
+		out.Quo(out, tmp.SetInt(d.denom(&z)))
+	}
 }
 
 // ReducedCost returns variable j's reduced cost c_j - c_B^T T[:,j]
 // (zero for basic variables by construction).
 func (d *Dict) ReducedCost(j int) *big.Rat {
-	rc := newRat()
+	rc := new(big.Rat)
 	d.reducedCostInto(rc, j)
 	return rc
 }
 
 func (d *Dict) reducedCostInto(rc *big.Rat, j int) {
-	if cj := d.prog.cAt(j); cj != nil {
-		rc.Set(cj)
-	} else {
-		rc.SetInt64(0)
-	}
-	if d.prog.c == nil {
-		return
-	}
-	var tmp big.Rat
-	for r := 0; r < d.prog.m; r++ {
-		cb := d.prog.c[d.basisOf[r]]
-		if cb == nil || cb.Sign() == 0 || d.rows[r][j].Sign() == 0 {
-			continue
-		}
-		tmp.Mul(cb, d.rows[r][j])
-		rc.Sub(rc, &tmp)
+	d.costInto(rc, j)
+	rc.Neg(rc)
+	if d.prog.c != nil && d.prog.c[j] != nil {
+		rc.Add(rc, d.prog.c[j])
 	}
 }
 
@@ -474,7 +484,7 @@ func (d *Dict) reducedCostInto(rc *big.Rat, j int) {
 func (d *Dict) Feasible() bool {
 	n := d.prog.n
 	for r := 0; r < d.prog.m; r++ {
-		if d.rows[r][n].Sign() < 0 {
+		if d.Sign(r, n) < 0 {
 			return false
 		}
 	}
@@ -484,12 +494,11 @@ func (d *Dict) Feasible() bool {
 // lexSignRow returns the sign of row r's perturbed value: the first
 // nonzero of (bbar_r, T[r][lexCols[0]], ..., T[r][lexCols[m-1]]).
 func (d *Dict) lexSignRow(r int) int {
-	n := d.prog.n
-	if s := d.rows[r][n].Sign(); s != 0 {
+	if s := d.Sign(r, d.prog.n); s != 0 {
 		return s
 	}
 	for _, c := range d.prog.lexCols {
-		if s := d.rows[r][c].Sign(); s != 0 {
+		if s := d.Sign(r, c); s != 0 {
 			return s
 		}
 	}
@@ -509,21 +518,12 @@ func (d *Dict) LexFeasible() bool {
 
 // lexRatioLess reports whether row a's perturbed ratio against entering
 // column s is lexicographically smaller than row b's.
-func (d *Dict) lexRatioLess(a, b, s int) bool {
-	n := d.prog.n
-	da, db := d.rows[a][s], d.rows[b][s]
-	var x, y big.Rat
-	cmp := func(ca, cb *big.Rat) int {
-		// ca/da vs cb/db with da, db > 0: compare ca*db vs cb*da.
-		x.Mul(ca, db)
-		y.Mul(cb, da)
-		return x.Cmp(&y)
-	}
-	if c := cmp(d.rows[a][n], d.rows[b][n]); c != 0 {
+func (d *Dict) lexRatioLess(a, b, s int, scratch *[2]big.Int) bool {
+	if c := d.ratioCmp(a, b, s, d.prog.n, scratch); c != 0 {
 		return c < 0
 	}
 	for _, col := range d.prog.lexCols {
-		if c := cmp(d.rows[a][col], d.rows[b][col]); c != 0 {
+		if c := d.ratioCmp(a, b, s, col, scratch); c != 0 {
 			return c < 0
 		}
 	}
@@ -537,12 +537,13 @@ func (d *Dict) lexRatioLess(a, b, s int) bool {
 // linearly independent tuples, which is what makes the basis graph of
 // the perturbed polytope well-defined.
 func (d *Dict) LexMinRatioRow(s int) int {
+	var scratch [2]big.Int
 	r := -1
 	for i := 0; i < d.prog.m; i++ {
-		if d.rows[i][s].Sign() <= 0 {
+		if d.Sign(i, s) <= 0 {
 			continue
 		}
-		if r < 0 || d.lexRatioLess(i, r, s) {
+		if r < 0 || d.lexRatioLess(i, r, s, &scratch) {
 			r = i
 		}
 	}
@@ -553,7 +554,8 @@ func (d *Dict) LexMinRatioRow(s int) int {
 // (r, s), used to price a neighbor's objective value without pivoting:
 // value' = value + ReducedCost(s) * ratio.
 func (d *Dict) RatioInto(out *big.Rat, r, s int) {
-	out.Quo(d.rows[r][d.prog.n], d.rows[r][s])
+	var x, y big.Int
+	out.SetFrac(d.num(&x, r, d.prog.n), d.num(&y, r, s))
 }
 
 // SupportWords packs the support of the vertex — basic variables with a
@@ -572,7 +574,7 @@ func (d *Dict) SupportWords(dst []uint64) []uint64 {
 	}
 	n := d.prog.n
 	for r := 0; r < d.prog.m; r++ {
-		if d.rows[r][n].Sign() > 0 {
+		if d.Sign(r, n) > 0 {
 			v := d.basisOf[r]
 			dst[v/64] |= 1 << uint(v%64)
 		}
@@ -580,29 +582,12 @@ func (d *Dict) SupportWords(dst []uint64) []uint64 {
 	return dst
 }
 
-// Clone deep-copies the dictionary (fuzz and test helper).
-func (d *Dict) Clone() *Dict {
-	c := &Dict{
-		prog:    d.prog,
-		rows:    make([][]*big.Rat, len(d.rows)),
-		basisOf: append([]int(nil), d.basisOf...),
-		rowOf:   append([]int(nil), d.rowOf...),
-		pivots:  d.pivots,
-	}
-	for i, row := range d.rows {
-		nr := make([]*big.Rat, len(row))
-		for j, v := range row {
-			nr[j] = newRat().Set(v)
-		}
-		c.rows[i] = nr
-	}
-	return c
-}
-
-// Equal compares two dictionaries entry-wise including the
-// row/variable association (fuzz and test helper).
+// Equal compares two dictionaries of one program by value, including
+// the row/variable association and across widths: det is a function of
+// the basis, so equal tableaus have equal numerators (fuzz and test
+// helper).
 func (d *Dict) Equal(o *Dict) bool {
-	if len(d.rows) != len(o.rows) {
+	if d.prog.m != o.prog.m || d.prog.n != o.prog.n {
 		return false
 	}
 	for i := range d.basisOf {
@@ -610,9 +595,13 @@ func (d *Dict) Equal(o *Dict) bool {
 			return false
 		}
 	}
-	for i, row := range d.rows {
-		for j, v := range row {
-			if v.Cmp(o.rows[i][j]) != 0 {
+	var x, y big.Int
+	if d.denom(&x).Cmp(o.denom(&y)) != 0 {
+		return false
+	}
+	for r := 0; r < d.prog.m; r++ {
+		for j := 0; j <= d.prog.n; j++ {
+			if d.num(&x, r, j).Cmp(o.num(&y, r, j)) != 0 {
 				return false
 			}
 		}

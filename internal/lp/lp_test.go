@@ -266,10 +266,32 @@ func TestNormalizedCone(t *testing.T) {
 	if !p.A.Equal(want) {
 		t.Fatalf("A =\n%v\nwant\n%v", p.A, want)
 	}
-	if len(p.B) != 3 || p.B[0].Sign() != 0 || p.B[1].Sign() != 0 || p.B[2].Cmp(ratOne) != 0 {
+	if len(p.B) != 3 || p.B[0].Sign() != 0 || p.B[1].Sign() != 0 || p.B[2].Cmp(rat(t, "1")) != 0 {
 		t.Fatalf("b = %v, want (0, 0, 1)", p.B)
 	}
 	if p.C != nil {
 		t.Fatalf("c = %v, want nil", p.C)
+	}
+}
+
+// TestSolveFractionalRowsPinned pins both phases on rows with different
+// denominator lcms (5, 70, 15). The phase-1 objective is the sum of the
+// artificials, so it depends on row scale: an integer dictionary that
+// scales row i by Lᵢ must seed its artificial at Lᵢ too, or it solves a
+// different phase 1 — on this program 3 phase-1 pivots and 8 in all
+// instead of the 4 and 9 recorded from the big.Rat dictionary.
+func TestSolveFractionalRowsPinned(t *testing.T) {
+	p := prob(t, [][]string{
+		{"0", "1", "-3", "3", "-1", "-2/5"},
+		{"-1/7", "0", "2", "-1/2", "3/5", "1/2"},
+		{"-2/3", "-3/5", "-1", "1/3", "-1", "0"},
+	}, []string{"-2", "41/10", "-58/15"},
+		[]string{"-3", "-1/3", "-1/3", "1", "-2", "-4/3"})
+	sol := solveOptimal(t, p)
+	if sol.Phase1Pivots != 4 || sol.Pivots != 9 {
+		t.Fatalf("pivots %d (phase 1: %d), want 9 (4)", sol.Pivots, sol.Phase1Pivots)
+	}
+	if !reflect.DeepEqual(sol.Basis, []int{0, 3, 5}) || sol.Value.Cmp(rat(t, "-42839/1335")) != 0 {
+		t.Fatalf("basis %v value %v, want [0 3 5] -42839/1335", sol.Basis, sol.Value)
 	}
 }

@@ -17,38 +17,41 @@ var errInfeasible = errors.New("lp: infeasible")
 // arithmetic), and leftover zero-level artificials are pivoted out
 // against structural columns — always possible because the rows are
 // independent. Returns the feasible structural basis in ascending
-// order and the pivot count.
-func phase1(p *program, cancel <-chan struct{}) ([]int, int64, error) {
+// order and the extended dictionary it was found on (never nil; the
+// caller reads its pivot count and width).
+//
+// The artificial sum depends on row scale, so the extended dictionary
+// must be the one of the rational rows [A | I | b], not of the scaled
+// ones: it starts at det = ΠLᵢ with body det·[A | I | b], i.e. row i of
+// the program times ΠLₖ/Lᵢ and its artificial seeded at Lᵢ in scaled
+// terms. Seeding 1 there instead solves a different phase 1 whenever
+// some Lᵢ != 1 and lands on another feasible basis — which anchors
+// lexCols and with it the shape of every later walk.
+func phase1(p *program, scale []big.Int, cancel <-chan struct{}) ([]int, *Dict, error) {
 	m, n := p.m, p.n
-	// Extended dictionary over n structural + m artificial columns,
-	// with rows sign-flipped so every artificial starts non-negative.
-	ext := &Dict{
-		prog:    &program{m: m, n: n + m},
-		rows:    make([][]*big.Rat, m),
-		basisOf: make([]int, m),
-		rowOf:   make([]int, n+m),
+	// Extended program over n structural + m artificial columns, with
+	// rows sign-flipped so every artificial starts non-negative.
+	w := n + m + 1
+	xp := &program{m: m, n: n + m, rows: make([]big.Int, m*w), bound: p.bound}
+	det := big.NewInt(1)
+	for i := range scale {
+		det.Mul(det, &scale[i])
 	}
-	for i := range ext.rowOf {
-		ext.rowOf[i] = -1
-	}
+	var k big.Int
 	for i := 0; i < m; i++ {
-		row := make([]*big.Rat, n+m+1)
-		neg := p.b[i].Sign() < 0
+		k.Quo(det, &scale[i])
+		if p.rows[i*(n+1)+n].Sign() < 0 {
+			k.Neg(&k)
+		}
 		for j := 0; j < n; j++ {
-			row[j] = newRat().Set(p.A.At(i, j))
-			if neg {
-				row[j].Neg(row[j])
-			}
+			xp.rows[i*w+j].Mul(&k, &p.rows[i*(n+1)+j])
 		}
-		for j := 0; j < m; j++ {
-			row[n+j] = newRat()
-		}
-		row[n+i] = big.NewRat(1, 1)
-		row[n+m] = newRat().Set(p.b[i])
-		if neg {
-			row[n+m].Neg(row[n+m])
-		}
-		ext.rows[i] = row
+		xp.rows[i*w+n+i].Set(det)
+		xp.rows[i*w+n+m].Mul(&k, &p.rows[i*(n+1)+n])
+	}
+	xp.seal()
+	ext := xp.load(det)
+	for i := 0; i < m; i++ {
 		ext.basisOf[i] = n + i
 		ext.rowOf[n+i] = i
 	}
@@ -56,23 +59,14 @@ func phase1(p *program, cancel <-chan struct{}) ([]int, int64, error) {
 	// Minimize the artificial sum. The reduced cost of structural
 	// column j is -sum of T[r][j] over artificial-basic rows; entering
 	// wants it negative, i.e. that column sum positive.
-	var x, y big.Rat
+	var scratch [2]big.Int
 	for iter := 0; ; iter++ {
 		if iter%64 == 0 && canceled(cancel) {
-			return nil, ext.pivots, ErrCanceled
+			return nil, ext, ErrCanceled
 		}
 		enter := -1
 		for j := 0; j < n; j++ {
-			if ext.rowOf[j] >= 0 {
-				continue
-			}
-			var acc big.Rat
-			for r := 0; r < m; r++ {
-				if ext.basisOf[r] >= n {
-					acc.Add(&acc, ext.rows[r][j])
-				}
-			}
-			if acc.Sign() > 0 {
+			if ext.rowOf[j] < 0 && ext.sumSign(j, n) > 0 {
 				enter = j
 				break
 			}
@@ -84,16 +78,14 @@ func phase1(p *program, cancel <-chan struct{}) ([]int, int64, error) {
 		// ties to the least basic variable index.
 		leave := -1
 		for r := 0; r < m; r++ {
-			if ext.rows[r][enter].Sign() <= 0 {
+			if ext.Sign(r, enter) <= 0 {
 				continue
 			}
 			if leave < 0 {
 				leave = r
 				continue
 			}
-			x.Mul(ext.rows[r][n+m], ext.rows[leave][enter])
-			y.Mul(ext.rows[leave][n+m], ext.rows[r][enter])
-			switch x.Cmp(&y) {
+			switch ext.ratioCmp(r, leave, enter, n+m, &scratch) {
 			case -1:
 				leave = r
 			case 0:
@@ -103,14 +95,14 @@ func phase1(p *program, cancel <-chan struct{}) ([]int, int64, error) {
 			}
 		}
 		if leave < 0 {
-			return nil, ext.pivots, fmt.Errorf("lp: phase-1 entering column %d unbounded", enter)
+			return nil, ext, fmt.Errorf("lp: phase-1 entering column %d unbounded", enter)
 		}
 		ext.Pivot(leave, enter)
 	}
 	// Optimal: infeasible iff any artificial still carries flow.
 	for r := 0; r < m; r++ {
-		if ext.basisOf[r] >= n && ext.rows[r][n+m].Sign() != 0 {
-			return nil, ext.pivots, errInfeasible
+		if ext.basisOf[r] >= n && ext.Sign(r, n+m) != 0 {
+			return nil, ext, errInfeasible
 		}
 	}
 	// Drive zero-level artificials out on any nonzero structural entry.
@@ -120,14 +112,14 @@ func phase1(p *program, cancel <-chan struct{}) ([]int, int64, error) {
 		}
 		done := false
 		for j := 0; j < n; j++ {
-			if ext.rowOf[j] < 0 && ext.rows[r][j].Sign() != 0 {
+			if ext.rowOf[j] < 0 && ext.Sign(r, j) != 0 {
 				ext.Pivot(r, j)
 				done = true
 				break
 			}
 		}
 		if !done {
-			return nil, ext.pivots, fmt.Errorf("lp: cannot drive artificial out of row %d (dependent constraint row survived)", r)
+			return nil, ext, fmt.Errorf("lp: cannot drive artificial out of row %d (dependent constraint row survived)", r)
 		}
 	}
 	basis := make([]int, 0, m)
@@ -136,5 +128,5 @@ func phase1(p *program, cancel <-chan struct{}) ([]int, int64, error) {
 			basis = append(basis, v)
 		}
 	}
-	return basis, ext.pivots, nil
+	return basis, ext, nil
 }

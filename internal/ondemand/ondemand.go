@@ -18,8 +18,9 @@
 // rays of the split cone — the EFMs, plus one futile two-cycle per
 // split pair (dropped on emission) and a ± orientation twin for every
 // fully reversible mode (folded away by support dedup). All arithmetic
-// is big.Rat via internal/lp; no float enters any accept/reject
-// decision, so every streamed mode is exactly a vertex of P.
+// is exact — internal/lp's integer dictionaries, big.Rat objective
+// values; no float enters any accept/reject decision, so every streamed
+// mode is exactly a vertex of P.
 //
 // # Master / pricing loop
 //
@@ -130,6 +131,10 @@ type Stats struct {
 	Duplicates    int64 `json:"duplicates"`
 	FutileSkips   int64 `json:"futile_skips"`
 	VerifyRejects int64 `json:"verify_rejects"`
+	// Widened counts the dictionaries that left int64 for big.Int: the
+	// phase-1 one, the root, and one per rebuilt basis. Zero on a
+	// network whose determinants stay below 2^31.
+	Widened int64 `json:"widened,omitempty"`
 }
 
 // node is one frontier entry: a basis of the lex-perturbed polytope
@@ -214,6 +219,9 @@ func Generate(N *ratmat.Matrix, rev []bool, opts Options, emit func(Mode)) (Stat
 	}
 	st.Pivots = sol.Pivots
 	st.Phase1Pivots = sol.Phase1Pivots
+	if sol.Phase1Wide {
+		st.Widened++
+	}
 	switch sol.Status {
 	case lp.Optimal:
 	case lp.Infeasible:
@@ -223,6 +231,9 @@ func Generate(N *ratmat.Matrix, rev []bool, opts Options, emit func(Mode)) (Stat
 		return st, nil
 	default:
 		return st, fmt.Errorf("ondemand: root LP is %v (impossible: the polytope lies in the standard simplex)", sol.Status)
+	}
+	if sol.Dict.Wide() {
+		st.Widened++
 	}
 
 	// Best-first traversal state. visited marks bases at push time so
@@ -260,6 +271,9 @@ func Generate(N *ratmat.Matrix, rev []bool, opts Options, emit func(Mode)) (Stat
 				return st, fmt.Errorf("ondemand: rebuilding frontier basis: %w", err)
 			}
 			st.Pivots += d.Pivots()
+			if d.Wide() {
+				st.Widened++
+			}
 		}
 		st.Bases++
 		if opts.Progress != nil && st.Bases%256 == 0 {

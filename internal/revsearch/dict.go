@@ -2,16 +2,16 @@ package revsearch
 
 import (
 	"fmt"
-	"math/big"
 
 	"elmocomp/internal/lp"
 )
 
-// The dictionary itself — layout, lexicographic anchor, pivoting, the
-// lex-min-ratio rule — is lp.Dict. This file adds only what reverse
-// search layers on top of it: the symbolic dual perturbation that makes
-// the optimal dictionary unique, and the lazy identities that decide a
-// reverse child from the parent's entries without pivoting.
+// The dictionary itself — layout, width, lexicographic anchor,
+// pivoting, the lex-min-ratio rule, entry signs before and after a
+// pivot — is lp.Dict. This file adds only what reverse search layers on
+// top of it: the symbolic dual perturbation that makes the optimal
+// dictionary unique, and the lazy scan that decides a reverse child
+// from the parent's signs without pivoting.
 
 // reducedSign returns the sign of cobasic variable s's reduced cost
 // under the symbolic objective c(delta) = (delta, delta^2, ...,
@@ -23,7 +23,7 @@ import (
 func reducedSign(d *lp.Dict, s int) int {
 	for k := 0; k < s; k++ {
 		if r := d.RowOf(k); r >= 0 {
-			if sg := d.Entry(r, s).Sign(); sg != 0 {
+			if sg := d.Sign(r, s); sg != 0 {
 				return -sg
 			}
 		}
@@ -31,31 +31,12 @@ func reducedSign(d *lp.Dict, s int) int {
 	return 1
 }
 
-// childEntrySign returns the sign the entry (i, j) would have after
-// Pivot(r, l), computed from the parent dictionary without pivoting:
-// T'[i][j] = T[i][j] - T[i][l]*T[r][j]/p with p = T[r][l] > 0, so the
-// sign equals sign(p*T[i][j] - T[i][l]*T[r][j]). Requires i != r.
-func childEntrySign(d *lp.Dict, i, j, r, l int) int {
-	til := d.Entry(i, l)
-	trj := d.Entry(r, j)
-	tij := d.Entry(i, j)
-	if til.Sign() == 0 || trj.Sign() == 0 {
-		return tij.Sign()
-	}
-	if tij.Sign() == 0 {
-		return -til.Sign() * trj.Sign()
-	}
-	var x, y big.Rat
-	x.Mul(d.Entry(r, l), tij)
-	y.Mul(til, trj)
-	return x.Cmp(&y)
-}
-
 // childReducedSign returns reducedSign(j) as it would read in the child
 // dictionary produced by Pivot(r, l), evaluated lazily from the parent
-// entries — the reverse-search child test runs it for candidates that
-// are mostly rejected, and skipping the trial pivot (O(m*n) exact
-// multiplications) for those is the dominant saving of the traversal.
+// signs (lp.Dict.SignAfterPivot) — the reverse-search child test runs
+// it for candidates that are mostly rejected, and skipping the trial
+// pivot (O(m*n) exact multiplications) for those is the dominant saving
+// of the traversal.
 // j must be cobasic in the child (cobasic here and != l) and j < the
 // variable currently basic in row r, so the ascending scan never
 // reaches that variable and every basic k it meets has RowOf(k) != r.
@@ -63,13 +44,13 @@ func childReducedSign(d *lp.Dict, j, r, l int) int {
 	for k := 0; k < j; k++ {
 		if k == l {
 			// Basic in the child at row r: T'[r][j] = T[r][j]/p.
-			if sg := d.Entry(r, j).Sign(); sg != 0 {
+			if sg := d.Sign(r, j); sg != 0 {
 				return -sg
 			}
 			continue
 		}
 		if i := d.RowOf(k); i >= 0 {
-			if sg := childEntrySign(d, i, j, r, l); sg != 0 {
+			if sg := d.SignAfterPivot(i, j, r, l); sg != 0 {
 				return -sg
 			}
 		}
@@ -100,19 +81,4 @@ func selectPivot(d *lp.Dict) (s, r int, ok bool, err error) {
 		return 0, 0, false, fmt.Errorf("revsearch: entering column %d is unbounded (the polytope should be bounded)", s)
 	}
 	return s, r, true, nil
-}
-
-// memEstimate approximates the dictionary's resident bytes: big.Rat
-// header plus numerator/denominator limbs per entry.
-func memEstimate(d *lp.Dict) int64 {
-	ratBits := func(v *big.Rat) int64 { return int64(v.Num().BitLen() + v.Denom().BitLen()) }
-	m, n := d.NumRows(), d.NumVars()
-	var bits int64
-	for r := 0; r < m; r++ {
-		bits += ratBits(d.RHS(r))
-		for j := 0; j < n; j++ {
-			bits += ratBits(d.Entry(r, j))
-		}
-	}
-	return bits/8 + int64(m)*int64(n+1)*48
 }

@@ -1,6 +1,7 @@
 package revsearch
 
 import (
+	"bytes"
 	"math/big"
 	"testing"
 
@@ -19,13 +20,19 @@ import (
 // lex-min-ratio pivots of a feasible walk, this holds the restore on ANY
 // nonzero pivot element — negative ones and dictionaries that are not
 // primal feasible included. Second, the lazy child test must agree with
-// reality: for a positive pivot element, the sign childEntrySign
+// reality: for a positive pivot element, the sign lp.Dict.SignAfterPivot
 // predicts from the parent must equal the sign the entry actually has
-// after pivoting.
+// after pivoting. A first byte of 128 or more scales every numerator by
+// a drawn power of two up to 2^40, so that both properties are also
+// held on wide dictionaries and across the pivot that widens one.
 func FuzzRevsearchPivot(f *testing.F) {
 	f.Add([]byte{2, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{0, 0, 255, 254, 253, 1, 2, 3})
 	f.Add([]byte{3, 1, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 1, 2, 3, 4})
+	// A narrow 3-row dictionary that crosses 2^31 at its pivot (checked
+	// below).
+	widening := []byte("\xa40B0B0002B010")
+	f.Add(widening)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			t.Skip()
@@ -39,17 +46,24 @@ func FuzzRevsearchPivot(f *testing.F) {
 			pos++
 			return b
 		}
+		mustCross, scaled := bytes.Equal(data, widening), data[0] >= 128
 		m := int(next()%3) + 1
 		n := m + int(next()%4) + 1
+		coef := func() *big.Rat {
+			v := next()
+			num := int64(v%7) - 3
+			if scaled {
+				num <<= uint(next()) % 41
+			}
+			return big.NewRat(num, int64(v%3)+1)
+		}
 		A := ratmat.New(m, n)
 		b := make([]*big.Rat, m)
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
-				v := next()
-				A.Set(i, j, big.NewRat(int64(v%7)-3, int64(v%3)+1))
+				A.Set(i, j, coef())
 			}
-			v := next()
-			b[i] = big.NewRat(int64(v%7)-3, int64(v%3)+1)
+			b[i] = coef()
 		}
 		// A Dict comes out of lp.Solve only, which wants a feasible
 		// program; neither property depends on the right-hand side, so
@@ -103,13 +117,16 @@ func FuzzRevsearchPivot(f *testing.F) {
 		w := tab.BasicVar(r)
 		positivePivot := tab.Entry(r, s).Sign() > 0
 		tab.Pivot(r, s)
+		if mustCross && (orig.Wide() || !tab.Wide() || !positivePivot) {
+			t.Fatal("the widening seed no longer widens a dictionary at a positive pivot")
+		}
 		if positivePivot {
 			for i := 0; i < m; i++ {
 				if i == r {
 					continue
 				}
 				for j := 0; j < n; j++ {
-					if got, want := childEntrySign(orig, i, j, r, s), tab.Entry(i, j).Sign(); got != want {
+					if got, want := orig.SignAfterPivot(i, j, r, s), tab.Entry(i, j).Sign(); got != want {
 						t.Fatalf("childEntrySign(%d,%d) predicted %d from the parent, pivoted entry has sign %d", i, j, got, want)
 					}
 				}

@@ -91,6 +91,10 @@ type Stats struct {
 	// PeakBytes is the largest estimated resident footprint: one
 	// dictionary per worker plus the support-dedup set.
 	PeakBytes int64 `json:"peak_bytes"`
+	// Widened counts the dictionaries that left int64 for big.Int: the
+	// phase-1 one, the root, and one per job. Zero on a network whose
+	// determinants stay below 2^31.
+	Widened int64 `json:"widened,omitempty"`
 }
 
 // Result is a completed enumeration.
@@ -175,6 +179,12 @@ func RunProblem(p *nullspace.Problem, opts Options) (*Result, error) {
 	s := &search{root: root, col: newCollector(p.Q()), opts: opts, budget: budget}
 	s.cond = sync.NewCond(&s.mu)
 	s.pivots.Add(res.Stats.Phase1Pivots + res.Stats.RootPivots)
+	if sol.Phase1Wide {
+		s.widened.Add(1)
+	}
+	if root.Wide() {
+		s.widened.Add(1)
+	}
 	s.enqueue(&job{basis: root.Basis(), depth: 0})
 
 	var wg sync.WaitGroup
@@ -200,6 +210,7 @@ func RunProblem(p *nullspace.Problem, opts Options) (*Result, error) {
 	res.Stats.Jobs = s.jobs.Load()
 	res.Stats.MaxDepth = int(s.maxDepth.Load())
 	res.Stats.PeakBytes = s.peak.Load() + s.col.bytes
+	res.Stats.Widened = s.widened.Load()
 	res.Modes = modeSetFromSupports(p.Q(), s.col)
 	return res, nil
 }

@@ -100,6 +100,7 @@ type search struct {
 	jobs     atomic.Int64
 	maxDepth atomic.Int64
 	peak     atomic.Int64
+	widened  atomic.Int64
 }
 
 func (s *search) fail(err error) {
@@ -177,7 +178,10 @@ func (w *walker) runJob(j *job) {
 	remaining := s.budget
 	w.walk(d, j.depth, &remaining)
 	s.pivots.Add(d.Pivots())
-	est := memEstimate(d)
+	if d.Wide() {
+		s.widened.Add(1)
+	}
+	est := d.Bytes()
 	for {
 		cur := s.peak.Load()
 		if est <= cur || s.peak.CompareAndSwap(cur, est) {
