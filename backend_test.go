@@ -15,14 +15,21 @@ import (
 // time, which makes it the yeast1 instance of the cross-family
 // fingerprint invariant.
 func yeastSubNetwork(t *testing.T) *Network {
-	t.Helper()
-	drop := map[string]bool{
-		"R32r": true, "R36r": true, "R19r": true, "R17r": true,
-		"R18r": true, "R20r": true, "R7r": true,
+	return yeastKnockout(t, "R32r", "R36r", "R19r", "R17r", "R18r", "R20r", "R7r")
+}
+
+// yeastKnockout returns yeast1 with the named reactions deleted from its
+// canonical text — how the benchmark builds its yeast1-dd-* and
+// yeast1-ko3* inputs.
+func yeastKnockout(tb testing.TB, names ...string) *Network {
+	tb.Helper()
+	drop := make(map[string]bool, len(names))
+	for _, n := range names {
+		drop[n] = true
 	}
 	net, err := Builtin("yeast1")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var out []string
 	for _, ln := range strings.Split(net.Canonical(), "\n") {
@@ -40,7 +47,7 @@ func yeastSubNetwork(t *testing.T) *Network {
 	}
 	sub, err := ParseNetworkString(strings.Join(out, "\n") + "\n")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return sub
 }
@@ -140,8 +147,8 @@ func TestBackendRequestKeyNeutral(t *testing.T) {
 	if dd != rs {
 		t.Fatalf("request keys differ across backends:\n  nullspace %s\n  revsearch %s", dd, rs)
 	}
-	if with := RequestKey(net, Config{Backend: ReverseSearchBackend, SplitReversible: true}); with == rs {
-		t.Fatal("result-shaping option SplitReversible did not change the key")
+	if with := RequestKey(net, Config{Backend: ReverseSearchBackend, KeepDuplicateReactions: true}); with == rs {
+		t.Fatal("result-shaping option KeepDuplicateReactions did not change the key")
 	}
 }
 

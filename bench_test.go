@@ -19,6 +19,7 @@ package elmocomp
 //
 //	BenchmarkRowOrdering{On,Off}     — fewest-nonzeros-first heuristic
 //	BenchmarkReversibleLast{On,Off}  — reversible-rows-last heuristic
+//	BenchmarkSplitFormulation        — reversible reactions unsplit vs split
 //	BenchmarkPartitionChoice{Auto,First} — D&C partition selection
 //	BenchmarkTransport{Chan,TCP}     — cluster transport cost
 
@@ -186,13 +187,13 @@ func BenchmarkMemoryAlg3(b *testing.B) {
 
 // --- ablations ---
 
-// benchHeuristics runs the serial engine on the bench network prepared
-// with h. The paper's two row-ordering heuristics (§II-C) are fixed
-// set-up on every request path, so their ablation drives the internal
-// types that still carry the switches.
-func benchHeuristics(b *testing.B, h nullspace.Heuristics) {
+// benchHeuristics runs the serial engine on net prepared with h. The
+// paper's two row-ordering heuristics and its unsplit reversible
+// reactions (§II-C) are fixed set-up on every request path, so their
+// ablation drives the internal types that still carry the switches.
+func benchHeuristics(b *testing.B, net *Network, h nullspace.Heuristics) {
 	b.Helper()
-	red, err := reduce.Network(mustBenchNet(b).inner, reduce.Options{MergeDuplicates: true})
+	red, err := reduce.Network(net.inner, reduce.Options{MergeDuplicates: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -210,14 +211,41 @@ func benchHeuristics(b *testing.B, h nullspace.Heuristics) {
 	b.ReportMetric(float64(res.TotalPairs()), "candidates")
 }
 
-func BenchmarkRowOrderingOn(b *testing.B) { benchHeuristics(b, nullspace.Heuristics{}) }
+func BenchmarkRowOrderingOn(b *testing.B) {
+	benchHeuristics(b, mustBenchNet(b), nullspace.Heuristics{})
+}
 func BenchmarkRowOrderingOff(b *testing.B) {
-	benchHeuristics(b, nullspace.Heuristics{DisableNonzeroOrder: true})
+	benchHeuristics(b, mustBenchNet(b), nullspace.Heuristics{DisableNonzeroOrder: true})
 }
 
-func BenchmarkReversibleLastOn(b *testing.B) { benchHeuristics(b, nullspace.Heuristics{}) }
+func BenchmarkReversibleLastOn(b *testing.B) {
+	benchHeuristics(b, mustBenchNet(b), nullspace.Heuristics{})
+}
 func BenchmarkReversibleLastOff(b *testing.B) {
-	benchHeuristics(b, nullspace.Heuristics{DisableReversibleLast: true})
+	benchHeuristics(b, mustBenchNet(b), nullspace.Heuristics{DisableReversibleLast: true})
+}
+
+// BenchmarkSplitFormulation is the measurement that decided ROADMAP item
+// 4 (DESIGN §8 has the 16-network table): splitting every reversible
+// reaction makes the cone pointed, so the bit-pattern-tree prefilter runs
+// ahead of the rank test, but the reversible-rows-last heuristic then has
+// nothing to order. It wins on the benchmark's yeast1-dd variants and
+// loses by one to two orders of magnitude on every network of its
+// knock-out scan, so the request path runs unsplit only.
+func BenchmarkSplitFormulation(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		drop []string
+	}{
+		{"yeast1-dd-R19r", []string{"R32r", "R72", "R19r"}},
+		{"yeast1-ko3-R40", []string{"R32r", "R36r", "R19r", "R40"}},
+	} {
+		net := yeastKnockout(b, bc.drop...)
+		b.Run(bc.name+"/unsplit", func(b *testing.B) { benchHeuristics(b, net, nullspace.Heuristics{}) })
+		b.Run(bc.name+"/split", func(b *testing.B) {
+			benchHeuristics(b, net, nullspace.Heuristics{SplitAllReversible: true})
+		})
+	}
 }
 
 func BenchmarkPartitionChoiceAuto(b *testing.B) {

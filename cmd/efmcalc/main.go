@@ -35,7 +35,6 @@ func main() {
 		qsub      = flag.Int("qsub", 2, "divide-and-conquer partition size")
 		groups    = flag.Int("groups", 0, "dnc: local node groups pulling classes off the queue concurrently (0 = one group)")
 		partition = flag.String("partition", "", "comma-separated partition reaction names (dnc)")
-		split     = flag.Bool("split", false, "split every reversible reaction so the cone is pointed and the bit-pattern-tree prefilter runs ahead of the rank test")
 		tcp       = flag.Bool("tcp", false, "route node traffic over loopback TCP")
 		commTO    = flag.Duration("comm-timeout", 0, "abort the run when an inter-node collective stalls longer than this (0 = no deadline)")
 		keepDup   = flag.Bool("keep-duplicates", false, "do not merge duplicate reactions during reduction")
@@ -74,7 +73,6 @@ func main() {
 		Workers:            *workers,
 		Qsub:               *qsub,
 		Groups:             *groups,
-		Split:              *split,
 		KeepDuplicates:     *keepDup,
 		MaxModes:           *maxModes,
 		K:                  *kModes,

@@ -174,8 +174,9 @@ const (
 
 // Config controls a computation. The zero value runs the serial
 // algorithm with the paper's defaults. Elementarity is always decided by
-// the paper's algebraic rank test and the kernel rows are always ordered
-// by its two heuristics (§II-C); neither is configurable.
+// the paper's algebraic rank test at one fixed zero tolerance, reversible
+// reactions stay unsplit and the kernel rows are always ordered by its
+// two heuristics (§II-C); none of that is configurable.
 type Config struct {
 	// Backend selects the enumeration algorithm family (default: the
 	// double-description Nullspace drivers). See Backend.
@@ -203,19 +204,9 @@ type Config struct {
 	// Partition names the partition reactions explicitly (overrides
 	// Qsub). Reactions must survive network reduction.
 	Partition []string
-	// SplitReversible prepares the problem with every reversible
-	// reaction split into an irreversible pair (the binary/pointed
-	// formulation). On the resulting pointed cone the engine runs a
-	// bit-pattern-tree superset prefilter that rejects candidates ahead
-	// of the rank test without changing any result. Serial and Parallel
-	// only; the divide-and-conquer driver manages its own row ordering
-	// and ignores this flag.
-	SplitReversible bool
 	// KeepDuplicateReactions disables the duplicate-column merge during
 	// reduction (see package reduce for the semantics).
 	KeepDuplicateReactions bool
-	// Tolerance overrides the numerical zero tolerance (default 1e-9).
-	Tolerance float64
 	// MaxIntermediateModes aborts (Serial/Parallel) or triggers adaptive
 	// re-splitting (DivideAndConquer) when an intermediate mode matrix
 	// exceeds this column count. 0 means unlimited.
@@ -665,9 +656,7 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 	if red.N.Cols() == 0 {
 		return &Result{network: n.inner, red: red}, nil
 	}
-	h := nullspace.Heuristics{SplitAllReversible: cfg.SplitReversible}
 	copts := core.Options{
-		Tol:       cfg.Tolerance,
 		MaxModes:  cfg.MaxIntermediateModes,
 		Workers:   cfg.Workers,
 		MemBudget: cfg.MemBudgetBytes,
@@ -735,7 +724,6 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 		oopts := ondemand.Options{
 			Objective: obj,
 			MaxModes:  cfg.MaxModes,
-			Tol:       cfg.Tolerance,
 			Cancel:    cancel,
 			Progress:  cfg.Progress,
 		}
@@ -763,7 +751,7 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 	}
 	switch cfg.Algorithm {
 	case Serial:
-		p, err := nullspace.New(red.N, red.Reversibilities(), h)
+		p, err := nullspace.New(red.N, red.Reversibilities(), nullspace.Heuristics{})
 		if err != nil {
 			return nil, err
 		}
@@ -779,7 +767,7 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 		res.Iterations = iterStats(run.Stats, red, p)
 		res.Phases = phasesFromStats(run.Stats)
 	case Parallel:
-		p, err := nullspace.New(red.N, red.Reversibilities(), h)
+		p, err := nullspace.New(red.N, red.Reversibilities(), nullspace.Heuristics{})
 		if err != nil {
 			return nil, err
 		}

@@ -38,7 +38,7 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 	}
 	configs := []Config{
 		{Algorithm: Serial},
-		{Algorithm: Serial, SplitReversible: true},
+		{Algorithm: Parallel, Nodes: 2},
 		{Algorithm: Parallel, Nodes: 3},
 		{Algorithm: Parallel, Nodes: 2, OverTCP: true},
 		{Algorithm: DivideAndConquer, Qsub: 2},

@@ -89,6 +89,14 @@ func TestMonotoneStopConsistency(t *testing.T) {
 	}
 }
 
+// runAtTol runs the serial engine with the package's zero tolerance
+// replaced for the duration of the run.
+func runAtTol(p *nullspace.Problem, tol float64) (*Result, error) {
+	defer func(old float64) { zeroTol = old }(zeroTol)
+	zeroTol = tol
+	return Run(p, Options{})
+}
+
 // TestTolalphaRobustness: the toy result must be identical across a wide
 // tolerance range (the data is integral and tiny).
 func TestToleranceRobustnessToy(t *testing.T) {
@@ -101,7 +109,7 @@ func TestToleranceRobustnessToy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tol := range []float64{1e-6, 1e-9, 1e-12} {
-		res, err := Run(p, Options{Tol: tol})
+		res, err := runAtTol(p, tol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +140,7 @@ func TestToleranceRobustnessSynth(t *testing.T) {
 	}
 	counts := map[float64]int{}
 	for _, tol := range []float64{1e-7, 1e-9, 1e-11} {
-		res, err := Run(p, Options{Tol: tol})
+		res, err := runAtTol(p, tol)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,9 @@
 // Package core implements the Nullspace Algorithm (Algorithm 1 of the
 // paper): iterative construction of the elementary flux modes of a
 // metabolic network from an initial kernel basis, by pairwise convex
-// combination of columns, an algebraic rank test (or the combinatorial
-// superset test) for elementarity, duplicate removal, and the
-// negative-column rule for irreversible reactions.
+// combination of columns, an algebraic rank test for elementarity,
+// duplicate removal, and the negative-column rule for irreversible
+// reactions.
 //
 // Columns ("modes") are stored in flat arrays: a bit set carrying the
 // zero/non-zero support over all q permuted reactions, the numeric tail

@@ -106,7 +106,7 @@ func TestWorkersDeterminism(t *testing.T) {
 func TestGenerateRangeMatchesGenerateInto(t *testing.T) {
 	p := fixtureProblems(t)["toy"]
 	opts := Options{}
-	set := InitialModeSet(p, opts.tol())
+	set := InitialModeSet(p, zeroTol)
 	ws := linalg.NewWorkspace(p.M()+2, p.M()+2)
 	for row := p.D; row < p.Q(); row++ {
 		it := BeginRow(p, set, row, opts)
@@ -141,7 +141,7 @@ func TestGenerateRangeMatchesGenerateInto(t *testing.T) {
 func TestPoolAssembleMatchesSerialAssemble(t *testing.T) {
 	p := fixtureProblems(t)["toy"]
 	opts := Options{}
-	set := InitialModeSet(p, opts.tol())
+	set := InitialModeSet(p, zeroTol)
 	for row := p.D; row < p.Q(); row++ {
 		itSerial := BeginRow(p, set, row, opts)
 		itPool := BeginRow(p, set, row, opts)

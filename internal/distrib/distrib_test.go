@@ -332,8 +332,9 @@ func TestWorkerProtocolMismatch(t *testing.T) {
 		refuse bool
 	}{
 		{protoVersion, false},
-		{protoVersion - 1, true}, // protocol 2 set flag bits this build refuses
-		{protoVersion - 2, true},
+		{protoVersion - 1, true}, // protocol 3 carried a tolerance in the slot this build reserves
+		{protoVersion - 2, true}, // protocol 2 set flag bits this build refuses
+		{protoVersion - 3, true},
 		{protoVersion + 1, true},
 	} {
 		t.Run(fmt.Sprint("proto-", tc.proto), func(t *testing.T) {

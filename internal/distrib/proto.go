@@ -14,7 +14,7 @@
 // then varints, raw float bits and length-prefixed byte strings.
 //
 //	class     0x01 seq flags key class depth |partition| partition...
-//	          [tol maxModes workers nodes memBudget commTimeout network]
+//	          [reserved maxModes workers nodes memBudget commTimeout network]
 //	result    0x02 seq status flags error pairs peakNodeBytes rawLen supports
 //	need-spec 0x03 seq key
 //
@@ -22,8 +22,10 @@
 // budget, bit 2 keep duplicate reactions; a class with any other bit set
 // is refused. The bracketed spec block is the per-job half of a class:
 // the wire image of the parallel.Options every class of the job runs
-// under (Core.Tol, Core.MaxModes, Core.Workers, Nodes, Core.MemBudget,
-// Timeout in seconds — what a remote class must share with a local one;
+// under: eight reserved zero bytes (protocol 3 carried a zero tolerance
+// there; the block keeps its length because the payload bytes are
+// pinned), then Core.MaxModes, Core.Workers, Nodes, Core.MemBudget and
+// Timeout in seconds (what a remote class must share with a local one;
 // the rest of that struct is process-local and never travels), then the
 // network text. A link sends it with the first class of a job key and
 // interns it: later classes of the key carry coordinates only, and a
@@ -52,7 +54,7 @@ import (
 
 // protoVersion is the protocol this build speaks. Bump on any wire
 // change; peers on another version are refused at hello.
-const protoVersion = 3
+const protoVersion = 4
 
 // helloMaxFrame bounds the hello frame, read before the peer has proven
 // it speaks the protocol at all.
@@ -319,7 +321,7 @@ func encodeClass(req *classRequest, withSpec bool) []byte {
 // readSpec is its inverse; the two are the only places that know which
 // fields of parallel.Options cross the link.
 func appendSpec(out []byte, o *parallel.Options) []byte {
-	out = appendF64(out, o.Core.Tol)
+	out = appendF64(out, 0) // reserved
 	out = binary.AppendUvarint(out, uint64(o.Core.MaxModes))
 	out = binary.AppendUvarint(out, uint64(o.Core.Workers))
 	out = binary.AppendUvarint(out, uint64(o.Nodes))
@@ -330,9 +332,10 @@ func appendSpec(out []byte, o *parallel.Options) []byte {
 // readSpec inverts appendSpec, refusing sizes no coordinator of this
 // repository sends: Nodes and Workers become allocation counts on the
 // worker (a node mesh, a workspace pool), so a peer must not be able to
-// name 2^31 of either.
+// name 2^31 of either. The reserved slot must be zero: a worker has one
+// zero tolerance and a peer cannot hand it another.
 func (r *wireReader) readSpec() (o parallel.Options) {
-	o.Core.Tol = r.f64()
+	reserved := math.Float64bits(r.f64())
 	o.Core.MaxModes = r.intv()
 	o.Core.Workers = r.intv()
 	o.Nodes = r.intv()
@@ -340,6 +343,8 @@ func (r *wireReader) readSpec() (o parallel.Options) {
 	sec := r.f64()
 	switch {
 	case r.err != nil:
+	case reserved != 0:
+		r.fail("class sets the reserved spec slot to %#x", reserved)
 	case o.Nodes > parallel.MaxNodes:
 		r.fail("class asks for %d nodes, limit %d", o.Nodes, parallel.MaxNodes)
 	case o.Core.Workers > parallel.MaxWorkers:

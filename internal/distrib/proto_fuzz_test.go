@@ -32,7 +32,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(body)
 	}
 	// Frames the decoder must refuse: sizes that would become allocation
-	// counts on the worker, and a protocol-2 flag bit.
+	// counts on the worker, a protocol-2 flag bit, and a protocol-3
+	// tolerance in the reserved spec slot.
 	for _, mutate := range []func(*classRequest){
 		func(r *classRequest) { r.Exec.Nodes = 200000 },
 		func(r *classRequest) { r.Exec.Core.Workers = 50000000 },
@@ -44,6 +45,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	treeBit := encodeClass(&full, true)
 	treeBit[2] |= 1 << 3
 	f.Add(treeBit)
+	f.Add(withReservedSlot(1e-9))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if req, hasSpec, err := decodeClass(b); err == nil {

@@ -1,11 +1,16 @@
 package distrib
 
 import (
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
+	"net"
 	"reflect"
 	"testing"
 	"time"
 
+	"elmocomp/internal/cluster"
 	"elmocomp/internal/core"
 	"elmocomp/internal/dnc"
 	"elmocomp/internal/parallel"
@@ -19,7 +24,7 @@ var fullClass = classRequest{
 	classSpec: classSpec{
 		Network: "A -> B\nB -> C\n",
 		Exec: parallel.Options{
-			Core:    core.Options{Tol: 1e-9, MaxModes: 100, Workers: 3, MemBudget: 1 << 30},
+			Core:    core.Options{MaxModes: 100, Workers: 3, MemBudget: 1 << 30},
 			Nodes:   2,
 			Timeout: 2500 * time.Millisecond,
 		},
@@ -29,6 +34,17 @@ var fullClass = classRequest{
 	Class:          5,
 	Depth:          2,
 	StrictMem:      true,
+}
+
+// withReservedSlot returns fullClass's spec-bearing frame with the eight
+// reserved bytes that open the spec block (protocol 3's zero tolerance)
+// holding v's bit pattern.
+func withReservedSlot(v float64) []byte {
+	full := fullClass
+	body := encodeClass(&full, true)
+	slot := len(encodeClass(&full, false)) // the spec block follows the coordinates
+	binary.LittleEndian.PutUint64(body[slot:], math.Float64bits(v))
+	return body
 }
 
 func TestClassCodecRoundTrip(t *testing.T) {
@@ -79,6 +95,17 @@ func TestClassCodecRoundTrip(t *testing.T) {
 			t.Fatalf("class with reserved flag bit %d accepted", bit)
 		}
 	}
+
+	// A worker has one zero tolerance: whatever a peer writes where
+	// protocol 3 carried one is refused, not run under.
+	if _, _, err := decodeClass(withReservedSlot(0)); err != nil {
+		t.Fatalf("zero reserved slot refused: %v", err)
+	}
+	for _, v := range []float64{1e-9, 1e-5, math.NaN(), math.Copysign(0, -1)} {
+		if _, _, err := decodeClass(withReservedSlot(v)); err == nil {
+			t.Fatalf("class with %g in the reserved spec slot accepted", v)
+		}
+	}
 }
 
 // TestClassSpecLimits: the spec block's node and worker counts become
@@ -90,7 +117,7 @@ func TestClassCodecRoundTrip(t *testing.T) {
 // request can make a worker drop its link over the class frame.
 func TestClassSpecLimits(t *testing.T) {
 	atLimit := parallel.Options{
-		Core:    core.Options{Tol: 1e-9, MaxModes: math.MaxInt32, Workers: parallel.MaxWorkers, MemBudget: math.MaxInt64},
+		Core:    core.Options{MaxModes: math.MaxInt32, Workers: parallel.MaxWorkers, MemBudget: math.MaxInt64},
 		Nodes:   parallel.MaxNodes,
 		Timeout: parallel.MaxCommTimeout,
 	}
@@ -205,6 +232,51 @@ func TestSpecInterningNeedSpec(t *testing.T) {
 	}
 	if st := pool.Stats()[0]; !st.Alive {
 		t.Fatal("link severed by the need-spec path")
+	}
+}
+
+// TestWorkerRefusesReservedSpecSlot: a class frame with a non-zero
+// reserved slot costs its sender the connection and nothing else — the
+// worker keeps serving the links beside it.
+func TestWorkerRefusesReservedSpecSlot(t *testing.T) {
+	spec, red, seq := toyJob(t)
+	w := startWorker(t, WorkerOptions{})
+	pool := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second})
+	defer pool.Close()
+	runJob := func(stage string) {
+		t.Helper()
+		res, err := dnc.Run(red.N, red.Reversibilities(), dnc.Options{Qsub: 2, Remote: pool.Bind(spec)})
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		if fp(res.Supports) != fp(seq.Supports) || res.Sched.RemoteClasses == 0 {
+			t.Fatalf("%s: fingerprint %x (want %x), %d remote classes", stage, fp(res.Supports), fp(seq.Supports), res.Sched.RemoteClasses)
+		}
+	}
+	runJob("before the bad frame")
+
+	conn, err := net.DialTimeout("tcp", w.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := writeHello(conn, hello{Proto: protoVersion}); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := readHello(conn); err != nil || resp.Error != "" {
+		t.Fatalf("hello answered %+v, %v", resp, err)
+	}
+	if _, err := cluster.WriteFrame(conn, withReservedSlot(1e-5)); err != nil {
+		t.Fatal(err)
+	}
+	if body, err := cluster.ReadFrame(conn, cluster.MaxFrame); !errors.Is(err, io.EOF) {
+		t.Fatalf("worker answered the refused frame with %d bytes, %v; want a closed connection", len(body), err)
+	}
+
+	runJob("after the bad frame")
+	if st := pool.Stats()[0]; !st.Alive {
+		t.Fatal("the pool's link was severed by another link's bad frame")
 	}
 }
 

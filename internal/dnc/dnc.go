@@ -35,7 +35,7 @@ import (
 // Options configure a divide-and-conquer run.
 type Options struct {
 	// Parallel configures the inner combinatorial parallel algorithm
-	// (node count, elementarity test, tolerance). Core.LastRow is
+	// (node count, transport, timeout). Core.LastRow is
 	// managed by this driver and must be zero. Core.MaxModes, when set,
 	// is the per-subproblem intermediate budget that triggers adaptive
 	// re-splitting. Core.Workers sets the shared-memory worker count of
@@ -286,7 +286,7 @@ type prepared struct {
 // and prepares its nullspace problem. It returns nil when the class is
 // infeasible (trivial kernel: some must-be-non-zero reaction cannot
 // carry flux), i.e. the subproblem is Skipped.
-func prepare(N *ratmat.Matrix, rev []bool, partition []int, id uint64, tol float64) *prepared {
+func prepare(N *ratmat.Matrix, rev []bool, partition []int, id uint64) *prepared {
 	var zf, nzf []int
 	for i, col := range partition {
 		if id&(1<<uint(i)) != 0 {
@@ -331,7 +331,7 @@ func prepare(N *ratmat.Matrix, rev []bool, partition []int, id uint64, tol float
 		return nil
 	}
 	pr := &prepared{p: p, keep: keep, nzfLocal: nzfLocal}
-	pr.est = estimatePairs(p, len(nzfLocal), tol)
+	pr.est = estimatePairs(p, len(nzfLocal))
 	return pr
 }
 
@@ -340,10 +340,8 @@ func prepare(N *ratmat.Matrix, rev []bool, partition []int, id uint64, tol float
 // iteration count. Cheap (one kernel-row sign sweep), deterministic,
 // and correlated with enumeration cost — larger classes sort first so
 // the long pole starts early instead of serializing at the tail.
-func estimatePairs(p *nullspace.Problem, nzf int, tol float64) int64 {
-	if tol <= 0 {
-		tol = linalg.DefaultTol
-	}
+func estimatePairs(p *nullspace.Problem, nzf int) int64 {
+	const tol = linalg.DefaultTol
 	iters := (p.Q() - nzf) - p.D
 	if iters <= 0 {
 		return 0

@@ -108,7 +108,7 @@ func ExecClass(N *ratmat.Matrix, rev []bool, partition []int, id uint64, popts p
 	if id >= 1<<uint(len(partition)) {
 		return nil, fmt.Errorf("dnc: class %d out of range for a %d-reaction partition", id, len(partition))
 	}
-	pr := prepare(N, rev, partition, id, popts.Core.Tol)
+	pr := prepare(N, rev, partition, id)
 	if pr == nil {
 		return &ClassOutcome{Skipped: true}, nil
 	}

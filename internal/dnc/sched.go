@@ -209,7 +209,7 @@ func runScheduled(N *ratmat.Matrix, rev []bool, partition []int, opts Options) (
 	for id := uint64(0); id < 1<<uint(len(partition)); id++ {
 		sub := &Subproblem{ID: id, Partition: append([]int(nil), partition...)}
 		res.Subproblems = append(res.Subproblems, sub)
-		pr := prepare(N, rev, partition, id, opts.Parallel.Core.Tol)
+		pr := prepare(N, rev, partition, id)
 		if pr == nil {
 			sub.Skipped = true
 			continue
@@ -551,7 +551,7 @@ func (s *scheduler) resplitEnqueue(sub *Subproblem) error {
 		id := sub.ID | bit<<uint(len(sub.Partition))
 		child := &Subproblem{ID: id, Partition: append([]int(nil), wider...), Depth: sub.Depth + 1}
 		sub.Children = append(sub.Children, child)
-		pr := prepare(s.N, s.rev, wider, id, s.opts.Parallel.Core.Tol)
+		pr := prepare(s.N, s.rev, wider, id)
 		if pr == nil {
 			child.Skipped = true
 			continue

@@ -203,7 +203,7 @@ func TestCancelQueuedJobReleasesSlot(t *testing.T) {
 	}
 	waitFor(t, "blocker to start", func() bool { return m.Stats().Running == 1 })
 
-	queued, err := m.Submit(toyRequest(t, elmocomp.Config{Tolerance: 1e-7}))
+	queued, err := m.Submit(toyRequest(t, elmocomp.Config{MaxIntermediateModes: 1_000_000}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestCancelQueuedJobReleasesSlot(t *testing.T) {
 		t.Errorf("queued gauge = %d after cancel, want 0", got)
 	}
 	// The key is free again.
-	again, err := m.Submit(toyRequest(t, elmocomp.Config{Tolerance: 1e-7}))
+	again, err := m.Submit(toyRequest(t, elmocomp.Config{MaxIntermediateModes: 1_000_000}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,10 +308,10 @@ func TestQueueFullRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "first job to start", func() bool { return m.Stats().Running == 1 })
-	if _, err := m.Submit(toyRequest(t, elmocomp.Config{Tolerance: 1e-7})); err != nil {
+	if _, err := m.Submit(toyRequest(t, elmocomp.Config{MaxIntermediateModes: 1_000_000})); err != nil {
 		t.Fatal(err)
 	}
-	_, err := m.Submit(toyRequest(t, elmocomp.Config{Tolerance: 1e-6}))
+	_, err := m.Submit(toyRequest(t, elmocomp.Config{MaxIntermediateModes: 1_000_001}))
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("got %v, want ErrQueueFull", err)
 	}
@@ -330,7 +330,7 @@ func TestDrainCancelsStragglers(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "job to start", func() bool { return m.Stats().Running == 1 })
-	queued, err := m.Submit(toyRequest(t, elmocomp.Config{Tolerance: 1e-7}))
+	queued, err := m.Submit(toyRequest(t, elmocomp.Config{MaxIntermediateModes: 1_000_000}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestTerminalJobRetention(t *testing.T) {
 	defer cancel()
 	var ids []string
 	for i := 0; i < 3; i++ {
-		j, err := m.Submit(toyRequest(t, elmocomp.Config{Tolerance: 1e-7 / float64(i+1)}))
+		j, err := m.Submit(toyRequest(t, elmocomp.Config{MaxIntermediateModes: 1_000_000 + i}))
 		if err != nil {
 			t.Fatal(err)
 		}

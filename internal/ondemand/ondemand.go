@@ -79,10 +79,6 @@ type Options struct {
 	// MaxModes stops the stream after this many emitted modes; <= 0
 	// exhausts the cone.
 	MaxModes int
-	// Tol is the float tolerance handed to the elementarity
-	// verification fast path (0 = the core default). Verification is
-	// belt-and-braces: acceptance is decided by exact arithmetic.
-	Tol float64
 	// Cancel aborts the run (error matches core.ErrCanceled).
 	Cancel <-chan struct{}
 	// Progress, when set, receives a status line every few hundred
@@ -299,7 +295,7 @@ func Generate(N *ratmat.Matrix, rev []bool, opts Options, emit func(Mode)) (Stat
 		default:
 			verifySet.Reset(q, q, nil)
 			verifySet.AppendMode(words, nil, nil, 0)
-			if !core.IsElementaryWS(p, verifySet, 0, opts.Tol, ws, scratch) {
+			if !core.IsElementaryWS(p, verifySet, 0, 0, ws, scratch) {
 				st.VerifyRejects++
 				break
 			}

@@ -312,7 +312,7 @@ func runNode(p *nullspace.Problem, copts core.Options, comm cluster.Comm, last i
 	// and cancel path, so spill files never outlive the run.
 	store := core.NewStoreManager(copts)
 	defer store.Release()
-	if err := store.Hold(core.InitialModeSet(p, tolOf(copts))); err != nil {
+	if err := store.Hold(core.InitialModeSet(p, linalg.DefaultTol)); err != nil {
 		return nil, err
 	}
 
@@ -404,11 +404,4 @@ func runNode(p *nullspace.Problem, copts core.Options, comm cluster.Comm, last i
 	nr.set = final
 	nr.store = store.Stats()
 	return nr, nil
-}
-
-func tolOf(o core.Options) float64 {
-	if o.Tol > 0 {
-		return o.Tol
-	}
-	return linalg.DefaultTol
 }

@@ -35,10 +35,8 @@ type RunOptions struct {
 	Qsub           int      `json:"qsub,omitempty"`
 	Groups         int      `json:"groups,omitempty"`
 	Partition      []string `json:"partition,omitempty"`
-	Split          bool     `json:"split,omitempty"`
 	KeepDuplicates bool     `json:"keep_duplicates,omitempty"`
 	MaxModes       int      `json:"max_modes,omitempty"`
-	Tolerance      float64  `json:"tolerance,omitempty"`
 	// K bounds the on-demand stream: stop after the first k ranked modes
 	// (0 = run to exhaustion). Streaming-tier only — distinct from
 	// MaxModes, which budgets INTERMEDIATE modes in the batch backends.
@@ -100,10 +98,8 @@ func (o RunOptions) Config() (elmocomp.Config, error) {
 		Qsub:                   o.Qsub,
 		GroupConcurrency:       o.Groups,
 		Partition:              o.Partition,
-		SplitReversible:        o.Split,
 		KeepDuplicateReactions: o.KeepDuplicates,
 		MaxIntermediateModes:   o.MaxModes,
-		Tolerance:              o.Tolerance,
 		CommTimeout:            time.Duration(o.CommTimeoutSeconds * float64(time.Second)),
 		MemBudgetBytes:         o.MemBudgetBytes,
 	}

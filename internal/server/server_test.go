@@ -134,7 +134,7 @@ func TestEndToEndConcurrentJobs(t *testing.T) {
 	}{
 		{"serial", SubmitRequest{Model: "toy"}},
 		{"dnc", SubmitRequest{Model: "toy", Options: RunOptions{Algorithm: "dnc", Nodes: 2}}},
-		{"split", SubmitRequest{Model: "toy", Options: RunOptions{Split: true}}},
+		{"parallel", SubmitRequest{Model: "toy", Options: RunOptions{Algorithm: "parallel", Nodes: 2}}},
 	}
 
 	// Direct library runs for the reference fingerprints.
@@ -453,9 +453,9 @@ func TestResidentAdmissionOverHTTP(t *testing.T) {
 	if vz := varz(t, ts); vz.ResidentBytes != 60 {
 		t.Errorf("resident_bytes = %d with one 60-byte reservation", vz.ResidentBytes)
 	}
-	// A different request (tolerance avoids coalescing) would need 60
+	// A different request (max_modes avoids coalescing) would need 60
 	// more reserved bytes: over the 100-byte allowance.
-	over := SubmitRequest{Model: "toy", Options: RunOptions{MemBudgetBytes: 60, Tolerance: 1e-7}}
+	over := SubmitRequest{Model: "toy", Options: RunOptions{MemBudgetBytes: 60, MaxModes: 1_000_000}}
 	if _, code := postJob(t, ts, over); code != http.StatusTooManyRequests {
 		t.Errorf("over-allowance submit status %d, want 429", code)
 	}
@@ -487,19 +487,24 @@ func TestSubmitValidationAndBackpressure(t *testing.T) {
 		}
 	}
 	// Options the API no longer has are unknown fields, not ignored ones:
-	// a client asking for the tree test must not silently get the rank test.
-	for _, body := range []string{
-		`{"model":"toy","options":{"test":"tree"}}`,
-		`{"model":"toy","options":{"no_hybrid":true}}`,
+	// a client asking for the tree test must not silently get the rank
+	// test, nor one sending a tolerance the one the engine has. The 400
+	// names the field.
+	for field, body := range map[string]string{
+		"test":      `{"model":"toy","options":{"test":"tree"}}`,
+		"no_hybrid": `{"model":"toy","options":{"no_hybrid":true}}`,
+		"split":     `{"model":"toy","options":{"split":true}}`,
+		"tolerance": `{"model":"toy","options":{"tolerance":1e-7}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body)
+		var msg struct{ Error string }
+		json.NewDecoder(resp.Body).Decode(&msg)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.Error, fmt.Sprintf("unknown field %q", field)) {
+			t.Errorf("%s: status %d, error %q; want a 400 naming the field", body, resp.StatusCode, msg.Error)
 		}
 	}
 
@@ -524,7 +529,7 @@ func TestSubmitValidationAndBackpressure(t *testing.T) {
 	if _, code := postJob(t, ts, SubmitRequest{Model: "toy"}); code != http.StatusAccepted {
 		t.Fatalf("queue-filling submit status %d", code)
 	}
-	if _, code := postJob(t, ts, SubmitRequest{Model: "toy", Options: RunOptions{Tolerance: 1e-7}}); code != http.StatusTooManyRequests {
+	if _, code := postJob(t, ts, SubmitRequest{Model: "toy", Options: RunOptions{MaxModes: 1_000_000}}); code != http.StatusTooManyRequests {
 		t.Errorf("overflow submit status %d, want 429", code)
 	}
 

@@ -85,8 +85,9 @@ echo "   $WIRE wire bytes for $PAYLOAD payload bytes"
 echo "== kill -9 one worker, run against the degraded fleet"
 kill -9 "$WORKER1_PID" 2>/dev/null || true
 wait "$WORKER1_PID" 2>/dev/null || true
-# A different tolerance forks the request key: no coalescing, no cache.
-ID2=$(curl -fsS "$BASE/v1/jobs" -d '{"model":"toy","options":{"algorithm":"dnc","qsub":2,"tolerance":1e-8}}' | jq -r .id)
+# A mode budget (never reached on toy) forks the request key: no
+# coalescing, no cache.
+ID2=$(curl -fsS "$BASE/v1/jobs" -d '{"model":"toy","options":{"algorithm":"dnc","qsub":2,"max_modes":1000000}}' | jq -r .id)
 LAST_STATE=$(curl -fsS "$BASE/v1/jobs/$ID2/events" | tail -1 | jq -r .state)
 [ "$LAST_STATE" = done ] || fail "degraded-fleet job ended $LAST_STATE, want done"
 GOT_FP2=$(curl -fsS "$BASE/v1/jobs/$ID2/result" | jq -r .summary.fingerprint)

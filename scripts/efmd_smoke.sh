@@ -79,9 +79,10 @@ jq -e '.summary | has("store_spills") | not' "$WORKDIR/result.json" >/dev/null \
 echo "   fingerprints match"
 
 echo "== a one-byte memory budget spills every round and leaves no file"
-# The tolerance only forks the cache key (a budget does not), so this
-# job runs instead of being served the result above.
-BID=$(curl -fsS "$BASE/v1/jobs" -d '{"model":"toy","options":{"mem_budget_bytes":1,"tolerance":1e-7}}' | jq -r .id)
+# max_modes (never reached on toy) only forks the cache key (a memory
+# budget does not), so this job runs instead of being served the result
+# above.
+BID=$(curl -fsS "$BASE/v1/jobs" -d '{"model":"toy","options":{"mem_budget_bytes":1,"max_modes":1000000}}' | jq -r .id)
 curl -fsS "$BASE/v1/jobs/$BID/events" > /dev/null
 curl -fsS "$BASE/v1/jobs/$BID/result" > "$WORKDIR/budget.json"
 [ "$(jq -r .summary.fingerprint "$WORKDIR/budget.json")" = "$REF_FP" ] || fail "budgeted fingerprint diverged"
@@ -107,9 +108,11 @@ echo "   served from cache (runs_started stayed $RUNS_AFTER; execution-shape opt
 
 echo "== removed and oversized options answer 400, and the daemon keeps serving"
 status_of() { curl -sS -o /dev/null -w '%{http_code}' --max-time 1 "$BASE/v1/jobs" -d "$1"; }
-# The second elementarity test and the prefilter switch are gone from the
-# API: a client naming them must hear so, not silently get the rank test.
-for BODY in '{"model":"toy","options":{"test":"tree"}}' '{"model":"toy","options":{"no_hybrid":true}}'; do
+# The second elementarity test, the prefilter switch, the split
+# formulation and the zero tolerance are gone from the API: a client
+# naming them must hear so, not silently get the one engine there is.
+for BODY in '{"model":"toy","options":{"test":"tree"}}' '{"model":"toy","options":{"no_hybrid":true}}' \
+            '{"model":"toy","options":{"split":true}}' '{"model":"toy","options":{"tolerance":1e-7}}'; do
   CODE=$(status_of "$BODY") || fail "no answer within a second to $BODY"
   [ "$CODE" = 400 ] || fail "$BODY answered $CODE, want 400 (unknown field)"
 done
@@ -126,10 +129,10 @@ for OPTS in '"workers":-1' '"comm_timeout_seconds":90000'; do
 done
 NEXT=$(curl -fsS "$BASE/v1/jobs" -d '{"model":"toy"}')
 [ "$(echo "$NEXT" | jq -r .fingerprint)" = "$REF_FP" ] || fail "daemon did not serve the next toy job: $NEXT"
-echo "   test=tree, no_hybrid, nodes=200000, workers=-1 and a 25 h comm timeout refused; next toy job served"
+echo "   test=tree, no_hybrid, split, tolerance, nodes=200000, workers=-1 and a 25 h comm timeout refused; next toy job served"
 
 echo "== cancel a job"
-CID=$(curl -fsS "$BASE/v1/jobs" -d '{"model":"toy","options":{"tolerance":1e-8}}' | jq -r .id)
+CID=$(curl -fsS "$BASE/v1/jobs" -d '{"model":"toy","options":{"max_modes":1000001}}' | jq -r .id)
 curl -fsS -X DELETE "$BASE/v1/jobs/$CID" >/dev/null
 CSTATE=$(curl -fsS "$BASE/v1/jobs/$CID/events" | tail -1 | jq -r .state)
 case "$CSTATE" in

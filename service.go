@@ -117,7 +117,7 @@ func (n *Network) Canonical() string { return n.inner.String() }
 // the one place Backend leaks into the key.
 func RequestKey(n *Network, cfg Config) string {
 	h := sha256.New()
-	io.WriteString(h, "elmocomp/request-key/v2\n")
+	io.WriteString(h, "elmocomp/request-key/v3\n")
 	canon := n.Canonical()
 	fmt.Fprintf(h, "network %d\n", len(canon))
 	io.WriteString(h, canon)
@@ -132,13 +132,8 @@ func RequestKey(n *Network, cfg Config) string {
 			qsub = 2 // the documented default partition size
 		}
 	}
-	tol := cfg.Tolerance
-	if tol == 0 {
-		tol = 1e-9 // the documented default zero tolerance
-	}
-	fmt.Fprintf(h, "\nalg=%d qsub=%d partition=%q split=%v tol=%g maxmodes=%d keepdup=%v\n",
-		alg, qsub, partition, cfg.SplitReversible, tol, cfg.MaxIntermediateModes,
-		cfg.KeepDuplicateReactions)
+	fmt.Fprintf(h, "\nalg=%d qsub=%d partition=%q maxmodes=%d keepdup=%v\n",
+		alg, qsub, partition, cfg.MaxIntermediateModes, cfg.KeepDuplicateReactions)
 	if cfg.Backend == OnDemandBackend && cfg.MaxModes > 0 {
 		fmt.Fprintf(h, "ondemand k=%d objective=%s\n", cfg.MaxModes, canonicalObjective(cfg.Objective))
 	}

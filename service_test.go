@@ -20,15 +20,15 @@ func TestRequestKeyCoalescesExecutionShape(t *testing.T) {
 	if len(base) != 64 {
 		t.Fatalf("key length %d, want 64 hex chars", len(base))
 	}
-	// The key's field list changed (the test= / noroworder= / norevlast=
-	// terms are gone), so every key value did: the domain string is what
-	// keeps a v1 key from ever being compared with a v2 one.
+	// The key's field list changed (the split= and tol= terms are gone),
+	// so every key value did: the domain string is what keeps a v2 key
+	// from ever being compared with a v3 one.
 	h := sha256.New()
 	canon := net.Canonical()
-	fmt.Fprintf(h, "elmocomp/request-key/v2\nnetwork %d\n%s", len(canon), canon)
-	fmt.Fprintf(h, "\nalg=0 qsub=0 partition=\"\" split=false tol=1e-09 maxmodes=0 keepdup=false\n")
+	fmt.Fprintf(h, "elmocomp/request-key/v3\nnetwork %d\n%s", len(canon), canon)
+	fmt.Fprintf(h, "\nalg=0 qsub=0 partition=\"\" maxmodes=0 keepdup=false\n")
 	if want := hex.EncodeToString(h.Sum(nil)); base != want {
-		t.Fatalf("default-config key %s is not the v2 derivation %s", base, want)
+		t.Fatalf("default-config key %s is not the v3 derivation %s", base, want)
 	}
 	// Execution-shape knobs must not fork the key.
 	same := []Config{
@@ -44,9 +44,9 @@ func TestRequestKeyCoalescesExecutionShape(t *testing.T) {
 	}
 	// Result-shaping options must fork it.
 	diff := []Config{
-		{Tolerance: 1e-6},
+		{Backend: OnDemandBackend, MaxModes: 3},
 		{KeepDuplicateReactions: true},
-		{SplitReversible: true},
+		{MaxIntermediateModes: 10, Algorithm: Parallel},
 		{MaxIntermediateModes: 10},
 	}
 	seen := map[string]int{base: -1}
@@ -92,9 +92,7 @@ func TestRequestKeyClassifiesEveryConfigField(t *testing.T) {
 		"Algorithm":              {Config{MaxIntermediateModes: 10}, func(c *Config) { c.Algorithm = Parallel }},
 		"Qsub":                   {budgetedDnC, func(c *Config) { c.Qsub = 3 }},
 		"Partition":              {budgetedDnC, func(c *Config) { c.Partition = []string{"R1"} }},
-		"SplitReversible":        {Config{}, func(c *Config) { c.SplitReversible = true }},
 		"KeepDuplicateReactions": {Config{}, func(c *Config) { c.KeepDuplicateReactions = true }},
-		"Tolerance":              {Config{}, func(c *Config) { c.Tolerance = 1e-6 }},
 		"MaxIntermediateModes":   {Config{}, func(c *Config) { c.MaxIntermediateModes = 10 }},
 		"MaxModes":               {Config{Backend: OnDemandBackend}, func(c *Config) { c.MaxModes = 3 }},
 		"Objective":              {Config{Backend: OnDemandBackend, MaxModes: 3}, func(c *Config) { c.Objective = map[string]string{"R1": "1"} }},
