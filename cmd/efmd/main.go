@@ -166,8 +166,8 @@ func main() {
 }
 
 // runWorker serves the distrib class protocol until SIGTERM/SIGINT.
-// Workers are stateless apart from pure caches, so shutdown just closes
-// the listener: the coordinator re-enqueues whatever was in flight.
+// Workers are stateless apart from a pure per-job store, so shutdown just
+// closes the listener: the coordinator re-enqueues whatever was in flight.
 func runWorker(addr, spillDir string) {
 	w, err := distrib.NewWorker(addr, distrib.WorkerOptions{
 		SpillDir: spillDir,
@@ -189,8 +189,7 @@ func runWorker(addr, spillDir string) {
 	case <-ctx.Done():
 	}
 	w.Close()
-	c := w.Counters()
-	log.Printf("efmd: worker stopped (%d classes served, %d cache hits)", c.Served, c.CacheHits)
+	log.Printf("efmd: worker stopped (%d classes served)", w.Counters().Served)
 }
 
 func fatal(err error) {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,43 +18,6 @@ import (
 	"elmocomp/internal/model"
 	"elmocomp/internal/reduce"
 )
-
-func TestRingDeterministicAndCovering(t *testing.T) {
-	addrs := []string{"10.0.0.1:9179", "10.0.0.2:9179", "10.0.0.3:9179"}
-	a, b := newRing(addrs), newRing(addrs)
-	keys := make([]string, 0, 256)
-	for i := 0; i < 256; i++ {
-		keys = append(keys, fmt.Sprintf("job-%d/%08b/%d", i%3, i, i%4))
-	}
-	hits := make([]int, len(addrs))
-	for _, key := range keys {
-		sa, sb := a.lookup(key), b.lookup(key)
-		if sa != sb {
-			t.Fatalf("lookup(%q): %d vs %d across identical rings", key, sa, sb)
-		}
-		hits[sa]++
-	}
-	for slot, n := range hits {
-		if n == 0 {
-			t.Errorf("slot %d never chosen over %d keys (ring badly skewed)", slot, len(keys))
-		}
-	}
-	// Removing one worker must not reroute keys the survivors already
-	// owned — that cache stability is the point of consistent hashing.
-	small := newRing(addrs[:2])
-	moved, kept := 0, 0
-	for _, key := range keys {
-		if full := a.lookup(key); full < 2 {
-			kept++
-			if small.lookup(key) != full {
-				moved++
-			}
-		}
-	}
-	if moved*2 > kept {
-		t.Errorf("%d of %d surviving-slot keys moved after removing one worker; consistent hashing should move few", moved, kept)
-	}
-}
 
 func TestFrameRoundTripAndLimit(t *testing.T) {
 	var buf bytes.Buffer
@@ -150,15 +114,18 @@ func TestPoolEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPoolClassCacheHits: the same job resubmitted to a single worker
-// must answer every class from the worker's cache.
+// TestPoolClassCacheHits: a worker keeps no class results, so the same
+// job run twice through one worker computes every class twice — on the
+// sequential fingerprint both times. The coordinator's request-key cache
+// is the fleet's only result cache.
 func TestPoolClassCacheHits(t *testing.T) {
 	spec, red, seq := toyJob(t)
 	w := startWorker(t, WorkerOptions{})
 	pool := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second})
 	defer pool.Close()
 
-	for round := 0; round < 2; round++ {
+	var served [2]int64
+	for round := range served {
 		res, err := dnc.Run(red.N, red.Reversibilities(), dnc.Options{Qsub: 2, Remote: pool.Bind(spec)})
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -166,14 +133,75 @@ func TestPoolClassCacheHits(t *testing.T) {
 		if fp(res.Supports) != fp(seq.Supports) {
 			t.Fatalf("round %d: fingerprint mismatch", round)
 		}
+		served[round] = w.Counters().Served
 	}
-	c := w.Counters()
-	if c.CacheHits == 0 {
-		t.Fatalf("no cache hits on a repeated job (served %d)", c.Served)
+	if served[0] == 0 || served[1] != 2*served[0] {
+		t.Fatalf("worker served %d classes after one run and %d after two, want the second run to compute every class again", served[0], served[1])
 	}
-	if got := pool.Stats()[0].CacheHits; got != c.CacheHits {
-		t.Errorf("pool saw %d cache hits, worker served %d", got, c.CacheHits)
+	if got := pool.Stats()[0].Completed; got != served[1] {
+		t.Errorf("pool completed %d classes, worker served %d", got, served[1])
 	}
+}
+
+// TestWorkerReducesOncePerJob: classes of two jobs alternating on one
+// link (efmd's default -concurrency 2 against one worker) each find their
+// job's reduction where the job's first class left it — a worker parses
+// and reduces a network once per job, not once per alternation.
+func TestWorkerReducesOncePerJob(t *testing.T) {
+	specA, _, seq := toyJob(t)
+	specB := specA
+	specB.Key = "test-job-2"
+	w := startWorker(t, WorkerOptions{})
+	pool := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second})
+	defer pool.Close()
+
+	reduction := func(key string) *reduce.Reduced {
+		t.Helper()
+		job, ok := w.jobs.Get(key)
+		if !ok {
+			t.Fatalf("worker holds nothing for job %q", key)
+		}
+		red, err := job.reduced(false) // through the entry's Once: what the next class would get
+		if err != nil {
+			t.Fatal(err)
+		}
+		return red
+	}
+	first := map[string]*reduce.Reduced{}
+	for id := uint64(0); id < 1<<uint(len(seq.Partition)); id++ {
+		for _, spec := range []JobSpec{specA, specB} {
+			if _, err := pool.Bind(spec).Run(0, dnc.RemoteClass{ID: id, Partition: seq.Partition}, nil); err != nil {
+				t.Fatalf("job %q class %d: %v", spec.Key, id, err)
+			}
+			got := reduction(spec.Key)
+			if id == 0 {
+				first[spec.Key] = got
+			} else if got != first[spec.Key] {
+				t.Fatalf("job %q class %d ran on a fresh reduction: the network was parsed and reduced again", spec.Key, id)
+			}
+		}
+	}
+	if c := w.Counters(); c.NeedSpecs != 0 {
+		t.Fatalf("%d need-spec retransmits with both jobs inside the store", c.NeedSpecs)
+	}
+
+	// A second coordinator's link reaches the same job's entry from
+	// another connection at the same time (the lane -race watches).
+	other := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second})
+	defer other.Close()
+	var wg sync.WaitGroup
+	for _, p := range []*Pool{pool, other} {
+		wg.Add(1)
+		go func(p *Pool) {
+			defer wg.Done()
+			for id := uint64(0); id < 1<<uint(len(seq.Partition)); id++ {
+				if _, err := p.Bind(specA).Run(0, dnc.RemoteClass{ID: id, Partition: seq.Partition}, nil); err != nil {
+					t.Errorf("concurrent class %d: %v", id, err)
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
 }
 
 // TestPoolWorkerCrash: one worker of two dies on its first class (like
@@ -332,9 +360,10 @@ func TestWorkerProtocolMismatch(t *testing.T) {
 		refuse bool
 	}{
 		{protoVersion, false},
-		{protoVersion - 1, true}, // protocol 3 carried a tolerance in the slot this build reserves
-		{protoVersion - 2, true}, // protocol 2 set flag bits this build refuses
-		{protoVersion - 3, true},
+		{protoVersion - 1, true}, // protocol 4 marked results served from a worker's class cache
+		{protoVersion - 2, true}, // protocol 3 carried a tolerance in the slot this build reserves
+		{protoVersion - 3, true}, // protocol 2 set flag bits this build refuses
+		{protoVersion - 4, true},
 		{protoVersion + 1, true},
 	} {
 		t.Run(fmt.Sprint("proto-", tc.proto), func(t *testing.T) {

@@ -54,7 +54,6 @@ type JobSpec struct {
 type Pool struct {
 	opts    PoolOptions
 	workers []*workerLink
-	ring    *ring
 }
 
 // NewPool builds a pool over the worker addresses. No connection is
@@ -69,7 +68,7 @@ func NewPool(addrs []string, opts PoolOptions) *Pool {
 	if opts.Inflight <= 0 {
 		opts.Inflight = 2
 	}
-	p := &Pool{opts: opts, ring: newRing(addrs)}
+	p := &Pool{opts: opts}
 	for _, a := range addrs {
 		p.workers = append(p.workers, &workerLink{addr: a})
 	}
@@ -104,7 +103,6 @@ type WorkerStats struct {
 	Alive        bool   `json:"alive"`
 	Dispatched   int64  `json:"dispatched"`
 	Completed    int64  `json:"completed"`
-	CacheHits    int64  `json:"cache_hits"`
 	Failures     int64  `json:"failures"`
 	Timeouts     int64  `json:"timeouts"`
 	PayloadBytes int64  `json:"payload_bytes"`
@@ -123,7 +121,6 @@ func (p *Pool) Stats() []WorkerStats {
 			Alive:        alive,
 			Dispatched:   atomic.LoadInt64(&w.dispatched),
 			Completed:    atomic.LoadInt64(&w.completed),
-			CacheHits:    atomic.LoadInt64(&w.cacheHits),
 			Failures:     atomic.LoadInt64(&w.failures),
 			Timeouts:     atomic.LoadInt64(&w.timeouts),
 			PayloadBytes: atomic.LoadInt64(&w.payloadBytes),
@@ -172,7 +169,6 @@ type workerLink struct {
 
 	dispatched   int64
 	completed    int64
-	cacheHits    int64
 	failures     int64
 	timeouts     int64
 	payloadBytes int64
@@ -199,15 +195,6 @@ func (e *boundExec) Alive(slot int) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return !w.down
-}
-
-// Affine routes a class by consistent hash over (job key, class), so a
-// repeated request scatters its classes onto the same workers as last
-// time and their class caches answer without recomputing. Every
-// credit-slot of the hashed worker is affine to the class.
-func (e *boundExec) Affine(slot int, c dnc.RemoteClass) bool {
-	home := e.p.ring.lookup(fmt.Sprintf("%s/%s/%d", e.spec.Key, c.Label, c.Depth))
-	return home == slot%len(e.p.workers)
 }
 
 func (e *boundExec) Run(slot int, c dnc.RemoteClass, cancel <-chan struct{}) (*dnc.ClassOutcome, error) {
@@ -339,9 +326,6 @@ func (w *workerLink) callOnce(req *classRequest, cancel <-chan struct{}, forceSp
 		return nil, true, nil
 	}
 	atomic.AddInt64(&w.completed, 1)
-	if rep.resp.Cached {
-		atomic.AddInt64(&w.cacheHits, 1)
-	}
 	atomic.AddInt64(&w.payloadBytes, rep.raw)
 	return rep.resp, false, nil
 }

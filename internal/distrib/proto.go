@@ -1,9 +1,9 @@
 // Package distrib is the coordinator/worker fabric of the distributed
 // efmd deployment: one wire protocol for shipping divide-and-conquer
-// classes to remote worker processes, a multiplexed connection pool
-// implementing the scheduler's RemoteExecutor on top of it, and a
-// consistent-hash ring that routes identical requests back to the same
-// worker's cache.
+// classes to remote worker processes, and a multiplexed connection pool
+// implementing the scheduler's RemoteExecutor on top of it. Nothing here
+// decides where a class runs: classes are independent subproblems and
+// every dispatcher takes the scheduler's largest queued one.
 //
 // The wire (this file). Every message is a frame of the cluster
 // substrate's codec (cluster.WriteFrame: a 4-byte little-endian length,
@@ -15,12 +15,13 @@
 //
 //	class     0x01 seq flags key class depth |partition| partition...
 //	          [reserved maxModes workers nodes memBudget commTimeout network]
-//	result    0x02 seq status flags error pairs peakNodeBytes rawLen supports
+//	result    0x02 seq status reserved error pairs peakNodeBytes rawLen supports
 //	need-spec 0x03 seq key
 //
 // The class flags byte: bit 0 spec block attached, bit 1 strict memory
 // budget, bit 2 keep duplicate reactions; a class with any other bit set
-// is refused. The bracketed spec block is the per-job half of a class:
+// is refused; the result's reserved byte (protocol 4's cached flag) must
+// be zero. The bracketed spec block is the per-job half of a class:
 // the wire image of the parallel.Options every class of the job runs
 // under: eight reserved zero bytes (protocol 3 carried a zero tolerance
 // there; the block keeps its length because the payload bytes are
@@ -54,7 +55,7 @@ import (
 
 // protoVersion is the protocol this build speaks. Bump on any wire
 // change; peers on another version are refused at hello.
-const protoVersion = 4
+const protoVersion = 5
 
 // helloMaxFrame bounds the hello frame, read before the peer has proven
 // it speaks the protocol at all.
@@ -113,8 +114,7 @@ type classSpec struct {
 // classRequest ships one divide-and-conquer class: the job's spec and
 // the class coordinates. Seq pairs the response on the connection; Key
 // is the job's content-addressed RequestKey, shared by every class of
-// one job so the worker can reuse its parsed reduction, intern the spec
-// and key its class cache.
+// one job so the worker keeps one spec and one reduction for all of them.
 type classRequest struct {
 	Seq uint64
 	Key string
@@ -152,10 +152,9 @@ type classResponse struct {
 
 	Pairs         int64
 	PeakNodeBytes int64
-	Cached        bool
 	// Supports is the class's EFM supports over the reduced network's
-	// columns: flat EFMS in the worker's class cache, EFMS or EFMC on
-	// the wire.
+	// columns: flat EFMS as the worker produced it, EFMS or EFMC on the
+	// wire.
 	Supports []byte
 }
 
@@ -177,11 +176,6 @@ const (
 	classStrictMem
 	classKeepDup
 	classFlagMask = classHasSpec | classStrictMem | classKeepDup
-)
-
-// Result flag bits.
-const (
-	resultCached = 1 << iota
 )
 
 func appendBytes(dst []byte, p []byte) []byte {
@@ -284,10 +278,6 @@ func (r *wireReader) done() error {
 
 // encodeClass serializes a class request. withSpec attaches the spec
 // block; an interned request carries only its key and coordinates.
-//
-// The spec-attached encoding with Seq zeroed doubles as the worker's
-// class-cache key material: it is a total, deterministic function of the
-// request with no error path.
 func encodeClass(req *classRequest, withSpec bool) []byte {
 	out := make([]byte, 0, 64+len(req.Key))
 	out = append(out, msgClass)
@@ -401,11 +391,7 @@ func encodeResult(resp *classResponse, payload []byte, rawLen int) []byte {
 	out = append(out, msgResult)
 	out = binary.AppendUvarint(out, resp.Seq)
 	out = append(out, byte(resp.Status))
-	var flags byte
-	if resp.Cached {
-		flags |= resultCached
-	}
-	out = append(out, flags)
+	out = append(out, 0) // reserved
 	out = appendBytes(out, []byte(resp.Error))
 	out = binary.AppendUvarint(out, uint64(resp.Pairs))
 	out = binary.AppendUvarint(out, uint64(resp.PeakNodeBytes))
@@ -427,7 +413,9 @@ func decodeResult(body []byte) (*classResponse, int64, error) {
 	if r.err == nil && resp.Status > statusError {
 		return nil, 0, fmt.Errorf("distrib: unknown status byte %d", byte(resp.Status))
 	}
-	resp.Cached = r.u8()&resultCached != 0
+	if reserved := r.u8(); reserved != 0 {
+		r.fail("class result sets the reserved byte to %#x", reserved)
+	}
 	resp.Error = string(r.bytes())
 	resp.Pairs = int64(r.uvarint())
 	resp.PeakNodeBytes = int64(r.uvarint())

@@ -21,7 +21,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(encodeClass(&full, false))
 	payload := []byte("EFMS-or-EFMC-payload-bytes")
 	f.Add(encodeResult(&classResponse{Seq: 9, Status: statusError, Error: "boom", Pairs: 12345,
-		PeakNodeBytes: 1 << 20, Cached: true}, payload, 4*len(payload)))
+		PeakNodeBytes: 1 << 20}, payload, 4*len(payload)))
 	f.Add(encodeResult(&classResponse{Seq: 1, Status: statusOK}, nil, 0))
 	f.Add(encodeNeedSpec(77, "some-job-key"))
 	for _, h := range []hello{{Proto: protoVersion}, {Proto: protoVersion, Error: "peer speaks protocol 1"}} {
@@ -32,8 +32,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(body)
 	}
 	// Frames the decoder must refuse: sizes that would become allocation
-	// counts on the worker, a protocol-2 flag bit, and a protocol-3
-	// tolerance in the reserved spec slot.
+	// counts on the worker, a protocol-2 flag bit, a protocol-3 tolerance
+	// in the reserved spec slot, and a protocol-4 cached flag in the
+	// result's reserved byte.
 	for _, mutate := range []func(*classRequest){
 		func(r *classRequest) { r.Exec.Nodes = 200000 },
 		func(r *classRequest) { r.Exec.Core.Workers = 50000000 },
@@ -46,6 +47,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	treeBit[2] |= 1 << 3
 	f.Add(treeBit)
 	f.Add(withReservedSlot(1e-9))
+	f.Add(withReservedResultByte(1))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if req, hasSpec, err := decodeClass(b); err == nil {

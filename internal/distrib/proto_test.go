@@ -47,6 +47,14 @@ func withReservedSlot(v float64) []byte {
 	return body
 }
 
+// withReservedResultByte returns a valid result frame whose reserved byte
+// (after the type byte, the one-byte seq varint and the status) holds v.
+func withReservedResultByte(v byte) []byte {
+	body := encodeResult(&classResponse{Seq: 1, Status: statusOK}, []byte("EFMS"), 4)
+	body[3] = v
+	return body
+}
+
 func TestClassCodecRoundTrip(t *testing.T) {
 	full := fullClass
 	for _, withSpec := range []bool{true, false} {
@@ -158,7 +166,6 @@ func TestResultCodecRoundTrip(t *testing.T) {
 			Error:         "boom",
 			Pairs:         12345,
 			PeakNodeBytes: 1 << 20,
-			Cached:        true,
 			Supports:      payload,
 		}
 		body := encodeResult(&in, payload, 4*len(payload))
@@ -185,6 +192,11 @@ func TestResultCodecRoundTrip(t *testing.T) {
 	if _, _, err := decodeResult(bad); err == nil {
 		t.Fatal("unknown status byte accepted")
 	}
+	// The byte after the status was protocol 4's cached flag: no worker
+	// of this build answers from a cache, so a peer setting it is refused.
+	if _, _, err := decodeResult(withReservedResultByte(1)); err == nil {
+		t.Fatal("result with a non-zero reserved byte accepted")
+	}
 }
 
 func TestNeedSpecCodecRoundTrip(t *testing.T) {
@@ -203,7 +215,7 @@ func TestNeedSpecCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpecInterningNeedSpec: a worker whose spec store evicted a job's
+// TestSpecInterningNeedSpec: a worker whose per-job store evicted a job's
 // spec answers need-spec; the coordinator re-sends the class with the
 // spec attached and the job still completes. Exercises worker-restart
 // correctness without restarting anything.
@@ -211,11 +223,17 @@ func TestSpecInterningNeedSpec(t *testing.T) {
 	specA, red, seq := toyJob(t)
 	specB := specA
 	specB.Key = "test-job-2"
-	w := startWorker(t, WorkerOptions{SpecCache: 1})
+	w, err := NewWorker("127.0.0.1:0", WorkerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.jobs = newJobStore(1) // before Serve: no connection reads the field yet
+	go w.Serve()
+	t.Cleanup(func() { w.Close() })
 	pool := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second})
 	defer pool.Close()
 
-	// Job A interns its spec; job B evicts it (SpecCache 1); job A again
+	// Job A interns its spec; job B evicts it (a store of one); job A again
 	// finds the link still believes A is interned, the worker answers
 	// need-spec, and the retransmit path heals it.
 	for round, spec := range []JobSpec{specA, specB, specA} {

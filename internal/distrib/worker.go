@@ -1,8 +1,6 @@
 package distrib
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
@@ -28,21 +26,18 @@ const wireCompressMin = 512
 // socket until Close. The coordinator bounds its half with DialTimeout.
 const helloTimeout = 5 * time.Second
 
+// jobStoreSize bounds the per-job store by count: the jobs a worker keeps
+// a spec and a reduction for. A class arriving for an evicted (or
+// never-seen) key is answered with need-spec and the coordinator re-sends
+// it spec-attached.
+const jobStoreSize = 16
+
 // WorkerOptions configure a worker process.
 type WorkerOptions struct {
 	// SpillDir is the worker's own mode-store spill directory (operator
 	// configuration, never taken from the wire — the same rule efmd's
 	// HTTP API enforces).
 	SpillDir string
-	// CacheClasses bounds the worker's class-result cache (default 64;
-	// negative disables). Keyed on the full class request, so a repeated
-	// job routed back here by the coordinator's consistent hashing
-	// answers from memory.
-	CacheClasses int
-	// SpecCache bounds the interned job-spec store (default 16). A class
-	// arriving for an evicted (or never-seen) key is answered with
-	// need-spec and the coordinator re-sends it spec-attached.
-	SpecCache int
 	// DelayPerClass, when > 0, sleeps before executing each class —
 	// a test hook making compute slow enough to observe transfer
 	// pipelining deterministically.
@@ -62,10 +57,9 @@ type WorkerOptions struct {
 }
 
 // Worker serves divide-and-conquer classes over the distrib protocol:
-// the `efmd -worker` role. It is stateless across classes apart from
-// three pure caches (the parsed reduction, interned job specs, and
-// completed class results), so a crashed worker loses nothing the
-// coordinator cannot recompute or re-send.
+// the `efmd -worker` role. It is stateless across classes apart from one
+// bounded per-job store (the interned spec and its reduction), so a
+// crashed worker loses nothing the coordinator cannot re-send.
 type Worker struct {
 	opts WorkerOptions
 	ln   net.Listener
@@ -77,16 +71,10 @@ type Worker struct {
 	conns  map[net.Conn]struct{}
 	closed bool
 
-	redMu  sync.Mutex
-	redKey string
-	red    *reduce.Reduced
-
-	classes *lru.Cache[*classResponse] // completed classes by cacheKey
-	specs   *lru.Cache[classSpec]      // interned job specs by job key
+	jobs *lru.Cache[*jobEntry] // by job key
 
 	reqCount     int64 // lifetime class requests (fault-injection trigger)
 	served       int64
-	hits         int64
 	needSpecs    int64
 	maxPipelined int64 // high-water of classes queued on one connection
 }
@@ -97,19 +85,12 @@ func NewWorker(addr string, opts WorkerOptions) (*Worker, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.CacheClasses == 0 {
-		opts.CacheClasses = 64
-	}
-	if opts.SpecCache <= 0 {
-		opts.SpecCache = 16
-	}
 	return &Worker{
 		opts:         opts,
 		ln:           ln,
 		helloTimeout: helloTimeout,
 		conns:        make(map[net.Conn]struct{}),
-		classes:      lru.New(int64(opts.CacheClasses), func(*classResponse) int64 { return 1 }),
-		specs:        lru.New(int64(opts.SpecCache), func(classSpec) int64 { return 1 }),
+		jobs:         newJobStore(jobStoreSize),
 	}, nil
 }
 
@@ -167,8 +148,7 @@ func (w *Worker) Close() error {
 
 // WorkerCounters are the worker's own service counters.
 type WorkerCounters struct {
-	Served    int64 `json:"served"`
-	CacheHits int64 `json:"cache_hits"`
+	Served int64 `json:"served"`
 	// NeedSpecs counts classes that arrived interned for a spec this
 	// worker did not hold and were answered with a retransmit request.
 	NeedSpecs int64 `json:"need_specs,omitempty"`
@@ -181,7 +161,6 @@ type WorkerCounters struct {
 func (w *Worker) Counters() WorkerCounters {
 	return WorkerCounters{
 		Served:       atomic.LoadInt64(&w.served),
-		CacheHits:    atomic.LoadInt64(&w.hits),
 		NeedSpecs:    atomic.LoadInt64(&w.needSpecs),
 		MaxPipelined: atomic.LoadInt64(&w.maxPipelined),
 	}
@@ -272,12 +251,12 @@ func (w *Worker) serveConn(c net.Conn) {
 			<-closed // injected wedge: hold the class until the peer gives up
 			return
 		}
-		req := in.req
+		req := &in.req
+		var job *jobEntry
 		if in.hasSpec {
-			w.specs.Put(req.Key, req.classSpec)
-		} else if spec, ok := w.specs.Get(req.Key); ok {
-			req.classSpec = spec
-		} else {
+			job = &jobEntry{spec: req.classSpec}
+			w.jobs.Put(req.Key, job)
+		} else if job, _ = w.jobs.Get(req.Key); job == nil {
 			atomic.AddInt64(&w.needSpecs, 1)
 			if _, err := cluster.WriteFrame(c, encodeNeedSpec(req.Seq, req.Key)); err != nil {
 				return
@@ -292,7 +271,7 @@ func (w *Worker) serveConn(c net.Conn) {
 				return
 			}
 		}
-		resp := w.exec(&req, closed)
+		resp := w.exec(req, job, closed)
 		if err := writeReply(c, resp); err != nil {
 			return
 		}
@@ -318,20 +297,11 @@ func writeReply(c net.Conn, resp *classResponse) error {
 	return err
 }
 
-// exec runs one class request, serving from the class cache when the
-// identical request was answered before.
-func (w *Worker) exec(req *classRequest, cancel <-chan struct{}) *classResponse {
-	ck := cacheKey(req)
-	if hit, ok := w.classes.Get(ck); ok {
-		atomic.AddInt64(&w.hits, 1)
-		resp := *hit
-		resp.Seq = req.Seq
-		resp.Cached = true
-		return &resp
-	}
-
+// exec runs one class of a job: the coordinates come from the request,
+// everything per-job (options, network, reduction) from the job's entry.
+func (w *Worker) exec(req *classRequest, job *jobEntry, cancel <-chan struct{}) *classResponse {
 	resp := &classResponse{Seq: req.Seq}
-	red, err := w.reduced(req)
+	red, err := job.reduced(req.KeepDuplicates)
 	if err != nil {
 		resp.Status = statusError
 		resp.Error = err.Error()
@@ -339,7 +309,7 @@ func (w *Worker) exec(req *classRequest, cancel <-chan struct{}) *classResponse 
 	}
 	// The decoded options carry what the coordinator's local groups run
 	// under; only what must never come off the wire is set here.
-	popts := req.Exec
+	popts := job.spec.Exec
 	popts.Cancel = cancel
 	popts.Core.SpillDir = w.opts.SpillDir
 	popts.Core.StrictMemBudget = req.StrictMem
@@ -370,41 +340,37 @@ func (w *Worker) exec(req *classRequest, cancel <-chan struct{}) *classResponse 
 		w.opts.Logf("class %d/%v: %s, %d modes in %v",
 			req.Class, req.Partition, resp.Status, len(out.Supports), time.Since(start).Round(time.Millisecond))
 	}
-	// Outcomes are pure functions of the request (the determinism the
-	// differential harness enforces), so caching them is sound. Budget
-	// statuses are deterministic too but cheap to reproduce and carry
-	// policy (strictness) in the key; only completed classes are kept.
-	w.classes.Put(ck, resp)
 	return resp
 }
 
-// reduced parses and reduces the request's network, reusing the previous
-// reduction when the job key matches — every class of one job ships the
-// same canonical network text.
-func (w *Worker) reduced(req *classRequest) (*reduce.Reduced, error) {
-	w.redMu.Lock()
-	defer w.redMu.Unlock()
-	if w.red != nil && w.redKey == req.Key {
-		return w.red, nil
-	}
-	n, err := model.ParseString(req.Network)
-	if err != nil {
-		return nil, fmt.Errorf("parse network: %w", err)
-	}
-	red, err := reduce.Network(n, reduce.Options{MergeDuplicates: !req.KeepDuplicates})
-	if err != nil {
-		return nil, fmt.Errorf("reduce network: %w", err)
-	}
-	w.redKey, w.red = req.Key, red
-	return red, nil
+// jobEntry is everything a worker remembers about one job key: the
+// interned spec, and the reduction of its network, computed by the first
+// class to need it — every class of one job ships the same canonical
+// network text, so classes of interleaved jobs never re-reduce.
+type jobEntry struct {
+	spec classSpec
+
+	once sync.Once
+	red  *reduce.Reduced
+	err  error
 }
 
-// cacheKey is the content address of a class request: everything but the
-// connection-scoped sequence number, hashed over the canonical
-// spec-attached request encoding.
-func cacheKey(req *classRequest) string {
-	c := *req
-	c.Seq = 0
-	sum := sha256.Sum256(encodeClass(&c, true))
-	return hex.EncodeToString(sum[:])
+func newJobStore(size int64) *lru.Cache[*jobEntry] {
+	return lru.New(size, func(*jobEntry) int64 { return 1 })
+}
+
+// reduced parses and reduces the job's network.
+func (j *jobEntry) reduced(keepDuplicates bool) (*reduce.Reduced, error) {
+	j.once.Do(func() {
+		n, err := model.ParseString(j.spec.Network)
+		if err != nil {
+			j.err = fmt.Errorf("parse network: %w", err)
+			return
+		}
+		j.red, err = reduce.Network(n, reduce.Options{MergeDuplicates: !keepDuplicates})
+		if err != nil {
+			j.err = fmt.Errorf("reduce network: %w", err)
+		}
+	})
+	return j.red, j.err
 }

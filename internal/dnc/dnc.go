@@ -60,13 +60,13 @@ type Options struct {
 	// arrival order and the scheduler diagnostics change.
 	GroupConcurrency int
 	// Remote, when set, adds remote dispatch: one dispatcher per executor
-	// slot pulls classes off the same queue the local groups use
-	// (affinity-first, stealing when the affine slot is busy elsewhere)
-	// and runs them on remote workers. GroupConcurrency 0 is then a
-	// pure-remote run, where an emergency local group takes over only if
-	// every worker dies with classes outstanding. Worker loss re-enqueues
-	// the class; results stay byte-identical to a local run because
-	// workers run the same prepare→enumerate path (see ExecClass).
+	// slot pulls classes off the same queue the local groups use, largest
+	// first like them, and runs them on remote workers. GroupConcurrency
+	// 0 is then a pure-remote run, where an emergency local group takes
+	// over only if every worker dies with classes outstanding. Worker
+	// loss re-enqueues the class; results stay byte-identical to a local
+	// run because workers run the same prepare→enumerate path (see
+	// ExecClass).
 	Remote RemoteExecutor
 	// Progress, when set, is called as each subproblem finishes
 	// (enumerated or left unresolved; infeasible skipped classes are

@@ -39,8 +39,6 @@ type RemoteClass struct {
 	// re-split depth remains, so an over-budget class must fail fast
 	// with core.ErrMemBudget instead of spilling.
 	StrictMem bool
-	// Est is the scheduler's pair-count estimate (diagnostics only).
-	Est int64
 	// Label is the class's scheduler label ("011"), for worker logs.
 	Label string
 }
@@ -77,11 +75,6 @@ type RemoteExecutor interface {
 	// whose Run returned ErrWorkerLost and whose Alive is false retires
 	// its dispatcher for the rest of the run.
 	Alive(slot int) bool
-	// Affine reports whether the slot is a preferred home for the class
-	// (consistent-hash routing so identical requests revisit the same
-	// worker's cache). Several slots may be affine to one class when the
-	// executor multiplexes slots onto workers.
-	Affine(slot int, c RemoteClass) bool
 	// Run executes the class on the slot's worker. Errors wrapping
 	// core.ErrBudget report the class itself overflowing (re-split
 	// signal); errors wrapping ErrWorkerLost report the worker failing

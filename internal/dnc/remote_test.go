@@ -1,6 +1,7 @@
 package dnc
 
 import (
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -25,6 +26,7 @@ type fakeExec struct {
 	// before the slot starts serving for real. A nil slice serves clean.
 	failures [][]error
 	runs     int64
+	order    []uint64 // class IDs in the order healthy slots received them
 	// gate, when non-nil, blocks healthy slots' Run until an injected
 	// failure fires — so "the other worker pulled a class before the
 	// doomed one failed" cannot race the failure out of the schedule.
@@ -47,13 +49,6 @@ func (f *fakeExec) Alive(slot int) bool {
 	return !f.dead[slot]
 }
 
-func (f *fakeExec) Affine(slot int, c RemoteClass) bool {
-	if f.slots <= 0 {
-		return false
-	}
-	return int(c.ID)%f.slots == slot
-}
-
 func (f *fakeExec) Run(slot int, c RemoteClass, cancel <-chan struct{}) (*ClassOutcome, error) {
 	f.mu.Lock()
 	if f.dead[slot] {
@@ -73,6 +68,7 @@ func (f *fakeExec) Run(slot int, c RemoteClass, cancel <-chan struct{}) (*ClassO
 	}
 	g := f.gate
 	f.runs++
+	f.order = append(f.order, c.ID)
 	f.mu.Unlock()
 	if g != nil {
 		select {
@@ -124,6 +120,42 @@ func TestRemoteMatchesOneGroup(t *testing.T) {
 		}
 		if res.Sched.RemoteRequeues != 0 {
 			t.Fatalf("%s: %d requeues on a healthy pool", tc.name, res.Sched.RemoteRequeues)
+		}
+	}
+}
+
+// TestRemoteDispatchLargestFirst: with one remote slot and no local group
+// the order classes reach Run in is the queue's order and nothing else —
+// largest estimate first, enqueue (class ID) order breaking ties. It is
+// the only placement rule a remote dispatcher has.
+func TestRemoteDispatchLargestFirst(t *testing.T) {
+	red := toyReduced(t)
+	rev := red.Reversibilities()
+	exec := newFakeExec(red.N, rev, 1)
+	res, err := Run(red.N, rev, Options{Qsub: 3, Remote: exec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type class struct {
+		id  uint64
+		est int64
+	}
+	var want []class
+	for id := uint64(0); id < 1<<uint(len(res.Partition)); id++ {
+		if pr := prepare(red.N, rev, res.Partition, id); pr != nil {
+			want = append(want, class{id, pr.est})
+		}
+	}
+	sort.SliceStable(want, func(a, b int) bool { return want[a].est > want[b].est })
+	if len(want) < 2 || want[0].est == want[len(want)-1].est {
+		t.Fatalf("fixture has no two classes of different estimates: %v", want)
+	}
+	if len(exec.order) != len(want) {
+		t.Fatalf("%d classes dispatched, want %d", len(exec.order), len(want))
+	}
+	for i, c := range want {
+		if exec.order[i] != c.id {
+			t.Fatalf("dispatch order %v, want the classes by estimate %v", exec.order, want)
 		}
 	}
 }

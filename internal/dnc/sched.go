@@ -77,10 +77,6 @@ type SchedStats struct {
 	// (coordinator/worker runs only; a class re-run locally after every
 	// worker died is not counted here).
 	RemoteClasses int64 `json:"remote_classes"`
-	// RemoteSteals counts classes a remote dispatcher pulled off the
-	// queue against the consistent-hash affinity — work-stealing across
-	// workers when the affine dispatcher was busy.
-	RemoteSteals int64 `json:"remote_steals"`
 	// RemoteRequeues counts classes pushed back onto the queue after the
 	// worker running them was lost (crash, link failure, or timeout).
 	// Like MemResplits, a resilience counter: nonzero means the run
@@ -294,6 +290,23 @@ func (s *scheduler) count(update func(st *SchedStats)) {
 	s.mu.Unlock()
 }
 
+// pop is the one dispatch policy, for node groups and remote dispatchers
+// alike: wait for work, then take the heap top — the largest estimate,
+// enqueue order breaking ties. It returns nil once the run is aborted or
+// drained (every pending item popped by a peer).
+func (s *scheduler) pop() *schedItem {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.queue) == 0 && s.pending > 0 && s.latch.Cause() == nil {
+		s.cond.Wait()
+	}
+	if s.latch.Cause() != nil || len(s.queue) == 0 {
+		return nil
+	}
+	s.stats.Steals++
+	return heap.Pop(&s.queue).(*schedItem)
+}
+
 // groupLoop is one node group's life: steal the largest queued class,
 // enumerate it, repeat until the queue drains or the run aborts.
 func (s *scheduler) groupLoop(group int) {
@@ -301,18 +314,10 @@ func (s *scheduler) groupLoop(group int) {
 	copts.Cancel = s.latch.Done()
 	copts.MemGauge = s.memGauge(group)
 	for {
-		s.mu.Lock()
-		for len(s.queue) == 0 && s.pending > 0 && s.latch.Cause() == nil {
-			s.cond.Wait()
-		}
-		if s.latch.Cause() != nil || len(s.queue) == 0 {
-			// Aborted, or drained: pending items all popped by peers.
-			s.mu.Unlock()
+		it := s.pop()
+		if it == nil {
 			return
 		}
-		s.stats.Steals++
-		it := heap.Pop(&s.queue).(*schedItem)
-		s.mu.Unlock()
 
 		s.runClass(it, func(strict bool) error {
 			// Clear the group's residency afterwards — belt and braces for
@@ -412,30 +417,23 @@ func (s *scheduler) runClass(it *schedItem, attempt func(strict bool) error) (do
 	}
 }
 
-// remoteLoop is one executor slot's dispatcher: pull the slot's affine
-// class (or steal the globally largest one), run it on the slot's
-// worker, repeat. A lost worker requeues its class and — once the slot
-// is confirmed dead — retires this dispatcher; the last dispatcher to
-// die with classes outstanding and no local groups spawns an emergency
-// local group so the run completes instead of deadlocking.
+// remoteLoop is one executor slot's dispatcher: steal the largest queued
+// class, run it on the slot's worker, repeat. A lost worker requeues its
+// class and — once the slot is confirmed dead — retires this dispatcher;
+// the last dispatcher to die with classes outstanding and no local groups
+// spawns an emergency local group so the run completes instead of
+// deadlocking.
 func (s *scheduler) remoteLoop(slot int) {
 	for {
-		s.mu.Lock()
-		for len(s.queue) == 0 && s.pending > 0 && s.latch.Cause() == nil {
-			s.cond.Wait()
-		}
-		if s.latch.Cause() != nil || len(s.queue) == 0 {
-			s.mu.Unlock()
+		it := s.pop()
+		if it == nil {
 			return
 		}
-		s.stats.Steals++
-		it, stolen := s.popFor(slot)
-		s.mu.Unlock()
 
 		done := s.runClass(it, func(strict bool) error {
 			out, err := s.remote.Run(slot, s.remoteSpec(it, strict), s.latch.Done())
 			if err == nil {
-				s.adoptOutcome(it.sub, out, stolen)
+				s.adoptOutcome(it.sub, out)
 			}
 			return err
 		})
@@ -467,26 +465,6 @@ func (s *scheduler) remoteLoop(slot int) {
 	}
 }
 
-// popFor removes the best queued item for a slot: the largest one whose
-// consistent-hash affinity points at this slot, else — work-stealing —
-// the largest overall. Caller holds s.mu and guarantees a non-empty
-// queue. The second return marks a steal (off-affinity pull).
-func (s *scheduler) popFor(slot int) (*schedItem, bool) {
-	best := -1
-	for i := range s.queue {
-		if !s.remote.Affine(slot, s.remoteSpec(s.queue[i], false)) {
-			continue
-		}
-		if best < 0 || s.queue.Less(i, best) {
-			best = i
-		}
-	}
-	if best >= 0 {
-		return heap.Remove(&s.queue, best).(*schedItem), false
-	}
-	return heap.Pop(&s.queue).(*schedItem), true
-}
-
 // remoteSpec builds the wire-independent class description for an item.
 func (s *scheduler) remoteSpec(it *schedItem, strict bool) RemoteClass {
 	return RemoteClass{
@@ -494,7 +472,6 @@ func (s *scheduler) remoteSpec(it *schedItem, strict bool) RemoteClass {
 		Partition: it.sub.Partition,
 		Depth:     it.sub.Depth,
 		StrictMem: strict,
-		Est:       it.prep.est,
 		Label:     classLabel(it.sub),
 	}
 }
@@ -518,7 +495,7 @@ func (s *scheduler) requeue(it *schedItem, timeout bool) {
 }
 
 // adoptOutcome folds a completed remote class into its subproblem shell.
-func (s *scheduler) adoptOutcome(sub *Subproblem, out *ClassOutcome, stolen bool) {
+func (s *scheduler) adoptOutcome(sub *Subproblem, out *ClassOutcome) {
 	sub.Supports = out.Supports
 	sub.Pairs = out.Pairs
 	sub.PeakNodeBytes = out.PeakNodeBytes
@@ -527,12 +504,7 @@ func (s *scheduler) adoptOutcome(sub *Subproblem, out *ClassOutcome, stolen bool
 		// them before enqueueing), but honor a worker's verdict anyway.
 		sub.Skipped = true
 	}
-	s.count(func(st *SchedStats) {
-		st.RemoteClasses++
-		if stolen {
-			st.RemoteSteals++
-		}
-	})
+	s.count(func(st *SchedStats) { st.RemoteClasses++ })
 }
 
 // resplitEnqueue converts a budget overflow into two new queue items:

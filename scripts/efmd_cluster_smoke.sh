@@ -2,7 +2,8 @@
 # End-to-end smoke of the distributed efmd deployment: build the daemon,
 # start two -worker processes and one -coordinator over them, submit a
 # divide-and-conquer job through the HTTP API, check its fingerprint
-# against a direct library run, kill -9 one worker, submit another job
+# against a direct library run, resubmit it (every class runs again: the
+# fleet caches no class results), kill -9 one worker, submit another job
 # against the degraded fleet, and confirm the coordinator's /varz
 # carries the per-worker dispatch counters.
 #
@@ -81,6 +82,18 @@ WIRE=$(jq -r .remote_wire_bytes "$WORKDIR/varz1.json")
 [ "$WIRE" -gt 0 ] || fail "remote_wire_bytes is $WIRE after a distributed job"
 [ "$WIRE" -lt "$PAYLOAD" ] || fail "wire bytes $WIRE not below payload bytes $PAYLOAD (interning/compression inert)"
 echo "   $WIRE wire bytes for $PAYLOAD payload bytes"
+
+echo "== resubmit the identical request: no cache anywhere, every class recomputed"
+# The coordinator runs -cache-mb 0 and workers keep no class results, so
+# the repeat is a second full run: same fingerprint, twice the classes.
+ID_RE=$(curl -fsS "$BASE/v1/jobs" -d '{"model":"toy","options":{"algorithm":"dnc","qsub":2}}' | jq -r .id)
+LAST_STATE=$(curl -fsS "$BASE/v1/jobs/$ID_RE/events" | tail -1 | jq -r .state)
+[ "$LAST_STATE" = done ] || fail "repeated job ended $LAST_STATE, want done"
+GOT_FP_RE=$(curl -fsS "$BASE/v1/jobs/$ID_RE/result" | jq -r .summary.fingerprint)
+[ "$GOT_FP_RE" = "$REF_FP" ] || fail "repeated job's fingerprint $GOT_FP_RE != direct $REF_FP"
+REMOTE_RE=$(curl -fsS "$BASE/varz" | jq -r .counters.remote_classes)
+[ "$REMOTE_RE" = $((2 * REMOTE)) ] || fail "remote_classes is $REMOTE_RE after the repeat, want $((2 * REMOTE)) (twice the first job's $REMOTE)"
+echo "   job $ID_RE done, fingerprint matches, remote_classes $REMOTE -> $REMOTE_RE"
 
 echo "== kill -9 one worker, run against the degraded fleet"
 kill -9 "$WORKER1_PID" 2>/dev/null || true

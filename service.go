@@ -43,14 +43,14 @@ func ComputeEFMsContext(ctx context.Context, n *Network, cfg Config) (*Result, e
 
 // ComputeEFMsDistributed runs the divide-and-conquer driver with its
 // class queue dispatched onto the pool's remote workers (the efmd
-// coordinator role). Classes are routed by consistent hash over the
-// request key so a repeated request lands on the same workers' class
-// caches; idle workers steal from other workers' shares; a worker lost
-// mid-class (crash, severed link, or per-class deadline) has its class
-// re-enqueued and rerun elsewhere — or on an emergency local group when
-// the whole fleet is gone — so worker failure degrades throughput, never
-// correctness. The result is fingerprint-identical to the local drivers
-// (the differential harness gates on exactly this).
+// coordinator role). Every worker's dispatchers take the largest queued
+// class: classes are independent, so where one runs carries no meaning
+// and workers cache no results. A worker lost mid-class (crash, severed
+// link, or per-class deadline) has its class re-enqueued and rerun
+// elsewhere — or on an emergency local group when the whole fleet is
+// gone — so worker failure degrades throughput, never correctness. The
+// result is fingerprint-identical to the local drivers (the differential
+// harness gates on exactly this).
 //
 // cfg.GroupConcurrency additionally runs that many local node groups
 // alongside the fleet; 0 means classes run remotely only. cfg.Algorithm
