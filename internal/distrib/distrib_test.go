@@ -21,15 +21,15 @@ import (
 
 func TestFrameRoundTripAndLimit(t *testing.T) {
 	var buf bytes.Buffer
-	in := classRequest{Seq: 7, Key: "k", classSpec: classSpec{Network: "net"}, Partition: []int{3, 5}, Class: 2}
-	if _, err := cluster.WriteFrame(&buf, encodeClass(&in, true)); err != nil {
+	in := classRequest{Seq: 7, Key: "k", Network: "net", Partition: []int{3, 5}, Class: 2}
+	if _, err := cluster.WriteFrame(&buf, encodeClass(&in)); err != nil {
 		t.Fatal(err)
 	}
 	body, err := cluster.ReadFrame(&buf, cluster.MaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := decodeClass(body)
+	out, err := decodeClass(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestFrameRoundTripAndLimit(t *testing.T) {
 		t.Fatalf("round trip mangled: %+v", out)
 	}
 	buf.Reset()
-	if _, err := cluster.WriteFrame(&buf, encodeClass(&in, true)); err != nil {
+	if _, err := cluster.WriteFrame(&buf, encodeClass(&in)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cluster.ReadFrame(&buf, 8); err == nil {
@@ -65,6 +65,12 @@ func toyJob(t *testing.T) (JobSpec, *reduce.Reduced, *dnc.Result) {
 	if n == nil {
 		t.Fatal("no toy network")
 	}
+	return jobOf(t, n)
+}
+
+// jobOf is toyJob for any network.
+func jobOf(t *testing.T, n *model.Network) (JobSpec, *reduce.Reduced, *dnc.Result) {
+	t.Helper()
 	red, err := reduce.Network(n, reduce.Options{MergeDuplicates: true})
 	if err != nil {
 		t.Fatal(err)
@@ -155,34 +161,19 @@ func TestWorkerReducesOncePerJob(t *testing.T) {
 	pool := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second})
 	defer pool.Close()
 
-	reduction := func(key string) *reduce.Reduced {
-		t.Helper()
-		job, ok := w.jobs.Get(key)
-		if !ok {
-			t.Fatalf("worker holds nothing for job %q", key)
-		}
-		red, err := job.reduced(false) // through the entry's Once: what the next class would get
-		if err != nil {
-			t.Fatal(err)
-		}
-		return red
-	}
 	first := map[string]*reduce.Reduced{}
 	for id := uint64(0); id < 1<<uint(len(seq.Partition)); id++ {
 		for _, spec := range []JobSpec{specA, specB} {
 			if _, err := pool.Bind(spec).Run(0, dnc.RemoteClass{ID: id, Partition: seq.Partition}, nil); err != nil {
 				t.Fatalf("job %q class %d: %v", spec.Key, id, err)
 			}
-			got := reduction(spec.Key)
+			got := memoOf(t, w, spec.Key)
 			if id == 0 {
 				first[spec.Key] = got
 			} else if got != first[spec.Key] {
 				t.Fatalf("job %q class %d ran on a fresh reduction: the network was parsed and reduced again", spec.Key, id)
 			}
 		}
-	}
-	if c := w.Counters(); c.NeedSpecs != 0 {
-		t.Fatalf("%d need-spec retransmits with both jobs inside the store", c.NeedSpecs)
 	}
 
 	// A second coordinator's link reaches the same job's entry from
@@ -202,6 +193,21 @@ func TestWorkerReducesOncePerJob(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
+}
+
+// memoOf returns the reduction the worker's memo holds for a job key:
+// what the key's next class would run on.
+func memoOf(t *testing.T, w *Worker, key string) *reduce.Reduced {
+	t.Helper()
+	job, ok := w.jobs.Get(key)
+	if !ok {
+		t.Fatalf("worker holds nothing for job %q", key)
+	}
+	job.once.Do(func() {}) // orders this read after the class that filled the entry
+	if job.red == nil {
+		t.Fatalf("job %q: entry without a reduction (%v)", key, job.err)
+	}
+	return job.red
 }
 
 // TestPoolWorkerCrash: one worker of two dies on its first class (like
@@ -360,10 +366,11 @@ func TestWorkerProtocolMismatch(t *testing.T) {
 		refuse bool
 	}{
 		{protoVersion, false},
-		{protoVersion - 1, true}, // protocol 4 marked results served from a worker's class cache
-		{protoVersion - 2, true}, // protocol 3 carried a tolerance in the slot this build reserves
-		{protoVersion - 3, true}, // protocol 2 set flag bits this build refuses
-		{protoVersion - 4, true},
+		{protoVersion - 1, true}, // protocol 5 sent classes that leaned on an earlier frame's spec block
+		{protoVersion - 2, true}, // protocol 4 marked results served from a worker's class cache
+		{protoVersion - 3, true}, // protocol 3 carried a tolerance in the slot this build reserves
+		{protoVersion - 4, true}, // protocol 2 set flag bits this build refuses
+		{protoVersion - 5, true},
 		{protoVersion + 1, true},
 	} {
 		t.Run(fmt.Sprint("proto-", tc.proto), func(t *testing.T) {
@@ -511,5 +518,26 @@ func TestPoolBudgetStatusIdentity(t *testing.T) {
 	}
 	if errors.Is(err, dnc.ErrWorkerLost) {
 		t.Fatalf("budget overflow misclassified as worker loss: %v", err)
+	}
+}
+
+// TestPoolResubmitRunsUnderItsOwnOptions: a job key does not hash the
+// memory budget (nor Workers, Nodes, the collective deadline), so two
+// jobs may share a key and differ in it. Each class runs under the
+// options of the frame that carries it: a budgeted resubmission on a link
+// that already served the key unbudgeted overflows like a first run.
+func TestPoolResubmitRunsUnderItsOwnOptions(t *testing.T) {
+	spec, _, _ := toyJob(t)
+	w := startWorker(t, WorkerOptions{})
+	pool := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second})
+	defer pool.Close()
+	class := dnc.RemoteClass{ID: 1, Partition: []int{0}, Label: "1", StrictMem: true}
+
+	if _, err := pool.Bind(spec).Run(0, class, nil); err != nil {
+		t.Fatalf("unbudgeted class: %v", err)
+	}
+	spec.Exec.Core.MemBudget = 1
+	if _, err := pool.Bind(spec).Run(0, class, nil); !errors.Is(err, core.ErrMemBudget) {
+		t.Fatalf("the same key resubmitted with a 1-byte strict budget: err = %v, want core.ErrMemBudget", err)
 	}
 }

@@ -94,10 +94,9 @@ func (p *Pool) Close() {
 
 // WorkerStats is one worker's coordinator-side counter snapshot, served
 // on /varz. PayloadBytes counts the logical bytes of each class exchange
-// (the canonical spec-bearing request encoding plus flat support
-// payloads); WireBytes counts the framed bytes actually sent and
-// received, so their ratio is the data-plane win from interning and
-// compression.
+// (the request body plus the flat support payload); WireBytes counts the
+// framed bytes actually sent and received, so the two differ by framing
+// and by what result compression saves.
 type WorkerStats struct {
 	Addr         string `json:"addr"`
 	Alive        bool   `json:"alive"`
@@ -136,13 +135,12 @@ func (p *Pool) Bind(spec JobSpec) dnc.RemoteExecutor {
 }
 
 // linkReply is what the reader pump delivers to a waiting call: a
-// response (raw carries its flat-equivalent payload size), a need-spec
-// retransmit request, or the link failure that severed the connection.
+// response (raw carries its flat-equivalent payload size) or the link
+// failure that severed the connection.
 type linkReply struct {
-	resp     *classResponse
-	raw      int64
-	needSpec bool
-	err      error
+	resp *classResponse
+	raw  int64
+	err  error
 }
 
 // workerLink is one worker's long-lived connection state. Up to
@@ -154,9 +152,7 @@ type linkReply struct {
 type workerLink struct {
 	addr string
 
-	// wmu serializes frame writes. It is acquired before mu and held
-	// across the spec-interning decision and the write, so a link never
-	// emits a spec-less class ahead of the frame that interns its spec.
+	// wmu serializes frame writes: two dispatchers share one link.
 	wmu sync.Mutex
 
 	mu      sync.Mutex
@@ -165,7 +161,6 @@ type workerLink struct {
 	seq     uint64
 	down    bool // link failed; cleared by a successful redial
 	pending map[uint64]chan linkReply
-	specs   map[string]bool // job keys whose spec this connection has interned
 
 	dispatched   int64
 	completed    int64
@@ -201,7 +196,8 @@ func (e *boundExec) Run(slot int, c dnc.RemoteClass, cancel <-chan struct{}) (*d
 	w := e.link(slot)
 	req := &classRequest{
 		Key:            e.spec.Key,
-		classSpec:      classSpec{Network: e.spec.Network, Exec: e.spec.Exec},
+		Network:        e.spec.Network,
+		Exec:           e.spec.Exec,
 		KeepDuplicates: e.spec.KeepDuplicates,
 		Partition:      c.Partition,
 		Class:          c.ID,
@@ -238,27 +234,8 @@ func (e *boundExec) Run(slot int, c dnc.RemoteClass, cancel <-chan struct{}) (*d
 	}
 }
 
-// call sends one class and waits for its response, re-sending with the
-// spec attached when the worker answers need-spec (a restarted or
-// evicted worker no longer holds the interned job spec).
+// call performs one request/reply exchange on the multiplexed link.
 func (w *workerLink) call(req *classRequest, cancel <-chan struct{}, opts PoolOptions) (*classResponse, error) {
-	forceSpec := false
-	for attempt := 0; attempt < 3; attempt++ {
-		resp, needSpec, err := w.callOnce(req, cancel, forceSpec, opts)
-		if err != nil {
-			return nil, err
-		}
-		if !needSpec {
-			return resp, nil
-		}
-		forceSpec = true
-	}
-	w.hardFail(errors.New("worker kept asking for the job spec"))
-	return nil, fmt.Errorf("distrib: worker %s: need-spec loop: %w", w.addr, dnc.ErrWorkerLost)
-}
-
-// callOnce performs one request/reply exchange on the multiplexed link.
-func (w *workerLink) callOnce(req *classRequest, cancel <-chan struct{}, forceSpec bool, opts PoolOptions) (*classResponse, bool, error) {
 	w.wmu.Lock()
 	w.mu.Lock()
 	if err := w.ensureLocked(opts); err != nil {
@@ -266,33 +243,27 @@ func (w *workerLink) callOnce(req *classRequest, cancel <-chan struct{}, forceSp
 		w.mu.Unlock()
 		w.wmu.Unlock()
 		atomic.AddInt64(&w.failures, 1)
-		return nil, false, fmt.Errorf("distrib: worker %s: %v: %w", w.addr, err, dnc.ErrWorkerLost)
+		return nil, fmt.Errorf("distrib: worker %s: %v: %w", w.addr, err, dnc.ErrWorkerLost)
 	}
 	w.seq++
 	req.Seq = w.seq
 	gen := w.gen
 	conn := w.conn
-	withSpec := forceSpec || !w.specs[req.Key]
-	w.specs[req.Key] = true
 	ch := make(chan linkReply, 1)
 	w.pending[req.Seq] = ch
 	w.mu.Unlock()
 
-	body := encodeClass(req, withSpec)
+	body := encodeClass(req)
 	_, err := cluster.WriteFrame(conn, body)
 	w.wmu.Unlock()
 	if err != nil {
 		w.sever(gen, err)
 		atomic.AddInt64(&w.failures, 1)
-		return nil, false, fmt.Errorf("distrib: worker %s: %v: %w", w.addr, err, dnc.ErrWorkerLost)
+		return nil, fmt.Errorf("distrib: worker %s: %v: %w", w.addr, err, dnc.ErrWorkerLost)
 	}
 	atomic.AddInt64(&w.dispatched, 1)
 	atomic.AddInt64(&w.wireBytes, int64(len(body))+cluster.FrameHeaderLen)
-	logical := len(body)
-	if !withSpec {
-		logical = len(encodeClass(req, true))
-	}
-	atomic.AddInt64(&w.payloadBytes, int64(logical))
+	atomic.AddInt64(&w.payloadBytes, int64(len(body)))
 
 	timer := time.NewTimer(opts.ClassTimeout)
 	defer timer.Stop()
@@ -307,7 +278,7 @@ func (w *workerLink) callOnce(req *classRequest, cancel <-chan struct{}, forceSp
 			// This caller performed the teardown: the worker is wedged.
 			atomic.AddInt64(&w.failures, 1)
 			atomic.AddInt64(&w.timeouts, 1)
-			return nil, false, fmt.Errorf("distrib: worker %s: %w", w.addr, dnc.ErrWorkerTimeout)
+			return nil, fmt.Errorf("distrib: worker %s: %w", w.addr, dnc.ErrWorkerTimeout)
 		}
 		// Someone else already severed this connection (or the pump
 		// answered at the wire); the buffered reply says which.
@@ -315,19 +286,11 @@ func (w *workerLink) callOnce(req *classRequest, cancel <-chan struct{}, forceSp
 	}
 	if rep.err != nil {
 		atomic.AddInt64(&w.failures, 1)
-		return nil, false, fmt.Errorf("distrib: worker %s: %v: %w", w.addr, rep.err, dnc.ErrWorkerLost)
-	}
-	if rep.needSpec {
-		w.mu.Lock()
-		if w.gen == gen && w.specs != nil {
-			delete(w.specs, req.Key)
-		}
-		w.mu.Unlock()
-		return nil, true, nil
+		return nil, fmt.Errorf("distrib: worker %s: %v: %w", w.addr, rep.err, dnc.ErrWorkerLost)
 	}
 	atomic.AddInt64(&w.completed, 1)
 	atomic.AddInt64(&w.payloadBytes, rep.raw)
-	return rep.resp, false, nil
+	return rep.resp, nil
 }
 
 // ensureLocked dials and completes the hello exchange when the link has
@@ -344,7 +307,6 @@ func (w *workerLink) ensureLocked(opts PoolOptions) error {
 	w.gen++
 	w.down = false
 	w.pending = make(map[uint64]chan linkReply)
-	w.specs = make(map[string]bool)
 	go w.readLoop(conn, w.gen)
 	return nil
 }
@@ -392,7 +354,7 @@ func (w *workerLink) readLoop(conn net.Conn, gen uint64) {
 			return
 		}
 		atomic.AddInt64(&w.wireBytes, int64(len(body))+cluster.FrameHeaderLen)
-		seq, rep, err := decodeReply(body)
+		resp, raw, err := decodeResult(body) // rejects every other type byte
 		if err != nil {
 			w.sever(gen, err)
 			return
@@ -400,31 +362,17 @@ func (w *workerLink) readLoop(conn net.Conn, gen uint64) {
 		w.mu.Lock()
 		var ch chan linkReply
 		if w.gen == gen && w.pending != nil {
-			ch = w.pending[seq]
-			delete(w.pending, seq)
+			ch = w.pending[resp.Seq]
+			delete(w.pending, resp.Seq)
 		}
 		w.mu.Unlock()
 		if ch != nil {
-			ch <- rep
+			ch <- linkReply{resp: resp, raw: raw}
 		}
 		// A reply with no pending call (a late answer for a timed-out
 		// class raced the sever) is dropped; the sever closes the
 		// connection either way.
 	}
-}
-
-// decodeReply parses one worker-to-coordinator frame into the sequence
-// number it answers and the reply for that caller.
-func decodeReply(body []byte) (uint64, linkReply, error) {
-	if len(body) > 0 && body[0] == msgNeedSpec {
-		seq, _, err := decodeNeedSpec(body)
-		return seq, linkReply{needSpec: true}, err
-	}
-	resp, raw, err := decodeResult(body) // rejects every other type byte
-	if err != nil {
-		return 0, linkReply{}, err
-	}
-	return resp.Seq, linkReply{resp: resp, raw: raw}, nil
 }
 
 // sever tears down the link's current connection if it still is the
@@ -440,7 +388,6 @@ func (w *workerLink) sever(gen uint64, cause error) bool {
 	w.conn.Close()
 	w.conn = nil
 	w.down = true
-	w.specs = nil
 	pend := w.pending
 	w.pending = nil
 	w.mu.Unlock()

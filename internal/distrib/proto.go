@@ -13,32 +13,32 @@
 // both before closing. After the hello, bodies are binary: a type byte,
 // then varints, raw float bits and length-prefixed byte strings.
 //
-//	class     0x01 seq flags key class depth |partition| partition...
-//	          [reserved maxModes workers nodes memBudget commTimeout network]
-//	result    0x02 seq status reserved error pairs peakNodeBytes rawLen supports
-//	need-spec 0x03 seq key
+//	class  0x01 seq flags key class depth |partition| partition...
+//	       reserved maxModes workers nodes memBudget commTimeout network
+//	result 0x02 seq status reserved error pairs peakNodeBytes rawLen supports
 //
-// The class flags byte: bit 0 spec block attached, bit 1 strict memory
-// budget, bit 2 keep duplicate reactions; a class with any other bit set
-// is refused; the result's reserved byte (protocol 4's cached flag) must
-// be zero. The bracketed spec block is the per-job half of a class:
-// the wire image of the parallel.Options every class of the job runs
-// under: eight reserved zero bytes (protocol 3 carried a zero tolerance
-// there; the block keeps its length because the payload bytes are
-// pinned), then Core.MaxModes, Core.Workers, Nodes, Core.MemBudget and
-// Timeout in seconds (what a remote class must share with a local one;
-// the rest of that struct is process-local and never travels), then the
-// network text. A link sends it with the first class of a job key and
-// interns it: later classes of the key carry coordinates only, and a
-// worker that no longer holds the spec answers need-spec to have the
-// class re-sent whole. Supports travel as the core EFMS codec, or as its
-// compressed EFMC form whenever that is smaller — the codec magic tells
-// the receiver which, so nothing is negotiated. Several seq-tagged
-// classes share a connection (PoolOptions.Inflight credit slots), so the
-// next class ships while the worker computes the current one.
+// A class frame is the whole class: the worker takes everything it runs
+// the class under from the frame it is executing, so no two frames depend
+// on each other and a link holds no per-job state. The class flags byte:
+// bit 0 always set (protocols 3 to 5 sent frames without the second line
+// and cleared it), bit 1 strict memory budget, bit 2 keep duplicate
+// reactions; a class with bit 0 clear or any other bit set is refused;
+// the result's reserved byte (protocol 4's cached flag) must be zero.
+// The second line is the spec block, the wire image of the
+// parallel.Options the class runs under: eight reserved zero bytes
+// (protocol 3 carried a zero tolerance there; the block keeps its length
+// because the payload bytes are pinned), then Core.MaxModes,
+// Core.Workers, Nodes, Core.MemBudget and Timeout in seconds (what a
+// remote class must share with a local one; the rest of that struct is
+// process-local and never travels), then the network text. Supports
+// travel as the core EFMS codec, or as its compressed EFMC form whenever
+// that is smaller — the codec magic tells the receiver which, so nothing
+// is negotiated. Several seq-tagged classes share a connection
+// (PoolOptions.Inflight credit slots), so the next class ships while the
+// worker computes the current one.
 //
-// The class, result and need-spec layouts are frozen: bench/expected.json
-// pins the payload bytes they add up to.
+// The class and result layouts are frozen: bench/expected.json pins the
+// payload bytes they add up to.
 package distrib
 
 import (
@@ -55,7 +55,7 @@ import (
 
 // protoVersion is the protocol this build speaks. Bump on any wire
 // change; peers on another version are refused at hello.
-const protoVersion = 5
+const protoVersion = 6
 
 // helloMaxFrame bounds the hello frame, read before the peer has proven
 // it speaks the protocol at all.
@@ -102,24 +102,19 @@ func (h hello) mismatch(peer string) error {
 	return fmt.Errorf("distrib: %s speaks protocol %d, this build speaks protocol %d", peer, h.Proto, protoVersion)
 }
 
-// classSpec is the spec block: the per-job half of a class request that
-// a link interns. Network is the canonical network text (the worker
-// re-derives the identical reduction); Exec is the options the class
-// runs under, of which only the fields appendSpec writes travel.
-type classSpec struct {
-	Network string
-	Exec    parallel.Options
-}
-
 // classRequest ships one divide-and-conquer class: the job's spec and
 // the class coordinates. Seq pairs the response on the connection; Key
 // is the job's content-addressed RequestKey, shared by every class of
-// one job so the worker keeps one spec and one reduction for all of them.
+// one job so the worker finds the network's reduction where the job's
+// first class left it. Network is the canonical network text (the worker
+// re-derives the identical reduction); Exec is the options the class
+// runs under, of which only the fields appendSpec writes travel.
 type classRequest struct {
 	Seq uint64
 	Key string
-	classSpec
 
+	Network        string
+	Exec           parallel.Options
 	KeepDuplicates bool
 
 	Partition []int
@@ -164,13 +159,10 @@ const (
 	msgClass = 0x01
 	// msgResult carries one class response, worker to coordinator.
 	msgResult = 0x02
-	// msgNeedSpec asks the coordinator to re-send a class with its job
-	// spec attached: the worker does not hold the spec for the key
-	// (restarted, or the bounded spec store evicted it).
-	msgNeedSpec = 0x03
 )
 
-// Class request flag bits; every other bit is reserved and refused.
+// Class request flag bits. classHasSpec is set on every frame; every bit
+// outside the mask is reserved and refused.
 const (
 	classHasSpec = 1 << iota
 	classStrictMem
@@ -276,16 +268,12 @@ func (r *wireReader) done() error {
 	return nil
 }
 
-// encodeClass serializes a class request. withSpec attaches the spec
-// block; an interned request carries only its key and coordinates.
-func encodeClass(req *classRequest, withSpec bool) []byte {
-	out := make([]byte, 0, 64+len(req.Key))
+// encodeClass serializes a class request.
+func encodeClass(req *classRequest) []byte {
+	out := make([]byte, 0, 96+len(req.Key)+len(req.Network))
 	out = append(out, msgClass)
 	out = binary.AppendUvarint(out, req.Seq)
-	var flags byte
-	if withSpec {
-		flags |= classHasSpec
-	}
+	flags := byte(classHasSpec)
 	if req.StrictMem {
 		flags |= classStrictMem
 	}
@@ -300,11 +288,8 @@ func encodeClass(req *classRequest, withSpec bool) []byte {
 	for _, j := range req.Partition {
 		out = binary.AppendUvarint(out, uint64(j))
 	}
-	if withSpec {
-		out = appendSpec(out, &req.Exec)
-		out = appendBytes(out, []byte(req.Network))
-	}
-	return out
+	out = appendSpec(out, &req.Exec)
+	return appendBytes(out, []byte(req.Network))
 }
 
 // appendSpec writes the wire image of the options a class runs under.
@@ -346,25 +331,23 @@ func (r *wireReader) readSpec() (o parallel.Options) {
 	return o
 }
 
-// decodeClass inverts encodeClass. hasSpec reports whether the spec
-// block was attached; without it the spec fields are zero and the
-// worker must fill them from its spec store (or answer need-spec).
-func decodeClass(body []byte) (req classRequest, hasSpec bool, err error) {
+// decodeClass inverts encodeClass.
+func decodeClass(body []byte) (req classRequest, err error) {
 	r := &wireReader{b: body}
 	if t := r.u8(); t != msgClass {
-		return req, false, fmt.Errorf("distrib: message type %#x is not a class request", t)
+		return req, fmt.Errorf("distrib: message type %#x is not a class request", t)
 	}
 	req.Seq = r.uvarint()
 	flags := r.u8()
-	if flags&^classFlagMask != 0 {
-		r.fail("class request sets reserved flag bits %#x", flags&^classFlagMask)
+	if flags&^classFlagMask != 0 || flags&classHasSpec == 0 {
+		r.fail("class request flags %#x: bit 0 must be set and bits 3 to 7 clear", flags)
 	}
 	req.Key = string(r.bytes())
 	req.Class = r.uvarint()
 	req.Depth = r.intv()
 	np := r.intv()
 	if r.err == nil && np > len(body) { // each partition entry is >= 1 byte
-		return req, false, fmt.Errorf("distrib: class request claims %d partition entries in a %d-byte frame", np, len(body))
+		return req, fmt.Errorf("distrib: class request claims %d partition entries in a %d-byte frame", np, len(body))
 	}
 	if r.err == nil {
 		req.Partition = make([]int, np)
@@ -374,12 +357,9 @@ func decodeClass(body []byte) (req classRequest, hasSpec bool, err error) {
 	}
 	req.StrictMem = flags&classStrictMem != 0
 	req.KeepDuplicates = flags&classKeepDup != 0
-	hasSpec = flags&classHasSpec != 0
-	if hasSpec {
-		req.Exec = r.readSpec()
-		req.Network = string(r.bytes())
-	}
-	return req, hasSpec, r.done()
+	req.Exec = r.readSpec()
+	req.Network = string(r.bytes())
+	return req, r.done()
 }
 
 // encodeResult serializes a class response. payload is the support
@@ -427,24 +407,4 @@ func decodeResult(body []byte) (*classResponse, int64, error) {
 		return nil, 0, err
 	}
 	return resp, rawLen, nil
-}
-
-// encodeNeedSpec serializes the worker's spec retransmit request.
-func encodeNeedSpec(seq uint64, key string) []byte {
-	out := make([]byte, 0, 16+len(key))
-	out = append(out, msgNeedSpec)
-	out = binary.AppendUvarint(out, seq)
-	out = appendBytes(out, []byte(key))
-	return out
-}
-
-// decodeNeedSpec inverts encodeNeedSpec.
-func decodeNeedSpec(body []byte) (seq uint64, key string, err error) {
-	r := &wireReader{b: body}
-	if t := r.u8(); t != msgNeedSpec {
-		return 0, "", fmt.Errorf("distrib: message type %#x is not a need-spec request", t)
-	}
-	seq = r.uvarint()
-	key = string(r.bytes())
-	return seq, key, r.done()
 }

@@ -9,21 +9,20 @@ import (
 )
 
 // FuzzDecodeFrame hammers every decoder that takes bytes off the network
-// — class, result, need-spec and the hello — with mutated frame bodies.
+// — class, result and the hello — with mutated frame bodies.
 // None may panic; whatever one accepts must re-encode to a frame that
 // decodes to the same value (compared through the canonical encoding, so
 // NaN floats and non-minimal varints in the input are no obstacle); and
 // nothing a decoder builds may be larger than the input it was handed,
-// whatever a length field claims.
+// whatever a length field claims. Each binary decoder accepts its own type
+// byte and no other: after the hello there are two messages.
 func FuzzDecodeFrame(f *testing.F) {
 	full := fullClass
-	f.Add(encodeClass(&full, true))
-	f.Add(encodeClass(&full, false))
+	f.Add(encodeClass(&full))
 	payload := []byte("EFMS-or-EFMC-payload-bytes")
 	f.Add(encodeResult(&classResponse{Seq: 9, Status: statusError, Error: "boom", Pairs: 12345,
 		PeakNodeBytes: 1 << 20}, payload, 4*len(payload)))
 	f.Add(encodeResult(&classResponse{Seq: 1, Status: statusOK}, nil, 0))
-	f.Add(encodeNeedSpec(77, "some-job-key"))
 	for _, h := range []hello{{Proto: protoVersion}, {Proto: protoVersion, Error: "peer speaks protocol 1"}} {
 		body, err := json.Marshal(h)
 		if err != nil {
@@ -33,24 +32,30 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	// Frames the decoder must refuse: sizes that would become allocation
 	// counts on the worker, a protocol-2 flag bit, a protocol-3 tolerance
-	// in the reserved spec slot, and a protocol-4 cached flag in the
-	// result's reserved byte.
+	// in the reserved spec slot, a protocol-4 cached flag in the result's
+	// reserved byte, and protocol 5's class without a spec block and its
+	// need-spec message.
 	for _, mutate := range []func(*classRequest){
 		func(r *classRequest) { r.Exec.Nodes = 200000 },
 		func(r *classRequest) { r.Exec.Core.Workers = 50000000 },
 	} {
 		huge := fullClass
 		mutate(&huge)
-		f.Add(encodeClass(&huge, true))
+		f.Add(encodeClass(&huge))
 	}
-	treeBit := encodeClass(&full, true)
+	treeBit := encodeClass(&full)
 	treeBit[2] |= 1 << 3
 	f.Add(treeBit)
 	f.Add(withReservedSlot(1e-9))
 	f.Add(withReservedResultByte(1))
+	f.Add(withoutSpecBlock())
+	f.Add(appendBytes([]byte{0x03, 77}, []byte("some-job-key")))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if req, hasSpec, err := decodeClass(b); err == nil {
+		if req, err := decodeClass(b); err == nil {
+			if b[0] != msgClass {
+				t.Fatalf("frame of type %#x accepted as a class", b[0])
+			}
 			if len(req.Partition) > len(b) || len(req.Key)+len(req.Network) > len(b) {
 				t.Fatalf("class decoded from %d bytes holds %d partition entries, %d key and %d network bytes",
 					len(b), len(req.Partition), len(req.Key), len(req.Network))
@@ -58,16 +63,19 @@ func FuzzDecodeFrame(f *testing.F) {
 			if req.Exec.Nodes > parallel.MaxNodes || req.Exec.Core.Workers > parallel.MaxWorkers {
 				t.Fatalf("class accepted with %d nodes and %d workers", req.Exec.Nodes, req.Exec.Core.Workers)
 			}
-			enc := encodeClass(&req, hasSpec)
-			again, againSpec, err := decodeClass(enc)
+			enc := encodeClass(&req)
+			again, err := decodeClass(enc)
 			if err != nil {
 				t.Fatalf("re-encoded class rejected: %v", err)
 			}
-			if againSpec != hasSpec || !bytes.Equal(encodeClass(&again, againSpec), enc) {
+			if !bytes.Equal(encodeClass(&again), enc) {
 				t.Fatalf("class does not round-trip:\n first %+v\nsecond %+v", req, again)
 			}
 		}
 		if resp, raw, err := decodeResult(b); err == nil {
+			if b[0] != msgResult {
+				t.Fatalf("frame of type %#x accepted as a result", b[0])
+			}
 			if len(resp.Error)+len(resp.Supports) > len(b) {
 				t.Fatalf("result decoded from %d bytes holds %d error and %d support bytes",
 					len(b), len(resp.Error), len(resp.Supports))
@@ -79,15 +87,6 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 			if againRaw != raw || !bytes.Equal(encodeResult(again, again.Supports, int(againRaw)), enc) {
 				t.Fatalf("result does not round-trip:\n first %+v\nsecond %+v", resp, again)
-			}
-		}
-		if seq, key, err := decodeNeedSpec(b); err == nil {
-			if len(key) > len(b) {
-				t.Fatalf("need-spec decoded from %d bytes holds a %d-byte key", len(b), len(key))
-			}
-			againSeq, againKey, err := decodeNeedSpec(encodeNeedSpec(seq, key))
-			if err != nil || againSeq != seq || againKey != key {
-				t.Fatalf("need-spec does not round-trip: (%d, %q) became (%d, %q), err %v", seq, key, againSeq, againKey, err)
 			}
 		}
 		if h, err := decodeHello(b); err == nil {

@@ -14,20 +14,20 @@ import (
 	"elmocomp/internal/core"
 	"elmocomp/internal/dnc"
 	"elmocomp/internal/parallel"
+	"elmocomp/internal/reduce"
+	"elmocomp/internal/synth"
 )
 
 // fullClass sets every field of a class request that travels to a
 // non-zero value; the codec round trip and the fuzz seeds share it.
 var fullClass = classRequest{
-	Seq: 42,
-	Key: "job-key",
-	classSpec: classSpec{
-		Network: "A -> B\nB -> C\n",
-		Exec: parallel.Options{
-			Core:    core.Options{MaxModes: 100, Workers: 3, MemBudget: 1 << 30},
-			Nodes:   2,
-			Timeout: 2500 * time.Millisecond,
-		},
+	Seq:     42,
+	Key:     "job-key",
+	Network: "A -> B\nB -> C\n",
+	Exec: parallel.Options{
+		Core:    core.Options{MaxModes: 100, Workers: 3, MemBudget: 1 << 30},
+		Nodes:   2,
+		Timeout: 2500 * time.Millisecond,
 	},
 	KeepDuplicates: true,
 	Partition:      []int{0, 3, 7},
@@ -36,14 +36,30 @@ var fullClass = classRequest{
 	StrictMem:      true,
 }
 
-// withReservedSlot returns fullClass's spec-bearing frame with the eight
-// reserved bytes that open the spec block (protocol 3's zero tolerance)
-// holding v's bit pattern.
+// specBlockAt is the offset of the spec block in fullClass's frame: the
+// block is the frame's tail, so its own length locates it.
+func specBlockAt(body []byte) int {
+	return len(body) - len(appendBytes(appendSpec(nil, &fullClass.Exec), []byte(fullClass.Network)))
+}
+
+// withReservedSlot returns fullClass's frame with the eight reserved
+// bytes that open the spec block (protocol 3's zero tolerance) holding
+// v's bit pattern.
 func withReservedSlot(v float64) []byte {
 	full := fullClass
-	body := encodeClass(&full, true)
-	slot := len(encodeClass(&full, false)) // the spec block follows the coordinates
-	binary.LittleEndian.PutUint64(body[slot:], math.Float64bits(v))
+	body := encodeClass(&full)
+	binary.LittleEndian.PutUint64(body[specBlockAt(body):], math.Float64bits(v))
+	return body
+}
+
+// withoutSpecBlock returns what protocols 3 to 5 sent for every class of
+// a job after the first: fullClass's coordinates with flag bit 0 clear
+// and no spec block.
+func withoutSpecBlock() []byte {
+	full := fullClass
+	body := encodeClass(&full)
+	body = body[:specBlockAt(body)]
+	body[2] &^= classHasSpec
 	return body
 }
 
@@ -57,39 +73,39 @@ func withReservedResultByte(v byte) []byte {
 
 func TestClassCodecRoundTrip(t *testing.T) {
 	full := fullClass
-	for _, withSpec := range []bool{true, false} {
-		body := encodeClass(&full, withSpec)
-		got, hasSpec, err := decodeClass(body)
-		if err != nil {
-			t.Fatalf("withSpec=%v: %v", withSpec, err)
-		}
-		if hasSpec != withSpec {
-			t.Fatalf("withSpec=%v decoded as hasSpec=%v", withSpec, hasSpec)
-		}
-		want := full
-		if !withSpec {
-			// Interned requests drop the spec block but keep the class
-			// coordinates and their flags.
-			want.classSpec = classSpec{}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("withSpec=%v round trip mangled:\n got %+v\nwant %+v", withSpec, got, want)
-		}
+	body := encodeClass(&full)
+	got, err := decodeClass(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, full) {
+		t.Fatalf("round trip mangled:\n got %+v\nwant %+v", got, full)
 	}
 
 	// Every truncation of a valid frame must be rejected, never
 	// misparsed into a valid request.
-	body := encodeClass(&full, true)
 	for cut := 0; cut < len(body); cut++ {
-		if _, _, err := decodeClass(body[:cut]); err == nil {
+		if _, err := decodeClass(body[:cut]); err == nil {
 			t.Fatalf("truncation at %d/%d accepted", cut, len(body))
 		}
 	}
-	if _, _, err := decodeClass(append(body, 0)); err == nil {
+	if _, err := decodeClass(append(body, 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
-	if _, _, err := decodeClass([]byte{msgResult, 0}); err == nil {
+	if _, err := decodeClass([]byte{msgResult, 0}); err == nil {
 		t.Fatal("wrong message type accepted")
+	}
+
+	// A class frame is the whole class: flag bit 0 clear announces a frame
+	// that leans on an earlier one for its options and network, which no
+	// worker of this build remembers. Refused with or without the block.
+	if _, err := decodeClass(withoutSpecBlock()); err == nil {
+		t.Fatal("class without a spec block accepted")
+	}
+	cleared := append([]byte(nil), body...)
+	cleared[2] &^= classHasSpec
+	if _, err := decodeClass(cleared); err == nil {
+		t.Fatal("class with flag bit 0 clear accepted")
 	}
 
 	// The flags byte follows the one-byte seq varint. Bits 3 and 4 were
@@ -99,18 +115,18 @@ func TestClassCodecRoundTrip(t *testing.T) {
 	for bit := 3; bit < 8; bit++ {
 		bad := append([]byte(nil), body...)
 		bad[2] |= 1 << bit
-		if _, _, err := decodeClass(bad); err == nil {
+		if _, err := decodeClass(bad); err == nil {
 			t.Fatalf("class with reserved flag bit %d accepted", bit)
 		}
 	}
 
 	// A worker has one zero tolerance: whatever a peer writes where
 	// protocol 3 carried one is refused, not run under.
-	if _, _, err := decodeClass(withReservedSlot(0)); err != nil {
+	if _, err := decodeClass(withReservedSlot(0)); err != nil {
 		t.Fatalf("zero reserved slot refused: %v", err)
 	}
 	for _, v := range []float64{1e-9, 1e-5, math.NaN(), math.Copysign(0, -1)} {
-		if _, _, err := decodeClass(withReservedSlot(v)); err == nil {
+		if _, err := decodeClass(withReservedSlot(v)); err == nil {
 			t.Fatalf("class with %g in the reserved spec slot accepted", v)
 		}
 	}
@@ -147,7 +163,7 @@ func TestClassSpecLimits(t *testing.T) {
 		req := fullClass
 		req.Exec = atLimit
 		tc.mutate(&req.Exec)
-		got, _, err := decodeClass(encodeClass(&req, true))
+		got, err := decodeClass(encodeClass(&req))
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: decodeClass error = %v, want ok=%v", name, err, tc.ok)
 		}
@@ -199,26 +215,10 @@ func TestResultCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNeedSpecCodecRoundTrip(t *testing.T) {
-	body := encodeNeedSpec(77, "some-job-key")
-	seq, key, err := decodeNeedSpec(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 77 || key != "some-job-key" {
-		t.Fatalf("round trip mangled: seq=%d key=%q", seq, key)
-	}
-	for cut := 0; cut < len(body); cut++ {
-		if _, _, err := decodeNeedSpec(body[:cut]); err == nil {
-			t.Fatalf("truncation at %d/%d accepted", cut, len(body))
-		}
-	}
-}
-
-// TestSpecInterningNeedSpec: a worker whose per-job store evicted a job's
-// spec answers need-spec; the coordinator re-sends the class with the
-// spec attached and the job still completes. Exercises worker-restart
-// correctness without restarting anything.
+// TestSpecInterningNeedSpec: what eviction from the reduction memo costs.
+// Jobs A, B, A alternate on a worker whose memo holds one entry: nothing
+// is retransmitted and no link suffers — every frame carries its network,
+// so the worker reduces A's again and every class is served once.
 func TestSpecInterningNeedSpec(t *testing.T) {
 	specA, red, seq := toyJob(t)
 	specB := specA
@@ -233,9 +233,8 @@ func TestSpecInterningNeedSpec(t *testing.T) {
 	pool := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second})
 	defer pool.Close()
 
-	// Job A interns its spec; job B evicts it (a store of one); job A again
-	// finds the link still believes A is interned, the worker answers
-	// need-spec, and the retransmit path heals it.
+	var classes, perRound int64
+	var memoA [3]*reduce.Reduced
 	for round, spec := range []JobSpec{specA, specB, specA} {
 		res, err := dnc.Run(red.N, red.Reversibilities(), dnc.Options{Qsub: 2, Remote: pool.Bind(spec)})
 		if err != nil {
@@ -244,12 +243,22 @@ func TestSpecInterningNeedSpec(t *testing.T) {
 		if fp(res.Supports) != fp(seq.Supports) {
 			t.Fatalf("round %d: fingerprint differs", round)
 		}
+		classes += res.Sched.RemoteClasses
+		perRound = res.Sched.RemoteClasses
+		if spec.Key == specA.Key {
+			memoA[round] = memoOf(t, w, spec.Key)
+		} else if _, held := w.jobs.Get(specA.Key); held {
+			t.Fatal("job B did not evict job A from a memo of one")
+		}
 	}
-	if c := w.Counters(); c.NeedSpecs == 0 {
-		t.Fatal("spec eviction never triggered a need-spec retransmit")
+	if memoA[0] == memoA[2] {
+		t.Fatal("job A's third round ran on its first round's reduction though the memo had evicted it")
 	}
-	if st := pool.Stats()[0]; !st.Alive {
-		t.Fatal("link severed by the need-spec path")
+	if got := w.Counters().Served; got != classes || classes != 3*perRound {
+		t.Fatalf("worker served %d classes, the scheduler counted %d, want 3 x %d", got, classes, perRound)
+	}
+	if st := pool.Stats()[0]; !st.Alive || st.Failures != 0 {
+		t.Fatalf("eviction cost the link: %+v", st)
 	}
 }
 
@@ -322,25 +331,65 @@ func TestPoolPipelinedPrefetch(t *testing.T) {
 	}
 }
 
-// TestPoolWireAccounting: the link must ship fewer wire bytes than the
-// logical payload on a multi-class job (spec interning alone guarantees
-// it).
+// TestPoolWireAccounting: payload bytes are the request bodies plus the
+// flat support payloads, wire bytes are every frame as it crossed, and the
+// only thing that makes wire smaller than payload is result compression.
 func TestPoolWireAccounting(t *testing.T) {
-	spec, red, _ := toyJob(t)
+	// Toy classes return far less than wireCompressMin, so every byte of
+	// both counters can be named.
+	spec, _, seq := toyJob(t)
 	w := startWorker(t, WorkerOptions{})
 	pool := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second})
 	defer pool.Close()
+	var payload, wire int64
+	for id := uint64(0); id < 1<<uint(len(seq.Partition)); id++ {
+		out, err := pool.Bind(spec).Run(0, dnc.RemoteClass{ID: id, Partition: seq.Partition}, nil)
+		if err != nil {
+			t.Fatalf("class %d: %v", id, err)
+		}
+		req := encodeClass(&classRequest{Seq: id + 1, Key: spec.Key, Network: spec.Network,
+			Exec: spec.Exec, Partition: seq.Partition, Class: id})
+		resp := &classResponse{Seq: id + 1, Status: statusSkipped}
+		var flat []byte
+		if !out.Skipped {
+			resp.Status, resp.Pairs, resp.PeakNodeBytes = statusOK, out.Pairs, out.PeakNodeBytes
+			flat = core.EncodeSupportList(out.Supports, spec.Q)
+		}
+		if len(flat) >= wireCompressMin {
+			t.Fatalf("class %d returns %d support bytes: no longer a payload that must travel flat", id, len(flat))
+		}
+		payload += int64(len(req) + len(flat))
+		wire += int64(len(req)+len(encodeResult(resp, flat, len(flat)))) + 2*cluster.FrameHeaderLen
+	}
+	if st := pool.Stats()[0]; st.PayloadBytes != payload || st.WireBytes != wire {
+		t.Fatalf("link counted %d payload and %d wire bytes, the frames add up to %d and %d",
+			st.PayloadBytes, st.WireBytes, payload, wire)
+	}
 
-	res, err := dnc.Run(red.N, red.Reversibilities(), dnc.Options{Qsub: 2, Remote: pool.Bind(spec)})
+	// A job whose classes return compressible payloads ships them
+	// compressed, and the coordinator decodes them to the local result.
+	n, err := synth.Network(synth.Params{Layers: 5, Width: 5, CrossLinks: 10, ReversibleFraction: 0.25, MaxCoef: 2, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := pool.Stats()[0]
-	if st.PayloadBytes == 0 || st.WireBytes == 0 {
-		t.Fatalf("byte accounting missing: payload=%d wire=%d", st.PayloadBytes, st.WireBytes)
+	big, red, local := jobOf(t, n)
+	bigPool := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second})
+	defer bigPool.Close()
+	res, err := dnc.Run(red.N, red.Reversibilities(), dnc.Options{Qsub: 2, Remote: bigPool.Bind(big)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Sched.RemoteClasses >= 2 && st.WireBytes >= st.PayloadBytes {
-		t.Fatalf("the link shipped %d wire bytes for %d payload bytes over %d classes",
-			st.WireBytes, st.PayloadBytes, res.Sched.RemoteClasses)
+	if fp(res.Supports) != fp(local.Supports) {
+		t.Fatalf("fingerprint %x after the wire, %x locally", fp(res.Supports), fp(local.Supports))
+	}
+	var largest int
+	for _, sub := range res.Subproblems {
+		largest = max(largest, len(core.EncodeSupportList(sub.Supports, big.Q)))
+	}
+	if largest < wireCompressMin {
+		t.Fatalf("largest class returns %d support bytes, below wireCompressMin: the network proves nothing", largest)
+	}
+	if st := bigPool.Stats()[0]; st.WireBytes >= st.PayloadBytes {
+		t.Fatalf("the link shipped %d wire bytes for %d payload bytes: result compression is not live", st.WireBytes, st.PayloadBytes)
 	}
 }

@@ -26,10 +26,9 @@ const wireCompressMin = 512
 // socket until Close. The coordinator bounds its half with DialTimeout.
 const helloTimeout = 5 * time.Second
 
-// jobStoreSize bounds the per-job store by count: the jobs a worker keeps
-// a spec and a reduction for. A class arriving for an evicted (or
-// never-seen) key is answered with need-spec and the coordinator re-sends
-// it spec-attached.
+// jobStoreSize bounds the reduction memo by count: the jobs a worker
+// keeps a parsed and reduced network for. A class arriving for an evicted
+// (or never-seen) key parses and reduces the network its frame carries.
 const jobStoreSize = 16
 
 // WorkerOptions configure a worker process.
@@ -58,8 +57,8 @@ type WorkerOptions struct {
 
 // Worker serves divide-and-conquer classes over the distrib protocol:
 // the `efmd -worker` role. It is stateless across classes apart from one
-// bounded per-job store (the interned spec and its reduction), so a
-// crashed worker loses nothing the coordinator cannot re-send.
+// bounded memo of network reductions, each a function of the frame that
+// built it, so a crashed worker loses nothing but time.
 type Worker struct {
 	opts WorkerOptions
 	ln   net.Listener
@@ -75,7 +74,6 @@ type Worker struct {
 
 	reqCount     int64 // lifetime class requests (fault-injection trigger)
 	served       int64
-	needSpecs    int64
 	maxPipelined int64 // high-water of classes queued on one connection
 }
 
@@ -149,9 +147,6 @@ func (w *Worker) Close() error {
 // WorkerCounters are the worker's own service counters.
 type WorkerCounters struct {
 	Served int64 `json:"served"`
-	// NeedSpecs counts classes that arrived interned for a spec this
-	// worker did not hold and were answered with a retransmit request.
-	NeedSpecs int64 `json:"need_specs,omitempty"`
 	// MaxPipelined is the high-water count of classes in flight on one
 	// connection (the one executing plus those queued behind it).
 	MaxPipelined int64 `json:"max_pipelined,omitempty"`
@@ -161,16 +156,8 @@ type WorkerCounters struct {
 func (w *Worker) Counters() WorkerCounters {
 	return WorkerCounters{
 		Served:       atomic.LoadInt64(&w.served),
-		NeedSpecs:    atomic.LoadInt64(&w.needSpecs),
 		MaxPipelined: atomic.LoadInt64(&w.maxPipelined),
 	}
-}
-
-// inbound is one decoded class request queued for execution. hasSpec
-// records whether the frame carried the job spec.
-type inbound struct {
-	req     classRequest
-	hasSpec bool
 }
 
 func (w *Worker) serveConn(c net.Conn) {
@@ -202,7 +189,7 @@ func (w *Worker) serveConn(c net.Conn) {
 	// connection computes the current one. The pump is the one blocked
 	// on the socket, so a severed connection is noticed mid-class and
 	// the compute canceled.
-	reqs := make(chan inbound, 16)
+	reqs := make(chan *classRequest, 16)
 	closed := make(chan struct{}) // pump saw a read error (peer gone)
 	done := make(chan struct{})   // this serving loop exited
 	defer close(done)
@@ -216,7 +203,7 @@ func (w *Worker) serveConn(c net.Conn) {
 			if err != nil {
 				return
 			}
-			req, hasSpec, derr := decodeClass(body)
+			req, derr := decodeClass(body)
 			if derr != nil {
 				return // garbage after a good hello: drop the connection
 			}
@@ -228,7 +215,7 @@ func (w *Worker) serveConn(c net.Conn) {
 				}
 			}
 			select {
-			case reqs <- inbound{req: req, hasSpec: hasSpec}:
+			case reqs <- &req:
 			case <-done:
 				return
 			}
@@ -236,9 +223,9 @@ func (w *Worker) serveConn(c net.Conn) {
 	}()
 
 	for {
-		var in inbound
+		var req *classRequest
 		select {
-		case in = <-reqs:
+		case req = <-reqs:
 		case <-closed:
 			return
 		}
@@ -251,19 +238,6 @@ func (w *Worker) serveConn(c net.Conn) {
 			<-closed // injected wedge: hold the class until the peer gives up
 			return
 		}
-		req := &in.req
-		var job *jobEntry
-		if in.hasSpec {
-			job = &jobEntry{spec: req.classSpec}
-			w.jobs.Put(req.Key, job)
-		} else if job, _ = w.jobs.Get(req.Key); job == nil {
-			atomic.AddInt64(&w.needSpecs, 1)
-			if _, err := cluster.WriteFrame(c, encodeNeedSpec(req.Seq, req.Key)); err != nil {
-				return
-			}
-			atomic.AddInt64(&inflight, -1)
-			continue
-		}
 		if w.opts.DelayPerClass > 0 {
 			select {
 			case <-time.After(w.opts.DelayPerClass):
@@ -271,7 +245,7 @@ func (w *Worker) serveConn(c net.Conn) {
 				return
 			}
 		}
-		resp := w.exec(req, job, closed)
+		resp := w.exec(req, closed)
 		if err := writeReply(c, resp); err != nil {
 			return
 		}
@@ -297,11 +271,11 @@ func writeReply(c net.Conn, resp *classResponse) error {
 	return err
 }
 
-// exec runs one class of a job: the coordinates come from the request,
-// everything per-job (options, network, reduction) from the job's entry.
-func (w *Worker) exec(req *classRequest, job *jobEntry, cancel <-chan struct{}) *classResponse {
+// exec runs one class. Everything it runs under comes from the frame;
+// the memo only spares re-deriving what the frame's network determines.
+func (w *Worker) exec(req *classRequest, cancel <-chan struct{}) *classResponse {
 	resp := &classResponse{Seq: req.Seq}
-	red, err := job.reduced(req.KeepDuplicates)
+	red, err := w.reduced(req)
 	if err != nil {
 		resp.Status = statusError
 		resp.Error = err.Error()
@@ -309,7 +283,7 @@ func (w *Worker) exec(req *classRequest, job *jobEntry, cancel <-chan struct{}) 
 	}
 	// The decoded options carry what the coordinator's local groups run
 	// under; only what must never come off the wire is set here.
-	popts := job.spec.Exec
+	popts := req.Exec
 	popts.Cancel = cancel
 	popts.Core.SpillDir = w.opts.SpillDir
 	popts.Core.StrictMemBudget = req.StrictMem
@@ -343,12 +317,13 @@ func (w *Worker) exec(req *classRequest, job *jobEntry, cancel <-chan struct{}) 
 	return resp
 }
 
-// jobEntry is everything a worker remembers about one job key: the
-// interned spec, and the reduction of its network, computed by the first
-// class to need it — every class of one job ships the same canonical
-// network text, so classes of interleaved jobs never re-reduce.
+// jobEntry is what a worker remembers about one job key: the reduction
+// of a network, computed by the first class to need it, and the two
+// inputs that determine it — every class of one job ships the same
+// canonical network text, so classes of interleaved jobs never re-reduce.
 type jobEntry struct {
-	spec classSpec
+	network        string
+	keepDuplicates bool
 
 	once sync.Once
 	red  *reduce.Reduced
@@ -359,18 +334,25 @@ func newJobStore(size int64) *lru.Cache[*jobEntry] {
 	return lru.New(size, func(*jobEntry) int64 { return 1 })
 }
 
-// reduced parses and reduces the job's network.
-func (j *jobEntry) reduced(keepDuplicates bool) (*reduce.Reduced, error) {
-	j.once.Do(func() {
-		n, err := model.ParseString(j.spec.Network)
+// reduced returns the reduction of the frame's network: the memo's, when
+// the key's entry was built from this network text and keep-duplicates
+// bit, and otherwise a fresh entry's that takes the key over.
+func (w *Worker) reduced(req *classRequest) (*reduce.Reduced, error) {
+	job, ok := w.jobs.Get(req.Key)
+	if !ok || job.network != req.Network || job.keepDuplicates != req.KeepDuplicates {
+		job = &jobEntry{network: req.Network, keepDuplicates: req.KeepDuplicates}
+		w.jobs.Put(req.Key, job)
+	}
+	job.once.Do(func() {
+		n, err := model.ParseString(job.network)
 		if err != nil {
-			j.err = fmt.Errorf("parse network: %w", err)
+			job.err = fmt.Errorf("parse network: %w", err)
 			return
 		}
-		j.red, err = reduce.Network(n, reduce.Options{MergeDuplicates: !keepDuplicates})
+		job.red, err = reduce.Network(n, reduce.Options{MergeDuplicates: !job.keepDuplicates})
 		if err != nil {
-			j.err = fmt.Errorf("reduce network: %w", err)
+			job.err = fmt.Errorf("reduce network: %w", err)
 		}
 	})
-	return j.red, j.err
+	return job.red, job.err
 }

@@ -164,8 +164,8 @@ type Stats struct {
 	Workers []distrib.WorkerStats `json:"workers,omitempty"`
 	// RemotePayloadBytes / RemoteWireBytes are the fleet-total logical
 	// payload vs framed wire bytes of the class data plane, summed over
-	// Workers — their ratio is the win from spec interning, binary
-	// framing, and payload compression.
+	// Workers — they differ by framing and by what result compression
+	// saves.
 	RemotePayloadBytes int64 `json:"remote_payload_bytes,omitempty"`
 	RemoteWireBytes    int64 `json:"remote_wire_bytes,omitempty"`
 }
