@@ -138,6 +138,9 @@ func main() {
 		fmt.Printf("reduction: %s\n", res.ReductionSummary())
 		fmt.Printf("elementary flux modes: %s\n", stats.Count(int64(res.Len())))
 		fmt.Printf("candidate modes generated: %s\n", stats.Count(res.CandidateModes))
+		if res.PairsVisited > 0 {
+			fmt.Printf("candidate pairs visited: %s\n", stats.Count(res.PairsVisited))
+		}
 		if rs := res.RevSearch; rs != nil {
 			fmt.Printf("reverse search: %s bases in %d subtree jobs, %s pivots, max depth %d, %d dictionaries widened to big.Int\n",
 				stats.Count(rs.Bases), rs.Jobs, stats.Count(rs.Pivots), rs.MaxDepth, rs.Widened)
@@ -232,13 +235,13 @@ func loadNetwork(modelName, file string) (*elmocomp.Network, error) {
 func printStats(res *elmocomp.Result) {
 	if len(res.Iterations) > 0 {
 		tb := stats.NewTable("per-iteration statistics",
-			"reaction", "rev", "pos", "neg", "zero", "candidates", "prefiltered", "tree rejects", "tested", "accepted", "dup", "modes out")
+			"reaction", "rev", "pos", "neg", "zero", "candidates", "visited", "prefiltered", "tree rejects", "tested", "accepted", "dup", "modes out", "gen(s)", "rank(s)")
 		for _, it := range res.Iterations {
 			tb.AddRow(it.Reaction, it.Reversible, it.Pos, it.Neg, it.Zero,
-				stats.Count(it.CandidateModes), stats.Count(it.Prefiltered),
+				stats.Count(it.CandidateModes), stats.Count(it.Visited), stats.Count(it.Prefiltered),
 				stats.Count(it.TreeRejects), stats.Count(it.Tested),
 				stats.Count(it.Accepted),
-				stats.Count(it.Duplicates), it.ModesOut)
+				stats.Count(it.Duplicates), it.ModesOut, it.GenSeconds, it.RankSeconds)
 		}
 		tb.Render(os.Stdout)
 	}

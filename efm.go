@@ -263,12 +263,16 @@ type IterationStat struct {
 	Reversible     bool
 	Pos, Neg, Zero int
 	CandidateModes int64 // |pos|·|neg| combinations generated
+	Visited        int64 // of those, pairs probed one by one (the generation tree rejects the rest by the subtree)
 	Prefiltered    int64 // rejected by the support-size pre-test
 	TreeRejects    int64 // rejected by the hybrid bit-pattern-tree prefilter
 	Tested         int64 // rank tests run
 	Accepted       int64
 	Duplicates     int64
 	ModesOut       int
+	// GenSeconds and RankSeconds are the row's candidate-generation and
+	// rank-test CPU seconds, summed over workers and nodes.
+	GenSeconds, RankSeconds float64
 }
 
 // PhaseSeconds is the per-phase timing of a distributed run (Table II's
@@ -316,6 +320,11 @@ type Result struct {
 	// CandidateModes is the total number of generated intermediate
 	// candidate modes (the paper's headline cost metric).
 	CandidateModes int64
+	// PairsVisited is how many of the double-description engine's
+	// candidate pairs were probed one by one, summed over Iterations
+	// (Serial/Parallel only); the rest were support pre-test rejections
+	// the generation tree counted by the subtree.
+	PairsVisited int64
 	// Iterations holds per-iteration statistics (Serial/Parallel only).
 	Iterations []IterationStat
 	// Phases holds the critical-path phase times (Parallel/DnC).
@@ -764,7 +773,7 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 		res.CandidateModes = run.TotalPairs()
 		res.PeakNodeBytes = run.PeakBytes()
 		res.Store = run.Store
-		res.Iterations = iterStats(run.Stats, red, p)
+		res.Iterations, res.PairsVisited = iterStats(run.Stats, red, p)
 		res.Phases = phasesFromStats(run.Stats)
 	case Parallel:
 		p, err := nullspace.New(red.N, red.Reversibilities(), nullspace.Heuristics{})
@@ -786,7 +795,7 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 		res.CommBytes = run.Comm.Bytes
 		res.CommWireBytes = run.Comm.WireBytes
 		res.CommMessages = run.Comm.Messages
-		res.Iterations = iterStats(run.Stats, red, p)
+		res.Iterations, res.PairsVisited = iterStats(run.Stats, red, p)
 		res.Phases = run.MaxPhases()
 	case DivideAndConquer:
 		dopts := dnc.Options{
@@ -838,9 +847,12 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 	return res, nil
 }
 
-func iterStats(stats []core.IterStats, red *reduce.Reduced, p *nullspace.Problem) []IterationStat {
-	out := make([]IterationStat, len(stats))
+// iterStats mirrors the engine's per-iteration statistics and totals
+// the pairs it visited.
+func iterStats(stats []core.IterStats, red *reduce.Reduced, p *nullspace.Problem) (out []IterationStat, visited int64) {
+	out = make([]IterationStat, len(stats))
 	for i, s := range stats {
+		visited += s.Visited
 		out[i] = IterationStat{
 			Reaction:       red.Cols[p.OrigCol(s.Reaction)].Name,
 			Reversible:     s.Reversible,
@@ -848,15 +860,18 @@ func iterStats(stats []core.IterStats, red *reduce.Reduced, p *nullspace.Problem
 			Neg:            s.Neg,
 			Zero:           s.Zero,
 			CandidateModes: s.Pairs,
+			Visited:        s.Visited,
 			Prefiltered:    s.Prefiltered,
 			TreeRejects:    s.TreeRejects,
 			Tested:         s.Tested,
 			Accepted:       s.Accepted,
 			Duplicates:     s.Duplicates,
 			ModesOut:       s.ModesOut,
+			GenSeconds:     s.GenSeconds,
+			RankSeconds:    s.TestSeconds,
 		}
 	}
-	return out
+	return out, visited
 }
 
 func phasesFromStats(stats []core.IterStats) PhaseSeconds {

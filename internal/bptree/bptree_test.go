@@ -1,6 +1,7 @@
 package bptree
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -133,6 +134,93 @@ func TestQuickAgainstLinearScan(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: the pruning walk agrees with a linear scan under two bounds.
+// What it rules out breaks a bound, what it appends is everything else
+// the tree holds — each index once — and whatever satisfies both bounds
+// is among the appended.
+func TestQuickUnionWithinAgainstLinearScan(t *testing.T) {
+	ruledOutTotal := 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		width := 1 + rng.Intn(150)
+		random := func(maxBits int) []uint64 {
+			var bits []int
+			for j := rng.Intn(maxBits + 1); j > 0; j-- {
+				bits = append(bits, rng.Intn(width))
+			}
+			return pat(width, bits...)
+		}
+		n := rng.Intn(200)
+		b := NewBuilder(width)
+		pats := make([][]uint64, n)
+		for i := range pats {
+			pats[i] = random(12)
+			b.Add(pats[i])
+		}
+		tree := b.Build()
+		mask := random(width)
+		for trial := 0; trial < 20; trial++ {
+			q := random(12)
+			maxTotal, maxMasked := rng.Intn(26), rng.Intn(14)
+			got, ruledOut := tree.AppendUnionWithin([]int32{-7}, q, mask, maxTotal, maxMasked)
+			if got[0] != -7 || len(got)-1+ruledOut != n {
+				return false
+			}
+			ruledOutTotal += ruledOut
+			appended := make(map[int32]bool)
+			for _, i := range got[1:] {
+				if i < 0 || int(i) >= n || appended[i] {
+					return false
+				}
+				appended[i] = true
+			}
+			for i, p := range pats {
+				total, masked := 0, 0
+				for w := range p {
+					total += bits.OnesCount64(p[w] | q[w])
+					masked += bits.OnesCount64((p[w] | q[w]) & mask[w])
+				}
+				if total <= maxTotal && masked <= maxMasked && !appended[int32(i)] {
+					return false // ruled out a pattern within both bounds
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+	if ruledOutTotal == 0 {
+		t.Fatal("the walk never ruled out a subtree")
+	}
+}
+
+// TestRebuildReusesStorage: a rebuilt tree answers for its new patterns
+// only, keeps its arrays, and owns its patterns.
+func TestRebuildReusesStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pats := make([][]uint64, 300)
+	for i := range pats {
+		pats[i] = pat(70, rng.Intn(70), rng.Intn(70), rng.Intn(70))
+	}
+	var tree Tree
+	tree.Rebuild(70, len(pats), func(i int) []uint64 { return pats[i] })
+	nodes, words := cap(tree.nodes), cap(tree.pats)
+	tree.Rebuild(70, 2, func(i int) []uint64 { return pats[i] })
+	if tree.Len() != 2 || cap(tree.nodes) != nodes || cap(tree.pats) != words {
+		t.Fatalf("rebuilt tree: %d patterns, capacities %d, %d -> %d, %d", tree.Len(), nodes, words, cap(tree.nodes), cap(tree.pats))
+	}
+	query := append([]uint64(nil), pats[1]...)
+	clear(pats[1]) // the tree copied it
+	if !tree.HasSubsetOf(query) || tree.HasSubsetOfExcluding(query, 0, 1) {
+		t.Fatal("rebuilt tree answers for stale patterns")
+	}
+	tree.Rebuild(70, 0, nil)
+	if tree.Len() != 0 || tree.HasSubsetOf(query) {
+		t.Fatal("emptied tree still holds patterns")
 	}
 }
 

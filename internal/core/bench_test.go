@@ -10,7 +10,7 @@ import (
 	"elmocomp/internal/synth"
 )
 
-func yeastProblem(b *testing.B) *nullspace.Problem {
+func yeastProblem(b testing.TB) *nullspace.Problem {
 	b.Helper()
 	red, err := reduce.Network(model.YeastI(), reduce.Options{MergeDuplicates: true})
 	if err != nil {
@@ -23,34 +23,57 @@ func yeastProblem(b *testing.B) *nullspace.Problem {
 	return p
 }
 
-// BenchmarkPairLoopYeast measures the candidate-generation hot loop on a
-// real mid-run iteration of Network I (the state after 20 iterations).
-func BenchmarkPairLoopYeast(b *testing.B) {
+// pairLoopYeastRow is the row the pair-loop benchmarks run: a real
+// mid-run iteration of Network I (the state after 20 iterations).
+func pairLoopYeastRow(b *testing.B) (*nullspace.Problem, *ModeSet) {
 	p := yeastProblem(b)
 	res, err := Run(p, Options{LastRow: p.D + 20})
 	if err != nil {
 		b.Fatal(err)
 	}
-	set := res.Modes
+	return p, res.Modes
+}
+
+// BenchmarkPairLoopYeast measures candidate generation on that row, one
+// whole row per iteration: the generation tree's walk, the pre-test on
+// the pairs it leaves, and the rank tests on the survivors.
+func BenchmarkPairLoopYeast(b *testing.B) {
+	p, set := pairLoopYeastRow(b)
 	it := BeginRow(p, set, set.FirstRow(), Options{})
 	pairs := it.Pairs()
 	if pairs == 0 {
 		b.Skip("no pairs at this row")
 	}
 	ws := linalg.NewWorkspace(p.M()+2, p.M()+2)
+	sc := &GenScratch{}
+	cands := it.NewCandidateSet()
+	var st IterStats
 	b.ResetTimer()
-	var done int64
-	for done < int64(b.N) {
-		chunk := pairs
-		if remaining := int64(b.N) - done; remaining < chunk {
-			chunk = remaining
-		}
-		cands := it.NewCandidateSet()
-		var st IterStats
-		it.GenerateInto(cands, ws, 0, chunk, &st)
-		done += chunk
+	for i := 0; i < b.N; i++ {
+		cands = it.ResetCandidateSet(cands)
+		st = IterStats{}
+		it.GenerateIntoScratch(cands, ws, 0, pairs, &st, sc)
 	}
 	b.ReportMetric(float64(pairs), "pairs/row")
+	b.ReportMetric(float64(st.Visited), "visited/row")
+	b.ReportMetric(float64(st.Tested), "rank-tests/row")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
+}
+
+// BenchmarkPairTreeBuild times what BeginRow adds on that row to open
+// the generation tree: one build over the negative columns.
+func BenchmarkPairTreeBuild(b *testing.B) {
+	p, set := pairLoopYeastRow(b)
+	it := BeginRow(p, set, set.FirstRow(), Options{DisableHybrid: true})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		it.buildTrees()
+		if it.genTree == nil {
+			b.Fatal("row does not open the generation tree")
+		}
+		it.releaseTrees()
+	}
+	b.ReportMetric(float64(len(it.Neg)), "neg-columns")
 }
 
 func yeastPointedProblem(b *testing.B) *nullspace.Problem {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"sync"
 	"time"
 
 	"elmocomp/internal/bptree"
@@ -53,13 +55,18 @@ type Options struct {
 	// when empty). A file is unlinked as soon as it is created, so the
 	// directory stays empty whatever happens to the process.
 	SpillDir string
-	// DisableHybrid switches off the hybrid fast path: on a pointed
-	// problem (no reversible rows) the engine normally builds the per-row
-	// bit-pattern tree and uses the combinatorial superset query as a
-	// reject-only prefilter ahead of the rank test. The prefilter never
-	// changes the result (the rank test is the only arbiter); no request
-	// path sets this — tests and benchmarks use the switched-off engine
-	// as the reference for the default one.
+	// DisableHybrid switches off both per-row bit-pattern trees. One is
+	// the generation tree over the negative columns, which lets a large
+	// row count the pairs the support pre-test rejects by the subtree
+	// instead of probing each (IterStats.Visited says how many were
+	// probed). The other, on a pointed problem (no reversible rows)
+	// only, is the tree over all columns whose superset query rejects
+	// candidates ahead of the rank test (IterStats.TreeRejects). Neither
+	// changes a candidate or the result — the pre-test and the rank test
+	// stay the only arbiters — and no request path sets this: tests and
+	// benchmarks use the switched-off engine, a linear sweep over every
+	// pair with the rank test behind it, as the reference for the
+	// default one.
 	DisableHybrid bool
 	// Workers is the number of shared-memory worker goroutines used for
 	// candidate generation and merging within one engine (or, in the
@@ -99,6 +106,7 @@ type IterStats struct {
 	Reversible     bool
 	Pos, Neg, Zero int   // column partition sizes
 	Pairs          int64 // candidate modes generated (|pos|·|neg|)
+	Visited        int64 // pairs probed one by one; the rest were pre-test rejections counted by the subtree
 	Prefiltered    int64 // rejected by the support-size pre-test
 	TreeRejects    int64 // rejected by the hybrid bit-pattern-tree prefilter
 	Tested         int64 // rank tests run
@@ -246,6 +254,7 @@ type RowIter struct {
 	opts    Options
 	nextRev []int        // revRows of the next iteration's sets
 	tree    *bptree.Tree // reject-only prefilter ahead of the rank test; nil off a pointed cone
+	genTree *bptree.Tree // over the Neg columns, indexed by position in Neg; nil on rows too small to repay it
 	// Per-row constants of the pair sweep, computed once in BeginRow:
 	// the processed-prefix mask (rows 0..Row), the support bounds, and
 	// per-column popcount caches over the current set so the sweep can
@@ -323,26 +332,51 @@ func BeginRow(p *nullspace.Problem, set *ModeSet, row int, opts Options) *RowIte
 			it.suppSize[i] = int32(total)
 			it.prefixSize[i] = int32(pfx)
 		}
-		if !opts.DisableHybrid && pointed(p.Rev) {
-			// Hybrid fast path: on a pointed cone the superset query is a
-			// sound necessary condition for adjacency, so the tree can
-			// reject candidates before the (much costlier) rank test
-			// without changing any verdict the rank test would reach.
-			it.buildTree()
+		if !opts.DisableHybrid {
+			it.buildTrees()
 		}
 	}
 	return it
 }
 
-// buildTree constructs the row's bit-pattern tree over the current
-// columns' supports. The set is immutable for the lifetime of the row, so
-// the patterns are borrowed, not copied.
-func (it *RowIter) buildTree() {
-	b := bptree.NewBuilder(it.Set.Q())
-	for i := 0; i < it.Set.Len(); i++ {
-		b.AddBorrowed(it.Set.BitsWords(i))
+// A row opens the generation tree when it has enough positive columns to
+// repay a build over its negatives and enough negatives for subtrees to
+// form: below these sizes the linear sweep is as fast and builds nothing.
+const (
+	genTreeMinPos = 64
+	genTreeMinNeg = 64
+)
+
+// treePool recycles the per-row trees' storage across rows and runs.
+var treePool = sync.Pool{New: func() any { return new(bptree.Tree) }}
+
+// buildTrees constructs the row's bit-pattern trees; assemble hands them
+// back to the pool.
+func (it *RowIter) buildTrees() {
+	set := it.Set
+	if len(it.Pos) >= genTreeMinPos && len(it.Neg) >= genTreeMinNeg {
+		it.genTree = treePool.Get().(*bptree.Tree)
+		it.genTree.Rebuild(set.Q(), len(it.Neg), func(kn int) []uint64 { return set.BitsWords(it.Neg[kn]) })
 	}
-	it.tree = b.Build()
+	if pointed(it.Problem.Rev) {
+		// Hybrid fast path: on a pointed cone the superset query is a
+		// sound necessary condition for adjacency, so the tree can
+		// reject candidates before the (much costlier) rank test
+		// without changing any verdict the rank test would reach.
+		it.tree = treePool.Get().(*bptree.Tree)
+		it.tree.Rebuild(set.Q(), set.Len(), set.BitsWords)
+	}
+}
+
+// releaseTrees returns the row's trees to the pool. Generation after
+// this point would fall back to the linear sweep.
+func (it *RowIter) releaseTrees() {
+	for _, t := range []*bptree.Tree{it.tree, it.genTree} {
+		if t != nil {
+			treePool.Put(t)
+		}
+	}
+	it.tree, it.genTree = nil, nil
 }
 
 // pointed reports whether the problem's flux cone is pointed: no
@@ -381,208 +415,275 @@ func (it *RowIter) GenerateInto(cands *ModeSet, ws *linalg.Workspace, from, to i
 // so repeated rows and chunks stop re-allocating the per-call masks and
 // combination buffers. sc may be nil (a fresh scratch is used). Like the
 // (cands, ws, st) triple, a GenScratch must not be shared between
-// concurrent calls — in particular the sampled test timer keys off
-// st.Tested, which is only meaningful as a worker-local counter.
+// concurrent calls.
+//
+// The range is walked one positive column at a time. A whole column of a
+// row that carries a generation tree asks the tree which negative columns
+// can pass the support pre-test at all; the partial first and last
+// column of the range, and every column of a row without a tree, sweep
+// the negatives linearly. Both run the same pre-test on what they visit
+// and hand the survivors, in ascending negative order, to the same
+// combine-and-test body, so the candidates and every counter but Visited
+// are those of the plain sweep.
 func (it *RowIter) GenerateIntoScratch(cands *ModeSet, ws *linalg.Workspace, from, to int64, st *IterStats, sc *GenScratch) {
-	if len(it.Neg) == 0 || len(it.Pos) == 0 || from >= to {
+	to = min(to, it.Pairs())
+	if from >= to {
 		return
 	}
 	if sc == nil {
 		sc = &GenScratch{}
 	}
 	t0 := time.Now()
-	tol := zeroTol
-	set := it.Set
-	words := set.words
-	maxSupport := it.maxSupport
-	prefixBound := it.prefixBound
-	prefixMask := it.prefixMask
-
-	tailLen := set.TailLen()
-	newTail := growFloat64(&sc.newTail, tailLen-1)
-	newRev := growFloat64(&sc.newRev, len(it.nextRev))
-	orWords := growUint64(&sc.orWords, words)
-	if cap(sc.supportIdx) < maxSupport+4 {
-		sc.supportIdx = make([]int, 0, maxSupport+4)
+	g := genCall{it: it, cands: cands, ws: ws, st: st, sc: sc}
+	g.newTail = growFloat64(&sc.newTail, it.Set.TailLen()-1)
+	g.newRev = growFloat64(&sc.newRev, len(it.nextRev))
+	g.orWords = growUint64(&sc.orWords, it.Set.words)
+	if cap(sc.supportIdx) < it.maxSupport+4 {
+		sc.supportIdx = make([]int, 0, it.maxSupport+4)
 	}
-	supportIdx := sc.supportIdx
+	g.supportIdx = sc.supportIdx
 
-	var testSeconds, treeSeconds float64
-	var sampledTests, timedTests int64
-	var sampledTreeQueries, treeQueries int64
 	nNeg := int64(len(it.Neg))
-	bits := set.bits
-	rowWord, rowBit := it.Row/64, uint64(1)<<uint(it.Row%64)
-
-	kp := int(from / nNeg)
-	kn := int(from % nNeg)
-	remaining := to - from
-	for ; kp < len(it.Pos) && remaining > 0; kp++ {
-		pi := it.Pos[kp]
-		bp := bits[pi*words : pi*words+words]
-		tp := set.Tail(pi)
-		rp := set.RevVals(pi)
-		beta := tp[0]
-		pcP := int(it.suppSize[pi])
-		ppcP := int(it.prefixSize[pi])
-		for ; kn < len(it.Neg) && remaining > 0; kn++ {
-			remaining--
-			ni := it.Neg[kn]
-			bn := bits[ni*words : ni*words+words]
-			// Cheap support pre-tests on the parents' union (the union
-			// includes the current row, zero in the candidate), via
-			// |supp(p) ∪ supp(n)| = |supp(p)| + |supp(n)| − |∩|: the
-			// cached per-column popcounts turn the union bound into two
-			// lookups plus an intersection count that stops as soon as
-			// enough shared bits are seen. Reject iff the old full-union
-			// sweep would have — the counts are identities, not
-			// approximations.
-			needTotal := pcP + int(it.suppSize[ni]) - 1 - maxSupport
-			needPrefix := ppcP + int(it.prefixSize[ni]) - 1 - prefixBound
-			if needTotal > 0 || needPrefix > 0 {
-				inter, interPfx := 0, 0
-				for w := 0; w < words; w++ {
-					u := bp[w] & bn[w]
-					inter += popcount(u)
-					interPfx += popcount(u & prefixMask[w])
-					if inter >= needTotal && interPfx >= needPrefix {
-						break
-					}
-				}
-				if inter < needTotal || interPfx < needPrefix {
-					st.Prefiltered++
-					continue
-				}
-			}
-			for w := 0; w < words; w++ {
-				orWords[w] = bp[w] | bn[w]
-			}
-			tn := set.Tail(ni)
-			alpha := -tn[0] // positive
-			// Values below clamp are cancellation residue, not signal:
-			// mode values are normalized to ≤1 in magnitude, so a
-			// genuine entry of the combination has magnitude on the
-			// order of α or β. Clamping BEFORE normalization matters:
-			// if every remaining coordinate cancels, normalizing by the
-			// largest residue would amplify noise into fabricated
-			// support.
-			clamp := tol * (alpha + beta)
-			maxAbs := 0.0
-			for j := 1; j < tailLen; j++ {
-				v := alpha*tp[j] + beta*tn[j]
-				if math.Abs(v) < clamp {
-					v = 0
-				}
-				newTail[j-1] = v
-				if a := math.Abs(v); a > maxAbs {
-					maxAbs = a
-				}
-			}
-			rn := set.RevVals(ni)
-			for j := range rp {
-				v := alpha*rp[j] + beta*rn[j]
-				if math.Abs(v) < clamp {
-					v = 0
-				}
-				newRev[j] = v
-				if a := math.Abs(v); a > maxAbs {
-					maxAbs = a
-				}
-			}
-			if it.Reversible {
-				newRev[len(newRev)-1] = 0
-			}
-			if maxAbs > 0 {
-				scale := 1 / maxAbs
-				for j := range newTail {
-					newTail[j] *= scale
-				}
-				for j := range newRev {
-					newRev[j] *= scale
-				}
-			}
-			orWords[rowWord] &^= rowBit
-			idx := cands.AppendMode(orWords, newTail, newRev, tol)
-			// Exact support counts (cancellations included).
-			s := 0
-			sPrefix := 0
-			cw := cands.BitsWords(idx)
-			for w := 0; w < words; w++ {
-				s += popcount(cw[w])
-				sPrefix += popcount(cw[w] & prefixMask[w])
-			}
-			if s == 0 || s > maxSupport || sPrefix > prefixBound {
-				cands.truncateLast()
-				st.Prefiltered++
-				continue
-			}
-			if it.tree != nil {
-				// Hybrid fast path: bit-pattern-tree superset query on the
-				// candidate's EXACT support (not the parents' union — exact
-				// cancellations in unprocessed rows can shrink the support
-				// below the union, and a hit against the union alone would
-				// reject pairs the rank test accepts). A hit is conclusive:
-				// every current column lies in ker N, so a column whose
-				// support fits strictly inside supp(c) is a second kernel
-				// dimension of N[:,supp(c)] — the rank test would reject —
-				// and an exact-equal support re-derives a kept ray, which
-				// the assemble-stage survivor dedup drops. Reject-only, so
-				// the rank test stays the final arbiter; timing is sampled
-				// (1 in 64) to keep time.Now() off the hot path.
-				sample := treeQueries&63 == 0
-				treeQueries++
-				var tTest time.Time
-				if sample {
-					tTest = time.Now()
-				}
-				hit := it.tree.HasSubsetOfExcluding(cw, pi, ni)
-				if sample {
-					treeSeconds += time.Since(tTest).Seconds()
-					sampledTreeQueries++
-				}
-				if hit {
-					cands.truncateLast()
-					st.TreeRejects++
-					continue
-				}
-			}
-			// Algebraic rank test: the support submatrix of N must have
-			// nullity exactly 1. It is the only arbiter (the tree above
-			// rejects, never accepts). Timing is sampled (1 in 64) to
-			// keep time.Now() off the hot path.
-			st.Tested++
-			sample := st.Tested&63 == 0
-			var tTest time.Time
-			if sample {
-				tTest = time.Now()
-			}
-			ok := nullityIsOne(it.Problem, ws, cands, idx, s, tol, supportIdx[:0])
-			if sample {
-				testSeconds += time.Since(tTest).Seconds()
-				sampledTests++
-			}
-			timedTests++
-			if !ok {
-				cands.truncateLast()
-				continue
-			}
-			st.Accepted++
+	for k := from; k < to; {
+		kp, kn := int(k/nNeg), int(k%nNeg)
+		end := k - int64(kn) + nNeg
+		if end > to {
+			end = to
 		}
-		kn = 0
+		if it.genTree != nil && end-k == nNeg {
+			g.treeColumn(kp)
+		} else {
+			g.sweepColumn(kp, kn, kn+int(end-k))
+		}
+		k = end
 	}
-	// Extrapolation happens here, per call — i.e. per worker when the
-	// pair space is sharded — with the call-local sampled/timed counters.
-	// Folding workers together afterwards just sums the per-worker
+	// Extrapolation happens here, per call — i.e. per chunk when the pair
+	// space is sharded — with the call-local sampled/timed counters.
+	// Folding chunks and workers together afterwards just sums their
 	// TestSeconds; scaling a shared counter would double-count. Rank
 	// tests and hybrid tree queries are scaled by their own sampling
 	// ratios (their per-op costs differ by orders of magnitude) before
 	// the shared wall-clock clamp.
-	scaled := scaleSampled(testSeconds, sampledTests, timedTests) +
-		scaleSampled(treeSeconds, sampledTreeQueries, treeQueries)
-	testSec, genSec := extrapolateSampled(time.Since(t0).Seconds(), scaled, 0, 0)
+	scaled := scaleSampled(g.testSeconds, g.sampledTests, g.timedTests) +
+		scaleSampled(g.treeSeconds, g.sampledTreeQueries, g.treeQueries)
+	testSec, genSec := extrapolateSampled(time.Since(t0).Seconds(), scaled)
 	st.Pairs += to - from
 	st.TestSeconds += testSec
 	st.GenSeconds += genSec
+}
+
+// genCall is the state of one GenerateIntoScratch call: its targets, the
+// scratch buffers resliced for the row, and the sampled-timer tallies.
+type genCall struct {
+	it    *RowIter
+	cands *ModeSet
+	ws    *linalg.Workspace
+	st    *IterStats
+	sc    *GenScratch
+
+	orWords    []uint64
+	newTail    []float64
+	newRev     []float64
+	supportIdx []int
+
+	testSeconds, treeSeconds        float64
+	sampledTests, timedTests        int64
+	sampledTreeQueries, treeQueries int64
+}
+
+// unionFits is the cheap support pre-test on the parents' union (the
+// union includes the current row, zero in the candidate), for positive
+// column pi — support bp — against negative column ni, via
+// |supp(p) ∪ supp(n)| = |supp(p)| + |supp(n)| − |∩|: the cached
+// per-column popcounts turn the union bound into two lookups plus an
+// intersection count that stops as soon as enough shared bits are seen.
+// It fails iff a full-union sweep would — the counts are identities, not
+// approximations. It is the one pair predicate of generation: the linear
+// sweep and the tree's leaves both decide by it.
+func (it *RowIter) unionFits(bp []uint64, pi, ni int) bool {
+	needTotal := int(it.suppSize[pi]) + int(it.suppSize[ni]) - 1 - it.maxSupport
+	needPrefix := int(it.prefixSize[pi]) + int(it.prefixSize[ni]) - 1 - it.prefixBound
+	if needTotal <= 0 && needPrefix <= 0 {
+		return true
+	}
+	words := it.Set.words
+	bn := it.Set.bits[ni*words : ni*words+words]
+	inter, interPfx := 0, 0
+	for w, m := range it.prefixMask {
+		u := bp[w] & bn[w]
+		inter += popcount(u)
+		interPfx += popcount(u & m)
+		if inter >= needTotal && interPfx >= needPrefix {
+			return true
+		}
+	}
+	return false
+}
+
+// sweepColumn probes positive column kp against negatives [knLo, knHi)
+// one by one.
+func (g *genCall) sweepColumn(kp, knLo, knHi int) {
+	it := g.it
+	pi := it.Pos[kp]
+	bp := it.Set.BitsWords(pi)
+	g.st.Visited += int64(knHi - knLo)
+	for _, ni := range it.Neg[knLo:knHi] {
+		if !it.unionFits(bp, pi, ni) {
+			g.st.Prefiltered++
+			continue
+		}
+		g.combine(pi, ni)
+	}
+}
+
+// treeColumn generates the whole positive column kp through the row's
+// generation tree. Subtrees the tree rules out are pre-test rejections by
+// their count alone; what is left is visited like a sweep would, and the
+// survivors are put back into ascending negative order before they are
+// combined, which keeps the candidate sequence that of the sweep.
+func (g *genCall) treeColumn(kp int) {
+	it := g.it
+	pi := it.Pos[kp]
+	bp := it.Set.BitsWords(pi)
+	visit, ruledOut := it.genTree.AppendUnionWithin(g.sc.visit[:0], bp, it.prefixMask, it.maxSupport+1, it.prefixBound+1)
+	g.sc.visit = visit
+	g.st.Visited += int64(len(visit))
+	keep := visit[:0]
+	for _, kn := range visit {
+		if it.unionFits(bp, pi, it.Neg[kn]) {
+			keep = append(keep, kn)
+		}
+	}
+	g.st.Prefiltered += int64(ruledOut + len(visit) - len(keep))
+	slices.Sort(keep)
+	for _, kn := range keep {
+		g.combine(pi, it.Neg[kn])
+	}
+}
+
+// combine builds the candidate of one pair that passed the pre-test —
+// numeric combination, clamp, exact support bounds, the hybrid reject
+// query — and rank-tests it, leaving it in cands iff it is accepted.
+func (g *genCall) combine(pi, ni int) {
+	it, cands, st := g.it, g.cands, g.st
+	set := it.Set
+	words := set.words
+	tol := zeroTol
+	bp, bn := set.BitsWords(pi), set.BitsWords(ni)
+	orWords := g.orWords
+	for w := 0; w < words; w++ {
+		orWords[w] = bp[w] | bn[w]
+	}
+	tp, tn := set.Tail(pi), set.Tail(ni)
+	beta := tp[0]
+	alpha := -tn[0] // positive
+	// Values below clamp are cancellation residue, not signal: mode
+	// values are normalized to ≤1 in magnitude, so a genuine entry of the
+	// combination has magnitude on the order of α or β. Clamping BEFORE
+	// normalization matters: if every remaining coordinate cancels,
+	// normalizing by the largest residue would amplify noise into
+	// fabricated support.
+	clamp := tol * (alpha + beta)
+	maxAbs := 0.0
+	newTail, newRev := g.newTail, g.newRev
+	for j := 1; j < len(tp); j++ {
+		v := alpha*tp[j] + beta*tn[j]
+		if math.Abs(v) < clamp {
+			v = 0
+		}
+		newTail[j-1] = v
+		if a := math.Abs(v); a > maxAbs {
+			maxAbs = a
+		}
+	}
+	rp, rn := set.RevVals(pi), set.RevVals(ni)
+	for j := range rp {
+		v := alpha*rp[j] + beta*rn[j]
+		if math.Abs(v) < clamp {
+			v = 0
+		}
+		newRev[j] = v
+		if a := math.Abs(v); a > maxAbs {
+			maxAbs = a
+		}
+	}
+	if it.Reversible {
+		newRev[len(newRev)-1] = 0
+	}
+	if maxAbs > 0 {
+		scale := 1 / maxAbs
+		for j := range newTail {
+			newTail[j] *= scale
+		}
+		for j := range newRev {
+			newRev[j] *= scale
+		}
+	}
+	orWords[it.Row/64] &^= 1 << uint(it.Row%64)
+	idx := cands.AppendMode(orWords, newTail, newRev, tol)
+	// Exact support counts (cancellations included).
+	s := 0
+	sPrefix := 0
+	cw := cands.BitsWords(idx)
+	for w := 0; w < words; w++ {
+		s += popcount(cw[w])
+		sPrefix += popcount(cw[w] & it.prefixMask[w])
+	}
+	if s == 0 || s > it.maxSupport || sPrefix > it.prefixBound {
+		cands.truncateLast()
+		st.Prefiltered++
+		return
+	}
+	if it.tree != nil {
+		// Hybrid fast path: bit-pattern-tree superset query on the
+		// candidate's EXACT support (not the parents' union — exact
+		// cancellations in unprocessed rows can shrink the support below
+		// the union, and a hit against the union alone would reject pairs
+		// the rank test accepts). A hit is conclusive: every current
+		// column lies in ker N, so a column whose support fits strictly
+		// inside supp(c) is a second kernel dimension of N[:,supp(c)] —
+		// the rank test would reject — and an exact-equal support
+		// re-derives a kept ray, which the assemble-stage survivor dedup
+		// drops. Reject-only, so the rank test stays the final arbiter;
+		// timing is sampled (1 in 64) to keep time.Now() off the hot path.
+		sample := g.treeQueries&63 == 0
+		g.treeQueries++
+		var tTest time.Time
+		if sample {
+			tTest = time.Now()
+		}
+		hit := it.tree.HasSubsetOfExcluding(cw, pi, ni)
+		if sample {
+			g.treeSeconds += time.Since(tTest).Seconds()
+			g.sampledTreeQueries++
+		}
+		if hit {
+			cands.truncateLast()
+			st.TreeRejects++
+			return
+		}
+	}
+	// Algebraic rank test: the support submatrix of N must have nullity
+	// exactly 1. It is the only arbiter (the tree above rejects, never
+	// accepts). Timing is sampled (1 in 64, the call's first test
+	// included) to keep time.Now() off the hot path.
+	st.Tested++
+	sample := g.timedTests&63 == 0
+	g.timedTests++
+	var tTest time.Time
+	if sample {
+		tTest = time.Now()
+	}
+	ok := nullityIsOne(it.Problem, g.ws, cands, idx, s, tol, g.supportIdx[:0])
+	if sample {
+		g.testSeconds += time.Since(tTest).Seconds()
+		g.sampledTests++
+	}
+	if !ok {
+		cands.truncateLast()
+		return
+	}
+	st.Accepted++
 }
 
 // scaleSampled extrapolates sampled seconds up to the full operation
@@ -594,16 +695,13 @@ func scaleSampled(seconds float64, sampled, total int64) float64 {
 	return seconds
 }
 
-// extrapolateSampled scales the sampled rank-test seconds up to the full
-// test count and splits the measured wall time of one GenerateInto call
-// into (test, gen) parts. The extrapolation can exceed the measured wall
-// time on tiny workloads; the split is clamped so both parts stay
-// non-negative. Exposed as a pure function so the sharded-timer
-// accounting is unit-testable.
-func extrapolateSampled(wall, sampledSeconds float64, sampledTests, totalTests int64) (testSec, genSec float64) {
-	if sampledTests > 0 {
-		sampledSeconds *= float64(totalTests) / float64(sampledTests)
-	}
+// extrapolateSampled splits the measured wall time of one GenerateInto
+// call into (test, gen) parts, given the test seconds extrapolated from
+// the samples. The extrapolation can exceed the measured wall time on
+// tiny workloads; the split is clamped so both parts stay non-negative.
+// Exposed as a pure function so the sharded-timer accounting is
+// unit-testable.
+func extrapolateSampled(wall, sampledSeconds float64) (testSec, genSec float64) {
 	if sampledSeconds > wall {
 		sampledSeconds = wall
 	}
@@ -667,6 +765,7 @@ func (it *RowIter) AssembleNext(candSets ...*ModeSet) (*ModeSet, error) {
 // assemble builds the next iteration's mode set from the survivors and a
 // support-sorted candidate order (deduplicating as it copies).
 func (it *RowIter) assemble(candSets []*ModeSet, refs []candRef, t0 time.Time) (*ModeSet, error) {
+	it.releaseTrees()
 	next := NewModeSet(it.Set.Q(), it.Row+1, it.nextRev)
 	survivors := len(it.Zero) + len(it.Pos)
 	if it.Reversible {
@@ -808,12 +907,6 @@ func equalWords(a, b []uint64) bool {
 // aggregate (used by the distributed drivers).
 func (it *RowIter) MergeStats(parts ...*IterStats) {
 	for _, p := range parts {
-		it.Stats.Pairs += p.Pairs
-		it.Stats.Prefiltered += p.Prefiltered
-		it.Stats.TreeRejects += p.TreeRejects
-		it.Stats.Tested += p.Tested
-		it.Stats.Accepted += p.Accepted
-		it.Stats.GenSeconds += p.GenSeconds
-		it.Stats.TestSeconds += p.TestSeconds
+		addGenStats(&it.Stats, p)
 	}
 }

@@ -11,10 +11,21 @@ import (
 	"elmocomp/internal/synth"
 )
 
-// TestIterationAccountingInvariant checks the bookkeeping identity of
+// TestIterationAccountingInvariant checks the bookkeeping identities of
 // every iteration: modes out = zero + pos (+ neg if reversible) +
-// accepted - duplicates.
+// accepted - duplicates; every pair is a pre-test rejection, a tree
+// rejection or a rank test; and the pairs visited one by one are at most
+// all of them — exactly all of them with the trees switched off. The
+// Network I prefix is there for rows large enough to open the generation
+// tree, which must then leave pairs unvisited.
 func TestIterationAccountingInvariant(t *testing.T) {
+	type fixture struct {
+		name string
+		p    *nullspace.Problem
+		opts Options
+	}
+	yeast := yeastProblem(t)
+	fixtures := []fixture{{"yeast1 prefix", yeast, Options{LastRow: yeast.D + 21}}}
 	nets := []*model.Network{model.Toy()}
 	for seed := int64(0); seed < 4; seed++ {
 		n, err := synth.Network(synth.Params{
@@ -35,11 +46,29 @@ func TestIterationAccountingInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(p, Options{})
+		fixtures = append(fixtures, fixture{n.Name, p, Options{}})
+	}
+	for _, f := range fixtures {
+		res, err := Run(f.p, f.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range res.Stats {
+		linearOpts := f.opts
+		linearOpts.DisableHybrid = true
+		linear, err := Run(f.p, linearOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pairs, visited int64
+		for i, s := range res.Stats {
+			pairs += s.Pairs
+			visited += s.Visited
+			if s.Pairs != s.Prefiltered+s.TreeRejects+s.Tested || s.Visited > s.Pairs {
+				t.Fatalf("%s row %d: pair accounting inconsistent: %+v", f.name, s.Row, s)
+			}
+			if l := linear.Stats[i]; l.Visited != l.Pairs || l.Pairs != s.Pairs {
+				t.Fatalf("%s row %d: linear sweep visited %d of %d pairs (default engine: %d pairs)", f.name, s.Row, l.Visited, l.Pairs, s.Pairs)
+			}
 			keep := s.Zero + s.Pos
 			if s.Reversible {
 				keep += s.Neg
@@ -47,11 +76,14 @@ func TestIterationAccountingInvariant(t *testing.T) {
 			want := keep + int(s.Accepted-s.Duplicates)
 			if s.ModesOut != want {
 				t.Fatalf("%s row %d: out=%d, want %d (zero=%d pos=%d neg=%d rev=%v acc=%d dup=%d)",
-					n.Name, s.Row, s.ModesOut, want, s.Zero, s.Pos, s.Neg, s.Reversible, s.Accepted, s.Duplicates)
+					f.name, s.Row, s.ModesOut, want, s.Zero, s.Pos, s.Neg, s.Reversible, s.Accepted, s.Duplicates)
 			}
 			if s.Prefiltered+s.Accepted > s.Pairs+s.Duplicates {
-				t.Fatalf("%s row %d: filter accounting inconsistent: %+v", n.Name, s.Row, s)
+				t.Fatalf("%s row %d: filter accounting inconsistent: %+v", f.name, s.Row, s)
 			}
+		}
+		if f.p == yeast && visited*2 > pairs {
+			t.Fatalf("%s: visited %d of %d pairs, the generation tree pruned too little", f.name, visited, pairs)
 		}
 	}
 }

@@ -195,6 +195,18 @@ func (s *ModeSet) AppendSet(src *ModeSet) {
 	s.n += src.n
 }
 
+// view returns a set that aliases modes [lo, hi) of s, for reading only:
+// its capacity ends where it does, so an append to it could not reach
+// s's later modes, but s must not be reset or appended to while the view
+// is in use.
+func (s *ModeSet) view(lo, hi int) *ModeSet {
+	v := *s
+	v.n = hi - lo
+	v.bits = s.bits[lo*s.words : hi*s.words : hi*s.words]
+	v.vals = s.vals[lo*s.stride() : hi*s.stride() : hi*s.stride()]
+	return &v
+}
+
 // AppendMode adds a mode given its tail and reversible values, deriving
 // tail/rev bits from the values with tolerance tol and taking prefix bits
 // (rows < FirstRow excluding RevRows) from prefix. prefix may be nil for

@@ -1,20 +1,22 @@
 // Shared-memory parallel execution layer for the Nullspace Algorithm:
-// a worker pool that shards one row's |Pos|×|Neg| pair sweep into
-// contiguous chunks of the pair range, generates candidates per worker
-// into private (ModeSet, Workspace, IterStats, GenScratch) state reused
-// across rows, then merges the per-worker results with a parallel
+// a worker pool that cuts one row's |Pos|×|Neg| pair range into ordered
+// chunks, lets the workers pull them into private (ModeSet, Workspace,
+// IterStats, GenScratch) state reused across rows, hands the accepted
+// candidates on in chunk order, then merges them with a parallel
 // sorted-by-support k-way merge.
 //
 // Determinism: pair k of a row always combines Pos[k/|Neg|] with
-// Neg[k%|Neg|], chunks are contiguous and ordered, and the merge orders
-// candidates by the total order (support, generation position) — so the
-// final mode set is bit-identical for every worker count, and every
-// serial invariant test doubles as a correctness oracle for this layer.
+// Neg[k%|Neg|], chunks are contiguous and returned in order whichever
+// worker ran them, and the merge orders candidates by the total order
+// (support, generation position) — so the final mode set is
+// bit-identical for every worker count, and every serial invariant test
+// doubles as a correctness oracle for this layer.
 package core
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"elmocomp/internal/linalg"
@@ -31,6 +33,7 @@ type GenScratch struct {
 	newTail    []float64
 	newRev     []float64
 	supportIdx []int
+	visit      []int32 // negative positions the generation tree left to probe
 }
 
 // growUint64 reslices *buf to n words, reallocating only when the
@@ -71,6 +74,10 @@ type Pool struct {
 	problem *nullspace.Problem
 	workers []*poolWorker
 	sets    []*ModeSet // GenerateRange result slice, reused
+	// Chunked generation (more than one worker): the chunk boundaries and
+	// records of the current row, reused across rows.
+	bounds []int64
+	chunks []genChunk
 }
 
 // NewPool returns a pool with the given worker count; workers <= 0 means
@@ -85,7 +92,6 @@ func NewPool(p *nullspace.Problem, workers int) *Pool {
 			ws: linalg.NewWorkspace(p.M()+2, p.M()+2),
 		})
 	}
-	pl.sets = make([]*ModeSet, workers)
 	return pl
 }
 
@@ -98,6 +104,7 @@ func (pl *Pool) Workers() int { return len(pl.workers) }
 // untouched.
 func addGenStats(dst, src *IterStats) {
 	dst.Pairs += src.Pairs
+	dst.Visited += src.Visited
 	dst.Prefiltered += src.Prefiltered
 	dst.TreeRejects += src.TreeRejects
 	dst.Tested += src.Tested
@@ -106,92 +113,140 @@ func addGenStats(dst, src *IterStats) {
 	dst.TestSeconds += src.TestSeconds
 }
 
+// chunksPerWorker is how many chunks per worker GenerateRange cuts a
+// range into. Pairs cost anything from one popcount to a rank test and
+// the rank tests cluster in a few positive columns, so equal shares of
+// the pair range are not equal shares of the work; workers pull small
+// chunks instead, and the skew left is at most one chunk's cost.
+const chunksPerWorker = 32
+
+// genChunk records where one chunk's accepted candidates sit: modes
+// [start, end) of the private set of the worker that ran it.
+type genChunk struct {
+	worker     *poolWorker
+	start, end int
+}
+
+// cutChunks returns the boundaries of the chunks of [from, to): equal
+// shares of the pair range, moved down to the positive-column boundary
+// below whenever a share spans a column, so that only the range's own
+// first and last column are ever generated in part.
+func (pl *Pool) cutChunks(it *RowIter, from, to int64) []int64 {
+	nNeg := int64(len(it.Neg))
+	want := int64(len(pl.workers) * chunksPerWorker)
+	size := (to - from + want - 1) / want
+	if it.genTree != nil && size < nNeg {
+		size = nNeg // the tree answers for whole columns only
+	}
+	bounds := append(pl.bounds[:0], from)
+	for b := from + size; b < to; b += size {
+		if size >= nNeg {
+			bounds = append(bounds, b-b%nNeg)
+		} else {
+			bounds = append(bounds, b)
+		}
+	}
+	pl.bounds = append(bounds, to)
+	return pl.bounds
+}
+
 // GenerateRange generates the candidates for pair indices [from, to) of
-// the row, sharding the range into contiguous chunks across the pool's
-// workers. Per-worker counters and sampled phase seconds are summed into
-// st. The returned sets — one per worker, in chunk order, so their
-// concatenation is exactly the serial generation order — remain owned by
-// the pool and are valid until the next GenerateRange call.
+// the row on the pool's workers. The range is cut into ordered chunks
+// that the workers pull from a shared counter into their private sets;
+// the returned sets are then the chunks' runs of accepted candidates in
+// chunk order — views into the private sets, nothing is copied — so
+// their concatenation is exactly the serial generation order whichever
+// worker ran which chunk. (One worker runs the range in one call and
+// returns its set.) Per-worker counters and sampled phase seconds are
+// summed into st. The returned sets remain owned by the pool and are
+// valid until the next GenerateRange call.
 func (pl *Pool) GenerateRange(it *RowIter, from, to int64, st *IterStats) []*ModeSet {
 	n := len(pl.workers)
-	if to < from {
-		to = from
-	}
-	for i, w := range pl.workers {
+	to = max(from, min(to, it.Pairs()))
+	for _, w := range pl.workers {
 		w.cands = it.ResetCandidateSet(w.cands)
 		w.st = IterStats{}
-		pl.sets[i] = w.cands
 	}
-	span := to - from
-	if n == 1 || span == 0 {
+	if n == 1 || to == from {
 		w := pl.workers[0]
 		it.GenerateIntoScratch(w.cands, w.ws, from, to, &w.st, &w.sc)
 		addGenStats(st, &w.st)
+		pl.sets = append(pl.sets[:0], w.cands)
 		return pl.sets
 	}
-	var wg sync.WaitGroup
-	for i := 1; i < n; i++ {
-		wg.Add(1)
-		go func(w *poolWorker, lo, hi int64) {
-			defer wg.Done()
-			it.GenerateIntoScratch(w.cands, w.ws, lo, hi, &w.st, &w.sc)
-		}(pl.workers[i], from+span*int64(i)/int64(n), from+span*int64(i+1)/int64(n))
+	bounds := pl.cutChunks(it, from, to)
+	if cap(pl.chunks) < len(bounds)-1 {
+		pl.chunks = make([]genChunk, len(bounds)-1)
 	}
-	w0 := pl.workers[0]
-	it.GenerateIntoScratch(w0.cands, w0.ws, from, from+span/int64(n), &w0.st, &w0.sc)
+	chunks := pl.chunks[:len(bounds)-1]
+	var next atomic.Int64
+	pull := func(w *poolWorker) {
+		for c := next.Add(1) - 1; c < int64(len(chunks)); c = next.Add(1) - 1 {
+			start := w.cands.Len()
+			it.GenerateIntoScratch(w.cands, w.ws, bounds[c], bounds[c+1], &w.st, &w.sc)
+			chunks[c] = genChunk{w, start, w.cands.Len()}
+		}
+	}
+	var wg sync.WaitGroup
+	for _, w := range pl.workers[1:] {
+		wg.Add(1)
+		go func(w *poolWorker) {
+			defer wg.Done()
+			pull(w)
+		}(w)
+	}
+	pull(pl.workers[0])
 	wg.Wait()
+	pl.sets = pl.sets[:0]
 	for _, w := range pl.workers {
 		addGenStats(st, &w.st)
+	}
+	for _, c := range chunks {
+		if c.end > c.start {
+			pl.sets = append(pl.sets, c.worker.cands.view(c.start, c.end))
+		}
 	}
 	return pl.sets
 }
 
 // AssembleNext is the pool-parallel counterpart of RowIter.AssembleNext:
-// each candidate set is sorted by support on its own worker, the sorted
-// runs are k-way merged under the same total order the serial sort uses,
-// and cross-worker duplicates collapse during assembly. candSets may be
-// the pool's own GenerateRange output or any other sets with the next
-// iteration's layout (the cluster driver passes the decoded per-node
-// sets). The result is bit-identical to RowIter.AssembleNext.
+// the candidate sets are split into one contiguous group per worker,
+// even by candidate count; each worker sorts its group by support, the
+// sorted runs are k-way merged under the same total order the serial
+// sort uses, and cross-worker duplicates collapse during assembly.
+// candSets may be the pool's own GenerateRange output or any other sets
+// with the next iteration's layout (the cluster driver passes the decoded
+// per-node sets). The result is bit-identical to RowIter.AssembleNext.
 func (pl *Pool) AssembleNext(it *RowIter, candSets []*ModeSet) (*ModeSet, error) {
 	t0 := time.Now()
-	runs := make([][]candRef, len(candSets))
-	sortRun := func(si int) {
-		cs := candSets[si]
-		var buf []candRef
-		var tmp *[]candRef
-		if si < len(pl.workers) {
-			buf = pl.workers[si].run[:0]
-			tmp = &pl.workers[si].tmp
-		} else {
-			tmp = new([]candRef)
-		}
-		for i := 0; i < cs.Len(); i++ {
-			buf = append(buf, candRef{int32(si), int32(i)})
-		}
-		// Within one set the tie-break (set, idx) reduces to idx, so the
-		// per-run sort already realizes the global total order.
-		radixSortRefs(candSets, buf, tmp)
-		if si < len(pl.workers) {
-			pl.workers[si].run = buf
-		}
-		runs[si] = buf
+	total := 0
+	for _, cs := range candSets {
+		total += cs.Len()
 	}
-	if len(pl.workers) == 1 || len(candSets) == 1 {
-		for si := range candSets {
-			sortRun(si)
+	groups := min(len(pl.workers), len(candSets))
+	runs := make([][]candRef, groups)
+	var wg sync.WaitGroup
+	si, done := 0, 0
+	for g := 0; g < groups; g++ {
+		// The tie-break (set, idx) is generation order across the whole
+		// slice of sets, so sorting a group of them as one run already
+		// realizes the global total order within the group.
+		w := pl.workers[g]
+		buf := w.run[:0]
+		for ; si < len(candSets) && (g == groups-1 || done < total*(g+1)/groups); si++ {
+			for i := 0; i < candSets[si].Len(); i++ {
+				buf = append(buf, candRef{int32(si), int32(i)})
+			}
+			done += candSets[si].Len()
 		}
-	} else {
-		var wg sync.WaitGroup
-		for si := range candSets {
-			wg.Add(1)
-			go func(si int) {
-				defer wg.Done()
-				sortRun(si)
-			}(si)
-		}
-		wg.Wait()
+		w.run, runs[g] = buf, buf
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			radixSortRefs(candSets, buf, &w.tmp)
+		}()
 	}
+	wg.Wait()
 	return it.assemble(candSets, mergeRuns(candSets, runs), t0)
 }
 

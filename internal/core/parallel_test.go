@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"elmocomp/internal/linalg"
@@ -101,68 +103,170 @@ func TestWorkersDeterminism(t *testing.T) {
 	}
 }
 
-// TestGenerateRangeMatchesGenerateInto: sharding the pair range must
-// reproduce the single-call candidate sequence and counters exactly.
+// genCounters is every counter generation keeps, for exact comparison.
+func genCounters(s IterStats) [6]int64 {
+	return [6]int64{s.Pairs, s.Visited, s.Prefiltered, s.TreeRejects, s.Tested, s.Accepted}
+}
+
+// TestGenerateRangeMatchesGenerateInto: the pool's ordered chunks must
+// reproduce the single-call candidate sequence and every generation
+// counter exactly, at every worker count and over ranges that begin and
+// end in the middle of a positive column — and the single call, which
+// asks the generation tree wherever a row carries one, must in turn
+// reproduce the plain linear sweep in everything but Visited (and the
+// reject tree's share of the rank tests). The toy
+// network never opens the tree; the Network I prefix (the rows
+// BenchmarkPairLoopYeast runs up to) does, and the pointed synthetic
+// network adds the reject tree's counter.
 func TestGenerateRangeMatchesGenerateInto(t *testing.T) {
-	p := fixtureProblems(t)["toy"]
-	opts := Options{}
-	set := InitialModeSet(p, zeroTol)
-	ws := linalg.NewWorkspace(p.M()+2, p.M()+2)
-	for row := p.D; row < p.Q(); row++ {
-		it := BeginRow(p, set, row, opts)
-		whole := it.NewCandidateSet()
-		var wholeStats IterStats
-		it.GenerateInto(whole, ws, 0, it.Pairs(), &wholeStats)
-
-		pool := NewPool(p, 3)
-		var shardStats IterStats
-		sets := pool.GenerateRange(it, 0, it.Pairs(), &shardStats)
-		concat := it.NewCandidateSet()
-		for _, s := range sets {
-			concat.AppendSet(s)
-		}
-		requireIdenticalSets(t, "concat", whole, concat)
-		if shardStats.Pairs != wholeStats.Pairs || shardStats.Prefiltered != wholeStats.Prefiltered ||
-			shardStats.Tested != wholeStats.Tested || shardStats.Accepted != wholeStats.Accepted {
-			t.Fatalf("row %d: sharded counters %+v, want %+v", row, shardStats, wholeStats)
-		}
-
-		next, err := it.AssembleNext(whole)
+	type fixture struct {
+		p    *nullspace.Problem
+		last int // rows D..last-1 are checked
+	}
+	problems := fixtureProblems(t)
+	yeast := yeastProblem(t)
+	fixtures := map[string]fixture{
+		"toy":          {problems["toy"], problems["toy"].Q()},
+		"synth-s7":     {problems["synth-l4w3x5-s7"], problems["synth-l4w3x5-s7"].Q()},
+		"yeast prefix": {yeast, yeast.D + 20},
+	}
+	if !testing.Short() {
+		n, err := synth.Network(synth.Params{Layers: 6, Width: 6, CrossLinks: 14, ReversibleFraction: 0.2, MaxCoef: 2, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
-		set = next
+		red, err := reduce.Network(n, reduce.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pointed, err := nullspace.New(red.N, red.Reversibilities(), nullspace.Heuristics{SplitAllReversible: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixtures["synth-s42 pointed"] = fixture{pointed, pointed.Q()}
+		fixtures["yeast prefix"] = fixture{yeast, yeast.D + 21}
+	}
+	rng := rand.New(rand.NewSource(26))
+	for name, f := range fixtures {
+		p := f.p
+		if p == nil {
+			t.Fatalf("%s: fixture missing", name)
+		}
+		set := InitialModeSet(p, zeroTol)
+		ws := linalg.NewWorkspace(p.M()+2, p.M()+2)
+		pools := map[int]*Pool{}
+		for _, workers := range []int{1, 2, 3, 5} {
+			pools[workers] = NewPool(p, workers)
+		}
+		opened := false
+		for row := p.D; row < f.last; row++ {
+			it := BeginRow(p, set, row, Options{})
+			linear := BeginRow(p, set, row, Options{DisableHybrid: true})
+			opened = opened || it.genTree != nil
+			pairs := it.Pairs()
+			ranges := [][2]int64{{0, pairs}}
+			for i := 0; i < 2 && pairs > 1; i++ {
+				from := rng.Int63n(pairs)
+				ranges = append(ranges, [2]int64{from, from + 1 + rng.Int63n(pairs-from)})
+			}
+			var whole *ModeSet
+			for ri, r := range ranges {
+				label := fmt.Sprintf("%s row %d pairs [%d,%d)", name, row, r[0], r[1])
+				want := linear.NewCandidateSet()
+				var wantStats IterStats
+				linear.GenerateInto(want, ws, r[0], r[1], &wantStats)
+				if wantStats.Visited != r[1]-r[0] {
+					t.Fatalf("%s: linear sweep visited %d pairs", label, wantStats.Visited)
+				}
+				single := it.NewCandidateSet()
+				var singleStats IterStats
+				it.GenerateInto(single, ws, r[0], r[1], &singleStats)
+				requireIdenticalSets(t, label+" single call", want, single)
+				// The switched-off reference has neither tree: it visits
+				// every pair and rank-tests what the reject tree takes.
+				wantStats.Visited = singleStats.Visited
+				wantStats.Tested -= singleStats.TreeRejects
+				wantStats.TreeRejects = singleStats.TreeRejects
+				if singleStats.Visited > singleStats.Pairs || genCounters(singleStats) != genCounters(wantStats) {
+					t.Fatalf("%s: single-call counters %v, linear sweep %v", label, genCounters(singleStats), genCounters(wantStats))
+				}
+				if ri == 0 {
+					whole = single
+				}
+				for workers, pool := range pools {
+					// The full range runs at every worker count, the
+					// random ranges at one each.
+					if ri > 0 && workers != []int{1, 2, 3, 5}[(row+ri)%4] {
+						continue
+					}
+					var shardStats IterStats
+					sets := pool.GenerateRange(it, r[0], r[1], &shardStats)
+					concat := it.NewCandidateSet()
+					for _, s := range sets {
+						concat.AppendSet(s)
+					}
+					requireIdenticalSets(t, fmt.Sprintf("%s workers=%d", label, workers), want, concat)
+					if genCounters(shardStats) != genCounters(singleStats) {
+						t.Fatalf("%s workers=%d: chunked counters %v, single call %v", label, workers, genCounters(shardStats), genCounters(singleStats))
+					}
+				}
+			}
+			next, err := it.AssembleNext(whole)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set = next
+		}
+		if name == "yeast prefix" && !opened {
+			t.Fatalf("%s: no row opened the generation tree", name)
+		}
 	}
 }
 
 // TestPoolAssembleMatchesSerialAssemble: the parallel sorted k-way merge
-// must agree bit-for-bit with the serial sort-based AssembleNext, for the
-// pool's own shards and for externally supplied (cluster-style) sets.
+// must agree bit-for-bit with the serial sort-based AssembleNext — on the
+// toy network, whose rows yield fewer sets than workers, and on the
+// Network I prefix, whose rows yield one set per chunk and make every
+// worker sort a group of them.
 func TestPoolAssembleMatchesSerialAssemble(t *testing.T) {
-	p := fixtureProblems(t)["toy"]
-	opts := Options{}
-	set := InitialModeSet(p, zeroTol)
-	for row := p.D; row < p.Q(); row++ {
-		itSerial := BeginRow(p, set, row, opts)
-		itPool := BeginRow(p, set, row, opts)
+	yeast := yeastProblem(t)
+	for _, f := range []struct {
+		p    *nullspace.Problem
+		last int
+	}{{fixtureProblems(t)["toy"], 0}, {yeast, yeast.D + 20}} {
+		p, last := f.p, f.last
+		if last == 0 {
+			last = p.Q()
+		}
+		opts := Options{}
+		set := InitialModeSet(p, zeroTol)
 		pool := NewPool(p, 4)
-		var st IterStats
-		sets := pool.GenerateRange(itPool, 0, itPool.Pairs(), &st)
+		mostSets := 0
+		for row := p.D; row < last; row++ {
+			itSerial := BeginRow(p, set, row, opts)
+			itPool := BeginRow(p, set, row, opts)
+			var st IterStats
+			sets := pool.GenerateRange(itPool, 0, itPool.Pairs(), &st)
+			mostSets = max(mostSets, len(sets))
 
-		// Serial reference over the identical shard sets.
-		want, err := itSerial.AssembleNext(sets...)
-		if err != nil {
-			t.Fatal(err)
+			// Serial reference over the identical sets.
+			want, err := itSerial.AssembleNext(sets...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := pool.AssembleNext(itPool, sets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdenticalSets(t, "assemble", want, got)
+			if itSerial.Stats.Duplicates != itPool.Stats.Duplicates {
+				t.Fatalf("row %d: duplicates %d, want %d", row, itPool.Stats.Duplicates, itSerial.Stats.Duplicates)
+			}
+			set = got
 		}
-		got, err := pool.AssembleNext(itPool, sets)
-		if err != nil {
-			t.Fatal(err)
+		if p == yeast && mostSets <= pool.Workers() {
+			t.Fatalf("no row returned more sets (%d) than the pool has workers", mostSets)
 		}
-		requireIdenticalSets(t, "assemble", want, got)
-		if itSerial.Stats.Duplicates != itPool.Stats.Duplicates {
-			t.Fatalf("row %d: duplicates %d, want %d", row, itPool.Stats.Duplicates, itSerial.Stats.Duplicates)
-		}
-		set = got
 	}
 }
 
@@ -185,7 +289,7 @@ func TestExtrapolateSampled(t *testing.T) {
 		{0.3, 0, 0, 0, 0, 0.3},
 	}
 	for i, c := range cases {
-		gotTest, gotGen := extrapolateSampled(c.wall, c.sampledSec, c.sampled, c.total)
+		gotTest, gotGen := extrapolateSampled(c.wall, scaleSampled(c.sampledSec, c.sampled, c.total))
 		if math.Abs(gotTest-c.wantTest) > 1e-12 || math.Abs(gotGen-c.wantGen) > 1e-12 {
 			t.Fatalf("case %d: got (%v, %v), want (%v, %v)", i, gotTest, gotGen, c.wantTest, c.wantGen)
 		}

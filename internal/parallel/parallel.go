@@ -233,6 +233,7 @@ func Run(p *nullspace.Problem, opts Options) (*Result, error) {
 		for i := range agg {
 			s := results[r].stats[i]
 			agg[i].Pairs += s.Pairs
+			agg[i].Visited += s.Visited
 			agg[i].Prefiltered += s.Prefiltered
 			agg[i].TreeRejects += s.TreeRejects
 			agg[i].Tested += s.Tested

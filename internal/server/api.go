@@ -189,6 +189,7 @@ type RunSummary struct {
 	Reduction           string  `json:"reduction"`
 	Modes               int     `json:"modes"`
 	CandidateModes      int64   `json:"candidate_modes"`
+	PairsVisited        int64   `json:"pairs_visited,omitempty"` // serial and parallel double description only
 	Fingerprint         string  `json:"fingerprint"`
 	PeakNodeBytes       int64   `json:"peak_node_bytes"`
 	PeakConcurrentBytes int64   `json:"peak_concurrent_bytes,omitempty"`
@@ -216,6 +217,7 @@ func Summarize(net *elmocomp.Network, res *elmocomp.Result, elapsed time.Duratio
 		Reduction:           res.ReductionSummary(),
 		Modes:               res.Len(),
 		CandidateModes:      res.CandidateModes,
+		PairsVisited:        res.PairsVisited,
 		Fingerprint:         fmt.Sprintf("%016x", res.Fingerprint()),
 		PeakNodeBytes:       res.PeakNodeBytes,
 		PeakConcurrentBytes: res.PeakConcurrentBytes,
