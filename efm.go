@@ -6,7 +6,8 @@
 //
 // The package offers three drivers over one engine:
 //
-//   - Serial: the sequential Nullspace Algorithm (paper Algorithm 1);
+//   - Serial: the sequential Nullspace Algorithm (paper Algorithm 1),
+//     which is Parallel on one node;
 //   - Parallel: the combinatorial parallel algorithm with replicated
 //     state and a Communicate&Merge candidate exchange over a simulated
 //     compute cluster (Algorithm 2);
@@ -125,7 +126,8 @@ func (n *Network) Validate() []string { return n.inner.Validate() }
 type Algorithm int
 
 const (
-	// Serial runs Algorithm 1.
+	// Serial runs Algorithm 1: Parallel on one node, whatever
+	// Config.Nodes says.
 	Serial Algorithm = iota
 	// Parallel runs Algorithm 2 on Config.Nodes simulated compute nodes.
 	Parallel
@@ -759,28 +761,17 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 		return nil, fmt.Errorf("elmocomp: unknown backend %d", cfg.Backend)
 	}
 	switch cfg.Algorithm {
-	case Serial:
+	case Serial, Parallel:
 		p, err := nullspace.New(red.N, red.Reversibilities(), nullspace.Heuristics{})
 		if err != nil {
 			return nil, err
 		}
-		copts.Cancel = cancel
-		run, err := core.Run(p, copts)
-		if err != nil {
-			return nil, err
+		// Algorithm 1 is Algorithm 2 on a group of one, which reads
+		// neither the transport nor the collective deadline.
+		popts := parallel.Options{Core: copts, Nodes: 1, Timeout: cfg.CommTimeout, Cancel: cancel}
+		if cfg.Algorithm == Parallel {
+			popts.Nodes = cfg.Nodes
 		}
-		res.supports = core.CanonicalSupports(run)
-		res.CandidateModes = run.TotalPairs()
-		res.PeakNodeBytes = run.PeakBytes()
-		res.Store = run.Store
-		res.Iterations, res.PairsVisited = iterStats(run.Stats, red, p)
-		res.Phases = phasesFromStats(run.Stats)
-	case Parallel:
-		p, err := nullspace.New(red.N, red.Reversibilities(), nullspace.Heuristics{})
-		if err != nil {
-			return nil, err
-		}
-		popts := parallel.Options{Core: copts, Nodes: cfg.Nodes, Timeout: cfg.CommTimeout, Cancel: cancel}
 		if cfg.OverTCP {
 			popts.Transport = parallel.TCP
 		}
@@ -872,16 +863,6 @@ func iterStats(stats []core.IterStats, red *reduce.Reduced, p *nullspace.Problem
 		}
 	}
 	return out, visited
-}
-
-func phasesFromStats(stats []core.IterStats) PhaseSeconds {
-	var p PhaseSeconds
-	for _, s := range stats {
-		p.GenCand += s.GenSeconds
-		p.RankTest += s.TestSeconds
-		p.Merge += s.MergeSeconds
-	}
-	return p
 }
 
 func subStats(run *dnc.Result, red *reduce.Reduced) []SubproblemStat {

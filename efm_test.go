@@ -3,6 +3,7 @@ package elmocomp
 import (
 	"bytes"
 	"math/big"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -63,6 +64,47 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 		if strings.Join(keys, ";") != strings.Join(want, ";") {
 			t.Fatalf("config %d EFM set differs:\n got %v\nwant %v", ci, keys, want)
 		}
+	}
+}
+
+func TestSerialIsParallelOnOneNode(t *testing.T) {
+	// Algorithm 1 is Algorithm 2 on a group of one: both spellings run
+	// the same loop and report the same run, spilled rounds included, and
+	// neither moves a byte — Serial whatever Nodes says, one node
+	// whatever transport it names.
+	net, err := Builtin("toy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(cfg Config) *Result {
+		t.Helper()
+		cfg.MemBudgetBytes, cfg.SpillDir = 1, t.TempDir()
+		res, err := ComputeEFMs(net, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range res.Iterations {
+			res.Iterations[i].GenSeconds, res.Iterations[i].RankSeconds = 0, 0
+		}
+		if res.CommBytes != 0 || res.CommWireBytes != 0 || res.CommMessages != 0 {
+			t.Fatalf("%+v: a group of one moved %d bytes in %d messages", cfg, res.CommBytes, res.CommMessages)
+		}
+		return res
+	}
+	serial := run(Config{Algorithm: Serial, Nodes: 3})
+	if serial.Store.Spills == 0 {
+		t.Fatalf("one-byte budget spilled nothing: %+v", serial.Store)
+	}
+	one := run(Config{Algorithm: Parallel, Nodes: 1, OverTCP: true})
+	if !reflect.DeepEqual(one.Iterations, serial.Iterations) {
+		t.Fatalf("iterations differ:\n one node %+v\n serial   %+v", one.Iterations, serial.Iterations)
+	}
+	if one.CandidateModes != serial.CandidateModes || one.PairsVisited != serial.PairsVisited ||
+		one.PeakNodeBytes != serial.PeakNodeBytes || one.Store != serial.Store ||
+		one.Fingerprint() != serial.Fingerprint() {
+		t.Fatalf("one node: %d candidates, %d visited, peak %d, store %+v, fingerprint %016x\nserial:   %d candidates, %d visited, peak %d, store %+v, fingerprint %016x",
+			one.CandidateModes, one.PairsVisited, one.PeakNodeBytes, one.Store, one.Fingerprint(),
+			serial.CandidateModes, serial.PairsVisited, serial.PeakNodeBytes, serial.Store, serial.Fingerprint())
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 // The failure vocabulary of the substrate. A wedged collective is the
 // worst failure mode a replicated-state algorithm can have — one node
 // erroring out of Algorithm 2's Communicate&Merge used to leave every
-// peer blocked in Recv forever — so the group carries an abort latch:
+// peer blocked in a receive forever — so the group carries an abort latch:
 // any node's error, an expired deadline, or an external cancel trips
 // it, and every pending and future operation on every node fails
 // promptly with an error matching ErrAborted.

@@ -1,8 +1,8 @@
 // Package cluster is the message-passing substrate underneath the
 // distributed-memory algorithms: an MPI-flavored communicator interface
-// with point-to-point sends and the collectives the combinatorial
-// parallel Nullspace Algorithm needs (allgather, barrier), plus exact
-// byte/message accounting.
+// whose one collective is the allgather the combinatorial parallel
+// Nullspace Algorithm's Communicate&Merge step needs, built on
+// point-to-point sends with exact byte/message accounting.
 //
 // Two transports are provided. The in-process transport connects compute
 // nodes (goroutines) through buffered channels — the substitute for the
@@ -34,25 +34,23 @@ type Comm interface {
 	Rank() int
 	// Size is the number of nodes in the group.
 	Size() int
-	// Send delivers msg to the given node. The slice is owned by the
+	// send delivers msg to the given node. The slice is owned by the
 	// receiver afterwards; the sender must not reuse it.
-	Send(to int, msg []byte) error
-	// Recv blocks for the next message from the given node. Messages
+	send(to int, msg []byte) error
+	// recv blocks for the next message from the given node. Messages
 	// from one sender arrive in order.
-	Recv(from int) ([]byte, error)
+	recv(from int) ([]byte, error)
 	// Allgather distributes each node's payload to every node; the
-	// result is indexed by rank. Built on Send/Recv, so its traffic is
+	// result is indexed by rank. Built on send/recv, so its traffic is
 	// accounted. All nodes must call it collectively. When the group has
 	// an Options.Timeout and the collective does not complete within it,
 	// the whole group aborts (ErrTimeout).
 	Allgather(local []byte) ([][]byte, error)
-	// Barrier blocks until every node has entered it.
-	Barrier() error
 	// Abort trips the group-wide abort latch with the given cause:
-	// every pending and future Send, Recv, Allgather and Barrier on
-	// every node of the group fails promptly with an error matching
-	// ErrAborted (and wrapping cause). The first abort wins; later calls
-	// are no-ops. Safe to call from any goroutine.
+	// every pending and future Allgather on every node of the group
+	// fails promptly with an error matching ErrAborted (and wrapping
+	// cause). The first abort wins; later calls are no-ops. Safe to call
+	// from any goroutine.
 	Abort(cause error)
 	// Close releases the endpoint and joins its background goroutines.
 	// Pending receives fail.
@@ -68,20 +66,14 @@ type Comm interface {
 
 // Options configure group-wide behaviour shared by both transports.
 type Options struct {
-	// Timeout bounds every collective operation (Allgather, Barrier).
-	// When a collective has not completed within Timeout on some node,
-	// the whole group aborts with an error matching both ErrAborted and
-	// ErrTimeout — a stalled peer fails the run instead of wedging it.
-	// 0 disables the deadline.
+	// Timeout bounds every Allgather. When one has not completed within
+	// Timeout on some node, the whole group aborts with an error matching
+	// both ErrAborted and ErrTimeout — a stalled peer fails the run
+	// instead of wedging it. 0 disables the deadline.
 	Timeout time.Duration
 	// Buffered is the in-process transport's per-link channel capacity
 	// (default 16); it bounds memory the way MPI eager buffers do.
 	Buffered int
-	// SendRetries is how many times the TCP transport retries a
-	// transient send failure (a timeout before any frame byte reached
-	// the socket) before returning the error, backing off from 1 ms and
-	// doubling per attempt. 0 disables retries.
-	SendRetries int
 }
 
 // counters is embedded by transports for traffic accounting.
@@ -124,7 +116,7 @@ func timeoutOf(c Comm) time.Duration {
 // ordered by rank (the flat "personalized all-to-all" the paper's
 // Communicate&Merge step performs).
 //
-// Send's contract passes slice ownership to the receiver, so every peer
+// send's contract passes slice ownership to the receiver, so every peer
 // — and the local out[rank] entry — gets a private copy of local; the
 // caller stays free to reuse its buffer and receivers may mutate theirs.
 //
@@ -145,25 +137,19 @@ func allgather(c Comm, timeout time.Duration, local []byte) ([][]byte, error) {
 	for off := 1; off < size; off++ {
 		to := (rank + off) % size
 		cp := append([]byte(nil), local...)
-		if err := c.Send(to, cp); err != nil {
+		if err := c.send(to, cp); err != nil {
 			return nil, fmt.Errorf("cluster: allgather send to %d: %w", to, err)
 		}
 	}
 	for off := 1; off < size; off++ {
 		from := (rank - off + size) % size
-		msg, err := c.Recv(from)
+		msg, err := c.recv(from)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: allgather recv from %d: %w", from, err)
 		}
 		out[from] = msg
 	}
 	return out, nil
-}
-
-// barrier implements a barrier as an allgather of empty payloads.
-func barrier(c Comm) error {
-	_, err := c.Allgather(nil)
-	return err
 }
 
 // GroupStats aggregates traffic over a group of communicators. Bytes is

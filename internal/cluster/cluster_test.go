@@ -49,7 +49,7 @@ func TestSendRecvOrdering(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < msgs; i++ {
-				if err := comms[0].Send(1, []byte(fmt.Sprintf("msg-%03d", i))); err != nil {
+				if err := comms[0].send(1, []byte(fmt.Sprintf("msg-%03d", i))); err != nil {
 					t.Errorf("%s: send: %v", tr.name, err)
 					return
 				}
@@ -58,7 +58,7 @@ func TestSendRecvOrdering(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < msgs; i++ {
-				got, err := comms[1].Recv(0)
+				got, err := comms[1].recv(0)
 				if err != nil {
 					t.Errorf("%s: recv: %v", tr.name, err)
 					return
@@ -81,13 +81,13 @@ func TestSendRecvOrdering(t *testing.T) {
 func TestInvalidRanks(t *testing.T) {
 	comms := NewInProc(2, 0)
 	defer closeAll(comms)
-	if err := comms[0].Send(2, nil); err == nil {
+	if err := comms[0].send(2, nil); err == nil {
 		t.Error("send to out-of-range rank succeeded")
 	}
-	if err := comms[0].Send(0, nil); err == nil {
+	if err := comms[0].send(0, nil); err == nil {
 		t.Error("self-send succeeded")
 	}
-	if _, err := comms[0].Recv(-1); err == nil {
+	if _, err := comms[0].recv(-1); err == nil {
 		t.Error("recv from negative rank succeeded")
 	}
 }
@@ -160,53 +160,17 @@ func TestAllgatherRepeatedRounds(t *testing.T) {
 	wg.Wait()
 }
 
-func TestBarrier(t *testing.T) {
-	for _, tr := range transports {
-		comms, err := tr.make(3)
-		if err != nil {
-			t.Fatalf("%s: %v", tr.name, err)
-		}
-		// Every node increments after the barrier only once all have
-		// reached it; verify via a pre-barrier counter snapshot.
-		var pre [3]bool
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		for r := 0; r < 3; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				mu.Lock()
-				pre[r] = true
-				mu.Unlock()
-				if err := comms[r].Barrier(); err != nil {
-					t.Errorf("%s: barrier rank %d: %v", tr.name, r, err)
-					return
-				}
-				mu.Lock()
-				for s := 0; s < 3; s++ {
-					if !pre[s] {
-						t.Errorf("%s: rank %d passed barrier before rank %d entered", tr.name, r, s)
-					}
-				}
-				mu.Unlock()
-			}(r)
-		}
-		wg.Wait()
-		closeAll(comms)
-	}
-}
-
 func TestByteAccounting(t *testing.T) {
 	comms := NewInProc(2, 0)
 	defer closeAll(comms)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		comms[1].Recv(0)
-		comms[1].Recv(0)
+		comms[1].recv(0)
+		comms[1].recv(0)
 	}()
-	comms[0].Send(1, make([]byte, 100))
-	comms[0].Send(1, make([]byte, 23))
+	comms[0].send(1, make([]byte, 100))
+	comms[0].send(1, make([]byte, 23))
 	<-done
 	if got := comms[0].BytesSent(); got != 123 {
 		t.Fatalf("BytesSent = %d, want 123", got)
@@ -274,8 +238,8 @@ func TestWireByteAccounting(t *testing.T) {
 	// In-process delivery has no framing: wire == payload.
 	inproc := NewInProc(2, 0)
 	done := make(chan struct{})
-	go func() { defer close(done); inproc[1].Recv(0) }()
-	inproc[0].Send(1, make([]byte, 100))
+	go func() { defer close(done); inproc[1].recv(0) }()
+	inproc[0].send(1, make([]byte, 100))
 	<-done
 	if got := inproc[0].WireBytesSent(); got != 100 {
 		t.Errorf("inproc WireBytesSent = %d, want 100", got)
@@ -291,11 +255,11 @@ func TestWireByteAccounting(t *testing.T) {
 	done = make(chan struct{})
 	go func() {
 		defer close(done)
-		comms[1].Recv(0)
-		comms[1].Recv(0)
+		comms[1].recv(0)
+		comms[1].recv(0)
 	}()
-	comms[0].Send(1, make([]byte, 100))
-	comms[0].Send(1, make([]byte, 23))
+	comms[0].send(1, make([]byte, 100))
+	comms[0].send(1, make([]byte, 23))
 	<-done
 	if got := comms[0].BytesSent(); got != 123 {
 		t.Errorf("tcp BytesSent = %d, want 123 (payload only)", got)
@@ -313,7 +277,7 @@ func TestCloseUnblocksRecv(t *testing.T) {
 	comms := NewInProc(2, 0)
 	errc := make(chan error, 1)
 	go func() {
-		_, err := comms[0].Recv(1)
+		_, err := comms[0].recv(1)
 		errc <- err
 	}()
 	comms[0].Close()
@@ -329,9 +293,6 @@ func TestSingleNodeGroup(t *testing.T) {
 	if err != nil || len(out) != 1 || string(out[0]) != "x" {
 		t.Fatalf("1-node allgather: %v %v", out, err)
 	}
-	if err := comms[0].Barrier(); err != nil {
-		t.Fatalf("1-node barrier: %v", err)
-	}
 }
 
 func TestTCPLargeMessage(t *testing.T) {
@@ -346,10 +307,10 @@ func TestTCPLargeMessage(t *testing.T) {
 	}
 	done := make(chan []byte, 1)
 	go func() {
-		msg, _ := comms[1].Recv(0)
+		msg, _ := comms[1].recv(0)
 		done <- msg
 	}()
-	if err := comms[0].Send(1, payload); err != nil {
+	if err := comms[0].send(1, payload); err != nil {
 		t.Fatal(err)
 	}
 	got := <-done

@@ -7,7 +7,7 @@ import (
 )
 
 // DropRule silently drops the Nth message (1-based) sent on the
-// directed link From→To: the Send reports success and the bytes never
+// directed link From→To: the send reports success and the bytes never
 // arrive — a lossy fabric's view of the world. Paired with a group
 // Options.Timeout this is the deterministic way to exercise the
 // bounded-time abort path.
@@ -21,15 +21,14 @@ type FaultPlan struct {
 	// FailRank selects the rank the crash-point fields below apply to.
 	FailRank int
 	// FailCollective, when > 0, fails rank FailRank's FailCollective-th
-	// collective (Allgather or Barrier, counted together) with
-	// ErrInjected before any of its traffic moves — "node dies at
-	// iteration K" of Algorithm 2's Communicate&Merge loop.
+	// Allgather with ErrInjected before any of its traffic moves — "node
+	// dies at iteration K" of Algorithm 2's Communicate&Merge loop.
 	FailCollective int
 	// FailOp, when > 0, instead fails rank FailRank's FailOp-th
-	// primitive operation (each Send and each Recv counts one) — a
+	// primitive operation (each send and each recv counts one) — a
 	// mid-collective crash that leaves peers partially delivered.
 	FailOp int
-	// Drop lists messages to drop on Send.
+	// Drop lists messages to drop on send.
 	Drop []DropRule
 	// Delay postpones delivery of every message received on a link
 	// matching DelayFrom→DelayTo (-1 matches any rank) by Delay — a
@@ -41,7 +40,7 @@ type FaultPlan struct {
 
 // WrapFaulty wraps every communicator of a group in a fault-injecting
 // layer driven by plan. The wrapped collectives run over the wrapped
-// Send/Recv, so crash points, drops and delays apply to collective
+// send/recv, so crash points, drops and delays apply to collective
 // traffic too; counters, Abort and Close delegate to the underlying
 // transport. Wrapping is free of policy: injected failures do not abort
 // the group by themselves — propagation is the driver's job, exactly as
@@ -76,7 +75,7 @@ func (f *faultComm) failOp() error {
 	return nil
 }
 
-func (f *faultComm) Send(to int, msg []byte) error {
+func (f *faultComm) send(to int, msg []byte) error {
 	if err := f.failOp(); err != nil {
 		return err
 	}
@@ -88,14 +87,14 @@ func (f *faultComm) Send(to int, msg []byte) error {
 			}
 		}
 	}
-	return f.Comm.Send(to, msg)
+	return f.Comm.send(to, msg)
 }
 
-func (f *faultComm) Recv(from int) ([]byte, error) {
+func (f *faultComm) recv(from int) ([]byte, error) {
 	if err := f.failOp(); err != nil {
 		return nil, err
 	}
-	msg, err := f.Comm.Recv(from)
+	msg, err := f.Comm.recv(from)
 	if err != nil {
 		return nil, err
 	}
@@ -114,5 +113,3 @@ func (f *faultComm) Allgather(local []byte) ([][]byte, error) {
 	}
 	return allgather(f, timeoutOf(f.Comm), local)
 }
-
-func (f *faultComm) Barrier() error { return barrier(f) }

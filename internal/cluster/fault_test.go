@@ -51,7 +51,7 @@ func TestAbortUnblocksPendingRecv(t *testing.T) {
 				wg.Add(1)
 				go func(r int) {
 					defer wg.Done()
-					_, err := comms[r].Recv(0) // no message is ever sent
+					_, err := comms[r].recv(0) // no message is ever sent
 					errsCh <- err
 				}(r)
 			}
@@ -69,7 +69,7 @@ func TestAbortUnblocksPendingRecv(t *testing.T) {
 				}
 			}
 			// Future operations fail fast too.
-			if err := comms[1].Send(2, []byte("x")); !errors.Is(err, ErrAborted) {
+			if err := comms[1].send(2, []byte("x")); !errors.Is(err, ErrAborted) {
 				t.Errorf("post-abort Send returned %v, want ErrAborted", err)
 			}
 		})
@@ -85,7 +85,7 @@ func TestAbortUnblocksPendingSend(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 3; i++ { // capacity 1: blocks on the second send
-			if sendErr = comms[0].Send(1, []byte{byte(i)}); sendErr != nil {
+			if sendErr = comms[0].send(1, []byte{byte(i)}); sendErr != nil {
 				return
 			}
 		}

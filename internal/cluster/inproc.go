@@ -67,7 +67,7 @@ func (c *inprocComm) Size() int { return c.group.size }
 
 func (c *inprocComm) collectiveTimeout() time.Duration { return c.group.opts.Timeout }
 
-func (c *inprocComm) Send(to int, msg []byte) error {
+func (c *inprocComm) send(to int, msg []byte) error {
 	if to < 0 || to >= c.group.size {
 		return fmt.Errorf("cluster: send to invalid rank %d", to)
 	}
@@ -88,7 +88,7 @@ func (c *inprocComm) Send(to int, msg []byte) error {
 	}
 }
 
-func (c *inprocComm) Recv(from int) ([]byte, error) {
+func (c *inprocComm) recv(from int) ([]byte, error) {
 	if from < 0 || from >= c.group.size {
 		return nil, fmt.Errorf("cluster: recv from invalid rank %d", from)
 	}
@@ -111,8 +111,6 @@ func (c *inprocComm) Recv(from int) ([]byte, error) {
 func (c *inprocComm) Allgather(local []byte) ([][]byte, error) {
 	return allgather(c, c.group.opts.Timeout, local)
 }
-
-func (c *inprocComm) Barrier() error { return barrier(c) }
 
 func (c *inprocComm) Abort(cause error) { c.group.abort.Trip(cause) }
 

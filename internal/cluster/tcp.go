@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -10,12 +9,8 @@ import (
 	"time"
 )
 
-// retryBackoff is the initial backoff of a transient-send retry, doubled
-// per attempt.
-const retryBackoff = time.Millisecond
-
-// Dial/listen indirections, overridable by tests to inject setup and
-// send failures deterministically.
+// Dial/listen indirections, overridable by tests to inject setup
+// failures deterministically.
 var (
 	tcpListen = net.Listen
 	tcpDial   = net.Dial
@@ -45,8 +40,8 @@ func NewTCPGroup(n int) ([]Comm, error) {
 	return NewTCPGroupOpts(n, Options{})
 }
 
-// NewTCPGroupOpts is NewTCPGroup with the full option set (collective
-// deadline, transient-send retries). Setup is all-or-nothing: on any
+// NewTCPGroupOpts is NewTCPGroup with the group options (the collective
+// deadline). Setup is all-or-nothing: on any
 // error every listener and every connection established so far is
 // closed before the error is returned, and a failed dial unblocks the
 // pending accepts, so a broken mesh costs bounded time and leaks
@@ -209,15 +204,7 @@ func (c *tcpComm) Size() int { return c.size }
 
 func (c *tcpComm) collectiveTimeout() time.Duration { return c.opts.Timeout }
 
-// isTransient reports whether a send failure is worth retrying: timeout
-// flavors of net.Error (a saturated loopback buffer, a transiently slow
-// peer), not connection teardown.
-func isTransient(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-func (c *tcpComm) Send(to int, msg []byte) error {
+func (c *tcpComm) send(to int, msg []byte) error {
 	if to < 0 || to >= c.size || to == c.rank {
 		return fmt.Errorf("cluster: send to invalid rank %d", to)
 	}
@@ -226,30 +213,14 @@ func (c *tcpComm) Send(to int, msg []byte) error {
 	}
 	c.sendMu[to].Lock()
 	defer c.sendMu[to].Unlock()
-	backoff := retryBackoff
-	for attempt := 0; ; attempt++ {
-		wrote, err := WriteFrame(c.peers[to], msg)
-		if err == nil {
-			break
-		}
-		// Retry only while the frame is untouched: once any byte is on
-		// the wire, resending would corrupt the stream's framing.
-		if wrote == 0 && attempt < c.opts.SendRetries && isTransient(err) {
-			select {
-			case <-time.After(backoff):
-			case <-c.abort.Done():
-				return c.abort.Err()
-			}
-			backoff *= 2
-			continue
-		}
+	if _, err := WriteFrame(c.peers[to], msg); err != nil {
 		return fmt.Errorf("cluster: send to %d: %w", to, err)
 	}
 	c.account(len(msg), len(msg)+FrameHeaderLen)
 	return nil
 }
 
-func (c *tcpComm) Recv(from int) ([]byte, error) {
+func (c *tcpComm) recv(from int) ([]byte, error) {
 	if from < 0 || from >= c.size || from == c.rank {
 		return nil, fmt.Errorf("cluster: recv from invalid rank %d", from)
 	}
@@ -272,8 +243,6 @@ func (c *tcpComm) Recv(from int) ([]byte, error) {
 func (c *tcpComm) Allgather(local []byte) ([][]byte, error) {
 	return allgather(c, c.opts.Timeout, local)
 }
-
-func (c *tcpComm) Barrier() error { return barrier(c) }
 
 func (c *tcpComm) Abort(cause error) { c.abort.Trip(cause) }
 

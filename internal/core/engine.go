@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -79,10 +78,10 @@ type Options struct {
 	// paper's Figure 2 trace).
 	Trace func(it IterStats, set *ModeSet)
 	// Cancel, when non-nil, aborts the run at the next iteration
-	// boundary once closed; Run then returns an error matching
-	// ErrCanceled. This is the serial engine's half of the cancellation
-	// story — the distributed drivers cancel through the communicator
-	// group's abort latch instead.
+	// boundary once closed; the run then returns an error matching
+	// ErrCanceled. A group of several nodes additionally trips its
+	// communicator's abort latch, which unblocks a pending collective
+	// without waiting for the row to end.
 	Cancel <-chan struct{}
 }
 
@@ -91,13 +90,6 @@ type Options struct {
 // a run finishes with the wrong mode set. Only this package's tests
 // assign it, to show the fixtures sit inside that plateau.
 var zeroTol = linalg.DefaultTol
-
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // IterStats records one iteration of the algorithm.
 type IterStats struct {
@@ -185,22 +177,53 @@ func InitialModeSet(p *nullspace.Problem, tol float64) *ModeSet {
 	return set
 }
 
-// Run executes the Nullspace Algorithm (Algorithm 1). With
-// Options.Workers != 1 the per-row pair sweep and the sorted merge run on
-// a shared-memory worker pool; the result is bit-identical to the
-// single-threaded engine.
+// Run executes the Nullspace Algorithm (Algorithm 1): Algorithm 2 on a
+// group of one, which owns the whole pair range of every row and has
+// nobody to exchange candidates with.
 func Run(p *nullspace.Problem, opts Options) (*Result, error) {
+	return RunNode(p, opts, 0, 1, nil, nil)
+}
+
+// RunNode is the row loop of Algorithms 1 and 2, as node rank of a group
+// of size runs it; every driver's iteration is this function. Each row,
+// the node generates its contiguous slice of the positive×negative pair
+// range (sharded once more over Options.Workers), rank-tests the
+// candidates, and rebuilds the next mode set from what exchange returns.
+//
+// exchange is Communicate: it is handed the node's accepted candidates
+// as one set, in generation order, and returns every rank's, indexed by
+// rank, its own entry being the very set it was passed. A group of one
+// passes nil and its candidates go from generation to the merge as the
+// pool's zero-copy views. The result is the node's own: the statistics'
+// generation-side fields cover its slice alone (AddGenStats sums them
+// over a group); merge-side fields and the modes are identical on every
+// replica. Trace fires on rank 0 only.
+//
+// gauge, when non-nil, receives the node's resident mode-set payload
+// after every row — the row's peak, then under a memory budget what
+// stays resident once the store holds the successor — and a final zero
+// when the node returns.
+func RunNode(p *nullspace.Problem, opts Options, rank, size int, exchange func(mine *ModeSet) ([]*ModeSet, error), gauge func(rank int, bytes int64)) (*Result, error) {
+	if gauge != nil {
+		defer gauge(rank, 0)
+	}
 	last := opts.LastRow
 	if last <= 0 || last > p.Q() {
 		last = p.Q()
 	}
 	res := &Result{Problem: p}
-	pool := NewPool(p, opts.workers())
+	pool := NewPool(p, opts.Workers)
+	// The between-rounds store: under a memory budget the surviving set
+	// is spilled while a node waits at its next collective instead of
+	// staying flat on every replica at once. The deferred Release covers
+	// every abort, fault and cancel path, so spill files never outlive
+	// the run.
 	store := NewStoreManager(opts)
 	defer store.Release()
 	if err := store.Hold(InitialModeSet(p, zeroTol)); err != nil {
 		return nil, err
 	}
+	var mine *ModeSet
 	for row := p.D; row < last; row++ {
 		if opts.Cancel != nil {
 			select {
@@ -214,13 +237,23 @@ func Run(p *nullspace.Problem, opts Options) (*Result, error) {
 			return nil, err
 		}
 		it := BeginRow(p, set, row, opts)
-		cands := pool.GenerateRange(it, 0, it.Pairs(), &it.Stats)
+		pairs := it.Pairs()
+		cands := pool.GenerateRange(it, pairs*int64(rank)/int64(size), pairs*int64(rank+1)/int64(size), &it.Stats)
+		if exchange != nil {
+			mine = it.ResetCandidateSet(mine)
+			for _, c := range cands {
+				mine.AppendSet(c)
+			}
+			if cands, err = exchange(mine); err != nil {
+				return nil, err
+			}
+		}
 		next, err := pool.AssembleNext(it, cands)
 		if err != nil {
 			return nil, err
 		}
 		res.Stats = append(res.Stats, it.Stats)
-		if opts.Trace != nil {
+		if opts.Trace != nil && rank == 0 {
 			opts.Trace(it.Stats, next)
 		}
 		// Hold drops the flat reference when it spills; `set` and `next`
@@ -228,6 +261,12 @@ func Run(p *nullspace.Problem, opts Options) (*Result, error) {
 		// across the gap to the next row.
 		if err := store.Hold(next); err != nil {
 			return nil, err
+		}
+		if gauge != nil {
+			gauge(rank, it.Stats.PeakBytes)
+			if store.Active() {
+				gauge(rank, store.ResidentBytes())
+			}
 		}
 	}
 	final, err := store.Materialize()
@@ -240,9 +279,8 @@ func Run(p *nullspace.Problem, opts Options) (*Result, error) {
 }
 
 // RowIter holds the state of one iteration (processing one kernel row).
-// It is exported so the distributed drivers (packages parallel and dnc)
-// can slice candidate generation across compute nodes while reusing the
-// exact same kernel operations.
+// It is exported for the benchmark's replay of the row loop and for
+// tests; RunNode is its one caller in the engine.
 type RowIter struct {
 	Problem        *nullspace.Problem
 	Set            *ModeSet
@@ -396,26 +434,19 @@ func (it *RowIter) Pairs() int64 {
 }
 
 // NewCandidateSet returns an empty mode set with the layout of the next
-// iteration, for candidates produced by GenerateInto.
+// iteration, for candidates produced by GenerateIntoScratch.
 func (it *RowIter) NewCandidateSet() *ModeSet {
 	return NewModeSet(it.Set.Q(), it.Row+1, it.nextRev)
 }
 
-// GenerateInto produces the candidate modes for pair indices [from, to)
-// — pair k combines Pos[k/len(Neg)] with Neg[k%len(Neg)] — applying the
-// support-size pre-test and the rank test, and appends survivors to
-// cands. Statistics accumulate into st. Distinct slices of the pair space
-// may be generated concurrently into distinct (cands, ws, st) triples;
-// the RowIter itself is read-only here.
-func (it *RowIter) GenerateInto(cands *ModeSet, ws *linalg.Workspace, from, to int64, st *IterStats) {
-	it.GenerateIntoScratch(cands, ws, from, to, st, nil)
-}
-
-// GenerateIntoScratch is GenerateInto with caller-owned scratch buffers,
-// so repeated rows and chunks stop re-allocating the per-call masks and
-// combination buffers. sc may be nil (a fresh scratch is used). Like the
-// (cands, ws, st) triple, a GenScratch must not be shared between
-// concurrent calls.
+// GenerateIntoScratch produces the candidate modes for pair indices
+// [from, to) — pair k combines Pos[k/len(Neg)] with Neg[k%len(Neg)] —
+// applying the support-size pre-test and the rank test, and appends
+// survivors to cands. Statistics accumulate into st. Distinct slices of
+// the pair space may be generated concurrently into distinct (cands, ws,
+// st, sc) tuples; the RowIter itself is read-only here. sc holds the
+// per-call masks and combination buffers so repeated rows and chunks stop
+// re-allocating them; it may be nil (a fresh scratch is used).
 //
 // The range is walked one positive column at a time. A whole column of a
 // row that carries a generation tree asks the tree which negative columns
@@ -695,7 +726,7 @@ func scaleSampled(seconds float64, sampled, total int64) float64 {
 	return seconds
 }
 
-// extrapolateSampled splits the measured wall time of one GenerateInto
+// extrapolateSampled splits the measured wall time of one generation
 // call into (test, gen) parts, given the test seconds extrapolated from
 // the samples. The extrapolation can exceed the measured wall time on
 // tiny workloads; the split is clamped so both parts stay non-negative.
@@ -901,12 +932,4 @@ func equalWords(a, b []uint64) bool {
 		}
 	}
 	return true
-}
-
-// MergeStats folds per-node generation statistics into the iteration's
-// aggregate (used by the distributed drivers).
-func (it *RowIter) MergeStats(parts ...*IterStats) {
-	for _, p := range parts {
-		addGenStats(&it.Stats, p)
-	}
 }

@@ -47,7 +47,7 @@ func TestGenerationTreeYeastPins(t *testing.T) {
 	}
 	var sum IterStats
 	for _, s := range res.Stats {
-		addGenStats(&sum, &s)
+		AddGenStats(&sum, &s)
 		sum.Duplicates += s.Duplicates
 	}
 	want := IterStats{Pairs: 112314756, Prefiltered: 111718306, Tested: 596450, Accepted: 35637, Duplicates: 2081}

@@ -23,9 +23,9 @@ import (
 	"elmocomp/internal/nullspace"
 )
 
-// GenScratch holds the per-call buffers of GenerateInto, hoisted so a
-// worker can reuse them across rows and chunks. The zero value is ready
-// to use. Not safe for concurrent use; give each worker its own.
+// GenScratch holds the per-call buffers of GenerateIntoScratch, hoisted
+// so a worker can reuse them across rows and chunks. The zero value is
+// ready to use. Not safe for concurrent use; give each worker its own.
 // (Row-constant state — the prefix mask and the popcount caches — lives
 // on the RowIter instead, computed once per row and shared read-only.)
 type GenScratch struct {
@@ -64,12 +64,11 @@ type poolWorker struct {
 	tmp   []candRef // radix-sort scatter buffer, reused across rows
 }
 
-// Pool is a reusable shared-memory worker pool for one enumeration run
-// (or one simulated compute node of the distributed drivers). It owns
-// per-worker candidate sets, rank-test workspaces and generation scratch,
-// all recycled across rows so the steady state allocates only for mode
-// growth. A Pool is not safe for concurrent use by multiple goroutines;
-// each node of the cluster driver builds its own.
+// Pool is a reusable shared-memory worker pool for one node's run of the
+// row loop (RunNode). It owns per-worker candidate sets, rank-test
+// workspaces and generation scratch, all recycled across rows so the
+// steady state allocates only for mode growth. A Pool is not safe for
+// concurrent use by multiple goroutines; each node builds its own.
 type Pool struct {
 	problem *nullspace.Problem
 	workers []*poolWorker
@@ -98,11 +97,10 @@ func NewPool(p *nullspace.Problem, workers int) *Pool {
 // Workers returns the pool's worker count.
 func (pl *Pool) Workers() int { return len(pl.workers) }
 
-// addGenStats folds the generation-side counters and phase seconds of src
-// into dst: counters and CPU seconds sum (the same convention the
-// distributed drivers use across nodes); merge-side fields are left
-// untouched.
-func addGenStats(dst, src *IterStats) {
+// AddGenStats folds the generation-side counters and phase seconds of src
+// into dst: counters and CPU seconds sum, over a pool's workers and over
+// a group's nodes alike; merge-side fields are left untouched.
+func AddGenStats(dst, src *IterStats) {
 	dst.Pairs += src.Pairs
 	dst.Visited += src.Visited
 	dst.Prefiltered += src.Prefiltered
@@ -170,7 +168,7 @@ func (pl *Pool) GenerateRange(it *RowIter, from, to int64, st *IterStats) []*Mod
 	if n == 1 || to == from {
 		w := pl.workers[0]
 		it.GenerateIntoScratch(w.cands, w.ws, from, to, &w.st, &w.sc)
-		addGenStats(st, &w.st)
+		AddGenStats(st, &w.st)
 		pl.sets = append(pl.sets[:0], w.cands)
 		return pl.sets
 	}
@@ -199,7 +197,7 @@ func (pl *Pool) GenerateRange(it *RowIter, from, to int64, st *IterStats) []*Mod
 	wg.Wait()
 	pl.sets = pl.sets[:0]
 	for _, w := range pl.workers {
-		addGenStats(st, &w.st)
+		AddGenStats(st, &w.st)
 	}
 	for _, c := range chunks {
 		if c.end > c.start {
@@ -215,8 +213,9 @@ func (pl *Pool) GenerateRange(it *RowIter, from, to int64, st *IterStats) []*Mod
 // sorted runs are k-way merged under the same total order the serial
 // sort uses, and cross-worker duplicates collapse during assembly.
 // candSets may be the pool's own GenerateRange output or any other sets
-// with the next iteration's layout (the cluster driver passes the decoded
-// per-node sets). The result is bit-identical to RowIter.AssembleNext.
+// with the next iteration's layout (in a group, what the exchange
+// returned: one set per node). The result is bit-identical to
+// RowIter.AssembleNext.
 func (pl *Pool) AssembleNext(it *RowIter, candSets []*ModeSet) (*ModeSet, error) {
 	t0 := time.Now()
 	total := 0

@@ -174,13 +174,13 @@ func TestGenerateRangeMatchesGenerateInto(t *testing.T) {
 				label := fmt.Sprintf("%s row %d pairs [%d,%d)", name, row, r[0], r[1])
 				want := linear.NewCandidateSet()
 				var wantStats IterStats
-				linear.GenerateInto(want, ws, r[0], r[1], &wantStats)
+				linear.GenerateIntoScratch(want, ws, r[0], r[1], &wantStats, nil)
 				if wantStats.Visited != r[1]-r[0] {
 					t.Fatalf("%s: linear sweep visited %d pairs", label, wantStats.Visited)
 				}
 				single := it.NewCandidateSet()
 				var singleStats IterStats
-				it.GenerateInto(single, ws, r[0], r[1], &singleStats)
+				it.GenerateIntoScratch(single, ws, r[0], r[1], &singleStats, nil)
 				requireIdenticalSets(t, label+" single call", want, single)
 				// The switched-off reference has neither tree: it visits
 				// every pair and rank-tests what the reject tree takes.

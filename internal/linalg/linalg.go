@@ -103,8 +103,8 @@ func (w *Workspace) Buffer(rows, cols int) []float64 {
 }
 
 // ColMajor is a column-major snapshot of a matrix, laid out so that
-// gathering a subset of columns (the rank test's access pattern) is a
-// sequence of contiguous copies.
+// reading a subset of columns (the rank test's access pattern) is a
+// sequence of contiguous slices.
 type ColMajor struct {
 	rows, cols int
 	data       []float64 // column-major: data[c*rows+r]
@@ -141,29 +141,6 @@ func (m *ColMajor) Col(j int) []float64 {
 		panic(fmt.Sprintf("linalg: column %d out of range [0,%d)", j, m.cols))
 	}
 	return m.data[j*m.rows : (j+1)*m.rows]
-}
-
-// GatherColumns copies the selected columns into dst (column-major,
-// rows×len(cols)) and returns dst. dst must have capacity rows*len(cols).
-func (m *ColMajor) GatherColumns(dst []float64, cols []int) []float64 {
-	n := m.rows * len(cols)
-	dst = dst[:n]
-	for jj, j := range cols {
-		copy(dst[jj*m.rows:(jj+1)*m.rows], m.Col(j))
-	}
-	return dst
-}
-
-// RankOfColumns computes the numerical rank of the submatrix of m formed
-// by the given columns, using w for scratch space. tol as in Rank.
-//
-// Note the submatrix is eliminated in its column-major layout, i.e. we
-// compute rank of the transpose — which equals the rank of the submatrix.
-func (m *ColMajor) RankOfColumns(w *Workspace, cols []int, tol float64) int {
-	buf := w.Buffer(len(cols), m.rows)
-	m.GatherColumns(buf, cols)
-	// buf is column-major rows×k == row-major k×rows (the transpose).
-	return Rank(buf, len(cols), m.rows, tol)
 }
 
 // RankDeficiencyExceeds performs Gaussian elimination on the row-major

@@ -146,37 +146,6 @@ func TestRaggedColMajorPanics(t *testing.T) {
 	NewColMajor([][]float64{{1, 2}, {3}})
 }
 
-func TestGatherColumns(t *testing.T) {
-	m := NewColMajor([][]float64{{1, 2, 3}, {4, 5, 6}})
-	dst := make([]float64, 4)
-	got := m.GatherColumns(dst, []int{2, 0})
-	want := []float64{3, 6, 1, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("GatherColumns = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestRankOfColumns(t *testing.T) {
-	// Columns 0 and 2 are dependent (c2 = -c0); columns 0,1 independent.
-	m := NewColMajor([][]float64{
-		{1, 0, -1},
-		{0, 1, 0},
-		{2, 0, -2},
-	})
-	w := NewWorkspace(3, 3)
-	if got := m.RankOfColumns(w, []int{0, 2}, 0); got != 1 {
-		t.Fatalf("rank{0,2} = %d, want 1", got)
-	}
-	if got := m.RankOfColumns(w, []int{0, 1}, 0); got != 2 {
-		t.Fatalf("rank{0,1} = %d, want 2", got)
-	}
-	if got := m.RankOfColumns(w, []int{0, 1, 2}, 0); got != 2 {
-		t.Fatalf("rank{0,1,2} = %d, want 2", got)
-	}
-}
-
 func TestWorkspaceGrows(t *testing.T) {
 	w := NewWorkspace(1, 1)
 	buf := w.Buffer(10, 10)
@@ -212,37 +181,6 @@ func TestQuickRankMatchesExact(t *testing.T) {
 	}
 }
 
-// Property: rank via RankOfColumns equals rank of the gathered transpose
-// computed directly.
-func TestQuickRankOfColumnsConsistent(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		const rows, cols = 4, 6
-		m := make([][]float64, rows)
-		for i := range m {
-			m[i] = make([]float64, cols)
-			for j := range m[i] {
-				m[i][j] = float64(rng.Intn(5) - 2)
-			}
-		}
-		cm := NewColMajor(m)
-		w := NewWorkspace(cols, rows)
-		sel := []int{rng.Intn(cols), rng.Intn(cols), rng.Intn(cols)}
-		got := cm.RankOfColumns(w, sel, 0)
-		// Direct: build the submatrix row-major and compute.
-		sub := make([]float64, 0, rows*len(sel))
-		for i := 0; i < rows; i++ {
-			for _, j := range sel {
-				sub = append(sub, m[i][j])
-			}
-		}
-		return got == Rank(sub, rows, len(sel), 0)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkRankTest35x36(b *testing.B) {
 	// The shape of the Network I rank test: 35 metabolite rows, up to 36
 	// support columns.
@@ -266,6 +204,12 @@ func BenchmarkRankTest35x36(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cm.RankOfColumns(w, sel, 0)
+		// Column-major rows×k is row-major k×rows: the transpose, whose
+		// rank is the submatrix's.
+		buf := w.Buffer(len(sel), rows)
+		for jj, j := range sel {
+			copy(buf[jj*rows:], cm.Col(j))
+		}
+		Rank(buf, len(sel), rows, 0)
 	}
 }

@@ -62,6 +62,34 @@ func TestRunNodeFailureFailsFast(t *testing.T) {
 	}
 }
 
+func TestRunGroupOfOneExchangesNothing(t *testing.T) {
+	// A group of one has nobody to exchange candidates with: it builds
+	// no communicator and enters no collective, so a plan that fails
+	// rank 0's first collective has nothing to fail and no traffic is
+	// counted, whichever transport the options name.
+	p := toyProblem(t)
+	serial, err := core.Run(p, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tp := range []Transport{InProc, TCP} {
+		res, err := Run(p, Options{
+			Nodes:     1,
+			Transport: tp,
+			Fault:     &cluster.FaultPlan{FailCollective: 1},
+		})
+		if err != nil {
+			t.Fatalf("transport %d: a group of one entered a collective: %v", tp, err)
+		}
+		if res.Comm != (cluster.GroupStats{}) {
+			t.Fatalf("transport %d: a group of one moved traffic: %+v", tp, res.Comm)
+		}
+		if got, want := res.Modes.Fingerprint(), serial.Modes.Fingerprint(); got != want {
+			t.Fatalf("transport %d: fingerprint %016x, serial %016x", tp, got, want)
+		}
+	}
+}
+
 func TestRunDroppedMessageHitsTimeout(t *testing.T) {
 	// A silently lost candidate exchange: without the group deadline the
 	// receivers would wait forever; with it, Run reports a timeout. Both
@@ -130,17 +158,17 @@ func TestRunFaultFreePlanIsHarmless(t *testing.T) {
 func TestCheckReplicasCatchesForgedDivergence(t *testing.T) {
 	// Same length, different content: the length-only check this replaces
 	// would wave the forged replica through.
-	mk := func(tail0 float64) *nodeResult {
+	mk := func(tail0 float64) *core.Result {
 		set := core.NewModeSet(4, 2, nil)
 		set.AppendMode(nil, []float64{tail0, 1}, nil, 1e-9)
 		set.AppendMode(nil, []float64{5, 6}, nil, 1e-9)
-		return &nodeResult{set: set}
+		return &core.Result{Modes: set}
 	}
-	honest := []*nodeResult{mk(3), mk(3), mk(3)}
+	honest := []*core.Result{mk(3), mk(3), mk(3)}
 	if err := checkReplicas(honest); err != nil {
 		t.Fatalf("identical replicas rejected: %v", err)
 	}
-	forged := []*nodeResult{mk(3), mk(4), mk(3)}
+	forged := []*core.Result{mk(3), mk(4), mk(3)}
 	err := checkReplicas(forged)
 	if err == nil {
 		t.Fatal("same-length diverged replica passed the check")
@@ -153,8 +181,8 @@ func TestCheckReplicasCatchesForgedDivergence(t *testing.T) {
 	short := mk(3)
 	shortSet := core.NewModeSet(4, 2, nil)
 	shortSet.AppendMode(nil, []float64{3, 1}, nil, 1e-9)
-	short.set = shortSet
-	if err := checkReplicas([]*nodeResult{mk(3), short}); err == nil {
+	short.Modes = shortSet
+	if err := checkReplicas([]*core.Result{mk(3), short}); err == nil {
 		t.Fatal("length-diverged replica passed the check")
 	}
 }

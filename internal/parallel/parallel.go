@@ -21,7 +21,6 @@ import (
 
 	"elmocomp/internal/cluster"
 	"elmocomp/internal/core"
-	"elmocomp/internal/linalg"
 	"elmocomp/internal/nullspace"
 )
 
@@ -132,26 +131,88 @@ func (r *Result) MaxPhases() PhaseTimes {
 	return m
 }
 
-// Run executes Algorithm 2 on the given prepared problem.
-func Run(p *nullspace.Problem, opts Options) (*Result, error) {
-	nodes := opts.Nodes
-	if nodes <= 0 {
-		nodes = 1
+// phasesOf totals one node's phase seconds: the engine's per-row
+// generation, rank-test and merge seconds plus the node's Communicate
+// clock.
+func phasesOf(stats []core.IterStats, communicate float64) PhaseTimes {
+	ph := PhaseTimes{Communicate: communicate}
+	for _, s := range stats {
+		ph.GenCand += s.GenSeconds
+		ph.RankTest += s.TestSeconds
+		ph.Merge += s.MergeSeconds
 	}
+	return ph
+}
+
+// Run executes Algorithm 2 on the given prepared problem. Every node runs
+// core.RunNode, the one row loop; what this function adds is the group:
+// the communicator, the candidate exchange over it, fail-fast error
+// propagation and the replication check. A group of one has none of
+// that — it is Algorithm 1 — so Nodes <= 1 runs the loop on the caller's
+// goroutine with no exchange and returns its result.
+func Run(p *nullspace.Problem, opts Options) (*Result, error) {
+	nodes := max(opts.Nodes, 1)
+	if opts.Cancel != nil {
+		// Every node polls the channel at each row boundary; a group
+		// also trips its abort latch (runGroup), which unblocks pending
+		// collectives at once.
+		opts.Core.Cancel = opts.Cancel
+	}
+	results := make([]*core.Result, nodes)
+	commSeconds := make([]float64, nodes)
+	out := &Result{}
+	if nodes == 1 {
+		res, err := core.RunNode(p, opts.Core, 0, 1, nil, opts.MemGauge)
+		if err != nil {
+			return nil, err
+		}
+		results[0] = res
+	} else {
+		var err error
+		if out.Comm, err = runGroup(p, opts, results, commSeconds); err != nil {
+			return nil, err
+		}
+	}
+
+	// Node 0's result becomes the group's: the modes and the merge-side
+	// numbers (duplicates, modes out, memory) are identical on every
+	// replica. Candidate counts and generation/test CPU seconds sum over
+	// the nodes' pair slices, and so do the store counters: every node
+	// holds (or spills) its own copy of the surviving set, so the totals
+	// describe group-wide bytes, not one node's. A node's phases are read
+	// before its statistics are summed into.
+	out.Result = results[0]
+	for r, res := range results {
+		out.NodePhases = append(out.NodePhases, phasesOf(res.Stats, commSeconds[r]))
+		out.PeakNodeBytes = max(out.PeakNodeBytes, res.PeakBytes())
+		if r > 0 {
+			out.Store.Add(res.Store)
+			for i := range res.Stats {
+				core.AddGenStats(&out.Stats[i], &res.Stats[i])
+			}
+		}
+	}
+	return out, nil
+}
+
+// runGroup runs a group of several nodes to completion, one goroutine
+// per node, filling results and each node's Communicate seconds, and
+// returns the group's traffic.
+func runGroup(p *nullspace.Problem, opts Options, results []*core.Result, commSeconds []float64) (cluster.GroupStats, error) {
+	nodes := len(results)
 	copts := cluster.Options{Timeout: opts.Timeout}
 	var comms []cluster.Comm
 	switch opts.Transport {
 	case InProc:
 		comms = cluster.NewInProcOpts(nodes, copts)
 	case TCP:
-		copts.SendRetries = 3
 		var err error
 		comms, err = cluster.NewTCPGroupOpts(nodes, copts)
 		if err != nil {
-			return nil, err
+			return cluster.GroupStats{}, err
 		}
 	default:
-		return nil, fmt.Errorf("parallel: unknown transport %d", opts.Transport)
+		return cluster.GroupStats{}, fmt.Errorf("parallel: unknown transport %d", opts.Transport)
 	}
 	if opts.Fault != nil {
 		comms = cluster.WrapFaulty(comms, *opts.Fault)
@@ -171,30 +232,39 @@ func Run(p *nullspace.Problem, opts Options) (*Result, error) {
 			case <-stop:
 			}
 		}()
-		// Nodes also poll the channel at every row boundary (see
-		// runNode): the group abort above unblocks pending collectives
-		// immediately, the per-row poll bounds how long a node keeps
-		// computing between collectives after a cancel.
-		opts.Core.Cancel = opts.Cancel
 	}
 
-	last := opts.Core.LastRow
-	if last <= 0 || last > p.Q() {
-		last = p.Q()
-	}
-
-	results := make([]*nodeResult, nodes)
 	errs := make([]error, nodes)
 	var wg sync.WaitGroup
 	for r := 0; r < nodes; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			res, err := runNode(p, opts.Core, comms[rank], last, opts.MemGauge)
+			comm := comms[rank]
+			// Communicate: allgather the node's accepted candidates and
+			// decode every peer's.
+			exchange := func(mine *core.ModeSet) ([]*core.ModeSet, error) {
+				t0 := time.Now()
+				defer func() { commSeconds[rank] += time.Since(t0).Seconds() }()
+				payloads, err := comm.Allgather(mine.Encode())
+				if err != nil {
+					return nil, err
+				}
+				sets := make([]*core.ModeSet, len(payloads))
+				for i, pl := range payloads {
+					if i == rank {
+						sets[i] = mine
+					} else if sets[i], err = core.DecodeModeSet(pl); err != nil {
+						return nil, err
+					}
+				}
+				return sets, nil
+			}
+			res, err := core.RunNode(p, opts.Core, rank, nodes, exchange, opts.MemGauge)
 			if err != nil {
 				// Fail fast: trip the group abort so every peer pending
 				// in a collective unblocks instead of wedging the run.
-				comms[rank].Abort(fmt.Errorf("node %d: %w", rank, err))
+				comm.Abort(fmt.Errorf("node %d: %w", rank, err))
 			}
 			results[rank], errs[rank] = res, err
 		}(r)
@@ -208,201 +278,38 @@ func Run(p *nullspace.Problem, opts Options) (*Result, error) {
 			continue
 		}
 		if !errors.Is(err, cluster.ErrAborted) {
-			return nil, fmt.Errorf("parallel: node %d: %w", r, err)
+			return cluster.GroupStats{}, fmt.Errorf("parallel: node %d: %w", r, err)
 		}
 		if abortErr == nil {
 			abortErr = fmt.Errorf("parallel: node %d: %w", r, err)
 		}
 	}
 	if abortErr != nil {
-		return nil, abortErr
+		return cluster.GroupStats{}, abortErr
 	}
-
 	// Replication invariant: all nodes must have produced identical
-	// mode sets; adopt node 0's.
+	// mode sets.
 	if err := checkReplicas(results); err != nil {
-		return nil, err
+		return cluster.GroupStats{}, err
 	}
-
-	// Aggregate the per-iteration statistics: candidate counts and
-	// generation/test CPU seconds sum over the nodes' pair slices;
-	// merge-side numbers (duplicates, modes out, memory) are identical
-	// on every replica and come from node 0.
-	agg := append([]core.IterStats(nil), results[0].stats...)
-	for r := 1; r < nodes; r++ {
-		for i := range agg {
-			s := results[r].stats[i]
-			agg[i].Pairs += s.Pairs
-			agg[i].Visited += s.Visited
-			agg[i].Prefiltered += s.Prefiltered
-			agg[i].TreeRejects += s.TreeRejects
-			agg[i].Tested += s.Tested
-			agg[i].Accepted += s.Accepted
-			agg[i].GenSeconds += s.GenSeconds
-			agg[i].TestSeconds += s.TestSeconds
-		}
-	}
-
-	out := &Result{
-		Result: &core.Result{
-			Problem: p,
-			Modes:   results[0].set,
-			Stats:   agg,
-		},
-		Comm: cluster.StatsOf(comms),
-	}
-	for r := 0; r < nodes; r++ {
-		out.NodePhases = append(out.NodePhases, results[r].phases)
-		if b := results[r].peakBytes; b > out.PeakNodeBytes {
-			out.PeakNodeBytes = b
-		}
-		// Store counters SUM over the replicas: every node holds (or
-		// spills) its own copy of the surviving set, so the
-		// totals describe group-wide bytes, not one node's.
-		out.Result.Store.Add(results[r].store)
-	}
-	return out, nil
-}
-
-type nodeResult struct {
-	set       *core.ModeSet
-	stats     []core.IterStats
-	phases    PhaseTimes
-	peakBytes int64
-	store     core.StoreStats
+	return cluster.StatsOf(comms), nil
 }
 
 // checkReplicas enforces the replication invariant of Algorithm 2:
 // every node must hold a bit-identical mode set. A length comparison
 // alone lets same-size-but-diverged replicas through, so the canonical
 // content fingerprint is compared too.
-func checkReplicas(results []*nodeResult) error {
-	h0 := results[0].set.Fingerprint()
+func checkReplicas(results []*core.Result) error {
+	h0 := results[0].Modes.Fingerprint()
 	for r := 1; r < len(results); r++ {
-		if results[r].set.Len() != results[0].set.Len() {
+		if results[r].Modes.Len() != results[0].Modes.Len() {
 			return fmt.Errorf("parallel: replica divergence: node %d holds %d modes, node 0 holds %d",
-				r, results[r].set.Len(), results[0].set.Len())
+				r, results[r].Modes.Len(), results[0].Modes.Len())
 		}
-		if h := results[r].set.Fingerprint(); h != h0 {
+		if h := results[r].Modes.Fingerprint(); h != h0 {
 			return fmt.Errorf("parallel: replica divergence: node %d mode-set fingerprint %016x, node 0's %016x",
 				r, h, h0)
 		}
 	}
 	return nil
-}
-
-// runNode is the per-node main loop of Algorithm 2. Within the node,
-// candidate generation and the sorted merge run on a shared-memory worker
-// pool (core.Options.Workers per node) — the hybrid distributed×multicore
-// decomposition. Phase attribution is unchanged: per-worker gen/test CPU
-// seconds sum into the node's GenCand/RankTest rows, the parallel merge
-// wall time lands in Merge, so the Table II reporting stays honest.
-func runNode(p *nullspace.Problem, copts core.Options, comm cluster.Comm, last int, gauge func(int, int64)) (*nodeResult, error) {
-	nr := &nodeResult{}
-	if gauge != nil {
-		defer gauge(comm.Rank(), 0)
-	}
-	pool := core.NewPool(p, copts.Workers)
-	rank, size := comm.Rank(), comm.Size()
-	var local *core.ModeSet
-
-	// Each node runs its own between-rounds mode store: under a memory
-	// budget the replicated surviving set is spilled while the node
-	// waits at the next collective, instead of staying flat on every
-	// replica at once. The deferred Release covers every abort, fault
-	// and cancel path, so spill files never outlive the run.
-	store := core.NewStoreManager(copts)
-	defer store.Release()
-	if err := store.Hold(core.InitialModeSet(p, linalg.DefaultTol)); err != nil {
-		return nil, err
-	}
-
-	for row := p.D; row < last; row++ {
-		if copts.Cancel != nil {
-			select {
-			case <-copts.Cancel:
-				return nil, fmt.Errorf("%w at row %d", core.ErrCanceled, row)
-			default:
-			}
-		}
-		set, err := store.Materialize()
-		if err != nil {
-			return nil, err
-		}
-		it := core.BeginRow(p, set, row, copts)
-
-		// ParallelGenerateEFMCands: this node's combinatorial slice of
-		// the pair space (contiguous block decomposition), sharded once
-		// more across the node's workers.
-		pairs := it.Pairs()
-		from := pairs * int64(rank) / int64(size)
-		to := pairs * int64(rank+1) / int64(size)
-		var genStats core.IterStats
-		workerSets := pool.GenerateRange(it, from, to, &genStats)
-		nr.phases.GenCand += genStats.GenSeconds
-		nr.phases.RankTest += genStats.TestSeconds
-
-		// Concatenate the per-worker sets — in chunk order, preserving
-		// the node slice's generation order — into the wire payload.
-		local = it.ResetCandidateSet(local)
-		for _, wset := range workerSets {
-			local.AppendSet(wset)
-		}
-
-		// Communicate: allgather the surviving local candidates.
-		commTimer := newTimer()
-		payloads, err := comm.Allgather(local.Encode())
-		if err != nil {
-			return nil, err
-		}
-		nr.phases.Communicate += commTimer.seconds()
-
-		// Merge: decode every node's candidates and rebuild the
-		// replicated next matrix (global duplicate removal inside the
-		// pool's parallel sorted merge).
-		candSets := make([]*core.ModeSet, len(payloads))
-		for i, pl := range payloads {
-			if i == rank {
-				candSets[i] = local
-				continue
-			}
-			cs, err := core.DecodeModeSet(pl)
-			if err != nil {
-				return nil, err
-			}
-			candSets[i] = cs
-		}
-		it.MergeStats(&genStats)
-		next, err := pool.AssembleNext(it, candSets)
-		if err != nil {
-			return nil, err
-		}
-		nr.phases.Merge += it.Stats.MergeSeconds
-		if b := it.Stats.PeakBytes; b > nr.peakBytes {
-			nr.peakBytes = b
-		}
-		nr.stats = append(nr.stats, it.Stats)
-		if copts.Trace != nil && rank == 0 {
-			copts.Trace(it.Stats, next)
-		}
-		if err := store.Hold(next); err != nil {
-			return nil, err
-		}
-		if gauge != nil {
-			gauge(rank, it.Stats.PeakBytes)
-			if store.Active() {
-				// Second sample: the post-Hold resident footprint. With no
-				// budget the store is a pass-through and this sample is
-				// skipped, keeping the gauge stream exactly as before.
-				gauge(rank, store.ResidentBytes())
-			}
-		}
-	}
-	final, err := store.Materialize()
-	if err != nil {
-		return nil, err
-	}
-	nr.set = final
-	nr.store = store.Stats()
-	return nr, nil
 }

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -9,11 +10,31 @@ import (
 	"elmocomp/internal/model"
 	"elmocomp/internal/nullspace"
 	"elmocomp/internal/reduce"
+	"elmocomp/internal/synth"
 )
 
 func toyProblem(t *testing.T) *nullspace.Problem {
 	t.Helper()
 	red, err := reduce.Network(model.Toy(), reduce.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := nullspace.New(red.N, red.Reversibilities(), nullspace.Heuristics{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// efmgenProblem is `efmgen -layers 5 -width 5 -cross 10 -seed 9`, the
+// network the verify notes drive the CLIs with.
+func efmgenProblem(t *testing.T) *nullspace.Problem {
+	t.Helper()
+	n, err := synth.Network(synth.Params{Layers: 5, Width: 5, CrossLinks: 10, ReversibleFraction: 0.25, MaxCoef: 2, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	red, err := reduce.Network(n, reduce.Options{MergeDuplicates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,25 +151,58 @@ func TestPhaseTimesPopulated(t *testing.T) {
 	}
 }
 
+// exactStats strips the wall-clock fields, leaving every counter a run
+// must reproduce exactly.
+func exactStats(s core.IterStats) core.IterStats {
+	s.GenSeconds, s.TestSeconds, s.MergeSeconds = 0, 0, 0
+	return s
+}
+
 func TestParallelStatsMatchSerial(t *testing.T) {
 	// Aggregated per-iteration candidate statistics must be identical
-	// to the serial run (the pair space is partitioned, not changed).
-	p := toyProblem(t)
-	serial, err := core.Run(p, core.Options{})
-	if err != nil {
-		t.Fatal(err)
+	// to the serial run (the pair space is partitioned, not changed),
+	// and a group of one IS the serial run: every exact counter, the
+	// mode set and the store's activity agree, flat and under a budget
+	// that spills every round.
+	problems := map[string]*nullspace.Problem{
+		"toy":    toyProblem(t),
+		"efmgen": efmgenProblem(t),
 	}
-	res, err := Run(p, Options{Nodes: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Stats) != len(serial.Stats) {
-		t.Fatalf("iteration counts differ: %d vs %d", len(res.Stats), len(serial.Stats))
-	}
-	for i, s := range res.Stats {
-		ref := serial.Stats[i]
-		if s.Pairs != ref.Pairs || s.Accepted != ref.Accepted || s.ModesOut != ref.ModesOut {
-			t.Fatalf("iteration %d: stats diverge: parallel %+v vs serial %+v", i, s, ref)
+	for name, p := range problems {
+		for _, budget := range []int64{0, 1} {
+			copts := core.Options{MemBudget: budget, SpillDir: t.TempDir()}
+			serial, err := core.Run(p, copts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (serial.Store.Spills > 0) != (budget > 0) {
+				t.Fatalf("%s budget=%d: serial store %+v", name, budget, serial.Store)
+			}
+			for _, nodes := range []int{1, 3} {
+				label := fmt.Sprintf("%s budget=%d nodes=%d", name, budget, nodes)
+				res, err := Run(p, Options{Nodes: nodes, Core: copts})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if got, want := res.Modes.Fingerprint(), serial.Modes.Fingerprint(); got != want {
+					t.Fatalf("%s: fingerprint %016x, serial %016x", label, got, want)
+				}
+				if len(res.Stats) != len(serial.Stats) {
+					t.Fatalf("%s: iteration counts differ: %d vs %d", label, len(res.Stats), len(serial.Stats))
+				}
+				for i, s := range res.Stats {
+					ref := serial.Stats[i]
+					if s.Pairs != ref.Pairs || s.Accepted != ref.Accepted || s.ModesOut != ref.ModesOut {
+						t.Fatalf("%s iteration %d: stats diverge: parallel %+v vs serial %+v", label, i, s, ref)
+					}
+					if nodes == 1 && exactStats(s) != exactStats(ref) {
+						t.Fatalf("%s iteration %d: a group of one is not the serial run: %+v vs %+v", label, i, s, ref)
+					}
+				}
+				if nodes == 1 && res.Store != serial.Store {
+					t.Fatalf("%s: store %+v, serial %+v", label, res.Store, serial.Store)
+				}
+			}
 		}
 	}
 }
