@@ -235,11 +235,11 @@ func loadNetwork(modelName, file string) (*elmocomp.Network, error) {
 func printStats(res *elmocomp.Result) {
 	if len(res.Iterations) > 0 {
 		tb := stats.NewTable("per-iteration statistics",
-			"reaction", "rev", "pos", "neg", "zero", "candidates", "visited", "prefiltered", "tree rejects", "tested", "accepted", "dup", "modes out", "gen(s)", "rank(s)")
+			"reaction", "rev", "pos", "neg", "zero", "candidates", "visited", "prefiltered", "tree rejects", "tested", "elim", "accepted", "dup", "modes out", "gen(s)", "rank(s)")
 		for _, it := range res.Iterations {
 			tb.AddRow(it.Reaction, it.Reversible, it.Pos, it.Neg, it.Zero,
 				stats.Count(it.CandidateModes), stats.Count(it.Visited), stats.Count(it.Prefiltered),
-				stats.Count(it.TreeRejects), stats.Count(it.Tested),
+				stats.Count(it.TreeRejects), stats.Count(it.Tested), stats.Count(it.Eliminated),
 				stats.Count(it.Accepted),
 				stats.Count(it.Duplicates), it.ModesOut, it.GenSeconds, it.RankSeconds)
 		}

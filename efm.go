@@ -269,6 +269,7 @@ type IterationStat struct {
 	Prefiltered    int64 // rejected by the support-size pre-test
 	TreeRejects    int64 // rejected by the hybrid bit-pattern-tree prefilter
 	Tested         int64 // rank tests run
+	Eliminated     int64 // of those, tests that ran an elimination (counting live rows decided the rest)
 	Accepted       int64
 	Duplicates     int64
 	ModesOut       int
@@ -327,6 +328,10 @@ type Result struct {
 	// (Serial/Parallel only); the rest were support pre-test rejections
 	// the generation tree counted by the subtree.
 	PairsVisited int64
+	// RankEliminations is how many of the engine's rank tests ran a
+	// Gaussian elimination, summed over Iterations; the rest were decided
+	// by counting the rows an elimination could pivot on.
+	RankEliminations int64
 	// Iterations holds per-iteration statistics (Serial/Parallel only).
 	Iterations []IterationStat
 	// Phases holds the critical-path phase times (Parallel/DnC).
@@ -786,7 +791,7 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 		res.CommBytes = run.Comm.Bytes
 		res.CommWireBytes = run.Comm.WireBytes
 		res.CommMessages = run.Comm.Messages
-		res.Iterations, res.PairsVisited = iterStats(run.Stats, red, p)
+		res.Iterations, res.PairsVisited, res.RankEliminations = iterStats(run.Stats, red, p)
 		res.Phases = run.MaxPhases()
 	case DivideAndConquer:
 		dopts := dnc.Options{
@@ -839,11 +844,12 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 }
 
 // iterStats mirrors the engine's per-iteration statistics and totals
-// the pairs it visited.
-func iterStats(stats []core.IterStats, red *reduce.Reduced, p *nullspace.Problem) (out []IterationStat, visited int64) {
+// the pairs it visited and the eliminations it ran.
+func iterStats(stats []core.IterStats, red *reduce.Reduced, p *nullspace.Problem) (out []IterationStat, visited, eliminated int64) {
 	out = make([]IterationStat, len(stats))
 	for i, s := range stats {
 		visited += s.Visited
+		eliminated += s.Eliminated
 		out[i] = IterationStat{
 			Reaction:       red.Cols[p.OrigCol(s.Reaction)].Name,
 			Reversible:     s.Reversible,
@@ -855,6 +861,7 @@ func iterStats(stats []core.IterStats, red *reduce.Reduced, p *nullspace.Problem
 			Prefiltered:    s.Prefiltered,
 			TreeRejects:    s.TreeRejects,
 			Tested:         s.Tested,
+			Eliminated:     s.Eliminated,
 			Accepted:       s.Accepted,
 			Duplicates:     s.Duplicates,
 			ModesOut:       s.ModesOut,
@@ -862,7 +869,7 @@ func iterStats(stats []core.IterStats, red *reduce.Reduced, p *nullspace.Problem
 			RankSeconds:    s.TestSeconds,
 		}
 	}
-	return out, visited
+	return out, visited, eliminated
 }
 
 func subStats(run *dnc.Result, red *reduce.Reduced) []SubproblemStat {

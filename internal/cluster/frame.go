@@ -20,14 +20,13 @@ const FrameHeaderLen = 4
 // correct: the length is checked before the body is allocated.
 const MaxFrame = 256 << 20
 
-// WriteFrame writes one frame as a single vectored write and reports the
-// bytes that reached w, so a caller may retry a frame no byte of which
-// was sent.
-func WriteFrame(w io.Writer, body []byte) (int64, error) {
+// WriteFrame writes one frame as a single vectored write.
+func WriteFrame(w io.Writer, body []byte) error {
 	var hdr [FrameHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
 	bufs := net.Buffers{hdr[:], body}
-	return bufs.WriteTo(w)
+	_, err := bufs.WriteTo(w)
+	return err
 }
 
 // ReadFrame reads one frame body, refusing a header that announces more

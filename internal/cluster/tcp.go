@@ -213,7 +213,7 @@ func (c *tcpComm) send(to int, msg []byte) error {
 	}
 	c.sendMu[to].Lock()
 	defer c.sendMu[to].Unlock()
-	if _, err := WriteFrame(c.peers[to], msg); err != nil {
+	if err := WriteFrame(c.peers[to], msg); err != nil {
 		return fmt.Errorf("cluster: send to %d: %w", to, err)
 	}
 	c.account(len(msg), len(msg)+FrameHeaderLen)

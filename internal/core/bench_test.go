@@ -125,22 +125,50 @@ func BenchmarkHybridRowYeastOn(b *testing.B)  { benchHybridRow(b, false) }
 func BenchmarkHybridRowYeastOff(b *testing.B) { benchHybridRow(b, true) }
 
 // BenchmarkRankTestYeast measures the elementarity test in isolation on
-// accepted candidates of a mid-run Network I iteration.
+// the candidates of a mid-run Network I row that reach it — every pair
+// that survives the support pre-test and the exact support bounds — as
+// the stream the engine sees (mostly rejects), and on its accepted and
+// rejected parts alone.
 func BenchmarkRankTestYeast(b *testing.B) {
-	p := yeastProblem(b)
-	res, err := Run(p, Options{LastRow: p.D + 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	set := res.Modes
-	if set.Len() == 0 {
-		b.Skip("empty set")
-	}
+	p, set := pairLoopYeastRow(b)
+	it := BeginRow(p, set, set.FirstRow(), Options{DisableHybrid: true})
 	ws := linalg.NewWorkspace(p.M()+2, p.M()+2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := i % set.Len()
-		nullityIsOne(p, ws, set, m, set.SupportSize(m), linalg.DefaultTol, nil)
+	stream := it.NewCandidateSet()
+	var st IterStats
+	g := newGenCall(it, stream, ws, &st, &GenScratch{})
+	for _, pi := range it.Pos {
+		for _, ni := range it.Neg {
+			if it.unionFits(set.BitsWords(pi), pi, ni) {
+				g.candidate(pi, ni)
+			}
+		}
+	}
+	var accepted, rejected, all []int
+	for i := 0; i < stream.Len(); i++ {
+		all = append(all, i)
+		if ok, _ := nullityIsOne(p, ws, stream.BitsWords(i), linalg.DefaultTol, g.sc.rankIdx); ok {
+			accepted = append(accepted, i)
+		} else {
+			rejected = append(rejected, i)
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		idx  []int
+	}{{"accepted", accepted}, {"rejected", rejected}, {"stream", all}} {
+		b.Run(bc.name, func(b *testing.B) {
+			if len(bc.idx) == 0 {
+				b.Skip("no such candidate at this row")
+			}
+			eliminated := 0
+			for i := 0; i < b.N; i++ {
+				if _, e := nullityIsOne(p, ws, stream.BitsWords(bc.idx[i%len(bc.idx)]), linalg.DefaultTol, g.sc.rankIdx); e {
+					eliminated++
+				}
+			}
+			b.ReportMetric(float64(len(bc.idx)), "candidates")
+			b.ReportMetric(float64(eliminated)/float64(b.N), "eliminations/op")
+		})
 	}
 }
 

@@ -102,6 +102,7 @@ type IterStats struct {
 	Prefiltered    int64 // rejected by the support-size pre-test
 	TreeRejects    int64 // rejected by the hybrid bit-pattern-tree prefilter
 	Tested         int64 // rank tests run
+	Eliminated     int64 // rank tests that ran an elimination; the rest were decided by counting live rows
 	Accepted       int64 // candidates surviving the test
 	Duplicates     int64 // removed duplicate candidates
 	ModesOut       int   // columns entering the next iteration
@@ -465,14 +466,7 @@ func (it *RowIter) GenerateIntoScratch(cands *ModeSet, ws *linalg.Workspace, fro
 		sc = &GenScratch{}
 	}
 	t0 := time.Now()
-	g := genCall{it: it, cands: cands, ws: ws, st: st, sc: sc}
-	g.newTail = growFloat64(&sc.newTail, it.Set.TailLen()-1)
-	g.newRev = growFloat64(&sc.newRev, len(it.nextRev))
-	g.orWords = growUint64(&sc.orWords, it.Set.words)
-	if cap(sc.supportIdx) < it.maxSupport+4 {
-		sc.supportIdx = make([]int, 0, it.maxSupport+4)
-	}
-	g.supportIdx = sc.supportIdx
+	g := newGenCall(it, cands, ws, st, sc)
 
 	nNeg := int64(len(it.Neg))
 	for k := from; k < to; {
@@ -512,14 +506,24 @@ type genCall struct {
 	st    *IterStats
 	sc    *GenScratch
 
-	orWords    []uint64
-	newTail    []float64
-	newRev     []float64
-	supportIdx []int
+	orWords []uint64
+	newTail []float64
+	newRev  []float64
 
 	testSeconds, treeSeconds        float64
 	sampledTests, timedTests        int64
 	sampledTreeQueries, treeQueries int64
+}
+
+func newGenCall(it *RowIter, cands *ModeSet, ws *linalg.Workspace, st *IterStats, sc *GenScratch) genCall {
+	g := genCall{it: it, cands: cands, ws: ws, st: st, sc: sc}
+	g.newTail = growFloat64(&sc.newTail, it.Set.TailLen()-1)
+	g.newRev = growFloat64(&sc.newRev, len(it.nextRev))
+	g.orWords = growUint64(&sc.orWords, it.Set.words)
+	if cap(sc.rankIdx) < it.Set.Q() {
+		sc.rankIdx = make([]int, 0, it.Set.Q())
+	}
+	return g
 }
 
 // unionFits is the cheap support pre-test on the parents' union (the
@@ -592,10 +596,44 @@ func (g *genCall) treeColumn(kp int) {
 	}
 }
 
-// combine builds the candidate of one pair that passed the pre-test —
-// numeric combination, clamp, exact support bounds, the hybrid reject
-// query — and rank-tests it, leaving it in cands iff it is accepted.
+// combine builds the candidate of one pair that passed the pre-test and
+// rank-tests it, leaving it in cands iff it is accepted.
 func (g *genCall) combine(pi, ni int) {
+	cw := g.candidate(pi, ni)
+	if cw == nil {
+		return
+	}
+	// Algebraic rank test: the support submatrix of N must have nullity
+	// exactly 1. It is the only arbiter (the tree in candidate rejects,
+	// never accepts). Timing is sampled (1 in 64, the call's first test
+	// included) to keep time.Now() off the hot path.
+	g.st.Tested++
+	sample := g.timedTests&63 == 0
+	g.timedTests++
+	var tTest time.Time
+	if sample {
+		tTest = time.Now()
+	}
+	ok, eliminated := nullityIsOne(g.it.Problem, g.ws, cw, zeroTol, g.sc.rankIdx)
+	if sample {
+		g.testSeconds += time.Since(tTest).Seconds()
+		g.sampledTests++
+	}
+	if eliminated {
+		g.st.Eliminated++
+	}
+	if !ok {
+		g.cands.truncateLast()
+		return
+	}
+	g.st.Accepted++
+}
+
+// candidate appends the candidate of one pair to cands — numeric
+// combination, clamp, exact support bounds, the hybrid reject query — and
+// returns its support words for the rank test, or nil once it is rejected
+// and removed again.
+func (g *genCall) candidate(pi, ni int) []uint64 {
 	it, cands, st := g.it, g.cands, g.st
 	set := it.Set
 	words := set.words
@@ -663,7 +701,7 @@ func (g *genCall) combine(pi, ni int) {
 	if s == 0 || s > it.maxSupport || sPrefix > it.prefixBound {
 		cands.truncateLast()
 		st.Prefiltered++
-		return
+		return nil
 	}
 	if it.tree != nil {
 		// Hybrid fast path: bit-pattern-tree superset query on the
@@ -691,30 +729,10 @@ func (g *genCall) combine(pi, ni int) {
 		if hit {
 			cands.truncateLast()
 			st.TreeRejects++
-			return
+			return nil
 		}
 	}
-	// Algebraic rank test: the support submatrix of N must have nullity
-	// exactly 1. It is the only arbiter (the tree above rejects, never
-	// accepts). Timing is sampled (1 in 64, the call's first test
-	// included) to keep time.Now() off the hot path.
-	st.Tested++
-	sample := g.timedTests&63 == 0
-	g.timedTests++
-	var tTest time.Time
-	if sample {
-		tTest = time.Now()
-	}
-	ok := nullityIsOne(it.Problem, g.ws, cands, idx, s, tol, g.supportIdx[:0])
-	if sample {
-		g.testSeconds += time.Since(tTest).Seconds()
-		g.sampledTests++
-	}
-	if !ok {
-		cands.truncateLast()
-		return
-	}
-	st.Accepted++
+	return cw
 }
 
 // scaleSampled extrapolates sampled seconds up to the full operation
@@ -855,65 +873,90 @@ func (it *RowIter) assemble(candSets []*ModeSet, refs []candRef, t0 time.Time) (
 
 // IsElementaryWS runs the exact-support algebraic rank test on mode i of
 // the set: true iff the stoichiometric submatrix over the mode's support
-// has nullity exactly one. The caller owns the workspace and the
-// support-index scratch (scratch may be nil), so batch re-validation —
-// the divide-and-conquer driver re-checks every extracted column at its
-// early stop point — reuses one elimination buffer across calls instead
-// of allocating per mode. The workspace must not be shared between
-// concurrent calls.
+// has nullity exactly one (tol ≤ 0 is linalg.DefaultTol). The caller owns
+// the workspace and the index scratch (scratch may be nil; capacity Q
+// never reallocates), so batch re-validation — the divide-and-conquer
+// driver re-checks every extracted column at its early stop point —
+// reuses one elimination buffer across calls instead of allocating per
+// mode. The workspace must not be shared between concurrent calls.
 func IsElementaryWS(p *nullspace.Problem, set *ModeSet, i int, tol float64, ws *linalg.Workspace, scratch []int) bool {
-	if tol <= 0 {
-		tol = linalg.DefaultTol
-	}
-	return nullityIsOne(p, ws, set, i, set.SupportSize(i), tol, scratch)
+	ok, _ := nullityIsOne(p, ws, set.BitsWords(i), tol, scratch)
+	return ok
 }
 
-// nullityIsOne decides whether the support submatrix of N over mode
-// idx's support has nullity exactly one — the algebraic rank test — by
-// the cheaper of two equivalent formulations: directly on the m×s
-// stoichiometric submatrix, or on the complement rows of the initial
-// kernel basis, using the identity
+// nullityIsOne is the algebraic rank test: does N restricted to the
+// support S have nullity exactly one? The kernel is K = [I_D ; K₂], so a
+// kernel vector supported inside S is K·y with y zero outside J = S∩[0,D)
+// and K₂·y zero on T̄, the pivot rows [D,q) outside S:
 //
-//	nullity(N[:,S]) = D − rank(Kernel[rows ∉ S, :]).
+//	nullity(N[:,S]) = |J| − rank K₂[T̄, J].
 //
-// Both paths eliminate with an early exit as soon as a second rank
-// deficiency appears (most failing candidates are heavily deficient).
-func nullityIsOne(p *nullspace.Problem, ws *linalg.Workspace, cands *ModeSet, idx, s int, tol float64, scratch []int) bool {
-	q, m, d := p.Q(), p.M(), p.D
-	comp := q - s
-	directCost := m * s * minInt(m, s)
-	kernelCost := comp * d * minInt(comp, d)
-	words := cands.BitsWords(idx)
-	if kernelCost <= directCost {
-		buf := ws.Buffer(comp, d)
-		o := 0
-		for r := 0; r < q; r++ {
-			if words[r/64]&(1<<uint(r%64)) != 0 {
-				continue
+// Only that block is eliminated, with an early exit at the second rank
+// deficiency. A row of it whose non-zero mask misses J is all zero and is
+// never gathered; when fewer than |J|−1 rows are left the rank cannot
+// reach |J|−1 and the candidate is rejected by that count alone, exactly.
+// eliminated reports whether an elimination ran.
+func nullityIsOne(p *nullspace.Problem, ws *linalg.Workspace, support []uint64, tol float64, scratch []int) (ok, eliminated bool) {
+	q, d := p.Q(), p.D
+	cols := scratch[:0]
+	for w := 0; w*64 < d; w++ {
+		for v := rowsIn(support[w], w, 0, d); v != 0; v &= v - 1 {
+			cols = append(cols, w*64+trailingZeros(v))
+		}
+	}
+	nj := len(cols)
+	if nj == 0 {
+		return false, false
+	}
+	mw := (d + 63) / 64
+	live := cols[nj:]
+	for w := d / 64; w*64 < q; w++ {
+		for v := rowsIn(^support[w], w, d, q); v != 0; v &= v - 1 {
+			r := w*64 + trailingZeros(v)
+			// A mask has no bit at or above D, so against the raw support
+			// words it meets J alone.
+			var hit uint64
+			for k, mk := range p.RowMask[r*mw : r*mw+mw] {
+				hit |= mk & support[k]
 			}
-			copy(buf[o:o+d], p.KernelRows[r*d:(r+1)*d])
-			o += d
-		}
-		exceeds, def := ws.RankDeficiencyExceeds(buf, comp, d, tol, 1)
-		return !exceeds && def == 1
-	}
-	support := cands.SupportIndices(idx, scratch)
-	buf := ws.Buffer(m, s)
-	for jj, col := range support {
-		c := p.N.Col(col)
-		for i := 0; i < m; i++ {
-			buf[i*s+jj] = c[i]
+			if hit != 0 {
+				live = append(live, r)
+			}
 		}
 	}
-	exceeds, def := ws.RankDeficiencyExceeds(buf, m, s, tol, 1)
-	return !exceeds && def == 1
+	if len(live) < nj-1 {
+		return false, false
+	}
+	if len(live) == 0 {
+		return true, false // one free column and nothing to constrain it
+	}
+	buf := ws.Buffer(len(live), nj)
+	maxAbs, o := 0.0, 0
+	for _, r := range live {
+		row := p.KernelRows[r*d : r*d+d]
+		for _, j := range cols {
+			v := row[j]
+			buf[o] = v
+			o++
+			if a := math.Abs(v); a > maxAbs {
+				maxAbs = a
+			}
+		}
+	}
+	exceeds, def := ws.RankDeficiencyExceeds(buf, len(live), nj, maxAbs, tol, 1)
+	return !exceeds && def == 1, true
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
+// rowsIn clears from v, word w of a bit row, the bits of rows outside
+// [lo, hi).
+func rowsIn(v uint64, w, lo, hi int) uint64 {
+	if lo > w*64 {
+		v &^= 1<<uint(lo-w*64) - 1
 	}
-	return b
+	if hi < w*64+64 {
+		v &= 1<<uint(hi-w*64) - 1
+	}
+	return v
 }
 
 func hashWords(words []uint64) uint64 {

@@ -63,7 +63,7 @@ func TestIterationAccountingInvariant(t *testing.T) {
 		for i, s := range res.Stats {
 			pairs += s.Pairs
 			visited += s.Visited
-			if s.Pairs != s.Prefiltered+s.TreeRejects+s.Tested || s.Visited > s.Pairs {
+			if s.Pairs != s.Prefiltered+s.TreeRejects+s.Tested || s.Visited > s.Pairs || s.Eliminated > s.Tested {
 				t.Fatalf("%s row %d: pair accounting inconsistent: %+v", f.name, s.Row, s)
 			}
 			if l := linear.Stats[i]; l.Visited != l.Pairs || l.Pairs != s.Pairs {

@@ -29,11 +29,11 @@ import (
 // (Row-constant state — the prefix mask and the popcount caches — lives
 // on the RowIter instead, computed once per row and shared read-only.)
 type GenScratch struct {
-	orWords    []uint64
-	newTail    []float64
-	newRev     []float64
-	supportIdx []int
-	visit      []int32 // negative positions the generation tree left to probe
+	orWords []uint64
+	newTail []float64
+	newRev  []float64
+	rankIdx []int   // the rank test's column and live-row indices
+	visit   []int32 // negative positions the generation tree left to probe
 }
 
 // growUint64 reslices *buf to n words, reallocating only when the
@@ -106,6 +106,7 @@ func AddGenStats(dst, src *IterStats) {
 	dst.Prefiltered += src.Prefiltered
 	dst.TreeRejects += src.TreeRejects
 	dst.Tested += src.Tested
+	dst.Eliminated += src.Eliminated
 	dst.Accepted += src.Accepted
 	dst.GenSeconds += src.GenSeconds
 	dst.TestSeconds += src.TestSeconds

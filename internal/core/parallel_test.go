@@ -93,7 +93,7 @@ func TestWorkersDeterminism(t *testing.T) {
 			for i, s := range res.Stats {
 				ref := serial.Stats[i]
 				if s.Pairs != ref.Pairs || s.Prefiltered != ref.Prefiltered ||
-					s.Tested != ref.Tested || s.Accepted != ref.Accepted ||
+					s.Tested != ref.Tested || s.Eliminated != ref.Eliminated || s.Accepted != ref.Accepted ||
 					s.Duplicates != ref.Duplicates || s.ModesOut != ref.ModesOut {
 					t.Fatalf("%s workers=%d row %d: counters diverge:\n got %+v\nwant %+v",
 						name, workers, i, s, ref)
@@ -104,8 +104,8 @@ func TestWorkersDeterminism(t *testing.T) {
 }
 
 // genCounters is every counter generation keeps, for exact comparison.
-func genCounters(s IterStats) [6]int64 {
-	return [6]int64{s.Pairs, s.Visited, s.Prefiltered, s.TreeRejects, s.Tested, s.Accepted}
+func genCounters(s IterStats) [7]int64 {
+	return [7]int64{s.Pairs, s.Visited, s.Prefiltered, s.TreeRejects, s.Tested, s.Eliminated, s.Accepted}
 }
 
 // TestGenerateRangeMatchesGenerateInto: the pool's ordered chunks must
@@ -183,9 +183,13 @@ func TestGenerateRangeMatchesGenerateInto(t *testing.T) {
 				it.GenerateIntoScratch(single, ws, r[0], r[1], &singleStats, nil)
 				requireIdenticalSets(t, label+" single call", want, single)
 				// The switched-off reference has neither tree: it visits
-				// every pair and rank-tests what the reject tree takes.
+				// every pair and rank-tests what the reject tree takes,
+				// some of it by elimination.
 				wantStats.Visited = singleStats.Visited
 				wantStats.Tested -= singleStats.TreeRejects
+				if singleStats.TreeRejects > 0 && wantStats.Eliminated >= singleStats.Eliminated {
+					wantStats.Eliminated = singleStats.Eliminated
+				}
 				wantStats.TreeRejects = singleStats.TreeRejects
 				if singleStats.Visited > singleStats.Pairs || genCounters(singleStats) != genCounters(wantStats) {
 					t.Fatalf("%s: single-call counters %v, linear sweep %v", label, genCounters(singleStats), genCounters(wantStats))

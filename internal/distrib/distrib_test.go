@@ -22,7 +22,7 @@ import (
 func TestFrameRoundTripAndLimit(t *testing.T) {
 	var buf bytes.Buffer
 	in := classRequest{Seq: 7, Key: "k", Network: "net", Partition: []int{3, 5}, Class: 2}
-	if _, err := cluster.WriteFrame(&buf, encodeClass(&in)); err != nil {
+	if err := cluster.WriteFrame(&buf, encodeClass(&in)); err != nil {
 		t.Fatal(err)
 	}
 	body, err := cluster.ReadFrame(&buf, cluster.MaxFrame)
@@ -37,7 +37,7 @@ func TestFrameRoundTripAndLimit(t *testing.T) {
 		t.Fatalf("round trip mangled: %+v", out)
 	}
 	buf.Reset()
-	if _, err := cluster.WriteFrame(&buf, encodeClass(&in)); err != nil {
+	if err := cluster.WriteFrame(&buf, encodeClass(&in)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cluster.ReadFrame(&buf, 8); err == nil {

@@ -254,7 +254,7 @@ func (w *workerLink) call(req *classRequest, cancel <-chan struct{}, opts PoolOp
 	w.mu.Unlock()
 
 	body := encodeClass(req)
-	_, err := cluster.WriteFrame(conn, body)
+	err := cluster.WriteFrame(conn, body)
 	w.wmu.Unlock()
 	if err != nil {
 		w.sever(gen, err)

@@ -74,8 +74,7 @@ func writeHello(w io.Writer, h hello) error {
 	if err != nil {
 		return err
 	}
-	_, err = cluster.WriteFrame(w, body)
-	return err
+	return cluster.WriteFrame(w, body)
 }
 
 func decodeHello(body []byte) (hello, error) {

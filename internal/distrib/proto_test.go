@@ -294,7 +294,7 @@ func TestWorkerRefusesReservedSpecSlot(t *testing.T) {
 	if resp, err := readHello(conn); err != nil || resp.Error != "" {
 		t.Fatalf("hello answered %+v, %v", resp, err)
 	}
-	if _, err := cluster.WriteFrame(conn, withReservedSlot(1e-5)); err != nil {
+	if err := cluster.WriteFrame(conn, withReservedSlot(1e-5)); err != nil {
 		t.Fatal(err)
 	}
 	if body, err := cluster.ReadFrame(conn, cluster.MaxFrame); !errors.Is(err, io.EOF) {

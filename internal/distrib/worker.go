@@ -267,8 +267,7 @@ func writeReply(c net.Conn, resp *classResponse) error {
 			}
 		}
 	}
-	_, err := cluster.WriteFrame(c, encodeResult(resp, payload, rawLen))
-	return err
+	return cluster.WriteFrame(c, encodeResult(resp, payload, rawLen))
 }
 
 // exec runs one class. Everything it runs under comes from the frame;

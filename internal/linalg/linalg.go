@@ -102,47 +102,6 @@ func (w *Workspace) Buffer(rows, cols int) []float64 {
 	return w.buf[:n]
 }
 
-// ColMajor is a column-major snapshot of a matrix, laid out so that
-// reading a subset of columns (the rank test's access pattern) is a
-// sequence of contiguous slices.
-type ColMajor struct {
-	rows, cols int
-	data       []float64 // column-major: data[c*rows+r]
-}
-
-// NewColMajor builds a column-major copy of the row-major matrix a.
-func NewColMajor(a [][]float64) *ColMajor {
-	rows := len(a)
-	cols := 0
-	if rows > 0 {
-		cols = len(a[0])
-	}
-	m := &ColMajor{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-	for i, row := range a {
-		if len(row) != cols {
-			panic("linalg: ragged input")
-		}
-		for j, v := range row {
-			m.data[j*rows+i] = v
-		}
-	}
-	return m
-}
-
-// Rows returns the number of rows.
-func (m *ColMajor) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *ColMajor) Cols() int { return m.cols }
-
-// Col returns the contiguous storage of column j.
-func (m *ColMajor) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("linalg: column %d out of range [0,%d)", j, m.cols))
-	}
-	return m.data[j*m.rows : (j+1)*m.rows]
-}
-
 // RankDeficiencyExceeds performs Gaussian elimination on the row-major
 // rows×cols matrix a (destroyed) and reports whether the rank deficiency
 // relative to cols (i.e. cols - rank) exceeds maxDef, stopping as early
@@ -150,35 +109,20 @@ func (m *ColMajor) Col(j int) []float64 {
 // deficiency (≤ maxDef). This is the hot elementarity test: candidates
 // are rejected as soon as a second deficient column is found.
 //
-// Hot-path callers should use the Workspace method, which reuses the
-// pivot-permutation buffer across calls; this free function allocates
-// one per call.
-func RankDeficiencyExceeds(a []float64, rows, cols int, tol float64, maxDef int) (exceeds bool, def int) {
-	var w Workspace
-	return w.RankDeficiencyExceeds(a, rows, cols, tol, maxDef)
-}
-
-// RankDeficiencyExceeds is the workspace form of the free function: the
-// same early-exit elimination, with row interchanges performed on an
-// index permutation instead of physically swapping row storage, and the
-// inner scale-and-subtract fused over pinned row slices. The pivot scan
-// visits the logical rows in exactly the order the row-swapping
-// formulation would (the permutation applies the same transpositions),
-// so pivot choices — including ties — and every float operation match
-// bit for bit.
-func (w *Workspace) RankDeficiencyExceeds(a []float64, rows, cols int, tol float64, maxDef int) (exceeds bool, def int) {
+// maxAbs is the largest magnitude in a, which the caller that filled a
+// already knows; entries below tol × maxAbs (DefaultTol if tol <= 0) are
+// treated as zero. Row interchanges are performed on an index permutation
+// instead of physically swapping row storage, and the inner
+// scale-and-subtract is fused over pinned row slices. The pivot scan
+// visits the logical rows in exactly the order the row-swapping Rank
+// would (the permutation applies the same transpositions), so pivot
+// choices — including ties — and every float operation match bit for bit.
+func (w *Workspace) RankDeficiencyExceeds(a []float64, rows, cols int, maxAbs, tol float64, maxDef int) (exceeds bool, def int) {
 	if len(a) < rows*cols {
 		panic(fmt.Sprintf("linalg: buffer %d too small for %dx%d", len(a), rows, cols))
 	}
 	if tol <= 0 {
 		tol = DefaultTol
-	}
-	a = a[:rows*cols]
-	maxAbs := 0.0
-	for _, v := range a {
-		if v := math.Abs(v); v > maxAbs {
-			maxAbs = v
-		}
 	}
 	if maxAbs == 0 {
 		return cols > maxDef, cols

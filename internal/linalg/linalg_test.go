@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -18,6 +19,16 @@ func rowMajor(rows [][]float64) (a []float64, r, c int) {
 		a = append(a, row...)
 	}
 	return a, r, c
+}
+
+// maxAbsOf is the scan RankDeficiencyExceeds leaves to the caller that
+// filled the matrix.
+func maxAbsOf(a []float64) float64 {
+	m := 0.0
+	for _, v := range a {
+		m = math.Max(m, math.Abs(v))
+	}
+	return m
 }
 
 func TestRankBasic(t *testing.T) {
@@ -88,7 +99,8 @@ func TestRankDeficiencyExceeds(t *testing.T) {
 	}
 	for i, tc := range cases {
 		a, r, c := rowMajor(tc.m)
-		exceeds, def := RankDeficiencyExceeds(a, r, c, 0, tc.maxDef)
+		var w Workspace
+		exceeds, def := w.RankDeficiencyExceeds(a, r, c, maxAbsOf(a), 0, tc.maxDef)
 		if exceeds != tc.exceeds {
 			t.Errorf("case %d: exceeds = %v, want %v", i, exceeds, tc.exceeds)
 		}
@@ -112,38 +124,13 @@ func TestQuickDeficiencyMatchesRank(t *testing.T) {
 			ref[i] = m[i]
 		}
 		rank := Rank(ref, rows, cols, 0)
-		exceeds, def := RankDeficiencyExceeds(m, rows, cols, 0, cols)
+		var w Workspace
+		exceeds, def := w.RankDeficiencyExceeds(m, rows, cols, maxAbsOf(m), 0, cols)
 		return !exceeds && def == cols-rank
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestColMajorAccess(t *testing.T) {
-	m := NewColMajor([][]float64{{1, 2, 3}, {4, 5, 6}})
-	if m.Rows() != 2 || m.Cols() != 3 {
-		t.Fatalf("shape %dx%d", m.Rows(), m.Cols())
-	}
-	col := m.Col(1)
-	if col[0] != 2 || col[1] != 5 {
-		t.Fatalf("Col(1) = %v", col)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on bad column")
-		}
-	}()
-	m.Col(3)
-}
-
-func TestRaggedColMajorPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on ragged input")
-		}
-	}()
-	NewColMajor([][]float64{{1, 2}, {3}})
 }
 
 func TestWorkspaceGrows(t *testing.T) {
@@ -182,34 +169,33 @@ func TestQuickRankMatchesExact(t *testing.T) {
 }
 
 func BenchmarkRankTest35x36(b *testing.B) {
-	// The shape of the Network I rank test: 35 metabolite rows, up to 36
-	// support columns.
+	// The shape of the Network I rank test before the identity block is
+	// struck out: 36 rows gathered from a row-major 55×35 parent, the
+	// largest magnitude tracked while gathering.
 	rng := rand.New(rand.NewSource(7))
-	const rows, cols = 35, 55
-	m := make([][]float64, rows)
+	const parentRows, cols = 55, 35
+	m := make([]float64, parentRows*cols)
 	for i := range m {
-		m[i] = make([]float64, cols)
-		for j := range m[i] {
-			if rng.Intn(4) == 0 {
-				m[i][j] = float64(rng.Intn(5) - 2)
-			}
+		if rng.Intn(4) == 0 {
+			m[i] = float64(rng.Intn(5) - 2)
 		}
 	}
-	cm := NewColMajor(m)
-	w := NewWorkspace(rows+1, rows+1)
+	w := NewWorkspace(cols+1, cols+1)
 	sel := make([]int, 36)
 	for i := range sel {
-		sel[i] = rng.Intn(cols)
+		sel[i] = rng.Intn(parentRows)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Column-major rows×k is row-major k×rows: the transpose, whose
-		// rank is the submatrix's.
-		buf := w.Buffer(len(sel), rows)
-		for jj, j := range sel {
-			copy(buf[jj*rows:], cm.Col(j))
+		buf := w.Buffer(len(sel), cols)
+		maxAbs := 0.0
+		for k, r := range sel {
+			for j, v := range m[r*cols : (r+1)*cols] {
+				buf[k*cols+j] = v
+				maxAbs = math.Max(maxAbs, math.Abs(v))
+			}
 		}
-		Rank(buf, len(sel), rows, 0)
+		w.RankDeficiencyExceeds(buf, len(sel), cols, maxAbs, 0, cols)
 	}
 }

@@ -23,8 +23,8 @@ func TestWorkspaceRankDeficiencyReuse(t *testing.T) {
 		mShared := append([]float64(nil), m...)
 		mFresh := append([]float64(nil), m...)
 		var fresh Workspace
-		gotEx, gotDef := shared.RankDeficiencyExceeds(mShared, rows, cols, 0, maxDef)
-		wantEx, wantDef := fresh.RankDeficiencyExceeds(mFresh, rows, cols, 0, maxDef)
+		gotEx, gotDef := shared.RankDeficiencyExceeds(mShared, rows, cols, maxAbsOf(m), 0, maxDef)
+		wantEx, wantDef := fresh.RankDeficiencyExceeds(mFresh, rows, cols, maxAbsOf(m), 0, maxDef)
 		if gotEx != wantEx || gotDef != wantDef {
 			t.Fatalf("trial %d (%dx%d maxDef=%d): shared workspace (%v,%d), fresh (%v,%d)",
 				trial, rows, cols, maxDef, gotEx, gotDef, wantEx, wantDef)
@@ -48,7 +48,7 @@ func TestPermutationPivotingMatchesRank(t *testing.T) {
 		ref := append([]float64(nil), a...)
 		rank := Rank(ref, r, c, 0)
 		var w Workspace
-		exceeds, def := w.RankDeficiencyExceeds(a, r, c, 0, c)
+		exceeds, def := w.RankDeficiencyExceeds(a, r, c, maxAbsOf(a), 0, c)
 		if exceeds || def != c-rank {
 			t.Errorf("case %d: deficiency (%v,%d), want (false,%d)", i, exceeds, def, c-rank)
 		}

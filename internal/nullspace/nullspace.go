@@ -19,10 +19,10 @@ package nullspace
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"sort"
 
-	"elmocomp/internal/linalg"
 	"elmocomp/internal/ratmat"
 )
 
@@ -68,8 +68,6 @@ type Problem struct {
 	// kernel row order (the paper's Nredperm), kept exact for
 	// verification and flux reconstruction.
 	NExact *ratmat.Matrix
-	// N is the float64 column-major copy used by the hot-path rank test.
-	N *linalg.ColMajor
 	// Kernel is the initial q×D nullspace matrix, rows permuted so the
 	// identity block is on top (the paper's Kredperm), with every row
 	// scaled to unit max-magnitude. Row scaling re-expresses each
@@ -82,11 +80,17 @@ type Problem struct {
 	Kernel [][]float64
 	// KernelExact is the same matrix in exact arithmetic.
 	KernelExact *ratmat.Matrix
-	// KernelRows is a flat row-major copy of Kernel with every row
-	// scaled to unit max-magnitude (rank-preserving). The fast
-	// elementarity test gathers complement rows from it: the nullity of
-	// N over a support S equals D − rank(Kernel[rows ∉ S]).
+	// KernelRows is a flat row-major copy of Kernel. Rows 0..D-1 are the
+	// unit vectors, so the elementarity test only ever reads the block
+	// below them: with J the identity rows in a support S and T̄ the
+	// pivot rows outside it, the nullity of N over S equals
+	// |J| − rank(KernelRows[T̄, J]).
 	KernelRows []float64
+	// RowMask holds, per kernel row, the bitmask of its non-zero columns:
+	// ⌈D/64⌉ words per row, row r at [r·⌈D/64⌉, (r+1)·⌈D/64⌉). A row whose
+	// mask misses J is all zero in KernelRows[T̄, J] and cannot carry a
+	// pivot there.
+	RowMask []uint64
 	// Perm maps permuted index -> problem column index.
 	Perm []int
 	// Rev holds reversibility flags in permuted order.
@@ -336,16 +340,13 @@ func build(N *ratmat.Matrix, rev []bool, h Heuristics) (*Problem, []int, error) 
 	// the original.
 	kf := kexact.Float64()
 	flat := make([]float64, q*d)
+	maskWords := (d + 63) / 64
+	mask := make([]uint64, q*maskWords)
 	for i := 0; i < q; i++ {
 		row := kf[i]
 		maxAbs := 0.0
 		for _, v := range row {
-			if a := v; a < 0 {
-				a = -a
-				if a > maxAbs {
-					maxAbs = a
-				}
-			} else if a > maxAbs {
+			if a := math.Abs(v); a > maxAbs {
 				maxAbs = a
 			}
 		}
@@ -356,15 +357,18 @@ func build(N *ratmat.Matrix, rev []bool, h Heuristics) (*Problem, []int, error) 
 		for j := range row {
 			row[j] *= scale
 			flat[i*d+j] = row[j]
+			if row[j] != 0 {
+				mask[i*maskWords+j/64] |= 1 << uint(j%64)
+			}
 		}
 	}
 
 	return &Problem{
 		NExact:      nperm,
-		N:           linalg.NewColMajor(nperm.Float64()),
 		Kernel:      kf,
 		KernelExact: kexact,
 		KernelRows:  flat,
+		RowMask:     mask,
 		Perm:        perm,
 		Rev:         prev,
 		D:           d,

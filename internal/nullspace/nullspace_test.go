@@ -261,3 +261,71 @@ func TestYeastProblems(t *testing.T) {
 		}
 	}
 }
+
+// TestUnitRowsAndRowMasks pins what the engine's rank test rests on:
+// rows 0..D-1 of Kernel and KernelRows are exactly the unit vectors e_j
+// (so N and [K₂ | −I] share a row space), and RowMask says where
+// KernelRows is non-zero — under every way a Problem gets built.
+func TestUnitRowsAndRowMasks(t *testing.T) {
+	toy, err := reduce.Network(model.Toy(), reduce.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle, err := model.ParseString("name revcycle\nin : Aext <=> A\nc1 : A <=> B\nc2 : B <=> C\nc3 : C <=> A\nout : B => Bext\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycleRed, err := reduce.Network(cycle, reduce.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	yeast, err := reduce.Network(model.YeastI(), reduce.Options{MergeDuplicates: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		red       *reduce.Reduced
+		h         Heuristics
+		wantSplit bool
+	}{
+		{"toy", toy, Heuristics{}, false},
+		{"toy split-all", toy, Heuristics{SplitAllReversible: true}, true},
+		{"toy force-last", toy, Heuristics{ForceLast: []int{toy.ColumnIndexByOriginal("r8r"), toy.ColumnIndexByOriginal("r6r")}}, false},
+		{"offender split", cycleRed, Heuristics{}, true},
+		{"yeast1", yeast, Heuristics{}, true},
+	} {
+		p, err := New(tc.red.N, tc.red.Reversibilities(), tc.h)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if (p.Split != nil) != tc.wantSplit {
+			t.Fatalf("%s: split = %v, want %v", tc.name, p.Split != nil, tc.wantSplit)
+		}
+		q, d := p.Q(), p.D
+		mw := (d + 63) / 64
+		if len(p.KernelRows) != q*d || len(p.RowMask) != q*mw {
+			t.Fatalf("%s: %d kernel values and %d mask words for a %dx%d kernel", tc.name, len(p.KernelRows), len(p.RowMask), q, d)
+		}
+		for i := 0; i < q; i++ {
+			if p.RowMask[i*mw+mw-1]>>uint((d-1)%64)>>1 != 0 {
+				t.Fatalf("%s: mask of row %d has a bit at or above D", tc.name, i)
+			}
+			for j := 0; j < d; j++ {
+				v := p.KernelRows[i*d+j]
+				if v != p.Kernel[i][j] {
+					t.Fatalf("%s: KernelRows (%d,%d) = %v, Kernel has %v", tc.name, i, j, v, p.Kernel[i][j])
+				}
+				if i < d && (v != 0) != (i == j) || i == j && v != 1 {
+					t.Fatalf("%s: identity row %d is not e_%d: column %d holds %v", tc.name, i, i, j, v)
+				}
+				if bit := p.RowMask[i*mw+j/64]>>uint(j%64)&1 != 0; bit != (v != 0) {
+					t.Fatalf("%s: mask bit (%d,%d) = %v over value %v", tc.name, i, j, bit, v)
+				}
+				if (v != 0) != (p.KernelExact.At(i, j).Sign() != 0) {
+					t.Fatalf("%s: float kernel (%d,%d) = %v disagrees with the exact entry on being zero", tc.name, i, j, v)
+				}
+			}
+		}
+	}
+}

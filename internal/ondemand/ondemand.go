@@ -247,7 +247,7 @@ func Generate(N *ratmat.Matrix, rev []bool, opts Options, emit func(Mode)) (Stat
 	emittedByHash := make(map[uint64][]bitset.Set)
 	ws := linalg.NewWorkspace(m+2, m+2)
 	verifySet := core.NewModeSet(q, q, nil)
-	var scratch []int
+	scratch := make([]int, 0, q)
 	var words []uint64
 	var ratio big.Rat
 	origQ := p.OrigQ()

@@ -284,7 +284,7 @@ func TestHybridNodesWorkersMatchSerial(t *testing.T) {
 			}
 			for i, s := range res.Stats {
 				ref := serial.Stats[i]
-				if s.Tested != ref.Tested || s.Accepted != ref.Accepted ||
+				if s.Tested != ref.Tested || s.Eliminated != ref.Eliminated || s.Accepted != ref.Accepted ||
 					s.Duplicates != ref.Duplicates || s.ModesOut != ref.ModesOut {
 					t.Fatalf("nodes=%d workers=%d row %d: counters diverge: %+v vs %+v",
 						nodes, workers, i, s, ref)

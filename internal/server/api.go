@@ -189,7 +189,8 @@ type RunSummary struct {
 	Reduction           string  `json:"reduction"`
 	Modes               int     `json:"modes"`
 	CandidateModes      int64   `json:"candidate_modes"`
-	PairsVisited        int64   `json:"pairs_visited,omitempty"` // serial and parallel double description only
+	PairsVisited        int64   `json:"pairs_visited,omitempty"`     // serial and parallel double description only
+	RankEliminations    int64   `json:"rank_eliminations,omitempty"` // likewise: rank tests the live-row count did not decide
 	Fingerprint         string  `json:"fingerprint"`
 	PeakNodeBytes       int64   `json:"peak_node_bytes"`
 	PeakConcurrentBytes int64   `json:"peak_concurrent_bytes,omitempty"`
@@ -218,6 +219,7 @@ func Summarize(net *elmocomp.Network, res *elmocomp.Result, elapsed time.Duratio
 		Modes:               res.Len(),
 		CandidateModes:      res.CandidateModes,
 		PairsVisited:        res.PairsVisited,
+		RankEliminations:    res.RankEliminations,
 		Fingerprint:         fmt.Sprintf("%016x", res.Fingerprint()),
 		PeakNodeBytes:       res.PeakNodeBytes,
 		PeakConcurrentBytes: res.PeakConcurrentBytes,

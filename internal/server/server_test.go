@@ -622,7 +622,7 @@ func TestSummarizeJSONShape(t *testing.T) {
 		extra  []string // top-level keys beyond always
 		within string   // "block.counter" that must be present
 	}{
-		{"serial", RunOptions{}, []string{"pairs_visited"}, ""},
+		{"serial", RunOptions{}, []string{"pairs_visited", "rank_eliminations"}, ""},
 		{"dnc-budgeted", RunOptions{Algorithm: "dnc", MemBudgetBytes: 1},
 			[]string{"peak_concurrent_bytes", "store", "scheduler"}, "scheduler.enqueued"},
 		{"revsearch", RunOptions{Backend: "revsearch"}, []string{"revsearch"}, "revsearch.vertices"},
