@@ -266,8 +266,16 @@ func printStats(res *elmocomp.Result) {
 		fmt.Printf("scheduler: %d enqueued, %d steals, %d re-splits (%d by memory), %d unresolved; peak queue %d, peak active groups %d\n",
 			s.Enqueued, s.Steals, s.Resplits, s.MemResplits, s.Unresolved, s.MaxQueueDepth, s.MaxActive)
 	}
-	p := res.Phases
-	fmt.Printf("phases: gen=%s rank=%s comm=%s merge=%s\n",
+	printPhases("phases:", res.Phases)
+	if len(res.NodePhases) > 1 {
+		for r, p := range res.NodePhases {
+			printPhases(fmt.Sprintf("node %d:", r), p)
+		}
+	}
+}
+
+func printPhases(label string, p elmocomp.PhaseSeconds) {
+	fmt.Printf("%s gen=%s rank=%s comm=%s merge=%s\n", label,
 		stats.Seconds(p.GenCand), stats.Seconds(p.RankTest),
 		stats.Seconds(p.Communicate), stats.Seconds(p.Merge))
 }

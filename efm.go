@@ -336,6 +336,10 @@ type Result struct {
 	Iterations []IterationStat
 	// Phases holds the critical-path phase times (Parallel/DnC).
 	Phases PhaseSeconds
+	// NodePhases holds each node's own phase times, indexed by rank
+	// (Serial/Parallel only): a node that waits for a slower one shows it
+	// as Communicate seconds the slower one does not have.
+	NodePhases []PhaseSeconds
 	// Subproblems describes the divide-and-conquer classes (DnC only).
 	Subproblems []SubproblemStat
 	// CommBytes / CommMessages total the inter-node traffic (payload
@@ -793,6 +797,7 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 		res.CommMessages = run.Comm.Messages
 		res.Iterations, res.PairsVisited, res.RankEliminations = iterStats(run.Stats, red, p)
 		res.Phases = run.MaxPhases()
+		res.NodePhases = run.NodePhases
 	case DivideAndConquer:
 		dopts := dnc.Options{
 			Parallel:         parallel.Options{Core: copts, Nodes: cfg.Nodes, Timeout: cfg.CommTimeout, Cancel: cancel},

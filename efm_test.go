@@ -301,6 +301,15 @@ func TestIterationStatsNamed(t *testing.T) {
 	if res.CommBytes <= 0 || res.CommMessages <= 0 {
 		t.Fatal("no communication accounting")
 	}
+	// Each node's own phases, of which Phases is the element-wise max.
+	if len(res.NodePhases) != 2 {
+		t.Fatalf("%d per-node phase rows for 2 nodes", len(res.NodePhases))
+	}
+	for r, p := range res.NodePhases {
+		if p.Communicate <= 0 || p.Communicate > res.Phases.Communicate || p.Merge > res.Phases.Merge {
+			t.Fatalf("node %d phases %+v against the critical path %+v", r, p, res.Phases)
+		}
+	}
 }
 
 func TestParticipationCounts(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // The mode-set byte stream starts with a fixed magic and a format
@@ -28,16 +29,26 @@ const (
 
 // Encode serializes the mode set into a compact byte stream (little
 // endian): magic, version, header (q, firstRow, revRows, n) followed by
-// the flat bit words and float64 values. This is both the wire format of
-// the Communicate&Merge step — candidate sets travel between compute
-// nodes in exactly this form, so communication volume is measured
-// faithfully — and the storage format of the job service's
+// the flat bit words and float64 values. This is both the body of the
+// Communicate&Merge payload (Deal.Encode) — candidate sets travel between
+// compute nodes in exactly this form, so communication volume is
+// measured faithfully — and the storage format of the job service's
 // content-addressed result cache.
 func (s *ModeSet) Encode() []byte {
-	nRev := len(s.revRows)
-	size := codecHeaderLen + 4*4 + 4*nRev + len(s.bits)*8 + len(s.vals)*8
-	out := make([]byte, size)
-	o := 0
+	return s.encodeRuns(0, []*ModeSet{s})
+}
+
+// encodeRuns returns head zero bytes followed by the Encode form of the
+// concatenation of runs — sets with s's layout — written without
+// building the concatenation: the header from s, then every run's bit
+// words, then every run's values.
+func (s *ModeSet) encodeRuns(head int, runs []*ModeSet) []byte {
+	n := 0
+	for _, r := range runs {
+		n += r.n
+	}
+	out := make([]byte, head+codecHeaderLen+4*4+4*len(s.revRows)+n*(s.words+s.stride())*8)
+	o := head
 	put32 := func(v uint32) {
 		binary.LittleEndian.PutUint32(out[o:], v)
 		o += 4
@@ -46,18 +57,22 @@ func (s *ModeSet) Encode() []byte {
 	put32(CodecVersion)
 	put32(uint32(s.q))
 	put32(uint32(s.firstRow))
-	put32(uint32(nRev))
-	put32(uint32(s.n))
+	put32(uint32(len(s.revRows)))
+	put32(uint32(n))
 	for _, r := range s.revRows {
 		put32(uint32(r))
 	}
-	for _, w := range s.bits {
-		binary.LittleEndian.PutUint64(out[o:], w)
-		o += 8
+	for _, r := range runs {
+		for _, w := range r.bits {
+			binary.LittleEndian.PutUint64(out[o:], w)
+			o += 8
+		}
 	}
-	for _, v := range s.vals {
-		binary.LittleEndian.PutUint64(out[o:], math.Float64bits(v))
-		o += 8
+	for _, r := range runs {
+		for _, v := range r.vals {
+			binary.LittleEndian.PutUint64(out[o:], math.Float64bits(v))
+			o += 8
+		}
 	}
 	return out
 }
@@ -118,4 +133,99 @@ func DecodeModeSet(data []byte) (*ModeSet, error) {
 	}
 	s.n = n
 	return s, nil
+}
+
+// A Deal is one node's generated share of a row in a group of several
+// (Pool.Deal), with what the node needs to exchange it and to lay every
+// node's chunks down in chunk order.
+type Deal struct {
+	rank, size, chunks int
+	layout             *ModeSet // a set of the candidates' layout; only the layout is read
+	// runs holds the accepted candidates of the node's chunks, chunk
+	// rank + i·size at index i, empty runs included.
+	runs []*ModeSet
+}
+
+// Encode serializes the deal as the node's Communicate&Merge payload
+// (little endian): the number of runs and each run's candidate count,
+// then the Encode form of the runs' concatenation, written straight from
+// the runs. The counts are there only so that every receiver can cut the
+// body back into the node's chunks and interleave them with everyone
+// else's in chunk order — the order compareRefs breaks support ties by.
+func (d *Deal) Encode() []byte {
+	out := d.layout.encodeRuns(4+4*len(d.runs), d.runs)
+	binary.LittleEndian.PutUint32(out, uint32(len(d.runs)))
+	for i, r := range d.runs {
+		binary.LittleEndian.PutUint32(out[4+4*i:], uint32(r.n))
+	}
+	return out
+}
+
+// Gather lays down every node's chunk runs in chunk order 0…n−1, which is
+// the serial generation order: the node's own runs as they are, every
+// peer's decoded from its payload (payloads is indexed by rank; the
+// node's own entry is not read). Empty runs are dropped. A peer payload
+// that does not decode, that carries another layout, or whose counts
+// disagree with the deal — the wrong number of runs for its rank, counts
+// that are negative or do not sum to its body — is an error.
+func (d *Deal) Gather(payloads [][]byte) ([]*ModeSet, error) {
+	if len(payloads) != d.size {
+		return nil, fmt.Errorf("core: exchange returned %d payloads for a group of %d", len(payloads), d.size)
+	}
+	byRank := make([][]*ModeSet, d.size)
+	for r, pl := range payloads {
+		if r == d.rank {
+			byRank[r] = d.runs
+			continue
+		}
+		runs, err := d.layout.decodeRuns(pl, dealtChunks(d.chunks, r, d.size))
+		if err != nil {
+			return nil, fmt.Errorf("core: node %d's candidates: %w", r, err)
+		}
+		byRank[r] = runs
+	}
+	sets := make([]*ModeSet, 0, d.chunks)
+	for c := 0; c < d.chunks; c++ {
+		if run := byRank[c%d.size][c/d.size]; run.n > 0 {
+			sets = append(sets, run)
+		}
+	}
+	return sets, nil
+}
+
+// decodeRuns decodes a Deal.Encode payload that must hold want runs of
+// sets with s's layout, returning them as views into one decoded set.
+func (s *ModeSet) decodeRuns(data []byte, want int) ([]*ModeSet, error) {
+	if len(data) < 4 {
+		return nil, fmt.Errorf("core: chunk-run payload truncated (%d bytes)", len(data))
+	}
+	if k := binary.LittleEndian.Uint32(data); k != uint32(want) {
+		return nil, fmt.Errorf("core: chunk-run payload has %d runs, want %d", k, want)
+	}
+	head := 4 + 4*want
+	if len(data) < head {
+		return nil, fmt.Errorf("core: chunk-run payload truncated in its counts")
+	}
+	set, err := DecodeModeSet(data[head:])
+	if err != nil {
+		return nil, err
+	}
+	if set.q != s.q || set.firstRow != s.firstRow || !slices.Equal(set.revRows, s.revRows) {
+		return nil, fmt.Errorf("core: chunk runs of layout (q=%d firstRow=%d revRows=%v), want (%d, %d, %v)",
+			set.q, set.firstRow, set.revRows, s.q, s.firstRow, s.revRows)
+	}
+	runs := make([]*ModeSet, want)
+	lo := 0
+	for i := range runs {
+		c := int(int32(binary.LittleEndian.Uint32(data[4+4*i:])))
+		if c < 0 || c > set.n-lo {
+			return nil, fmt.Errorf("core: chunk run %d claims %d candidates, %d left in the body", i, c, set.n-lo)
+		}
+		runs[i] = set.view(lo, lo+c)
+		lo += c
+	}
+	if lo != set.n {
+		return nil, fmt.Errorf("core: chunk runs count %d candidates, the body holds %d", lo, set.n)
+	}
+	return runs, nil
 }

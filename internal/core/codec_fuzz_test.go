@@ -58,3 +58,30 @@ func FuzzDecodeModeSet(f *testing.F) {
 		_ = s.Fingerprint()
 	})
 }
+
+// FuzzDecodeRuns hammers the exchange's chunk-run decoder, which reads a
+// peer's payload, with mutated payloads and run counts: it must never
+// panic, the runs it accepts must tile the decoded body exactly, and
+// their re-encoding must be the payload it was given.
+func FuzzDecodeRuns(f *testing.F) {
+	d, data := dealFixture(f)
+	f.Add(data, uint8(len(d.runs)))
+	empty := &Deal{layout: d.layout, runs: []*ModeSet{d.layout, d.layout}}
+	f.Add(empty.Encode(), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, want uint8) {
+		runs, err := d.layout.decodeRuns(data, int(want))
+		if err != nil {
+			return
+		}
+		back := (&Deal{layout: d.layout, runs: runs}).Encode()
+		if !bytes.Equal(back, data) {
+			t.Fatalf("accepted payload does not round-trip: %d bytes in, %d bytes out", len(data), len(back))
+		}
+		for _, r := range runs {
+			for i := 0; i < r.Len(); i++ {
+				_ = r.SupportSize(i)
+				_ = r.Tail(i)
+			}
+		}
+	})
+}

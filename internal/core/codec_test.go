@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"elmocomp/internal/model"
@@ -162,5 +165,88 @@ func TestGrowPreservesContents(t *testing.T) {
 	set.Grow(1000)
 	if !set.Support(0).Equal(before) {
 		t.Fatal("Grow corrupted modes")
+	}
+}
+
+// dealFixture is a two-node deal of the toy network's initial set cut
+// into three runs, one of them empty, and its payload.
+func dealFixture(t testing.TB) (*Deal, []byte) {
+	t.Helper()
+	red, err := reduce.Network(model.Toy(), reduce.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := nullspace.New(red.N, red.Reversibilities(), nullspace.Heuristics{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := InitialModeSet(p, 1e-9)
+	n := set.Len()
+	d := &Deal{rank: 0, size: 2, chunks: 6, layout: NewModeSet(set.Q(), set.FirstRow(), set.RevRows()),
+		runs: []*ModeSet{set.view(0, 1), set.view(1, 1), set.view(1, n)}}
+	return d, d.Encode()
+}
+
+// TestDealRoundTrip: a node's payload decodes into its runs, and the
+// body after the counts is exactly the Encode form of their
+// concatenation.
+func TestDealRoundTrip(t *testing.T) {
+	d, data := dealFixture(t)
+	runs, err := d.layout.decodeRuns(data, len(d.runs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := NewModeSet(d.layout.Q(), d.layout.FirstRow(), d.layout.RevRows())
+	for i, r := range d.runs {
+		requireIdenticalSets(t, fmt.Sprintf("run %d", i), r, runs[i])
+		for j := 0; j < r.Len(); j++ {
+			whole.CopyModeFrom(r, j)
+		}
+	}
+	if body := data[4+4*len(d.runs):]; !bytes.Equal(body, whole.Encode()) {
+		t.Fatal("the payload body is not the Encode form of the runs' concatenation")
+	}
+}
+
+// TestDecodeRunsCorruptPayloads: a peer's payload is input from outside
+// the node — every malformed one is an error, never a panic or a view
+// that reaches past the decoded set.
+func TestDecodeRunsCorruptPayloads(t *testing.T) {
+	d, data := dealFixture(t)
+	want := len(d.runs)
+	withCount := func(i int, v uint32) []byte {
+		c := append([]byte{}, data...)
+		binary.LittleEndian.PutUint32(c[4+4*i:], v)
+		return c
+	}
+	n0 := uint32(d.runs[0].Len())
+	cases := []struct {
+		name string
+		data []byte
+		want int
+	}{
+		{"empty", nil, want},
+		{"truncated run count", data[:3], want},
+		{"too many runs for the rank", data, want - 1},
+		{"too few runs for the rank", data, want + 1},
+		{"truncated counts", data[:4+4*want-2], want},
+		{"negative count", withCount(0, 0xffffffff), want},
+		{"overflowing count", withCount(0, 0x7fffffff), want},
+		{"counts sum short of the body", withCount(0, n0-1), want},
+		{"counts sum past the body", withCount(1, 1), want},
+		{"truncated body", data[:len(data)-1], want},
+		{"no body", data[:4+4*want], want},
+		{"body of another layout", append(append([]byte{}, data[:4+4*want]...), NewModeSet(d.layout.Q(), d.layout.FirstRow()+1, nil).Encode()...), want},
+	}
+	for _, c := range cases {
+		if _, err := d.layout.decodeRuns(c.data, c.want); err == nil {
+			t.Errorf("%s: corrupt payload accepted", c.name)
+		}
+	}
+	if _, err := d.Gather([][]byte{data}); err == nil {
+		t.Error("Gather accepted one payload for a group of two")
+	}
+	if _, err := d.Gather([][]byte{nil, data[:len(data)-1]}); err == nil {
+		t.Error("Gather accepted a truncated peer payload")
 	}
 }

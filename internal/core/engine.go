@@ -187,24 +187,25 @@ func Run(p *nullspace.Problem, opts Options) (*Result, error) {
 
 // RunNode is the row loop of Algorithms 1 and 2, as node rank of a group
 // of size runs it; every driver's iteration is this function. Each row,
-// the node generates its contiguous slice of the positive×negative pair
-// range (sharded once more over Options.Workers), rank-tests the
-// candidates, and rebuilds the next mode set from what exchange returns.
+// the node generates its share of the positive×negative pair range
+// (sharded once more over Options.Workers), rank-tests the candidates,
+// and rebuilds the next mode set from what exchange returns.
 //
-// exchange is Communicate: it is handed the node's accepted candidates
-// as one set, in generation order, and returns every rank's, indexed by
-// rank, its own entry being the very set it was passed. A group of one
-// passes nil and its candidates go from generation to the merge as the
-// pool's zero-copy views. The result is the node's own: the statistics'
-// generation-side fields cover its slice alone (AddGenStats sums them
-// over a group); merge-side fields and the modes are identical on every
-// replica. Trace fires on rank 0 only.
+// A group of one passes a nil exchange: it generates the whole range
+// (Pool.GenerateRange) and its candidates go from generation to the merge
+// as the pool's zero-copy views. In a group, the node generates the
+// chunks Pool.Deal deals it and exchange is Communicate: it is handed the
+// Deal and returns every node's candidates in chunk order (Deal.Gather).
+// The result is the node's own: the statistics' generation-side fields
+// cover its chunks alone (AddGenStats sums them over a group); merge-side
+// fields and the modes are identical on every replica. Trace fires on
+// rank 0 only.
 //
 // gauge, when non-nil, receives the node's resident mode-set payload
 // after every row — the row's peak, then under a memory budget what
 // stays resident once the store holds the successor — and a final zero
 // when the node returns.
-func RunNode(p *nullspace.Problem, opts Options, rank, size int, exchange func(mine *ModeSet) ([]*ModeSet, error), gauge func(rank int, bytes int64)) (*Result, error) {
+func RunNode(p *nullspace.Problem, opts Options, rank, size int, exchange func(mine *Deal) ([]*ModeSet, error), gauge func(rank int, bytes int64)) (*Result, error) {
 	if gauge != nil {
 		defer gauge(rank, 0)
 	}
@@ -224,7 +225,6 @@ func RunNode(p *nullspace.Problem, opts Options, rank, size int, exchange func(m
 	if err := store.Hold(InitialModeSet(p, zeroTol)); err != nil {
 		return nil, err
 	}
-	var mine *ModeSet
 	for row := p.D; row < last; row++ {
 		if opts.Cancel != nil {
 			select {
@@ -238,16 +238,11 @@ func RunNode(p *nullspace.Problem, opts Options, rank, size int, exchange func(m
 			return nil, err
 		}
 		it := BeginRow(p, set, row, opts)
-		pairs := it.Pairs()
-		cands := pool.GenerateRange(it, pairs*int64(rank)/int64(size), pairs*int64(rank+1)/int64(size), &it.Stats)
-		if exchange != nil {
-			mine = it.ResetCandidateSet(mine)
-			for _, c := range cands {
-				mine.AppendSet(c)
-			}
-			if cands, err = exchange(mine); err != nil {
-				return nil, err
-			}
+		var cands []*ModeSet
+		if exchange == nil {
+			cands = pool.GenerateRange(it, 0, it.Pairs(), &it.Stats)
+		} else if cands, err = exchange(pool.Deal(it, rank, size, &it.Stats)); err != nil {
+			return nil, err
 		}
 		next, err := pool.AssembleNext(it, cands)
 		if err != nil {

@@ -184,17 +184,6 @@ func (s *ModeSet) Reset(q, firstRow int, revRows []int) {
 	s.vals = s.vals[:0]
 }
 
-// AppendSet bulk-appends every mode of src, which must share s's layout.
-// Used to concatenate per-worker candidate sets in generation order.
-func (s *ModeSet) AppendSet(src *ModeSet) {
-	if src.q != s.q || src.firstRow != s.firstRow || len(src.revRows) != len(s.revRows) {
-		panic("core: AppendSet layout mismatch")
-	}
-	s.bits = append(s.bits, src.bits[:src.n*src.words]...)
-	s.vals = append(s.vals, src.vals[:src.n*src.stride()]...)
-	s.n += src.n
-}
-
 // view returns a set that aliases modes [lo, hi) of s, for reading only:
 // its capacity ends where it does, so an append to it could not reach
 // s's later modes, but s must not be reset or appended to while the view

@@ -1,16 +1,17 @@
 // Shared-memory parallel execution layer for the Nullspace Algorithm:
 // a worker pool that cuts one row's |Pos|×|Neg| pair range into ordered
-// chunks, lets the workers pull them into private (ModeSet, Workspace,
+// chunks — in a group of nodes, dealt round-robin across the nodes —
+// lets the workers pull them into private (ModeSet, Workspace,
 // IterStats, GenScratch) state reused across rows, hands the accepted
 // candidates on in chunk order, then merges them with a parallel
 // sorted-by-support k-way merge.
 //
 // Determinism: pair k of a row always combines Pos[k/|Neg|] with
-// Neg[k%|Neg|], chunks are contiguous and returned in order whichever
-// worker ran them, and the merge orders candidates by the total order
-// (support, generation position) — so the final mode set is
-// bit-identical for every worker count, and every serial invariant test
-// doubles as a correctness oracle for this layer.
+// Neg[k%|Neg|], chunks are contiguous and laid down in chunk order
+// whichever worker or node ran them, and the merge orders candidates by
+// the total order (support, generation position) — so the final mode set
+// is bit-identical for every node and worker count, and every serial
+// invariant test doubles as a correctness oracle for this layer.
 package core
 
 import (
@@ -72,9 +73,9 @@ type poolWorker struct {
 type Pool struct {
 	problem *nullspace.Problem
 	workers []*poolWorker
-	sets    []*ModeSet // GenerateRange result slice, reused
-	// Chunked generation (more than one worker): the chunk boundaries and
-	// records of the current row, reused across rows.
+	runs    []*ModeSet // the current row's chunk runs, reused
+	// The chunk boundaries and records of the current row, reused across
+	// rows.
 	bounds []int64
 	chunks []genChunk
 }
@@ -112,11 +113,12 @@ func AddGenStats(dst, src *IterStats) {
 	dst.TestSeconds += src.TestSeconds
 }
 
-// chunksPerWorker is how many chunks per worker GenerateRange cuts a
-// range into. Pairs cost anything from one popcount to a rank test and
-// the rank tests cluster in a few positive columns, so equal shares of
-// the pair range are not equal shares of the work; workers pull small
-// chunks instead, and the skew left is at most one chunk's cost.
+// chunksPerWorker is how many chunks per worker, per node of a group, a
+// range is cut into. Pairs cost anything from one popcount to a rank
+// test and the rank tests cluster in a few positive columns, so equal
+// shares of the pair range are not equal shares of the work; workers pull
+// small chunks instead, nodes are dealt every size-th one, and the skew
+// left is about one chunk's cost.
 const chunksPerWorker = 32
 
 // genChunk records where one chunk's accepted candidates sit: modes
@@ -126,20 +128,25 @@ type genChunk struct {
 	start, end int
 }
 
-// cutChunks returns the boundaries of the chunks of [from, to): equal
-// shares of the pair range, moved down to the positive-column boundary
-// below whenever a share spans a column, so that only the range's own
-// first and last column are ever generated in part.
-func (pl *Pool) cutChunks(it *RowIter, from, to int64) []int64 {
+// cutChunks returns the boundaries of the chunks of [from, to) for a
+// group of size nodes: equal shares of the pair range, moved down to the
+// positive-column boundary below whenever a share spans a column, so
+// that only the range's own first and last column are ever generated in
+// part. The lone worker of a group of one runs the range as one chunk.
+func (pl *Pool) cutChunks(it *RowIter, from, to int64, size int) []int64 {
+	if size*len(pl.workers) == 1 {
+		pl.bounds = append(pl.bounds[:0], from, to)
+		return pl.bounds
+	}
 	nNeg := int64(len(it.Neg))
-	want := int64(len(pl.workers) * chunksPerWorker)
-	size := (to - from + want - 1) / want
-	if it.genTree != nil && size < nNeg {
-		size = nNeg // the tree answers for whole columns only
+	want := int64(size * len(pl.workers) * chunksPerWorker)
+	step := (to - from + want - 1) / want
+	if it.genTree != nil && step < nNeg {
+		step = nNeg // the tree answers for whole columns only
 	}
 	bounds := append(pl.bounds[:0], from)
-	for b := from + size; b < to; b += size {
-		if size >= nNeg {
+	for b := from + step; b < to; b += step {
+		if step >= nNeg {
 			bounds = append(bounds, b-b%nNeg)
 		} else {
 			bounds = append(bounds, b)
@@ -149,63 +156,91 @@ func (pl *Pool) cutChunks(it *RowIter, from, to int64) []int64 {
 	return pl.bounds
 }
 
-// GenerateRange generates the candidates for pair indices [from, to) of
-// the row on the pool's workers. The range is cut into ordered chunks
-// that the workers pull from a shared counter into their private sets;
-// the returned sets are then the chunks' runs of accepted candidates in
-// chunk order — views into the private sets, nothing is copied — so
-// their concatenation is exactly the serial generation order whichever
-// worker ran which chunk. (One worker runs the range in one call and
-// returns its set.) Per-worker counters and sampled phase seconds are
-// summed into st. The returned sets remain owned by the pool and are
-// valid until the next GenerateRange call.
-func (pl *Pool) GenerateRange(it *RowIter, from, to int64, st *IterStats) []*ModeSet {
-	n := len(pl.workers)
+// dealtChunks is how many of n chunks node rank of a group of size is
+// dealt: chunks rank, rank+size, rank+2·size, …
+func dealtChunks(n, rank, size int) int {
+	return (n - rank + size - 1) / size
+}
+
+// generate cuts [from, to) into the chunks of a group of size nodes and
+// runs those dealt to node rank on the pool's workers, which pull them
+// from a shared counter into their private sets. It returns the runs of
+// accepted candidates of the node's chunks in chunk order, empty runs
+// included — views into the private sets, nothing is copied — and the
+// row's total chunk count. Per-worker counters and sampled phase seconds
+// are summed into st.
+func (pl *Pool) generate(it *RowIter, from, to int64, rank, size int, st *IterStats) ([]*ModeSet, int) {
 	to = max(from, min(to, it.Pairs()))
 	for _, w := range pl.workers {
 		w.cands = it.ResetCandidateSet(w.cands)
 		w.st = IterStats{}
 	}
-	if n == 1 || to == from {
-		w := pl.workers[0]
-		it.GenerateIntoScratch(w.cands, w.ws, from, to, &w.st, &w.sc)
-		AddGenStats(st, &w.st)
-		pl.sets = append(pl.sets[:0], w.cands)
-		return pl.sets
+	bounds := pl.cutChunks(it, from, to, size)
+	n := len(bounds) - 1
+	mine := dealtChunks(n, rank, size)
+	if cap(pl.chunks) < mine {
+		pl.chunks = make([]genChunk, mine)
 	}
-	bounds := pl.cutChunks(it, from, to)
-	if cap(pl.chunks) < len(bounds)-1 {
-		pl.chunks = make([]genChunk, len(bounds)-1)
-	}
-	chunks := pl.chunks[:len(bounds)-1]
+	chunks := pl.chunks[:mine]
 	var next atomic.Int64
 	pull := func(w *poolWorker) {
-		for c := next.Add(1) - 1; c < int64(len(chunks)); c = next.Add(1) - 1 {
+		for i := next.Add(1) - 1; i < int64(mine); i = next.Add(1) - 1 {
+			c := rank + int(i)*size
 			start := w.cands.Len()
 			it.GenerateIntoScratch(w.cands, w.ws, bounds[c], bounds[c+1], &w.st, &w.sc)
-			chunks[c] = genChunk{w, start, w.cands.Len()}
+			chunks[i] = genChunk{w, start, w.cands.Len()}
 		}
 	}
+	active := pl.workers[:max(1, min(len(pl.workers), mine))]
 	var wg sync.WaitGroup
-	for _, w := range pl.workers[1:] {
+	for _, w := range active[1:] {
 		wg.Add(1)
 		go func(w *poolWorker) {
 			defer wg.Done()
 			pull(w)
 		}(w)
 	}
-	pull(pl.workers[0])
+	pull(active[0])
 	wg.Wait()
-	pl.sets = pl.sets[:0]
 	for _, w := range pl.workers {
 		AddGenStats(st, &w.st)
 	}
+	pl.runs = pl.runs[:0]
 	for _, c := range chunks {
-		if c.end > c.start {
-			pl.sets = append(pl.sets, c.worker.cands.view(c.start, c.end))
+		pl.runs = append(pl.runs, c.worker.cands.view(c.start, c.end))
+	}
+	return pl.runs, n
+}
+
+// GenerateRange generates the candidates for pair indices [from, to) of
+// the row on the pool's workers, as a group of one: the returned sets are
+// the non-empty chunks' runs in chunk order, so their concatenation is
+// exactly the serial generation order whichever worker ran which chunk.
+// The returned sets remain owned by the pool and are valid until its next
+// GenerateRange or Deal call.
+func (pl *Pool) GenerateRange(it *RowIter, from, to int64, st *IterStats) []*ModeSet {
+	runs, _ := pl.generate(it, from, to, 0, 1, st)
+	sets := runs[:0]
+	for _, r := range runs {
+		if r.Len() > 0 {
+			sets = append(sets, r)
 		}
 	}
-	return pl.sets
+	return sets
+}
+
+// Deal generates node rank's share of the row for a group of size nodes:
+// the whole pair range is cut into size × Workers × chunksPerWorker
+// chunks, the same way on every node — the cut is a function of the row,
+// the group size and the group's shared Workers option alone — and the
+// node runs chunks rank, rank+size, rank+2·size, …. Chunks are dealt
+// round-robin rather than handed out as one contiguous slice per node
+// because the rank tests cluster in a few positive columns: a contiguous
+// slice of equal pair count is not an equal share of the work. The Deal
+// is valid until the pool's next GenerateRange or Deal call.
+func (pl *Pool) Deal(it *RowIter, rank, size int, st *IterStats) *Deal {
+	runs, n := pl.generate(it, 0, it.Pairs(), rank, size, st)
+	return &Deal{rank: rank, size: size, chunks: n, layout: pl.workers[0].cands, runs: runs}
 }
 
 // AssembleNext is the pool-parallel counterpart of RowIter.AssembleNext:
@@ -214,9 +249,9 @@ func (pl *Pool) GenerateRange(it *RowIter, from, to int64, st *IterStats) []*Mod
 // sorted runs are k-way merged under the same total order the serial
 // sort uses, and cross-worker duplicates collapse during assembly.
 // candSets may be the pool's own GenerateRange output or any other sets
-// with the next iteration's layout (in a group, what the exchange
-// returned: one set per node). The result is bit-identical to
-// RowIter.AssembleNext.
+// with the next iteration's layout (in a group, what Deal.Gather
+// returned: every node's chunk runs in chunk order). The result is
+// bit-identical to RowIter.AssembleNext.
 func (pl *Pool) AssembleNext(it *RowIter, candSets []*ModeSet) (*ModeSet, error) {
 	t0 := time.Now()
 	total := 0

@@ -103,6 +103,17 @@ func TestWorkersDeterminism(t *testing.T) {
 	}
 }
 
+// concatSets copies sets, in order, into one candidate set of the row.
+func concatSets(it *RowIter, sets []*ModeSet) *ModeSet {
+	out := it.NewCandidateSet()
+	for _, s := range sets {
+		for i := 0; i < s.Len(); i++ {
+			out.CopyModeFrom(s, i)
+		}
+	}
+	return out
+}
+
 // genCounters is every counter generation keeps, for exact comparison.
 func genCounters(s IterStats) [7]int64 {
 	return [7]int64{s.Pairs, s.Visited, s.Prefiltered, s.TreeRejects, s.Tested, s.Eliminated, s.Accepted}
@@ -205,11 +216,7 @@ func TestGenerateRangeMatchesGenerateInto(t *testing.T) {
 					}
 					var shardStats IterStats
 					sets := pool.GenerateRange(it, r[0], r[1], &shardStats)
-					concat := it.NewCandidateSet()
-					for _, s := range sets {
-						concat.AppendSet(s)
-					}
-					requireIdenticalSets(t, fmt.Sprintf("%s workers=%d", label, workers), want, concat)
+					requireIdenticalSets(t, fmt.Sprintf("%s workers=%d", label, workers), want, concatSets(it, sets))
 					if genCounters(shardStats) != genCounters(singleStats) {
 						t.Fatalf("%s workers=%d: chunked counters %v, single call %v", label, workers, genCounters(shardStats), genCounters(singleStats))
 					}
@@ -223,6 +230,66 @@ func TestGenerateRangeMatchesGenerateInto(t *testing.T) {
 		}
 		if name == "yeast prefix" && !opened {
 			t.Fatalf("%s: no row opened the generation tree", name)
+		}
+	}
+}
+
+// TestDealMatchesGenerateRange: dealt across a group, the row's chunks
+// must come back from every node's Gather in the serial generation order
+// — the candidate sequence a group of one generates — with the nodes'
+// generation counters summing to the group of one's, Visited included
+// (the deal's chunks are column-aligned wherever a tree answers), at
+// every node and worker count and whichever worker pulled which chunk.
+// The yeast1-dd-R19r prefix runs past D+22, the first row whose tree
+// columns a contiguous node slice used to split (-short stops right
+// after it: the race lane runs this twenty times).
+func TestDealMatchesGenerateRange(t *testing.T) {
+	yeast := yeastDDProblem(t)
+	last := yeast.D + 25
+	if testing.Short() {
+		last = yeast.D + 23
+	}
+	for _, f := range []struct {
+		p    *nullspace.Problem
+		last int
+	}{{fixtureProblems(t)["toy"], 0}, {yeast, last}} {
+		p, last := f.p, f.last
+		if last == 0 {
+			last = p.Q()
+		}
+		set := InitialModeSet(p, zeroTol)
+		alone := NewPool(p, 1)
+		for row := p.D; row < last; row++ {
+			it := BeginRow(p, set, row, Options{})
+			var wantStats IterStats
+			want := concatSets(it, alone.GenerateRange(it, 0, it.Pairs(), &wantStats))
+			for _, size := range []int{2, 3, 4} {
+				for _, workers := range []int{1, 2, 3} {
+					label := fmt.Sprintf("row %d nodes=%d workers=%d", row, size, workers)
+					deals := make([]*Deal, size)
+					payloads := make([][]byte, size)
+					var st IterStats
+					for r := range deals {
+						deals[r] = NewPool(p, workers).Deal(it, r, size, &st)
+						payloads[r] = deals[r].Encode()
+					}
+					if genCounters(st) != genCounters(wantStats) {
+						t.Fatalf("%s: dealt counters %v, group of one %v", label, genCounters(st), genCounters(wantStats))
+					}
+					for r, d := range deals {
+						sets, err := d.Gather(payloads)
+						if err != nil {
+							t.Fatalf("%s rank %d: %v", label, r, err)
+						}
+						requireIdenticalSets(t, fmt.Sprintf("%s rank %d", label, r), want, concatSets(it, sets))
+					}
+				}
+			}
+			next, err := it.AssembleNext(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set = next
 		}
 	}
 }

@@ -3,9 +3,10 @@
 // parallelism over the candidate-generation loop.
 //
 // Every compute node holds a replica of the current nullspace matrix.
-// Each iteration, node i generates the i-th combinatorial slice of the
-// positive×negative pairings (ParallelGenerateEFMCands), locally
-// deduplicates and rank-tests its candidates, then the nodes exchange
+// Each iteration, node i generates its share of the positive×negative
+// pairings (ParallelGenerateEFMCands) — the chunks i, i+Nodes, i+2·Nodes,
+// … of one cut of the pair range, dealt round-robin so that the shares
+// cost alike — and rank-tests its candidates, then the nodes exchange
 // surviving candidates (Communicate&Merge) and each rebuilds the —
 // identical — next matrix. The per-phase timings this package reports
 // (gen cand / rank test / communicate / merge) are the rows of the
@@ -241,24 +242,16 @@ func runGroup(p *nullspace.Problem, opts Options, results []*core.Result, commSe
 		go func(rank int) {
 			defer wg.Done()
 			comm := comms[rank]
-			// Communicate: allgather the node's accepted candidates and
-			// decode every peer's.
-			exchange := func(mine *core.ModeSet) ([]*core.ModeSet, error) {
+			// Communicate: allgather the node's chunk runs and lay every
+			// node's down in chunk order.
+			exchange := func(mine *core.Deal) ([]*core.ModeSet, error) {
 				t0 := time.Now()
 				defer func() { commSeconds[rank] += time.Since(t0).Seconds() }()
 				payloads, err := comm.Allgather(mine.Encode())
 				if err != nil {
 					return nil, err
 				}
-				sets := make([]*core.ModeSet, len(payloads))
-				for i, pl := range payloads {
-					if i == rank {
-						sets[i] = mine
-					} else if sets[i], err = core.DecodeModeSet(pl); err != nil {
-						return nil, err
-					}
-				}
-				return sets, nil
+				return mine.Gather(payloads)
 			}
 			res, err := core.RunNode(p, opts.Core, rank, nodes, exchange, opts.MemGauge)
 			if err != nil {

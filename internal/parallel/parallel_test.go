@@ -159,18 +159,26 @@ func exactStats(s core.IterStats) core.IterStats {
 }
 
 func TestParallelStatsMatchSerial(t *testing.T) {
-	// Aggregated per-iteration candidate statistics must be identical
-	// to the serial run (the pair space is partitioned, not changed),
-	// and a group of one IS the serial run: every exact counter, the
-	// mode set and the store's activity agree, flat and under a budget
-	// that spills every round.
-	problems := map[string]*nullspace.Problem{
-		"toy":    toyProblem(t),
-		"efmgen": efmgenProblem(t),
+	// Every exact per-iteration counter must be the serial run's at every
+	// node count — the pair space is partitioned, not changed, and the
+	// dealt chunks are column-aligned, so even Visited (pairs probed one
+	// by one) cannot tell the nodes apart — and a group of one IS the
+	// serial run: the mode set and the store's activity agree too, flat
+	// and under a budget that spills every round. The yeast1-dd-R19r
+	// prefix is where the generation tree opens.
+	yeast := yeastDDProblem(t)
+	problems := map[string]struct {
+		p    *nullspace.Problem
+		last int
+	}{
+		"toy":                   {toyProblem(t), 0},
+		"efmgen":                {efmgenProblem(t), 0},
+		"yeast1-dd-R19r prefix": {yeast, yeast.D + 25},
 	}
-	for name, p := range problems {
+	for name, f := range problems {
+		p := f.p
 		for _, budget := range []int64{0, 1} {
-			copts := core.Options{MemBudget: budget, SpillDir: t.TempDir()}
+			copts := core.Options{LastRow: f.last, MemBudget: budget, SpillDir: t.TempDir()}
 			serial, err := core.Run(p, copts)
 			if err != nil {
 				t.Fatal(err)
@@ -178,7 +186,7 @@ func TestParallelStatsMatchSerial(t *testing.T) {
 			if (serial.Store.Spills > 0) != (budget > 0) {
 				t.Fatalf("%s budget=%d: serial store %+v", name, budget, serial.Store)
 			}
-			for _, nodes := range []int{1, 3} {
+			for _, nodes := range []int{1, 2, 3, 4} {
 				label := fmt.Sprintf("%s budget=%d nodes=%d", name, budget, nodes)
 				res, err := Run(p, Options{Nodes: nodes, Core: copts})
 				if err != nil {
@@ -191,12 +199,8 @@ func TestParallelStatsMatchSerial(t *testing.T) {
 					t.Fatalf("%s: iteration counts differ: %d vs %d", label, len(res.Stats), len(serial.Stats))
 				}
 				for i, s := range res.Stats {
-					ref := serial.Stats[i]
-					if s.Pairs != ref.Pairs || s.Accepted != ref.Accepted || s.ModesOut != ref.ModesOut {
-						t.Fatalf("%s iteration %d: stats diverge: parallel %+v vs serial %+v", label, i, s, ref)
-					}
-					if nodes == 1 && exactStats(s) != exactStats(ref) {
-						t.Fatalf("%s iteration %d: a group of one is not the serial run: %+v vs %+v", label, i, s, ref)
+					if exactStats(s) != exactStats(serial.Stats[i]) {
+						t.Fatalf("%s iteration %d: stats diverge: parallel %+v vs serial %+v", label, i, s, serial.Stats[i])
 					}
 				}
 				if nodes == 1 && res.Store != serial.Store {
@@ -260,34 +264,39 @@ func TestParallelYeastSubset(t *testing.T) {
 
 func TestHybridNodesWorkersMatchSerial(t *testing.T) {
 	// The hybrid decomposition — nodes × shared-memory workers per node —
-	// must be bit-compatible with the plain serial engine for every
-	// combination: the node slices and worker chunks compose into the
-	// same contiguous pair-space partition.
-	p := toyProblem(t)
-	serial, err := core.Run(p, core.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := canonicalKeys(serial)
-	for _, nodes := range []int{1, 2, 3} {
-		for _, workers := range []int{1, 2, 4} {
-			res, err := Run(p, Options{Nodes: nodes, Core: core.Options{Workers: workers}})
-			if err != nil {
-				t.Fatalf("nodes=%d workers=%d: %v", nodes, workers, err)
-			}
-			if got := canonicalKeys(res.Result); got != want {
-				t.Fatalf("nodes=%d workers=%d: EFM set differs from serial", nodes, workers)
-			}
-			if res.TotalPairs() != serial.TotalPairs() {
-				t.Fatalf("nodes=%d workers=%d: pairs %d != serial %d",
-					nodes, workers, res.TotalPairs(), serial.TotalPairs())
-			}
-			for i, s := range res.Stats {
-				ref := serial.Stats[i]
-				if s.Tested != ref.Tested || s.Eliminated != ref.Eliminated || s.Accepted != ref.Accepted ||
-					s.Duplicates != ref.Duplicates || s.ModesOut != ref.ModesOut {
-					t.Fatalf("nodes=%d workers=%d row %d: counters diverge: %+v vs %+v",
-						nodes, workers, i, s, ref)
+	// must be bit-identical to the plain serial engine, values included,
+	// for every combination: the node deals and worker chunks lay the
+	// candidates down in the serial generation order.
+	yeast := yeastDDProblem(t)
+	for _, f := range []struct {
+		name  string
+		p     *nullspace.Problem
+		last  int
+		nodes []int
+	}{
+		{"toy", toyProblem(t), 0, []int{1, 2, 3}},
+		{"yeast1-dd-R19r prefix", yeast, yeast.D + 25, []int{2, 3, 4}},
+	} {
+		serial, err := core.Run(f.p, core.Options{Workers: 1, LastRow: f.last})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nodes := range f.nodes {
+			for _, workers := range []int{1, 2, 4} {
+				for _, tp := range []Transport{InProc, TCP} {
+					label := fmt.Sprintf("%s nodes=%d workers=%d transport=%d", f.name, nodes, workers, tp)
+					res, err := Run(f.p, Options{Nodes: nodes, Transport: tp, Core: core.Options{Workers: workers, LastRow: f.last}})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if got, want := res.Modes.Fingerprint(), serial.Modes.Fingerprint(); got != want {
+						t.Fatalf("%s: fingerprint %016x, serial %016x", label, got, want)
+					}
+					for i, s := range res.Stats {
+						if exactStats(s) != exactStats(serial.Stats[i]) {
+							t.Fatalf("%s row %d: counters diverge: %+v vs %+v", label, i, s, serial.Stats[i])
+						}
+					}
 				}
 			}
 		}
