@@ -227,11 +227,13 @@ func BenchmarkReversibleLastOff(b *testing.B) {
 
 // BenchmarkSplitFormulation is the measurement that decided ROADMAP item
 // 4 (DESIGN §8 has the 16-network table): splitting every reversible
-// reaction makes the cone pointed, so the bit-pattern-tree prefilter runs
-// ahead of the rank test, but the reversible-rows-last heuristic then has
-// nothing to order. It wins on the benchmark's yeast1-dd variants and
-// loses by one to two orders of magnitude on every network of its
-// knock-out scan, so the request path runs unsplit only.
+// reaction makes the cone pointed and the system wider, and the
+// reversible-rows-last heuristic then has nothing to order. Both
+// formulations run the same candidate filters and rank test. Split wins
+// narrowly on the benchmark's yeast1-dd variants and loses
+// by one to two orders of magnitude on every network of its knock-out
+// scan, so the request path runs unsplit only. Its split rows are also
+// the whole-run measurement of a pointed problem (DESIGN §11).
 func BenchmarkSplitFormulation(b *testing.B) {
 	for _, bc := range []struct {
 		name string

@@ -267,7 +267,6 @@ type IterationStat struct {
 	CandidateModes int64 // |pos|·|neg| combinations generated
 	Visited        int64 // of those, pairs probed one by one (the generation tree rejects the rest by the subtree)
 	Prefiltered    int64 // rejected by the support-size pre-test
-	TreeRejects    int64 // rejected by the hybrid bit-pattern-tree prefilter
 	Tested         int64 // rank tests run
 	Eliminated     int64 // of those, tests that ran an elimination (counting live rows decided the rest)
 	Accepted       int64
@@ -864,7 +863,6 @@ func iterStats(stats []core.IterStats, red *reduce.Reduced, p *nullspace.Problem
 			CandidateModes: s.Pairs,
 			Visited:        s.Visited,
 			Prefiltered:    s.Prefiltered,
-			TreeRejects:    s.TreeRejects,
 			Tested:         s.Tested,
 			Eliminated:     s.Eliminated,
 			Accepted:       s.Accepted,

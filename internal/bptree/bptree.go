@@ -9,10 +9,10 @@
 // split on a bit position and every node carries the AND of the patterns
 // beneath it, which answers two questions about a whole subtree at once:
 //
-//   - HasSubsetOfExcluding(S, a, b): is any stored pattern other than
-//     entries a and b a subset of S — the adjacency test "is some third
-//     ray's support contained in the union of the two parent supports".
-//     A subtree whose AND has bits outside S holds no subset of S.
+//   - HasSubsetOf(S): is any stored pattern a subset of S — the shape of
+//     the combinatorial adjacency test. A subtree whose AND has bits
+//     outside S holds no subset of S. The engine does not ask it: its one
+//     elementarity verdict is the rank test.
 //   - AppendUnionWithin(S, ...): which stored patterns P can still keep
 //     |S ∪ P| under a bound — candidate generation's support pre-test.
 //     Every union beneath a node contains S ∪ AND, so a subtree whose
@@ -41,7 +41,7 @@ func NewBuilder(width int) *Builder {
 }
 
 // Add appends a pattern (copied). Patterns are indexed by insertion
-// order, starting at 0; the index is what queries exclude and report.
+// order, starting at 0; the index is what AppendUnionWithin reports.
 func (b *Builder) Add(words []uint64) {
 	if len(words) != b.words {
 		panic(fmt.Sprintf("bptree: pattern has %d words, want %d", len(words), b.words))
@@ -198,14 +198,11 @@ func (t *Tree) build(lo, hi int32, depth int) {
 	t.nodes[self].end = int32(len(t.nodes))
 }
 
-// HasSubsetOfExcluding reports whether any stored pattern, other than the
-// patterns at indices exclA and exclB, is a subset of s. Pass -1 to skip
-// an exclusion.
-func (t *Tree) HasSubsetOfExcluding(s []uint64, exclA, exclB int) bool {
+// HasSubsetOf reports whether any stored pattern is a subset of s.
+func (t *Tree) HasSubsetOf(s []uint64) bool {
 	if len(s) != t.words {
 		panic(fmt.Sprintf("bptree: query has %d words, want %d", len(s), t.words))
 	}
-	a, b := int32(exclA), int32(exclB)
 	words := t.words
 	for ni := 0; ni < len(t.nodes); {
 		n := t.nodes[ni]
@@ -218,7 +215,7 @@ func (t *Tree) HasSubsetOfExcluding(s []uint64, exclA, exclB int) bool {
 		}
 		if int(n.end) == ni+1 {
 			for _, i := range t.perm[n.lo:n.hi] {
-				if i != a && i != b && isSubset(t.pattern(i), s) {
+				if isSubset(t.pattern(i), s) {
 					return true
 				}
 			}
@@ -226,11 +223,6 @@ func (t *Tree) HasSubsetOfExcluding(s []uint64, exclA, exclB int) bool {
 		ni++
 	}
 	return false
-}
-
-// HasSubsetOf reports whether any stored pattern is a subset of s.
-func (t *Tree) HasSubsetOf(s []uint64) bool {
-	return t.HasSubsetOfExcluding(s, -1, -1)
 }
 
 // AppendUnionWithin sorts the stored patterns by what the tree can say

@@ -35,21 +35,6 @@ func TestBasicSubsetQueries(t *testing.T) {
 	}
 }
 
-func TestExclusions(t *testing.T) {
-	b := NewBuilder(8)
-	b.Add(pat(8, 0))    // 0
-	b.Add(pat(8, 1))    // 1
-	b.Add(pat(8, 0, 1)) // 2
-	tree := b.Build()
-	// Query {0,1}: subsets are patterns 0, 1, 2.
-	if !tree.HasSubsetOfExcluding(pat(8, 0, 1), 0, 1) {
-		t.Fatal("pattern 2 should still match when 0 and 1 are excluded")
-	}
-	if tree.HasSubsetOfExcluding(pat(8, 0), 0, -1) {
-		t.Fatal("only pattern 0 is a subset of {0}; excluding it must yield false")
-	}
-}
-
 func TestEmptyAndWidthChecks(t *testing.T) {
 	tree := NewBuilder(5).Build()
 	if tree.HasSubsetOf(pat(5, 0, 1, 2, 3, 4)) {
@@ -80,7 +65,7 @@ func TestBuilderPanics(t *testing.T) {
 }
 
 // Property: tree queries agree with a linear scan on random pattern
-// collections, with and without exclusions.
+// collections.
 func TestQuickAgainstLinearScan(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -105,10 +90,8 @@ func TestQuickAgainstLinearScan(t *testing.T) {
 				bits = append(bits, rng.Intn(width))
 			}
 			q := pat(width, bits...)
-			exA, exB := rng.Intn(n+2)-1, rng.Intn(n+2)-1 // may be -1 or out of range
 			want := false
-			count := 0
-			for i, p := range pats {
+			for _, p := range pats {
 				sub := true
 				for w := range p {
 					if p[w]&^q[w] != 0 {
@@ -116,17 +99,9 @@ func TestQuickAgainstLinearScan(t *testing.T) {
 						break
 					}
 				}
-				if sub {
-					count++
-					if i != exA && i != exB {
-						want = true
-					}
-				}
+				want = want || sub
 			}
-			if tree.HasSubsetOfExcluding(q, exA, exB) != want {
-				return false
-			}
-			if tree.HasSubsetOf(q) != (count > 0) {
+			if tree.HasSubsetOf(q) != want {
 				return false
 			}
 		}
@@ -215,7 +190,7 @@ func TestRebuildReusesStorage(t *testing.T) {
 	}
 	query := append([]uint64(nil), pats[1]...)
 	clear(pats[1]) // the tree copied it
-	if !tree.HasSubsetOf(query) || tree.HasSubsetOfExcluding(query, 0, 1) {
+	if !tree.HasSubsetOf(query) || tree.HasSubsetOf(pats[2]) {
 		t.Fatal("rebuilt tree answers for stale patterns")
 	}
 	tree.Rebuild(70, 0, nil)
@@ -240,6 +215,6 @@ func BenchmarkQuery1000Patterns(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.HasSubsetOfExcluding(q, 3, 7)
+		tree.HasSubsetOf(q)
 	}
 }

@@ -67,62 +67,14 @@ func BenchmarkPairTreeBuild(b *testing.B) {
 	it := BeginRow(p, set, set.FirstRow(), Options{DisableHybrid: true})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it.buildTrees()
+		it.buildGenTree()
 		if it.genTree == nil {
 			b.Fatal("row does not open the generation tree")
 		}
-		it.releaseTrees()
+		it.releaseGenTree()
 	}
 	b.ReportMetric(float64(len(it.Neg)), "neg-columns")
 }
-
-func yeastPointedProblem(b *testing.B) *nullspace.Problem {
-	b.Helper()
-	red, err := reduce.Network(model.YeastI(), reduce.Options{MergeDuplicates: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := nullspace.New(red.N, red.Reversibilities(), nullspace.Heuristics{SplitAllReversible: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return p
-}
-
-// benchHybridRow measures one full mid-run row of the pointed (all
-// reversibles split) Network I problem — the state after 19 iterations,
-// where the pair space is large enough for elementarity testing to
-// dominate — with the hybrid tree prefilter on or off. The On/Off pair
-// is the per-row wall-time comparison behind the hybrid fast path.
-func benchHybridRow(b *testing.B, disable bool) {
-	p := yeastPointedProblem(b)
-	res, err := Run(p, Options{LastRow: p.D + 19})
-	if err != nil {
-		b.Fatal(err)
-	}
-	set := res.Modes
-	it := BeginRow(p, set, set.FirstRow(), Options{DisableHybrid: disable})
-	pairs := it.Pairs()
-	if pairs == 0 {
-		b.Skip("no pairs at this row")
-	}
-	ws := linalg.NewWorkspace(p.M()+2, p.M()+2)
-	sc := &GenScratch{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cands := it.NewCandidateSet()
-		var st IterStats
-		it.GenerateIntoScratch(cands, ws, 0, pairs, &st, sc)
-		if i == 0 {
-			b.ReportMetric(float64(pairs), "pairs/row")
-			b.ReportMetric(float64(st.TreeRejects), "tree-rejects/row")
-			b.ReportMetric(float64(st.Tested), "rank-tests/row")
-		}
-	}
-}
-
-func BenchmarkHybridRowYeastOn(b *testing.B)  { benchHybridRow(b, false) }
-func BenchmarkHybridRowYeastOff(b *testing.B) { benchHybridRow(b, true) }
 
 // BenchmarkRankTestYeast measures the elementarity test in isolation on
 // the candidates of a mid-run Network I row that reach it — every pair

@@ -262,8 +262,7 @@ func bruteForceEFMs(N *ratmat.Matrix, rev []bool) map[string]bool {
 }
 
 // pointedFormulation is the binary-approach preparation: every reversible
-// reaction split, so the cone is pointed and the engine's bit-pattern-tree
-// prefilter runs ahead of the rank test.
+// reaction split, so the cone is pointed and the system wider.
 var pointedFormulation = nullspace.Heuristics{SplitAllReversible: true}
 
 // algorithmSupports runs the Nullspace Algorithm directly on (N, rev)

@@ -54,18 +54,14 @@ type Options struct {
 	// when empty). A file is unlinked as soon as it is created, so the
 	// directory stays empty whatever happens to the process.
 	SpillDir string
-	// DisableHybrid switches off both per-row bit-pattern trees. One is
-	// the generation tree over the negative columns, which lets a large
-	// row count the pairs the support pre-test rejects by the subtree
-	// instead of probing each (IterStats.Visited says how many were
-	// probed). The other, on a pointed problem (no reversible rows)
-	// only, is the tree over all columns whose superset query rejects
-	// candidates ahead of the rank test (IterStats.TreeRejects). Neither
-	// changes a candidate or the result — the pre-test and the rank test
-	// stay the only arbiters — and no request path sets this: tests and
-	// benchmarks use the switched-off engine, a linear sweep over every
-	// pair with the rank test behind it, as the reference for the
-	// default one.
+	// DisableHybrid switches off the per-row generation tree over the
+	// negative columns, which lets a large row count the pairs the
+	// support pre-test rejects by the subtree instead of probing each
+	// (IterStats.Visited says how many were probed). It changes no
+	// candidate and no result — the pre-test and the rank test stay the
+	// only arbiters — and no request path sets this: tests and benchmarks
+	// use the switched-off engine, a linear sweep over every pair with
+	// the rank test behind it, as the reference for the default one.
 	DisableHybrid bool
 	// Workers is the number of shared-memory worker goroutines used for
 	// candidate generation and merging within one engine (or, in the
@@ -100,7 +96,7 @@ type IterStats struct {
 	Pairs          int64 // candidate modes generated (|pos|·|neg|)
 	Visited        int64 // pairs probed one by one; the rest were pre-test rejections counted by the subtree
 	Prefiltered    int64 // rejected by the support-size pre-test
-	TreeRejects    int64 // rejected by the hybrid bit-pattern-tree prefilter
+	TreeRejects    int64 // never set: the rank test is the one verdict; bench/ still reads it as core.tree_rejects, pinned at 0
 	Tested         int64 // rank tests run
 	Eliminated     int64 // rank tests that ran an elimination; the rest were decided by counting live rows
 	Accepted       int64 // candidates surviving the test
@@ -158,7 +154,7 @@ func InitialModeSet(p *nullspace.Problem, tol float64) *ModeSet {
 	tail := make([]float64, q-p.D)
 	for j := 0; j < d; j++ {
 		for i := p.D; i < q; i++ {
-			tail[i-p.D] = p.Kernel[i][j]
+			tail[i-p.D] = p.KernelRows[i*d+j]
 		}
 		// Normalize: identity entry is 1, so include it in the scale.
 		maxAbs := 1.0
@@ -287,7 +283,6 @@ type RowIter struct {
 
 	opts    Options
 	nextRev []int        // revRows of the next iteration's sets
-	tree    *bptree.Tree // reject-only prefilter ahead of the rank test; nil off a pointed cone
 	genTree *bptree.Tree // over the Neg columns, indexed by position in Neg; nil on rows too small to repay it
 	// Per-row constants of the pair sweep, computed once in BeginRow:
 	// the processed-prefix mask (rows 0..Row), the support bounds, and
@@ -367,7 +362,7 @@ func BeginRow(p *nullspace.Problem, set *ModeSet, row int, opts Options) *RowIte
 			it.prefixSize[i] = int32(pfx)
 		}
 		if !opts.DisableHybrid {
-			it.buildTrees()
+			it.buildGenTree()
 		}
 	}
 	return it
@@ -381,47 +376,27 @@ const (
 	genTreeMinNeg = 64
 )
 
-// treePool recycles the per-row trees' storage across rows and runs.
+// treePool recycles the generation tree's storage across rows and runs.
 var treePool = sync.Pool{New: func() any { return new(bptree.Tree) }}
 
-// buildTrees constructs the row's bit-pattern trees; assemble hands them
-// back to the pool.
-func (it *RowIter) buildTrees() {
+// buildGenTree opens the row's generation tree when the row is large
+// enough to repay it; assemble hands it back to the pool.
+func (it *RowIter) buildGenTree() {
+	if len(it.Pos) < genTreeMinPos || len(it.Neg) < genTreeMinNeg {
+		return
+	}
 	set := it.Set
-	if len(it.Pos) >= genTreeMinPos && len(it.Neg) >= genTreeMinNeg {
-		it.genTree = treePool.Get().(*bptree.Tree)
-		it.genTree.Rebuild(set.Q(), len(it.Neg), func(kn int) []uint64 { return set.BitsWords(it.Neg[kn]) })
-	}
-	if pointed(it.Problem.Rev) {
-		// Hybrid fast path: on a pointed cone the superset query is a
-		// sound necessary condition for adjacency, so the tree can
-		// reject candidates before the (much costlier) rank test
-		// without changing any verdict the rank test would reach.
-		it.tree = treePool.Get().(*bptree.Tree)
-		it.tree.Rebuild(set.Q(), set.Len(), set.BitsWords)
-	}
+	it.genTree = treePool.Get().(*bptree.Tree)
+	it.genTree.Rebuild(set.Q(), len(it.Neg), func(kn int) []uint64 { return set.BitsWords(it.Neg[kn]) })
 }
 
-// releaseTrees returns the row's trees to the pool. Generation after
-// this point would fall back to the linear sweep.
-func (it *RowIter) releaseTrees() {
-	for _, t := range []*bptree.Tree{it.tree, it.genTree} {
-		if t != nil {
-			treePool.Put(t)
-		}
+// releaseGenTree returns the row's generation tree to the pool.
+// Generation after this point would fall back to the linear sweep.
+func (it *RowIter) releaseGenTree() {
+	if it.genTree != nil {
+		treePool.Put(it.genTree)
+		it.genTree = nil
 	}
-	it.tree, it.genTree = nil, nil
-}
-
-// pointed reports whether the problem's flux cone is pointed: no
-// reversible rows remain (every reversible reaction was split or absent).
-func pointed(rev []bool) bool {
-	for _, r := range rev {
-		if r {
-			return false
-		}
-	}
-	return true
 }
 
 // Pairs returns the number of candidate combinations this row generates.
@@ -480,12 +455,8 @@ func (it *RowIter) GenerateIntoScratch(cands *ModeSet, ws *linalg.Workspace, fro
 	// Extrapolation happens here, per call — i.e. per chunk when the pair
 	// space is sharded — with the call-local sampled/timed counters.
 	// Folding chunks and workers together afterwards just sums their
-	// TestSeconds; scaling a shared counter would double-count. Rank
-	// tests and hybrid tree queries are scaled by their own sampling
-	// ratios (their per-op costs differ by orders of magnitude) before
-	// the shared wall-clock clamp.
-	scaled := scaleSampled(g.testSeconds, g.sampledTests, g.timedTests) +
-		scaleSampled(g.treeSeconds, g.sampledTreeQueries, g.treeQueries)
+	// TestSeconds; scaling a shared counter would double-count.
+	scaled := scaleSampled(g.testSeconds, g.sampledTests, g.timedTests)
 	testSec, genSec := extrapolateSampled(time.Since(t0).Seconds(), scaled)
 	st.Pairs += to - from
 	st.TestSeconds += testSec
@@ -505,9 +476,8 @@ type genCall struct {
 	newTail []float64
 	newRev  []float64
 
-	testSeconds, treeSeconds        float64
-	sampledTests, timedTests        int64
-	sampledTreeQueries, treeQueries int64
+	testSeconds              float64
+	sampledTests, timedTests int64
 }
 
 func newGenCall(it *RowIter, cands *ModeSet, ws *linalg.Workspace, st *IterStats, sc *GenScratch) genCall {
@@ -599,9 +569,9 @@ func (g *genCall) combine(pi, ni int) {
 		return
 	}
 	// Algebraic rank test: the support submatrix of N must have nullity
-	// exactly 1. It is the only arbiter (the tree in candidate rejects,
-	// never accepts). Timing is sampled (1 in 64, the call's first test
-	// included) to keep time.Now() off the hot path.
+	// exactly 1, and the only verdict behind the support bounds. Timing is
+	// sampled (1 in 64, the call's first test included) to keep
+	// time.Now() off the hot path.
 	g.st.Tested++
 	sample := g.timedTests&63 == 0
 	g.timedTests++
@@ -625,9 +595,8 @@ func (g *genCall) combine(pi, ni int) {
 }
 
 // candidate appends the candidate of one pair to cands — numeric
-// combination, clamp, exact support bounds, the hybrid reject query — and
-// returns its support words for the rank test, or nil once it is rejected
-// and removed again.
+// combination, clamp, exact support bounds — and returns its support
+// words for the rank test, or nil once it is rejected and removed again.
 func (g *genCall) candidate(pi, ni int) []uint64 {
 	it, cands, st := g.it, g.cands, g.st
 	set := it.Set
@@ -697,35 +666,6 @@ func (g *genCall) candidate(pi, ni int) []uint64 {
 		cands.truncateLast()
 		st.Prefiltered++
 		return nil
-	}
-	if it.tree != nil {
-		// Hybrid fast path: bit-pattern-tree superset query on the
-		// candidate's EXACT support (not the parents' union — exact
-		// cancellations in unprocessed rows can shrink the support below
-		// the union, and a hit against the union alone would reject pairs
-		// the rank test accepts). A hit is conclusive: every current
-		// column lies in ker N, so a column whose support fits strictly
-		// inside supp(c) is a second kernel dimension of N[:,supp(c)] —
-		// the rank test would reject — and an exact-equal support
-		// re-derives a kept ray, which the assemble-stage survivor dedup
-		// drops. Reject-only, so the rank test stays the final arbiter;
-		// timing is sampled (1 in 64) to keep time.Now() off the hot path.
-		sample := g.treeQueries&63 == 0
-		g.treeQueries++
-		var tTest time.Time
-		if sample {
-			tTest = time.Now()
-		}
-		hit := it.tree.HasSubsetOfExcluding(cw, pi, ni)
-		if sample {
-			g.treeSeconds += time.Since(tTest).Seconds()
-			g.sampledTreeQueries++
-		}
-		if hit {
-			cands.truncateLast()
-			st.TreeRejects++
-			return nil
-		}
 	}
 	return cw
 }
@@ -809,7 +749,7 @@ func (it *RowIter) AssembleNext(candSets ...*ModeSet) (*ModeSet, error) {
 // assemble builds the next iteration's mode set from the survivors and a
 // support-sorted candidate order (deduplicating as it copies).
 func (it *RowIter) assemble(candSets []*ModeSet, refs []candRef, t0 time.Time) (*ModeSet, error) {
-	it.releaseTrees()
+	it.releaseGenTree()
 	next := NewModeSet(it.Set.Q(), it.Row+1, it.nextRev)
 	survivors := len(it.Zero) + len(it.Pos)
 	if it.Reversible {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"elmocomp/internal/model"
@@ -9,10 +10,20 @@ import (
 	"elmocomp/internal/synth"
 )
 
-// pointedProblems builds pointed fixtures for the hybrid fast path: the
-// toy network and reversible-rich synthetics with every reversible
-// reaction split, plus a synthetic that is pointed as written (no
-// reversible reactions at all).
+// pointed reports whether a problem's flux cone is pointed: no reversible
+// rows remain.
+func pointed(rev []bool) bool {
+	for _, r := range rev {
+		if r {
+			return false
+		}
+	}
+	return true
+}
+
+// pointedProblems builds pointed fixtures: the toy network and
+// reversible-rich synthetics with every reversible reaction split, plus a
+// synthetic that is pointed as written (no reversible reactions at all).
 func pointedProblems(t *testing.T) map[string]*nullspace.Problem {
 	t.Helper()
 	nets := map[string]*model.Network{"toy": model.Toy()}
@@ -45,109 +56,72 @@ func pointedProblems(t *testing.T) map[string]*nullspace.Problem {
 	return out
 }
 
-// TestHybridMatchesRankOnlyPointed: on pointed problems the hybrid tree
-// prefilter must not change a single verdict — mode sets bit-identical
-// to the pure rank test at every worker count, and the candidate
-// accounting must balance exactly: the prefilter counts agree, and every
-// candidate the tree rejects is one the rank test no longer sees.
+// requireTreeMatchesSweep runs p up to lastRow (0: to the end) with the
+// generation tree at workers 1, 4 and 8 and as the plain every-pair sweep,
+// and requires the same modes, the same fingerprint and, row by row, the
+// same logical counters: the tree only skips probing pairs the pre-test
+// rejects, so every candidate that passes the support bounds reaches the
+// rank test. Nothing records a tree reject. It returns the pairs the
+// one-worker tree run visited and generated.
+func requireTreeMatchesSweep(t *testing.T, name string, p *nullspace.Problem, lastRow int) (visited, pairs int64) {
+	t.Helper()
+	sweep, err := Run(p, Options{LastRow: lastRow, Workers: 1, DisableHybrid: true})
+	if err != nil {
+		t.Fatalf("%s: sweep: %v", name, err)
+	}
+	for _, workers := range []int{1, 4, 8} {
+		label := fmt.Sprintf("%s workers=%d", name, workers)
+		tree, err := Run(p, Options{LastRow: lastRow, Workers: workers})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		requireIdenticalSets(t, label, sweep.Modes, tree.Modes)
+		if tf, sf := tree.Modes.Fingerprint(), sweep.Modes.Fingerprint(); tf != sf {
+			t.Fatalf("%s: fingerprint %016x, want %016x", label, tf, sf)
+		}
+		for i, s := range tree.Stats {
+			ref := sweep.Stats[i]
+			if s.Pairs != ref.Pairs || s.Prefiltered != ref.Prefiltered || s.Tested != ref.Tested ||
+				s.Eliminated != ref.Eliminated || s.Accepted != ref.Accepted ||
+				s.Duplicates != ref.Duplicates || s.ModesOut != ref.ModesOut {
+				t.Fatalf("%s row %d: counters diverge:\n got %+v\nwant %+v", label, i, s, ref)
+			}
+			if s.TreeRejects != 0 || ref.TreeRejects != 0 {
+				t.Fatalf("%s row %d: tree rejects %d and %d recorded", label, i, s.TreeRejects, ref.TreeRejects)
+			}
+			if workers == 1 {
+				visited += s.Visited
+				pairs += s.Pairs
+			}
+		}
+	}
+	return visited, pairs
+}
+
+// TestHybridMatchesRankOnlyPointed: on pointed problems the generation
+// tree changes no mode, value or logical counter of the every-pair sweep.
 func TestHybridMatchesRankOnlyPointed(t *testing.T) {
 	for name, p := range pointedProblems(t) {
-		rankOnly, err := Run(p, Options{Workers: 1, DisableHybrid: true})
-		if err != nil {
-			t.Fatalf("%s: rank-only: %v", name, err)
-		}
-		for _, s := range rankOnly.Stats {
-			if s.TreeRejects != 0 {
-				t.Fatalf("%s: rank-only run recorded %d tree rejects", name, s.TreeRejects)
-			}
-		}
-		for _, workers := range []int{1, 4, 8} {
-			hybrid, err := Run(p, Options{Workers: workers, DisableHybrid: false})
-			if err != nil {
-				t.Fatalf("%s workers=%d: hybrid: %v", name, workers, err)
-			}
-			requireIdenticalSets(t, name+"/hybrid", rankOnly.Modes, hybrid.Modes)
-			if hf, rf := hybrid.Modes.Fingerprint(), rankOnly.Modes.Fingerprint(); hf != rf {
-				t.Fatalf("%s workers=%d: fingerprint %016x, want %016x", name, workers, hf, rf)
-			}
-			for i, s := range hybrid.Stats {
-				ref := rankOnly.Stats[i]
-				if s.Pairs != ref.Pairs || s.Prefiltered != ref.Prefiltered ||
-					s.Accepted != ref.Accepted || s.ModesOut != ref.ModesOut {
-					t.Fatalf("%s workers=%d row %d: counters diverge:\n got %+v\nwant %+v",
-						name, workers, i, s, ref)
-				}
-				if s.Tested+s.TreeRejects != ref.Tested {
-					t.Fatalf("%s workers=%d row %d: tested %d + tree rejects %d != rank-only tested %d",
-						name, workers, i, s.Tested, s.TreeRejects, ref.Tested)
-				}
-			}
-		}
+		requireTreeMatchesSweep(t, name, p, 0)
 	}
 }
 
-// TestHybridTreeRejectsSomething: the fast path must actually fire on a
-// workload with non-adjacent pairs, otherwise the suite would pass with
-// the prefilter silently disabled.
-func TestHybridTreeRejectsSomething(t *testing.T) {
-	n, err := synth.Network(synth.Params{
-		Layers: 6, Width: 6, CrossLinks: 14, ReversibleFraction: 0.2, MaxCoef: 2, Seed: 42,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	red, err := reduce.Network(n, reduce.Options{MergeDuplicates: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := nullspace.New(red.N, red.Reversibilities(), nullspace.Heuristics{SplitAllReversible: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rejects int64
-	for _, s := range res.Stats {
-		rejects += s.TreeRejects
-	}
-	if rejects == 0 {
-		t.Fatal("hybrid run recorded no tree rejects on a workload known to have non-adjacent pairs")
-	}
-}
-
-// TestHybridInertOnNonPointed: with reversible rows present the superset
-// test is not a sound reject, so the tree must never be consulted — no
-// tree rejects, and results identical with the hybrid nominally enabled
-// or disabled.
+// TestHybridInertOnNonPointed: the same holds on the unsplit formulation,
+// the one every request runs — with reversible rows present as well.
 func TestHybridInertOnNonPointed(t *testing.T) {
 	for name, p := range fixtureProblems(t) {
 		if pointed(p.Rev) {
 			continue
 		}
-		enabled, err := Run(p, Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for _, s := range enabled.Stats {
-			if s.TreeRejects != 0 {
-				t.Fatalf("%s: non-pointed run recorded %d tree rejects", name, s.TreeRejects)
-			}
-		}
-		disabled, err := Run(p, Options{DisableHybrid: true})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		requireIdenticalSets(t, name+"/nonpointed", disabled.Modes, enabled.Modes)
+		requireTreeMatchesSweep(t, name, p, 0)
 	}
 }
 
-// TestHybridMatchesRankOnlyYeastPrefix: the exact-support tree query on
-// a real network slice. The early yeast rows (split, so pointed) include
-// candidates whose support shrinks below the parents' union through
-// exact cancellation in unprocessed rows — a union-keyed query would
-// over-reject here, so this fixture pins the exact-support semantics.
+// TestHybridMatchesRankOnlyYeastPrefix: the split Network I prefix, whose
+// late rows are large enough to open the generation tree and let it prune.
+// Its early rows include candidates whose exact support shrinks below the
+// parents' union through cancellation in unprocessed rows, which the
+// exact support bounds, not the union, must decide.
 func TestHybridMatchesRankOnlyYeastPrefix(t *testing.T) {
 	red, err := reduce.Network(model.YeastI(), reduce.Options{MergeDuplicates: true})
 	if err != nil {
@@ -157,16 +131,7 @@ func TestHybridMatchesRankOnlyYeastPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := p.D + 20
-	rankOnly, err := Run(p, Options{LastRow: last, DisableHybrid: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		hybrid, err := Run(p, Options{LastRow: last, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		requireIdenticalSets(t, "yeast-prefix", rankOnly.Modes, hybrid.Modes)
+	if visited, pairs := requireTreeMatchesSweep(t, "split yeast1 prefix", p, p.D+20); visited >= pairs {
+		t.Fatalf("visited %d of %d pairs: the generation tree never pruned", visited, pairs)
 	}
 }

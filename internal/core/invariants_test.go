@@ -13,9 +13,10 @@ import (
 
 // TestIterationAccountingInvariant checks the bookkeeping identities of
 // every iteration: modes out = zero + pos (+ neg if reversible) +
-// accepted - duplicates; every pair is a pre-test rejection, a tree
-// rejection or a rank test; and the pairs visited one by one are at most
-// all of them — exactly all of them with the trees switched off. The
+// accepted - duplicates; every pair is a pre-test rejection or a rank
+// test, and nothing records a tree rejection; and the pairs visited one by
+// one are at most all of them — exactly all of them with the generation
+// tree switched off. The
 // Network I prefix is there for rows large enough to open the generation
 // tree, which must then leave pairs unvisited.
 func TestIterationAccountingInvariant(t *testing.T) {
@@ -63,7 +64,7 @@ func TestIterationAccountingInvariant(t *testing.T) {
 		for i, s := range res.Stats {
 			pairs += s.Pairs
 			visited += s.Visited
-			if s.Pairs != s.Prefiltered+s.TreeRejects+s.Tested || s.Visited > s.Pairs || s.Eliminated > s.Tested {
+			if s.Pairs != s.Prefiltered+s.Tested || s.TreeRejects != 0 || s.Visited > s.Pairs || s.Eliminated > s.Tested {
 				t.Fatalf("%s row %d: pair accounting inconsistent: %+v", f.name, s.Row, s)
 			}
 			if l := linear.Stats[i]; l.Visited != l.Pairs || l.Pairs != s.Pairs {

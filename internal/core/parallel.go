@@ -105,7 +105,6 @@ func AddGenStats(dst, src *IterStats) {
 	dst.Pairs += src.Pairs
 	dst.Visited += src.Visited
 	dst.Prefiltered += src.Prefiltered
-	dst.TreeRejects += src.TreeRejects
 	dst.Tested += src.Tested
 	dst.Eliminated += src.Eliminated
 	dst.Accepted += src.Accepted

@@ -115,8 +115,8 @@ func concatSets(it *RowIter, sets []*ModeSet) *ModeSet {
 }
 
 // genCounters is every counter generation keeps, for exact comparison.
-func genCounters(s IterStats) [7]int64 {
-	return [7]int64{s.Pairs, s.Visited, s.Prefiltered, s.TreeRejects, s.Tested, s.Eliminated, s.Accepted}
+func genCounters(s IterStats) [6]int64 {
+	return [6]int64{s.Pairs, s.Visited, s.Prefiltered, s.Tested, s.Eliminated, s.Accepted}
 }
 
 // TestGenerateRangeMatchesGenerateInto: the pool's ordered chunks must
@@ -124,11 +124,10 @@ func genCounters(s IterStats) [7]int64 {
 // counter exactly, at every worker count and over ranges that begin and
 // end in the middle of a positive column — and the single call, which
 // asks the generation tree wherever a row carries one, must in turn
-// reproduce the plain linear sweep in everything but Visited (and the
-// reject tree's share of the rank tests). The toy
+// reproduce the plain linear sweep in everything but Visited. The toy
 // network never opens the tree; the Network I prefix (the rows
 // BenchmarkPairLoopYeast runs up to) does, and the pointed synthetic
-// network adds the reject tree's counter.
+// network adds the split formulation.
 func TestGenerateRangeMatchesGenerateInto(t *testing.T) {
 	type fixture struct {
 		p    *nullspace.Problem
@@ -193,15 +192,8 @@ func TestGenerateRangeMatchesGenerateInto(t *testing.T) {
 				var singleStats IterStats
 				it.GenerateIntoScratch(single, ws, r[0], r[1], &singleStats, nil)
 				requireIdenticalSets(t, label+" single call", want, single)
-				// The switched-off reference has neither tree: it visits
-				// every pair and rank-tests what the reject tree takes,
-				// some of it by elimination.
+				// The switched-off reference visits every pair.
 				wantStats.Visited = singleStats.Visited
-				wantStats.Tested -= singleStats.TreeRejects
-				if singleStats.TreeRejects > 0 && wantStats.Eliminated >= singleStats.Eliminated {
-					wantStats.Eliminated = singleStats.Eliminated
-				}
-				wantStats.TreeRejects = singleStats.TreeRejects
 				if singleStats.Visited > singleStats.Pairs || genCounters(singleStats) != genCounters(wantStats) {
 					t.Fatalf("%s: single-call counters %v, linear sweep %v", label, genCounters(singleStats), genCounters(wantStats))
 				}

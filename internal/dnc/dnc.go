@@ -347,8 +347,7 @@ func estimatePairs(p *nullspace.Problem, nzf int) int64 {
 		return 0
 	}
 	var pos, neg int64
-	for j := 0; j < p.D; j++ {
-		v := p.Kernel[p.D][j]
+	for _, v := range p.KernelRows[p.D*p.D : (p.D+1)*p.D] {
 		switch {
 		case v > tol:
 			pos++

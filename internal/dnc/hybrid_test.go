@@ -8,9 +8,9 @@ import (
 )
 
 // TestHybridPrefilterMatchesRankOnly: on a network that is pointed as
-// written (no reversible reactions), the subproblem engines run the
-// hybrid fast path; the enumerated EFM union must be identical with the
-// prefilter on and off, and equal to the serial reference.
+// written (no reversible reactions), the enumerated EFM union must be
+// identical with the subproblem engines' generation tree on and off, and
+// equal to the serial reference.
 func TestHybridPrefilterMatchesRankOnly(t *testing.T) {
 	n, err := synth.Network(synth.Params{
 		Layers: 4, Width: 4, CrossLinks: 8, ReversibleFraction: 0, MaxCoef: 2, Seed: 3,

@@ -68,22 +68,21 @@ type Problem struct {
 	// kernel row order (the paper's Nredperm), kept exact for
 	// verification and flux reconstruction.
 	NExact *ratmat.Matrix
-	// Kernel is the initial q×D nullspace matrix, rows permuted so the
-	// identity block is on top (the paper's Kredperm), with every row
-	// scaled to unit max-magnitude. Row scaling re-expresses each
-	// reaction's flux in its own unit — supports, signs and all rank
-	// structure are unchanged, but the dynamic range *within* a mode
-	// column shrinks dramatically (the yeast biomass reaction has
-	// stoichiometric coefficients up to 40141, which would otherwise
-	// put seven orders of magnitude inside single columns and erode the
-	// float engine's zero detection). Exact values live in KernelExact.
-	Kernel [][]float64
-	// KernelExact is the same matrix in exact arithmetic.
+	// KernelExact is the initial q×D nullspace matrix, rows permuted so
+	// the identity block is on top (the paper's Kredperm), in exact
+	// arithmetic.
 	KernelExact *ratmat.Matrix
-	// KernelRows is a flat row-major copy of Kernel. Rows 0..D-1 are the
-	// unit vectors, so the elementarity test only ever reads the block
-	// below them: with J the identity rows in a support S and T̄ the
-	// pivot rows outside it, the nullity of N over S equals
+	// KernelRows is the same matrix in float64, row-major (row i at
+	// [i·D, (i+1)·D)), with every row scaled to unit max-magnitude. Row
+	// scaling re-expresses each reaction's flux in its own unit —
+	// supports, signs and all rank structure are unchanged, but the
+	// dynamic range *within* a mode column shrinks dramatically (the
+	// yeast biomass reaction has stoichiometric coefficients up to 40141,
+	// which would otherwise put seven orders of magnitude inside single
+	// columns and erode the float engine's zero detection). Rows 0..D-1
+	// are the unit vectors, so the elementarity test only ever reads the
+	// block below them: with J the identity rows in a support S and T̄
+	// the pivot rows outside it, the nullity of N over S equals
 	// |J| − rank(KernelRows[T̄, J]).
 	KernelRows []float64
 	// RowMask holds, per kernel row, the bitmask of its non-zero columns:
@@ -334,19 +333,19 @@ func build(N *ratmat.Matrix, rev []bool, h Heuristics) (*Problem, []int, error) 
 		prev[i] = rev[p]
 	}
 
-	// Row-scale the float kernel (see the Kernel field comment): both
+	// Row-scale the float kernel (see the KernelRows field comment): both
 	// the per-reaction flux values the engine iterates on and the
 	// complement-row rank test use the scaled copy; exact math keeps
 	// the original.
-	kf := kexact.Float64()
 	flat := make([]float64, q*d)
 	maskWords := (d + 63) / 64
 	mask := make([]uint64, q*maskWords)
 	for i := 0; i < q; i++ {
-		row := kf[i]
+		row := flat[i*d : (i+1)*d]
 		maxAbs := 0.0
-		for _, v := range row {
-			if a := math.Abs(v); a > maxAbs {
+		for j := range row {
+			row[j], _ = kexact.At(i, j).Float64()
+			if a := math.Abs(row[j]); a > maxAbs {
 				maxAbs = a
 			}
 		}
@@ -356,7 +355,6 @@ func build(N *ratmat.Matrix, rev []bool, h Heuristics) (*Problem, []int, error) 
 		}
 		for j := range row {
 			row[j] *= scale
-			flat[i*d+j] = row[j]
 			if row[j] != 0 {
 				mask[i*maskWords+j/64] |= 1 << uint(j%64)
 			}
@@ -365,7 +363,6 @@ func build(N *ratmat.Matrix, rev []bool, h Heuristics) (*Problem, []int, error) 
 
 	return &Problem{
 		NExact:      nperm,
-		Kernel:      kf,
 		KernelExact: kexact,
 		KernelRows:  flat,
 		RowMask:     mask,

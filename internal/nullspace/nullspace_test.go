@@ -1,6 +1,7 @@
 package nullspace
 
 import (
+	"math"
 	"testing"
 
 	"elmocomp/internal/model"
@@ -27,15 +28,16 @@ func TestIdentityBlockStructure(t *testing.T) {
 	if q != 8 || d != 4 {
 		t.Fatalf("toy problem q=%d D=%d, want 8/4 (paper: 8 reactions, kernel dim 4)", q, d)
 	}
-	// Identity block: Kernel[i][j] == δ_ij for i < D.
+	// Identity block: KernelExact and KernelRows are δ_ij for i < D.
 	for i := 0; i < d; i++ {
 		for j := 0; j < d; j++ {
 			want := 0.0
 			if i == j {
 				want = 1
 			}
-			if p.Kernel[i][j] != want {
-				t.Fatalf("identity block broken at (%d,%d): %v", i, j, p.Kernel[i][j])
+			exact, _ := p.KernelExact.At(i, j).Float64()
+			if exact != want || p.KernelRows[i*d+j] != want {
+				t.Fatalf("identity block broken at (%d,%d): exact %v, float %v", i, j, exact, p.KernelRows[i*d+j])
 			}
 		}
 	}
@@ -263,9 +265,10 @@ func TestYeastProblems(t *testing.T) {
 }
 
 // TestUnitRowsAndRowMasks pins what the engine's rank test rests on:
-// rows 0..D-1 of Kernel and KernelRows are exactly the unit vectors e_j
-// (so N and [K₂ | −I] share a row space), and RowMask says where
-// KernelRows is non-zero — under every way a Problem gets built.
+// KernelRows is KernelExact with each row scaled to unit max-magnitude,
+// its rows 0..D-1 are exactly the unit vectors e_j (so N and [K₂ | −I]
+// share a row space), and RowMask says where KernelRows is non-zero —
+// under every way a Problem gets built.
 func TestUnitRowsAndRowMasks(t *testing.T) {
 	toy, err := reduce.Network(model.Toy(), reduce.Options{})
 	if err != nil {
@@ -311,10 +314,16 @@ func TestUnitRowsAndRowMasks(t *testing.T) {
 			if p.RowMask[i*mw+mw-1]>>uint((d-1)%64)>>1 != 0 {
 				t.Fatalf("%s: mask of row %d has a bit at or above D", tc.name, i)
 			}
+			exact := make([]float64, d)
+			maxAbs := 0.0
+			for j := range exact {
+				exact[j], _ = p.KernelExact.At(i, j).Float64()
+				maxAbs = math.Max(maxAbs, math.Abs(exact[j]))
+			}
 			for j := 0; j < d; j++ {
 				v := p.KernelRows[i*d+j]
-				if v != p.Kernel[i][j] {
-					t.Fatalf("%s: KernelRows (%d,%d) = %v, Kernel has %v", tc.name, i, j, v, p.Kernel[i][j])
+				if want := exact[j] * (1 / maxAbs); v != want {
+					t.Fatalf("%s: KernelRows (%d,%d) = %v, the scaled exact entry is %v", tc.name, i, j, v, want)
 				}
 				if i < d && (v != 0) != (i == j) || i == j && v != 1 {
 					t.Fatalf("%s: identity row %d is not e_%d: column %d holds %v", tc.name, i, i, j, v)

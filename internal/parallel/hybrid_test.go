@@ -11,9 +11,9 @@ import (
 
 // TestHybridPrefilterMatchesRankOnlyAcrossNodes: on a pointed problem
 // the distributed driver must produce the same bit-identical mode set
-// with the hybrid tree prefilter on and off, for every node/worker
-// combination — the prefilter may only remove rank-test work, never
-// change a replica's content.
+// with the generation tree on and off, for every node/worker
+// combination — the tree may only skip probing pairs, never change a
+// replica's content.
 func TestHybridPrefilterMatchesRankOnlyAcrossNodes(t *testing.T) {
 	n, err := synth.Network(synth.Params{
 		Layers: 6, Width: 6, CrossLinks: 14, ReversibleFraction: 0.2, MaxCoef: 2, Seed: 42,
@@ -34,7 +34,6 @@ func TestHybridPrefilterMatchesRankOnlyAcrossNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := serial.Modes.Fingerprint()
-	var sawTreeRejects bool
 	for _, nodes := range []int{1, 2, 3} {
 		for _, workers := range []int{1, 4} {
 			for _, disable := range []bool{true, false} {
@@ -49,20 +48,7 @@ func TestHybridPrefilterMatchesRankOnlyAcrossNodes(t *testing.T) {
 					t.Fatalf("nodes=%d workers=%d disable=%v: fingerprint %016x, want %016x",
 						nodes, workers, disable, got, want)
 				}
-				var rejects int64
-				for _, s := range res.Stats {
-					rejects += s.TreeRejects
-				}
-				if disable && rejects != 0 {
-					t.Fatalf("nodes=%d workers=%d: disabled run recorded %d tree rejects", nodes, workers, rejects)
-				}
-				if !disable && rejects > 0 {
-					sawTreeRejects = true
-				}
 			}
 		}
-	}
-	if !sawTreeRejects {
-		t.Fatal("no hybrid run recorded tree rejects; the fast path never engaged")
 	}
 }
