@@ -115,16 +115,6 @@ func AndInto(dst, a, b Set) {
 	}
 }
 
-// AndNotInto sets dst = a &^ b.
-func AndNotInto(dst, a, b Set) {
-	if dst.n != a.n || a.n != b.n {
-		panic("bitset: width mismatch")
-	}
-	for i := range dst.words {
-		dst.words[i] = a.words[i] &^ b.words[i]
-	}
-}
-
 // IsSubsetOf reports whether every bit of s is also set in t (s ⊆ t).
 func (s Set) IsSubsetOf(t Set) bool {
 	if s.n != t.n {
@@ -136,19 +126,6 @@ func (s Set) IsSubsetOf(t Set) bool {
 		}
 	}
 	return true
-}
-
-// Intersects reports whether s and t share at least one set bit.
-func (s Set) Intersects(t Set) bool {
-	if s.n != t.n {
-		panic("bitset: width mismatch")
-	}
-	for i, w := range s.words {
-		if w&t.words[i] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Equal reports whether s and t have the same width and bits.
@@ -212,27 +189,6 @@ func (s Set) Indices(dst []int) []int {
 	return dst
 }
 
-// NextSet returns the index of the first set bit at or after i, or -1.
-func (s Set) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= s.n {
-		return -1
-	}
-	wi := i / wordBits
-	w := s.words[wi] >> uint(i%wordBits)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(s.words); wi++ {
-		if s.words[wi] != 0 {
-			return wi*wordBits + bits.TrailingZeros64(s.words[wi])
-		}
-	}
-	return -1
-}
-
 // String renders the set as a 0/1 string, bit 0 first, e.g. "10110".
 func (s Set) String() string {
 	var b strings.Builder
@@ -245,54 +201,4 @@ func (s Set) String() string {
 		}
 	}
 	return b.String()
-}
-
-// MarshalBinary encodes the set as little-endian words prefixed by the width.
-func (s Set) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 4+8*len(s.words))
-	putUint32(out, uint32(s.n))
-	for i, w := range s.words {
-		putUint64(out[4+8*i:], w)
-	}
-	return out, nil
-}
-
-// UnmarshalBinary decodes a set encoded by MarshalBinary.
-func (s *Set) UnmarshalBinary(data []byte) error {
-	if len(data) < 4 {
-		return fmt.Errorf("bitset: truncated header")
-	}
-	n := int(getUint32(data))
-	want := (n + wordBits - 1) / wordBits
-	if len(data) != 4+8*want {
-		return fmt.Errorf("bitset: length %d does not match width %d", len(data), n)
-	}
-	s.n = n
-	s.words = make([]uint64, want)
-	for i := range s.words {
-		s.words[i] = getUint64(data[4+8*i:])
-	}
-	return nil
-}
-
-func putUint32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func getUint32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * uint(i)))
-	}
-}
-
-func getUint64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * uint(i))
-	}
-	return v
 }

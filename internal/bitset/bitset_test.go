@@ -93,28 +93,6 @@ func TestOrAndSubset(t *testing.T) {
 	}
 }
 
-func TestAndNotInto(t *testing.T) {
-	a := FromIndices(70, 1, 2, 65)
-	b := FromIndices(70, 2, 65)
-	d := New(70)
-	AndNotInto(d, a, b)
-	if d.Count() != 1 || !d.Test(1) {
-		t.Fatalf("AndNot wrong: %v", d.Indices(nil))
-	}
-}
-
-func TestIntersects(t *testing.T) {
-	a := FromIndices(130, 0, 129)
-	b := FromIndices(130, 129)
-	c := FromIndices(130, 64)
-	if !a.Intersects(b) {
-		t.Fatal("a should intersect b")
-	}
-	if a.Intersects(c) {
-		t.Fatal("a should not intersect c")
-	}
-}
-
 func TestCompareTotalOrder(t *testing.T) {
 	a := FromIndices(70, 1)
 	b := FromIndices(70, 2)
@@ -139,29 +117,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestNextSet(t *testing.T) {
-	s := FromIndices(200, 3, 64, 130, 199)
-	var got []int
-	for i := s.NextSet(0); i >= 0; i = s.NextSet(i + 1) {
-		got = append(got, i)
-	}
-	want := []int{3, 64, 130, 199}
-	if len(got) != len(want) {
-		t.Fatalf("NextSet walk = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("NextSet walk = %v, want %v", got, want)
-		}
-	}
-	if s.NextSet(200) != -1 {
-		t.Fatal("NextSet past end should be -1")
-	}
-	if s.NextSet(-5) != 3 {
-		t.Fatal("NextSet with negative start should clamp to 0")
-	}
-}
-
 func TestString(t *testing.T) {
 	s := FromIndices(5, 0, 2, 3)
 	if got := s.String(); got != "10110" {
@@ -174,33 +129,6 @@ func TestResetAndReuse(t *testing.T) {
 	s.Reset()
 	if s.Count() != 0 {
 		t.Fatal("Reset left bits set")
-	}
-}
-
-func TestMarshalRoundTrip(t *testing.T) {
-	for _, n := range []int{0, 1, 64, 100} {
-		s := New(n)
-		for i := 0; i < n; i += 7 {
-			s.Set(i)
-		}
-		data, err := s.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var u Set
-		if err := u.UnmarshalBinary(data); err != nil {
-			t.Fatal(err)
-		}
-		if !s.Equal(u) {
-			t.Fatalf("round trip mismatch at n=%d", n)
-		}
-	}
-	var u Set
-	if err := u.UnmarshalBinary([]byte{1, 2}); err == nil {
-		t.Fatal("truncated header accepted")
-	}
-	if err := u.UnmarshalBinary([]byte{200, 0, 0, 0, 1}); err == nil {
-		t.Fatal("bad length accepted")
 	}
 }
 
@@ -287,26 +215,6 @@ func TestQuickCompareHash(t *testing.T) {
 			return false
 		}
 		return a.Hash() == a.Clone().Hash()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: marshal/unmarshal is the identity.
-func TestQuickMarshalRoundTrip(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		n := int(nRaw)
-		s := randomSet(n, seed)
-		data, err := s.MarshalBinary()
-		if err != nil {
-			return false
-		}
-		var u Set
-		if err := u.UnmarshalBinary(data); err != nil {
-			return false
-		}
-		return s.Equal(u)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -235,13 +235,12 @@ func (t *Tree) HasSubsetOf(s []uint64) bool {
 // that already break a bound are ruled out whole and only counted; the
 // patterns of the leaves that remain are appended to dst by index,
 // untested and in no particular order — the caller runs its exact test on
-// them. It returns the extended dst and the number of patterns ruled out;
-// the two always add up to Len().
-func (t *Tree) AppendUnionWithin(dst []int32, s, mask []uint64, maxTotal, maxMasked int) ([]int32, int) {
+// them. It returns the extended dst; the patterns not appended are the
+// ones ruled out.
+func (t *Tree) AppendUnionWithin(dst []int32, s, mask []uint64, maxTotal, maxMasked int) []int32 {
 	if len(s) != t.words || len(mask) != t.words {
 		panic(fmt.Sprintf("bptree: query has %d and %d words, want %d", len(s), len(mask), t.words))
 	}
-	ruledOut := 0
 	words := t.words
 	for ni := 0; ni < len(t.nodes); {
 		n := t.nodes[ni]
@@ -252,7 +251,6 @@ func (t *Tree) AppendUnionWithin(dst []int32, s, mask []uint64, maxTotal, maxMas
 			masked += bits.OnesCount64(u & mask[w])
 		}
 		if total > maxTotal || masked > maxMasked {
-			ruledOut += int(n.hi - n.lo)
 			ni = int(n.end)
 			continue
 		}
@@ -261,7 +259,7 @@ func (t *Tree) AppendUnionWithin(dst []int32, s, mask []uint64, maxTotal, maxMas
 		}
 		ni++
 	}
-	return dst, ruledOut
+	return dst
 }
 
 func isSubset(p, s []uint64) bool {

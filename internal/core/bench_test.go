@@ -64,13 +64,11 @@ func BenchmarkPairLoopYeast(b *testing.B) {
 // the generation tree: one build over the negative columns.
 func BenchmarkPairTreeBuild(b *testing.B) {
 	p, set := pairLoopYeastRow(b)
-	it := BeginRow(p, set, set.FirstRow(), Options{DisableHybrid: true})
+	it := BeginRow(p, set, set.FirstRow(), Options{})
+	it.releaseGenTree()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		it.buildGenTree()
-		if it.genTree == nil {
-			b.Fatal("row does not open the generation tree")
-		}
 		it.releaseGenTree()
 	}
 	b.ReportMetric(float64(len(it.Neg)), "neg-columns")
@@ -83,7 +81,7 @@ func BenchmarkPairTreeBuild(b *testing.B) {
 // rejected parts alone.
 func BenchmarkRankTestYeast(b *testing.B) {
 	p, set := pairLoopYeastRow(b)
-	it := BeginRow(p, set, set.FirstRow(), Options{DisableHybrid: true})
+	it := BeginRow(p, set, set.FirstRow(), Options{})
 	ws := linalg.NewWorkspace(p.M()+2, p.M()+2)
 	stream := it.NewCandidateSet()
 	var st IterStats

@@ -54,15 +54,6 @@ type Options struct {
 	// when empty). A file is unlinked as soon as it is created, so the
 	// directory stays empty whatever happens to the process.
 	SpillDir string
-	// DisableHybrid switches off the per-row generation tree over the
-	// negative columns, which lets a large row count the pairs the
-	// support pre-test rejects by the subtree instead of probing each
-	// (IterStats.Visited says how many were probed). It changes no
-	// candidate and no result — the pre-test and the rank test stay the
-	// only arbiters — and no request path sets this: tests and benchmarks
-	// use the switched-off engine, a linear sweep over every pair with
-	// the rank test behind it, as the reference for the default one.
-	DisableHybrid bool
 	// Workers is the number of shared-memory worker goroutines used for
 	// candidate generation and merging within one engine (or, in the
 	// distributed drivers, within one compute node). 0 means GOMAXPROCS;
@@ -283,10 +274,10 @@ type RowIter struct {
 
 	opts    Options
 	nextRev []int        // revRows of the next iteration's sets
-	genTree *bptree.Tree // over the Neg columns, indexed by position in Neg; nil on rows too small to repay it
-	// Per-row constants of the pair sweep, computed once in BeginRow:
+	genTree *bptree.Tree // over the Neg columns, indexed by position in Neg; nil on rows without pairs
+	// Per-row constants of generation, computed once in BeginRow:
 	// the processed-prefix mask (rows 0..Row), the support bounds, and
-	// per-column popcount caches over the current set so the sweep can
+	// per-column popcount caches over the current set so the pre-test can
 	// bound |supp(p) ∪ supp(n)| from two table lookups plus an
 	// early-exit intersection count instead of a full union sweep.
 	prefixMask  []uint64
@@ -361,37 +352,24 @@ func BeginRow(p *nullspace.Problem, set *ModeSet, row int, opts Options) *RowIte
 			it.suppSize[i] = int32(total)
 			it.prefixSize[i] = int32(pfx)
 		}
-		if !opts.DisableHybrid {
-			it.buildGenTree()
-		}
+		it.buildGenTree()
 	}
 	return it
 }
 
-// A row opens the generation tree when it has enough positive columns to
-// repay a build over its negatives and enough negatives for subtrees to
-// form: below these sizes the linear sweep is as fast and builds nothing.
-const (
-	genTreeMinPos = 64
-	genTreeMinNeg = 64
-)
-
 // treePool recycles the generation tree's storage across rows and runs.
 var treePool = sync.Pool{New: func() any { return new(bptree.Tree) }}
 
-// buildGenTree opens the row's generation tree when the row is large
-// enough to repay it; assemble hands it back to the pool.
+// buildGenTree opens the row's generation tree over its negative columns;
+// assemble hands it back to the pool.
 func (it *RowIter) buildGenTree() {
-	if len(it.Pos) < genTreeMinPos || len(it.Neg) < genTreeMinNeg {
-		return
-	}
 	set := it.Set
 	it.genTree = treePool.Get().(*bptree.Tree)
 	it.genTree.Rebuild(set.Q(), len(it.Neg), func(kn int) []uint64 { return set.BitsWords(it.Neg[kn]) })
 }
 
-// releaseGenTree returns the row's generation tree to the pool.
-// Generation after this point would fall back to the linear sweep.
+// releaseGenTree returns the row's generation tree to the pool; the row
+// generates nothing after this point.
 func (it *RowIter) releaseGenTree() {
 	if it.genTree != nil {
 		treePool.Put(it.genTree)
@@ -419,14 +397,13 @@ func (it *RowIter) NewCandidateSet() *ModeSet {
 // per-call masks and combination buffers so repeated rows and chunks stop
 // re-allocating them; it may be nil (a fresh scratch is used).
 //
-// The range is walked one positive column at a time. A whole column of a
-// row that carries a generation tree asks the tree which negative columns
-// can pass the support pre-test at all; the partial first and last
-// column of the range, and every column of a row without a tree, sweep
-// the negatives linearly. Both run the same pre-test on what they visit
-// and hand the survivors, in ascending negative order, to the same
-// combine-and-test body, so the candidates and every counter but Visited
-// are those of the plain sweep.
+// The range is walked one positive column at a time, whole or partial:
+// the row's generation tree says which negative columns can pass the
+// support pre-test at all, the pre-test runs on those inside the range,
+// and the survivors, in ascending negative order, are combined and
+// rank-tested. The tree rules out only pairs the pre-test rejects, so the
+// candidates and every counter but Visited are those of a sweep over
+// every pair of the range.
 func (it *RowIter) GenerateIntoScratch(cands *ModeSet, ws *linalg.Workspace, from, to int64, st *IterStats, sc *GenScratch) {
 	to = min(to, it.Pairs())
 	if from >= to {
@@ -441,15 +418,8 @@ func (it *RowIter) GenerateIntoScratch(cands *ModeSet, ws *linalg.Workspace, fro
 	nNeg := int64(len(it.Neg))
 	for k := from; k < to; {
 		kp, kn := int(k/nNeg), int(k%nNeg)
-		end := k - int64(kn) + nNeg
-		if end > to {
-			end = to
-		}
-		if it.genTree != nil && end-k == nNeg {
-			g.treeColumn(kp)
-		} else {
-			g.sweepColumn(kp, kn, kn+int(end-k))
-		}
+		end := min(k-int64(kn)+nNeg, to)
+		g.treeColumn(kp, kn, kn+int(end-k))
 		k = end
 	}
 	// Extrapolation happens here, per call — i.e. per chunk when the pair
@@ -498,8 +468,8 @@ func newGenCall(it *RowIter, cands *ModeSet, ws *linalg.Workspace, st *IterStats
 // per-column popcounts turn the union bound into two lookups plus an
 // intersection count that stops as soon as enough shared bits are seen.
 // It fails iff a full-union sweep would — the counts are identities, not
-// approximations. It is the one pair predicate of generation: the linear
-// sweep and the tree's leaves both decide by it.
+// approximations. It is the one pair predicate of generation: the tree's
+// leaves are decided by it.
 func (it *RowIter) unionFits(bp []uint64, pi, ni int) bool {
 	needTotal := int(it.suppSize[pi]) + int(it.suppSize[ni]) - 1 - it.maxSupport
 	needPrefix := int(it.prefixSize[pi]) + int(it.prefixSize[ni]) - 1 - it.prefixBound
@@ -520,41 +490,29 @@ func (it *RowIter) unionFits(bp []uint64, pi, ni int) bool {
 	return false
 }
 
-// sweepColumn probes positive column kp against negatives [knLo, knHi)
-// one by one.
-func (g *genCall) sweepColumn(kp, knLo, knHi int) {
+// treeColumn generates positive column kp against negatives [knLo, knHi)
+// through the row's generation tree. Of the leaves the tree leaves to
+// probe, those inside the range are visited; every other pair of the
+// range is a pre-test rejection by its count alone. The survivors are put
+// back into ascending negative order before they are combined, which
+// keeps the candidate sequence that of a sweep.
+func (g *genCall) treeColumn(kp, knLo, knHi int) {
 	it := g.it
 	pi := it.Pos[kp]
 	bp := it.Set.BitsWords(pi)
-	g.st.Visited += int64(knHi - knLo)
-	for _, ni := range it.Neg[knLo:knHi] {
-		if !it.unionFits(bp, pi, ni) {
-			g.st.Prefiltered++
-			continue
-		}
-		g.combine(pi, ni)
-	}
-}
-
-// treeColumn generates the whole positive column kp through the row's
-// generation tree. Subtrees the tree rules out are pre-test rejections by
-// their count alone; what is left is visited like a sweep would, and the
-// survivors are put back into ascending negative order before they are
-// combined, which keeps the candidate sequence that of the sweep.
-func (g *genCall) treeColumn(kp int) {
-	it := g.it
-	pi := it.Pos[kp]
-	bp := it.Set.BitsWords(pi)
-	visit, ruledOut := it.genTree.AppendUnionWithin(g.sc.visit[:0], bp, it.prefixMask, it.maxSupport+1, it.prefixBound+1)
+	visit := it.genTree.AppendUnionWithin(g.sc.visit[:0], bp, it.prefixMask, it.maxSupport+1, it.prefixBound+1)
 	g.sc.visit = visit
-	g.st.Visited += int64(len(visit))
 	keep := visit[:0]
 	for _, kn := range visit {
+		if int(kn) < knLo || int(kn) >= knHi {
+			continue
+		}
+		g.st.Visited++
 		if it.unionFits(bp, pi, it.Neg[kn]) {
 			keep = append(keep, kn)
 		}
 	}
-	g.st.Prefiltered += int64(ruledOut + len(visit) - len(keep))
+	g.st.Prefiltered += int64(knHi - knLo - len(keep))
 	slices.Sort(keep)
 	for _, kn := range keep {
 		g.combine(pi, it.Neg[kn])

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"elmocomp/internal/linalg"
 	"elmocomp/internal/model"
 	"elmocomp/internal/nullspace"
 	"elmocomp/internal/reduce"
@@ -56,8 +57,53 @@ func pointedProblems(t *testing.T) map[string]*nullspace.Problem {
 	return out
 }
 
+// sweepRange is the reference of GenerateIntoScratch: it walks pairs
+// [from, to) of the row one by one, pre-tests each with unionFits and
+// combines and rank-tests the survivors, visiting every pair. It never
+// asks the generation tree.
+func sweepRange(it *RowIter, cands *ModeSet, ws *linalg.Workspace, from, to int64, st *IterStats) {
+	g := newGenCall(it, cands, ws, st, &GenScratch{})
+	nNeg, to := int64(len(it.Neg)), min(to, it.Pairs())
+	for k := from; k < to; k++ {
+		pi, ni := it.Pos[k/nNeg], it.Neg[k%nNeg]
+		st.Pairs++
+		st.Visited++
+		if !it.unionFits(it.Set.BitsWords(pi), pi, ni) {
+			st.Prefiltered++
+			continue
+		}
+		g.combine(pi, ni)
+	}
+}
+
+// sweepRun is Run on one worker with sweepRange in place of the
+// generation tree, up to lastRow (0: to the end): the every-pair
+// reference engine.
+func sweepRun(t *testing.T, p *nullspace.Problem, lastRow int) *Result {
+	t.Helper()
+	if lastRow <= 0 {
+		lastRow = p.Q()
+	}
+	res := &Result{Problem: p}
+	set := InitialModeSet(p, zeroTol)
+	ws := linalg.NewWorkspace(p.M()+2, p.M()+2)
+	for row := p.D; row < lastRow; row++ {
+		it := BeginRow(p, set, row, Options{})
+		cands := it.NewCandidateSet()
+		sweepRange(it, cands, ws, 0, it.Pairs(), &it.Stats)
+		next, err := it.AssembleNext(cands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Stats = append(res.Stats, it.Stats)
+		set = next
+	}
+	res.Modes = set
+	return res
+}
+
 // requireTreeMatchesSweep runs p up to lastRow (0: to the end) with the
-// generation tree at workers 1, 4 and 8 and as the plain every-pair sweep,
+// generation tree at workers 1, 4 and 8 and as the every-pair sweepRun,
 // and requires the same modes, the same fingerprint and, row by row, the
 // same logical counters: the tree only skips probing pairs the pre-test
 // rejects, so every candidate that passes the support bounds reaches the
@@ -65,10 +111,7 @@ func pointedProblems(t *testing.T) map[string]*nullspace.Problem {
 // one-worker tree run visited and generated.
 func requireTreeMatchesSweep(t *testing.T, name string, p *nullspace.Problem, lastRow int) (visited, pairs int64) {
 	t.Helper()
-	sweep, err := Run(p, Options{LastRow: lastRow, Workers: 1, DisableHybrid: true})
-	if err != nil {
-		t.Fatalf("%s: sweep: %v", name, err)
-	}
+	sweep := sweepRun(t, p, lastRow)
 	for _, workers := range []int{1, 4, 8} {
 		label := fmt.Sprintf("%s workers=%d", name, workers)
 		tree, err := Run(p, Options{LastRow: lastRow, Workers: workers})
@@ -118,7 +161,7 @@ func TestHybridInertOnNonPointed(t *testing.T) {
 }
 
 // TestHybridMatchesRankOnlyYeastPrefix: the split Network I prefix, whose
-// late rows are large enough to open the generation tree and let it prune.
+// late rows are large enough for the generation tree to prune.
 // Its early rows include candidates whose exact support shrinks below the
 // parents' union through cancellation in unprocessed rows, which the
 // exact support bounds, not the union, must decide.

@@ -14,11 +14,11 @@ import (
 // TestIterationAccountingInvariant checks the bookkeeping identities of
 // every iteration: modes out = zero + pos (+ neg if reversible) +
 // accepted - duplicates; every pair is a pre-test rejection or a rank
-// test, and nothing records a tree rejection; and the pairs visited one by
-// one are at most all of them — exactly all of them with the generation
-// tree switched off. The
-// Network I prefix is there for rows large enough to open the generation
-// tree, which must then leave pairs unvisited.
+// test, and nothing records a tree rejection; the pairs visited one by
+// one are at most all of them, and the every-pair sweepRun reaches the
+// same pair, pre-test, rank-test and acceptance counts. The Network I
+// prefix is there for rows large enough for the generation tree to leave
+// pairs unvisited.
 func TestIterationAccountingInvariant(t *testing.T) {
 	type fixture struct {
 		name string
@@ -54,12 +54,7 @@ func TestIterationAccountingInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		linearOpts := f.opts
-		linearOpts.DisableHybrid = true
-		linear, err := Run(f.p, linearOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		linear := sweepRun(t, f.p, f.opts.LastRow)
 		var pairs, visited int64
 		for i, s := range res.Stats {
 			pairs += s.Pairs
@@ -67,8 +62,8 @@ func TestIterationAccountingInvariant(t *testing.T) {
 			if s.Pairs != s.Prefiltered+s.Tested || s.TreeRejects != 0 || s.Visited > s.Pairs || s.Eliminated > s.Tested {
 				t.Fatalf("%s row %d: pair accounting inconsistent: %+v", f.name, s.Row, s)
 			}
-			if l := linear.Stats[i]; l.Visited != l.Pairs || l.Pairs != s.Pairs {
-				t.Fatalf("%s row %d: linear sweep visited %d of %d pairs (default engine: %d pairs)", f.name, s.Row, l.Visited, l.Pairs, s.Pairs)
+			if l := linear.Stats[i]; l.Pairs != s.Pairs || l.Prefiltered != s.Prefiltered || l.Tested != s.Tested || l.Accepted != s.Accepted {
+				t.Fatalf("%s row %d: the every-pair sweep counts %+v, the engine %+v", f.name, s.Row, l, s)
 			}
 			keep := s.Zero + s.Pos
 			if s.Reversible {

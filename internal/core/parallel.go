@@ -128,28 +128,19 @@ type genChunk struct {
 }
 
 // cutChunks returns the boundaries of the chunks of [from, to) for a
-// group of size nodes: equal shares of the pair range, moved down to the
-// positive-column boundary below whenever a share spans a column, so
-// that only the range's own first and last column are ever generated in
-// part. The lone worker of a group of one runs the range as one chunk.
-func (pl *Pool) cutChunks(it *RowIter, from, to int64, size int) []int64 {
+// group of size nodes: equal shares of the pair range, wherever they fall
+// in a positive column. The lone worker of a group of one runs the range
+// as one chunk.
+func (pl *Pool) cutChunks(from, to int64, size int) []int64 {
 	if size*len(pl.workers) == 1 {
 		pl.bounds = append(pl.bounds[:0], from, to)
 		return pl.bounds
 	}
-	nNeg := int64(len(it.Neg))
 	want := int64(size * len(pl.workers) * chunksPerWorker)
 	step := (to - from + want - 1) / want
-	if it.genTree != nil && step < nNeg {
-		step = nNeg // the tree answers for whole columns only
-	}
 	bounds := append(pl.bounds[:0], from)
 	for b := from + step; b < to; b += step {
-		if step >= nNeg {
-			bounds = append(bounds, b-b%nNeg)
-		} else {
-			bounds = append(bounds, b)
-		}
+		bounds = append(bounds, b)
 	}
 	pl.bounds = append(bounds, to)
 	return pl.bounds
@@ -174,7 +165,7 @@ func (pl *Pool) generate(it *RowIter, from, to int64, rank, size int, st *IterSt
 		w.cands = it.ResetCandidateSet(w.cands)
 		w.st = IterStats{}
 	}
-	bounds := pl.cutChunks(it, from, to, size)
+	bounds := pl.cutChunks(from, to, size)
 	n := len(bounds) - 1
 	mine := dealtChunks(n, rank, size)
 	if cap(pl.chunks) < mine {

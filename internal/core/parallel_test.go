@@ -123,11 +123,11 @@ func genCounters(s IterStats) [6]int64 {
 // reproduce the single-call candidate sequence and every generation
 // counter exactly, at every worker count and over ranges that begin and
 // end in the middle of a positive column — and the single call, which
-// asks the generation tree wherever a row carries one, must in turn
-// reproduce the plain linear sweep in everything but Visited. The toy
-// network never opens the tree; the Network I prefix (the rows
-// BenchmarkPairLoopYeast runs up to) does, and the pointed synthetic
-// network adds the split formulation.
+// asks the generation tree on every row with pairs, must in turn
+// reproduce the every-pair sweepRange in everything but Visited. The toy
+// and synthetic networks have only rows under 64×64; the Network I prefix
+// (the rows BenchmarkPairLoopYeast runs up to) has larger ones, and the
+// pointed synthetic network adds the split formulation.
 func TestGenerateRangeMatchesGenerateInto(t *testing.T) {
 	type fixture struct {
 		p    *nullspace.Problem
@@ -157,6 +157,7 @@ func TestGenerateRangeMatchesGenerateInto(t *testing.T) {
 		fixtures["yeast prefix"] = fixture{yeast, yeast.D + 21}
 	}
 	rng := rand.New(rand.NewSource(26))
+	small := 0
 	for name, f := range fixtures {
 		p := f.p
 		if p == nil {
@@ -168,13 +169,21 @@ func TestGenerateRangeMatchesGenerateInto(t *testing.T) {
 		for _, workers := range []int{1, 2, 3, 5} {
 			pools[workers] = NewPool(p, workers)
 		}
-		opened := false
 		for row := p.D; row < f.last; row++ {
 			it := BeginRow(p, set, row, Options{})
-			linear := BeginRow(p, set, row, Options{DisableHybrid: true})
-			opened = opened || it.genTree != nil
 			pairs := it.Pairs()
+			if (it.genTree != nil) != (pairs > 0) {
+				t.Fatalf("%s row %d: %d pairs, generation tree open: %v", name, row, pairs, it.genTree != nil)
+			}
+			if pairs > 0 && (len(it.Pos) < 64 || len(it.Neg) < 64) {
+				small++
+			}
 			ranges := [][2]int64{{0, pairs}}
+			if nNeg := int64(len(it.Neg)); nNeg > 2 {
+				// Ranges that start and end mid-column: across the
+				// row, and inside one column.
+				ranges = append(ranges, [2]int64{1, pairs - 1}, [2]int64{1, nNeg - 1})
+			}
 			for i := 0; i < 2 && pairs > 1; i++ {
 				from := rng.Int63n(pairs)
 				ranges = append(ranges, [2]int64{from, from + 1 + rng.Int63n(pairs-from)})
@@ -182,27 +191,24 @@ func TestGenerateRangeMatchesGenerateInto(t *testing.T) {
 			var whole *ModeSet
 			for ri, r := range ranges {
 				label := fmt.Sprintf("%s row %d pairs [%d,%d)", name, row, r[0], r[1])
-				want := linear.NewCandidateSet()
+				want := it.NewCandidateSet()
 				var wantStats IterStats
-				linear.GenerateIntoScratch(want, ws, r[0], r[1], &wantStats, nil)
-				if wantStats.Visited != r[1]-r[0] {
-					t.Fatalf("%s: linear sweep visited %d pairs", label, wantStats.Visited)
-				}
+				sweepRange(it, want, ws, r[0], r[1], &wantStats)
 				single := it.NewCandidateSet()
 				var singleStats IterStats
 				it.GenerateIntoScratch(single, ws, r[0], r[1], &singleStats, nil)
 				requireIdenticalSets(t, label+" single call", want, single)
-				// The switched-off reference visits every pair.
+				// The reference visits every pair.
 				wantStats.Visited = singleStats.Visited
 				if singleStats.Visited > singleStats.Pairs || genCounters(singleStats) != genCounters(wantStats) {
-					t.Fatalf("%s: single-call counters %v, linear sweep %v", label, genCounters(singleStats), genCounters(wantStats))
+					t.Fatalf("%s: single-call counters %v, every-pair sweep %v", label, genCounters(singleStats), genCounters(wantStats))
 				}
 				if ri == 0 {
 					whole = single
 				}
 				for workers, pool := range pools {
 					// The full range runs at every worker count, the
-					// random ranges at one each.
+					// partial ranges at one each.
 					if ri > 0 && workers != []int{1, 2, 3, 5}[(row+ri)%4] {
 						continue
 					}
@@ -220,9 +226,9 @@ func TestGenerateRangeMatchesGenerateInto(t *testing.T) {
 			}
 			set = next
 		}
-		if name == "yeast prefix" && !opened {
-			t.Fatalf("%s: no row opened the generation tree", name)
-		}
+	}
+	if small == 0 {
+		t.Fatal("no row under 64×64 was checked")
 	}
 }
 
@@ -230,8 +236,9 @@ func TestGenerateRangeMatchesGenerateInto(t *testing.T) {
 // must come back from every node's Gather in the serial generation order
 // — the candidate sequence a group of one generates — with the nodes'
 // generation counters summing to the group of one's, Visited included
-// (the deal's chunks are column-aligned wherever a tree answers), at
-// every node and worker count and whichever worker pulled which chunk.
+// (a column the cut splits visits, over its parts, the leaves it visits
+// whole), at every node and worker count and whichever worker pulled
+// which chunk.
 // The yeast1-dd-R19r prefix runs past D+22, the first row whose tree
 // columns a contiguous node slice used to split (-short stops right
 // after it: the race lane runs this twenty times).

@@ -8,9 +8,9 @@ import (
 )
 
 // TestHybridPrefilterMatchesRankOnly: on a network that is pointed as
-// written (no reversible reactions), the enumerated EFM union must be
-// identical with the subproblem engines' generation tree on and off, and
-// equal to the serial reference.
+// written (no reversible reactions), the EFM union the subproblem engines
+// enumerate through their generation trees must equal the serial
+// reference.
 func TestHybridPrefilterMatchesRankOnly(t *testing.T) {
 	n, err := synth.Network(synth.Params{
 		Layers: 4, Width: 4, CrossLinks: 8, ReversibleFraction: 0, MaxCoef: 2, Seed: 3,
@@ -23,15 +23,11 @@ func TestHybridPrefilterMatchesRankOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := keysOf(serialSupports(t, red.N, red.Reversibilities()))
-	for _, disable := range []bool{true, false} {
-		opts := Options{Qsub: 2}
-		opts.Parallel.Core.DisableHybrid = disable
-		res, err := Run(red.N, red.Reversibilities(), opts)
-		if err != nil {
-			t.Fatalf("disable=%v: %v", disable, err)
-		}
-		if got := keysOf(res.Supports); got != want {
-			t.Fatalf("disable=%v: EFM union differs from serial\n got %s\nwant %s", disable, got, want)
-		}
+	res, err := Run(red.N, red.Reversibilities(), Options{Qsub: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := keysOf(res.Supports); got != want {
+		t.Fatalf("EFM union differs from serial\n got %s\nwant %s", got, want)
 	}
 }

@@ -56,15 +56,19 @@ func nodeTested(t *testing.T, p *nullspace.Problem, opts Options) []int64 {
 // round-robin keeps the busiest node within a few percent of the mean,
 // where equal contiguous slices of the pair range gave rank 0 of two
 // nodes 400,467 (max/mean 1.34; 1.54 at three nodes, 1.83 at four).
+// Chunks are equal shares of the pair range wherever they fall in a
+// column; the shares moved from 304,564 / 291,886 at two nodes when they
+// stopped being cut at column boundaries (max/mean at four nodes went
+// from 1.107 to 1.125).
 func TestDealBalancesRankTests(t *testing.T) {
 	p := yeastDDProblem(t)
 	cases := []struct {
 		want  []int64
 		bound float64
 	}{
-		{[]int64{304564, 291886}, 1.03},
-		{[]int64{217433, 189639, 189378}, 1.10},
-		{[]int64{165138, 140758, 148753, 141801}, 1.11},
+		{[]int64{304480, 291970}, 1.03},
+		{[]int64{215822, 188189, 192439}, 1.10},
+		{[]int64{167693, 136817, 148151, 143789}, 1.13},
 	}
 	if testing.Short() {
 		cases = cases[:1] // the race lane runs this twenty times

@@ -10,10 +10,10 @@ import (
 )
 
 // TestHybridPrefilterMatchesRankOnlyAcrossNodes: on a pointed problem
-// the distributed driver must produce the same bit-identical mode set
-// with the generation tree on and off, for every node/worker
-// combination — the tree may only skip probing pairs, never change a
-// replica's content.
+// the distributed driver must produce the serial engine's bit-identical
+// mode set for every node/worker combination — however the pair range is
+// cut into chunks, the generation tree may only skip probing pairs, never
+// change a replica's content.
 func TestHybridPrefilterMatchesRankOnlyAcrossNodes(t *testing.T) {
 	n, err := synth.Network(synth.Params{
 		Layers: 6, Width: 6, CrossLinks: 14, ReversibleFraction: 0.2, MaxCoef: 2, Seed: 42,
@@ -29,25 +29,19 @@ func TestHybridPrefilterMatchesRankOnlyAcrossNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := core.Run(p, core.Options{DisableHybrid: true})
+	serial, err := core.Run(p, core.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := serial.Modes.Fingerprint()
 	for _, nodes := range []int{1, 2, 3} {
 		for _, workers := range []int{1, 4} {
-			for _, disable := range []bool{true, false} {
-				res, err := Run(p, Options{
-					Nodes: nodes,
-					Core:  core.Options{Workers: workers, DisableHybrid: disable},
-				})
-				if err != nil {
-					t.Fatalf("nodes=%d workers=%d disable=%v: %v", nodes, workers, disable, err)
-				}
-				if got := res.Modes.Fingerprint(); got != want {
-					t.Fatalf("nodes=%d workers=%d disable=%v: fingerprint %016x, want %016x",
-						nodes, workers, disable, got, want)
-				}
+			res, err := Run(p, Options{Nodes: nodes, Core: core.Options{Workers: workers}})
+			if err != nil {
+				t.Fatalf("nodes=%d workers=%d: %v", nodes, workers, err)
+			}
+			if got := res.Modes.Fingerprint(); got != want {
+				t.Fatalf("nodes=%d workers=%d: fingerprint %016x, want %016x", nodes, workers, got, want)
 			}
 		}
 	}

@@ -160,12 +160,13 @@ func exactStats(s core.IterStats) core.IterStats {
 
 func TestParallelStatsMatchSerial(t *testing.T) {
 	// Every exact per-iteration counter must be the serial run's at every
-	// node count — the pair space is partitioned, not changed, and the
-	// dealt chunks are column-aligned, so even Visited (pairs probed one
-	// by one) cannot tell the nodes apart — and a group of one IS the
-	// serial run: the mode set and the store's activity agree too, flat
-	// and under a budget that spills every round. The yeast1-dd-R19r
-	// prefix is where the generation tree opens.
+	// node count — the pair space is partitioned, not changed, and a
+	// column split by a chunk boundary visits over its parts what it
+	// visits whole, so even Visited (pairs probed one by one) cannot tell
+	// the nodes apart — and a group of one IS the serial run: the mode set
+	// and the store's activity agree too, flat and under a budget that
+	// spills every round. The yeast1-dd-R19r prefix is where the
+	// generation tree prunes.
 	yeast := yeastDDProblem(t)
 	problems := map[string]struct {
 		p    *nullspace.Problem

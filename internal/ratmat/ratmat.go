@@ -305,20 +305,6 @@ func (m *Matrix) IndependentRows() []int {
 	return t.RREF()
 }
 
-// Float64 returns the matrix converted to float64 rows.
-func (m *Matrix) Float64() [][]float64 {
-	out := make([][]float64, m.r)
-	flat := make([]float64, m.r*m.c)
-	for i := 0; i < m.r; i++ {
-		out[i] = flat[i*m.c : (i+1)*m.c]
-		for j := 0; j < m.c; j++ {
-			f, _ := m.a[i*m.c+j].Float64()
-			out[i][j] = f
-		}
-	}
-	return out
-}
-
 // String renders the matrix with space-separated rational entries, one row
 // per line.
 func (m *Matrix) String() string {

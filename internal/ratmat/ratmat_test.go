@@ -203,15 +203,6 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
-func TestFloat64(t *testing.T) {
-	m := FromInts(ints([]int64{1, -3}))
-	m.Set(0, 0, big.NewRat(1, 2))
-	f := m.Float64()
-	if f[0][0] != 0.5 || f[0][1] != -3 {
-		t.Fatalf("Float64 = %v", f)
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	m := FromInts(ints([]int64{1}))
 	n := m.Clone()
