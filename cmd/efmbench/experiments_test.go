@@ -6,13 +6,9 @@ import "testing"
 // stdout; correctness of the numbers is asserted by the library tests —
 // these are harness smoke tests).
 func TestQuickExperiments(t *testing.T) {
-	cfg := benchConfig{nodes: []int{1, 2}, budget: 10}
 	for _, e := range experiments {
-		switch e.name {
-		case "fig2", "dims", "dncexample":
-			if err := e.run(cfg); err != nil {
-				t.Fatalf("%s: %v", e.name, err)
-			}
+		if err := e.run(); err != nil {
+			t.Fatalf("%s: %v", e.name, err)
 		}
 	}
 }

@@ -261,20 +261,23 @@ type Config struct {
 
 // IterationStat mirrors one iteration of the algorithm.
 type IterationStat struct {
-	Reaction       string // reduced reaction name whose row was processed
-	Reversible     bool
-	Pos, Neg, Zero int
-	CandidateModes int64 // |pos|·|neg| combinations generated
-	Visited        int64 // of those, pairs probed one by one (the generation tree rejects the rest by the subtree)
-	Prefiltered    int64 // rejected by the support-size pre-test
-	Tested         int64 // rank tests run
-	Eliminated     int64 // of those, tests that ran an elimination (counting live rows decided the rest)
-	Accepted       int64
-	Duplicates     int64
-	ModesOut       int
+	Reaction       string `json:"reaction"` // reduced reaction name whose row was processed
+	Reversible     bool   `json:"reversible"`
+	Pos            int    `json:"pos"`
+	Neg            int    `json:"neg"`
+	Zero           int    `json:"zero"`
+	CandidateModes int64  `json:"candidate_modes"` // |pos|·|neg| combinations generated
+	Visited        int64  `json:"visited"`         // of those, pairs probed one by one (the generation tree rejects the rest by the subtree)
+	Prefiltered    int64  `json:"prefiltered"`     // rejected by the support-size pre-test
+	Tested         int64  `json:"tested"`          // rank tests run
+	Eliminated     int64  `json:"eliminated"`      // of those, tests that ran an elimination (counting live rows decided the rest)
+	Accepted       int64  `json:"accepted"`
+	Duplicates     int64  `json:"duplicates"`
+	ModesOut       int    `json:"modes_out"`
 	// GenSeconds and RankSeconds are the row's candidate-generation and
 	// rank-test CPU seconds, summed over workers and nodes.
-	GenSeconds, RankSeconds float64
+	GenSeconds  float64 `json:"gen_seconds"`
+	RankSeconds float64 `json:"rank_seconds"`
 }
 
 // PhaseSeconds is the per-phase timing of a distributed run (Table II's
@@ -283,20 +286,20 @@ type PhaseSeconds = parallel.PhaseTimes
 
 // SubproblemStat describes one divide-and-conquer class.
 type SubproblemStat struct {
-	ID             uint64
-	Pattern        string // e.g. "R89r=0,R74r≠0"
-	EFMs           int
-	CandidateModes int64
-	Skipped        bool
-	ReSplit        bool
+	ID             uint64 `json:"id"`
+	Pattern        string `json:"pattern"` // e.g. "R89r=0,R74r!=0"
+	EFMs           int    `json:"efms"`
+	CandidateModes int64  `json:"candidate_modes"`
+	Skipped        bool   `json:"skipped,omitempty"`
+	ReSplit        bool   `json:"re_split,omitempty"`
 	// MemReSplit marks a re-split triggered by the memory budget rather
 	// than the intermediate mode count.
-	MemReSplit bool
+	MemReSplit bool `json:"mem_re_split,omitempty"`
 	// Unresolved marks a class that hit MaxIntermediateModes at the
 	// re-split depth limit; its EFMs are missing from the Result (the
 	// budgeted Table IV exploration mode).
-	Unresolved bool
-	Seconds    PhaseSeconds
+	Unresolved bool         `json:"unresolved,omitempty"`
+	Seconds    PhaseSeconds `json:"seconds"`
 }
 
 // SchedulerStats holds the counters of a divide-and-conquer run's class

@@ -86,10 +86,10 @@ type Options struct {
 // PhaseTimes aggregates the per-phase wall-clock seconds across
 // iterations for one node — the paper's Table II row structure.
 type PhaseTimes struct {
-	GenCand     float64 // candidate generation
-	RankTest    float64 // elementarity tests
-	Communicate float64 // candidate exchange
-	Merge       float64 // duplicate removal + matrix rebuild
+	GenCand     float64 `json:"gen_seconds"`   // candidate generation
+	RankTest    float64 `json:"rank_seconds"`  // elementarity tests
+	Communicate float64 `json:"comm_seconds"`  // candidate exchange
+	Merge       float64 `json:"merge_seconds"` // duplicate removal + matrix rebuild
 }
 
 // Total returns the summed phase time.
