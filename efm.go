@@ -377,7 +377,8 @@ type Result struct {
 type ModeEvent struct {
 	// Rank is the 1-based position in the ranked stream.
 	Rank int
-	// Support lists the reduced reaction names carrying flux, sorted.
+	// Support lists the original reaction names carrying flux, sorted:
+	// Result.SupportNames of the same mode.
 	Support []string
 	// Value is the exact objective value of the mode's normalized
 	// vertex, as a rational string ("-3/20"); "0" under a nil
@@ -451,80 +452,37 @@ func (r *Result) ReducedSupport(i int) []int {
 }
 
 // SupportNames returns the original reaction names carrying non-zero
-// flux in mode i, sorted. Reactions merged during reduction (enzyme
-// subsets) all appear.
+// flux in mode i, sorted: the members of its support columns, so
+// reactions merged during reduction (enzyme subsets) all appear.
 func (r *Result) SupportNames(i int) []string {
-	flux, err := r.Flux(i)
-	if err != nil {
-		// Fall back to reduced-column names.
-		var names []string
-		for _, c := range r.supports[i].Indices(nil) {
-			names = append(names, r.red.Cols[c].Name)
-		}
-		sort.Strings(names)
-		return names
-	}
-	var names []string
-	for name, v := range flux {
-		if v.Sign() != 0 {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names
+	return r.red.SupportNames(r.supports[i].Indices(nil))
 }
 
 // Flux reconstructs mode i's exact flux distribution over the original
-// reactions, scaled so the smallest non-zero magnitude is 1. Reversible
-// reactions may carry negative flux.
+// reactions (core.ExactFlux over the reduced network, then expansion),
+// scaled so the smallest non-zero magnitude is 1. Reversible reactions
+// may carry negative flux. It fails when the stored support is not the
+// mode's true support.
 func (r *Result) Flux(i int) (map[string]*big.Rat, error) {
 	support := r.supports[i].Indices(nil)
-	sub := r.red.N.SelectColumns(support)
-	k, _ := sub.Kernel()
-	if k.Cols() != 1 {
-		return nil, fmt.Errorf("elmocomp: mode %d support has nullity %d, want 1", i, k.Cols())
+	vals, err := core.ExactFlux(r.red.N, r.red.Reversibilities(), support)
+	if err != nil {
+		return nil, fmt.Errorf("elmocomp: mode %d: %w", i, err)
 	}
+	// Scale: smallest non-zero magnitude becomes 1.
+	minAbs := new(big.Rat).Abs(vals[0])
+	for _, x := range vals[1:] {
+		if a := new(big.Rat).Abs(x); a.Cmp(minAbs) < 0 {
+			minAbs = a
+		}
+	}
+	inv := new(big.Rat).Inv(minAbs)
 	v := make([]*big.Rat, len(r.red.Cols))
 	for j := range v {
 		v[j] = new(big.Rat)
 	}
 	for jj, col := range support {
-		v[col] = new(big.Rat).Set(k.At(jj, 0))
-	}
-	// Orient: first irreversible support column non-negative.
-	flip := false
-	oriented := false
-	for jj, col := range support {
-		if !r.red.Cols[col].Reversible {
-			flip = k.At(jj, 0).Sign() < 0
-			oriented = true
-			break
-		}
-	}
-	if !oriented && k.At(0, 0).Sign() < 0 {
-		flip = true
-	}
-	if flip {
-		for _, x := range v {
-			x.Neg(x)
-		}
-	}
-	// Scale: smallest non-zero magnitude becomes 1.
-	var minAbs *big.Rat
-	for _, x := range v {
-		if x.Sign() == 0 {
-			continue
-		}
-		a := new(big.Rat).Abs(x)
-		if minAbs == nil || a.Cmp(minAbs) < 0 {
-			minAbs = a
-		}
-	}
-	if minAbs != nil && minAbs.Sign() > 0 {
-		inv := new(big.Rat).Inv(minAbs)
-		for _, x := range v {
-			x.Mul(x, inv)
-		}
+		v[col].Mul(vals[jj], inv)
 	}
 	orig := r.red.Expand(v)
 	out := make(map[string]*big.Rat)
@@ -541,10 +499,10 @@ func (r *Result) ReductionSummary() string { return r.red.Summary() }
 
 // ParticipationCounts returns, for every original reaction that appears
 // in at least one mode, the number of modes carrying flux through it.
-// This is the cheap aggregate used by knockout screens and by the
-// duplicate-count reconciliation in EXPERIMENTS.md; it attributes merged
-// duplicate columns to their positive-direction representative (exact
-// per-mode attribution needs Flux, which is far more expensive).
+// This is the aggregate used by knockout screens and by the
+// duplicate-count reconciliation in EXPERIMENTS.md; like SupportNames, it
+// attributes a merged duplicate column to its representative, the one
+// expansion the reduction keeps.
 func (r *Result) ParticipationCounts() map[string]int {
 	colCounts := make([]int, len(r.red.Cols))
 	for _, b := range r.supports {
@@ -604,7 +562,8 @@ func (r *Result) WriteSupports(w io.Writer) error {
 
 // Verify re-checks every mode in exact arithmetic against the ORIGINAL
 // network: steady-state balance, sign feasibility, support minimality
-// (nullity 1), and pairwise support incomparability. Cost is roughly one
+// (nullity 1) with every stored support bit carrying flux, and pairwise
+// support incomparability. Cost is roughly one
 // exact kernel per mode plus a quadratic support scan; intended for
 // small-to-medium results and tests.
 func (r *Result) Verify() error {
@@ -612,7 +571,7 @@ func (r *Result) Verify() error {
 	for i := 0; i < r.Len(); i++ {
 		flux, err := r.Flux(i)
 		if err != nil {
-			return fmt.Errorf("mode %d: %w", i, err)
+			return err
 		}
 		full := make([]*big.Rat, len(r.network.Reactions))
 		for j, rxn := range r.network.Reactions {
@@ -754,11 +713,7 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 			res.supports = append(res.supports, m.Support)
 			values = append(values, m.Value.RatString())
 			if cfg.OnMode != nil {
-				names := make([]string, 0, m.Support.Count())
-				for _, c := range m.Support.Indices(nil) {
-					names = append(names, red.Cols[c].Name)
-				}
-				sort.Strings(names)
+				names := red.SupportNames(m.Support.Indices(nil))
 				cfg.OnMode(ModeEvent{Rank: m.Rank, Support: names, Value: m.Value.RatString()})
 			}
 		})

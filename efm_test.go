@@ -161,6 +161,61 @@ func TestFluxReconstruction(t *testing.T) {
 	}
 }
 
+// TestSupportNamesMatchFlux: on networks whose duplicate group mixes an
+// irreversible and a reversible reaction, with and without merging the
+// duplicates, every mode verifies and SupportNames lists exactly the
+// reactions its exact flux uses.
+func TestSupportNamesMatchFlux(t *testing.T) {
+	for _, src := range []string{`
+name revdup
+a : A => B
+b : A <=> B
+in : Aext <=> A
+out : B <=> Bext
+`, `
+name revdup2
+a : A => B
+b : A <=> B
+in1 : Aext => A
+in2 : A2ext => A
+out1 : B => B1ext
+out2 : B => B2ext
+`} {
+		net, err := ParseNetworkString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, keep := range []bool{false, true} {
+			res, err := ComputeEFMs(net, Config{KeepDuplicateReactions: keep})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Len() == 0 {
+				t.Fatalf("%s keep=%v: no modes", net.Name(), keep)
+			}
+			if err := res.Verify(); err != nil {
+				t.Fatalf("%s keep=%v: %v", net.Name(), keep, err)
+			}
+			for i := 0; i < res.Len(); i++ {
+				flux, err := res.Flux(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var used []string
+				for name, v := range flux {
+					if v.Sign() != 0 {
+						used = append(used, name)
+					}
+				}
+				sort.Strings(used)
+				if names := res.SupportNames(i); !reflect.DeepEqual(names, used) {
+					t.Fatalf("%s keep=%v mode %d: SupportNames %v, flux uses %v", net.Name(), keep, i, names, used)
+				}
+			}
+		}
+	}
+}
+
 func TestWriteSupports(t *testing.T) {
 	net, err := Builtin("toy")
 	if err != nil {

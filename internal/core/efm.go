@@ -5,59 +5,59 @@ import (
 	"math/big"
 
 	"elmocomp/internal/nullspace"
+	"elmocomp/internal/ratmat"
 )
 
-// ReconstructFlux recovers the exact flux vector of mode i of a completed
-// run, in *reduced reaction* index space (un-permuted). The support
-// submatrix of the exact stoichiometry has nullity 1 for a genuine
-// elementary mode; its kernel vector, oriented so that irreversible
-// reactions carry non-negative flux, is the mode. Fully reversible modes
-// (no irreversible reaction in the support) are oriented with a positive
-// first entry by convention.
-func ReconstructFlux(p *nullspace.Problem, set *ModeSet, i int) ([]*big.Rat, error) {
-	support := set.SupportIndices(i, nil) // permuted indices
+// ExactFlux is the one exact reconstruction of an elementary mode from
+// its support: the kernel vector of N[:, support], which must have
+// nullity 1, listed per support position. Every entry must be non-zero —
+// a zero means the support bits are not the mode's true support. The
+// vector is oriented so that the first irreversible support column (by
+// rev) carries positive flux, or the first support column when every one
+// is reversible, and rejected if an irreversible column is then negative.
+func ExactFlux(N *ratmat.Matrix, rev []bool, support []int) ([]*big.Rat, error) {
 	if len(support) == 0 {
-		return nil, fmt.Errorf("core: mode %d has empty support", i)
+		return nil, fmt.Errorf("empty support")
 	}
-	sub := p.NExact.SelectColumns(support)
-	k, _ := sub.Kernel()
+	k, _ := N.SelectColumns(support).Kernel()
 	if k.Cols() != 1 {
-		return nil, fmt.Errorf("core: mode %d support submatrix has nullity %d, want 1", i, k.Cols())
+		return nil, fmt.Errorf("support submatrix has nullity %d, want 1", k.Cols())
 	}
 	vals := make([]*big.Rat, len(support))
 	for j := range support {
-		vals[j] = new(big.Rat).Set(k.At(j, 0))
-	}
-	// Full support required: a zero entry means the stored bits were not
-	// the true support (numerical contamination) — surface it.
-	for j, v := range vals {
-		if v.Sign() == 0 {
-			return nil, fmt.Errorf("core: mode %d kernel vector vanishes at support position %d", i, j)
+		vals[j] = k.At(j, 0)
+		if vals[j].Sign() == 0 {
+			return nil, fmt.Errorf("kernel vector vanishes at support column %d", support[j])
 		}
 	}
-	// Orientation.
-	flip := false
-	oriented := false
-	for j, permIdx := range support {
-		if !p.Rev[permIdx] {
-			flip = vals[j].Sign() < 0
-			oriented = true
+	lead := 0
+	for j, c := range support {
+		if !rev[c] {
+			lead = j
 			break
 		}
 	}
-	if !oriented {
-		flip = vals[0].Sign() < 0
-	}
-	if flip {
+	if vals[lead].Sign() < 0 {
 		for _, v := range vals {
 			v.Neg(v)
 		}
 	}
-	// Sign feasibility check.
-	for j, permIdx := range support {
-		if !p.Rev[permIdx] && vals[j].Sign() < 0 {
-			return nil, fmt.Errorf("core: mode %d not sign-orientable (irreversible reaction %d negative)", i, p.Perm[permIdx])
+	for j, c := range support {
+		if !rev[c] && vals[j].Sign() < 0 {
+			return nil, fmt.Errorf("not sign-orientable (irreversible column %d negative)", c)
 		}
+	}
+	return vals, nil
+}
+
+// ReconstructFlux recovers the exact flux vector of mode i of a completed
+// run, in *reduced reaction* index space (un-permuted), through ExactFlux
+// on the permuted exact stoichiometry.
+func ReconstructFlux(p *nullspace.Problem, set *ModeSet, i int) ([]*big.Rat, error) {
+	support := set.SupportIndices(i, nil) // permuted indices
+	vals, err := ExactFlux(p.NExact, p.Rev, support)
+	if err != nil {
+		return nil, fmt.Errorf("core: mode %d: %w", i, err)
 	}
 	out := make([]*big.Rat, p.Q())
 	for j := range out {

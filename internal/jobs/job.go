@@ -57,8 +57,8 @@ type Event struct {
 	State   string  `json:"state,omitempty"`
 	Msg     string  `json:"msg,omitempty"`
 	// Mode-event payload (Type == "mode"): the stream rank, the sorted
-	// reduced reaction names carrying flux, and the exact objective
-	// value as a rational string.
+	// original reaction names carrying flux (as the result lists them),
+	// and the exact objective value as a rational string.
 	Rank    int      `json:"rank,omitempty"`
 	Support []string `json:"support,omitempty"`
 	Value   string   `json:"value,omitempty"`

@@ -16,14 +16,20 @@
 //  3. Redundant constraints: linearly dependent stoichiometry rows
 //     (conservation relations) are dropped, as are all-zero rows.
 //
-// Optionally (Options.MergeDuplicates), duplicate and antiparallel
-// reaction columns are collapsed. This is how the paper reaches 55
-// columns for Network I (it lists R23 and R77 with identical
-// stoichiometry); it identifies flux modes that differ only in which
-// duplicate carries the flux, and it absorbs two-reaction futile cycles
-// formed by antiparallel irreversible pairs, so EFM *multiplicities*
-// change even though the biochemical pathway set does not. Expansion maps
-// all flux to the representative column.
+// Optionally (Options.MergeDuplicates), columns with identical
+// stoichiometry are collapsed. This is how the paper reaches 55 columns
+// for Network I (it lists R23 and R77 with identical stoichiometry); it
+// identifies flux modes that differ only in which duplicate carries the
+// flux, so EFM *multiplicities* change even though the biochemical
+// pathway set does not. Antiparallel columns (N_j = −N_i) are not
+// collapsed: an EFM may use both. Expansion maps all flux to the
+// representative column.
+//
+// Every column has one expansion, Members, valid for flux of either
+// sign: a reversible column's members are all reversible reactions, and
+// an irreversible column's irreversible members have positive
+// coefficients. So the original reactions a mode uses are the members
+// of its support columns (SupportNames), with no flux to reconstruct.
 //
 // All arithmetic is exact (math/big.Rat).
 package reduce
@@ -50,12 +56,6 @@ type Column struct {
 	Name       string // representative original reaction name(s), "*"-joined
 	Reversible bool
 	Members    []Member
-	// NegMembers, when non-nil, carry the expansion of *negative* flux on
-	// this column. It differs from Members only for duplicate groups
-	// whose representative is irreversible but some other member is
-	// reversible: negative flux must be realized by the reversible
-	// member to respect the original sign constraints.
-	NegMembers []Member
 }
 
 // Reduced is a compressed network together with the mapping back to the
@@ -70,8 +70,9 @@ type Reduced struct {
 
 // Options configure the reduction.
 type Options struct {
-	// MergeDuplicates collapses duplicate and antiparallel columns (see
-	// the package comment for the semantics).
+	// MergeDuplicates collapses columns with identical stoichiometry;
+	// antiparallel ones stay apart (see the package comment for the
+	// semantics).
 	MergeDuplicates bool
 }
 
@@ -182,8 +183,8 @@ func (r *Reduced) signPrune() bool {
 // forced by a metabolite balance into irreversible ones. For row i, if
 // every term except reaction j's can only be non-negative, then j's term
 // must be non-positive, fixing j's sign. A reaction fixed to its backward
-// direction is re-oriented (column negated, expansion sides swapped) so
-// that the reduced network's canonical direction is always feasible.
+// direction is re-oriented (column and expansion negated) so that the
+// reduced network's canonical direction is always feasible.
 func (r *Reduced) tightenDirections() bool {
 	m, q := r.N.Rows(), len(r.Cols)
 	changed := false
@@ -242,19 +243,17 @@ func (r *Reduced) tightenDirections() bool {
 			return true // indices shifted; caller re-runs
 		case forcedPos:
 			r.Cols[j].Reversible = false
-			r.Cols[j].NegMembers = nil
 			changed = true
 		case forcedNeg:
 			r.flipColumn(j)
 			r.Cols[j].Reversible = false
-			r.Cols[j].NegMembers = nil
 			changed = true
 		}
 	}
 	return changed
 }
 
-// flipColumn negates column j and swaps its expansion sides: after the
+// flipColumn negates column j and its expansion coefficients: after the
 // flip, positive reduced flux means the original backward direction.
 func (r *Reduced) flipColumn(j int) {
 	for i := 0; i < r.N.Rows(); i++ {
@@ -262,24 +261,10 @@ func (r *Reduced) flipColumn(j int) {
 		r.N.Set(i, j, v)
 	}
 	c := &r.Cols[j]
-	pos := c.Members
-	neg := c.NegMembers
-	if neg == nil {
-		neg = pos
+	for k, m := range c.Members {
+		c.Members[k] = Member{Index: m.Index, Coef: new(big.Rat).Neg(m.Coef)}
 	}
-	// New positive direction = old negative: members from the old
-	// negative side with negated coefficients.
-	c.Members = negateMembers(neg)
-	c.NegMembers = negateMembers(pos)
 	c.Name = c.Name + "'"
-}
-
-func negateMembers(ms []Member) []Member {
-	out := make([]Member, len(ms))
-	for i, m := range ms {
-		out[i] = Member{Index: m.Index, Coef: new(big.Rat).Neg(m.Coef)}
-	}
-	return out
 }
 
 // dropColumn removes column j entirely.
@@ -414,62 +399,41 @@ func (r *Reduced) dropZeroAndMergeSubsets() bool {
 	return true
 }
 
-// membersFor returns the expansion members of column ci for the given
-// flux direction (+1 or -1 on the column).
-func (r *Reduced) membersFor(ci int, positive bool) []Member {
-	c := r.Cols[ci]
-	if !positive && c.NegMembers != nil {
-		return c.NegMembers
-	}
-	return c.Members
-}
-
 // mergeGroup builds the merged column Σ ratio_j·N_j over the group,
-// negated if flip is set. Expansion members are assembled per direction:
-// a member column whose ratio is negative contributes through its own
-// negative-direction expansion, so original sign constraints survive
-// arbitrary merge cascades.
+// negated if flip is set, and expands it through each member column's
+// members scaled by its ratio. A negative ratio is only feasible on a
+// reversible member, whose members are all reversible, so the one
+// expansion stays sign-correct for either direction of the merged
+// column.
 func (r *Reduced) mergeGroup(cols []int, ratios []*big.Rat, flip, reversible bool, m int) (Column, []*big.Rat) {
 	vec := make([]*big.Rat, m)
 	for i := range vec {
 		vec[i] = new(big.Rat)
 	}
 	var names []string
+	var members []Member
 	tmp := new(big.Rat)
-	effRatios := make([]*big.Rat, len(cols))
 	for gi, ci := range cols {
 		ratio := new(big.Rat).Set(ratios[gi])
 		if flip {
 			ratio.Neg(ratio)
 		}
-		effRatios[gi] = ratio
 		names = append(names, r.Cols[ci].Name)
 		for i := 0; i < m; i++ {
 			tmp.Mul(ratio, r.N.At(i, ci))
 			vec[i].Add(vec[i], tmp)
 		}
-	}
-	assemble := func(positive bool) []Member {
-		var members []Member
-		for gi, ci := range cols {
-			ratio := effRatios[gi]
-			memberPositive := (ratio.Sign() > 0) == positive
-			for _, mem := range r.membersFor(ci, memberPositive) {
-				members = append(members, Member{
-					Index: mem.Index,
-					Coef:  new(big.Rat).Mul(ratio, mem.Coef),
-				})
-			}
+		for _, mem := range r.Cols[ci].Members {
+			members = append(members, Member{
+				Index: mem.Index,
+				Coef:  new(big.Rat).Mul(ratio, mem.Coef),
+			})
 		}
-		return members
 	}
 	col := Column{
 		Name:       strings.Join(names, "*"),
 		Reversible: reversible,
-		Members:    assemble(true),
-	}
-	if reversible {
-		col.NegMembers = assemble(false)
+		Members:    members,
 	}
 	return col, vec
 }
@@ -512,25 +476,21 @@ func (r *Reduced) mergeDuplicateColumns() bool {
 			continue
 		}
 		changed = true
-		// The merged column can run backward iff any member can; negative
-		// flux expands through the first reversible member so original
-		// sign constraints stay satisfied.
-		revRep := -1
+		// The merged column can run backward iff any member can. Its flux,
+		// of either sign, expands through the first reversible member when
+		// there is one, else through the first member, so original sign
+		// constraints stay satisfied.
 		var names []string
 		for _, e := range es {
 			names = append(names, r.Cols[e].Name)
-			if revRep < 0 && r.Cols[e].Reversible {
-				revRep = e
+			if r.Cols[e].Reversible && !r.Cols[rep].Reversible {
+				rep = e
 			}
 		}
-		// Expansion assigns positive flux to the representative's members.
 		col := Column{
 			Name:       strings.Join(names, "|"),
-			Reversible: revRep >= 0,
+			Reversible: r.Cols[rep].Reversible,
 			Members:    cloneMembers(r.Cols[rep].Members),
-		}
-		if revRep >= 0 {
-			col.NegMembers = cloneMembers(r.membersFor(revRep, false))
 		}
 		newCols = append(newCols, col)
 		newVecs = append(newVecs, r.columnVec(rep))
@@ -617,6 +577,22 @@ func (r *Reduced) ColumnIndexByOriginal(name string) int {
 	return -1
 }
 
+// SupportNames returns the sorted original names of the reactions that
+// carry flux when exactly the given reduced columns do: the members of
+// those columns. Columns partition their members and no coupling
+// coefficient is zero, so this is the support of the expanded flux of
+// any mode whose support is cols.
+func (r *Reduced) SupportNames(cols []int) []string {
+	var names []string
+	for _, c := range cols {
+		for _, m := range r.Cols[c].Members {
+			names = append(names, r.Original.Reactions[m.Index].Name)
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
 // Expand maps a reduced flux vector (length len(Cols)) to the original
 // reaction space (length len(Original.Reactions)), exactly.
 func (r *Reduced) Expand(v []*big.Rat) []*big.Rat {
@@ -632,11 +608,7 @@ func (r *Reduced) Expand(v []*big.Rat) []*big.Rat {
 		if v[j].Sign() == 0 {
 			continue
 		}
-		members := c.Members
-		if v[j].Sign() < 0 && c.NegMembers != nil {
-			members = c.NegMembers
-		}
-		for _, m := range members {
+		for _, m := range c.Members {
 			tmp.Mul(m.Coef, v[j])
 			out[m.Index].Add(out[m.Index], tmp)
 		}

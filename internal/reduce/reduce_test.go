@@ -167,31 +167,37 @@ func TestKernelDimensionPreserved(t *testing.T) {
 func TestAntiparallelPairKeptWithoutMerge(t *testing.T) {
 	// fwd/bwd are antiparallel irreversible columns; in and out always
 	// carry equal flux (enzyme subset) and merge into one chain column.
+	// MergeDuplicates keys on the exact column vector, so it does not
+	// merge the antiparallel pair either. The chain moves 2 A to 2 B: with
+	// 1 A to 1 B its column would be bwd's exactly, and MergeDuplicates
+	// would merge the two as duplicates.
 	src := `
 name anti
 fwd : A => B
 bwd : B => A
-in : Aext => A
-out : B => Bext
+in : Aext => 2 A
+out : 2 B => Bext
 `
 	n, err := model.ParseString(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	red, err := Network(n, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if red.N.Cols() != 3 {
-		t.Fatalf("expected 3 columns (fwd, bwd, in*out), got %d: %v",
-			red.N.Cols(), red.Cols)
-	}
-	jin := red.ColumnIndexByOriginal("in")
-	if jin < 0 || jin != red.ColumnIndexByOriginal("out") {
-		t.Fatal("in and out should merge into one enzyme subset")
-	}
-	if red.ColumnIndexByOriginal("fwd") == red.ColumnIndexByOriginal("bwd") {
-		t.Fatal("antiparallel pair must stay separate without MergeDuplicates")
+	for _, opts := range []Options{{}, {MergeDuplicates: true}} {
+		red, err := Network(n, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if red.N.Cols() != 3 {
+			t.Fatalf("%+v: expected 3 columns (fwd, bwd, in*out), got %d: %v",
+				opts, red.N.Cols(), red.Cols)
+		}
+		jin := red.ColumnIndexByOriginal("in")
+		if jin < 0 || jin != red.ColumnIndexByOriginal("out") {
+			t.Fatalf("%+v: in and out should merge into one enzyme subset", opts)
+		}
+		if red.ColumnIndexByOriginal("fwd") == red.ColumnIndexByOriginal("bwd") {
+			t.Fatalf("%+v: antiparallel pair must stay separate", opts)
+		}
 	}
 }
 
@@ -339,9 +345,11 @@ func checkExpansionSound(t *testing.T, n *model.Network, opts Options) {
 	}
 }
 
-func TestExpansionSoundness(t *testing.T) {
-	nets := []string{
-		`
+// expansionNets are networks whose duplicate groups or subsets mix
+// irreversible and reversible members, or whose reversible reaction is
+// flipped: the cases where a column's expansion could break a sign.
+var expansionNets = []string{
+	`
 name revdup
 a : A => B
 b : A <=> B
@@ -361,19 +369,64 @@ x : B <=> A
 in : Aext => A
 out : B => Bext
 `,
-	}
-	for _, src := range nets {
+}
+
+// expansionInputs runs check on every expansionNets network and every
+// built-in network, under both Options.
+func expansionInputs(t *testing.T, check func(*testing.T, *model.Network, Options)) {
+	t.Helper()
+	var nets []*model.Network
+	for _, src := range expansionNets {
 		n, err := model.ParseString(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkExpansionSound(t, n, Options{})
-		checkExpansionSound(t, n, Options{MergeDuplicates: true})
+		nets = append(nets, n)
 	}
 	for _, name := range model.BuiltinNames() {
-		checkExpansionSound(t, model.Builtin(name), Options{})
-		checkExpansionSound(t, model.Builtin(name), Options{MergeDuplicates: true})
+		nets = append(nets, model.Builtin(name))
 	}
+	for _, n := range nets {
+		check(t, n, Options{})
+		check(t, n, Options{MergeDuplicates: true})
+	}
+}
+
+func TestExpansionSoundness(t *testing.T) {
+	expansionInputs(t, checkExpansionSound)
+}
+
+// TestExpansionRespectsSigns: every reduced column has one expansion,
+// and unit flux along each direction the column may run (+1, and −1 when
+// reversible) expands with no irreversible original reaction negative.
+// A duplicate group that mixes an irreversible and a reversible member
+// must therefore expand through the reversible one.
+func TestExpansionRespectsSigns(t *testing.T) {
+	expansionInputs(t, func(t *testing.T, n *model.Network, opts Options) {
+		red, err := Network(n, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", n.Name, err)
+		}
+		for c, col := range red.Cols {
+			signs := []int64{1}
+			if col.Reversible {
+				signs = append(signs, -1)
+			}
+			for _, sign := range signs {
+				v := make([]*big.Rat, len(red.Cols))
+				for j := range v {
+					v[j] = new(big.Rat)
+				}
+				v[c].SetInt64(sign)
+				for i, x := range red.Expand(v) {
+					if x.Sign() < 0 && !n.Reactions[i].Reversible {
+						t.Fatalf("%s %+v: column %s flux %+d puts %v on irreversible %s",
+							n.Name, opts, col.Name, sign, x, n.Reactions[i].Name)
+					}
+				}
+			}
+		}
+	})
 }
 
 func TestDeadBranchRemoved(t *testing.T) {

@@ -3,6 +3,7 @@ package elmocomp
 import (
 	"errors"
 	"math/big"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -41,6 +42,9 @@ func TestBackendOnDemandToyEndToEnd(t *testing.T) {
 	for i, e := range events {
 		if e.Rank != i+1 || len(e.Support) == 0 || e.Value == "" {
 			t.Fatalf("event %d malformed: %+v", i, e)
+		}
+		if names := od.SupportNames(i); !reflect.DeepEqual(e.Support, names) {
+			t.Fatalf("event %d streams support %v, result lists %v", i, e.Support, names)
 		}
 	}
 	st := od.OnDemand

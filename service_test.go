@@ -7,8 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"elmocomp/internal/core"
 )
 
 func TestRequestKeyCoalescesExecutionShape(t *testing.T) {
@@ -194,6 +197,54 @@ func TestEncodeSupportsRoundTrip(t *testing.T) {
 				t.Fatalf("mode %d has no support names", i)
 			}
 		}
+	}
+}
+
+// TestVerifyRejectsWrongSupportBits: a cached payload whose mode claims
+// support S ∪ {j}, where N[:, S∪{j}] still has nullity 1, holds the same
+// flux as S (the kernel vector is zero at j) but not its true support.
+// Flux and Verify must reject it.
+func TestVerifyRejectsWrongSupportBits(t *testing.T) {
+	net, err := Builtin("toy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ComputeEFMs(net, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := res.red.N.Cols()
+	supports, err := core.DecodeSupportList(res.EncodeSupports(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mode, col := -1, -1
+	for i := 0; i < len(supports) && mode < 0; i++ {
+		for j := 0; j < q; j++ {
+			if supports[i].Test(j) {
+				continue
+			}
+			wide := supports[i].Clone()
+			wide.Set(j)
+			if k, _ := res.red.N.SelectColumns(wide.Indices(nil)).Kernel(); k.Cols() == 1 {
+				mode, col, supports[i] = i, j, wide
+				break
+			}
+		}
+	}
+	if mode < 0 {
+		t.Fatal("no toy mode widens to a support of nullity 1")
+	}
+	bad, err := ResultFromEncodedSupports(net, Config{}, core.EncodeSupportList(supports, q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("kernel vector vanishes at support column %d", col)
+	if _, err := bad.Flux(mode); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Flux of mode %d widened by column %d: got %v, want %q", mode, col, err, want)
+	}
+	if err := bad.Verify(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Verify with mode %d widened by column %d: got %v, want %q", mode, col, err, want)
 	}
 }
 
