@@ -14,12 +14,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
 	"elmocomp"
 	"elmocomp/internal/core"
-	"elmocomp/internal/prof"
 	"elmocomp/internal/server"
 	"elmocomp/internal/stats"
 )
@@ -53,9 +54,15 @@ func main() {
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
 	flag.Parse()
-	stopProf, err := prof.Start(*cpuProf, *memProf)
-	if err != nil {
-		fatal(err)
+	var cpuFile *os.File
+	if *cpuProf != "" {
+		var err error
+		if cpuFile, err = os.Create(*cpuProf); err != nil {
+			fatal(err)
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			fatal(err)
+		}
 	}
 
 	net, err := loadNetwork(*modelName, *file)
@@ -198,8 +205,24 @@ func main() {
 		}
 		fmt.Fprintf(notes, "wrote %d modes to %s\n", res.Len(), *out)
 	}
-	if err := stopProf(); err != nil {
-		fatal(err)
+	if cpuFile != nil {
+		pprof.StopCPUProfile()
+		if err := cpuFile.Close(); err != nil {
+			fatal(err)
+		}
+	}
+	if *memProf != "" {
+		f, err := os.Create(*memProf)
+		if err != nil {
+			fatal(err)
+		}
+		runtime.GC() // settle live objects so the heap profile is current
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
 	}
 }
 

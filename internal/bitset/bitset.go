@@ -177,6 +177,28 @@ func (s Set) Hash() uint64 {
 	return h
 }
 
+// Distinct is a set of bit sets bucketed by Hash: the one dedup of a
+// support stream. The zero value is empty and ready to use.
+type Distinct struct {
+	byHash map[uint64][]Set
+}
+
+// Add inserts s and reports whether it was not already present. The set
+// keeps s itself, so the caller must not modify it afterwards.
+func (d *Distinct) Add(s Set) bool {
+	h := s.Hash()
+	for _, o := range d.byHash[h] {
+		if o.Equal(s) {
+			return false
+		}
+	}
+	if d.byHash == nil {
+		d.byHash = make(map[uint64][]Set)
+	}
+	d.byHash[h] = append(d.byHash[h], s)
+	return true
+}
+
 // Indices appends the indices of all set bits to dst and returns it.
 func (s Set) Indices(dst []int) []int {
 	for wi, w := range s.words {

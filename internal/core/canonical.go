@@ -9,42 +9,18 @@ import (
 )
 
 // CanonicalSupports maps a completed run's modes to supports over the
-// caller's reduced reaction columns, folding any reaction splitting the
-// preparation performed: the artificial futile cycle formed by a split
-// reaction's forward/backward pair is dropped, and the ± orientation
-// duplicates of fully reversible modes (which the split network
-// enumerates twice) are deduplicated. The returned supports are sorted
-// lexicographically and pairwise distinct.
+// caller's reduced reaction columns through the problem's Fold: a split
+// reaction's futile forward/backward pair is dropped, and the ±
+// orientation duplicates of fully reversible modes (which the split
+// network enumerates twice) are deduplicated. The returned supports are
+// sorted lexicographically and pairwise distinct.
 func CanonicalSupports(res *Result) []bitset.Set {
-	p := res.Problem
-	set := res.Modes
-	origQ := p.OrigQ()
 	var out []bitset.Set
-	seen := make(map[uint64][]int)
-	for i := 0; i < set.Len(); i++ {
-		support := set.SupportIndices(i, nil)
-		b := bitset.New(origQ)
-		for _, permIdx := range support {
-			b.Set(p.OrigCol(p.Perm[permIdx]))
+	var seen bitset.Distinct
+	for i := 0; i < res.Modes.Len(); i++ {
+		if b, ok := res.Problem.Fold(res.Modes.BitsWords(i)); ok && seen.Add(b) {
+			out = append(out, b)
 		}
-		// A split reaction's fwd/bwd futile pair folds to a singleton
-		// support — the zero flux vector in the original space.
-		if p.Split != nil && len(support) == 2 && b.Count() == 1 {
-			continue
-		}
-		h := b.Hash()
-		dup := false
-		for _, j := range seen[h] {
-			if out[j].Equal(b) {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		seen[h] = append(seen[h], len(out))
-		out = append(out, b)
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Compare(out[b]) < 0 })
 	return out

@@ -422,7 +422,7 @@ func extract(run *core.Result, p *nullspace.Problem, keep []int, nzfLocal []int,
 		}
 	}
 	var out []bitset.Set
-	seen := make(map[uint64][]int)
+	var seen bitset.Distinct
 	// One shared elimination workspace and support-index scratch for the
 	// whole re-validation sweep: the early-stop point re-checks every
 	// extracted column, and a per-column workspace allocation would
@@ -455,28 +455,17 @@ func extract(run *core.Result, p *nullspace.Problem, keep []int, nzfLocal []int,
 		if !core.IsElementaryWS(p, set, i, 0, ws, scratch) {
 			continue
 		}
+		fold, ok := p.Fold(set.BitsWords(i))
+		if !ok {
+			continue
+		}
 		b := bitset.New(fullQ)
-		for _, permIdx := range set.SupportIndices(i, nil) {
-			b.Set(keep[p.OrigCol(p.Perm[permIdx])])
+		for _, c := range fold.Indices(scratch[:0]) {
+			b.Set(keep[c])
 		}
-		// Split folding can fabricate singleton futile pairs and ±
-		// duplicates; apply the same canonical rules as core.
-		if p.Split != nil && set.SupportSize(i) == 2 && b.Count() == 1 {
-			continue
+		if seen.Add(b) {
+			out = append(out, b)
 		}
-		h := b.Hash()
-		dup := false
-		for _, j := range seen[h] {
-			if out[j].Equal(b) {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		seen[h] = append(seen[h], len(out))
-		out = append(out, b)
 	}
 	return out
 }

@@ -21,8 +21,10 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 	"sort"
 
+	"elmocomp/internal/bitset"
 	"elmocomp/internal/ratmat"
 )
 
@@ -122,6 +124,25 @@ func (p *Problem) OrigCol(c int) int {
 		return p.Split.ColOf[c]
 	}
 	return c
+}
+
+// Fold maps a support over the permuted problem columns (bit i is
+// permuted index i) to the caller's columns. It is the one fold of a
+// split problem back to the reactions it was prepared from: a split
+// reaction's forward/backward two-cycle folds to the zero flux vector,
+// reported as false, and the ± orientations of a fully reversible mode
+// fold to equal sets, which callers dedup with bitset.Distinct. On an
+// unsplit problem it is the Perm map.
+func (p *Problem) Fold(words []uint64) (bitset.Set, bool) {
+	b := bitset.New(p.OrigQ())
+	n := 0
+	for w, word := range words {
+		for ; word != 0; word &= word - 1 {
+			b.Set(p.OrigCol(p.Perm[w*64+bits.TrailingZeros64(word)]))
+			n++
+		}
+	}
+	return b, p.Split == nil || n != 2 || b.Count() != 1
 }
 
 // InvPerm returns the inverse permutation: problem column index ->

@@ -35,9 +35,9 @@
 //  2. Maintain a best-first queue over the basis graph of the
 //     lex-perturbed polytope: popping the least (value, basis) node,
 //     rebuilding its dictionary, emitting its vertex (fold split
-//     pairs, drop futile cycles, dedup against the emitted set, verify
-//     elementarity with the core's fast rank test), and pushing every
-//     neighbor basis priced in the parent dictionary as
+//     pairs through nullspace.Problem.Fold, drop futile cycles, dedup
+//     against the emitted set), and pushing every neighbor basis
+//     priced in the parent dictionary as
 //     value' = value + ReducedCost(s)·ratio — no pivot needed to rank
 //     a neighbor.
 //
@@ -60,7 +60,6 @@ import (
 
 	"elmocomp/internal/bitset"
 	"elmocomp/internal/core"
-	"elmocomp/internal/linalg"
 	"elmocomp/internal/lp"
 	"elmocomp/internal/nullspace"
 	"elmocomp/internal/ratmat"
@@ -120,10 +119,11 @@ type Stats struct {
 	PeakFrontier int   `json:"peak_frontier"`
 	// Duplicates counts pops whose folded support was already emitted
 	// (degenerate co-bases and ± orientation twins); FutileSkips the
-	// split forward/backward two-cycles dropped on emission;
-	// VerifyRejects vertices failing the elementarity fast check
-	// (always 0 unless the float tolerance disagrees with the exact
-	// acceptance — counted, never silently dropped).
+	// split forward/backward two-cycles dropped on emission.
+	// VerifyRejects is never set: a vertex of P is elementary by
+	// construction (its support columns are independent in [N'; 1ᵀ]),
+	// so no vertex is re-checked; bench/ still reads it as
+	// ondemand.verify_rejects, pinned at 0.
 	Duplicates    int64 `json:"duplicates"`
 	FutileSkips   int64 `json:"futile_skips"`
 	VerifyRejects int64 `json:"verify_rejects"`
@@ -195,7 +195,7 @@ func Generate(N *ratmat.Matrix, rev []bool, opts Options, emit func(Mode)) (Stat
 	if err != nil {
 		return st, err
 	}
-	q, m := p.Q(), p.M()
+	q := p.Q()
 
 	// The objective maps each split column back to its owning reduced
 	// column's weight.
@@ -244,13 +244,9 @@ func Generate(N *ratmat.Matrix, rev []bool, opts Options, emit func(Mode)) (Stat
 	st.Enqueued++
 	st.PeakFrontier = 1
 
-	emittedByHash := make(map[uint64][]bitset.Set)
-	ws := linalg.NewWorkspace(m+2, m+2)
-	verifySet := core.NewModeSet(q, q, nil)
-	scratch := make([]int, 0, q)
+	var emitted bitset.Distinct
 	var words []uint64
 	var ratio big.Rat
-	origQ := p.OrigQ()
 
 	for len(pq) > 0 {
 		if canceled(opts.Cancel) {
@@ -277,30 +273,17 @@ func Generate(N *ratmat.Matrix, rev []bool, opts Options, emit func(Mode)) (Stat
 		}
 
 		// Emit the vertex unless it is a futile split two-cycle or a
-		// fold-duplicate of an already-streamed mode.
+		// fold-duplicate of an already-streamed mode. A vertex of P is
+		// elementary by construction: its support columns are linearly
+		// independent in [N'; 1ᵀ], so N'[:, S] has nullity exactly 1.
 		words = d.SupportWords(words)
-		splitSize := 0
-		fold := bitset.New(origQ)
-		for v := 0; v < q; v++ {
-			if words[v/64]&(1<<uint(v%64)) != 0 {
-				splitSize++
-				fold.Set(p.OrigCol(p.Perm[v]))
-			}
-		}
+		fold, ok := p.Fold(words)
 		switch {
-		case p.Split != nil && splitSize == 2 && fold.Count() == 1:
+		case !ok:
 			st.FutileSkips++
-		case seenSupport(emittedByHash, fold):
+		case !emitted.Add(fold):
 			st.Duplicates++
 		default:
-			verifySet.Reset(q, q, nil)
-			verifySet.AppendMode(words, nil, nil, 0)
-			if !core.IsElementaryWS(p, verifySet, 0, 0, ws, scratch) {
-				st.VerifyRejects++
-				break
-			}
-			h := fold.Hash()
-			emittedByHash[h] = append(emittedByHash[h], fold)
 			st.Emitted++
 			if st.Emitted == 1 {
 				st.FirstModeSeconds = time.Since(start).Seconds()
@@ -341,15 +324,6 @@ func Generate(N *ratmat.Matrix, rev []bool, opts Options, emit func(Mode)) (Stat
 	}
 	st.Exhausted = true
 	return st, nil
-}
-
-func seenSupport(byHash map[uint64][]bitset.Set, b bitset.Set) bool {
-	for _, o := range byHash[b.Hash()] {
-		if o.Equal(b) {
-			return true
-		}
-	}
-	return false
 }
 
 func canceled(cancel <-chan struct{}) bool {

@@ -71,31 +71,28 @@ func fingerprintOf(modes []Mode) uint64 {
 }
 
 // assertMembers checks every emitted support appears in the reference
-// enumeration and that no support repeats within the stream.
-func assertMembers(t *testing.T, modes []Mode, ref []bitset.Set) {
+// enumeration, that no support repeats within the stream, and that every
+// support is an elementary mode of the reduced N in exact arithmetic:
+// nullity 1, no vanishing entry, sign-orientable. The generator does not
+// re-check its vertices and the reference folds split supports through
+// the same Problem.Fold, so the exact check is what would catch a fold or
+// a formulation that emits a non-elementary support.
+func assertMembers(t *testing.T, red *reduce.Reduced, modes []Mode, ref []bitset.Set) {
 	t.Helper()
-	byHash := make(map[uint64][]bitset.Set)
+	var inRef, seen bitset.Distinct
 	for _, s := range ref {
-		byHash[s.Hash()] = append(byHash[s.Hash()], s)
+		inRef.Add(s)
 	}
-	seen := make(map[uint64][]bitset.Set)
 	for i, m := range modes {
-		found := false
-		for _, s := range byHash[m.Support.Hash()] {
-			if s.Equal(m.Support) {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if inRef.Add(m.Support) {
 			t.Fatalf("mode %d support %v is not in the reference enumeration", i, m.Support)
 		}
-		for _, s := range seen[m.Support.Hash()] {
-			if s.Equal(m.Support) {
-				t.Fatalf("mode %d support %v was streamed twice", i, m.Support)
-			}
+		if !seen.Add(m.Support) {
+			t.Fatalf("mode %d support %v was streamed twice", i, m.Support)
 		}
-		seen[m.Support.Hash()] = append(seen[m.Support.Hash()], m.Support)
+		if _, err := core.ExactFlux(red.N, red.Reversibilities(), m.Support.Indices(nil)); err != nil {
+			t.Fatalf("mode %d support %v: %v", i, m.Support, err)
+		}
 		if m.Rank != i+1 {
 			t.Fatalf("mode %d has rank %d", i, m.Rank)
 		}
@@ -116,7 +113,7 @@ func TestGenerateToyMatchesSerial(t *testing.T) {
 	if !st.Exhausted {
 		t.Fatal("exhaustive run did not report Exhausted")
 	}
-	assertMembers(t, modes, ref)
+	assertMembers(t, red, modes, ref)
 	if fp := fingerprintOf(modes); fp != wantFP {
 		t.Fatalf("fingerprint %016x, want %016x", fp, wantFP)
 	}
@@ -142,6 +139,7 @@ func TestGenerateSynthGridMatchesSerial(t *testing.T) {
 		{Layers: 3, Width: 2, CrossLinks: 2, ReversibleFraction: 0.3, MaxCoef: 2, Seed: 8},
 		{Layers: 3, Width: 3, CrossLinks: 3, ReversibleFraction: 0.5, MaxCoef: 2, Seed: 9},
 		{Layers: 4, Width: 3, CrossLinks: 2, ReversibleFraction: 1, MaxCoef: 2, Seed: 10},
+		{Layers: 4, Width: 4, CrossLinks: 6, ReversibleFraction: 0.25, MaxCoef: 2, Seed: 1}, // efmgen -seed 1: 66 modes
 	}
 	for _, pt := range points {
 		n, err := synth.Network(pt)
@@ -155,7 +153,7 @@ func TestGenerateSynthGridMatchesSerial(t *testing.T) {
 			t.Errorf("seed %d: streamed %d modes, reference has %d", pt.Seed, len(modes), len(ref))
 			continue
 		}
-		assertMembers(t, modes, ref)
+		assertMembers(t, red, modes, ref)
 		if fp := fingerprintOf(modes); fp != wantFP {
 			t.Errorf("seed %d: fingerprint %016x, want %016x", pt.Seed, fp, wantFP)
 			continue
