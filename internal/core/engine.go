@@ -89,7 +89,7 @@ type IterStats struct {
 	Prefiltered    int64 // rejected by the support-size pre-test
 	TreeRejects    int64 // never set: the rank test is the one verdict; bench/ still reads it as core.tree_rejects, pinned at 0
 	Tested         int64 // rank tests run
-	Eliminated     int64 // rank tests that ran an elimination; the rest were decided by counting live rows
+	Eliminated     int64 // rank tests that ran an elimination; the rest were decided by the pattern (live-row count or peel)
 	Accepted       int64 // candidates surviving the test
 	Duplicates     int64 // removed duplicate candidates
 	ModesOut       int   // columns entering the next iteration
@@ -784,11 +784,14 @@ func IsElementaryWS(p *nullspace.Problem, set *ModeSet, i int, tol float64, ws *
 //
 //	nullity(N[:,S]) = |J| − rank K₂[T̄, J].
 //
-// Only that block is eliminated, with an early exit at the second rank
-// deficiency. A row of it whose non-zero mask misses J is all zero and is
-// never gathered; when fewer than |J|−1 rows are left the rank cannot
-// reach |J|−1 and the candidate is rejected by that count alone, exactly.
-// eliminated reports whether an elimination ran.
+// The block's exact zero pattern decides what it can before a float is
+// gathered (DESIGN §7). Each column of J reads its rows of T̄ off
+// ColMask; a row in none of them is all zero, and when fewer than |J|−1
+// rows are left the rank cannot reach |J|−1: the candidate is rejected
+// by that count alone. Then peel strips free columns and singleton
+// pivots, and only the block left, if any, is eliminated, with an early
+// exit past the deficiency the peel left it. eliminated reports whether
+// an elimination ran.
 func nullityIsOne(p *nullspace.Problem, ws *linalg.Workspace, support []uint64, tol float64, scratch []int) (ok, eliminated bool) {
 	q, d := p.Q(), p.D
 	cols := scratch[:0]
@@ -801,31 +804,52 @@ func nullityIsOne(p *nullspace.Problem, ws *linalg.Workspace, support []uint64, 
 	if nj == 0 {
 		return false, false
 	}
-	mw := (d + 63) / 64
-	live := cols[nj:]
-	for w := d / 64; w*64 < q; w++ {
-		for v := rowsIn(^support[w], w, d, q); v != 0; v &= v - 1 {
-			r := w*64 + trailingZeros(v)
-			// A mask has no bit at or above D, so against the raw support
-			// words it meets J alone.
-			var hit uint64
-			for k, mk := range p.RowMask[r*mw : r*mw+mw] {
-				hit |= mk & support[k]
-			}
-			if hit != 0 {
-				live = append(live, r)
-			}
+	// The mask scratch, in words of rows: each column of J's rows of T̄,
+	// then the live rows — in ≥ 1 of those columns — and the rows in ≥ 2.
+	// A column of K has one non-zero identity row, its own, which is in
+	// S; so the mask's bits outside S are its rows of T̄.
+	qw := (q + 63) / 64
+	words := ws.Words((nj + 2) * qw)
+	rc, live, twos := words[:nj*qw], words[nj*qw:(nj+1)*qw], words[(nj+1)*qw:]
+	colMask := p.ColMask // held here, not reloaded through p after each store to rc
+	nlive := 0
+	for k := range live {
+		var one, two uint64
+		out := ^support[k]
+		for i, c := range cols {
+			v := colMask[c*qw+k] & out
+			rc[i*qw+k] = v
+			two |= one & v
+			one |= v
 		}
+		live[k], twos[k] = one, two
+		nlive += popcount(one)
 	}
-	if len(live) < nj-1 {
+	if nlive < nj-1 {
 		return false, false
 	}
-	if len(live) == 0 {
-		return true, false // one free column and nothing to constrain it
+	nc, free := peel(cols, rc, live, twos)
+	if free > 1 {
+		return false, false
 	}
-	buf := ws.Buffer(len(live), nj)
+	cols = cols[:nc]
+	allow := 1 - free // the deficiency the block left may still have
+	if nc == 0 {
+		return allow == 0, false
+	}
+	// The rows left follow the columns left in the index scratch.
+	rows := cols[nc:nc]
+	for w, v := range live {
+		for ; v != 0; v &= v - 1 {
+			rows = append(rows, w*64+trailingZeros(v))
+		}
+	}
+	if len(rows) < nc-allow {
+		return false, false
+	}
+	buf := ws.Buffer(len(rows), nc)
 	maxAbs, o := 0.0, 0
-	for _, r := range live {
+	for _, r := range rows {
 		row := p.KernelRows[r*d : r*d+d]
 		for _, j := range cols {
 			v := row[j]
@@ -836,8 +860,94 @@ func nullityIsOne(p *nullspace.Problem, ws *linalg.Workspace, support []uint64, 
 			}
 		}
 	}
-	exceeds, def := ws.RankDeficiencyExceeds(buf, len(live), nj, maxAbs, tol, 1)
-	return !exceeds && def == 1, true
+	exceeds, def := ws.RankDeficiencyExceeds(buf, len(rows), nc, maxAbs, tol, allow)
+	return !exceeds && def == allow, true
+}
+
+// peel strips from the block K₂[T̄,J] what its zero pattern decides
+// exactly, until no rule fires:
+//   - a column no live row touches is free: it adds 1 to the nullity;
+//   - a row in one column is a pivot: row operations with it clear that
+//     column elsewhere and touch nothing else, so the row and its column
+//     go and the rank drops by exactly one;
+//   - a column in one row is a pivot by column operations, likewise.
+//
+// A mask bit is set iff the exact entry is non-zero, so every rule holds
+// in rational arithmetic. The block is cols, column cols[i]'s rows in
+// rc[i·qw:(i+1)·qw], with live its rows and twos those in ≥ 2 of its
+// columns (qw = len(live) words each). peel returns the columns left,
+// compacted in order to the front of cols and rc, and the free columns
+// found; it stops once there are two of them. live is left holding the
+// rows not peeled.
+func peel(cols []int, rc, live, twos []uint64) (nc, free int) {
+	qw, n := len(live), len(cols)
+	for {
+		// Row singletons. A second one on the same column is empty once
+		// the first has pivoted it.
+		for k := range live {
+			for s := live[k] &^ twos[k]; s != 0; s &= s - 1 {
+				b := s & -s
+				for i := 0; i < n; i++ {
+					if cols[i] >= 0 && rc[i*qw+k]&b != 0 {
+						cols[i] = -1
+						break
+					}
+				}
+				live[k] &^= b
+			}
+		}
+		// One sweep over the columns drops the free ones and pivots the
+		// singletons.
+		m := 0
+		for i := 0; i < n; i++ {
+			if cols[i] < 0 {
+				continue
+			}
+			x := rc[i*qw : i*qw+qw]
+			cnt := 0
+			for k, v := range x {
+				cnt += popcount(v & live[k])
+			}
+			switch cnt {
+			case 0:
+				if free++; free > 1 {
+					return m, free
+				}
+			case 1:
+				for k, v := range x {
+					live[k] &^= v
+				}
+			default:
+				y := rc[m*qw : m*qw+qw]
+				for k, v := range x {
+					y[k] = v & live[k]
+				}
+				cols[m] = cols[i]
+				m++
+			}
+		}
+		n = m
+		// Count the rows again over the columns kept. A row a pivot took
+		// after its column was kept leaves that column's count stale.
+		again := false
+		for k := range live {
+			l := live[k]
+			var one, two, lost uint64
+			for i := k; i < n*qw; i += qw {
+				v := rc[i]
+				lost |= v &^ l
+				v &= l
+				rc[i] = v
+				two |= one & v
+				one |= v
+			}
+			live[k], twos[k] = one, two
+			again = again || lost != 0 || one&^two != 0
+		}
+		if !again {
+			return n, free
+		}
+	}
 }
 
 // rowsIn clears from v, word w of a bit row, the bits of rows outside

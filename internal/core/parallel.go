@@ -33,7 +33,7 @@ type GenScratch struct {
 	orWords []uint64
 	newTail []float64
 	newRev  []float64
-	rankIdx []int   // the rank test's column and live-row indices
+	rankIdx []int   // the rank test's column and row indices
 	visit   []int32 // negative positions the generation tree left to probe
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"elmocomp/internal/linalg"
@@ -187,6 +188,117 @@ func TestRankTestWideKernels(t *testing.T) {
 	}
 }
 
+// handProblem is a problem built straight from the block below the
+// identity: K = [I_D ; K₂] over N = [−K₂ | I_m], so N·K = 0 and every row
+// of K₂ is a pivot row whose entries are exactly what its mask says.
+func handProblem(d int, k2 [][]int64) *nullspace.Problem {
+	m, q := len(k2), d+len(k2)
+	qw := (q + 63) / 64
+	n := make([][]int64, m)
+	p := &nullspace.Problem{KernelRows: make([]float64, q*d), ColMask: make([]uint64, d*qw), Perm: make([]int, q), Rev: make([]bool, q), D: d}
+	for i := range p.Perm {
+		p.Perm[i] = i
+	}
+	set := func(r, j int, v float64) {
+		p.KernelRows[r*d+j] = v
+		p.ColMask[j*qw+r/64] |= 1 << uint(r%64)
+	}
+	for j := 0; j < d; j++ {
+		set(j, j, 1)
+	}
+	for i, row := range k2 {
+		n[i] = make([]int64, q)
+		n[i][d+i] = 1
+		for j, v := range row {
+			n[i][j] = -v
+			if v != 0 {
+				set(d+i, j, float64(v))
+			}
+		}
+	}
+	p.NExact = ratmat.FromInts(n)
+	return p
+}
+
+// TestRankTestPeelMatchesExact drives the structural peel on kernels
+// built by hand, whose blocks mix what it strips — singleton rows, chains
+// that only fall after an earlier pivot, column singletons, columns no
+// row touches — with dense cores it must leave to the elimination, some
+// of them rank deficient. Every verdict must be the exact one, and the
+// supports must reach all four outcomes: accepted and rejected, each with
+// and without an elimination.
+func TestRankTestPeelMatchesExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for _, d := range []int{5, 63, 64, 65, 130} {
+		// The block's columns: spread over the words, with a word's
+		// first and last bit among them.
+		used := rng.Perm(d)[:min(d, 9)]
+		for _, j := range []int{63, 64} {
+			if j < d && !slices.Contains(used, j) {
+				used[rng.Intn(len(used))] = j
+			}
+		}
+		val := func() int64 { return int64(1+rng.Intn(3)) * int64(1-2*rng.Intn(2)) }
+		var k2 [][]int64
+		row := func(cols ...int) []int64 {
+			r := make([]int64, d)
+			for _, c := range cols {
+				r[used[c%len(used)]] = val() // D = 5 folds the pattern onto itself
+			}
+			k2 = append(k2, r)
+			return r
+		}
+		row(0)    // a singleton,
+		row(0, 1) // and a chain that falls after it
+		row(1, 2)
+		row(3, 4) // a column-singleton pair
+		// A dense core over 5..8, one of its rows twice another.
+		a := row(5, 6, 7)
+		row(5, 6, 7, 8)
+		row(6, 7, 8)
+		b := row(5, 6, 7)
+		for j := range b {
+			b[j] = 2 * a[j]
+		}
+		for range 3 { // and rows anywhere in the block
+			r := make([]int64, d)
+			for range 1 + rng.Intn(4) {
+				r[used[rng.Intn(len(used))]] = val()
+			}
+			k2 = append(k2, r)
+		}
+		p := handProblem(d, k2)
+		q := p.Q()
+		c := newRankTestChecker(t, p)
+		outcomes := map[[2]bool]int{} // by (ok, eliminated)
+		support := make([]uint64, (q+63)/64)
+		for trial := 0; trial < 600; trial++ {
+			clear(support)
+			for _, j := range rng.Perm(len(used))[:1+rng.Intn(len(used))] {
+				support[used[j]/64] |= 1 << uint(used[j]%64)
+			}
+			if trial%3 == 0 { // a column no row touches
+				j := rng.Intn(d)
+				support[j/64] |= 1 << uint(j%64)
+			}
+			for r := d; r < q; r++ {
+				if rng.Intn(3) == 0 {
+					support[r/64] |= 1 << uint(r%64)
+				}
+			}
+			c.check(fmt.Sprintf("D=%d trial %d", d, trial), support)
+			ok, eliminated := nullityIsOne(p, c.ws, support, linalg.DefaultTol, nil)
+			outcomes[[2]bool{ok, eliminated}]++
+		}
+		for _, o := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
+			if outcomes[o] < 5 {
+				t.Errorf("D=%d: %d supports with (ok, eliminated) = %v, want at least 5: %v", d, outcomes[o], o, outcomes)
+			}
+		}
+		t.Logf("D=%d: (ok, eliminated) counts %v", d, outcomes)
+	}
+}
+
 // TestRankTestEdgeCases: the verdicts the reduced test reaches with and
 // without an elimination, on the toy problem (D = 4 over q = 8), whose
 // block below the identity rows is
@@ -195,29 +307,50 @@ func TestRankTestWideKernels(t *testing.T) {
 //	row 5: [ 0   .5   0  -1]
 //	row 6: [-.5  .5   0  -1]
 //	row 7: [ 1   -1   1   1]
+//
+// and on a hand-built block where two columns can be free while the
+// live-row count still passes.
 func TestRankTestEdgeCases(t *testing.T) {
 	p, _ := problemFor(t, model.Toy())
-	if p.D != 4 || p.Q() != 8 || p.RowMask[4] != 0b0101 || p.RowMask[5] != 0b1010 || p.RowMask[6] != 0b1011 || p.RowMask[7] != 0b1111 {
-		t.Fatalf("toy kernel changed shape: D=%d q=%d masks %b", p.D, p.Q(), p.RowMask)
+	if p.D != 4 || p.Q() != 8 || p.ColMask[0] != 0b1101_0001 || p.ColMask[1] != 0b1110_0010 || p.ColMask[2] != 0b1001_0100 || p.ColMask[3] != 0b1110_1000 {
+		t.Fatalf("toy kernel changed shape: D=%d q=%d masks %b", p.D, p.Q(), p.ColMask)
 	}
+	// D = 4, rows 4..8.
+	hand := handProblem(4, [][]int64{
+		{1, 0, 0, 0},
+		{1, 2, 0, 0},
+		{0, 1, 3, 0},
+		{0, 0, 0, 1},
+		{0, 1, 1, 1},
+	})
 	ws := linalg.NewWorkspace(1, 1) // grows on demand
 	for _, tc := range []struct {
 		name           string
+		p              *nullspace.Problem
 		support        uint64
 		ok, eliminated bool
 	}{
-		{"empty support", 0, false, false},
-		{"|J| = 0: pivot rows only", 0xF0, false, false},
-		{"|J| = 1, no live row: column 2 vanishes on T̄ = {5,6}", 0b1001_0100, true, false},
-		{"|J| = 1, T̄ empty", 0b1111_0100, true, false},
-		{"|J| = 2, T̄ empty: nothing constrains two free columns", 0b1111_0011, false, false},
-		{"|J| = 4 over two live rows: the count rejects", 0b1001_1111, false, false},
-		{"|J| = 1 pinned to zero by its live rows", 0b0000_0100, false, true},
-		{"|J| = 2 tied by row 4", 0b1110_0101, true, true},
+		{"empty support", p, 0, false, false},
+		{"|J| = 0: pivot rows only", p, 0xF0, false, false},
+		{"|J| = 1, no live row: column 2 vanishes on T̄ = {5,6}", p, 0b1001_0100, true, false},
+		{"|J| = 1, T̄ empty", p, 0b1111_0100, true, false},
+		{"|J| = 2, T̄ empty: nothing constrains two free columns", p, 0b1111_0011, false, false},
+		{"|J| = 4 over two live rows: the count rejects", p, 0b1001_1111, false, false},
+		// Row 4 is a singleton on column 2 once J = {2}: the peel pivots
+		// it and nothing is left, with no deficiency.
+		{"|J| = 1 pinned to zero by its live rows", p, 0b0000_0100, false, false},
+		// Row 4 alone holds columns 0 and 2: one pivots it, the other is
+		// then free — one deficiency, no elimination.
+		{"|J| = 2 tied by row 4", p, 0b1110_0101, true, false},
+		{"|J| = 2 over a dense core of full rank", p, 0b0000_1010, false, true},
+		{"|J| = 2 over a dense core of rank 1", p, 0b1001_1010, true, true},
+		{"two free columns beside two live rows on one", hand, 0b1_1100_1101, false, false},
+		{"a chain of row singletons peeled to nothing beside one free column", hand, 0b1_1000_1111, true, false},
+		{"no row singleton: a column singleton starts the peel", hand, 0b0_1011_1110, true, false},
 	} {
 		words := []uint64{tc.support}
-		ok, eliminated := nullityIsOne(p, ws, words, linalg.DefaultTol, nil)
-		if want := exactNullityIsOne(p, words); ok != want || ok != tc.ok || eliminated != tc.eliminated {
+		ok, eliminated := nullityIsOne(tc.p, ws, words, linalg.DefaultTol, nil)
+		if want := exactNullityIsOne(tc.p, words); ok != want || ok != tc.ok || eliminated != tc.eliminated {
 			t.Errorf("%s (support %#b): (ok, eliminated) = (%v, %v), want (%v, %v); exact verdict %v", tc.name, tc.support, ok, eliminated, tc.ok, tc.eliminated, want)
 		}
 	}

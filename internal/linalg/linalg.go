@@ -83,8 +83,9 @@ func Rank(a []float64, rows, cols int, tol float64) int {
 // submatrices gathered from a fixed parent matrix. It is not safe for
 // concurrent use; each worker goroutine owns one.
 type Workspace struct {
-	buf  []float64
-	perm []int // pivot row permutation, reused across eliminations
+	buf   []float64
+	perm  []int    // pivot row permutation, reused across eliminations
+	words []uint64 // bit-mask scratch of the caller's structural pass
 }
 
 // NewWorkspace returns a workspace able to hold a rows×cols matrix.
@@ -100,6 +101,17 @@ func (w *Workspace) Buffer(rows, cols int) []float64 {
 		w.buf = make([]float64, n)
 	}
 	return w.buf[:n]
+}
+
+// Words returns an n-word scratch slice, growing the backing store if
+// needed. The contents are unspecified. It is for the bit masks a caller
+// keeps about the matrix it is about to gather, so a worker that owns the
+// workspace needs no second scratch for them.
+func (w *Workspace) Words(n int) []uint64 {
+	if cap(w.words) < n {
+		w.words = make([]uint64, n)
+	}
+	return w.words[:n]
 }
 
 // RankDeficiencyExceeds performs Gaussian elimination on the row-major

@@ -87,11 +87,12 @@ type Problem struct {
 	// the pivot rows outside it, the nullity of N over S equals
 	// |J| − rank(KernelRows[T̄, J]).
 	KernelRows []float64
-	// RowMask holds, per kernel row, the bitmask of its non-zero columns:
-	// ⌈D/64⌉ words per row, row r at [r·⌈D/64⌉, (r+1)·⌈D/64⌉). A row whose
-	// mask misses J is all zero in KernelRows[T̄, J] and cannot carry a
-	// pivot there.
-	RowMask []uint64
+	// ColMask holds, per kernel column j < D, the bitmask of its non-zero
+	// rows: ⌈q/64⌉ words per column, column j at [j·⌈q/64⌉, (j+1)·⌈q/64⌉).
+	// Its bits outside a support S are column j's rows of T̄: what the
+	// rank test reads of K₂[T̄, J]'s zero pattern, a word of rows at a
+	// time.
+	ColMask []uint64
 	// Perm maps permuted index -> problem column index.
 	Perm []int
 	// Rev holds reversibility flags in permuted order.
@@ -359,8 +360,8 @@ func build(N *ratmat.Matrix, rev []bool, h Heuristics) (*Problem, []int, error) 
 	// complement-row rank test use the scaled copy; exact math keeps
 	// the original.
 	flat := make([]float64, q*d)
-	maskWords := (d + 63) / 64
-	mask := make([]uint64, q*maskWords)
+	maskWords := (q + 63) / 64
+	mask := make([]uint64, d*maskWords)
 	for i := 0; i < q; i++ {
 		row := flat[i*d : (i+1)*d]
 		maxAbs := 0.0
@@ -377,7 +378,7 @@ func build(N *ratmat.Matrix, rev []bool, h Heuristics) (*Problem, []int, error) 
 		for j := range row {
 			row[j] *= scale
 			if row[j] != 0 {
-				mask[i*maskWords+j/64] |= 1 << uint(j%64)
+				mask[j*maskWords+i/64] |= 1 << uint(i%64)
 			}
 		}
 	}
@@ -386,7 +387,7 @@ func build(N *ratmat.Matrix, rev []bool, h Heuristics) (*Problem, []int, error) 
 		NExact:      nperm,
 		KernelExact: kexact,
 		KernelRows:  flat,
-		RowMask:     mask,
+		ColMask:     mask,
 		Perm:        perm,
 		Rev:         prev,
 		D:           d,

@@ -264,12 +264,12 @@ func TestYeastProblems(t *testing.T) {
 	}
 }
 
-// TestUnitRowsAndRowMasks pins what the engine's rank test rests on:
+// TestUnitRowsAndColMasks pins what the engine's rank test rests on:
 // KernelRows is KernelExact with each row scaled to unit max-magnitude,
 // its rows 0..D-1 are exactly the unit vectors e_j (so N and [K₂ | −I]
-// share a row space), and RowMask says where KernelRows is non-zero —
+// share a row space), and ColMask says where KernelRows is non-zero —
 // under every way a Problem gets built.
-func TestUnitRowsAndRowMasks(t *testing.T) {
+func TestUnitRowsAndColMasks(t *testing.T) {
 	toy, err := reduce.Network(model.Toy(), reduce.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -306,14 +306,16 @@ func TestUnitRowsAndRowMasks(t *testing.T) {
 			t.Fatalf("%s: split = %v, want %v", tc.name, p.Split != nil, tc.wantSplit)
 		}
 		q, d := p.Q(), p.D
-		mw := (d + 63) / 64
-		if len(p.KernelRows) != q*d || len(p.RowMask) != q*mw {
-			t.Fatalf("%s: %d kernel values and %d mask words for a %dx%d kernel", tc.name, len(p.KernelRows), len(p.RowMask), q, d)
+		qw := (q + 63) / 64
+		if len(p.KernelRows) != q*d || len(p.ColMask) != d*qw {
+			t.Fatalf("%s: %d kernel values and %d mask words for a %dx%d kernel", tc.name, len(p.KernelRows), len(p.ColMask), q, d)
+		}
+		for j := 0; j < d; j++ {
+			if p.ColMask[j*qw+qw-1]>>uint((q-1)%64)>>1 != 0 {
+				t.Fatalf("%s: mask of column %d has a bit at or above q", tc.name, j)
+			}
 		}
 		for i := 0; i < q; i++ {
-			if p.RowMask[i*mw+mw-1]>>uint((d-1)%64)>>1 != 0 {
-				t.Fatalf("%s: mask of row %d has a bit at or above D", tc.name, i)
-			}
 			exact := make([]float64, d)
 			maxAbs := 0.0
 			for j := range exact {
@@ -328,7 +330,7 @@ func TestUnitRowsAndRowMasks(t *testing.T) {
 				if i < d && (v != 0) != (i == j) || i == j && v != 1 {
 					t.Fatalf("%s: identity row %d is not e_%d: column %d holds %v", tc.name, i, i, j, v)
 				}
-				if bit := p.RowMask[i*mw+j/64]>>uint(j%64)&1 != 0; bit != (v != 0) {
+				if bit := p.ColMask[j*qw+i/64]>>uint(i%64)&1 != 0; bit != (v != 0) {
 					t.Fatalf("%s: mask bit (%d,%d) = %v over value %v", tc.name, i, j, bit, v)
 				}
 				if (v != 0) != (p.KernelExact.At(i, j).Sign() != 0) {
