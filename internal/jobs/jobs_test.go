@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -296,6 +297,138 @@ func TestCacheHitSkipsDriver(t *testing.T) {
 	}
 	if stats.Counters.CacheHits != 1 || stats.Cache.Hits != 1 {
 		t.Errorf("cache hit counters: %+v / %+v", stats.Counters, stats.Cache)
+	}
+	// The hit decodes over the cold run's reduction: it must name every
+	// mode and reconstruct every exact flux as the cold run does.
+	res1, err := j1.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameModes(t, res2, res1)
+}
+
+// sameModes fails unless got and want hold the same modes with the same
+// support names and exact fluxes, in the same order.
+func sameModes(t *testing.T, got, want *elmocomp.Result) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("%d modes, want %d", got.Len(), want.Len())
+	}
+	for i := 0; i < want.Len(); i++ {
+		if g, w := got.SupportNames(i), want.SupportNames(i); !reflect.DeepEqual(g, w) {
+			t.Fatalf("mode %d names %v, want %v", i, g, w)
+		}
+		gf, err := got.Flux(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wf, err := want.Flux(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(gf) != len(wf) {
+			t.Fatalf("mode %d flux over %d reactions, want %d", i, len(gf), len(wf))
+		}
+		for name, v := range wf {
+			if g, ok := gf[name]; !ok || g.Cmp(v) != 0 {
+				t.Fatalf("mode %d flux %s = %v, want %v", i, name, g, v)
+			}
+		}
+	}
+}
+
+// TestCacheHitsShareReductionConcurrently: every hit on one key decodes
+// over the same stored reduction, so concurrent readers of names and
+// exact fluxes must not race on it (run under -race).
+func TestCacheHitsShareReductionConcurrently(t *testing.T) {
+	m := New(Config{Workers: 1})
+	defer shutdown(t, m)
+	req := toyRequest(t, elmocomp.Config{})
+	cold, err := m.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := cold.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want, err := cold.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, readers)
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j, err := m.Submit(req)
+			if err != nil {
+				errs <- err
+				return
+			}
+			res, err := j.Result()
+			if err != nil {
+				errs <- err
+				return
+			}
+			for i := 0; i < res.Len(); i++ {
+				if !reflect.DeepEqual(res.SupportNames(i), want.SupportNames(i)) {
+					errs <- fmt.Errorf("mode %d names differ", i)
+					return
+				}
+				if _, err := res.Flux(i); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if st := m.Stats(); st.Counters.CacheHits != readers || st.Counters.RunsStarted != 1 {
+		t.Errorf("counters %+v, want %d hits over one run", st.Counters, readers)
+	}
+}
+
+// TestCacheEntryCountsReduction: an entry pins its run's reduction, so
+// its cost is more than its payload, and a cache filled with small
+// entries holds no more of them than the budget pays for.
+func TestCacheEntryCountsReduction(t *testing.T) {
+	req := toyRequest(t, elmocomp.Config{})
+	res, err := elmocomp.ComputeEFMs(req.Network, req.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := res.EncodeSupports()
+	entry := stored{payload: payload, shell: res.Shell(), shellBytes: res.ShellBytes()}
+	if entry.bytes() <= int64(len(payload)) {
+		t.Fatalf("toy entry costs %d bytes, its payload alone %d", entry.bytes(), len(payload))
+	}
+
+	const fits = 3
+	m := New(Config{Workers: 1, CacheBytes: fits * entry.bytes()})
+	defer shutdown(t, m)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i := 0; i < 8; i++ {
+		// A distinct budget per request gives each its own key and entry.
+		j, err := m.Submit(toyRequest(t, elmocomp.Config{MaxIntermediateModes: 1_000_000 + i}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := m.Stats().Cache
+	if st.Bytes > st.Budget || st.Entries != fits || st.Evictions != 8-fits {
+		t.Errorf("cache %+v: want %d entries of %d bytes within the budget", st, fits, entry.bytes())
 	}
 }
 

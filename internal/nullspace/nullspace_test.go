@@ -340,3 +340,20 @@ func TestUnitRowsAndColMasks(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkNullspaceNewYeast times the exact kernel construction on
+// reduced Network I: the setup every run and every dnc class pays.
+func BenchmarkNullspaceNewYeast(b *testing.B) {
+	red, err := reduce.Network(model.YeastI(), reduce.Options{MergeDuplicates: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rev := red.Reversibilities()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(red.N, rev, Heuristics{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -10,20 +10,27 @@
 // correctness-critical setup. The per-candidate hot path uses float64
 // (package linalg); exact arithmetic here also backs the test-suite
 // verification of every computed flux mode.
+//
+// Storage is dense but the arithmetic is not: entries live inline in one
+// []big.Rat per matrix, and RREF scales and subtracts only the columns
+// where the pivot row is non-zero. Stoichiometric rows are sparse, so that
+// is most of what a dense elimination would spend; the reduced row echelon
+// form is unique, so the result is the dense one entry for entry.
 package ratmat
 
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 	"strings"
+	"unsafe"
 )
 
-// Matrix is a dense rows×cols matrix of exact rationals. Entries are
-// never nil. The zero value is not usable; construct with New, FromInts,
-// or FromRats.
+// Matrix is a dense rows×cols matrix of exact rationals. The zero value
+// is not usable; construct with New or FromInts.
 type Matrix struct {
 	r, c int
-	a    []*big.Rat // row-major
+	a    []big.Rat // row-major, stored inline: one allocation per matrix
 }
 
 // New returns an r×c zero matrix.
@@ -31,11 +38,7 @@ func New(r, c int) *Matrix {
 	if r < 0 || c < 0 {
 		panic("ratmat: negative dimension")
 	}
-	m := &Matrix{r: r, c: c, a: make([]*big.Rat, r*c)}
-	for i := range m.a {
-		m.a[i] = new(big.Rat)
-	}
-	return m
+	return &Matrix{r: r, c: c, a: make([]big.Rat, r*c)}
 }
 
 // FromInts builds a matrix from integer rows. All rows must have equal
@@ -68,7 +71,7 @@ func (m *Matrix) Cols() int { return m.c }
 // entry; mutate through Set to keep intent clear.
 func (m *Matrix) At(i, j int) *big.Rat {
 	m.check(i, j)
-	return m.a[i*m.c+j]
+	return &m.a[i*m.c+j]
 }
 
 // Set assigns entry (i, j) to v (copied).
@@ -91,9 +94,9 @@ func (m *Matrix) check(i, j int) {
 
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
-	n := &Matrix{r: m.r, c: m.c, a: make([]*big.Rat, len(m.a))}
-	for i, v := range m.a {
-		n.a[i] = new(big.Rat).Set(v)
+	n := New(m.r, m.c)
+	for i := range m.a {
+		n.a[i].Set(&m.a[i])
 	}
 	return n
 }
@@ -104,7 +107,7 @@ func (m *Matrix) Equal(n *Matrix) bool {
 		return false
 	}
 	for i := range m.a {
-		if m.a[i].Cmp(n.a[i]) != 0 {
+		if m.a[i].Cmp(&n.a[i]) != 0 {
 			return false
 		}
 	}
@@ -113,8 +116,8 @@ func (m *Matrix) Equal(n *Matrix) bool {
 
 // IsZero reports whether every entry is zero.
 func (m *Matrix) IsZero() bool {
-	for _, v := range m.a {
-		if v.Sign() != 0 {
+	for i := range m.a {
+		if m.a[i].Sign() != 0 {
 			return false
 		}
 	}
@@ -126,7 +129,7 @@ func (m *Matrix) T() *Matrix {
 	t := New(m.c, m.r)
 	for i := 0; i < m.r; i++ {
 		for j := 0; j < m.c; j++ {
-			t.a[j*m.r+i].Set(m.a[i*m.c+j])
+			t.a[j*m.r+i].Set(&m.a[i*m.c+j])
 		}
 	}
 	return t
@@ -141,17 +144,17 @@ func (m *Matrix) Mul(n *Matrix) *Matrix {
 	tmp := new(big.Rat)
 	for i := 0; i < m.r; i++ {
 		for k := 0; k < m.c; k++ {
-			mik := m.a[i*m.c+k]
+			mik := &m.a[i*m.c+k]
 			if mik.Sign() == 0 {
 				continue
 			}
 			for j := 0; j < n.c; j++ {
-				nkj := n.a[k*n.c+j]
+				nkj := &n.a[k*n.c+j]
 				if nkj.Sign() == 0 {
 					continue
 				}
 				tmp.Mul(mik, nkj)
-				out.a[i*n.c+j].Add(out.a[i*n.c+j], tmp)
+				out.a[i*n.c+j].Add(&out.a[i*n.c+j], tmp)
 			}
 		}
 	}
@@ -171,7 +174,7 @@ func (m *Matrix) MulVec(x []*big.Rat) []*big.Rat {
 			if m.a[i*m.c+j].Sign() == 0 || x[j].Sign() == 0 {
 				continue
 			}
-			tmp.Mul(m.a[i*m.c+j], x[j])
+			tmp.Mul(&m.a[i*m.c+j], x[j])
 			out[i].Add(out[i], tmp)
 		}
 	}
@@ -187,7 +190,7 @@ func (m *Matrix) SelectColumns(cols []int) *Matrix {
 			panic(fmt.Sprintf("ratmat: column %d out of range", cj))
 		}
 		for i := 0; i < m.r; i++ {
-			out.a[i*out.c+j].Set(m.a[i*m.c+cj])
+			out.a[i*out.c+j].Set(&m.a[i*m.c+cj])
 		}
 	}
 	return out
@@ -201,31 +204,38 @@ func (m *Matrix) SelectRows(rows []int) *Matrix {
 			panic(fmt.Sprintf("ratmat: row %d out of range", ri))
 		}
 		for j := 0; j < m.c; j++ {
-			out.a[i*out.c+j].Set(m.a[ri*m.c+j])
+			out.a[i*out.c+j].Set(&m.a[ri*m.c+j])
 		}
 	}
 	return out
 }
 
-// swapRows exchanges rows i and j in place.
+// swapRows exchanges rows i and j in place. Exchanging the big.Rat
+// values moves their backing words with them, so no entry is shared.
 func (m *Matrix) swapRows(i, j int) {
 	if i == j {
 		return
 	}
-	for k := 0; k < m.c; k++ {
-		m.a[i*m.c+k], m.a[j*m.c+k] = m.a[j*m.c+k], m.a[i*m.c+k]
+	ri, rj := m.a[i*m.c:(i+1)*m.c], m.a[j*m.c:(j+1)*m.c]
+	for k := range ri {
+		ri[k], rj[k] = rj[k], ri[k]
 	}
 }
 
 // RREF reduces m to reduced row echelon form in place and returns the
 // pivot column indices, one per non-zero row, in increasing order.
+//
+// Each step touches only the columns where the pivot row is non-zero:
+// scaling or subtracting a zero entry leaves every value as it was, and
+// stoichiometric pivot rows are sparse. The reduced row echelon form is
+// unique, so the result equals a dense elimination entry for entry.
 func (m *Matrix) RREF() (pivotCols []int) {
-	tmp := new(big.Rat)
+	var tmp, inv, f big.Rat
+	nz := make([]int, 0, m.c)
 	row := 0
 	for col := 0; col < m.c && row < m.r; col++ {
-		// Find a pivot: prefer entries with small representation by
-		// taking the first non-zero (exact arithmetic needs no
-		// numerical pivoting).
+		// Find a pivot: the first non-zero entry (exact arithmetic needs
+		// no numerical pivoting).
 		pivot := -1
 		for i := row; i < m.r; i++ {
 			if m.a[i*m.c+col].Sign() != 0 {
@@ -237,20 +247,32 @@ func (m *Matrix) RREF() (pivotCols []int) {
 			continue
 		}
 		m.swapRows(row, pivot)
-		// Normalize pivot row.
-		inv := new(big.Rat).Inv(m.a[row*m.c+col])
-		for k := col; k < m.c; k++ {
-			m.a[row*m.c+k].Mul(m.a[row*m.c+k], inv)
+		// Every earlier column of the pivot row is already zero; the
+		// pivot's own column is set to 1 and cleared elsewhere directly.
+		prow := m.a[row*m.c : (row+1)*m.c]
+		nz = nz[:0]
+		for k := col + 1; k < m.c; k++ {
+			if prow[k].Sign() != 0 {
+				nz = append(nz, k)
+			}
+		}
+		// Normalize the pivot row.
+		inv.Inv(&prow[col])
+		prow[col].SetInt64(1)
+		for _, k := range nz {
+			prow[k].Mul(&prow[k], &inv)
 		}
 		// Eliminate the column everywhere else.
 		for i := 0; i < m.r; i++ {
-			if i == row || m.a[i*m.c+col].Sign() == 0 {
+			ri := m.a[i*m.c : (i+1)*m.c]
+			if i == row || ri[col].Sign() == 0 {
 				continue
 			}
-			f := new(big.Rat).Set(m.a[i*m.c+col])
-			for k := col; k < m.c; k++ {
-				tmp.Mul(f, m.a[row*m.c+k])
-				m.a[i*m.c+k].Sub(m.a[i*m.c+k], tmp)
+			f.Set(&ri[col])
+			ri[col].SetInt64(0)
+			for _, k := range nz {
+				tmp.Mul(&f, &prow[k])
+				ri[k].Sub(&ri[k], &tmp)
 			}
 		}
 		pivotCols = append(pivotCols, col)
@@ -285,7 +307,7 @@ func (m *Matrix) Kernel() (k *Matrix, freeCols []int) {
 	for jj, f := range freeCols {
 		k.a[f*k.c+jj].SetInt64(1)
 		for i, p := range pivots {
-			v := rref.a[i*rref.c+f]
+			v := &rref.a[i*rref.c+f]
 			if v.Sign() != 0 {
 				neg.Neg(v)
 				k.a[p*k.c+jj].Set(neg)
@@ -303,6 +325,25 @@ func (m *Matrix) IndependentRows() []int {
 	// the independent rows of m.
 	t := m.T()
 	return t.RREF()
+}
+
+// RatBytes estimates the resident size of x: its header and the words
+// of its numerator and denominator.
+func RatBytes(x *big.Rat) int64 {
+	den := 1 // an integer's denominator is the word 1
+	if !x.IsInt() {
+		den = len(x.Denom().Bits())
+	}
+	return int64(unsafe.Sizeof(*x)) + int64((len(x.Num().Bits())+den)*bits.UintSize/8)
+}
+
+// Bytes estimates the resident size of m: its header and every entry.
+func (m *Matrix) Bytes() int64 {
+	n := int64(unsafe.Sizeof(*m))
+	for i := range m.a {
+		n += RatBytes(&m.a[i])
+	}
+	return n
 }
 
 // String renders the matrix with space-separated rational entries, one row

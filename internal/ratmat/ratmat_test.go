@@ -271,3 +271,96 @@ func TestQuickRREFIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// rrefDense is the dense reference elimination RREF replaced: it scales
+// and subtracts every entry from the pivot column rightwards, zeros
+// included.
+func (m *Matrix) rrefDense() (pivotCols []int) {
+	tmp := new(big.Rat)
+	row := 0
+	for col := 0; col < m.c && row < m.r; col++ {
+		pivot := -1
+		for i := row; i < m.r; i++ {
+			if m.a[i*m.c+col].Sign() != 0 {
+				pivot = i
+				break
+			}
+		}
+		if pivot < 0 {
+			continue
+		}
+		m.swapRows(row, pivot)
+		inv := new(big.Rat).Inv(&m.a[row*m.c+col])
+		for k := col; k < m.c; k++ {
+			m.a[row*m.c+k].Mul(&m.a[row*m.c+k], inv)
+		}
+		for i := 0; i < m.r; i++ {
+			if i == row || m.a[i*m.c+col].Sign() == 0 {
+				continue
+			}
+			f := new(big.Rat).Set(&m.a[i*m.c+col])
+			for k := col; k < m.c; k++ {
+				tmp.Mul(f, &m.a[row*m.c+k])
+				m.a[i*m.c+k].Sub(&m.a[i*m.c+k], tmp)
+			}
+		}
+		pivotCols = append(pivotCols, col)
+		row++
+	}
+	return pivotCols
+}
+
+// kernelDense builds Kernel's basis from the dense reference elimination.
+func (m *Matrix) kernelDense() (*Matrix, []int) {
+	rref := m.Clone()
+	pivots := rref.rrefDense()
+	isPivot := make([]bool, m.c)
+	for _, p := range pivots {
+		isPivot[p] = true
+	}
+	var free []int
+	for j := 0; j < m.c; j++ {
+		if !isPivot[j] {
+			free = append(free, j)
+		}
+	}
+	k := New(m.c, len(free))
+	for jj, f := range free {
+		k.SetInt(f, jj, 1)
+		for i, p := range pivots {
+			k.At(p, jj).Neg(rref.At(i, f))
+		}
+	}
+	return k, free
+}
+
+// checkMatchesDense fails unless RREF, Kernel and IndependentRows of m
+// equal the dense reference's, pivot for pivot and entry for entry.
+func checkMatchesDense(t *testing.T, name string, m *Matrix) {
+	t.Helper()
+	sparse, dense := m.Clone(), m.Clone()
+	sp, dp := sparse.RREF(), dense.rrefDense()
+	if !equalInts(sp, dp) || !sparse.Equal(dense) {
+		t.Fatalf("%s: RREF pivots %v, dense %v; RREF\n%vdense\n%v", name, sp, dp, sparse, dense)
+	}
+	k, free := m.Kernel()
+	dk, dfree := m.kernelDense()
+	if !equalInts(free, dfree) || !k.Equal(dk) {
+		t.Fatalf("%s: Kernel free %v, dense %v; kernel\n%vdense\n%v", name, free, dfree, k, dk)
+	}
+	if got, want := m.IndependentRows(), m.T().rrefDense(); !equalInts(got, want) {
+		t.Fatalf("%s: IndependentRows %v, dense %v", name, got, want)
+	}
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

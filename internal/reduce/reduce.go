@@ -43,6 +43,7 @@ import (
 	"math/big"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"elmocomp/internal/model"
 	"elmocomp/internal/ratmat"
@@ -626,6 +627,31 @@ func cloneMembers(ms []Member) []Member {
 		out[i] = Member{Index: m.Index, Coef: new(big.Rat).Set(m.Coef)}
 	}
 	return out
+}
+
+// Bytes estimates the resident size of the reduction together with the
+// original network it maps back to: what keeping it alive costs a cache.
+func (r *Reduced) Bytes() int64 {
+	n := int64(unsafe.Sizeof(*r)) + r.N.Bytes() + int64(len(r.Zero))*int64(unsafe.Sizeof(0))
+	for _, met := range r.Mets {
+		n += int64(unsafe.Sizeof(met)) + int64(len(met))
+	}
+	for _, c := range r.Cols {
+		n += int64(unsafe.Sizeof(c)) + int64(len(c.Name))
+		for _, m := range c.Members {
+			n += int64(unsafe.Sizeof(m)) + ratmat.RatBytes(m.Coef)
+		}
+	}
+	n += int64(unsafe.Sizeof(*r.Original)) + int64(len(r.Original.Name))
+	for _, rx := range r.Original.Reactions {
+		n += int64(unsafe.Sizeof(rx)) + int64(len(rx.Name))
+		for _, side := range [][]model.Term{rx.Substrates, rx.Products} {
+			for _, t := range side {
+				n += int64(unsafe.Sizeof(t)) + int64(len(t.Met)) + ratmat.RatBytes(t.Coef)
+			}
+		}
+	}
+	return n
 }
 
 // Summary returns a one-line description of the reduction.

@@ -567,3 +567,15 @@ func sumRat(vs []*big.Rat) *big.Rat {
 
 var _ = ratmat.New // keep import if unused in some builds
 var _ = sumRat
+
+// BenchmarkReduceYeast1 times the exact preprocessing of Network I, the
+// step a fresh run pays once before enumeration.
+func BenchmarkReduceYeast1(b *testing.B) {
+	net := model.YeastI()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Network(net, Options{MergeDuplicates: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

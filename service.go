@@ -201,22 +201,44 @@ func (r *Result) EncodeSupports() []byte {
 
 // ResultFromEncodedSupports reconstructs a Result from a cached
 // EncodeSupports payload: the network is reduced exactly as a fresh run
-// would reduce it (KeepDuplicateReactions is honored), the payload is
-// decoded and validated against the reduction's column count, and the
-// supports are adopted verbatim. The returned Result serves supports,
-// fluxes, participation counts and verification like a computed one; its
-// run statistics (candidate counts, phases, iterations) are zero —
-// nothing was run. Callers holding the original run's fingerprint should
-// compare it against the reconstructed Result.Fingerprint() to detect
-// cache corruption end to end.
+// would reduce it (KeepDuplicateReactions is honored) and the payload is
+// decoded over that reduction (WithEncodedSupports). The returned Result
+// serves supports, fluxes, participation counts and verification like a
+// computed one; its run statistics (candidate counts, phases,
+// iterations) are zero — nothing was run. Callers holding the original
+// run's fingerprint should compare it against the reconstructed
+// Result.Fingerprint() to detect cache corruption end to end. A caller
+// that still holds the producing run's Result decodes through its Shell
+// instead and skips the reduction.
 func ResultFromEncodedSupports(n *Network, cfg Config, payload []byte) (*Result, error) {
 	red, err := reduce.Network(n.inner, reduce.Options{MergeDuplicates: !cfg.KeepDuplicateReactions})
 	if err != nil {
 		return nil, err
 	}
-	supports, err := core.DecodeSupportList(payload, red.N.Cols())
+	return (&Result{network: n.inner, red: red}).WithEncodedSupports(payload)
+}
+
+// Shell returns the Result's network and reduction with no modes and no
+// run statistics: what WithEncodedSupports needs to rebuild the Result
+// from its EncodeSupports payload. Every request under one RequestKey
+// reduces identically, so a shell serves any of them; the job service
+// keeps one per cached key so that a hit pays no exact preprocessing.
+// The reduction is shared, not copied: nothing mutates it once built.
+func (r *Result) Shell() *Result { return &Result{network: r.network, red: r.red} }
+
+// ShellBytes estimates the resident size of what Shell keeps: the
+// reduction and the original network it maps back to.
+func (r *Result) ShellBytes() int64 { return r.red.Bytes() }
+
+// WithEncodedSupports returns a Result over r's network and reduction
+// whose modes are decoded from an EncodeSupports payload, validated
+// against the reduction's column count and adopted verbatim; r is not
+// modified. Run statistics are zero, as in ResultFromEncodedSupports,
+// which is this decode over a fresh reduction.
+func (r *Result) WithEncodedSupports(payload []byte) (*Result, error) {
+	supports, err := core.DecodeSupportList(payload, r.red.N.Cols())
 	if err != nil {
 		return nil, fmt.Errorf("elmocomp: cached payload: %w", err)
 	}
-	return &Result{network: n.inner, red: red, supports: supports}, nil
+	return &Result{network: r.network, red: r.red, supports: supports}, nil
 }

@@ -262,6 +262,97 @@ func TestResultFromEncodedSupportsRejectsMismatch(t *testing.T) {
 	if _, err := ResultFromEncodedSupports(toy, Config{}, payload[:len(payload)-1]); err == nil {
 		t.Error("truncated payload accepted")
 	}
+	// The shell decode a cache hit runs refuses the same payloads.
+	sub, err := ComputeEFMs(yeastSubNetwork(t), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sub.Shell().WithEncodedSupports(payload); err == nil {
+		t.Error("payload for a different network accepted over a shell")
+	}
+	if _, err := res.Shell().WithEncodedSupports(payload[:len(payload)-1]); err == nil {
+		t.Error("truncated payload accepted over a shell")
+	}
+}
+
+// TestShellDecodeMatchesFreshReduction: decoding a payload over the
+// producing run's Shell serves the same Result as
+// ResultFromEncodedSupports, which reduces the network again: the same
+// modes, names, exact fluxes and reduction. The keep-duplicates case is
+// the yeast sub-model, whose R23/R77 pair only merges by default.
+func TestShellDecodeMatchesFreshReduction(t *testing.T) {
+	toy, err := Builtin("toy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := yeastSubNetwork(t)
+	for _, tc := range []struct {
+		name string
+		net  *Network
+		cfg  Config
+	}{
+		{"toy", toy, Config{}},
+		{"yeast1-ko3", yeastKnockout(t, "R32r", "R36r", "R19r"), Config{Workers: 2}},
+		{"yeast1-sub keep duplicates", sub, Config{KeepDuplicateReactions: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := ComputeEFMs(tc.net, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload := res.EncodeSupports()
+			shell, err := res.Shell().WithEncodedSupports(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := ResultFromEncodedSupports(tc.net, tc.cfg, payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shell.Len() != fresh.Len() || shell.Len() != res.Len() || shell.Fingerprint() != fresh.Fingerprint() {
+				t.Fatalf("shell %d modes fp %016x, fresh %d modes fp %016x, run %d modes",
+					shell.Len(), shell.Fingerprint(), fresh.Len(), fresh.Fingerprint(), res.Len())
+			}
+			if shell.ReductionSummary() != fresh.ReductionSummary() {
+				t.Fatalf("reduction %q, fresh %q", shell.ReductionSummary(), fresh.ReductionSummary())
+			}
+			for i := 0; i < shell.Len(); i++ {
+				if got, want := shell.SupportNames(i), fresh.SupportNames(i); !reflect.DeepEqual(got, want) {
+					t.Fatalf("mode %d names %v, fresh %v", i, got, want)
+				}
+			}
+			step := shell.Len()/12 + 1
+			for i := 0; i < shell.Len(); i += step {
+				got, err := shell.Flux(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fresh.Flux(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("mode %d flux over %d reactions, fresh %d", i, len(got), len(want))
+				}
+				for name, v := range want {
+					if g, ok := got[name]; !ok || g.Cmp(v) != 0 {
+						t.Fatalf("mode %d flux %s = %v, fresh %v", i, name, g, v)
+					}
+				}
+			}
+		})
+	}
+	merged, err := ComputeEFMs(sub, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep, err := ComputeEFMs(sub, Config{KeepDuplicateReactions: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.ReductionSummary() == keep.ReductionSummary() {
+		t.Fatalf("keeping duplicates did not change the sub-model's reduction %q", keep.ReductionSummary())
+	}
 }
 
 func TestComputeEFMsCancel(t *testing.T) {
