@@ -270,7 +270,7 @@ type IterationStat struct {
 	Visited        int64  `json:"visited"`         // of those, pairs probed one by one (the generation tree rejects the rest by the subtree)
 	Prefiltered    int64  `json:"prefiltered"`     // rejected by the support-size pre-test
 	Tested         int64  `json:"tested"`          // rank tests run
-	Eliminated     int64  `json:"eliminated"`      // of those, tests that ran an elimination (the pattern decided the rest: live-row count or peel)
+	Eliminated     int64  `json:"eliminated"`      // of those, tests decided by an elimination, run or its verdict read from the worker's verdict table (the pattern decided the rest: live-row count or peel)
 	Accepted       int64  `json:"accepted"`
 	Duplicates     int64  `json:"duplicates"`
 	ModesOut       int    `json:"modes_out"`
@@ -330,10 +330,12 @@ type Result struct {
 	// (Serial/Parallel only); the rest were support pre-test rejections
 	// the generation tree counted by the subtree.
 	PairsVisited int64
-	// RankEliminations is how many of the engine's rank tests ran a
-	// Gaussian elimination, summed over Iterations; the rest were decided
-	// by the block's exact zero pattern: counting the rows an elimination
-	// could pivot on, or peeling its free columns and singleton pivots.
+	// RankEliminations is how many of the engine's rank tests were
+	// decided by a Gaussian elimination, run or its verdict read from the
+	// worker's verdict table, summed over Iterations; the rest were
+	// decided by the block's exact zero pattern: counting the rows an
+	// elimination could pivot on, or peeling its free columns and
+	// singleton pivots.
 	RankEliminations int64
 	// Iterations holds per-iteration statistics (Serial/Parallel only).
 	Iterations []IterationStat

@@ -25,13 +25,31 @@ func yeastProblem(b testing.TB) *nullspace.Problem {
 
 // pairLoopYeastRow is the row the pair-loop benchmarks run: a real
 // mid-run iteration of Network I (the state after 20 iterations).
-func pairLoopYeastRow(b *testing.B) (*nullspace.Problem, *ModeSet) {
-	p := yeastProblem(b)
+func pairLoopYeastRow(tb testing.TB) (*nullspace.Problem, *ModeSet) {
+	p := yeastProblem(tb)
 	res, err := Run(p, Options{LastRow: p.D + 20})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return p, res.Modes
+}
+
+// rankTestStream returns the candidates of the row that reach the rank
+// test — every pair that survives the support pre-test and the exact
+// support bounds — in generation order.
+func rankTestStream(it *RowIter) *ModeSet {
+	p, set := it.Problem, it.Set
+	stream := it.NewCandidateSet()
+	var st IterStats
+	g := newGenCall(it, stream, linalg.NewWorkspace(p.M()+2, p.M()+2), &st, &GenScratch{})
+	for _, pi := range it.Pos {
+		for _, ni := range it.Neg {
+			if it.unionFits(set.BitsWords(pi), pi, ni) {
+				g.candidate(pi, ni)
+			}
+		}
+	}
+	return stream
 }
 
 // BenchmarkPairLoopYeast measures candidate generation on that row, one
@@ -52,6 +70,7 @@ func BenchmarkPairLoopYeast(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cands = it.ResetCandidateSet(cands)
 		st = IterStats{}
+		sc.verdicts.p = nil // every row starts with a cold verdict table, as a run's first does
 		it.GenerateIntoScratch(cands, ws, 0, pairs, &st, sc)
 	}
 	b.ReportMetric(float64(pairs), "pairs/row")
@@ -75,44 +94,46 @@ func BenchmarkPairTreeBuild(b *testing.B) {
 }
 
 // BenchmarkRankTestYeast measures the elementarity test in isolation on
-// the candidates of a mid-run Network I row that reach it — every pair
-// that survives the support pre-test and the exact support bounds — as
-// the stream the engine sees (mostly rejects), and on its accepted and
-// rejected parts alone.
+// the candidates of a mid-run Network I row that reach it, as the stream
+// the engine sees (mostly rejects), and on its accepted and rejected
+// parts alone; none of these keeps a verdict table. stream-table replays
+// the stream through one, cleared at the start of every pass over it, as
+// a worker's is at the start of a run.
 func BenchmarkRankTestYeast(b *testing.B) {
 	p, set := pairLoopYeastRow(b)
 	it := BeginRow(p, set, set.FirstRow(), Options{})
 	ws := linalg.NewWorkspace(p.M()+2, p.M()+2)
-	stream := it.NewCandidateSet()
-	var st IterStats
-	g := newGenCall(it, stream, ws, &st, &GenScratch{})
-	for _, pi := range it.Pos {
-		for _, ni := range it.Neg {
-			if it.unionFits(set.BitsWords(pi), pi, ni) {
-				g.candidate(pi, ni)
-			}
-		}
-	}
+	stream := rankTestStream(it)
+	scratch := make([]int, 0, p.Q())
 	var accepted, rejected, all []int
 	for i := 0; i < stream.Len(); i++ {
 		all = append(all, i)
-		if ok, _ := nullityIsOne(p, ws, stream.BitsWords(i), linalg.DefaultTol, g.sc.rankIdx); ok {
+		if ok, _ := nullityIsOne(p, ws, stream.BitsWords(i), linalg.DefaultTol, scratch, nil); ok {
 			accepted = append(accepted, i)
 		} else {
 			rejected = append(rejected, i)
 		}
 	}
 	for _, bc := range []struct {
-		name string
-		idx  []int
-	}{{"accepted", accepted}, {"rejected", rejected}, {"stream", all}} {
+		name  string
+		idx   []int
+		table bool
+	}{{"accepted", accepted, false}, {"rejected", rejected, false}, {"stream", all, false}, {"stream-table", all, true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			if len(bc.idx) == 0 {
 				b.Skip("no such candidate at this row")
 			}
+			var vt *verdictTable
+			if bc.table {
+				vt = &verdictTable{}
+			}
 			eliminated := 0
 			for i := 0; i < b.N; i++ {
-				if _, e := nullityIsOne(p, ws, stream.BitsWords(bc.idx[i%len(bc.idx)]), linalg.DefaultTol, g.sc.rankIdx); e {
+				k := i % len(bc.idx)
+				if vt != nil && k == 0 {
+					vt.p = nil
+				}
+				if _, e := nullityIsOne(p, ws, stream.BitsWords(bc.idx[k]), linalg.DefaultTol, scratch, vt); e {
 					eliminated++
 				}
 			}

@@ -89,7 +89,7 @@ type IterStats struct {
 	Prefiltered    int64 // rejected by the support-size pre-test
 	TreeRejects    int64 // never set: the rank test is the one verdict; bench/ still reads it as core.tree_rejects, pinned at 0
 	Tested         int64 // rank tests run
-	Eliminated     int64 // rank tests that ran an elimination; the rest were decided by the pattern (live-row count or peel)
+	Eliminated     int64 // rank tests decided by an elimination, run or its verdict read from the worker's verdict table; the rest were decided by the pattern (live-row count or peel)
 	Accepted       int64 // candidates surviving the test
 	Duplicates     int64 // removed duplicate candidates
 	ModesOut       int   // columns entering the next iteration
@@ -537,7 +537,7 @@ func (g *genCall) combine(pi, ni int) {
 	if sample {
 		tTest = time.Now()
 	}
-	ok, eliminated := nullityIsOne(g.it.Problem, g.ws, cw, zeroTol, g.sc.rankIdx)
+	ok, eliminated := nullityIsOne(g.it.Problem, g.ws, cw, zeroTol, g.sc.rankIdx, &g.sc.verdicts)
 	if sample {
 		g.testSeconds += time.Since(tTest).Seconds()
 		g.sampledTests++
@@ -771,9 +771,10 @@ func (it *RowIter) assemble(candSets []*ModeSet, refs []candRef, t0 time.Time) (
 // never reallocates), so batch re-validation — the divide-and-conquer
 // driver re-checks every extracted column at its early stop point —
 // reuses one elimination buffer across calls instead of allocating per
-// mode. The workspace must not be shared between concurrent calls.
+// mode. The workspace must not be shared between concurrent calls. No
+// verdict table is consulted: only the engine's workers keep one.
 func IsElementaryWS(p *nullspace.Problem, set *ModeSet, i int, tol float64, ws *linalg.Workspace, scratch []int) bool {
-	ok, _ := nullityIsOne(p, ws, set.BitsWords(i), tol, scratch)
+	ok, _ := nullityIsOne(p, ws, set.BitsWords(i), tol, scratch, nil)
 	return ok
 }
 
@@ -790,9 +791,11 @@ func IsElementaryWS(p *nullspace.Problem, set *ModeSet, i int, tol float64, ws *
 // rows are left the rank cannot reach |J|−1: the candidate is rejected
 // by that count alone. Then peel strips free columns and singleton
 // pivots, and only the block left, if any, is eliminated, with an early
-// exit past the deficiency the peel left it. eliminated reports whether
-// an elimination ran.
-func nullityIsOne(p *nullspace.Problem, ws *linalg.Workspace, support []uint64, tol float64, scratch []int) (ok, eliminated bool) {
+// exit past the deficiency the peel left it. The block and that
+// deficiency decide the elimination's verdict, so vt, when non-nil, is
+// asked for it first and told what an elimination found. eliminated
+// reports whether the verdict is an elimination's, run or read from vt.
+func nullityIsOne(p *nullspace.Problem, ws *linalg.Workspace, support []uint64, tol float64, scratch []int, vt *verdictTable) (ok, eliminated bool) {
 	q, d := p.Q(), p.D
 	cols := scratch[:0]
 	for w := 0; w*64 < d; w++ {
@@ -837,15 +840,25 @@ func nullityIsOne(p *nullspace.Problem, ws *linalg.Workspace, support []uint64, 
 	if nc == 0 {
 		return allow == 0, false
 	}
+	nrows := 0
+	for _, v := range live {
+		nrows += popcount(v)
+	}
+	if nrows < nc-allow {
+		return false, false
+	}
+	var slot int
+	if vt != nil {
+		if slot, ok = vt.lookup(p, tol, cols, live, allow); slot < 0 {
+			return ok, true
+		}
+	}
 	// The rows left follow the columns left in the index scratch.
 	rows := cols[nc:nc]
 	for w, v := range live {
 		for ; v != 0; v &= v - 1 {
 			rows = append(rows, w*64+trailingZeros(v))
 		}
-	}
-	if len(rows) < nc-allow {
-		return false, false
 	}
 	buf := ws.Buffer(len(rows), nc)
 	maxAbs, o := 0.0, 0
@@ -861,7 +874,11 @@ func nullityIsOne(p *nullspace.Problem, ws *linalg.Workspace, support []uint64, 
 		}
 	}
 	exceeds, def := ws.RankDeficiencyExceeds(buf, len(rows), nc, maxAbs, tol, allow)
-	return !exceeds && def == allow, true
+	ok = !exceeds && def == allow
+	if vt != nil {
+		vt.store(slot, allow, ok)
+	}
+	return ok, true
 }
 
 // peel strips from the block K₂[T̄,J] what its zero pattern decides
@@ -948,6 +965,106 @@ func peel(cols []int, rc, live, twos []uint64) (nc, free int) {
 			return n, free
 		}
 	}
+}
+
+// A verdict table starts at verdictTableSlots slots and doubles, keeping
+// its entries, each time its stores reach half its slots, until its keys
+// fill verdictTableWords words: 256 KiB on every network, 2¹⁴ slots at a
+// word of columns and a word of rows. A small run's few eliminations so
+// never pay for the whole table, and the entries a short run has found
+// survive its doublings.
+const (
+	verdictTableSlots = 1 << 9
+	verdictTableWords = 1 << 15
+)
+
+// verdictTable remembers the verdicts of a worker's rank-test
+// eliminations (DESIGN §7). An elimination gathers KernelRows[rows, cols]
+// in ascending order, the peel's columns and live rows, and eliminates it
+// under the tolerance with the deficiency allow may still leave; so its
+// verdict is a function of (cols, rows, allow) on one problem and
+// tolerance, and the table is emptied when either changes. It is
+// direct-mapped and pointer-free: a slot stores its key inline — the
+// columns as ⌈D/64⌉ words of bits, then the ⌈q/64⌉ words of rows — and
+// allow and the verdict in its meta byte, and a lookup matches on the
+// whole key, never on the hash alone. The zero value is ready to use and
+// allocates on its first lookup; give each worker its own.
+type verdictTable struct {
+	p      *nullspace.Problem
+	tol    float64
+	dw     int      // key words of columns; the rows follow
+	shift  uint     // a hash's top bits index the slot: 64 − log₂ slots
+	keys   []uint64 // slot s's key: keys[s·stride : (s+1)·stride]
+	meta   []uint8  // slot s: 0 empty, else 1 | allow<<1 | verdict<<2
+	key    []uint64 // the key of the last lookup
+	stores int
+	hits   int64
+	misses int64
+}
+
+// lookup returns the stored verdict of the block — the columns cols and
+// the rows set in live, eliminated with allow deficiency left — with slot
+// −1, or on a miss the slot its verdict is to be stored in.
+func (t *verdictTable) lookup(p *nullspace.Problem, tol float64, cols []int, live []uint64, allow int) (slot int, ok bool) {
+	if t.p != p || t.tol != tol {
+		t.p, t.tol, t.dw = p, tol, (p.D+63)/64
+		t.key, t.meta, t.stores = make([]uint64, t.dw+len(live)), nil, 0
+	}
+	key := t.key
+	clear(key[:t.dw])
+	for _, c := range cols {
+		key[c/64] |= 1 << uint(c%64)
+	}
+	copy(key[t.dw:], live)
+	if t.meta == nil {
+		t.alloc(verdictTableSlots)
+	}
+	slot = t.slot(key, allow)
+	stride := len(key)
+	if m := t.meta[slot]; m != 0 && int(m>>1&1) == allow && equalWords(key, t.keys[slot*stride:slot*stride+stride]) {
+		t.hits++
+		return -1, m>>2 != 0
+	}
+	t.misses++
+	return slot, false
+}
+
+// store records in slot the verdict of the block the last lookup missed.
+func (t *verdictTable) store(slot, allow int, ok bool) {
+	stride := len(t.key)
+	copy(t.keys[slot*stride:], t.key)
+	m := uint8(1 | allow<<1)
+	if ok {
+		m |= 4
+	}
+	t.meta[slot] = m
+	if t.stores++; 2*t.stores < len(t.meta) || 2*len(t.keys) > verdictTableWords {
+		return
+	}
+	keys, meta := t.keys, t.meta
+	t.alloc(2 * len(meta))
+	for s, m := range meta {
+		if m != 0 {
+			k := keys[s*stride : s*stride+stride]
+			d := t.slot(k, int(m>>1&1))
+			copy(t.keys[d*stride:], k)
+			t.meta[d] = m
+		}
+	}
+}
+
+// alloc gives the table n empty slots, n a power of two.
+func (t *verdictTable) alloc(n int) {
+	t.keys, t.meta = make([]uint64, n*len(t.key)), make([]uint8, n)
+	t.shift = uint(64 - trailingZeros(uint64(n)))
+}
+
+// slot is where the key of the given allowance lives. FNV leaves its top
+// bits blind to the key's low row bits; folding them down before the
+// Fibonacci multiply whose top bits pick the slot spreads the blocks.
+func (t *verdictTable) slot(key []uint64, allow int) int {
+	h := hashWords(key) ^ uint64(allow)
+	return int((h ^ h>>32) * 0x9e3779b97f4a7c15 >> t.shift)
 }
 
 // rowsIn clears from v, word w of a bit row, the bits of rows outside

@@ -40,6 +40,10 @@ func yeastDDProblem(tb testing.TB) *nullspace.Problem {
 // engine's own: the rank tests neither the live-row count nor the
 // structural peel decided. It was 267,381 under the count alone; the peel
 // rejects 76,619 of those by their free columns and decides 150 outright.
+// It counts a test whose verdict is an elimination's whether the
+// elimination ran or its verdict was read from the worker's verdict
+// table, so the table leaves it at 190,612 at every worker count, though
+// most of those verdicts are now read, not eliminated again.
 func TestGenerationTreeYeastPins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("~1s of enumeration")

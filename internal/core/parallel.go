@@ -25,16 +25,18 @@ import (
 )
 
 // GenScratch holds the per-call buffers of GenerateIntoScratch, hoisted
-// so a worker can reuse them across rows and chunks. The zero value is
-// ready to use. Not safe for concurrent use; give each worker its own.
+// so a worker can reuse them across rows and chunks, and the worker's
+// verdict table, whose entries outlive them. The zero value is ready to
+// use. Not safe for concurrent use; give each worker its own.
 // (Row-constant state — the prefix mask and the popcount caches — lives
 // on the RowIter instead, computed once per row and shared read-only.)
 type GenScratch struct {
-	orWords []uint64
-	newTail []float64
-	newRev  []float64
-	rankIdx []int   // the rank test's column and row indices
-	visit   []int32 // negative positions the generation tree left to probe
+	orWords  []uint64
+	newTail  []float64
+	newRev   []float64
+	rankIdx  []int        // the rank test's column and row indices
+	visit    []int32      // negative positions the generation tree left to probe
+	verdicts verdictTable // the rank test's eliminations, by peeled block
 }
 
 // growUint64 reslices *buf to n words, reallocating only when the

@@ -220,6 +220,52 @@ func handProblem(d int, k2 [][]int64) *nullspace.Problem {
 	return p
 }
 
+// peelProblem builds a hand kernel of identity dimension d whose block
+// mixes what the peel strips — singleton rows, chains that only fall
+// after an earlier pivot, column singletons — with a dense core it must
+// leave to the elimination, one of its rows twice another. used lists
+// the block's columns.
+func peelProblem(rng *rand.Rand, d int) (p *nullspace.Problem, used []int) {
+	// The block's columns: spread over the words, with a word's first and
+	// last bit among them.
+	used = rng.Perm(d)[:min(d, 9)]
+	for _, j := range []int{63, 64} {
+		if j < d && !slices.Contains(used, j) {
+			used[rng.Intn(len(used))] = j
+		}
+	}
+	val := func() int64 { return int64(1+rng.Intn(3)) * int64(1-2*rng.Intn(2)) }
+	var k2 [][]int64
+	row := func(cols ...int) []int64 {
+		r := make([]int64, d)
+		for _, c := range cols {
+			r[used[c%len(used)]] = val() // D = 5 folds the pattern onto itself
+		}
+		k2 = append(k2, r)
+		return r
+	}
+	row(0)    // a singleton,
+	row(0, 1) // and a chain that falls after it
+	row(1, 2)
+	row(3, 4) // a column-singleton pair
+	// A dense core over 5..8, one of its rows twice another.
+	a := row(5, 6, 7)
+	row(5, 6, 7, 8)
+	row(6, 7, 8)
+	b := row(5, 6, 7)
+	for j := range b {
+		b[j] = 2 * a[j]
+	}
+	for range 3 { // and rows anywhere in the block
+		r := make([]int64, d)
+		for range 1 + rng.Intn(4) {
+			r[used[rng.Intn(len(used))]] = val()
+		}
+		k2 = append(k2, r)
+	}
+	return handProblem(d, k2), used
+}
+
 // TestRankTestPeelMatchesExact drives the structural peel on kernels
 // built by hand, whose blocks mix what it strips — singleton rows, chains
 // that only fall after an earlier pivot, column singletons, columns no
@@ -230,44 +276,7 @@ func handProblem(d int, k2 [][]int64) *nullspace.Problem {
 func TestRankTestPeelMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	for _, d := range []int{5, 63, 64, 65, 130} {
-		// The block's columns: spread over the words, with a word's
-		// first and last bit among them.
-		used := rng.Perm(d)[:min(d, 9)]
-		for _, j := range []int{63, 64} {
-			if j < d && !slices.Contains(used, j) {
-				used[rng.Intn(len(used))] = j
-			}
-		}
-		val := func() int64 { return int64(1+rng.Intn(3)) * int64(1-2*rng.Intn(2)) }
-		var k2 [][]int64
-		row := func(cols ...int) []int64 {
-			r := make([]int64, d)
-			for _, c := range cols {
-				r[used[c%len(used)]] = val() // D = 5 folds the pattern onto itself
-			}
-			k2 = append(k2, r)
-			return r
-		}
-		row(0)    // a singleton,
-		row(0, 1) // and a chain that falls after it
-		row(1, 2)
-		row(3, 4) // a column-singleton pair
-		// A dense core over 5..8, one of its rows twice another.
-		a := row(5, 6, 7)
-		row(5, 6, 7, 8)
-		row(6, 7, 8)
-		b := row(5, 6, 7)
-		for j := range b {
-			b[j] = 2 * a[j]
-		}
-		for range 3 { // and rows anywhere in the block
-			r := make([]int64, d)
-			for range 1 + rng.Intn(4) {
-				r[used[rng.Intn(len(used))]] = val()
-			}
-			k2 = append(k2, r)
-		}
-		p := handProblem(d, k2)
+		p, used := peelProblem(rng, d)
 		q := p.Q()
 		c := newRankTestChecker(t, p)
 		outcomes := map[[2]bool]int{} // by (ok, eliminated)
@@ -287,7 +296,7 @@ func TestRankTestPeelMatchesExact(t *testing.T) {
 				}
 			}
 			c.check(fmt.Sprintf("D=%d trial %d", d, trial), support)
-			ok, eliminated := nullityIsOne(p, c.ws, support, linalg.DefaultTol, nil)
+			ok, eliminated := nullityIsOne(p, c.ws, support, linalg.DefaultTol, nil, nil)
 			outcomes[[2]bool{ok, eliminated}]++
 		}
 		for _, o := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
@@ -349,9 +358,113 @@ func TestRankTestEdgeCases(t *testing.T) {
 		{"no row singleton: a column singleton starts the peel", hand, 0b0_1011_1110, true, false},
 	} {
 		words := []uint64{tc.support}
-		ok, eliminated := nullityIsOne(tc.p, ws, words, linalg.DefaultTol, nil)
+		ok, eliminated := nullityIsOne(tc.p, ws, words, linalg.DefaultTol, nil, nil)
 		if want := exactNullityIsOne(tc.p, words); ok != want || ok != tc.ok || eliminated != tc.eliminated {
 			t.Errorf("%s (support %#b): (ok, eliminated) = (%v, %v), want (%v, %v); exact verdict %v", tc.name, tc.support, ok, eliminated, tc.ok, tc.eliminated, want)
 		}
 	}
+}
+
+// TestRankTestVerdictTable replays rank-test streams through one verdict
+// table and through none, and every verdict and every elimination flag
+// must agree: the stream of a yeast1-dd-R19r row, the two-word Network I
+// row of BenchmarkRankTestYeast, and supports over the hand kernels, each
+// met twice and beside a column no row touches, so the same block recurs
+// with both allowances. The table must answer some of each stream, and
+// on the whole yeast1-dd-R19r run at one worker it must answer at least
+// seven in ten of the 190,612 eliminations.
+func TestRankTestVerdictTable(t *testing.T) {
+	var vt verdictTable // one table throughout: it must clear itself between problems
+	replay := func(label string, p *nullspace.Problem, supports [][]uint64) {
+		t.Helper()
+		ws := linalg.NewWorkspace(p.M()+2, p.M()+2)
+		scratch := make([]int, 0, p.Q())
+		hits, eliminated := vt.hits, 0
+		for i, s := range supports {
+			ok, e := nullityIsOne(p, ws, s, zeroTol, scratch, &vt)
+			wantOK, wantE := nullityIsOne(p, ws, s, zeroTol, scratch, nil)
+			if ok != wantOK || e != wantE {
+				t.Fatalf("%s: support %d (%x): (ok, eliminated) = (%v, %v) with the table, (%v, %v) without", label, i, s, ok, e, wantOK, wantE)
+			}
+			if e {
+				eliminated++
+			}
+		}
+		if vt.hits == hits || vt.hits-hits == int64(eliminated) {
+			t.Fatalf("%s: the table answered %d of %d eliminations, want some but not all", label, vt.hits-hits, eliminated)
+		}
+		t.Logf("%s: %d supports, the table answered %d of %d eliminations", label, len(supports), vt.hits-hits, eliminated)
+	}
+	rowStream := func(p *nullspace.Problem, set *ModeSet) [][]uint64 {
+		stream := rankTestStream(BeginRow(p, set, set.FirstRow(), Options{}))
+		var supports [][]uint64
+		for i := 0; i < stream.Len(); i++ {
+			supports = append(supports, stream.BitsWords(i))
+		}
+		return supports
+	}
+
+	dd := yeastDDProblem(t)
+	res, err := Run(dd, Options{LastRow: dd.D + 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay("yeast1-dd-R19r", dd, rowStream(dd, res.Modes))
+	yeast, yeastSet := pairLoopYeastRow(t)
+	if yeast.Q() <= 64 {
+		t.Fatalf("Network I has q = %d, want a second word", yeast.Q())
+	}
+	replay("yeast1", yeast, rowStream(yeast, yeastSet))
+	rng := rand.New(rand.NewSource(39))
+	for _, d := range []int{5, 63, 64, 65, 130} {
+		p, used := peelProblem(rng, d)
+		q := p.Q()
+		free := -1 // a column no row touches: any outside the block's (none at D = 5)
+		for j := range d {
+			if !slices.Contains(used, j) {
+				free = j
+				break
+			}
+		}
+		var supports [][]uint64
+		for range 300 {
+			s := make([]uint64, (q+63)/64)
+			for _, j := range rng.Perm(len(used))[:1+rng.Intn(len(used))] {
+				s[used[j]/64] |= 1 << uint(used[j]%64)
+			}
+			for r := d; r < q; r++ {
+				if rng.Intn(3) == 0 {
+					s[r/64] |= 1 << uint(r%64)
+				}
+			}
+			supports = append(supports, s)
+			if free >= 0 {
+				wide := slices.Clone(s)
+				wide[free/64] |= 1 << uint(free%64)
+				supports = append(supports, wide)
+			}
+		}
+		supports = append(supports, supports...)
+		rng.Shuffle(len(supports), func(i, j int) { supports[i], supports[j] = supports[j], supports[i] })
+		replay(fmt.Sprintf("hand kernel D=%d", d), p, supports)
+	}
+
+	if testing.Short() {
+		return
+	}
+	pool := NewPool(dd, 1)
+	set := InitialModeSet(dd, zeroTol)
+	var eliminated int64
+	for row := dd.D; row < dd.Q(); row++ {
+		it := BeginRow(dd, set, row, Options{})
+		if set, err = pool.AssembleNext(it, pool.GenerateRange(it, 0, it.Pairs(), &it.Stats)); err != nil {
+			t.Fatal(err)
+		}
+		eliminated += it.Stats.Eliminated
+	}
+	table := &pool.workers[0].sc.verdicts
+	if eliminated != 190612 || table.hits+table.misses != eliminated || table.hits*10 < eliminated*7 {
+		t.Fatalf("yeast1-dd-R19r at one worker: %d eliminations, the table answered %d and missed %d; want 190,612, every one asked, at least 70%% answered", eliminated, table.hits, table.misses)
+	}
+	t.Logf("yeast1-dd-R19r at one worker: the table answered %d of %d eliminations (%.1f%%)", table.hits, eliminated, 100*float64(table.hits)/float64(eliminated))
 }

@@ -190,7 +190,7 @@ type RunSummary struct {
 	Modes               int     `json:"modes"`
 	CandidateModes      int64   `json:"candidate_modes"`
 	PairsVisited        int64   `json:"pairs_visited,omitempty"`     // serial and parallel double description only
-	RankEliminations    int64   `json:"rank_eliminations,omitempty"` // likewise: rank tests the zero pattern (live-row count or peel) did not decide
+	RankEliminations    int64   `json:"rank_eliminations,omitempty"` // likewise: rank tests decided by an elimination, run or its verdict read from the worker's verdict table; the zero pattern (live-row count or peel) decided the rest
 	Fingerprint         string  `json:"fingerprint"`
 	PeakNodeBytes       int64   `json:"peak_node_bytes"`
 	PeakConcurrentBytes int64   `json:"peak_concurrent_bytes,omitempty"`
