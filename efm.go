@@ -28,7 +28,10 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"elmocomp/internal/bitset"
@@ -39,6 +42,7 @@ import (
 	"elmocomp/internal/nullspace"
 	"elmocomp/internal/ondemand"
 	"elmocomp/internal/parallel"
+	"elmocomp/internal/ratmat"
 	"elmocomp/internal/reduce"
 	"elmocomp/internal/revsearch"
 )
@@ -565,39 +569,75 @@ func (r *Result) WriteSupports(w io.Writer) error {
 
 // Verify re-checks every mode in exact arithmetic against the ORIGINAL
 // network: steady-state balance, sign feasibility, support minimality
-// (nullity 1) with every stored support bit carrying flux, and pairwise
-// support incomparability. Cost is roughly one
-// exact kernel per mode plus a quadratic support scan; intended for
-// small-to-medium results and tests.
+// (nullity 1) with every stored support bit carrying flux, and distinct
+// supports. Nullity 1 already rules out a support strictly inside
+// another: the smaller mode would be a second, independent kernel vector
+// of the larger one's columns. So the cost is linear in modes — one
+// exact kernel per mode, on GOMAXPROCS goroutines, and one hash pass for
+// repeated supports. The error names the lowest-index violation, whatever
+// the goroutine count.
 func (r *Result) Verify() error {
 	N, _ := r.network.Stoichiometry()
-	for i := 0; i < r.Len(); i++ {
-		flux, err := r.Flux(i)
-		if err != nil {
-			return err
-		}
-		full := make([]*big.Rat, len(r.network.Reactions))
-		for j, rxn := range r.network.Reactions {
-			if v, ok := flux[rxn.Name]; ok {
-				full[j] = v
-				if !rxn.Reversible && v.Sign() < 0 {
-					return fmt.Errorf("mode %d: irreversible %s carries %v", i, rxn.Name, v)
+	var (
+		next, first atomic.Int64 // first: the lowest failing index so far
+		mu          sync.Mutex   // guards err, written with first
+		err         error
+		wg          sync.WaitGroup
+	)
+	first.Store(int64(r.Len()))
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Indices are claimed in order, so once one reaches first
+			// every later claim would too.
+			for i := next.Add(1) - 1; i < first.Load(); i = next.Add(1) - 1 {
+				if e := r.verifyMode(N, int(i)); e != nil {
+					mu.Lock()
+					if i < first.Load() {
+						first.Store(i)
+						err = e
+					}
+					mu.Unlock()
+					return
 				}
-			} else {
-				full[j] = new(big.Rat)
 			}
-		}
-		for row, b := range N.MulVec(full) {
-			if b.Sign() != 0 {
-				return fmt.Errorf("mode %d: metabolite row %d imbalance %v", i, row, b)
-			}
+		}()
+	}
+	wg.Wait()
+	if err != nil {
+		return err
+	}
+	var seen bitset.Distinct
+	for i, s := range r.supports {
+		if !seen.Add(s) {
+			return fmt.Errorf("mode %d repeats an earlier mode's support", i)
 		}
 	}
-	for i := 0; i < r.Len(); i++ {
-		for j := 0; j < r.Len(); j++ {
-			if i != j && r.supports[i].IsSubsetOf(r.supports[j]) {
-				return fmt.Errorf("mode %d's support is contained in mode %d's", i, j)
+	return nil
+}
+
+// verifyMode checks mode i's exact flux against the original network's
+// stoichiometry N: sign feasibility and steady-state balance.
+func (r *Result) verifyMode(N *ratmat.Matrix, i int) error {
+	flux, err := r.Flux(i)
+	if err != nil {
+		return err
+	}
+	full := make([]*big.Rat, len(r.network.Reactions))
+	for j, rxn := range r.network.Reactions {
+		if v, ok := flux[rxn.Name]; ok {
+			full[j] = v
+			if !rxn.Reversible && v.Sign() < 0 {
+				return fmt.Errorf("mode %d: irreversible %s carries %v", i, rxn.Name, v)
 			}
+		} else {
+			full[j] = new(big.Rat)
+		}
+	}
+	for row, b := range N.MulVec(full) {
+		if b.Sign() != 0 {
+			return fmt.Errorf("mode %d: metabolite row %d imbalance %v", i, row, b)
 		}
 	}
 	return nil

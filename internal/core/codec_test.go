@@ -45,7 +45,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("revRows mismatch")
 		}
 		for i := 0; i < s.Len(); i++ {
-			if !got.SameSupport(i, i) || got.CompareSupport(i, i) != 0 {
+			if got.CompareSupport(i, i) != 0 {
 				t.Fatal("self-comparison broken after decode")
 			}
 			gw, sw := got.BitsWords(i), s.BitsWords(i)

@@ -180,7 +180,7 @@ func TestToleranceRobustnessSynth(t *testing.T) {
 			t.Fatalf("tolerance sensitivity: tol=%g gives %d EFMs vs %d at 1e-9 (%v)", tol, c, ref, counts)
 		}
 	}
-	if err := VerifyModes(p, mustRun(t, p)); err != nil {
+	if err := verifyExact(p, mustRun(t, p)); err != nil {
 		t.Fatal(err)
 	}
 }

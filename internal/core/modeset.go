@@ -271,17 +271,6 @@ func (s *ModeSet) CopyModeFrom(src *ModeSet, i int) int {
 	return idx
 }
 
-// SameSupport reports whether modes i and j have identical supports.
-func (s *ModeSet) SameSupport(i, j int) bool {
-	wi, wj := s.BitsWords(i), s.BitsWords(j)
-	for k := range wi {
-		if wi[k] != wj[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // CompareSupport lexicographically compares supports of modes i and j
 // (most significant word first).
 func (s *ModeSet) CompareSupport(i, j int) int {

@@ -41,8 +41,8 @@ const (
 // a distrib class frame). Both become allocation sizes — Nodes² mesh
 // links per group, one rank-test workspace per worker — so an unchecked
 // request is a memory bomb. The bounds sit above anything the repository
-// runs: the paper's largest machine is 256 nodes, efmbench's tables stop
-// at 64, the benchmark uses 2, and no host has 1024 cores to give one
+// runs: the paper's largest machine is 256 nodes, its Table II stops at
+// 64, the benchmark uses 2, and no host has 1024 cores to give one
 // engine.
 //
 // MaxCommTimeout bounds the collective deadline at the same boundaries.

@@ -3,6 +3,7 @@ package synth
 import (
 	"testing"
 
+	"elmocomp/internal/bitset"
 	"elmocomp/internal/core"
 	"elmocomp/internal/nullspace"
 	"elmocomp/internal/reduce"
@@ -72,8 +73,16 @@ func TestFluxConsistentAndComputable(t *testing.T) {
 		if res.Modes.Len() < 3 {
 			t.Errorf("seed %d: only %d EFMs — generator too sparse", seed, res.Modes.Len())
 		}
-		if err := core.VerifyModes(p, res.Modes); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		// Exact nullity 1 per mode also rules out a support strictly
+		// inside another; only repeats need the Distinct pass.
+		var seen bitset.Distinct
+		for i := 0; i < res.Modes.Len(); i++ {
+			if _, err := core.ExactFlux(p.NExact, p.Rev, res.Modes.SupportIndices(i, nil)); err != nil {
+				t.Fatalf("seed %d: mode %d: %v", seed, i, err)
+			}
+			if !seen.Add(res.Modes.Support(i)) {
+				t.Fatalf("seed %d: mode %d repeats an earlier mode's support", seed, i)
+			}
 		}
 	}
 }

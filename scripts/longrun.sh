@@ -2,10 +2,12 @@
 # The paper's measured tables from the shipped CLIs: runs efmcalc -json
 # over a fixed list of configurations, prints one JSON array of
 # {label, args, summary} records (summary is efmcalc's -json object, the
-# efmd result schema) and checks the paper's invariants with jq.
+# efmd result schema) and checks the paper's invariants with jq. The
+# -verify run's record also carries verify_seconds (its invocation's wall
+# minus summary.elapsed_seconds) and verify_seconds_per_mode.
 #
-#   bash scripts/longrun.sh quick   # efmbench's old synthetic workload, seconds
-#   bash scripts/longrun.sh full    # Network I and II, ~40 min on 2 CPUs
+#   bash scripts/longrun.sh quick   # a synthetic efmgen network, seconds
+#   bash scripts/longrun.sh full    # Network I and II, ~35 min on 2 CPUs
 #                                   # (the committed record is docs/longrun.json)
 #
 # Labels name the table a record feeds: table2 (Algorithm 2 and the serial
@@ -17,6 +19,8 @@
 # Checks, each exiting non-zero with a FAIL line on stderr:
 #   - Algorithm 2: modes, fingerprint, candidate_modes and pairs_visited
 #     are equal across every serial and parallel run of one reduction;
+#   - the -verify run re-checks every mode in exact arithmetic and exits
+#     non-zero on the first violation (set -e);
 #   - Algorithm 3: each dnc run's subproblems[].efms sum to its modes and,
 #     when nothing is unresolved, to the serial run's modes on the serial
 #     fingerprint;
@@ -58,6 +62,7 @@ RUNS=(
   "table2/keep-duplicates|$NET -keep-duplicates"
   "table2/nodes-2|$NET -algorithm parallel -workers 1 -tcp -nodes 2"
   "table2/nodes-4|$NET -algorithm parallel -workers 1 -tcp -nodes 4"
+  "table2/verify|$NET -workers 2 -verify"
   "table3/nodes-1|$NET -algorithm dnc $PART -nodes 1"
   "table3/nodes-2|$NET -algorithm dnc $PART -nodes 2 -workers 1 -tcp"
   "iva/qsub-1|$NET -algorithm dnc -qsub 1"
@@ -77,10 +82,15 @@ for run in "${RUNS[@]}"; do
   label="${run%%|*}"
   args="${run#*|}"
   echo "== $label: efmcalc $args" >&2
+  start=$(date +%s.%N)
   # shellcheck disable=SC2086 # $args is a word list on purpose
   ./efmcalc $args -json > summary.json
-  jq -c --arg name "$label" --arg args "$args" \
-    '{label: $name, args: ($args | split(" ")), summary: .}' summary.json >> records.jsonl
+  jq -c --arg name "$label" --arg args "$args" --argjson start "$start" '
+    {label: $name, args: ($args | split(" ")), summary: .}
+    + if ($args | split(" ") | index("-verify")) then
+        (now - $start - .elapsed_seconds) as $v
+        | {verify_seconds: $v, verify_seconds_per_mode: ($v / .modes)}
+      else {} end' summary.json >> records.jsonl
   jq -r '"   \(.modes) modes, \(.candidate_modes) candidates, \(.elapsed_seconds | floor) s"' summary.json >&2
 done
 jq -s . records.jsonl > records.json

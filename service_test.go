@@ -7,10 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"elmocomp/internal/bitset"
 	"elmocomp/internal/core"
 )
 
@@ -245,6 +247,95 @@ func TestVerifyRejectsWrongSupportBits(t *testing.T) {
 	}
 	if err := bad.Verify(); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("Verify with mode %d widened by column %d: got %v, want %q", mode, col, err, want)
+	}
+}
+
+// verifyAt decodes supports over res's reduction, the way a cached
+// payload is re-verified, and runs Verify at GOMAXPROCS 1 and 2. The
+// two errors must be the same; verifyAt returns it.
+func verifyAt(t *testing.T, res *Result, supports []bitset.Set) error {
+	t.Helper()
+	bad, err := res.WithEncodedSupports(core.EncodeSupportList(supports, res.red.N.Cols()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	one := bad.Verify()
+	runtime.GOMAXPROCS(2)
+	if two := bad.Verify(); fmt.Sprint(one) != fmt.Sprint(two) {
+		t.Fatalf("Verify at GOMAXPROCS 1: %v; at 2: %v", one, two)
+	}
+	return one
+}
+
+// toySupports returns the toy network's result and its supports as a
+// cached payload decodes them.
+func toySupports(t *testing.T) (*Result, []bitset.Set) {
+	t.Helper()
+	net, err := Builtin("toy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ComputeEFMs(net, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	supports, err := core.DecodeSupportList(res.EncodeSupports(), res.red.N.Cols())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, supports
+}
+
+// TestVerifyRejectsDuplicateSupport: a repeated support passes every
+// per-mode check; the Distinct pass rejects it.
+func TestVerifyRejectsDuplicateSupport(t *testing.T) {
+	res, supports := toySupports(t)
+	supports[5] = supports[2].Clone()
+	want := "mode 5 repeats an earlier mode's support"
+	if err := verifyAt(t, res, supports); err == nil || err.Error() != want {
+		t.Errorf("Verify with mode 5 a copy of mode 2: got %v, want %q", err, want)
+	}
+}
+
+// TestVerifyRejectsContainedSupport: a mode widened by a second mode's
+// columns, S_i ∪ S_j, contains S_j, and Verify has no subset scan. The
+// nullity check rejects it: the two modes' flux vectors are independent
+// kernel vectors of N[:, S_i ∪ S_j].
+func TestVerifyRejectsContainedSupport(t *testing.T) {
+	res, supports := toySupports(t)
+	last := len(supports) - 1
+	bitset.OrInto(supports[last], supports[last], supports[0])
+	err := verifyAt(t, res, supports)
+	if err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("elmocomp: mode %d: ", last)) ||
+		!strings.Contains(err.Error(), "nullity") {
+		t.Errorf("Verify with mode %d widened by mode 0: got %v, want a nullity error on mode %d", last, err, last)
+	}
+}
+
+// TestVerifyReportsLowestBadMode: Verify names the lowest-index
+// violation whichever goroutine finds a violation first. Mode 0 is the
+// union of every mode, whose exact kernel is the widest; every mode
+// after it is a single column, which fails at once, so at GOMAXPROCS 2
+// a later violation is found before mode 0's.
+func TestVerifyReportsLowestBadMode(t *testing.T) {
+	res, err := ComputeEFMs(yeastSubNetwork(t), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	supports, err := core.DecodeSupportList(res.EncodeSupports(), res.red.N.Cols())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(supports); i++ {
+		bitset.OrInto(supports[0], supports[0], supports[i])
+		supports[i] = bitset.FromIndices(res.red.N.Cols(), supports[i].Indices(nil)[0])
+	}
+	want := "elmocomp: mode 0: support submatrix has nullity"
+	for rep := 0; rep < 5; rep++ {
+		if err := verifyAt(t, res, supports); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("Verify: got %v, want %q…", err, want)
+		}
 	}
 }
 
