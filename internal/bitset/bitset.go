@@ -42,6 +42,17 @@ func FromIndices(n int, idx ...int) Set {
 	return s
 }
 
+// FromWords returns a bit set of width n holding the low n bits of
+// words, which must have at least ⌈n/64⌉ of them; they are copied.
+func FromWords(n int, words []uint64) Set {
+	s := New(n)
+	copy(s.words, words[:len(s.words)])
+	if r := n % wordBits; r != 0 {
+		s.words[len(s.words)-1] &= 1<<uint(r) - 1
+	}
+	return s
+}
+
 // Len returns the width of the set in bits.
 func (s Set) Len() int { return s.n }
 

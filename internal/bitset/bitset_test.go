@@ -250,3 +250,18 @@ func BenchmarkCount(b *testing.B) {
 		_ = x.Count()
 	}
 }
+
+func TestFromWords(t *testing.T) {
+	words := []uint64{^uint64(0), ^uint64(0), ^uint64(0)}
+	for _, n := range []int{0, 1, 56, 64, 65, 130} {
+		s := FromWords(n, words)
+		if s.Len() != n || s.Count() != n {
+			t.Fatalf("n=%d: width %d with %d bits set, want every bit of the width and none past it", n, s.Len(), s.Count())
+		}
+		words[0] = 0
+		if n > 0 && s.Test(0) == false {
+			t.Fatalf("n=%d: FromWords aliases its input", n)
+		}
+		words[0] = ^uint64(0)
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"elmocomp/internal/linalg"
@@ -36,20 +37,27 @@ func pairLoopYeastRow(tb testing.TB) (*nullspace.Problem, *ModeSet) {
 
 // rankTestStream returns the candidates of the row that reach the rank
 // test — every pair that survives the support pre-test and the exact
-// support bounds — in generation order.
-func rankTestStream(it *RowIter) *ModeSet {
-	p, set := it.Problem, it.Set
-	stream := it.NewCandidateSet()
+// support bounds — in generation order, with the liveMask the engine
+// hands the rank test with each. Generation appends only the candidates
+// the test accepts, so the stream appends each one itself.
+func rankTestStream(it *RowIter) (stream *ModeSet, unions [][]uint64) {
+	p := it.Problem
+	stream = it.NewCandidateSet()
 	var st IterStats
 	g := newGenCall(it, stream, linalg.NewWorkspace(p.M()+2, p.M()+2), &st, &GenScratch{})
 	for _, pi := range it.Pos {
-		for _, ni := range it.Neg {
-			if it.unionFits(set.BitsWords(pi), pi, ni) {
-				g.candidate(pi, ni)
+		g.column(pi)
+		for kn, ni := range it.Neg {
+			if !it.unionFits(g.bp, pi, ni) {
+				continue
+			}
+			if cw := g.candidate(pi, ni); cw != nil {
+				stream.AppendMode(cw, g.newTail, g.newRev, zeroTol)
+				unions = append(unions, slices.Clone(g.liveRows(kn)))
 			}
 		}
 	}
-	return stream
+	return stream, unions
 }
 
 // BenchmarkPairLoopYeast measures candidate generation on that row, one
@@ -103,12 +111,12 @@ func BenchmarkRankTestYeast(b *testing.B) {
 	p, set := pairLoopYeastRow(b)
 	it := BeginRow(p, set, set.FirstRow(), Options{})
 	ws := linalg.NewWorkspace(p.M()+2, p.M()+2)
-	stream := rankTestStream(it)
+	stream, unions := rankTestStream(it)
 	scratch := make([]int, 0, p.Q())
 	var accepted, rejected, all []int
 	for i := 0; i < stream.Len(); i++ {
 		all = append(all, i)
-		if ok, _ := nullityIsOne(p, ws, stream.BitsWords(i), linalg.DefaultTol, scratch, nil); ok {
+		if ok, _ := nullityIsOne(p, ws, stream.BitsWords(i), unions[i], linalg.DefaultTol, scratch, nil); ok {
 			accepted = append(accepted, i)
 		} else {
 			rejected = append(rejected, i)
@@ -133,7 +141,7 @@ func BenchmarkRankTestYeast(b *testing.B) {
 				if vt != nil && k == 0 {
 					vt.p = nil
 				}
-				if _, e := nullityIsOne(p, ws, stream.BitsWords(bc.idx[k]), linalg.DefaultTol, scratch, vt); e {
+				if _, e := nullityIsOne(p, ws, stream.BitsWords(bc.idx[k]), unions[bc.idx[k]], linalg.DefaultTol, scratch, vt); e {
 					eliminated++
 				}
 			}

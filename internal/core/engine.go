@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"time"
 
@@ -160,7 +159,7 @@ func InitialModeSet(p *nullspace.Problem, tol float64) *ModeSet {
 		}
 		idx := set.AppendMode(nil, tail, nil, tol)
 		// Identity block support: basis vector j has 1 at permuted row j.
-		setBit(set.BitsWords(idx), j, true)
+		set.BitsWords(idx)[j/64] |= 1 << uint(j%64)
 	}
 	return set
 }
@@ -283,8 +282,9 @@ type RowIter struct {
 	prefixMask  []uint64
 	maxSupport  int
 	prefixBound int
-	suppSize    []int32 // popcount(support) per current column
-	prefixSize  []int32 // popcount(support ∩ prefixMask) per current column
+	suppSize    []int32  // popcount(support) per current column
+	prefixSize  []int32  // popcount(support ∩ prefixMask) per current column
+	negLive     []uint64 // liveMask per negative position, set.words words each
 }
 
 // BeginRow partitions the current columns by their sign in the given
@@ -342,6 +342,8 @@ func BeginRow(p *nullspace.Problem, set *ModeSet, row int, opts Options) *RowIte
 	if len(it.Pos) > 0 && len(it.Neg) > 0 {
 		it.suppSize = make([]int32, set.Len())
 		it.prefixSize = make([]int32, set.Len())
+		it.negLive = make([]uint64, len(it.Neg)*words)
+		kn := 0
 		for i := 0; i < set.Len(); i++ {
 			w := set.BitsWords(i)
 			var total, pfx int
@@ -351,6 +353,10 @@ func BeginRow(p *nullspace.Problem, set *ModeSet, row int, opts Options) *RowIte
 			}
 			it.suppSize[i] = int32(total)
 			it.prefixSize[i] = int32(pfx)
+			if kn < len(it.Neg) && it.Neg[kn] == i {
+				liveMask(p, it.negLive[kn*words:(kn+1)*words], w)
+				kn++
+			}
 		}
 		it.buildGenTree()
 	}
@@ -442,7 +448,12 @@ type genCall struct {
 	st    *IterStats
 	sc    *GenScratch
 
-	orWords []uint64
+	pi      int      // the positive column being combined
+	bp      []uint64 // its support words
+	posLive []uint64 // its liveMask
+	union   []uint64 // liveRows' result
+	keep    []uint64 // treeColumn's bitmap over the negative positions
+	cand    []uint64 // the candidate's support: the parents' union, then its own
 	newTail []float64
 	newRev  []float64
 
@@ -452,9 +463,15 @@ type genCall struct {
 
 func newGenCall(it *RowIter, cands *ModeSet, ws *linalg.Workspace, st *IterStats, sc *GenScratch) genCall {
 	g := genCall{it: it, cands: cands, ws: ws, st: st, sc: sc}
+	words := it.Set.words
 	g.newTail = growFloat64(&sc.newTail, it.Set.TailLen()-1)
 	g.newRev = growFloat64(&sc.newRev, len(it.nextRev))
-	g.orWords = growUint64(&sc.orWords, it.Set.words)
+	g.cand = growUint64(&sc.cand, words)
+	g.posLive = growUint64(&sc.posLive, words)
+	g.union = growUint64(&sc.union, words)
+	// Every bit treeColumn sets it clears again as it reads it back, so
+	// the bitmap is all zero between calls and on reuse.
+	g.keep = growUint64(&sc.keep, (len(it.Neg)+63)/64)
 	if cap(sc.rankIdx) < it.Set.Q() {
 		sc.rankIdx = make([]int, 0, it.Set.Q())
 	}
@@ -493,43 +510,58 @@ func (it *RowIter) unionFits(bp []uint64, pi, ni int) bool {
 // treeColumn generates positive column kp against negatives [knLo, knHi)
 // through the row's generation tree. Of the leaves the tree leaves to
 // probe, those inside the range are visited; every other pair of the
-// range is a pre-test rejection by its count alone. The survivors are put
-// back into ascending negative order before they are combined, which
-// keeps the candidate sequence that of a sweep.
+// range is a pre-test rejection by its count alone. The survivors are
+// marked in a bitmap over the negative positions and read back from it in
+// ascending order, which keeps the candidate sequence that of a sweep.
 func (g *genCall) treeColumn(kp, knLo, knHi int) {
 	it := g.it
-	pi := it.Pos[kp]
-	bp := it.Set.BitsWords(pi)
-	visit := it.genTree.AppendUnionWithin(g.sc.visit[:0], bp, it.prefixMask, it.maxSupport+1, it.prefixBound+1)
+	g.column(it.Pos[kp])
+	visit := it.genTree.AppendUnionWithin(g.sc.visit[:0], g.bp, it.prefixMask, it.maxSupport+1, it.prefixBound+1)
 	g.sc.visit = visit
-	keep := visit[:0]
+	keep, kept := g.keep, 0
 	for _, kn := range visit {
 		if int(kn) < knLo || int(kn) >= knHi {
 			continue
 		}
 		g.st.Visited++
-		if it.unionFits(bp, pi, it.Neg[kn]) {
-			keep = append(keep, kn)
+		if it.unionFits(g.bp, g.pi, it.Neg[kn]) {
+			keep[kn/64] |= 1 << uint(kn%64)
+			kept++
 		}
 	}
-	g.st.Prefiltered += int64(knHi - knLo - len(keep))
-	slices.Sort(keep)
-	for _, kn := range keep {
-		g.combine(pi, it.Neg[kn])
+	g.st.Prefiltered += int64(knHi - knLo - kept)
+	for w := knLo / 64; kept > 0; w++ {
+		v := keep[w]
+		keep[w] = 0
+		for ; v != 0; v &= v - 1 {
+			g.combine(w*64 + trailingZeros(v))
+			kept--
+		}
 	}
 }
 
-// combine builds the candidate of one pair that passed the pre-test and
-// rank-tests it, leaving it in cands iff it is accepted.
-func (g *genCall) combine(pi, ni int) {
-	cw := g.candidate(pi, ni)
+// column readies the pass for positive column pi: its support words and
+// its liveMask, L_a, taken once for all its pairs.
+func (g *genCall) column(pi int) {
+	g.pi, g.bp = pi, g.it.Set.BitsWords(pi)
+	liveMask(g.it.Problem, g.posLive, g.bp)
+}
+
+// combine takes the pair of the current positive column and negative
+// position kn, which passed the pre-test, through the rest of the pass:
+// the combination into scratch, the exact support bounds, the rank test,
+// and only for an accepted candidate the append to cands. A rejected
+// pair leaves nothing behind.
+func (g *genCall) combine(kn int) {
+	cw := g.candidate(g.pi, g.it.Neg[kn])
 	if cw == nil {
 		return
 	}
 	// Algebraic rank test: the support submatrix of N must have nullity
 	// exactly 1, and the only verdict behind the support bounds. Timing is
 	// sampled (1 in 64, the call's first test included) to keep
-	// time.Now() off the hot path.
+	// time.Now() off the hot path; the sample covers the whole verdict,
+	// the live-row mask included.
 	g.st.Tested++
 	sample := g.timedTests&63 == 0
 	g.timedTests++
@@ -537,7 +569,7 @@ func (g *genCall) combine(pi, ni int) {
 	if sample {
 		tTest = time.Now()
 	}
-	ok, eliminated := nullityIsOne(g.it.Problem, g.ws, cw, zeroTol, g.sc.rankIdx, &g.sc.verdicts)
+	ok, eliminated := nullityIsOne(g.it.Problem, g.ws, cw, g.liveRows(kn), zeroTol, g.sc.rankIdx, &g.sc.verdicts)
 	if sample {
 		g.testSeconds += time.Since(tTest).Seconds()
 		g.sampledTests++
@@ -546,24 +578,39 @@ func (g *genCall) combine(pi, ni int) {
 		g.st.Eliminated++
 	}
 	if !ok {
-		g.cands.truncateLast()
 		return
 	}
 	g.st.Accepted++
+	g.cands.AppendMode(cw, g.newTail, g.newRev, zeroTol)
 }
 
-// candidate appends the candidate of one pair to cands — numeric
-// combination, clamp, exact support bounds — and returns its support
-// words for the rank test, or nil once it is rejected and removed again.
+// liveRows returns the rows of T̄ the candidate of the current positive
+// column and negative position kn reaches, before its own support is
+// taken out: L_a | L_b. Identity rows never cancel, so the candidate's J
+// is exactly J_a ∪ J_b and its liveMask is the union of its parents'
+// (DESIGN §7).
+func (g *genCall) liveRows(kn int) []uint64 {
+	qw := len(g.union)
+	lb := g.it.negLive[kn*qw : kn*qw+qw]
+	for k, v := range g.posLive {
+		g.union[k] = v | lb[k]
+	}
+	return g.union
+}
+
+// candidate combines one pair into the call's scratch — numeric
+// combination, clamp, normalisation, support words, exact support bounds
+// — and returns the candidate's support words for the rank test, or nil
+// once the bounds reject it. The values are left in newTail and newRev.
 func (g *genCall) candidate(pi, ni int) []uint64 {
-	it, cands, st := g.it, g.cands, g.st
+	it, st := g.it, g.st
 	set := it.Set
 	words := set.words
 	tol := zeroTol
 	bp, bn := set.BitsWords(pi), set.BitsWords(ni)
-	orWords := g.orWords
+	cw := g.cand
 	for w := 0; w < words; w++ {
-		orWords[w] = bp[w] | bn[w]
+		cw[w] = bp[w] | bn[w]
 	}
 	tp, tn := set.Tail(pi), set.Tail(ni)
 	beta := tp[0]
@@ -610,18 +657,16 @@ func (g *genCall) candidate(pi, ni int) []uint64 {
 			newRev[j] *= scale
 		}
 	}
-	orWords[it.Row/64] &^= 1 << uint(it.Row%64)
-	idx := cands.AppendMode(orWords, newTail, newRev, tol)
+	cw[it.Row/64] &^= 1 << uint(it.Row%64)
+	g.cands.supportBits(cw, cw, newTail, newRev, tol)
 	// Exact support counts (cancellations included).
 	s := 0
 	sPrefix := 0
-	cw := cands.BitsWords(idx)
 	for w := 0; w < words; w++ {
 		s += popcount(cw[w])
 		sPrefix += popcount(cw[w] & it.prefixMask[w])
 	}
 	if s == 0 || s > it.maxSupport || sPrefix > it.prefixBound {
-		cands.truncateLast()
 		st.Prefiltered++
 		return nil
 	}
@@ -714,24 +759,25 @@ func (it *RowIter) assemble(candSets []*ModeSet, refs []candRef, t0 time.Time) (
 		survivors += len(it.Neg)
 	}
 	next.Grow(survivors + len(refs))
-	// Survivor supports, hashed, so candidates that re-derive a kept ray
-	// can be dropped: a rank-passed candidate's support submatrix has a
-	// one-dimensional kernel, so any kept column with the same support
-	// is necessarily the same ray.
-	survivorIdx := make(map[uint64][]int)
-	addSurvivor := func(src int) {
-		j := next.appendShifted(it.Set, src, it.Reversible)
-		survivorIdx[hashWords(next.BitsWords(j))] = append(survivorIdx[hashWords(next.BitsWords(j))], j)
-	}
+	// Zero survivors' supports, hashed, so candidates that re-derive a
+	// kept ray can be dropped: a rank-passed candidate's support
+	// submatrix has a one-dimensional kernel, so any kept column with the
+	// same support is necessarily the same ray. Only a zero survivor can
+	// be one: a candidate's bit Row is clear, and a positive or negative
+	// survivor's is set — BeginRow classified it on the same stored value
+	// and tolerance that set that bit.
+	survivorIdx := make(map[uint64][]int, len(it.Zero))
 	for _, i := range it.Zero {
-		addSurvivor(i)
+		j := next.appendShifted(it.Set, i, it.Reversible)
+		h := hashWords(next.BitsWords(j))
+		survivorIdx[h] = append(survivorIdx[h], j)
 	}
 	for _, i := range it.Pos {
-		addSurvivor(i)
+		next.appendShifted(it.Set, i, it.Reversible)
 	}
 	if it.Reversible {
 		for _, i := range it.Neg {
-			addSurvivor(i)
+			next.appendShifted(it.Set, i, it.Reversible)
 		}
 	}
 
@@ -774,8 +820,27 @@ func (it *RowIter) assemble(candSets []*ModeSet, refs []candRef, t0 time.Time) (
 // mode. The workspace must not be shared between concurrent calls. No
 // verdict table is consulted: only the engine's workers keep one.
 func IsElementaryWS(p *nullspace.Problem, set *ModeSet, i int, tol float64, ws *linalg.Workspace, scratch []int) bool {
-	ok, _ := nullityIsOne(p, ws, set.BitsWords(i), tol, scratch, nil)
+	support := set.BitsWords(i)
+	union := ws.Words(len(support))
+	liveMask(p, union, support)
+	ok, _ := nullityIsOne(p, ws, support, union, tol, scratch, nil)
 	return ok
+}
+
+// liveMask sets dst, ⌈q/64⌉ words, to the OR of ColMask over the
+// identity columns J = support ∩ [0,D): the rows in which some column of
+// J is non-zero, J's own identity rows among them.
+func liveMask(p *nullspace.Problem, dst, support []uint64) {
+	clear(dst)
+	qw := len(dst)
+	for w := 0; w*64 < p.D; w++ {
+		for v := rowsIn(support[w], w, 0, p.D); v != 0; v &= v - 1 {
+			c := w*64 + trailingZeros(v)
+			for k, m := range p.ColMask[c*qw : c*qw+qw] {
+				dst[k] |= m
+			}
+		}
+	}
 }
 
 // nullityIsOne is the algebraic rank test: does N restricted to the
@@ -786,36 +851,40 @@ func IsElementaryWS(p *nullspace.Problem, set *ModeSet, i int, tol float64, ws *
 //	nullity(N[:,S]) = |J| − rank K₂[T̄, J].
 //
 // The block's exact zero pattern decides what it can before a float is
-// gathered (DESIGN §7). Each column of J reads its rows of T̄ off
-// ColMask; a row in none of them is all zero, and when fewer than |J|−1
-// rows are left the rank cannot reach |J|−1: the candidate is rejected
-// by that count alone. Then peel strips free columns and singleton
-// pivots, and only the block left, if any, is eliminated, with an early
-// exit past the deficiency the peel left it. The block and that
-// deficiency decide the elimination's verdict, so vt, when non-nil, is
-// asked for it first and told what an elimination found. eliminated
-// reports whether the verdict is an elimination's, run or read from vt.
-func nullityIsOne(p *nullspace.Problem, ws *linalg.Workspace, support []uint64, tol float64, scratch []int, vt *verdictTable) (ok, eliminated bool) {
-	q, d := p.Q(), p.D
+// gathered (DESIGN §7). union is S's liveMask: the rows any column of J
+// touches. A column of K has one non-zero identity row, its own, which is
+// in S; so union's rows outside S are the rows of T̄ the block does not
+// leave all zero, and when fewer than |J|−1 of them are left the rank
+// cannot reach |J|−1: the candidate is rejected by that count alone, in
+// O(words). Only a test that survives it gathers each column's rows of T̄
+// off ColMask. Then peel strips free columns and singleton pivots, and
+// only the block left, if any, is eliminated, with an early exit past the
+// deficiency the peel left it. The block and that deficiency decide the
+// elimination's verdict, so vt, when non-nil, is asked for it first and
+// told what an elimination found. eliminated reports whether the verdict
+// is an elimination's, run or read from vt. union is read only by the
+// count, before ws is asked for its words, so it may be ws's own Words.
+func nullityIsOne(p *nullspace.Problem, ws *linalg.Workspace, support, union []uint64, tol float64, scratch []int, vt *verdictTable) (ok, eliminated bool) {
+	d := p.D
 	cols := scratch[:0]
 	for w := 0; w*64 < d; w++ {
 		for v := rowsIn(support[w], w, 0, d); v != 0; v &= v - 1 {
 			cols = append(cols, w*64+trailingZeros(v))
 		}
 	}
-	nj := len(cols)
-	if nj == 0 {
+	nj, nlive := len(cols), 0
+	for k, v := range union {
+		nlive += popcount(v &^ support[k])
+	}
+	if nj == 0 || nlive < nj-1 {
 		return false, false
 	}
 	// The mask scratch, in words of rows: each column of J's rows of T̄,
 	// then the live rows — in ≥ 1 of those columns — and the rows in ≥ 2.
-	// A column of K has one non-zero identity row, its own, which is in
-	// S; so the mask's bits outside S are its rows of T̄.
-	qw := (q + 63) / 64
+	qw := len(union)
 	words := ws.Words((nj + 2) * qw)
 	rc, live, twos := words[:nj*qw], words[nj*qw:(nj+1)*qw], words[(nj+1)*qw:]
 	colMask := p.ColMask // held here, not reloaded through p after each store to rc
-	nlive := 0
 	for k := range live {
 		var one, two uint64
 		out := ^support[k]
@@ -826,10 +895,6 @@ func nullityIsOne(p *nullspace.Problem, ws *linalg.Workspace, support []uint64, 
 			one |= v
 		}
 		live[k], twos[k] = one, two
-		nlive += popcount(one)
-	}
-	if nlive < nj-1 {
-		return false, false
 	}
 	nc, free := peel(cols, rc, live, twos)
 	if free > 1 {

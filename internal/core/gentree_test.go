@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"elmocomp/internal/model"
@@ -69,4 +70,34 @@ func TestGenerationTreeYeastPins(t *testing.T) {
 		t.Fatalf("visited %d of %d pairs, want at most 5%%", sum.Visited, sum.Pairs)
 	}
 	t.Logf("visited %d of %d pairs (%.2f%%)", sum.Visited, sum.Pairs, 100*float64(sum.Visited)/float64(sum.Pairs))
+}
+
+// TestTwoWordYeastPrefixPins pins the two-word regime, which no benchmark
+// network reaches: the Network I prefix TestIterationAccountingInvariant
+// runs (q = 65, so every support and every liveMask is two words) at one
+// and two workers. The summed logical counters and the mode set's
+// fingerprint were recorded from the engine that stored every candidate
+// and rolled the rejected ones back; deciding before storing keeps them.
+func TestTwoWordYeastPrefixPins(t *testing.T) {
+	p := yeastProblem(t)
+	if words := (p.Q() + 63) / 64; words != 2 {
+		t.Fatalf("Network I has %d support words, want 2", words)
+	}
+	for _, workers := range []int{1, 2} {
+		res, err := Run(p, Options{LastRow: p.D + 21, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum IterStats
+		for _, s := range res.Stats {
+			AddGenStats(&sum, &s)
+			sum.Duplicates += s.Duplicates
+		}
+		got := fmt.Sprintf("pairs %d prefiltered %d tested %d accepted %d duplicates %d modes %d fingerprint %016x",
+			sum.Pairs, sum.Prefiltered, sum.Tested, sum.Accepted, sum.Duplicates, res.Modes.Len(), res.Modes.Fingerprint())
+		const want = "pairs 960878 prefiltered 858158 tested 102720 accepted 4798 duplicates 38 modes 3307 fingerprint 449f70b5943d2e4b"
+		if got != want {
+			t.Fatalf("workers=%d: %s\nwant %s", workers, got, want)
+		}
+	}
 }

@@ -65,14 +65,17 @@ func sweepRange(it *RowIter, cands *ModeSet, ws *linalg.Workspace, from, to int6
 	g := newGenCall(it, cands, ws, st, &GenScratch{})
 	nNeg, to := int64(len(it.Neg)), min(to, it.Pairs())
 	for k := from; k < to; k++ {
-		pi, ni := it.Pos[k/nNeg], it.Neg[k%nNeg]
+		kn := int(k % nNeg)
+		if k == from || kn == 0 {
+			g.column(it.Pos[k/nNeg])
+		}
 		st.Pairs++
 		st.Visited++
-		if !it.unionFits(it.Set.BitsWords(pi), pi, ni) {
+		if !it.unionFits(g.bp, g.pi, it.Neg[kn]) {
 			st.Prefiltered++
 			continue
 		}
-		g.combine(pi, ni)
+		g.combine(kn)
 	}
 }
 

@@ -98,14 +98,7 @@ func (s *ModeSet) Test(i, r int) bool {
 
 // Support returns mode i's support as a fresh bitset.Set.
 func (s *ModeSet) Support(i int) bitset.Set {
-	b := bitset.New(s.q)
-	w := s.BitsWords(i)
-	for k := 0; k < s.q; k++ {
-		if w[k/64]&(1<<uint(k%64)) != 0 {
-			b.Set(k)
-		}
-	}
-	return b
+	return bitset.FromWords(s.q, s.BitsWords(i))
 }
 
 // SupportIndices appends the permuted reaction indices with non-zero flux
@@ -205,31 +198,35 @@ func (s *ModeSet) AppendMode(prefix []uint64, tail, rev []float64, tol float64) 
 		panic("core: AppendMode length mismatch")
 	}
 	idx, bits, vals := s.appendRaw()
-	if prefix != nil {
-		copy(bits[:s.words], prefix)
-	}
+	s.supportBits(bits[:s.words], prefix, tail, rev, tol)
 	copy(vals[:len(tail)], tail)
 	copy(vals[len(tail):s.stride()], rev)
-	// Tail bits override whatever the prefix carried in that range.
-	for j, v := range tail {
-		r := s.firstRow + j
-		setBit(bits, r, abs(v) > tol)
-	}
-	for j, v := range rev {
-		setBit(bits, s.revRows[j], abs(v) > tol)
-	}
 	return idx
 }
 
-// truncateLast removes the most recently appended mode (rollback for a
-// rejected candidate).
-func (s *ModeSet) truncateLast() {
-	if s.n == 0 {
-		panic("core: truncateLast on empty set")
+// supportBits writes to dst, s.words words, the support of a mode of this
+// set's layout with the given tail and reversible values: bit r is set
+// iff abs(v) > tol for a tail or reversible row r's value v, and is
+// prefix's bit r (zero for a nil or short prefix) on every other row. It
+// is the one place a mode's bits are derived from its values. Each word
+// of tail rows is assembled from branch-free compares and stored once.
+func (s *ModeSet) supportBits(dst, prefix []uint64, tail, rev []float64, tol float64) {
+	clear(dst[copy(dst, prefix):])
+	for j, r := 0, s.firstRow; j < len(tail); {
+		b := r % 64
+		n := min(64-b, len(tail)-j)
+		var word uint64
+		for k, v := range tail[j : j+n] {
+			word |= b2u(abs(v) > tol) << uint(b+k)
+		}
+		mask := ^uint64(0) >> uint(64-n) << uint(b)
+		dst[r/64] = dst[r/64]&^mask | word
+		j, r = j+n, r+n
 	}
-	s.n--
-	s.bits = s.bits[:s.n*s.words]
-	s.vals = s.vals[:s.n*s.stride()]
+	for j, v := range rev {
+		r := s.revRows[j]
+		dst[r/64] = dst[r/64]&^(1<<uint(r%64)) | b2u(abs(v) > tol)<<uint(r%64)
+	}
 }
 
 // appendShifted copies mode i of src — whose layout must be one iteration
@@ -327,15 +324,17 @@ func (s *ModeSet) Fingerprint() uint64 {
 	return h
 }
 
-func setBit(words []uint64, r int, on bool) {
-	if on {
-		words[r/64] |= 1 << uint(r%64)
-	} else {
-		words[r/64] &^= 1 << uint(r%64)
-	}
-}
-
 func abs(v float64) float64 { return math.Abs(v) }
+
+// b2u is 1 for true and 0 for false; the compiler emits it as a SETcc,
+// with no branch.
+func b2u(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
+}
 
 func popcount(w uint64) int { return bits.OnesCount64(w) }
 

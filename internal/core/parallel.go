@@ -28,10 +28,14 @@ import (
 // so a worker can reuse them across rows and chunks, and the worker's
 // verdict table, whose entries outlive them. The zero value is ready to
 // use. Not safe for concurrent use; give each worker its own.
-// (Row-constant state — the prefix mask and the popcount caches — lives
-// on the RowIter instead, computed once per row and shared read-only.)
+// (Row-constant state — the prefix mask, the popcount caches and the
+// negative columns' liveMasks — lives on the RowIter instead, computed
+// once per row and shared read-only.)
 type GenScratch struct {
-	orWords  []uint64
+	cand     []uint64 // the candidate's support words
+	posLive  []uint64 // the positive column's liveMask
+	union    []uint64 // the candidate's liveMask
+	keep     []uint64 // a bitmap of the negative positions that passed the pre-test
 	newTail  []float64
 	newRev   []float64
 	rankIdx  []int        // the rank test's column and row indices

@@ -119,7 +119,8 @@ func genCounters(s IterStats) [6]int64 {
 	return [6]int64{s.Pairs, s.Visited, s.Prefiltered, s.Tested, s.Eliminated, s.Accepted}
 }
 
-// TestGenerateRangeMatchesGenerateInto: the pool's ordered chunks must
+// TestGenerateRangeMatchesGenerateInto: a call stores exactly the
+// candidates it accepts, and the pool's ordered chunks must
 // reproduce the single-call candidate sequence and every generation
 // counter exactly, at every worker count and over ranges that begin and
 // end in the middle of a positive column — and the single call, which
@@ -197,6 +198,9 @@ func TestGenerateRangeMatchesGenerateInto(t *testing.T) {
 				single := it.NewCandidateSet()
 				var singleStats IterStats
 				it.GenerateIntoScratch(single, ws, r[0], r[1], &singleStats, nil)
+				if int64(single.Len()) != singleStats.Accepted {
+					t.Fatalf("%s: the call stored %d candidates and accepted %d", label, single.Len(), singleStats.Accepted)
+				}
 				requireIdenticalSets(t, label+" single call", want, single)
 				// The reference visits every pair.
 				wantStats.Visited = singleStats.Visited

@@ -25,6 +25,14 @@ func exactNullityIsOne(p *nullspace.Problem, support []uint64) bool {
 	return len(cols)-p.NExact.SelectColumns(cols).Rank() == 1
 }
 
+// rankTest is nullityIsOne on a support with the liveMask the engine
+// hands it.
+func rankTest(p *nullspace.Problem, ws *linalg.Workspace, support []uint64, tol float64, scratch []int, vt *verdictTable) (ok, eliminated bool) {
+	union := make([]uint64, len(support))
+	liveMask(p, union, support)
+	return nullityIsOne(p, ws, support, union, tol, scratch, vt)
+}
+
 // rankTestChecker compares IsElementaryWS with the exact verdict, one
 // support at a time, through every scratch a caller may hand it: none,
 // one too short for the columns, one too short for the live rows, and
@@ -296,7 +304,7 @@ func TestRankTestPeelMatchesExact(t *testing.T) {
 				}
 			}
 			c.check(fmt.Sprintf("D=%d trial %d", d, trial), support)
-			ok, eliminated := nullityIsOne(p, c.ws, support, linalg.DefaultTol, nil, nil)
+			ok, eliminated := rankTest(p, c.ws, support, linalg.DefaultTol, nil, nil)
 			outcomes[[2]bool{ok, eliminated}]++
 		}
 		for _, o := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
@@ -358,7 +366,7 @@ func TestRankTestEdgeCases(t *testing.T) {
 		{"no row singleton: a column singleton starts the peel", hand, 0b0_1011_1110, true, false},
 	} {
 		words := []uint64{tc.support}
-		ok, eliminated := nullityIsOne(tc.p, ws, words, linalg.DefaultTol, nil, nil)
+		ok, eliminated := rankTest(tc.p, ws, words, linalg.DefaultTol, nil, nil)
 		if want := exactNullityIsOne(tc.p, words); ok != want || ok != tc.ok || eliminated != tc.eliminated {
 			t.Errorf("%s (support %#b): (ok, eliminated) = (%v, %v), want (%v, %v); exact verdict %v", tc.name, tc.support, ok, eliminated, tc.ok, tc.eliminated, want)
 		}
@@ -381,8 +389,8 @@ func TestRankTestVerdictTable(t *testing.T) {
 		scratch := make([]int, 0, p.Q())
 		hits, eliminated := vt.hits, 0
 		for i, s := range supports {
-			ok, e := nullityIsOne(p, ws, s, zeroTol, scratch, &vt)
-			wantOK, wantE := nullityIsOne(p, ws, s, zeroTol, scratch, nil)
+			ok, e := rankTest(p, ws, s, zeroTol, scratch, &vt)
+			wantOK, wantE := rankTest(p, ws, s, zeroTol, scratch, nil)
 			if ok != wantOK || e != wantE {
 				t.Fatalf("%s: support %d (%x): (ok, eliminated) = (%v, %v) with the table, (%v, %v) without", label, i, s, ok, e, wantOK, wantE)
 			}
@@ -396,7 +404,7 @@ func TestRankTestVerdictTable(t *testing.T) {
 		t.Logf("%s: %d supports, the table answered %d of %d eliminations", label, len(supports), vt.hits-hits, eliminated)
 	}
 	rowStream := func(p *nullspace.Problem, set *ModeSet) [][]uint64 {
-		stream := rankTestStream(BeginRow(p, set, set.FirstRow(), Options{}))
+		stream, _ := rankTestStream(BeginRow(p, set, set.FirstRow(), Options{}))
 		var supports [][]uint64
 		for i := 0; i < stream.Len(); i++ {
 			supports = append(supports, stream.BitsWords(i))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"elmocomp/internal/bitset"
@@ -68,5 +69,36 @@ func TestSupportsCompressedRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeSupportList(comp, q+1); err == nil {
 		t.Fatal("column-count mismatch accepted through the compressed path")
+	}
+}
+
+// TestSupportMatchesPerBit: ModeSet.Support, which copies a mode's words,
+// is the set the mode's bits give one at a time, at widths below, at and
+// one past a word and at two full words.
+func TestSupportMatchesPerBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	for _, q := range []int{56, 64, 65, 130} {
+		set := NewModeSet(q, q, nil)
+		for i := 0; i < 50; i++ {
+			words := make([]uint64, set.words)
+			for k := range words {
+				words[k] = rng.Uint64() & rng.Uint64()
+			}
+			if r := q % 64; r != 0 {
+				words[len(words)-1] &= 1<<uint(r) - 1
+			}
+			set.AppendMode(words, nil, nil, 0)
+		}
+		for i := 0; i < set.Len(); i++ {
+			want := bitset.New(q)
+			for r := 0; r < q; r++ {
+				if set.Test(i, r) {
+					want.Set(r)
+				}
+			}
+			if got := set.Support(i); got.Len() != q || !got.Equal(want) {
+				t.Fatalf("q=%d mode %d: Support %s, per bit %s", q, i, got, want)
+			}
+		}
 	}
 }
