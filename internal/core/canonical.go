@@ -3,7 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"elmocomp/internal/bitset"
 )
@@ -16,14 +16,15 @@ import (
 // sorted lexicographically and pairwise distinct.
 func CanonicalSupports(res *Result) []bitset.Set {
 	var out []bitset.Set
-	var seen bitset.Distinct
 	for i := 0; i < res.Modes.Len(); i++ {
-		if b, ok := res.Problem.Fold(res.Modes.BitsWords(i)); ok && seen.Add(b) {
+		if b, ok := res.Problem.Fold(res.Modes.BitsWords(i)); ok {
 			out = append(out, b)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Compare(out[b]) < 0 })
-	return out
+	// Compare is a total order and equal sets compare 0, so sorting puts
+	// every duplicate next to its twin.
+	slices.SortFunc(out, bitset.Set.Compare)
+	return slices.CompactFunc(out, bitset.Set.Equal)
 }
 
 // SupportsFingerprint folds a canonical support list into a 64-bit

@@ -22,6 +22,7 @@ package dnc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"elmocomp/internal/bitset"
@@ -241,9 +242,7 @@ func collectSupports(res *Result) {
 	res.Walk(func(s *Subproblem) {
 		res.Supports = append(res.Supports, s.Supports...)
 	})
-	sort.Slice(res.Supports, func(a, b int) bool {
-		return res.Supports[a].Compare(res.Supports[b]) < 0
-	})
+	slices.SortFunc(res.Supports, bitset.Set.Compare)
 }
 
 // AutoPartition picks the last qsub pivot rows of the full problem's

@@ -70,22 +70,19 @@ type Problem struct {
 	// kernel row order (the paper's Nredperm), kept exact for
 	// verification and flux reconstruction.
 	NExact *ratmat.Matrix
-	// KernelExact is the initial q×D nullspace matrix, rows permuted so
-	// the identity block is on top (the paper's Kredperm), in exact
-	// arithmetic.
-	KernelExact *ratmat.Matrix
-	// KernelRows is the same matrix in float64, row-major (row i at
-	// [i·D, (i+1)·D)), with every row scaled to unit max-magnitude. Row
-	// scaling re-expresses each reaction's flux in its own unit —
-	// supports, signs and all rank structure are unchanged, but the
-	// dynamic range *within* a mode column shrinks dramatically (the
-	// yeast biomass reaction has stoichiometric coefficients up to 40141,
-	// which would otherwise put seven orders of magnitude inside single
-	// columns and erode the float engine's zero detection). Rows 0..D-1
-	// are the unit vectors, so the elementarity test only ever reads the
-	// block below them: with J the identity rows in a support S and T̄
-	// the pivot rows outside it, the nullity of N over S equals
-	// |J| − rank(KernelRows[T̄, J]).
+	// KernelRows is the initial q×D nullspace matrix, rows permuted so
+	// the identity block is on top (the paper's Kredperm), in float64,
+	// row-major (row i at [i·D, (i+1)·D)), with every row scaled to unit
+	// max-magnitude. Row scaling re-expresses each reaction's flux in its
+	// own unit — supports, signs and all rank structure are unchanged,
+	// but the dynamic range *within* a mode column shrinks dramatically
+	// (the yeast biomass reaction has stoichiometric coefficients up to
+	// 40141, which would otherwise put seven orders of magnitude inside
+	// single columns and erode the float engine's zero detection).
+	// Rows 0..D-1 are the unit vectors, so the elementarity test only
+	// ever reads the block below them: with J the identity rows in a
+	// support S and T̄ the pivot rows outside it, the nullity of N over
+	// S equals |J| − rank(KernelRows[T̄, J]).
 	KernelRows []float64
 	// ColMask holds, per kernel column j < D, the bitmask of its non-zero
 	// rows: ⌈q/64⌉ words per column, column j at [j·⌈q/64⌉, (j+1)·⌈q/64⌉).
@@ -296,11 +293,11 @@ func build(N *ratmat.Matrix, rev []bool, h Heuristics) (*Problem, []int, error) 
 	if len(offenders) > 0 {
 		return nil, offenders, nil
 	}
+	// Kernel row of problem column j: Kord's row backOrder[j].
 	backOrder := make([]int, q)
 	for pos, j := range colOrder {
 		backOrder[j] = pos
 	}
-	K := Kord.SelectRows(backOrder)
 
 	isFree := make([]bool, q)
 	for _, f := range free {
@@ -318,7 +315,7 @@ func build(N *ratmat.Matrix, rev []bool, h Heuristics) (*Problem, []int, error) 
 	nonzeros := func(row int) int {
 		c := 0
 		for j := 0; j < d; j++ {
-			if K.At(row, j).Sign() != 0 {
+			if Kord.At(backOrder[row], j).Sign() != 0 {
 				c++
 			}
 		}
@@ -347,7 +344,6 @@ func build(N *ratmat.Matrix, rev []bool, h Heuristics) (*Problem, []int, error) 
 	})
 
 	perm := append(append([]int{}, free...), pivots...)
-	kexact := K.SelectRows(perm)
 	nperm := N.SelectColumns(perm)
 
 	prev := make([]bool, q)
@@ -357,8 +353,7 @@ func build(N *ratmat.Matrix, rev []bool, h Heuristics) (*Problem, []int, error) 
 
 	// Row-scale the float kernel (see the KernelRows field comment): both
 	// the per-reaction flux values the engine iterates on and the
-	// complement-row rank test use the scaled copy; exact math keeps
-	// the original.
+	// complement-row rank test use the scaled copy.
 	flat := make([]float64, q*d)
 	maskWords := (q + 63) / 64
 	mask := make([]uint64, d*maskWords)
@@ -366,7 +361,7 @@ func build(N *ratmat.Matrix, rev []bool, h Heuristics) (*Problem, []int, error) 
 		row := flat[i*d : (i+1)*d]
 		maxAbs := 0.0
 		for j := range row {
-			row[j], _ = kexact.At(i, j).Float64()
+			row[j], _ = Kord.At(backOrder[perm[i]], j).Float64()
 			if a := math.Abs(row[j]); a > maxAbs {
 				maxAbs = a
 			}
@@ -384,12 +379,11 @@ func build(N *ratmat.Matrix, rev []bool, h Heuristics) (*Problem, []int, error) 
 	}
 
 	return &Problem{
-		NExact:      nperm,
-		KernelExact: kexact,
-		KernelRows:  flat,
-		ColMask:     mask,
-		Perm:        perm,
-		Rev:         prev,
-		D:           d,
+		NExact:     nperm,
+		KernelRows: flat,
+		ColMask:    mask,
+		Perm:       perm,
+		Rev:        prev,
+		D:          d,
 	}, nil, nil
 }

@@ -22,28 +22,54 @@ func toyProblem(t *testing.T, h Heuristics) (*Problem, *reduce.Reduced) {
 	return p, red
 }
 
+// exactKernel is the exact q×D kernel KernelRows scales: the basis of
+// NExact's right nullspace whose first D rows are the identity. It is
+// unique, so eliminating the pivot columns first and moving the rows
+// back finds it.
+func exactKernel(t *testing.T, p *Problem) *ratmat.Matrix {
+	t.Helper()
+	q, d := p.Q(), p.D
+	order := make([]int, 0, q) // pivot columns, then identity columns
+	for i := d; i < q; i++ {
+		order = append(order, i)
+	}
+	for i := 0; i < d; i++ {
+		order = append(order, i)
+	}
+	k, free := p.NExact.SelectColumns(order).Kernel()
+	if len(free) != d || d > 0 && free[0] != q-d {
+		t.Fatalf("NExact's identity columns are not its free columns: free %v, D %d", free, d)
+	}
+	back := make([]int, q)
+	for pos, i := range order {
+		back[i] = pos
+	}
+	return k.SelectRows(back)
+}
+
 func TestIdentityBlockStructure(t *testing.T) {
 	p, _ := toyProblem(t, Heuristics{})
+	kexact := exactKernel(t, p)
 	q, d := p.Q(), p.D
 	if q != 8 || d != 4 {
 		t.Fatalf("toy problem q=%d D=%d, want 8/4 (paper: 8 reactions, kernel dim 4)", q, d)
 	}
-	// Identity block: KernelExact and KernelRows are δ_ij for i < D.
+	// Identity block: the exact kernel and KernelRows are δ_ij for i < D.
 	for i := 0; i < d; i++ {
 		for j := 0; j < d; j++ {
 			want := 0.0
 			if i == j {
 				want = 1
 			}
-			exact, _ := p.KernelExact.At(i, j).Float64()
+			exact, _ := kexact.At(i, j).Float64()
 			if exact != want || p.KernelRows[i*d+j] != want {
 				t.Fatalf("identity block broken at (%d,%d): exact %v, float %v", i, j, exact, p.KernelRows[i*d+j])
 			}
 		}
 	}
 	// N·K == 0 exactly.
-	if !p.NExact.Mul(p.KernelExact).IsZero() {
-		t.Fatal("NExact·KernelExact != 0")
+	if !p.NExact.Mul(kexact).IsZero() {
+		t.Fatal("NExact·K != 0")
 	}
 }
 
@@ -78,10 +104,11 @@ func TestReversibleRowsLastHeuristic(t *testing.T) {
 
 func TestNonzeroOrderHeuristic(t *testing.T) {
 	p, _ := toyProblem(t, Heuristics{})
+	kexact := exactKernel(t, p)
 	nonzeros := func(row int) int {
 		c := 0
 		for j := 0; j < p.D; j++ {
-			if p.KernelExact.At(row, j).Sign() != 0 {
+			if kexact.At(row, j).Sign() != 0 {
 				c++
 			}
 		}
@@ -253,7 +280,7 @@ func TestYeastProblems(t *testing.T) {
 		if p.Split == nil || len(p.Split.SplitCols) != 1 {
 			t.Errorf("%s: expected exactly one split reversible column, got %+v", name, p.Split)
 		}
-		if !p.NExact.Mul(p.KernelExact).IsZero() {
+		if !p.NExact.Mul(exactKernel(t, p)).IsZero() {
 			t.Errorf("%s: kernel not exact", name)
 		}
 		for i := 0; i < p.D; i++ {
@@ -265,7 +292,7 @@ func TestYeastProblems(t *testing.T) {
 }
 
 // TestUnitRowsAndColMasks pins what the engine's rank test rests on:
-// KernelRows is KernelExact with each row scaled to unit max-magnitude,
+// KernelRows is the exact kernel with each row scaled to unit max-magnitude,
 // its rows 0..D-1 are exactly the unit vectors e_j (so N and [K₂ | −I]
 // share a row space), and ColMask says where KernelRows is non-zero —
 // under every way a Problem gets built.
@@ -306,6 +333,10 @@ func TestUnitRowsAndColMasks(t *testing.T) {
 			t.Fatalf("%s: split = %v, want %v", tc.name, p.Split != nil, tc.wantSplit)
 		}
 		q, d := p.Q(), p.D
+		kexact := exactKernel(t, p)
+		if !p.NExact.Mul(kexact).IsZero() {
+			t.Fatalf("%s: NExact·K != 0", tc.name)
+		}
 		qw := (q + 63) / 64
 		if len(p.KernelRows) != q*d || len(p.ColMask) != d*qw {
 			t.Fatalf("%s: %d kernel values and %d mask words for a %dx%d kernel", tc.name, len(p.KernelRows), len(p.ColMask), q, d)
@@ -319,7 +350,7 @@ func TestUnitRowsAndColMasks(t *testing.T) {
 			exact := make([]float64, d)
 			maxAbs := 0.0
 			for j := range exact {
-				exact[j], _ = p.KernelExact.At(i, j).Float64()
+				exact[j], _ = kexact.At(i, j).Float64()
 				maxAbs = math.Max(maxAbs, math.Abs(exact[j]))
 			}
 			for j := 0; j < d; j++ {
@@ -333,7 +364,7 @@ func TestUnitRowsAndColMasks(t *testing.T) {
 				if bit := p.ColMask[j*qw+i/64]>>uint(i%64)&1 != 0; bit != (v != 0) {
 					t.Fatalf("%s: mask bit (%d,%d) = %v over value %v", tc.name, i, j, bit, v)
 				}
-				if (v != 0) != (p.KernelExact.At(i, j).Sign() != 0) {
+				if (v != 0) != (kexact.At(i, j).Sign() != 0) {
 					t.Fatalf("%s: float kernel (%d,%d) = %v disagrees with the exact entry on being zero", tc.name, i, j, v)
 				}
 			}

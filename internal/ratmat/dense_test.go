@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"elmocomp/internal/model"
+	"elmocomp/internal/nullspace"
 	"elmocomp/internal/ratmat"
 	"elmocomp/internal/reduce"
 )
@@ -77,5 +79,55 @@ func TestRREFMatchesDense(t *testing.T) {
 		{"yeast1 reduced Nᵀ", red.N.T()},
 	} {
 		ratmat.CheckMatchesDense(t, tc.name, tc.m)
+	}
+}
+
+// TestWidthsOnBundledNetworks: every matrix reduce.Network and
+// nullspace.New eliminate for the bundled networks and the benchmark's
+// yeast1 knock-outs stays on machine words — the fallback counter does
+// not move — and its machine-word RREF, Rank, Kernel and IndependentRows
+// equal the big.Rat ones entry for entry.
+func TestWidthsOnBundledNetworks(t *testing.T) {
+	knockout := func(n *model.Network, names ...string) *model.Network {
+		out := n.Clone()
+		out.Reactions = slices.DeleteFunc(out.Reactions, func(r model.Reaction) bool { return slices.Contains(names, r.Name) })
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		net  *model.Network
+	}{
+		{"toy", model.Toy()},
+		{"yeast1", model.YeastI()},
+		{"yeast2", model.YeastII()},
+		{"yeast1-dd-R19r", knockout(model.YeastI(), "R32r", "R72", "R19r")},
+		{"yeast1-ko3", knockout(model.YeastI(), "R32r", "R36r", "R19r")},
+	} {
+		type elim struct {
+			m         *ratmat.Matrix
+			transpose bool
+		}
+		var seen []elim
+		restore := ratmat.Observe(func(m *ratmat.Matrix, transpose bool) {
+			seen = append(seen, elim{m.Clone(), transpose})
+		})
+		start := ratmat.Fallbacks()
+		red, err := reduce.Network(tc.net, reduce.Options{MergeDuplicates: true})
+		if err == nil {
+			_, err = nullspace.New(red.N, red.Reversibilities(), nullspace.Heuristics{})
+		}
+		restore()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n := ratmat.Fallbacks() - start; n != 0 {
+			t.Errorf("%s: %d of %d eliminations left machine words", tc.name, n, len(seen))
+		}
+		for i, e := range seen {
+			if !ratmat.CheckWidths(t, fmt.Sprintf("%s elimination %d", tc.name, i), e.m, e.transpose) {
+				t.Errorf("%s elimination %d (%dx%d) left machine words", tc.name, i, e.m.Rows(), e.m.Cols())
+			}
+		}
+		t.Logf("%s: %d eliminations", tc.name, len(seen))
 	}
 }

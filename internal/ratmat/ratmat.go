@@ -1,5 +1,5 @@
 // Package ratmat implements dense exact rational matrices on top of
-// math/big.Rat.
+// math/big.Rat, eliminated on machine words.
 //
 // The Nullspace Algorithm needs a handful of exact linear-algebra
 // primitives: reduced row echelon form, rank, right-kernel bases, and
@@ -16,6 +16,16 @@
 // where the pivot row is non-zero. Stoichiometric rows are sparse, so that
 // is most of what a dense elimination would spend; the reduced row echelon
 // form is unique, so the result is the dense one entry for entry.
+//
+// One elimination runs at two widths. RREF, Rank, Kernel and
+// IndependentRows eliminate a copy of the matrix held as int64
+// numerator/denominator pairs in lowest terms, every product checked
+// below 2⁶²; on the first value past that bound the copy is abandoned
+// and the untouched input is eliminated in big.Rat instead. The values
+// alone choose the width. Kept in lowest terms, entries stay small:
+// eliminating the bundled networks and their knock-outs never stores a
+// numerator or denominator wider than 19 bits nor forms a product wider
+// than 27, so none of them falls back.
 package ratmat
 
 import (
@@ -96,9 +106,18 @@ func (m *Matrix) check(i, j int) {
 func (m *Matrix) Clone() *Matrix {
 	n := New(m.r, m.c)
 	for i := range m.a {
-		n.a[i].Set(&m.a[i])
+		setNonzero(&n.a[i], &m.a[i])
 	}
 	return n
+}
+
+// setNonzero copies x into the zero entry dst. A zero x is skipped:
+// big.Rat's Set allocates a denominator word even for zero, and a
+// stoichiometric matrix is mostly zeros.
+func setNonzero(dst, x *big.Rat) {
+	if x.Sign() != 0 {
+		dst.Set(x)
+	}
 }
 
 // Equal reports whether m and n have identical shape and entries.
@@ -129,7 +148,7 @@ func (m *Matrix) T() *Matrix {
 	t := New(m.c, m.r)
 	for i := 0; i < m.r; i++ {
 		for j := 0; j < m.c; j++ {
-			t.a[j*m.r+i].Set(&m.a[i*m.c+j])
+			setNonzero(&t.a[j*m.r+i], &m.a[i*m.c+j])
 		}
 	}
 	return t
@@ -190,7 +209,7 @@ func (m *Matrix) SelectColumns(cols []int) *Matrix {
 			panic(fmt.Sprintf("ratmat: column %d out of range", cj))
 		}
 		for i := 0; i < m.r; i++ {
-			out.a[i*out.c+j].Set(&m.a[i*m.c+cj])
+			setNonzero(&out.a[i*out.c+j], &m.a[i*m.c+cj])
 		}
 	}
 	return out
@@ -204,7 +223,7 @@ func (m *Matrix) SelectRows(rows []int) *Matrix {
 			panic(fmt.Sprintf("ratmat: row %d out of range", ri))
 		}
 		for j := 0; j < m.c; j++ {
-			out.a[i*out.c+j].Set(&m.a[ri*m.c+j])
+			setNonzero(&out.a[i*out.c+j], &m.a[ri*m.c+j])
 		}
 	}
 	return out
@@ -223,13 +242,27 @@ func (m *Matrix) swapRows(i, j int) {
 }
 
 // RREF reduces m to reduced row echelon form in place and returns the
-// pivot column indices, one per non-zero row, in increasing order.
+// pivot column indices, one per non-zero row, in increasing order. The
+// elimination runs on machine words and writes its result back; m is
+// eliminated in big.Rat instead when a value leaves them.
+func (m *Matrix) RREF() (pivotCols []int) {
+	w, pivots, ok := m.eliminateWords(false)
+	if !ok {
+		return m.rrefRat()
+	}
+	for i, x := range w.a {
+		x.set(&m.a[i])
+	}
+	return pivots
+}
+
+// rrefRat is RREF in big.Rat, in place.
 //
 // Each step touches only the columns where the pivot row is non-zero:
 // scaling or subtracting a zero entry leaves every value as it was, and
 // stoichiometric pivot rows are sparse. The reduced row echelon form is
 // unique, so the result equals a dense elimination entry for entry.
-func (m *Matrix) RREF() (pivotCols []int) {
+func (m *Matrix) rrefRat() (pivotCols []int) {
 	var tmp, inv, f big.Rat
 	nz := make([]int, 0, m.c)
 	row := 0
@@ -283,7 +316,10 @@ func (m *Matrix) RREF() (pivotCols []int) {
 
 // Rank returns the rank of m (m is not modified).
 func (m *Matrix) Rank() int {
-	return len(m.Clone().RREF())
+	if _, pivots, ok := m.eliminateWords(false); ok {
+		return len(pivots)
+	}
+	return len(m.Clone().rrefRat())
 }
 
 // Kernel returns a basis for the right nullspace of m as the columns of a
@@ -291,8 +327,12 @@ func (m *Matrix) Rank() int {
 // identity structure: Kernel()[freeCols[j], j] == 1 and
 // Kernel()[freeCols[i], j] == 0 for i ≠ j. m is not modified.
 func (m *Matrix) Kernel() (k *Matrix, freeCols []int) {
-	rref := m.Clone()
-	pivots := rref.RREF()
+	w, pivots, ok := m.eliminateWords(false)
+	var rref *Matrix
+	if !ok {
+		rref = m.Clone()
+		pivots = rref.rrefRat()
+	}
 	isPivot := make([]bool, m.c)
 	for _, p := range pivots {
 		isPivot[p] = true
@@ -303,14 +343,16 @@ func (m *Matrix) Kernel() (k *Matrix, freeCols []int) {
 		}
 	}
 	k = New(m.c, len(freeCols))
-	neg := new(big.Rat)
 	for jj, f := range freeCols {
 		k.a[f*k.c+jj].SetInt64(1)
 		for i, p := range pivots {
-			v := &rref.a[i*rref.c+f]
-			if v.Sign() != 0 {
-				neg.Neg(v)
-				k.a[p*k.c+jj].Set(neg)
+			dst := &k.a[p*k.c+jj]
+			if w != nil {
+				if x := w.a[i*w.c+f]; x.n != 0 {
+					word{n: -x.n, d: x.d}.set(dst)
+				}
+			} else if v := &rref.a[i*rref.c+f]; v.Sign() != 0 {
+				dst.Neg(v)
 			}
 		}
 	}
@@ -323,8 +365,10 @@ func (m *Matrix) Kernel() (k *Matrix, freeCols []int) {
 func (m *Matrix) IndependentRows() []int {
 	// Row space of m = column space of mᵀ; RREF pivot columns of mᵀ are
 	// the independent rows of m.
-	t := m.T()
-	return t.RREF()
+	if _, pivots, ok := m.eliminateWords(true); ok {
+		return pivots
+	}
+	return m.T().rrefRat()
 }
 
 // RatBytes estimates the resident size of x: its header and the words

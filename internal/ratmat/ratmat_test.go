@@ -310,10 +310,11 @@ func (m *Matrix) rrefDense() (pivotCols []int) {
 	return pivotCols
 }
 
-// kernelDense builds Kernel's basis from the dense reference elimination.
-func (m *Matrix) kernelDense() (*Matrix, []int) {
+// kernelVia builds Kernel's basis from the given elimination of a copy
+// of m: the reference Kernel is held to.
+func (m *Matrix) kernelVia(elim func(*Matrix) []int) (*Matrix, []int) {
 	rref := m.Clone()
-	pivots := rref.rrefDense()
+	pivots := elim(rref)
 	isPivot := make([]bool, m.c)
 	for _, p := range pivots {
 		isPivot[p] = true
@@ -344,7 +345,7 @@ func checkMatchesDense(t *testing.T, name string, m *Matrix) {
 		t.Fatalf("%s: RREF pivots %v, dense %v; RREF\n%vdense\n%v", name, sp, dp, sparse, dense)
 	}
 	k, free := m.Kernel()
-	dk, dfree := m.kernelDense()
+	dk, dfree := m.kernelVia((*Matrix).rrefDense)
 	if !equalInts(free, dfree) || !k.Equal(dk) {
 		t.Fatalf("%s: Kernel free %v, dense %v; kernel\n%vdense\n%v", name, free, dfree, k, dk)
 	}

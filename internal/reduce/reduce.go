@@ -174,13 +174,7 @@ func (r *Reduced) signPrune() bool {
 			keep = append(keep, j)
 		}
 	}
-	cols := make([]Column, len(keep))
-	vecs := make([][]*big.Rat, len(keep))
-	for k, j := range keep {
-		cols[k] = r.Cols[j]
-		vecs[k] = r.columnVec(j)
-	}
-	r.replaceColumns(cols, vecs)
+	r.keepColumns(keep)
 	return true
 }
 
@@ -262,8 +256,8 @@ func (r *Reduced) tightenDirections() bool {
 // flip, positive reduced flux means the original backward direction.
 func (r *Reduced) flipColumn(j int) {
 	for i := 0; i < r.N.Rows(); i++ {
-		v := new(big.Rat).Neg(r.N.At(i, j))
-		r.N.Set(i, j, v)
+		v := r.N.At(i, j)
+		v.Neg(v)
 	}
 	c := &r.Cols[j]
 	for k, m := range c.Members {
@@ -274,17 +268,13 @@ func (r *Reduced) flipColumn(j int) {
 
 // dropColumn removes column j entirely.
 func (r *Reduced) dropColumn(j int) {
-	q := len(r.Cols)
-	cols := make([]Column, 0, q-1)
-	vecs := make([][]*big.Rat, 0, q-1)
-	for k := 0; k < q; k++ {
-		if k == j {
-			continue
+	keep := make([]int, 0, len(r.Cols)-1)
+	for k := range r.Cols {
+		if k != j {
+			keep = append(keep, k)
 		}
-		cols = append(cols, r.Cols[k])
-		vecs = append(vecs, r.columnVec(k))
 	}
-	r.replaceColumns(cols, vecs)
+	r.keepColumns(keep)
 }
 
 // dropZeroAndMergeSubsets performs one round of kernel-based zero-flux
@@ -359,10 +349,12 @@ func (r *Reduced) dropZeroAndMergeSubsets() bool {
 		r.Zero = append(r.Zero, r.originalIndices(i)...)
 	}
 
-	// Build the new column list.
-	var newCols []Column
-	var newVecs [][]*big.Rat
-	m := r.N.Rows()
+	// Decide every group's fate, then build the next N in one pass.
+	type merge struct {
+		g                *group
+		flip, reversible bool
+	}
+	var merges []merge
 	for _, k := range order {
 		g := groups[k]
 		// Direction feasibility under the members' sign constraints.
@@ -386,35 +378,33 @@ func (r *Reduced) dropZeroAndMergeSubsets() bool {
 			changed = true
 			continue
 		}
-		flip := false
-		if !posOK {
-			flip = true // orient the merged column along its feasible direction
-		}
+		// A subset that only runs backward is oriented along its
+		// feasible direction.
+		flip := !posOK
 		if len(g.cols) > 1 || flip {
 			changed = true
 		}
-		col, vec := r.mergeGroup(g.cols, g.ratio, flip, posOK && negOK, m)
-		newCols = append(newCols, col)
-		newVecs = append(newVecs, vec)
+		merges = append(merges, merge{g, flip, posOK && negOK})
 	}
 	if !changed {
 		return false
 	}
-	r.replaceColumns(newCols, newVecs)
+	N := ratmat.New(r.N.Rows(), len(merges))
+	cols := make([]Column, len(merges))
+	for k, mg := range merges {
+		cols[k] = r.mergeGroup(N, k, mg.g.cols, mg.g.ratio, mg.flip, mg.reversible)
+	}
+	r.N, r.Cols = N, cols
 	return true
 }
 
-// mergeGroup builds the merged column Σ ratio_j·N_j over the group,
-// negated if flip is set, and expands it through each member column's
-// members scaled by its ratio. A negative ratio is only feasible on a
-// reversible member, whose members are all reversible, so the one
-// expansion stays sign-correct for either direction of the merged
-// column.
-func (r *Reduced) mergeGroup(cols []int, ratios []*big.Rat, flip, reversible bool, m int) (Column, []*big.Rat) {
-	vec := make([]*big.Rat, m)
-	for i := range vec {
-		vec[i] = new(big.Rat)
-	}
+// mergeGroup writes the merged column Σ ratio_j·N_j over the group,
+// negated if flip is set, into column k of next, and expands it through
+// each member column's members scaled by its ratio. A negative ratio is
+// only feasible on a reversible member, whose members are all
+// reversible, so the one expansion stays sign-correct for either
+// direction of the merged column.
+func (r *Reduced) mergeGroup(next *ratmat.Matrix, k int, cols []int, ratios []*big.Rat, flip, reversible bool) Column {
 	var names []string
 	var members []Member
 	tmp := new(big.Rat)
@@ -424,9 +414,12 @@ func (r *Reduced) mergeGroup(cols []int, ratios []*big.Rat, flip, reversible boo
 			ratio.Neg(ratio)
 		}
 		names = append(names, r.Cols[ci].Name)
-		for i := 0; i < m; i++ {
-			tmp.Mul(ratio, r.N.At(i, ci))
-			vec[i].Add(vec[i], tmp)
+		for i := 0; i < next.Rows(); i++ {
+			if v := r.N.At(i, ci); v.Sign() != 0 {
+				tmp.Mul(ratio, v)
+				sum := next.At(i, k)
+				sum.Add(sum, tmp)
+			}
 		}
 		for _, mem := range r.Cols[ci].Members {
 			members = append(members, Member{
@@ -435,12 +428,11 @@ func (r *Reduced) mergeGroup(cols []int, ratios []*big.Rat, flip, reversible boo
 			})
 		}
 	}
-	col := Column{
+	return Column{
 		Name:       strings.Join(names, "*"),
 		Reversible: reversible,
 		Members:    members,
 	}
-	return col, vec
 }
 
 // mergeDuplicateColumns collapses columns with identical stoichiometry
@@ -471,13 +463,13 @@ func (r *Reduced) mergeDuplicateColumns() bool {
 
 	changed := false
 	var newCols []Column
-	var newVecs [][]*big.Rat
+	var reps []int
 	for _, k := range order {
 		es := canonical[k]
 		rep := es[0]
 		if len(es) == 1 {
 			newCols = append(newCols, r.Cols[rep])
-			newVecs = append(newVecs, r.columnVec(rep))
+			reps = append(reps, rep)
 			continue
 		}
 		changed = true
@@ -498,36 +490,22 @@ func (r *Reduced) mergeDuplicateColumns() bool {
 			Members:    cloneMembers(r.Cols[rep].Members),
 		}
 		newCols = append(newCols, col)
-		newVecs = append(newVecs, r.columnVec(rep))
+		reps = append(reps, rep)
 	}
 	if !changed {
 		return false
 	}
-	r.replaceColumns(newCols, newVecs)
+	r.N, r.Cols = r.N.SelectColumns(reps), newCols
 	return true
 }
 
-// columnVec extracts column j of N as a fresh vector.
-func (r *Reduced) columnVec(j int) []*big.Rat {
-	m := r.N.Rows()
-	vec := make([]*big.Rat, m)
-	for i := 0; i < m; i++ {
-		vec[i] = new(big.Rat).Set(r.N.At(i, j))
+// keepColumns narrows N and Cols to the given columns, in order.
+func (r *Reduced) keepColumns(keep []int) {
+	cols := make([]Column, len(keep))
+	for k, j := range keep {
+		cols[k] = r.Cols[j]
 	}
-	return vec
-}
-
-// replaceColumns rebuilds N and Cols from the given column vectors.
-func (r *Reduced) replaceColumns(cols []Column, vecs [][]*big.Rat) {
-	m := r.N.Rows()
-	N := ratmat.New(m, len(cols))
-	for j, vec := range vecs {
-		for i := 0; i < m; i++ {
-			N.Set(i, j, vec[i])
-		}
-	}
-	r.N = N
-	r.Cols = cols
+	r.N, r.Cols = r.N.SelectColumns(keep), cols
 }
 
 // dropRedundantRows removes all-zero and linearly dependent rows.
