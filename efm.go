@@ -201,8 +201,8 @@ type Config struct {
 	// Qsub is the divide-and-conquer partition size (default 2).
 	Qsub int
 	// GroupConcurrency is the number of local node groups concurrently
-	// pulling divide-and-conquer classes from a largest-estimated-first
-	// work queue. 0 means one group (under ComputeEFMsDistributed: no
+	// pulling divide-and-conquer classes from a work queue in class-ID
+	// order. 0 means one group (under ComputeEFMsDistributed: no
 	// local group, every class runs on the workers). Results are
 	// byte-identical at every setting. DivideAndConquer only; ignored by
 	// the other drivers.

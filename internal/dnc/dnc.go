@@ -53,7 +53,7 @@ type Options struct {
 	// MaxDepth bounds adaptive re-splitting recursion (default 3).
 	MaxDepth int
 	// GroupConcurrency is the number of local node groups concurrently
-	// pulling classes from the largest-estimated-first work queue (the
+	// pulling classes from the work queue, a FIFO in class-ID order (the
 	// paper's farming of the 2^qsub independent subproblems across
 	// groups of compute nodes). 0 means one group — or, with Remote set,
 	// no local group at all. Result.Supports and the subproblem tree are
@@ -61,13 +61,13 @@ type Options struct {
 	// arrival order and the scheduler diagnostics change.
 	GroupConcurrency int
 	// Remote, when set, adds remote dispatch: one dispatcher per executor
-	// slot pulls classes off the same queue the local groups use, largest
-	// first like them, and runs them on remote workers. GroupConcurrency
-	// 0 is then a pure-remote run, where an emergency local group takes
-	// over only if every worker dies with classes outstanding. Worker
-	// loss re-enqueues the class; results stay byte-identical to a local
-	// run because workers run the same prepare→enumerate path (see
-	// ExecClass).
+	// slot pulls classes off the same FIFO the local groups use and runs
+	// them on remote workers. GroupConcurrency 0 is then a pure-remote
+	// run, where an emergency local group takes over only if every
+	// worker dies with classes outstanding. Worker loss re-enqueues the
+	// class at the tail; results stay byte-identical to a local run
+	// because a local group and a remote worker run a class through the
+	// same body, ExecClass.
 	Remote RemoteExecutor
 	// Progress, when set, is called as each subproblem finishes
 	// (enumerated or left unresolved; infeasible skipped classes are
@@ -267,18 +267,11 @@ func AutoPartition(N *ratmat.Matrix, rev []bool, qsub int) ([]int, error) {
 
 // prepared holds a class's prepared enumeration inputs: the reduced
 // class stoichiometry's nullspace problem plus the column maps needed
-// to fold results back into the full input space, and the scheduling
-// estimate.
+// to fold results back into the full input space.
 type prepared struct {
 	p        *nullspace.Problem
 	keep     []int // class columns as input-column indices
 	nzfLocal []int // must-be-non-zero reactions as class-column indices
-	// est is the kernel's pair-count estimate used by the scheduler's
-	// largest-estimated-first queue: the first iteration's pos·neg pair
-	// count over the initial kernel columns, scaled by the number of
-	// iterations the class runs (Proposition 1's early stop included).
-	// A scheduling heuristic only — it never influences results.
-	est int64
 }
 
 // prepare builds the class stoichiometry for the (partition, id) class
@@ -329,51 +322,26 @@ func prepare(N *ratmat.Matrix, rev []bool, partition []int, id uint64) *prepared
 		// A trivial kernel means the class admits no flux at all.
 		return nil
 	}
-	pr := &prepared{p: p, keep: keep, nzfLocal: nzfLocal}
-	pr.est = estimatePairs(p, len(nzfLocal))
-	return pr
-}
-
-// estimatePairs is the scheduler's size estimate: the first iteration's
-// pos·neg candidate count over the initial kernel columns, times the
-// iteration count. Cheap (one kernel-row sign sweep), deterministic,
-// and correlated with enumeration cost — larger classes sort first so
-// the long pole starts early instead of serializing at the tail.
-func estimatePairs(p *nullspace.Problem, nzf int) int64 {
-	const tol = linalg.DefaultTol
-	iters := (p.Q() - nzf) - p.D
-	if iters <= 0 {
-		return 0
-	}
-	var pos, neg int64
-	for _, v := range p.KernelRows[p.D*p.D : (p.D+1)*p.D] {
-		switch {
-		case v > tol:
-			pos++
-		case v < -tol:
-			neg++
-		}
-	}
-	return (pos*neg + 1) * int64(iters)
+	return &prepared{p: p, keep: keep, nzfLocal: nzfLocal}
 }
 
 // enumerate runs the inner combinatorial parallel algorithm on a
-// prepared class and fills the subproblem's result fields. A blown mode
-// budget surfaces as an error matching core.ErrBudget (the caller's
-// re-split signal); every other failure is a fault and propagates
-// unchanged.
-func enumerate(sub *Subproblem, pr *prepared, copts parallel.Options, fullCols int) error {
+// prepared class and returns its outcome. A blown mode budget surfaces
+// as an error matching core.ErrBudget (the caller's re-split signal);
+// every other failure is a fault and propagates unchanged.
+func enumerate(pr *prepared, copts parallel.Options, fullCols int) (*ClassOutcome, error) {
 	copts.Core.LastRow = pr.p.Q() - len(pr.nzfLocal)
 	run, err := parallel.Run(pr.p, copts)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	sub.Pairs = run.TotalPairs()
-	sub.PeakNodeBytes = run.PeakNodeBytes
-	sub.Phases = run.MaxPhases()
-	sub.Store = run.Result.Store
-	sub.Supports = extract(run.Result, pr.p, pr.keep, pr.nzfLocal, fullCols)
-	return nil
+	return &ClassOutcome{
+		Supports:      extract(run.Result, pr.p, pr.keep, pr.nzfLocal, fullCols),
+		Pairs:         run.TotalPairs(),
+		PeakNodeBytes: run.PeakNodeBytes,
+		Phases:        run.MaxPhases(),
+		Store:         run.Result.Store,
+	}, nil
 }
 
 // errNoRefinement marks a partition that cannot grow: every pivot

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"elmocomp/internal/bitset"
+	"elmocomp/internal/core"
 	"elmocomp/internal/parallel"
 	"elmocomp/internal/ratmat"
 )
@@ -43,20 +44,20 @@ type RemoteClass struct {
 	Label string
 }
 
-// ClassOutcome is what a completed remote class reports back: the
-// class's canonical supports over the full input column space plus the
-// per-class counters the subproblem tree records. Budget overflows are
+// ClassOutcome is what a completed class reports back, wherever it ran:
+// the class's canonical supports over the full input column space plus
+// the per-class counters the subproblem tree records. Phases and Store
+// are filled in-process only; the wire drops them. Budget overflows are
 // NOT outcomes — they surface as errors wrapping core.ErrBudget so the
 // scheduler applies its usual re-split policy.
 type ClassOutcome struct {
 	Supports      []bitset.Set
 	Pairs         int64
 	PeakNodeBytes int64
-	// Skipped marks a class the worker proved infeasible without
-	// enumerating (trivial kernel). Determinism guard: prepare() is a
-	// pure function of the class inputs, so the coordinator — which
-	// already prepared the class before enqueueing it — never actually
-	// receives this for a class it dispatched.
+	Phases        parallel.PhaseTimes
+	Store         core.StoreStats
+	// Skipped marks a class found infeasible where it runs (prepare
+	// admits no kernel), without enumerating.
 	Skipped bool
 }
 
@@ -83,12 +84,13 @@ type RemoteExecutor interface {
 }
 
 // ExecClass runs one divide-and-conquer class to completion in-process:
-// the worker side of a coordinator/worker deployment, and the same
-// prepare→enumerate path the local scheduler uses, so a class's supports
-// are byte-identical wherever it runs. N and rev describe the REDUCED
+// prepare, then enumerate. It is the one class body — every local node
+// group and every remote worker runs a class through it — so a class's
+// supports are byte-identical wherever it runs and each class is
+// prepared once, by whoever popped it. N and rev describe the REDUCED
 // network (reduction is deterministic, so coordinator and workers agree
 // on column indices). Budget errors pass through unchanged for the
-// coordinator's re-split policy to interpret.
+// scheduler's re-split policy to interpret.
 func ExecClass(N *ratmat.Matrix, rev []bool, partition []int, id uint64, popts parallel.Options) (*ClassOutcome, error) {
 	if popts.Core.LastRow != 0 {
 		return nil, fmt.Errorf("dnc: Parallel.Core.LastRow is managed by the driver")
@@ -105,13 +107,5 @@ func ExecClass(N *ratmat.Matrix, rev []bool, partition []int, id uint64, popts p
 	if pr == nil {
 		return &ClassOutcome{Skipped: true}, nil
 	}
-	sub := &Subproblem{ID: id, Partition: append([]int(nil), partition...)}
-	if err := enumerate(sub, pr, popts, N.Cols()); err != nil {
-		return nil, err
-	}
-	return &ClassOutcome{
-		Supports:      sub.Supports,
-		Pairs:         sub.Pairs,
-		PeakNodeBytes: sub.PeakNodeBytes,
-	}, nil
+	return enumerate(pr, popts, N.Cols())
 }

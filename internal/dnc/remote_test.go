@@ -1,7 +1,8 @@
 package dnc
 
 import (
-	"sort"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -26,7 +27,7 @@ type fakeExec struct {
 	// before the slot starts serving for real. A nil slice serves clean.
 	failures [][]error
 	runs     int64
-	order    []uint64 // class IDs in the order healthy slots received them
+	order    []string // class labels in the order healthy slots received them
 	// gate, when non-nil, blocks healthy slots' Run until an injected
 	// failure fires — so "the other worker pulled a class before the
 	// doomed one failed" cannot race the failure out of the schedule.
@@ -68,7 +69,7 @@ func (f *fakeExec) Run(slot int, c RemoteClass, cancel <-chan struct{}) (*ClassO
 	}
 	g := f.gate
 	f.runs++
-	f.order = append(f.order, c.ID)
+	f.order = append(f.order, c.Label)
 	f.mu.Unlock()
 	if g != nil {
 		select {
@@ -124,39 +125,64 @@ func TestRemoteMatchesOneGroup(t *testing.T) {
 	}
 }
 
-// TestRemoteDispatchLargestFirst: with one remote slot and no local group
-// the order classes reach Run in is the queue's order and nothing else —
-// largest estimate first, enqueue (class ID) order breaking ties. It is
-// the only placement rule a remote dispatcher has.
-func TestRemoteDispatchLargestFirst(t *testing.T) {
+// TestRemoteDispatchInClassOrder: the queue is a FIFO of class
+// coordinates, the only placement rule a dispatcher has. With one remote
+// slot and no local group, classes reach Run in class-ID order; a
+// re-split's children and a lost class's requeue go to the tail, after
+// every class enqueued before them.
+func TestRemoteDispatchInClassOrder(t *testing.T) {
 	red := toyReduced(t)
 	rev := red.Reversibilities()
+
 	exec := newFakeExec(red.N, rev, 1)
 	res, err := Run(red.N, rev, Options{Qsub: 3, Remote: exec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	type class struct {
-		id  uint64
-		est int64
+	var want []string
+	for _, sub := range res.Subproblems {
+		want = append(want, classLabel(sub))
 	}
-	var want []class
-	for id := uint64(0); id < 1<<uint(len(res.Partition)); id++ {
-		if pr := prepare(red.N, rev, res.Partition, id); pr != nil {
-			want = append(want, class{id, pr.est})
-		}
+	if got := strings.Join(exec.order, " "); got != strings.Join(want, " ") {
+		t.Fatalf("dispatch order %s, want class-ID order %s", got, strings.Join(want, " "))
 	}
-	sort.SliceStable(want, func(a, b int) bool { return want[a].est > want[b].est })
-	if len(want) < 2 || want[0].est == want[len(want)-1].est {
-		t.Fatalf("fixture has no two classes of different estimates: %v", want)
+
+	// Re-split children join the tail: replaying the finished tree
+	// through a FIFO, where a popped class that was re-split appends its
+	// two children, must give the dispatch order.
+	exec = newFakeExec(red.N, rev, 1)
+	o := modeResplitOpts()
+	exec.popts = o.Parallel
+	o.Remote = exec
+	res, err = Run(red.N, rev, o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(exec.order) != len(want) {
-		t.Fatalf("%d classes dispatched, want %d", len(exec.order), len(want))
+	if res.Sched.Resplits == 0 {
+		t.Fatal("no re-splits recorded (MaxModes=4 must overflow)")
 	}
-	for i, c := range want {
-		if exec.order[i] != c.id {
-			t.Fatalf("dispatch order %v, want the classes by estimate %v", exec.order, want)
-		}
+	want = nil
+	for fifo := append([]*Subproblem(nil), res.Subproblems...); len(fifo) > 0; fifo = fifo[1:] {
+		want = append(want, classLabel(fifo[0]))
+		fifo = append(fifo, fifo[0].Children...)
+	}
+	if got := strings.Join(exec.order, " "); got != strings.Join(want, " ") {
+		t.Fatalf("dispatch order %s, want FIFO order %s", got, strings.Join(want, " "))
+	}
+
+	// A lost class goes to the tail. The loss kills the only slot, so the
+	// emergency local group — then the queue's only consumer — completes
+	// the classes in queue order, the requeued class 0 last.
+	exec = newFakeExec(red.N, rev, 1)
+	exec.failures[0] = []error{ErrWorkerLost}
+	var done []uint64
+	_, err = Run(red.N, rev, Options{Qsub: 2, Remote: exec,
+		Progress: func(sub *Subproblem) { done = append(done, sub.ID) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(done); got != "[1 2 3 0]" {
+		t.Fatalf("completion order after losing class 0: %s, want [1 2 3 0]", got)
 	}
 }
 

@@ -3,12 +3,14 @@
 //
 // A bounded pool of node groups (and, under Options.Remote, one
 // dispatcher per remote executor slot) pulls classes from a shared work
-// queue ordered largest-estimated-first (the kernel's pair-count
-// estimate), runs each through the inner parallel algorithm, and converts
-// budget-triggered re-splits into new queue items. One policy function,
-// runClass, owns the budget / re-split / soft-retry / unresolved state
-// machine for local and remote classes alike. The result is
-// byte-identical at every concurrency level and executor mix:
+// queue — a FIFO of class coordinates, in class-ID order — runs each
+// through the one class body, ExecClass (prepare, then the inner parallel
+// algorithm), and converts budget-triggered re-splits into new queue
+// items. Nothing is prepared ahead of a pop: a class is prepared once, by
+// whoever runs it, and a class found infeasible there comes back Skipped.
+// One policy function, runClass, owns the budget / re-split / soft-retry
+// / unresolved state machine for local and remote classes alike. The
+// result is byte-identical at every concurrency level and executor mix:
 //
 //   - The subproblem tree is indexed by class, not by completion order.
 //     Root classes are pre-created in ID order before any group starts;
@@ -26,7 +28,6 @@
 package dnc
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"sync"
@@ -59,8 +60,8 @@ type SchedClass struct {
 // MaxQueueDepth, MaxActive and the order of Classes depend on scheduling
 // and are diagnostics, not part of the byte-identical result contract.
 type SchedStats struct {
-	// Enqueued counts work items pushed onto the queue: the initial
-	// 2^qsub classes plus two per re-split.
+	// Enqueued counts classes pushed onto the queue: the initial
+	// 2^qsub classes plus two per re-split, infeasible ones included.
 	Enqueued int64 `json:"enqueued"`
 	// Steals counts items pulled off the queue by a node group or a
 	// remote dispatcher.
@@ -92,38 +93,9 @@ type SchedStats struct {
 	// MaxActive is the peak number of concurrently enumerating groups
 	// and dispatchers.
 	MaxActive int `json:"max_active"`
-	// Classes lists per-class wall times in completion order.
+	// Classes lists per-class wall times in completion order (Skipped
+	// classes are absent).
 	Classes []SchedClass `json:"classes,omitempty"`
-}
-
-// schedItem is one queued unit of work: a subproblem shell waiting to be
-// enumerated, with its prepared inputs and priority.
-type schedItem struct {
-	sub  *Subproblem
-	prep *prepared
-	seq  int // enqueue sequence; breaks estimate ties deterministically
-}
-
-// itemQueue is a max-heap on the pair-count estimate, enqueue order
-// breaking ties so the pop order is a pure function of the enqueued set.
-type itemQueue []*schedItem
-
-func (q itemQueue) Len() int { return len(q) }
-func (q itemQueue) Less(a, b int) bool {
-	if q[a].prep.est != q[b].prep.est {
-		return q[a].prep.est > q[b].prep.est
-	}
-	return q[a].seq < q[b].seq
-}
-func (q itemQueue) Swap(a, b int)       { q[a], q[b] = q[b], q[a] }
-func (q *itemQueue) Push(x interface{}) { *q = append(*q, x.(*schedItem)) }
-func (q *itemQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return it
 }
 
 // scheduler carries the shared state of one run.
@@ -141,9 +113,8 @@ type scheduler struct {
 	// queue operation, the run's counters too.
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   itemQueue
-	pending int // items enqueued or being worked; 0 + empty queue = done
-	seq     int
+	queue   []*Subproblem // FIFO of class shells waiting to run
+	pending int           // classes enqueued or being worked; 0 + empty queue = done
 	stats   SchedStats
 	active  int // classes being enumerated right now (MaxActive's gauge)
 	// aliveSlots counts remote dispatchers still usable. When it hits 0
@@ -201,20 +172,11 @@ func runScheduled(N *ratmat.Matrix, rev []bool, partition []int, opts Options) (
 	// shape is fixed before any group runs, so Result.Subproblems cannot
 	// depend on scheduling.
 	res := &Result{Partition: partition}
-	var items []*schedItem
+	s.mu.Lock()
 	for id := uint64(0); id < 1<<uint(len(partition)); id++ {
 		sub := &Subproblem{ID: id, Partition: append([]int(nil), partition...)}
 		res.Subproblems = append(res.Subproblems, sub)
-		pr := prepare(N, rev, partition, id)
-		if pr == nil {
-			sub.Skipped = true
-			continue
-		}
-		items = append(items, &schedItem{sub: sub, prep: pr})
-	}
-	s.mu.Lock()
-	for _, it := range items {
-		s.push(it)
+		s.push(sub)
 	}
 	s.mu.Unlock()
 
@@ -271,19 +233,17 @@ func runScheduled(N *ratmat.Matrix, rev []bool, partition []int, opts Options) (
 	return res, nil
 }
 
-// push enqueues an item. Caller holds s.mu.
-func (s *scheduler) push(it *schedItem) {
-	it.seq = s.seq
-	s.seq++
+// push enqueues a class at the tail. Caller holds s.mu.
+func (s *scheduler) push(sub *Subproblem) {
 	s.pending++
-	heap.Push(&s.queue, it)
+	s.queue = append(s.queue, sub)
 	s.stats.Enqueued++
 	s.stats.MaxQueueDepth = max(s.stats.MaxQueueDepth, len(s.queue))
 	s.cond.Broadcast()
 }
 
 // count applies one counter update under s.mu, for the sites in runClass
-// and adoptOutcome that do not hold it already.
+// and remoteLoop that do not hold it already.
 func (s *scheduler) count(update func(st *SchedStats)) {
 	s.mu.Lock()
 	update(&s.stats)
@@ -291,10 +251,10 @@ func (s *scheduler) count(update func(st *SchedStats)) {
 }
 
 // pop is the one dispatch policy, for node groups and remote dispatchers
-// alike: wait for work, then take the heap top — the largest estimate,
-// enqueue order breaking ties. It returns nil once the run is aborted or
-// drained (every pending item popped by a peer).
-func (s *scheduler) pop() *schedItem {
+// alike: wait for work, then take the queue's head — the earliest
+// enqueued class. It returns nil once the run is aborted or drained
+// (every pending class popped by a peer).
+func (s *scheduler) pop() *Subproblem {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for len(s.queue) == 0 && s.pending > 0 && s.latch.Cause() == nil {
@@ -304,27 +264,30 @@ func (s *scheduler) pop() *schedItem {
 		return nil
 	}
 	s.stats.Steals++
-	return heap.Pop(&s.queue).(*schedItem)
+	sub := s.queue[0]
+	s.queue[0] = nil
+	s.queue = s.queue[1:]
+	return sub
 }
 
-// groupLoop is one node group's life: steal the largest queued class,
-// enumerate it, repeat until the queue drains or the run aborts.
+// groupLoop is one node group's life: steal the queue's head, run it
+// through ExecClass, repeat until the queue drains or the run aborts.
 func (s *scheduler) groupLoop(group int) {
 	copts := s.opts.Parallel
 	copts.Cancel = s.latch.Done()
 	copts.MemGauge = s.memGauge(group)
 	for {
-		it := s.pop()
-		if it == nil {
+		sub := s.pop()
+		if sub == nil {
 			return
 		}
 
-		s.runClass(it, func(strict bool) error {
+		s.runClass(sub, func(strict bool) (*ClassOutcome, error) {
 			// Clear the group's residency afterwards — belt and braces for
 			// error paths where node goroutines never reported their zero.
 			defer s.zeroMem(group)
 			copts.Core.StrictMemBudget = strict
-			return enumerate(it.sub, it.prep, copts, s.N.Cols())
+			return ExecClass(s.N, s.rev, sub.Partition, sub.ID, copts)
 		})
 
 		s.mu.Lock()
@@ -337,13 +300,13 @@ func (s *scheduler) groupLoop(group int) {
 }
 
 // runClass drives one popped class to a terminal state — enumerated,
-// re-split into two queued children, unresolved, or the run aborted —
-// and is the only copy of Algorithm 3's budget policy. attempt runs the
-// class once, on a local group or a remote worker, with the given
-// memory-budget strictness. It reports false only when attempt lost its
-// worker: the class went back on the queue and is still pending.
-func (s *scheduler) runClass(it *schedItem, attempt func(strict bool) error) (done bool) {
-	sub := it.sub
+// skipped, re-split into two queued children, unresolved, or the run
+// aborted — and is the only copy of Algorithm 3's budget policy. attempt
+// runs the class once, on a local group or a remote worker, with the
+// given memory-budget strictness; its outcome lands through adoptOutcome.
+// It reports false only when attempt lost its worker: the class went back
+// on the queue and is still pending.
+func (s *scheduler) runClass(sub *Subproblem, attempt func(strict bool) (*ClassOutcome, error)) (done bool) {
 	// The memory budget is strict only while re-split depth remains: an
 	// over-budget surviving set then surfaces as core.ErrMemBudget and
 	// refines the class, exactly like a mode-count overflow. At the depth
@@ -357,10 +320,13 @@ func (s *scheduler) runClass(it *schedItem, attempt func(strict bool) error) (do
 			st.MaxActive = max(st.MaxActive, s.active)
 		})
 		start := time.Now()
-		err := attempt(strict && !retry)
+		out, err := attempt(strict && !retry)
+		if err == nil {
+			adoptOutcome(sub, out)
+		}
 		s.count(func(st *SchedStats) {
 			s.active--
-			if err == nil {
+			if err == nil && !sub.Skipped {
 				st.Classes = append(st.Classes, SchedClass{
 					Label:   classLabel(sub),
 					Depth:   sub.Depth,
@@ -375,7 +341,7 @@ func (s *scheduler) runClass(it *schedItem, attempt func(strict bool) error) (do
 			return true
 		}
 		if errors.Is(err, ErrWorkerLost) {
-			s.requeue(it, errors.Is(err, ErrWorkerTimeout))
+			s.requeue(sub, errors.Is(err, ErrWorkerTimeout))
 			return false
 		}
 		// Only a blown budget (mode count or strict memory) is a size
@@ -417,25 +383,25 @@ func (s *scheduler) runClass(it *schedItem, attempt func(strict bool) error) (do
 	}
 }
 
-// remoteLoop is one executor slot's dispatcher: steal the largest queued
-// class, run it on the slot's worker, repeat. A lost worker requeues its
+// remoteLoop is one executor slot's dispatcher: steal the queue's head,
+// run it on the slot's worker, repeat. A lost worker requeues its
 // class and — once the slot is confirmed dead — retires this dispatcher;
 // the last dispatcher to die with classes outstanding and no local groups
 // spawns an emergency local group so the run completes instead of
 // deadlocking.
 func (s *scheduler) remoteLoop(slot int) {
 	for {
-		it := s.pop()
-		if it == nil {
+		sub := s.pop()
+		if sub == nil {
 			return
 		}
 
-		done := s.runClass(it, func(strict bool) error {
-			out, err := s.remote.Run(slot, s.remoteSpec(it, strict), s.latch.Done())
+		done := s.runClass(sub, func(strict bool) (*ClassOutcome, error) {
+			out, err := s.remote.Run(slot, remoteSpec(sub, strict), s.latch.Done())
 			if err == nil {
-				s.adoptOutcome(it.sub, out)
+				s.count(func(st *SchedStats) { st.RemoteClasses++ })
 			}
-			return err
+			return out, err
 		})
 
 		s.mu.Lock()
@@ -465,46 +431,42 @@ func (s *scheduler) remoteLoop(slot int) {
 	}
 }
 
-// remoteSpec builds the wire-independent class description for an item.
-func (s *scheduler) remoteSpec(it *schedItem, strict bool) RemoteClass {
+// remoteSpec builds the wire-independent class description for a class.
+func remoteSpec(sub *Subproblem, strict bool) RemoteClass {
 	return RemoteClass{
-		ID:        it.sub.ID,
-		Partition: it.sub.Partition,
-		Depth:     it.sub.Depth,
+		ID:        sub.ID,
+		Partition: sub.Partition,
+		Depth:     sub.Depth,
 		StrictMem: strict,
-		Label:     classLabel(it.sub),
+		Label:     classLabel(sub),
 	}
 }
 
-// requeue pushes a worker-lost item back with a fresh sequence number
-// but WITHOUT touching pending: the item never left the
-// enqueued-or-being-worked state, it just changes hands. timeout marks
-// the per-class-deadline flavor of the loss.
-func (s *scheduler) requeue(it *schedItem, timeout bool) {
+// requeue pushes a worker-lost class back at the tail but WITHOUT
+// touching pending: the class never left the enqueued-or-being-worked
+// state, it just changes hands. timeout marks the per-class-deadline
+// flavor of the loss.
+func (s *scheduler) requeue(sub *Subproblem, timeout bool) {
 	s.mu.Lock()
 	s.stats.RemoteRequeues++
 	if timeout {
 		s.stats.RemoteTimeouts++
 	}
-	it.seq = s.seq
-	s.seq++
-	heap.Push(&s.queue, it)
+	s.queue = append(s.queue, sub)
 	s.stats.MaxQueueDepth = max(s.stats.MaxQueueDepth, len(s.queue))
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
-// adoptOutcome folds a completed remote class into its subproblem shell.
-func (s *scheduler) adoptOutcome(sub *Subproblem, out *ClassOutcome) {
+// adoptOutcome folds a completed class, run locally or remotely, into its
+// subproblem shell.
+func adoptOutcome(sub *Subproblem, out *ClassOutcome) {
 	sub.Supports = out.Supports
 	sub.Pairs = out.Pairs
 	sub.PeakNodeBytes = out.PeakNodeBytes
-	if out.Skipped {
-		// Unreachable for dispatched classes (the coordinator prepared
-		// them before enqueueing), but honor a worker's verdict anyway.
-		sub.Skipped = true
-	}
-	s.count(func(st *SchedStats) { st.RemoteClasses++ })
+	sub.Phases = out.Phases
+	sub.Store = out.Store
+	sub.Skipped = out.Skipped
 }
 
 // resplitEnqueue converts a budget overflow into two new queue items:
@@ -518,30 +480,22 @@ func (s *scheduler) resplitEnqueue(sub *Subproblem) error {
 		return err
 	}
 	wider := append(append([]int(nil), sub.Partition...), extra)
-	var items []*schedItem
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stats.Resplits++
 	for bit := uint64(0); bit < 2; bit++ {
 		id := sub.ID | bit<<uint(len(sub.Partition))
 		child := &Subproblem{ID: id, Partition: append([]int(nil), wider...), Depth: sub.Depth + 1}
 		sub.Children = append(sub.Children, child)
-		pr := prepare(s.N, s.rev, wider, id)
-		if pr == nil {
-			child.Skipped = true
-			continue
-		}
-		items = append(items, &schedItem{sub: child, prep: pr})
+		s.push(child)
 	}
-	s.mu.Lock()
-	s.stats.Resplits++
-	for _, it := range items {
-		s.push(it)
-	}
-	s.mu.Unlock()
 	return nil
 }
 
-// progress invokes the user callback under the serialization mutex.
+// progress invokes the user callback under the serialization mutex. A
+// Skipped class is silent.
 func (s *scheduler) progress(sub *Subproblem) {
-	if s.opts.Progress == nil {
+	if s.opts.Progress == nil || sub.Skipped {
 		return
 	}
 	s.progressMu.Lock()

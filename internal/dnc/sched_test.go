@@ -131,9 +131,10 @@ func TestResplitTreePinnedAcrossGroups(t *testing.T) {
 	}
 }
 
-// TestSchedulerCounters sanity-checks the accounting on a clean run:
-// every non-skipped class is enqueued exactly once and stolen exactly
-// once, and nothing is left unresolved.
+// TestSchedulerCounters sanity-checks the accounting: every class,
+// infeasible ones included, is enqueued and stolen exactly once, so
+// Enqueued is 2^qsub plus two per re-split; only the enumerated classes
+// are recorded in Classes.
 func TestSchedulerCounters(t *testing.T) {
 	red := toyReduced(t)
 	res, err := Run(red.N, red.Reversibilities(), Options{Qsub: 2, GroupConcurrency: 2})
@@ -141,20 +142,20 @@ func TestSchedulerCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := res.Sched
-	var feasible int64
-	for _, sub := range res.Subproblems {
-		if !sub.Skipped {
-			feasible++
-		}
-	}
-	if s.Enqueued != feasible || s.Steals != feasible {
-		t.Fatalf("enqueued=%d steals=%d, want both %d (feasible classes)", s.Enqueued, s.Steals, feasible)
+	if want := int64(1) << len(res.Partition); s.Enqueued != want || s.Steals != want {
+		t.Fatalf("enqueued=%d steals=%d, want both %d (2^qsub classes)", s.Enqueued, s.Steals, want)
 	}
 	if s.Resplits != 0 || s.Unresolved != 0 {
 		t.Fatalf("unexpected resplits=%d unresolved=%d on an unbudgeted run", s.Resplits, s.Unresolved)
 	}
-	if len(s.Classes) != int(feasible) {
-		t.Fatalf("%d class records, want %d", len(s.Classes), feasible)
+	var ran int
+	res.Walk(func(sub *Subproblem) {
+		if !sub.Skipped {
+			ran++
+		}
+	})
+	if len(s.Classes) != ran {
+		t.Fatalf("%d class records, want %d", len(s.Classes), ran)
 	}
 	if s.MaxActive < 1 || s.MaxActive > 2 {
 		t.Fatalf("MaxActive %d out of [1,2]", s.MaxActive)
@@ -164,6 +165,20 @@ func TestSchedulerCounters(t *testing.T) {
 	}
 	if res.PeakConcurrentBytes < res.PeakNodeBytes() {
 		t.Fatalf("concurrent peak %d below single-node peak %d", res.PeakConcurrentBytes, res.PeakNodeBytes())
+	}
+
+	o := modeResplitOpts()
+	o.GroupConcurrency = 2
+	res, err = Run(red.N, red.Reversibilities(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = res.Sched
+	if s.Resplits == 0 {
+		t.Fatal("no re-splits recorded (MaxModes=4 must overflow)")
+	}
+	if want := int64(1)<<len(res.Partition) + 2*s.Resplits; s.Enqueued != want || s.Steals != want {
+		t.Fatalf("enqueued=%d steals=%d with %d re-splits, want both %d", s.Enqueued, s.Steals, s.Resplits, want)
 	}
 }
 

@@ -43,9 +43,10 @@ func ComputeEFMsContext(ctx context.Context, n *Network, cfg Config) (*Result, e
 
 // ComputeEFMsDistributed runs the divide-and-conquer driver with its
 // class queue dispatched onto the pool's remote workers (the efmd
-// coordinator role). Every worker's dispatchers take the largest queued
-// class: classes are independent, so where one runs carries no meaning
-// and workers cache no results. A worker lost mid-class (crash, severed
+// coordinator role). Every worker's dispatchers take the class at the
+// head of the queue, a FIFO in class-ID order, and the worker prepares
+// and runs it: classes are independent, so where one runs carries no
+// meaning and workers cache no results. A worker lost mid-class (crash, severed
 // link, or per-class deadline) has its class re-enqueued and rerun
 // elsewhere — or on an emergency local group when the whole fleet is
 // gone — so worker failure degrades throughput, never correctness. The
