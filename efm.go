@@ -25,11 +25,13 @@
 package elmocomp
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/big"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -201,14 +203,18 @@ type Config struct {
 	// Qsub is the divide-and-conquer partition size (default 2).
 	Qsub int
 	// GroupConcurrency is the number of local node groups concurrently
-	// pulling divide-and-conquer classes from a work queue in class-ID
-	// order. 0 means one group (under ComputeEFMsDistributed: no
-	// local group, every class runs on the workers). Results are
-	// byte-identical at every setting. DivideAndConquer only; ignored by
-	// the other drivers.
+	// pulling divide-and-conquer classes from a work queue whose root
+	// classes leave dearest first: most must-be-non-zero partition
+	// reactions, then class ID descending. 0 means one group (under
+	// ComputeEFMsDistributed: no local group, every class runs on the
+	// workers). Results are byte-identical at every setting.
+	// DivideAndConquer only; ignored by the other drivers.
 	GroupConcurrency int
 	// Partition names the partition reactions explicitly (overrides
-	// Qsub). Reactions must survive network reduction.
+	// Qsub). Reactions must survive network reduction and be linearly
+	// independent columns of the reduced stoichiometry: two names that
+	// reduce to one column, or a dependent set such as a cycle, are
+	// refused with an error naming them.
 	Partition []string
 	// KeepDuplicateReactions disables the duplicate-column merge during
 	// reduction (see package reduce for the semantics).
@@ -826,6 +832,13 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 			}
 		}
 		run, err := dnc.Run(red.N, red.Reversibilities(), dopts)
+		if perr := (*dnc.PartitionError)(nil); errors.As(err, &perr) && len(cfg.Partition) > 0 {
+			var names []string
+			for _, i := range perr.Positions {
+				names = append(names, cfg.Partition[i])
+			}
+			return nil, fmt.Errorf("elmocomp: partition reactions %s are linearly dependent in the reduced network (merged reactions count as one); Algorithm 3 needs independent partition reactions", strings.Join(names, ", "))
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package elmocomp
 
 import (
 	"bytes"
+	"fmt"
 	"math/big"
 	"reflect"
 	"sort"
@@ -290,6 +291,77 @@ func TestConfigErrors(t *testing.T) {
 	}
 	if _, err := ComputeEFMs(net, Config{MaxIntermediateModes: 1}); err == nil {
 		t.Fatal("mode budget violation not surfaced")
+	}
+}
+
+// dependentPartitionNet is the smallest network on which explicit partitions used to
+// go wrong silently: u2 and u3 merge into one reduced column, u1 and the
+// merged column are antiparallel, and c1, c2, c3 form a cycle.
+const dependentPartitionNet = `
+name partitions
+u1 : Aext => A
+u2 : A => B
+u3 : B => Bext
+c1 : A <=> C
+c2 : C <=> D
+c3 : D <=> A
+e1 : C => Cext
+e2 : D => Dext
+`
+
+// TestExplicitPartitionExactOrRefused: an explicit divide-and-conquer
+// partition either reproduces the serial mode set or is refused, naming
+// the linearly dependent reactions. Every partition of one to three of
+// the network's reactions is tried; the three that once returned 5, 5
+// and 15 modes must be refused.
+func TestExplicitPartitionExactOrRefused(t *testing.T) {
+	net, err := ParseNetworkString(dependentPartitionNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := ComputeEFMs(net, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%016x", serial.Fingerprint()); serial.Len() != 6 || got != "bbc0cc8b2d57a1bc" {
+		t.Fatalf("serial: %d modes, fingerprint %s; want 6, bbc0cc8b2d57a1bc", serial.Len(), got)
+	}
+	refused, tried := 0, 0
+	names := []string{"u1", "u2", "u3", "c1", "c2", "c3", "e1", "e2"}
+	var walk func(from int, part []string)
+	walk = func(from int, part []string) {
+		if len(part) > 0 {
+			key := strings.Join(part, ",")
+			tried++
+			res, err := ComputeEFMs(net, Config{Algorithm: DivideAndConquer, Partition: part})
+			switch {
+			case err != nil:
+				if !strings.Contains(err.Error(), "are linearly dependent") {
+					t.Errorf("-partition %s: %v", key, err)
+				}
+				refused++
+			case res.Fingerprint() != serial.Fingerprint():
+				t.Errorf("-partition %s: %d modes, fingerprint %016x; want serial's %d, %016x",
+					key, res.Len(), res.Fingerprint(), serial.Len(), serial.Fingerprint())
+			}
+		}
+		if len(part) == 3 {
+			return
+		}
+		for i := from; i < len(names); i++ {
+			walk(i+1, append(part[:len(part):len(part)], names[i]))
+		}
+	}
+	walk(0, nil)
+	for _, part := range [][]string{{"c1", "c2", "c3"}, {"u1", "u2"}, {"u2", "u3"}} {
+		_, err := ComputeEFMs(net, Config{Algorithm: DivideAndConquer, Partition: part})
+		want := "partition reactions " + strings.Join(part, ", ") + " are linearly dependent"
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-partition %s: err = %v, want it to contain %q", strings.Join(part, ","), err, want)
+		}
+	}
+	if refused == 0 || refused == tried {
+		t.Fatalf("%d of %d partitions refused: the sweep never tells exact from refused", refused, tried)
 	}
 }
 

@@ -60,10 +60,16 @@ func SupportsFingerprint(supports []bitset.Set) uint64 {
 }
 
 // EncodeSupportList serializes a support list over q reduced columns
-// into the flat EFMS byte stream (ModeSet.Encode): one bit-only mode per
-// support. It is the one payload shape the job cache stores and the
-// distrib workers ship.
+// into the flat EFMS byte stream (ModeSet.Encode of SupportSet). It is
+// the one payload shape the job cache stores and the distrib workers
+// ship.
 func EncodeSupportList(supports []bitset.Set, q int) []byte {
+	return SupportSet(supports, q).Encode()
+}
+
+// SupportSet builds the mode set of a support list over q reduced
+// columns: one bit-only mode per support, in order.
+func SupportSet(supports []bitset.Set, q int) *ModeSet {
 	set := NewModeSet(q, q, nil)
 	set.Grow(len(supports))
 	var words []uint64
@@ -77,7 +83,7 @@ func EncodeSupportList(supports []bitset.Set, q int) []byte {
 		}
 		set.AppendMode(words, nil, nil, 0)
 	}
-	return set.Encode()
+	return set
 }
 
 // DecodeSupportList inverts EncodeSupportList, validating the payload

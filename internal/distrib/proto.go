@@ -147,8 +147,7 @@ type classResponse struct {
 	Pairs         int64
 	PeakNodeBytes int64
 	// Supports is the class's EFM supports over the reduced network's
-	// columns: flat EFMS as the worker produced it, EFMS or EFMC on the
-	// wire.
+	// columns as they crossed the wire: flat EFMS or compressed EFMC.
 	Supports []byte
 }
 

@@ -245,40 +245,43 @@ func (w *Worker) serveConn(c net.Conn) {
 				return
 			}
 		}
-		resp := w.exec(req, closed)
-		if err := writeReply(c, resp); err != nil {
+		resp, set := w.exec(req, closed)
+		if err := writeReply(c, resp, set); err != nil {
 			return
 		}
 		atomic.AddInt64(&inflight, -1)
 	}
 }
 
-// writeReply ships one response. A large support payload goes through
-// the EFMC compressor and travels compressed when that is actually
-// smaller; it stays flat EFMS otherwise (the codec magics disambiguate
-// at the receiver).
-func writeReply(c net.Conn, resp *classResponse) error {
-	payload := resp.Supports
+// writeReply ships one response with the class's support set, nil when
+// it has none. A large set goes through the EFMC compressor and travels
+// compressed when that is actually smaller than its flat EFMS form; it
+// stays flat otherwise (the codec magics disambiguate at the receiver).
+func writeReply(c net.Conn, resp *classResponse, set *core.ModeSet) error {
+	var payload []byte
+	if set != nil {
+		payload = set.Encode()
+	}
 	rawLen := len(payload)
-	if rawLen >= wireCompressMin {
-		if set, err := core.DecodeModeSet(payload); err == nil && set.Q() < 1<<16 {
-			if enc := core.EncodeCompressed(set); len(enc) < rawLen {
-				payload = enc
-			}
+	if rawLen >= wireCompressMin && set.Q() < 1<<16 {
+		if enc := core.EncodeCompressed(set); len(enc) < rawLen {
+			payload = enc
 		}
 	}
 	return cluster.WriteFrame(c, encodeResult(resp, payload, rawLen))
 }
 
-// exec runs one class. Everything it runs under comes from the frame;
-// the memo only spares re-deriving what the frame's network determines.
-func (w *Worker) exec(req *classRequest, cancel <-chan struct{}) *classResponse {
+// exec runs one class and returns its response with the class's support
+// set, nil unless the class completed. Everything it runs under comes
+// from the frame; the memo only spares re-deriving what the frame's
+// network determines.
+func (w *Worker) exec(req *classRequest, cancel <-chan struct{}) (*classResponse, *core.ModeSet) {
 	resp := &classResponse{Seq: req.Seq}
 	red, err := w.reduced(req)
 	if err != nil {
 		resp.Status = statusError
 		resp.Error = err.Error()
-		return resp
+		return resp, nil
 	}
 	// The decoded options carry what the coordinator's local groups run
 	// under; only what must never come off the wire is set here.
@@ -298,22 +301,23 @@ func (w *Worker) exec(req *classRequest, cancel <-chan struct{}) *classResponse 
 			resp.Status = statusError
 			resp.Error = err.Error()
 		}
-		return resp
+		return resp, nil
 	}
 	atomic.AddInt64(&w.served, 1)
+	var set *core.ModeSet
 	if out.Skipped {
 		resp.Status = statusSkipped
 	} else {
 		resp.Status = statusOK
 		resp.Pairs = out.Pairs
 		resp.PeakNodeBytes = out.PeakNodeBytes
-		resp.Supports = core.EncodeSupportList(out.Supports, red.N.Cols())
+		set = core.SupportSet(out.Supports, red.N.Cols())
 	}
 	if w.opts.Logf != nil {
 		w.opts.Logf("class %d/%v: %s, %d modes in %v",
 			req.Class, req.Partition, resp.Status, len(out.Supports), time.Since(start).Round(time.Millisecond))
 	}
-	return resp
+	return resp, set
 }
 
 // jobEntry is what a worker remembers about one job key: the reduction

@@ -44,7 +44,8 @@ type Options struct {
 	// GOMAXPROCS), giving the full node×core hybrid decomposition.
 	Parallel parallel.Options
 	// Partition lists the partition reactions as column indices of the
-	// input matrix. Empty means: choose Qsub reactions automatically
+	// input matrix; they must be linearly independent columns
+	// (PartitionError). Empty means: choose Qsub reactions automatically
 	// (the last pivot rows of the full problem's reordered kernel, the
 	// paper's choice).
 	Partition []int
@@ -53,18 +54,20 @@ type Options struct {
 	// MaxDepth bounds adaptive re-splitting recursion (default 3).
 	MaxDepth int
 	// GroupConcurrency is the number of local node groups concurrently
-	// pulling classes from the work queue, a FIFO in class-ID order (the
-	// paper's farming of the 2^qsub independent subproblems across
-	// groups of compute nodes). 0 means one group — or, with Remote set,
-	// no local group at all. Result.Supports and the subproblem tree are
-	// byte-identical at every setting — only wall-clock, Progress
-	// arrival order and the scheduler diagnostics change.
+	// pulling classes from the work queue, a FIFO whose root classes are
+	// pushed dearest first: most must-be-non-zero partition reactions,
+	// then class ID descending (the paper's farming of the 2^qsub
+	// independent subproblems across groups of compute nodes). 0 means
+	// one group — or, with Remote set, no local group at all.
+	// Result.Supports and the subproblem tree are byte-identical at every
+	// setting — only wall-clock, Progress arrival order and the
+	// scheduler diagnostics change.
 	GroupConcurrency int
 	// Remote, when set, adds remote dispatch: one dispatcher per executor
-	// slot pulls classes off the same FIFO the local groups use and runs
-	// them on remote workers. GroupConcurrency 0 is then a pure-remote
-	// run, where an emergency local group takes over only if every
-	// worker dies with classes outstanding. Worker loss re-enqueues the
+	// slot pulls classes off the head of the queue the local groups use
+	// and runs them on remote workers. GroupConcurrency 0 is then a
+	// pure-remote run, where an emergency local group takes over only if
+	// every worker dies with classes outstanding. Worker loss re-enqueues the
 	// class at the tail; results stay byte-identical to a local run
 	// because a local group and a remote worker run a class through the
 	// same body, ExecClass.
@@ -231,7 +234,48 @@ func Run(N *ratmat.Matrix, rev []bool, opts Options) (*Result, error) {
 			return nil, fmt.Errorf("dnc: partition column %d out of range", j)
 		}
 	}
+	if circuit := dependentColumns(N, partition); circuit != nil {
+		return nil, &PartitionError{Positions: circuit}
+	}
 	return runScheduled(N, rev, partition, opts)
+}
+
+// PartitionError is Run's refusal of a partition whose columns are
+// linearly dependent in N, a column named twice included. prepare forces
+// a class's must-be-non-zero columns to be kernel pivots, which needs
+// them independent: a class forcing a dependent set non-zero cannot be
+// prepared, and the classes would no longer split the modes exactly.
+// Checking the partition once covers every class, since dropping
+// must-be-zero columns and redundant rows leaves the rank of the rest
+// as it is. A re-split's refinement reaction needs no check: it is a
+// pivot of the kernel the partition is forced into, so the wider
+// partition stays independent (nextPartitionReaction).
+type PartitionError struct {
+	// Positions index the partition: a minimal linearly dependent set of
+	// its columns, in increasing order.
+	Positions []int
+}
+
+func (e *PartitionError) Error() string {
+	return fmt.Sprintf("dnc: partition entries %v name linearly dependent columns; a partition needs independent reactions", e.Positions)
+}
+
+// dependentColumns returns nil when N's partition columns are linearly
+// independent, and otherwise the positions of a minimal dependent subset:
+// the support of the first kernel vector of N[:,partition], whose free
+// column depends on the pivot columns before it in exactly one way.
+func dependentColumns(N *ratmat.Matrix, partition []int) []int {
+	k, free := N.SelectColumns(partition).Kernel()
+	if len(free) == 0 {
+		return nil
+	}
+	var circuit []int
+	for i := range partition {
+		if k.At(i, 0).Sign() != 0 {
+			circuit = append(circuit, i)
+		}
+	}
+	return circuit
 }
 
 // collectSupports walks the finished subproblem tree in class-ID order
@@ -275,10 +319,12 @@ type prepared struct {
 }
 
 // prepare builds the class stoichiometry for the (partition, id) class
-// and prepares its nullspace problem. It returns nil when the class is
-// infeasible (trivial kernel: some must-be-non-zero reaction cannot
-// carry flux), i.e. the subproblem is Skipped.
-func prepare(N *ratmat.Matrix, rev []bool, partition []int, id uint64) *prepared {
+// and prepares its nullspace problem. A class with a trivial kernel (some
+// must-be-non-zero reaction cannot carry flux) is infeasible: prepare
+// returns nullspace.ErrTrivialKernel, and the subproblem is Skipped. Any
+// other error — must-be-non-zero columns that cannot all be pivots —
+// means the class cannot be enumerated exactly and fails the run.
+func prepare(N *ratmat.Matrix, rev []bool, partition []int, id uint64) (*prepared, error) {
 	var zf, nzf []int
 	for i, col := range partition {
 		if id&(1<<uint(i)) != 0 {
@@ -319,10 +365,9 @@ func prepare(N *ratmat.Matrix, rev []bool, partition []int, id uint64) *prepared
 
 	p, err := nullspace.New(Ni, revi, nullspace.Heuristics{ForceLast: nzfLocal})
 	if err != nil {
-		// A trivial kernel means the class admits no flux at all.
-		return nil
+		return nil, err
 	}
-	return &prepared{p: p, keep: keep, nzfLocal: nzfLocal}
+	return &prepared{p: p, keep: keep, nzfLocal: nzfLocal}, nil
 }
 
 // enumerate runs the inner combinatorial parallel algorithm on a

@@ -2,6 +2,8 @@ package dnc
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -329,6 +331,84 @@ func TestInvalidOptions(t *testing.T) {
 		Parallel: parallel.Options{Core: core.Options{LastRow: 3}},
 	}); err == nil {
 		t.Fatal("caller-managed LastRow accepted")
+	}
+}
+
+// TestDependentPartition: a partition whose columns are linearly
+// dependent is refused by Run with the positions of a minimal dependent
+// set, and a class that reaches ExecClass with such columns anyway (a
+// worker takes the partition off the wire) fails instead of coming back
+// Skipped: only a trivial kernel makes a class infeasible.
+func TestDependentPartition(t *testing.T) {
+	n, err := model.ParseString(`
+name partitions
+u1 : Aext => A
+u2 : A => B
+u3 : B => Bext
+c1 : A <=> C
+c2 : C <=> D
+c3 : D <=> A
+e1 : C => Cext
+e2 : D => Dext
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	red, err := reduce.Network(n, reduce.Options{MergeDuplicates: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rev := red.Reversibilities()
+	for _, tc := range []struct {
+		names []string
+		want  string // PartitionError.Positions
+	}{
+		{[]string{"c1", "c2", "c3"}, "[0 1 2]"},
+		{[]string{"e1", "c1", "c2", "c3"}, "[1 2 3]"},
+		{[]string{"u1", "u2"}, "[0 1]"},
+		{[]string{"u2", "u3"}, "[0 1]"}, // merged into one reduced column
+		{[]string{"u2", "c1", "u3"}, "[0 2]"},
+	} {
+		part := colsOf(red, tc.names...)
+		_, err := Run(red.N, rev, Options{Partition: part})
+		var perr *PartitionError
+		if !errors.As(err, &perr) || fmt.Sprint(perr.Positions) != tc.want {
+			t.Fatalf("partition %v: err = %v, want a PartitionError at %s", tc.names, err, tc.want)
+		}
+		all := uint64(1)<<uint(len(part)) - 1
+		out, err := ExecClass(red.N, rev, part, all, parallel.Options{})
+		if err == nil {
+			t.Fatalf("partition %v: class %d ran (skipped=%t) with dependent forced columns", tc.names, all, out.Skipped)
+		}
+	}
+	if _, err := Run(red.N, rev, Options{Partition: colsOf(red, "c1", "c2")}); err != nil {
+		t.Fatalf("independent partition refused: %v", err)
+	}
+}
+
+// TestNetworkIPartitionsAdmitted: the partitions the paper and the
+// record run on Network I are independent, so Run admits them.
+func TestNetworkIPartitionsAdmitted(t *testing.T) {
+	red, err := reduce.Network(model.YeastI(), reduce.Options{MergeDuplicates: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rev := red.Reversibilities()
+	parts := [][]int{colsOf(red, "R36r", "R29r"), colsOf(red, "R89r", "R74r")}
+	for _, qsub := range []int{2, 3} {
+		part, err := AutoPartition(red.N, rev, qsub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, part)
+	}
+	for _, part := range parts {
+		if slices.Contains(part, -1) {
+			t.Fatalf("partition %v names a reaction reduction removed", part)
+		}
+		if c := dependentColumns(red.N, part); c != nil {
+			t.Fatalf("partition %v refused: positions %v dependent", part, c)
+		}
 	}
 }
 

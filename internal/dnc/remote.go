@@ -11,6 +11,7 @@ import (
 
 	"elmocomp/internal/bitset"
 	"elmocomp/internal/core"
+	"elmocomp/internal/nullspace"
 	"elmocomp/internal/parallel"
 	"elmocomp/internal/ratmat"
 )
@@ -103,9 +104,12 @@ func ExecClass(N *ratmat.Matrix, rev []bool, partition []int, id uint64, popts p
 	if id >= 1<<uint(len(partition)) {
 		return nil, fmt.Errorf("dnc: class %d out of range for a %d-reaction partition", id, len(partition))
 	}
-	pr := prepare(N, rev, partition, id)
-	if pr == nil {
+	pr, err := prepare(N, rev, partition, id)
+	if errors.Is(err, nullspace.ErrTrivialKernel) {
 		return &ClassOutcome{Skipped: true}, nil
+	}
+	if err != nil {
+		return nil, err
 	}
 	return enumerate(pr, popts, N.Cols())
 }

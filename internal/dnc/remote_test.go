@@ -125,31 +125,61 @@ func TestRemoteMatchesOneGroup(t *testing.T) {
 	}
 }
 
-// TestRemoteDispatchInClassOrder: the queue is a FIFO of class
-// coordinates, the only placement rule a dispatcher has. With one remote
-// slot and no local group, classes reach Run in class-ID order; a
-// re-split's children and a lost class's requeue go to the tail, after
+// TestRemoteDispatchLongPoleFirst: root classes enter the queue in
+// rootOrder — most must-be-non-zero partition reactions first, then class
+// ID descending — and leave it FIFO, whoever pops them. With one remote
+// slot and no local group, or one local group, classes run in that order;
+// a re-split's children and a lost class's requeue go to the tail, after
 // every class enqueued before them.
-func TestRemoteDispatchInClassOrder(t *testing.T) {
+func TestRemoteDispatchLongPoleFirst(t *testing.T) {
+	var roots []*Subproblem
+	for id := uint64(0); id < 16; id++ {
+		roots = append(roots, &Subproblem{ID: id})
+	}
+	var ids []uint64
+	for _, sub := range rootOrder(roots) {
+		ids = append(ids, sub.ID)
+	}
+	if got := fmt.Sprint(ids); got != "[15 14 13 11 7 12 10 9 6 5 3 8 4 2 1 0]" {
+		t.Fatalf("qsub 4 root order %s", got)
+	}
+
 	red := toyReduced(t)
 	rev := red.Reversibilities()
-
+	const qsub3 = "111 110 101 011 100 010 001 000"
 	exec := newFakeExec(red.N, rev, 1)
 	res, err := Run(red.N, rev, Options{Qsub: 3, Remote: exec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []string
-	for _, sub := range res.Subproblems {
-		want = append(want, classLabel(sub))
+	if got := strings.Join(exec.order, " "); got != qsub3 {
+		t.Fatalf("dispatch order %s, want %s", got, qsub3)
 	}
-	if got := strings.Join(exec.order, " "); got != strings.Join(want, " ") {
-		t.Fatalf("dispatch order %s, want class-ID order %s", got, strings.Join(want, " "))
+
+	// One local group pops the same order; Progress reports it, less the
+	// classes found infeasible (which are silent).
+	var done []string
+	res, err = Run(red.N, rev, Options{Qsub: 3, GroupConcurrency: 1,
+		Progress: func(sub *Subproblem) { done = append(done, classLabel(sub)) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, label := range strings.Fields(qsub3) {
+		for _, sub := range res.Subproblems {
+			if classLabel(sub) == label && !sub.Skipped {
+				want = append(want, label)
+			}
+		}
+	}
+	if got := strings.Join(done, " "); got != strings.Join(want, " ") {
+		t.Fatalf("local completion order %s, want %s", got, strings.Join(want, " "))
 	}
 
 	// Re-split children join the tail: replaying the finished tree
-	// through a FIFO, where a popped class that was re-split appends its
-	// two children, must give the dispatch order.
+	// through a FIFO seeded with the roots in rootOrder, where a popped
+	// class that was re-split appends its two children, must give the
+	// dispatch order.
 	exec = newFakeExec(red.N, rev, 1)
 	o := modeResplitOpts()
 	exec.popts = o.Parallel
@@ -162,7 +192,7 @@ func TestRemoteDispatchInClassOrder(t *testing.T) {
 		t.Fatal("no re-splits recorded (MaxModes=4 must overflow)")
 	}
 	want = nil
-	for fifo := append([]*Subproblem(nil), res.Subproblems...); len(fifo) > 0; fifo = fifo[1:] {
+	for fifo := rootOrder(res.Subproblems); len(fifo) > 0; fifo = fifo[1:] {
 		want = append(want, classLabel(fifo[0]))
 		fifo = append(fifo, fifo[0].Children...)
 	}
@@ -170,19 +200,20 @@ func TestRemoteDispatchInClassOrder(t *testing.T) {
 		t.Fatalf("dispatch order %s, want FIFO order %s", got, strings.Join(want, " "))
 	}
 
-	// A lost class goes to the tail. The loss kills the only slot, so the
-	// emergency local group — then the queue's only consumer — completes
-	// the classes in queue order, the requeued class 0 last.
+	// A lost class goes to the tail. The loss of class 3, the first
+	// popped, kills the only slot, so the emergency local group — then
+	// the queue's only consumer — completes the classes in queue order,
+	// the requeued class 3 last.
 	exec = newFakeExec(red.N, rev, 1)
 	exec.failures[0] = []error{ErrWorkerLost}
-	var done []uint64
+	ids = nil
 	_, err = Run(red.N, rev, Options{Qsub: 2, Remote: exec,
-		Progress: func(sub *Subproblem) { done = append(done, sub.ID) }})
+		Progress: func(sub *Subproblem) { ids = append(ids, sub.ID) }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprint(done); got != "[1 2 3 0]" {
-		t.Fatalf("completion order after losing class 0: %s, want [1 2 3 0]", got)
+	if got := fmt.Sprint(ids); got != "[2 1 0 3]" {
+		t.Fatalf("completion order after losing class 3: %s, want [2 1 0 3]", got)
 	}
 }
 

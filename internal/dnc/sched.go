@@ -3,11 +3,12 @@
 //
 // A bounded pool of node groups (and, under Options.Remote, one
 // dispatcher per remote executor slot) pulls classes from a shared work
-// queue — a FIFO of class coordinates, in class-ID order — runs each
-// through the one class body, ExecClass (prepare, then the inner parallel
-// algorithm), and converts budget-triggered re-splits into new queue
-// items. Nothing is prepared ahead of a pop: a class is prepared once, by
-// whoever runs it, and a class found infeasible there comes back Skipped.
+// queue — a FIFO of class coordinates whose root classes are pushed
+// dearest first (rootOrder) — runs each through the one class body,
+// ExecClass (prepare, then the inner parallel algorithm), and converts
+// budget-triggered re-splits into new queue items. Nothing is prepared
+// ahead of a pop: a class is prepared once, by whoever runs it, and a
+// class found infeasible there comes back Skipped.
 // One policy function, runClass, owns the budget / re-split / soft-retry
 // / unresolved state machine for local and remote classes alike. The
 // result is byte-identical at every concurrency level and executor mix:
@@ -28,8 +29,11 @@
 package dnc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -170,12 +174,14 @@ func runScheduled(N *ratmat.Matrix, rev []bool, partition []int, opts Options) (
 
 	// Create every root class shell in ID order up front: the tree's
 	// shape is fixed before any group runs, so Result.Subproblems cannot
-	// depend on scheduling.
+	// depend on scheduling. Only the queue sees them in rootOrder.
 	res := &Result{Partition: partition}
-	s.mu.Lock()
 	for id := uint64(0); id < 1<<uint(len(partition)); id++ {
 		sub := &Subproblem{ID: id, Partition: append([]int(nil), partition...)}
 		res.Subproblems = append(res.Subproblems, sub)
+	}
+	s.mu.Lock()
+	for _, sub := range rootOrder(res.Subproblems) {
 		s.push(sub)
 	}
 	s.mu.Unlock()
@@ -231,6 +237,25 @@ func runScheduled(N *ratmat.Matrix, rev []bool, partition []int, opts Options) (
 	res.Sched = &st
 	res.PeakConcurrentBytes = s.peakBytes
 	return res, nil
+}
+
+// rootOrder returns the root classes in the order they are pushed: most
+// must-be-non-zero partition reactions first (the popcount of the class
+// ID), ties by class ID descending. prepare drops every must-be-zero
+// reaction from the class stoichiometry, so each must-be-non-zero one
+// leaves the class a column and (generically) a kernel dimension more to
+// enumerate; measured class cost follows the count (DESIGN §12). With a
+// fixed pool the class that starts last sets the makespan, so the
+// dearest starts first. The key reads only the class coordinate: nothing
+// is prepared to order the queue.
+func rootOrder(roots []*Subproblem) []*Subproblem {
+	order := slices.Clone(roots)
+	slices.SortFunc(order, func(a, b *Subproblem) int {
+		return cmp.Or(
+			cmp.Compare(bits.OnesCount64(b.ID), bits.OnesCount64(a.ID)),
+			cmp.Compare(b.ID, a.ID))
+	})
+	return order
 }
 
 // push enqueues a class at the tail. Caller holds s.mu.

@@ -18,6 +18,7 @@
 package nullspace
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/big"
@@ -27,6 +28,11 @@ import (
 	"elmocomp/internal/bitset"
 	"elmocomp/internal/ratmat"
 )
+
+// ErrTrivialKernel is New's error for a stoichiometry with full column
+// rank: the network admits no steady-state flux, so there is nothing to
+// enumerate.
+var ErrTrivialKernel = errors.New("nullspace: kernel is trivial; network admits no steady-state flux")
 
 // Heuristics control the row ordering of the non-identity part of the
 // initial nullspace matrix (section II-C cites both as proven to often
@@ -275,7 +281,7 @@ func build(N *ratmat.Matrix, rev []bool, h Heuristics) (*Problem, []int, error) 
 	Kord, freeOrd := Nord.Kernel()
 	d := Kord.Cols()
 	if d == 0 {
-		return nil, nil, fmt.Errorf("nullspace: kernel is trivial; network admits no steady-state flux")
+		return nil, nil, ErrTrivialKernel
 	}
 	free := make([]int, d)
 	var offenders []int

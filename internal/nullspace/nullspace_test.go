@@ -1,6 +1,7 @@
 package nullspace
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -249,8 +250,8 @@ func TestErrorCases(t *testing.T) {
 	}
 	// Trivial kernel.
 	N3 := ratmat.FromInts([][]int64{{1, 0}, {0, 1}})
-	if _, err := New(N3, []bool{false, false}, Heuristics{}); err == nil {
-		t.Fatal("trivial kernel accepted")
+	if _, err := New(N3, []bool{false, false}, Heuristics{}); !errors.Is(err, ErrTrivialKernel) {
+		t.Fatalf("trivial kernel: err = %v, want ErrTrivialKernel", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -351,6 +352,63 @@ func TestDifferentialDrivers(t *testing.T) {
 					t.Errorf("%s: fingerprint %016x, %s's %016x", v.name, res.Fingerprint(), first, wantFP)
 				}
 			}
+
+			// Explicit partitions are exact or refused: each is either
+			// refused as linearly dependent or lands on the fingerprint.
+			refused, parts := 0, explicitPartitions(t, n, seed)
+			for _, part := range parts {
+				res, err := elmocomp.ComputeEFMs(net, elmocomp.Config{
+					Algorithm: elmocomp.DivideAndConquer, Workers: 1, Partition: part})
+				switch {
+				case err != nil && !strings.Contains(err.Error(), "are linearly dependent"):
+					t.Errorf("dnc/partition=%s: %v", strings.Join(part, ","), err)
+				case err != nil:
+					refused++
+				case res.Fingerprint() != wantFP:
+					t.Errorf("dnc/partition=%s: %d EFMs, fingerprint %016x; %s's %d, %016x",
+						strings.Join(part, ","), res.Len(), res.Fingerprint(), first, wantLen, wantFP)
+				}
+			}
+			t.Logf("explicit partitions: %d exact, %d refused", len(parts)-refused, refused)
 		})
 	}
+}
+
+// explicitPartitions draws, from the seed, two partitions of each size
+// one to four among the reactions that survive reduction, plus every
+// pair of reactions that reduction merged into one column — the
+// partitions an explicit -partition can name that no automatic one
+// would.
+func explicitPartitions(t *testing.T, n *model.Network, seed int64) [][]string {
+	t.Helper()
+	red, err := reduce.Network(n, reduce.Options{MergeDuplicates: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	var parts [][]string
+	first := map[int]string{} // reduced column -> first reaction seen in it
+	for _, r := range n.Reactions {
+		col := red.ColumnIndexByOriginal(r.Name)
+		if col < 0 {
+			continue
+		}
+		names = append(names, r.Name)
+		if other, ok := first[col]; ok {
+			parts = append(parts, []string{other, r.Name})
+		} else {
+			first[col] = r.Name
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for size := 1; size <= min(4, len(names)); size++ {
+		for range 2 {
+			var part []string
+			for _, i := range rng.Perm(len(names))[:size] {
+				part = append(part, names[i])
+			}
+			parts = append(parts, part)
+		}
+	}
+	return parts
 }

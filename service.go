@@ -44,7 +44,8 @@ func ComputeEFMsContext(ctx context.Context, n *Network, cfg Config) (*Result, e
 // ComputeEFMsDistributed runs the divide-and-conquer driver with its
 // class queue dispatched onto the pool's remote workers (the efmd
 // coordinator role). Every worker's dispatchers take the class at the
-// head of the queue, a FIFO in class-ID order, and the worker prepares
+// head of the queue (root classes dearest first, then re-split children
+// and requeued classes in arrival order), and the worker prepares
 // and runs it: classes are independent, so where one runs carries no
 // meaning and workers cache no results. A worker lost mid-class (crash, severed
 // link, or per-class deadline) has its class re-enqueued and rerun
