@@ -39,6 +39,7 @@ import (
 	"elmocomp/internal/bitset"
 	"elmocomp/internal/cluster"
 	"elmocomp/internal/core"
+	"elmocomp/internal/distrib"
 	"elmocomp/internal/dnc"
 	"elmocomp/internal/model"
 	"elmocomp/internal/nullspace"
@@ -658,14 +659,10 @@ func ComputeEFMs(n *Network, cfg Config) (*Result, error) {
 // cancellable entry points: cancel, when non-nil, aborts the run as soon
 // as it is closed (between iterations for the serial engine, through the
 // communicator group's abort latch for the distributed drivers) and the
-// returned error matches ErrCanceled. remoteBind, when non-nil, is
-// called with the reduced column count and the per-class options local
-// groups run under, and returns the remote executor the
-// divide-and-conquer scheduler dispatches classes to
-// (ComputeEFMsDistributed); the indirection exists because the binding
-// needs the reduction's width for response validation and the options a
-// remote class must share with a local one, and both are built here.
-func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func(q int, popts parallel.Options) dnc.RemoteExecutor) (*Result, error) {
+// returned error matches ErrCanceled. pool, when non-nil, is the worker
+// fleet the divide-and-conquer scheduler dispatches classes to
+// (ComputeEFMsDistributed).
+func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, pool *distrib.Pool) (*Result, error) {
 	if cfg.Backend != OnDemandBackend {
 		// The streaming request fields belong to the interactive tier
 		// alone; silently ignoring them on a batch backend would return
@@ -704,7 +701,7 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 		if cfg.MaxIntermediateModes != 0 {
 			return nil, fmt.Errorf("elmocomp: MaxIntermediateModes is a double-description budget; the reverse-search backend enumerates exhaustively")
 		}
-		if remoteBind != nil {
+		if pool != nil {
 			return nil, fmt.Errorf("elmocomp: the reverse-search backend does not dispatch to remote workers")
 		}
 		ropts := revsearch.Options{Workers: cfg.Workers, Cancel: cancel}
@@ -727,7 +724,7 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 		if cfg.MaxIntermediateModes != 0 {
 			return nil, fmt.Errorf("elmocomp: MaxIntermediateModes is a double-description budget; the on-demand backend bounds its stream with MaxModes")
 		}
-		if remoteBind != nil {
+		if pool != nil {
 			return nil, fmt.Errorf("elmocomp: the on-demand backend does not dispatch to remote workers")
 		}
 		var obj []*big.Rat
@@ -810,11 +807,17 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, remoteBind func
 			Qsub:             cfg.Qsub,
 			GroupConcurrency: cfg.GroupConcurrency,
 		}
-		if remoteBind != nil {
-			dopts.Remote = remoteBind(red.N.Cols(), dopts.Parallel)
-		}
 		if cfg.OverTCP {
 			dopts.Parallel.Transport = parallel.TCP
+		}
+		if pool != nil {
+			dopts.Remote = pool.Bind(distrib.JobSpec{
+				Key:            RequestKey(n, cfg),
+				Network:        n.Canonical(),
+				Q:              red.N.Cols(),
+				KeepDuplicates: cfg.KeepDuplicateReactions,
+				Exec:           dopts.Parallel,
+			})
 		}
 		if len(cfg.Partition) > 0 {
 			for _, name := range cfg.Partition {

@@ -187,14 +187,20 @@ func Run(p *nullspace.Problem, opts Options) (*Result, error) {
 // fields and the modes are identical on every replica. Trace fires on
 // rank 0 only.
 //
-// gauge, when non-nil, receives the node's resident mode-set payload
-// after every row — the row's peak, then under a memory budget what
-// stays resident once the store holds the successor — and a final zero
-// when the node returns.
-func RunNode(p *nullspace.Problem, opts Options, rank, size int, exchange func(mine *Deal) ([]*ModeSet, error), gauge func(rank int, bytes int64)) (*Result, error) {
-	if gauge != nil {
-		defer gauge(rank, 0)
+// gauge, when non-nil, receives each change of the node's resident
+// mode-set payload as a signed delta: after every row the row's peak,
+// then under a memory budget what stays resident once the store holds
+// the successor, and on every return the release of whatever is still
+// held — so the deltas of one call always sum to zero.
+func RunNode(p *nullspace.Problem, opts Options, rank, size int, exchange func(mine *Deal) ([]*ModeSet, error), gauge func(delta int64)) (*Result, error) {
+	var held int64
+	resident := func(bytes int64) {
+		if gauge != nil && bytes != held {
+			gauge(bytes - held)
+			held = bytes
+		}
 	}
+	defer resident(0)
 	last := opts.LastRow
 	if last <= 0 || last > p.Q() {
 		last = p.Q()
@@ -244,11 +250,9 @@ func RunNode(p *nullspace.Problem, opts Options, rank, size int, exchange func(m
 		if err := store.Hold(next); err != nil {
 			return nil, err
 		}
-		if gauge != nil {
-			gauge(rank, it.Stats.PeakBytes)
-			if store.Active() {
-				gauge(rank, store.ResidentBytes())
-			}
+		resident(it.Stats.PeakBytes)
+		if store.Active() {
+			resident(store.ResidentBytes())
 		}
 	}
 	final, err := store.Materialize()

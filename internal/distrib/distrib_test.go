@@ -239,7 +239,7 @@ func TestPoolWorkerCrash(t *testing.T) {
 
 // TestPoolAllWorkersCrashFallback: every worker dies on its first class.
 // Deterministic: the coordinator requeues each loss, retires the fleet,
-// and finishes on the emergency local group.
+// and finishes with the last dead slot carrying on as a local group.
 func TestPoolAllWorkersCrashFallback(t *testing.T) {
 	spec, red, seq := toyJob(t)
 	w1 := startWorker(t, WorkerOptions{CrashOnClass: 1})
@@ -266,7 +266,8 @@ func TestPoolAllWorkersCrashFallback(t *testing.T) {
 
 // TestPoolWedgedWorkerTimeout: a worker that accepts a class and never
 // answers must trip the per-class deadline; the class reruns (here on
-// the emergency local group — the wedged worker was the whole fleet)
+// the last dead slot, carrying on locally — the wedged worker was the
+// whole fleet)
 // and the result is unchanged. MemResplits-style: the timeout is a
 // counter, not a job failure.
 func TestPoolWedgedWorkerTimeout(t *testing.T) {
@@ -313,9 +314,7 @@ func TestPoolRedialAcrossJobs(t *testing.T) {
 	lateAddr := ln.Addr().String()
 	ln.Close()
 
-	pool := NewPool([]string{w1.Addr(), lateAddr}, PoolOptions{
-		DialTimeout: 2 * time.Second, ClassTimeout: 30 * time.Second,
-	})
+	pool := NewPool([]string{w1.Addr(), lateAddr}, PoolOptions{ClassTimeout: 30 * time.Second})
 	defer pool.Close()
 	const lateSlot = 1 // slot 1 is worker 1's first credit-slot
 	exec := pool.Bind(spec)
@@ -434,7 +433,7 @@ func TestPoolProtoRefusal(t *testing.T) {
 			}()
 
 			spec, _, _ := toyJob(t)
-			pool := NewPool([]string{ln.Addr().String()}, PoolOptions{DialTimeout: 2 * time.Second, ClassTimeout: 5 * time.Second})
+			pool := NewPool([]string{ln.Addr().String()}, PoolOptions{ClassTimeout: 5 * time.Second})
 			defer pool.Close()
 			cancel := make(chan struct{})
 			defer close(cancel)

@@ -14,17 +14,19 @@ import (
 	"elmocomp/internal/parallel"
 )
 
+// dialTimeout bounds connecting plus the hello exchange: the
+// coordinator's side of the worker's helloTimeout.
+const dialTimeout = 5 * time.Second
+
 // PoolOptions configure the coordinator's worker-connection pool.
 type PoolOptions struct {
-	// DialTimeout bounds connecting plus the hello exchange (default 5s).
-	DialTimeout time.Duration
 	// ClassTimeout is the per-class response deadline: a worker holding
 	// a class longer is declared wedged, its link severed, and the class
 	// requeued (default 2m). Must comfortably exceed the slowest class.
 	ClassTimeout time.Duration
 	// Inflight is the per-link credit: how many classes may be in flight
 	// on one worker connection at once (default 2). Credit 2 lets a
-	// dispatcher ship the next class while the worker computes the
+	// runner ship the next class while the worker computes the
 	// current one, overlapping transfer with compute; the worker still
 	// executes serially per connection.
 	Inflight int
@@ -59,9 +61,6 @@ type Pool struct {
 // NewPool builds a pool over the worker addresses. No connection is
 // attempted until the first class is dispatched.
 func NewPool(addrs []string, opts PoolOptions) *Pool {
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 5 * time.Second
-	}
 	if opts.ClassTimeout <= 0 {
 		opts.ClassTimeout = 2 * time.Minute
 	}
@@ -82,13 +81,7 @@ func (p *Pool) Size() int { return len(p.workers) }
 // they fail as worker-lost and the schedulers requeue.
 func (p *Pool) Close() {
 	for _, w := range p.workers {
-		w.mu.Lock()
-		gen := w.gen
-		w.mu.Unlock()
-		w.sever(gen, errors.New("pool closed"))
-		w.mu.Lock()
-		w.down = true
-		w.mu.Unlock()
+		w.teardown(errors.New("pool closed"))
 	}
 }
 
@@ -136,11 +129,16 @@ func (p *Pool) Bind(spec JobSpec) dnc.RemoteExecutor {
 
 // linkReply is what the reader pump delivers to a waiting call: a
 // response (raw carries its flat-equivalent payload size) or the link
-// failure that severed the connection.
+// failure that severed the connection. at is the response's arrival and
+// prev the arrival of the reply before it on the same connection (zero
+// for a connection's first): a worker runs one connection's classes one
+// at a time in arrival order, so it got to this class no earlier than
+// prev.
 type linkReply struct {
-	resp *classResponse
-	raw  int64
-	err  error
+	resp     *classResponse
+	raw      int64
+	err      error
+	at, prev time.Time
 }
 
 // workerLink is one worker's long-lived connection state. Up to
@@ -152,7 +150,7 @@ type linkReply struct {
 type workerLink struct {
 	addr string
 
-	// wmu serializes frame writes: two dispatchers share one link.
+	// wmu serializes frame writes: two runners share one link.
 	wmu sync.Mutex
 
 	mu      sync.Mutex
@@ -177,8 +175,8 @@ type boundExec struct {
 }
 
 // Slots exposes Inflight credit-slots per worker so the scheduler runs
-// that many dispatchers against each link: while the worker computes one
-// class, the link's other dispatcher is already shipping the next.
+// that many runners against each link: while the worker computes one
+// class, the link's other runner is already shipping the next.
 func (e *boundExec) Slots() int { return len(e.p.workers) * e.p.opts.Inflight }
 
 func (e *boundExec) link(slot int) *workerLink {
@@ -204,7 +202,7 @@ func (e *boundExec) Run(slot int, c dnc.RemoteClass, cancel <-chan struct{}) (*d
 		Depth:          c.Depth,
 		StrictMem:      c.StrictMem,
 	}
-	resp, err := w.call(req, cancel, e.p.opts)
+	resp, seconds, err := w.call(req, cancel, e.p.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -215,13 +213,15 @@ func (e *boundExec) Run(slot int, c dnc.RemoteClass, cancel <-chan struct{}) (*d
 			// A payload the coordinator cannot decode means the link (or
 			// the worker) is unreliable: sever it and let the class rerun
 			// elsewhere rather than aborting the job.
-			w.hardFail(derr)
+			w.teardown(derr)
+			atomic.AddInt64(&w.failures, 1)
 			return nil, fmt.Errorf("distrib: worker %s: %v: %w", w.addr, derr, dnc.ErrWorkerLost)
 		}
 		return &dnc.ClassOutcome{
 			Supports:      supports,
 			Pairs:         resp.Pairs,
 			PeakNodeBytes: resp.PeakNodeBytes,
+			Seconds:       seconds,
 		}, nil
 	case statusSkipped:
 		return &dnc.ClassOutcome{Skipped: true}, nil
@@ -234,16 +234,21 @@ func (e *boundExec) Run(slot int, c dnc.RemoteClass, cancel <-chan struct{}) (*d
 	}
 }
 
-// call performs one request/reply exchange on the multiplexed link.
-func (w *workerLink) call(req *classRequest, cancel <-chan struct{}, opts PoolOptions) (*classResponse, error) {
+// call performs one request/reply exchange on the multiplexed link and
+// times the class as the worker ran it: from when the worker got to it
+// (its send, or the previous reply on the connection, whichever is
+// later) to its reply's arrival. Under in-flight credit the span from
+// send alone would count the wait behind the class the worker was
+// already running.
+func (w *workerLink) call(req *classRequest, cancel <-chan struct{}, opts PoolOptions) (*classResponse, float64, error) {
 	w.wmu.Lock()
 	w.mu.Lock()
-	if err := w.ensureLocked(opts); err != nil {
+	if err := w.ensureLocked(); err != nil {
 		w.down = true
 		w.mu.Unlock()
 		w.wmu.Unlock()
 		atomic.AddInt64(&w.failures, 1)
-		return nil, fmt.Errorf("distrib: worker %s: %v: %w", w.addr, err, dnc.ErrWorkerLost)
+		return nil, 0, fmt.Errorf("distrib: worker %s: %v: %w", w.addr, err, dnc.ErrWorkerLost)
 	}
 	w.seq++
 	req.Seq = w.seq
@@ -254,12 +259,13 @@ func (w *workerLink) call(req *classRequest, cancel <-chan struct{}, opts PoolOp
 	w.mu.Unlock()
 
 	body := encodeClass(req)
+	sent := time.Now()
 	err := cluster.WriteFrame(conn, body)
 	w.wmu.Unlock()
 	if err != nil {
 		w.sever(gen, err)
 		atomic.AddInt64(&w.failures, 1)
-		return nil, fmt.Errorf("distrib: worker %s: %v: %w", w.addr, err, dnc.ErrWorkerLost)
+		return nil, 0, fmt.Errorf("distrib: worker %s: %v: %w", w.addr, err, dnc.ErrWorkerLost)
 	}
 	atomic.AddInt64(&w.dispatched, 1)
 	atomic.AddInt64(&w.wireBytes, int64(len(body))+cluster.FrameHeaderLen)
@@ -278,7 +284,7 @@ func (w *workerLink) call(req *classRequest, cancel <-chan struct{}, opts PoolOp
 			// This caller performed the teardown: the worker is wedged.
 			atomic.AddInt64(&w.failures, 1)
 			atomic.AddInt64(&w.timeouts, 1)
-			return nil, fmt.Errorf("distrib: worker %s: %w", w.addr, dnc.ErrWorkerTimeout)
+			return nil, 0, fmt.Errorf("distrib: worker %s: %w", w.addr, dnc.ErrWorkerTimeout)
 		}
 		// Someone else already severed this connection (or the pump
 		// answered at the wire); the buffered reply says which.
@@ -286,20 +292,24 @@ func (w *workerLink) call(req *classRequest, cancel <-chan struct{}, opts PoolOp
 	}
 	if rep.err != nil {
 		atomic.AddInt64(&w.failures, 1)
-		return nil, fmt.Errorf("distrib: worker %s: %v: %w", w.addr, rep.err, dnc.ErrWorkerLost)
+		return nil, 0, fmt.Errorf("distrib: worker %s: %v: %w", w.addr, rep.err, dnc.ErrWorkerLost)
 	}
 	atomic.AddInt64(&w.completed, 1)
 	atomic.AddInt64(&w.payloadBytes, rep.raw)
-	return rep.resp, nil
+	started := sent
+	if rep.prev.After(sent) {
+		started = rep.prev
+	}
+	return rep.resp, rep.at.Sub(started).Seconds(), nil
 }
 
 // ensureLocked dials and completes the hello exchange when the link has
 // no live connection. Caller holds w.wmu and w.mu.
-func (w *workerLink) ensureLocked(opts PoolOptions) error {
+func (w *workerLink) ensureLocked() error {
 	if w.conn != nil {
 		return nil
 	}
-	conn, err := dialHello(w.addr, opts.DialTimeout)
+	conn, err := dialHello(w.addr, dialTimeout)
 	if err != nil {
 		return err
 	}
@@ -345,14 +355,17 @@ func greet(conn net.Conn) error {
 // readLoop is the link's reader pump: it decodes frames off one
 // connection and delivers them to the pending calls by sequence number,
 // severing the connection (which fails every pending call) on any read
-// or decode error.
+// or decode error. It stamps each reply's arrival, and the previous
+// one's on this connection; a redial starts a new pump with no previous.
 func (w *workerLink) readLoop(conn net.Conn, gen uint64) {
+	var prev time.Time
 	for {
 		body, err := cluster.ReadFrame(conn, cluster.MaxFrame)
 		if err != nil {
 			w.sever(gen, err)
 			return
 		}
+		at := time.Now()
 		atomic.AddInt64(&w.wireBytes, int64(len(body))+cluster.FrameHeaderLen)
 		resp, raw, err := decodeResult(body) // rejects every other type byte
 		if err != nil {
@@ -367,8 +380,9 @@ func (w *workerLink) readLoop(conn net.Conn, gen uint64) {
 		}
 		w.mu.Unlock()
 		if ch != nil {
-			ch <- linkReply{resp: resp, raw: raw}
+			ch <- linkReply{resp: resp, raw: raw, at: at, prev: prev}
 		}
+		prev = at
 		// A reply with no pending call (a late answer for a timed-out
 		// class raced the sever) is dropped; the sever closes the
 		// connection either way.
@@ -397,9 +411,10 @@ func (w *workerLink) sever(gen uint64, cause error) bool {
 	return true
 }
 
-// hardFail severs the link from outside a call (undecodable payloads,
-// protocol violations surfaced above the wire layer).
-func (w *workerLink) hardFail(cause error) {
+// teardown severs the link's current connection from outside a call
+// (Pool.Close, an undecodable payload) and marks the link down, dialed
+// or not.
+func (w *workerLink) teardown(cause error) {
 	w.mu.Lock()
 	gen := w.gen
 	w.mu.Unlock()
@@ -407,5 +422,4 @@ func (w *workerLink) hardFail(cause error) {
 	w.mu.Lock()
 	w.down = true
 	w.mu.Unlock()
-	atomic.AddInt64(&w.failures, 1)
 }

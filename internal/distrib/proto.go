@@ -3,7 +3,7 @@
 // classes to remote worker processes, and a multiplexed connection pool
 // implementing the scheduler's RemoteExecutor on top of it. Nothing here
 // decides where a class runs: classes are independent subproblems and
-// every dispatcher takes the class at the head of the scheduler's FIFO.
+// every runner takes the class at the head of the scheduler's FIFO.
 //
 // The wire (this file). Every message is a frame of the cluster
 // substrate's codec (cluster.WriteFrame: a 4-byte little-endian length,

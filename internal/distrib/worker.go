@@ -23,7 +23,7 @@ const wireCompressMin = 512
 
 // helloTimeout bounds the hello exchange on an accepted connection, so a
 // peer that connects and says nothing cannot pin a goroutine and a
-// socket until Close. The coordinator bounds its half with DialTimeout.
+// socket until Close. The coordinator bounds its half with dialTimeout.
 const helloTimeout = 5 * time.Second
 
 // jobStoreSize bounds the reduction memo by count: the jobs a worker
@@ -289,7 +289,6 @@ func (w *Worker) exec(req *classRequest, cancel <-chan struct{}) (*classResponse
 	popts.Cancel = cancel
 	popts.Core.SpillDir = w.opts.SpillDir
 	popts.Core.StrictMemBudget = req.StrictMem
-	start := time.Now()
 	out, err := dnc.ExecClass(red.N, red.Reversibilities(), req.Partition, req.Class, popts)
 	if err != nil {
 		switch {
@@ -314,8 +313,8 @@ func (w *Worker) exec(req *classRequest, cancel <-chan struct{}) (*classResponse
 		set = core.SupportSet(out.Supports, red.N.Cols())
 	}
 	if w.opts.Logf != nil {
-		w.opts.Logf("class %d/%v: %s, %d modes in %v",
-			req.Class, req.Partition, resp.Status, len(out.Supports), time.Since(start).Round(time.Millisecond))
+		w.opts.Logf("class %d/%v: %s, %d modes in %v", req.Class, req.Partition, resp.Status,
+			len(out.Supports), time.Duration(out.Seconds*float64(time.Second)).Round(time.Millisecond))
 	}
 	return resp, set
 }

@@ -57,20 +57,21 @@ type Options struct {
 	// pulling classes from the work queue, a FIFO whose root classes are
 	// pushed dearest first: most must-be-non-zero partition reactions,
 	// then class ID descending (the paper's farming of the 2^qsub
-	// independent subproblems across groups of compute nodes). 0 means
-	// one group — or, with Remote set, no local group at all.
-	// Result.Supports and the subproblem tree are byte-identical at every
-	// setting — only wall-clock, Progress arrival order and the
+	// independent subproblems across groups of compute nodes). Each group
+	// is one slot of the in-process executor, run by the same loop as a
+	// remote slot. 0 means one group — or, with Remote set, no local group
+	// at all. Result.Supports and the subproblem tree are byte-identical
+	// at every setting — only wall-clock, Progress arrival order and the
 	// scheduler diagnostics change.
 	GroupConcurrency int
-	// Remote, when set, adds remote dispatch: one dispatcher per executor
-	// slot pulls classes off the head of the queue the local groups use
-	// and runs them on remote workers. GroupConcurrency 0 is then a
-	// pure-remote run, where an emergency local group takes over only if
-	// every worker dies with classes outstanding. Worker loss re-enqueues the
-	// class at the tail; results stay byte-identical to a local run
-	// because a local group and a remote worker run a class through the
-	// same body, ExecClass.
+	// Remote, when set, adds its slots to the pool of runners: each pulls
+	// classes off the head of the queue the local groups use and runs
+	// them on its remote worker. GroupConcurrency 0 is then a pure-remote
+	// run; if every worker dies with classes outstanding, the last dead
+	// slot carries on as a local group. Worker loss re-enqueues the class
+	// at the tail; results stay byte-identical to a local run because a
+	// local group and a remote worker run a class through the same body,
+	// ExecClass.
 	Remote RemoteExecutor
 	// Progress, when set, is called as each subproblem finishes
 	// (enumerated or left unresolved; infeasible skipped classes are

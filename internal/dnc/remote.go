@@ -1,6 +1,7 @@
-// Remote class execution: the seam between the subproblem scheduler and
-// a coordinator/worker deployment. The scheduler stays the single owner
-// of the queue, the subproblem tree and the re-split policy; a
+// Class execution: the seam between the subproblem scheduler and
+// whatever runs a class — a local node group (localExec) or a worker of a
+// coordinator/worker deployment. The scheduler stays the single owner of
+// the queue, the subproblem tree and the re-split policy; a
 // RemoteExecutor only answers "run this class, tell me what came out".
 // Worker loss is a scheduling event (requeue), not a result.
 package dnc
@@ -8,6 +9,7 @@ package dnc
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"elmocomp/internal/bitset"
 	"elmocomp/internal/core"
@@ -57,25 +59,31 @@ type ClassOutcome struct {
 	PeakNodeBytes int64
 	Phases        parallel.PhaseTimes
 	Store         core.StoreStats
+	// Seconds is the class's wall time where it ran, measured by the
+	// executor and never by the scheduler: ExecClass's own wall in
+	// process, and for a remote class the span the link saw the worker
+	// spend on it (distrib), not the wait behind the worker's earlier
+	// classes.
+	Seconds float64
 	// Skipped marks a class found infeasible where it runs (prepare
 	// admits no kernel), without enumerating.
 	Skipped bool
 }
 
-// RemoteExecutor runs classes on remote workers for the scheduler.
-// Implementations are expected to be connection pools: Slots() fixed for
-// the run, one in-flight class per slot, Run blocking until the class
-// completes, the cancel channel closes, or the slot's worker is lost. A
-// pool may expose several slots per worker connection (in-flight
-// credit): the scheduler then runs that many dispatchers against one
-// link, prefetching the next class while the worker computes.
+// RemoteExecutor runs classes for the scheduler. The local node groups
+// are one (localExec); a coordinator's worker pool is the other:
+// Slots() fixed for the run, one in-flight class per slot, Run blocking
+// until the class completes, the cancel channel closes, or the slot's
+// worker is lost. A pool may expose several slots per worker connection
+// (in-flight credit): the scheduler then runs that many runners against
+// one link, prefetching the next class while the worker computes.
 type RemoteExecutor interface {
-	// Slots returns the number of concurrent class dispatchers to run;
-	// the scheduler starts one goroutine per slot.
+	// Slots returns the number of concurrent class runners; the
+	// scheduler starts one goroutine per slot.
 	Slots() int
 	// Alive reports whether the slot's worker is still usable. A slot
-	// whose Run returned ErrWorkerLost and whose Alive is false retires
-	// its dispatcher for the rest of the run.
+	// whose Alive is false after a class retires its runner for the rest
+	// of the run.
 	Alive(slot int) bool
 	// Run executes the class on the slot's worker. Errors wrapping
 	// core.ErrBudget report the class itself overflowing (re-split
@@ -85,14 +93,20 @@ type RemoteExecutor interface {
 }
 
 // ExecClass runs one divide-and-conquer class to completion in-process:
-// prepare, then enumerate. It is the one class body — every local node
-// group and every remote worker runs a class through it — so a class's
-// supports are byte-identical wherever it runs and each class is
-// prepared once, by whoever popped it. N and rev describe the REDUCED
-// network (reduction is deterministic, so coordinator and workers agree
-// on column indices). Budget errors pass through unchanged for the
-// scheduler's re-split policy to interpret.
-func ExecClass(N *ratmat.Matrix, rev []bool, partition []int, id uint64, popts parallel.Options) (*ClassOutcome, error) {
+// prepare, then enumerate, timed from the first to the last. It is the
+// one class body — every local node group and every remote worker runs a
+// class through it — so a class's supports are byte-identical wherever it
+// runs and each class is prepared once, by whoever popped it. N and rev
+// describe the REDUCED network (reduction is deterministic, so
+// coordinator and workers agree on column indices). Budget errors pass
+// through unchanged for the scheduler's re-split policy to interpret.
+func ExecClass(N *ratmat.Matrix, rev []bool, partition []int, id uint64, popts parallel.Options) (out *ClassOutcome, err error) {
+	start := time.Now()
+	defer func() {
+		if out != nil {
+			out.Seconds = time.Since(start).Seconds()
+		}
+	}()
 	if popts.Core.LastRow != 0 {
 		return nil, fmt.Errorf("dnc: Parallel.Core.LastRow is managed by the driver")
 	}
@@ -112,4 +126,25 @@ func ExecClass(N *ratmat.Matrix, rev []bool, partition []int, id uint64, popts p
 		return nil, err
 	}
 	return enumerate(pr, popts, N.Cols())
+}
+
+// localExec is the local node groups as an executor: one slot per group,
+// never lost, each class run through ExecClass under the options every
+// group shares (the scheduler's residency gauge included).
+type localExec struct {
+	N      *ratmat.Matrix
+	rev    []bool
+	popts  parallel.Options
+	groups int
+}
+
+func (e *localExec) Slots() int { return e.groups }
+
+func (e *localExec) Alive(int) bool { return true }
+
+func (e *localExec) Run(_ int, c RemoteClass, cancel <-chan struct{}) (*ClassOutcome, error) {
+	popts := e.popts
+	popts.Cancel = cancel
+	popts.Core.StrictMemBudget = c.StrictMem
+	return ExecClass(e.N, e.rev, c.Partition, c.ID, popts)
 }

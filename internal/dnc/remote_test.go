@@ -12,13 +12,11 @@ import (
 )
 
 // fakeExec is an in-process RemoteExecutor: each slot runs classes
-// through ExecClass (the real worker path) with optional injected
-// failures, so the scheduler's remote dispatch is tested without any
-// networking underneath.
+// through localExec (ExecClass, the real worker path) with optional
+// injected failures, so the scheduler's remote dispatch is tested without
+// any networking underneath.
 type fakeExec struct {
-	N     *ratmat.Matrix
-	rev   []bool
-	popts parallel.Options
+	local localExec // the healthy path; its popts are the remote classes' options
 	slots int
 
 	mu   sync.Mutex
@@ -36,7 +34,7 @@ type fakeExec struct {
 
 func newFakeExec(n *ratmat.Matrix, rev []bool, slots int) *fakeExec {
 	return &fakeExec{
-		N: n, rev: rev, slots: slots,
+		local: localExec{N: n, rev: rev}, slots: slots,
 		dead:     make([]bool, slots),
 		failures: make([][]error, slots),
 	}
@@ -78,10 +76,7 @@ func (f *fakeExec) Run(slot int, c RemoteClass, cancel <-chan struct{}) (*ClassO
 			return nil, ErrWorkerLost
 		}
 	}
-	popts := f.popts
-	popts.Cancel = cancel
-	popts.Core.StrictMemBudget = c.StrictMem
-	return ExecClass(f.N, f.rev, c.Partition, c.ID, popts)
+	return f.local.Run(slot, c, cancel)
 }
 
 // TestRemoteMatchesOneGroup: a pure-remote run (no local groups) and a
@@ -182,7 +177,7 @@ func TestRemoteDispatchLongPoleFirst(t *testing.T) {
 	// dispatch order.
 	exec = newFakeExec(red.N, rev, 1)
 	o := modeResplitOpts()
-	exec.popts = o.Parallel
+	exec.local.popts = o.Parallel
 	o.Remote = exec
 	res, err = Run(red.N, rev, o)
 	if err != nil {
@@ -201,9 +196,9 @@ func TestRemoteDispatchLongPoleFirst(t *testing.T) {
 	}
 
 	// A lost class goes to the tail. The loss of class 3, the first
-	// popped, kills the only slot, so the emergency local group — then
-	// the queue's only consumer — completes the classes in queue order,
-	// the requeued class 3 last.
+	// popped, kills the only slot, so that slot carries on as a local
+	// group — then the queue's only consumer — and completes the classes
+	// in queue order, the requeued class 3 last.
 	exec = newFakeExec(red.N, rev, 1)
 	exec.failures[0] = []error{ErrWorkerLost}
 	ids = nil
@@ -234,7 +229,7 @@ func TestRemoteResplitTreePinned(t *testing.T) {
 		{"mem-budget", memResplitOpts(t), pinMemResplitTree},
 	} {
 		exec := newFakeExec(red.N, rev, 2)
-		exec.popts = tc.opts.Parallel
+		exec.local.popts = tc.opts.Parallel
 		o := tc.opts
 		o.Remote = exec
 		res, err := Run(red.N, rev, o)
@@ -306,9 +301,9 @@ func TestRemoteTimeoutRequeues(t *testing.T) {
 }
 
 // TestRemoteAllWorkersDieFallback: when every worker dies with classes
-// outstanding and there are no local groups, the emergency local group
-// must finish the job — deadlock or failure here would turn a fleet
-// outage into a lost run.
+// outstanding and there are no local groups, the last dead slot, carrying
+// on as a local group, must finish the job — deadlock or failure here
+// would turn a fleet outage into a lost run.
 func TestRemoteAllWorkersDieFallback(t *testing.T) {
 	red := toyReduced(t)
 	rev := red.Reversibilities()

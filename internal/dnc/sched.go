@@ -1,17 +1,18 @@
 // The Algorithm 3 driver: every divide-and-conquer run goes through this
 // scheduler, at one node group by default.
 //
-// A bounded pool of node groups (and, under Options.Remote, one
-// dispatcher per remote executor slot) pulls classes from a shared work
-// queue — a FIFO of class coordinates whose root classes are pushed
-// dearest first (rootOrder) — runs each through the one class body,
-// ExecClass (prepare, then the inner parallel algorithm), and converts
-// budget-triggered re-splits into new queue items. Nothing is prepared
-// ahead of a pop: a class is prepared once, by whoever runs it, and a
-// class found infeasible there comes back Skipped.
-// One policy function, runClass, owns the budget / re-split / soft-retry
-// / unresolved state machine for local and remote classes alike. The
-// result is byte-identical at every concurrency level and executor mix:
+// One pool of runners pulls classes from a shared work queue — a FIFO of
+// class coordinates whose root classes are pushed dearest first
+// (rootOrder). A runner is one slot of an executor: a local node group
+// is a slot of localExec, a remote credit slot one of Options.Remote,
+// and both run the same loop, serve, which hands each popped class to
+// its executor and converts budget-triggered re-splits into new queue
+// items. Nothing is prepared ahead of a pop: a class is prepared once,
+// by whoever runs it, and a class found infeasible there comes back
+// Skipped. The executor also owns the class's clock; the scheduler
+// keeps none. One policy function, runClass, owns the budget / re-split
+// / soft-retry / unresolved state machine for every slot. The result is
+// byte-identical at every concurrency level and executor mix:
 //
 //   - The subproblem tree is indexed by class, not by completion order.
 //     Root classes are pre-created in ID order before any group starts;
@@ -35,7 +36,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"time"
 
 	"elmocomp/internal/cluster"
 	"elmocomp/internal/core"
@@ -50,7 +50,11 @@ type SchedClass struct {
 	Label string `json:"label"`
 	// Depth is the re-split depth (0 for the initial classes).
 	Depth int `json:"depth"`
-	// Seconds is the class's enumeration wall time on its group or worker.
+	// Seconds is the class's wall time where it ran, as its executor
+	// measured it (ClassOutcome.Seconds): prepare plus enumeration on a
+	// local group, and on a remote worker the span the link saw the
+	// worker spend on it, without the wait behind the worker's earlier
+	// classes.
 	Seconds float64 `json:"seconds"`
 	// Pairs is the class's candidate-mode count.
 	Pairs int64 `json:"pairs"`
@@ -68,7 +72,7 @@ type SchedStats struct {
 	// 2^qsub classes plus two per re-split, infeasible ones included.
 	Enqueued int64 `json:"enqueued"`
 	// Steals counts items pulled off the queue by a node group or a
-	// remote dispatcher.
+	// remote slot.
 	Steals int64 `json:"steals"`
 	// Resplits counts budget overflows converted into new queue items.
 	Resplits int64 `json:"resplits"`
@@ -95,7 +99,7 @@ type SchedStats struct {
 	// the queue grows: an enqueue or a worker-lost requeue).
 	MaxQueueDepth int `json:"max_queue_depth"`
 	// MaxActive is the peak number of concurrently enumerating groups
-	// and dispatchers.
+	// and remote slots.
 	MaxActive int `json:"max_active"`
 	// Classes lists per-class wall times in completion order (Skipped
 	// classes are absent).
@@ -104,14 +108,15 @@ type SchedStats struct {
 
 // scheduler carries the shared state of one run.
 type scheduler struct {
-	N      *ratmat.Matrix
-	rev    []bool
-	opts   Options
-	groups int // local node groups (may be 0 under a pure-remote run)
-	remote RemoteExecutor
+	N    *ratmat.Matrix
+	rev  []bool
+	opts Options
+	// local is the node groups as an executor, one slot per group (none
+	// under a pure-remote run).
+	local *localExec
 
 	latch *cluster.Latch
-	wg    sync.WaitGroup // group + dispatcher goroutines (fallback included)
+	wg    sync.WaitGroup // one per runner goroutine
 
 	// mu guards the queue and, because nearly every counter moves with a
 	// queue operation, the run's counters too.
@@ -121,55 +126,38 @@ type scheduler struct {
 	pending int           // classes enqueued or being worked; 0 + empty queue = done
 	stats   SchedStats
 	active  int // classes being enumerated right now (MaxActive's gauge)
-	// aliveSlots counts remote dispatchers still usable. When it hits 0
-	// with classes outstanding and no local groups, the last dying
-	// dispatcher spawns one emergency local group so the job finishes
-	// instead of deadlocking (fallback latches it to once).
+	// aliveSlots counts remote slots still usable. The last one to die
+	// with no local group carries on as a local slot (serve), so the job
+	// finishes instead of deadlocking.
 	aliveSlots int
-	fallback   bool
 
 	// progressMu serializes the user's Progress callback across groups.
 	progressMu sync.Mutex
 
-	// Cross-group live memory accounting, fed by parallel.Options.MemGauge:
-	// groupBytes[g][rank] is group g's node rank's resident payload; the
-	// running total's high-water mark is Result.PeakConcurrentBytes.
+	// Live residency across every local group, fed by the deltas of
+	// parallel.Options.MemGauge: the running total and its high-water
+	// mark, Result.PeakConcurrentBytes.
 	memMu      sync.Mutex
-	groupBytes [][]int64
 	totalBytes int64
 	peakBytes  int64
 }
 
 // runScheduled is the body of Run once the partition is fixed.
 func runScheduled(N *ratmat.Matrix, rev []bool, partition []int, opts Options) (*Result, error) {
-	s := &scheduler{
-		N:      N,
-		rev:    rev,
-		opts:   opts,
-		groups: max(opts.GroupConcurrency, 0),
-		remote: opts.Remote,
-		latch:  cluster.NewLatch(),
+	s := &scheduler{N: N, rev: rev, opts: opts, latch: cluster.NewLatch()}
+	s.cond = sync.NewCond(&s.mu)
+	popts := opts.Parallel
+	popts.MemGauge = s.resident
+	s.local = &localExec{N: N, rev: rev, popts: popts, groups: max(opts.GroupConcurrency, 0)}
+	runners := []RemoteExecutor{s.local}
+	if opts.Remote != nil {
+		runners = append(runners, opts.Remote)
+		s.aliveSlots = opts.Remote.Slots()
 	}
-	slots := 0
-	if s.remote != nil {
-		slots = s.remote.Slots()
-	}
-	if s.groups == 0 && slots == 0 {
+	if s.local.groups == 0 && s.aliveSlots == 0 {
 		// Nobody else to serve the queue (the GroupConcurrency 0 default,
 		// or a remote pool with no slots): one local group.
-		s.groups = 1
-	}
-	s.aliveSlots = slots
-	s.cond = sync.NewCond(&s.mu)
-	nodes := opts.Parallel.Nodes
-	if nodes <= 0 {
-		nodes = 1
-	}
-	// One slot beyond the local groups so the emergency fallback group
-	// of a pure-remote run has a residency row of its own.
-	s.groupBytes = make([][]int64, s.groups+1)
-	for g := range s.groupBytes {
-		s.groupBytes[g] = make([]int64, nodes)
+		s.local.groups = 1
 	}
 
 	// Create every root class shell in ID order up front: the tree's
@@ -211,19 +199,14 @@ func runScheduled(N *ratmat.Matrix, rev []bool, partition []int, opts Options) (
 		}
 	}()
 
-	for g := 0; g < s.groups; g++ {
-		s.wg.Add(1)
-		go func(group int) {
-			defer s.wg.Done()
-			s.groupLoop(group)
-		}(g)
-	}
-	for sl := 0; sl < slots; sl++ {
-		s.wg.Add(1)
-		go func(slot int) {
-			defer s.wg.Done()
-			s.remoteLoop(slot)
-		}(sl)
+	for _, e := range runners {
+		for slot := range e.Slots() {
+			s.wg.Add(1)
+			go func() {
+				defer s.wg.Done()
+				s.serve(e, slot)
+			}()
+		}
 	}
 	s.wg.Wait()
 	close(stop)
@@ -268,14 +251,14 @@ func (s *scheduler) push(sub *Subproblem) {
 }
 
 // count applies one counter update under s.mu, for the sites in runClass
-// and remoteLoop that do not hold it already.
+// that do not hold it already.
 func (s *scheduler) count(update func(st *SchedStats)) {
 	s.mu.Lock()
 	update(&s.stats)
 	s.mu.Unlock()
 }
 
-// pop is the one dispatch policy, for node groups and remote dispatchers
+// pop is the one dispatch policy, for node groups and remote slots
 // alike: wait for work, then take the queue's head — the earliest
 // enqueued class. It returns nil once the run is aborted or drained
 // (every pending class popped by a peer).
@@ -295,30 +278,35 @@ func (s *scheduler) pop() *Subproblem {
 	return sub
 }
 
-// groupLoop is one node group's life: steal the queue's head, run it
-// through ExecClass, repeat until the queue drains or the run aborts.
-func (s *scheduler) groupLoop(group int) {
-	copts := s.opts.Parallel
-	copts.Cancel = s.latch.Done()
-	copts.MemGauge = s.memGauge(group)
+// serve is one runner's life, a local node group's and a remote slot's
+// alike: pop the queue's head, drive it through runClass on the slot,
+// repeat until the queue drains or the run aborts. A remote slot found
+// dead after a class (its class, if lost, is back on the queue) retires
+// — except the last one when there is no local group: it carries on as
+// a local slot, so a run whose whole fleet died still finishes instead
+// of deadlocking.
+func (s *scheduler) serve(e RemoteExecutor, slot int) {
 	for {
 		sub := s.pop()
 		if sub == nil {
 			return
 		}
-
-		s.runClass(sub, func(strict bool) (*ClassOutcome, error) {
-			// Clear the group's residency afterwards — belt and braces for
-			// error paths where node goroutines never reported their zero.
-			defer s.zeroMem(group)
-			copts.Core.StrictMemBudget = strict
-			return ExecClass(s.N, s.rev, sub.Partition, sub.ID, copts)
-		})
+		done := s.runClass(e, slot, sub)
 
 		s.mu.Lock()
-		s.pending--
-		if s.pending == 0 {
-			s.cond.Broadcast()
+		if done {
+			s.pending--
+			if s.pending == 0 {
+				s.cond.Broadcast()
+			}
+		}
+		if !e.Alive(slot) {
+			s.aliveSlots--
+			if s.aliveSlots > 0 || s.local.groups > 0 {
+				s.mu.Unlock()
+				return
+			}
+			e, slot = s.local, 0
 		}
 		s.mu.Unlock()
 	}
@@ -326,12 +314,13 @@ func (s *scheduler) groupLoop(group int) {
 
 // runClass drives one popped class to a terminal state — enumerated,
 // skipped, re-split into two queued children, unresolved, or the run
-// aborted — and is the only copy of Algorithm 3's budget policy. attempt
-// runs the class once, on a local group or a remote worker, with the
-// given memory-budget strictness; its outcome lands through adoptOutcome.
-// It reports false only when attempt lost its worker: the class went back
-// on the queue and is still pending.
-func (s *scheduler) runClass(sub *Subproblem, attempt func(strict bool) (*ClassOutcome, error)) (done bool) {
+// aborted — and is the only copy of Algorithm 3's budget policy. Each
+// attempt runs the class once on the executor's slot with the given
+// memory-budget strictness; its outcome lands through adoptOutcome. It
+// reports false only when the attempt lost its worker: the class went
+// back on the queue and is still pending.
+func (s *scheduler) runClass(e RemoteExecutor, slot int, sub *Subproblem) (done bool) {
+	c := RemoteClass{ID: sub.ID, Partition: sub.Partition, Depth: sub.Depth, Label: classLabel(sub)}
 	// The memory budget is strict only while re-split depth remains: an
 	// over-budget surviving set then surfaces as core.ErrMemBudget and
 	// refines the class, exactly like a mode-count overflow. At the depth
@@ -344,18 +333,24 @@ func (s *scheduler) runClass(sub *Subproblem, attempt func(strict bool) (*ClassO
 			s.active++
 			st.MaxActive = max(st.MaxActive, s.active)
 		})
-		start := time.Now()
-		out, err := attempt(strict && !retry)
+		c.StrictMem = strict && !retry
+		out, err := e.Run(slot, c, s.latch.Done())
 		if err == nil {
 			adoptOutcome(sub, out)
 		}
 		s.count(func(st *SchedStats) {
 			s.active--
-			if err == nil && !sub.Skipped {
+			if err != nil {
+				return
+			}
+			if e != s.local {
+				st.RemoteClasses++
+			}
+			if !sub.Skipped {
 				st.Classes = append(st.Classes, SchedClass{
-					Label:   classLabel(sub),
+					Label:   c.Label,
 					Depth:   sub.Depth,
-					Seconds: time.Since(start).Seconds(),
+					Seconds: out.Seconds,
 					Pairs:   sub.Pairs,
 					EFMs:    len(sub.Supports),
 				})
@@ -403,67 +398,8 @@ func (s *scheduler) runClass(sub *Subproblem, attempt func(strict bool) (*ClassO
 			s.progress(sub)
 			return true
 		}
-		// Soft retry: same executor, strictness dropped, so the store
-		// spills the class to completion.
-	}
-}
-
-// remoteLoop is one executor slot's dispatcher: steal the queue's head,
-// run it on the slot's worker, repeat. A lost worker requeues its
-// class and — once the slot is confirmed dead — retires this dispatcher;
-// the last dispatcher to die with classes outstanding and no local groups
-// spawns an emergency local group so the run completes instead of
-// deadlocking.
-func (s *scheduler) remoteLoop(slot int) {
-	for {
-		sub := s.pop()
-		if sub == nil {
-			return
-		}
-
-		done := s.runClass(sub, func(strict bool) (*ClassOutcome, error) {
-			out, err := s.remote.Run(slot, remoteSpec(sub, strict), s.latch.Done())
-			if err == nil {
-				s.count(func(st *SchedStats) { st.RemoteClasses++ })
-			}
-			return out, err
-		})
-
-		s.mu.Lock()
-		if done {
-			s.pending--
-			if s.pending == 0 {
-				s.cond.Broadcast()
-			}
-		}
-		dead := !s.remote.Alive(slot)
-		if dead {
-			s.aliveSlots--
-			if s.aliveSlots == 0 && s.groups == 0 && !s.fallback &&
-				s.pending > 0 && s.latch.Cause() == nil {
-				s.fallback = true
-				s.wg.Add(1) // safe: this goroutine's Done has not run yet
-				go func() {
-					defer s.wg.Done()
-					s.groupLoop(len(s.groupBytes) - 1) // the spare residency row
-				}()
-			}
-		}
-		s.mu.Unlock()
-		if dead {
-			return
-		}
-	}
-}
-
-// remoteSpec builds the wire-independent class description for a class.
-func remoteSpec(sub *Subproblem, strict bool) RemoteClass {
-	return RemoteClass{
-		ID:        sub.ID,
-		Partition: sub.Partition,
-		Depth:     sub.Depth,
-		StrictMem: strict,
-		Label:     classLabel(sub),
+		// Soft retry: same slot, strictness dropped, so the store spills
+		// the class to completion.
 	}
 }
 
@@ -528,33 +464,13 @@ func (s *scheduler) progress(sub *Subproblem) {
 	s.opts.Progress(sub)
 }
 
-// memGauge returns the MemGauge closure for one group: it maintains the
-// group's per-rank resident payloads and the cross-group running total's
-// high-water mark.
-func (s *scheduler) memGauge(group int) func(rank int, bytes int64) {
-	return func(rank int, bytes int64) {
-		s.memMu.Lock()
-		defer s.memMu.Unlock()
-		gb := s.groupBytes[group]
-		if rank < 0 || rank >= len(gb) {
-			return
-		}
-		s.totalBytes += bytes - gb[rank]
-		gb[rank] = bytes
-		if s.totalBytes > s.peakBytes {
-			s.peakBytes = s.totalBytes
-		}
-	}
-}
-
-// zeroMem clears a group's residency after its enumeration returns.
-func (s *scheduler) zeroMem(group int) {
+// resident is every local group's parallel.Options.MemGauge: it keeps
+// the running total of the residency deltas and its high-water mark.
+func (s *scheduler) resident(delta int64) {
 	s.memMu.Lock()
-	defer s.memMu.Unlock()
-	for rank, b := range s.groupBytes[group] {
-		s.totalBytes -= b
-		s.groupBytes[group][rank] = 0
-	}
+	s.totalBytes += delta
+	s.peakBytes = max(s.peakBytes, s.totalBytes)
+	s.memMu.Unlock()
 }
 
 // classLabel renders a class's scheduler label: the non-zero-flux bit

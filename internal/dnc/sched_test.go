@@ -131,6 +131,25 @@ func TestResplitTreePinnedAcrossGroups(t *testing.T) {
 	}
 }
 
+// TestSchedResidencyOneGroup: at one group of one node, one class is
+// resident at a time, so the running total of the residency deltas peaks
+// at exactly the largest per-node peak of any class. A node that kept its
+// last set on the books after returning would carry it into the next
+// class and lift the total above every class's own peak.
+func TestSchedResidencyOneGroup(t *testing.T) {
+	red := toyReduced(t)
+	for _, qsub := range []int{1, 2, 3} {
+		res, err := Run(red.N, red.Reversibilities(), Options{Qsub: qsub, GroupConcurrency: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PeakConcurrentBytes != res.PeakNodeBytes() || res.PeakConcurrentBytes <= 0 {
+			t.Fatalf("qsub %d: concurrent peak %d, want the largest class peak %d (> 0)",
+				qsub, res.PeakConcurrentBytes, res.PeakNodeBytes())
+		}
+	}
+}
+
 // TestSchedulerCounters sanity-checks the accounting: every class,
 // infeasible ones included, is enqueued and stolen exactly once, so
 // Enqueued is 2^qsub plus two per re-split; only the enumerated classes

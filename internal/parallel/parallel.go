@@ -73,14 +73,16 @@ type Options struct {
 	// layer (cluster.WrapFaulty): deterministic crash points, message
 	// drops and delivery delays for failure-path tests and chaos runs.
 	Fault *cluster.FaultPlan
-	// MemGauge, when non-nil, receives each node's resident mode-set
-	// payload (the iteration's peak: current plus next matrix) after
-	// every iteration, and a final zero when the node finishes. It is
-	// called concurrently from every node goroutine; callers running
-	// several groups at once (the divide-and-conquer scheduler) use it
-	// for live cross-group memory accounting. It must be cheap — it sits
-	// on the iteration critical path.
-	MemGauge func(rank int, bytes int64)
+	// MemGauge, when non-nil, receives every change of each node's
+	// resident mode-set payload as a signed delta (core.RunNode: the
+	// iteration's peak, current plus next matrix, after every iteration,
+	// and the release of what is still held when the node returns), so
+	// a running sum of the deltas is the group's residency right now and
+	// every run's deltas sum to zero. It is called concurrently from
+	// every node goroutine; the divide-and-conquer scheduler hands every
+	// local group the same gauge, one running total across groups. It
+	// must be cheap — it sits on the iteration critical path.
+	MemGauge func(delta int64)
 }
 
 // PhaseTimes aggregates the per-phase wall-clock seconds across

@@ -13,8 +13,6 @@ import (
 	"elmocomp/internal/cluster"
 	"elmocomp/internal/core"
 	"elmocomp/internal/distrib"
-	"elmocomp/internal/dnc"
-	"elmocomp/internal/parallel"
 	"elmocomp/internal/reduce"
 )
 
@@ -43,16 +41,19 @@ func ComputeEFMsContext(ctx context.Context, n *Network, cfg Config) (*Result, e
 
 // ComputeEFMsDistributed runs the divide-and-conquer driver with its
 // class queue dispatched onto the pool's remote workers (the efmd
-// coordinator role). Every worker's dispatchers take the class at the
-// head of the queue (root classes dearest first, then re-split children
-// and requeued classes in arrival order), and the worker prepares
-// and runs it: classes are independent, so where one runs carries no
-// meaning and workers cache no results. A worker lost mid-class (crash, severed
-// link, or per-class deadline) has its class re-enqueued and rerun
-// elsewhere — or on an emergency local group when the whole fleet is
-// gone — so worker failure degrades throughput, never correctness. The
-// result is fingerprint-identical to the local drivers (the differential
-// harness gates on exactly this).
+// coordinator role). Each of a worker's credit slots is a runner like a
+// local node group: it takes the class at the head of the queue (root
+// classes dearest first, then re-split children and requeued classes in
+// arrival order), and the worker prepares and runs it: classes are
+// independent, so where one runs carries no meaning and workers cache no
+// results. A worker lost mid-class (crash, severed link, or per-class
+// deadline) has its class re-enqueued and rerun elsewhere — and when the
+// whole fleet is gone, the last dead slot carries on as a local group —
+// so worker failure degrades throughput, never correctness. A remote
+// class's Scheduler.Classes seconds are the time the worker spent on it,
+// not its wait behind the worker's earlier classes. The result is
+// fingerprint-identical to the local drivers (the differential harness
+// gates on exactly this).
 //
 // cfg.GroupConcurrency additionally runs that many local node groups
 // alongside the fleet; 0 means classes run remotely only. cfg.Algorithm
@@ -65,15 +66,7 @@ func ComputeEFMsDistributed(n *Network, cfg Config, cancel <-chan struct{}, pool
 	if cfg.Algorithm != DivideAndConquer {
 		return nil, fmt.Errorf("elmocomp: distributed runs require Algorithm == DivideAndConquer")
 	}
-	return computeEFMs(n, cfg, cancel, func(q int, popts parallel.Options) dnc.RemoteExecutor {
-		return pool.Bind(distrib.JobSpec{
-			Key:            RequestKey(n, cfg),
-			Network:        n.Canonical(),
-			Q:              q,
-			KeepDuplicates: cfg.KeepDuplicateReactions,
-			Exec:           popts,
-		})
-	})
+	return computeEFMs(n, cfg, cancel, pool)
 }
 
 // Canonical renders the network in its byte-stable canonical form: the
