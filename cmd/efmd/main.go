@@ -60,7 +60,6 @@ func main() {
 		coordinator  = flag.Bool("coordinator", false, "dispatch divide-and-conquer jobs onto the -peers worker fleet")
 		peers        = flag.String("peers", "", "comma-separated worker addresses (requires -coordinator)")
 		classTimeout = flag.Duration("class-timeout", 2*time.Minute, "coordinator's per-class worker deadline before the class is re-enqueued elsewhere")
-		inflight     = flag.Int("inflight", 2, "coordinator's per-worker-link in-flight class credit (pipelines the next class while a worker computes)")
 	)
 	flag.Parse()
 
@@ -109,10 +108,7 @@ func main() {
 				fatal(errors.New("-peers has an empty address"))
 			}
 		}
-		pool = distrib.NewPool(fleet, distrib.PoolOptions{
-			ClassTimeout: *classTimeout,
-			Inflight:     *inflight,
-		})
+		pool = distrib.NewPool(fleet, distrib.PoolOptions{ClassTimeout: *classTimeout})
 		defer pool.Close()
 		log.Printf("efmd: coordinating %d worker(s): %s", len(fleet), *peers)
 	}

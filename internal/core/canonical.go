@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -60,16 +59,10 @@ func SupportsFingerprint(supports []bitset.Set) uint64 {
 }
 
 // EncodeSupportList serializes a support list over q reduced columns
-// into the flat EFMS byte stream (ModeSet.Encode of SupportSet). It is
-// the one payload shape the job cache stores and the distrib workers
-// ship.
+// into the flat EFMS byte stream: the Encode form of a set with one
+// bit-only mode per support, in order. It is the one payload shape
+// support lists take, in the job cache and on every link.
 func EncodeSupportList(supports []bitset.Set, q int) []byte {
-	return SupportSet(supports, q).Encode()
-}
-
-// SupportSet builds the mode set of a support list over q reduced
-// columns: one bit-only mode per support, in order.
-func SupportSet(supports []bitset.Set, q int) *ModeSet {
 	set := NewModeSet(q, q, nil)
 	set.Grow(len(supports))
 	var words []uint64
@@ -83,20 +76,13 @@ func SupportSet(supports []bitset.Set, q int) *ModeSet {
 		}
 		set.AppendMode(words, nil, nil, 0)
 	}
-	return set
+	return set.Encode()
 }
 
 // DecodeSupportList inverts EncodeSupportList, validating the payload
-// against the expected column count. It accepts the flat EFMS form and
-// the compressed EFMC form (EncodeCompressed), keyed on the codec magic.
+// against the expected column count.
 func DecodeSupportList(payload []byte, q int) ([]bitset.Set, error) {
-	var set *ModeSet
-	var err error
-	if len(payload) >= 4 && binary.LittleEndian.Uint32(payload) == StoreCodecMagic {
-		set, err = DecodeCompressed(payload)
-	} else {
-		set, err = DecodeModeSet(payload)
-	}
+	set, err := DecodeModeSet(payload)
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // The compressed mode-set stream ("EFMC") is the format of a spilled
-// round and of a distrib result payload: the same mode set the flat
+// round, and of nothing else: the same mode set the flat
 // "EFMS" codec carries, delta-encoded in the set's canonical
 // radix-sorted support order and entropy-coded per block. Adjacent
 // modes in that order share most of their support words, so each mode
@@ -35,10 +35,10 @@ import (
 // decode∘encode idempotence (plus exact set equality) instead of the
 // flat codec's byte-identity.
 const (
-	// StoreCodecMagic is the little-endian uint32 spelling "EFMC".
-	StoreCodecMagic = uint32('E') | uint32('F')<<8 | uint32('M')<<16 | uint32('C')<<24
-	// StoreCodecVersion is the compressed-store format version.
-	StoreCodecVersion = 1
+	// storeCodecMagic is the little-endian uint32 spelling "EFMC".
+	storeCodecMagic = uint32('E') | uint32('F')<<8 | uint32('M')<<16 | uint32('C')<<24
+	// storeCodecVersion is the compressed-store format version.
+	storeCodecVersion = 1
 	// storeHeaderLen covers magic, version, q, firstRow, nRev, n and
 	// blockSize (7 little-endian uint32s); revRows follow.
 	storeHeaderLen = 28
@@ -109,8 +109,8 @@ func EncodeCompressedBlocks(s *ModeSet, blockSize int) []byte {
 		binary.LittleEndian.PutUint32(b4[:], v)
 		out = append(out, b4[:]...)
 	}
-	put32(StoreCodecMagic)
-	put32(StoreCodecVersion)
+	put32(storeCodecMagic)
+	put32(storeCodecVersion)
 	put32(uint32(s.q))
 	put32(uint32(s.firstRow))
 	put32(uint32(len(s.revRows)))
@@ -210,11 +210,11 @@ func parseStoreHeader(data []byte) (storeHeader, error) {
 	if len(data) < storeHeaderLen {
 		return h, fmt.Errorf("core: compressed mode-set payload truncated (%d bytes)", len(data))
 	}
-	if magic := binary.LittleEndian.Uint32(data); magic != StoreCodecMagic {
-		return h, fmt.Errorf("core: not a compressed mode-set payload (magic %#08x, want %#08x)", magic, StoreCodecMagic)
+	if magic := binary.LittleEndian.Uint32(data); magic != storeCodecMagic {
+		return h, fmt.Errorf("core: not a compressed mode-set payload (magic %#08x, want %#08x)", magic, storeCodecMagic)
 	}
-	if version := binary.LittleEndian.Uint32(data[4:]); version != StoreCodecVersion {
-		return h, fmt.Errorf("core: unsupported compressed mode-set version %d (this build reads %d)", version, StoreCodecVersion)
+	if version := binary.LittleEndian.Uint32(data[4:]); version != storeCodecVersion {
+		return h, fmt.Errorf("core: unsupported compressed mode-set version %d (this build reads %d)", version, storeCodecVersion)
 	}
 	o := 8
 	get32 := func() int {

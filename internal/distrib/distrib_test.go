@@ -365,11 +365,12 @@ func TestWorkerProtocolMismatch(t *testing.T) {
 		refuse bool
 	}{
 		{protoVersion, false},
-		{protoVersion - 1, true}, // protocol 5 sent classes that leaned on an earlier frame's spec block
-		{protoVersion - 2, true}, // protocol 4 marked results served from a worker's class cache
-		{protoVersion - 3, true}, // protocol 3 carried a tolerance in the slot this build reserves
-		{protoVersion - 4, true}, // protocol 2 set flag bits this build refuses
-		{protoVersion - 5, true},
+		{6, true}, // protocol 6 shipped results compressed, in a frame with two more fields
+		{5, true}, // protocol 5 sent classes that leaned on an earlier frame's spec block
+		{4, true}, // protocol 4 marked results served from a worker's class cache
+		{3, true}, // protocol 3 carried a tolerance in the slot this build reserves
+		{2, true}, // protocol 2 set flag bits this build refuses
+		{1, true},
 		{protoVersion + 1, true},
 	} {
 		t.Run(fmt.Sprint("proto-", tc.proto), func(t *testing.T) {
@@ -406,12 +407,14 @@ func TestWorkerProtocolMismatch(t *testing.T) {
 
 // TestPoolProtoRefusal: the coordinator's half of the hello. A worker
 // that refuses the connection, or answers on another protocol version,
-// costs the link — reported as worker-lost with the reason, marked dead,
-// neither wedged nor redialed in a loop.
+// costs the link — reported as worker-lost with the reason (both
+// versions, when the worker answered with its own), marked dead, neither
+// wedged nor redialed in a loop.
 func TestPoolProtoRefusal(t *testing.T) {
 	for name, answer := range map[string]hello{
 		"refused":       {Proto: protoVersion + 1, Error: "coordinator speaks another protocol"},
 		"other-version": {Proto: protoVersion + 1},
+		"proto-6":       {Proto: 6},
 	} {
 		t.Run(name, func(t *testing.T) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -443,6 +446,13 @@ func TestPoolProtoRefusal(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), "protocol") {
 				t.Fatalf("error %q does not say why the link was refused", err)
+			}
+			if answer.Error == "" {
+				for _, want := range []string{fmt.Sprint("protocol ", answer.Proto), fmt.Sprint("protocol ", protoVersion)} {
+					if !strings.Contains(err.Error(), want) {
+						t.Fatalf("error %q does not name %q", err, want)
+					}
+				}
 			}
 			if pool.Stats()[0].Alive {
 				t.Fatal("refused link still marked alive")

@@ -87,9 +87,9 @@ func (p *Pool) Close() {
 
 // WorkerStats is one worker's coordinator-side counter snapshot, served
 // on /varz. PayloadBytes counts the logical bytes of each class exchange
-// (the request body plus the flat support payload); WireBytes counts the
+// (the request body plus the support payload); WireBytes counts the
 // framed bytes actually sent and received, so the two differ by framing
-// and by what result compression saves.
+// and the result frame's header fields, nothing else.
 type WorkerStats struct {
 	Addr         string `json:"addr"`
 	Alive        bool   `json:"alive"`
@@ -128,15 +128,13 @@ func (p *Pool) Bind(spec JobSpec) dnc.RemoteExecutor {
 }
 
 // linkReply is what the reader pump delivers to a waiting call: a
-// response (raw carries its flat-equivalent payload size) or the link
-// failure that severed the connection. at is the response's arrival and
-// prev the arrival of the reply before it on the same connection (zero
-// for a connection's first): a worker runs one connection's classes one
-// at a time in arrival order, so it got to this class no earlier than
-// prev.
+// response or the link failure that severed the connection. at is the
+// response's arrival and prev the arrival of the reply before it on the
+// same connection (zero for a connection's first): a worker runs one
+// connection's classes one at a time in arrival order, so it got to this
+// class no earlier than prev.
 type linkReply struct {
 	resp     *classResponse
-	raw      int64
 	err      error
 	at, prev time.Time
 }
@@ -295,7 +293,7 @@ func (w *workerLink) call(req *classRequest, cancel <-chan struct{}, opts PoolOp
 		return nil, 0, fmt.Errorf("distrib: worker %s: %v: %w", w.addr, rep.err, dnc.ErrWorkerLost)
 	}
 	atomic.AddInt64(&w.completed, 1)
-	atomic.AddInt64(&w.payloadBytes, rep.raw)
+	atomic.AddInt64(&w.payloadBytes, int64(len(rep.resp.Supports)))
 	started := sent
 	if rep.prev.After(sent) {
 		started = rep.prev
@@ -367,7 +365,7 @@ func (w *workerLink) readLoop(conn net.Conn, gen uint64) {
 		}
 		at := time.Now()
 		atomic.AddInt64(&w.wireBytes, int64(len(body))+cluster.FrameHeaderLen)
-		resp, raw, err := decodeResult(body) // rejects every other type byte
+		resp, err := decodeResult(body) // rejects every other type byte
 		if err != nil {
 			w.sever(gen, err)
 			return
@@ -380,7 +378,7 @@ func (w *workerLink) readLoop(conn net.Conn, gen uint64) {
 		}
 		w.mu.Unlock()
 		if ch != nil {
-			ch <- linkReply{resp: resp, raw: raw, at: at, prev: prev}
+			ch <- linkReply{resp: resp, at: at, prev: prev}
 		}
 		prev = at
 		// A reply with no pending call (a late answer for a timed-out

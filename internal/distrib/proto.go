@@ -15,15 +15,14 @@
 //
 //	class  0x01 seq flags key class depth |partition| partition...
 //	       reserved maxModes workers nodes memBudget commTimeout network
-//	result 0x02 seq status reserved error pairs peakNodeBytes rawLen supports
+//	result 0x02 seq status error pairs peakNodeBytes supports
 //
 // A class frame is the whole class: the worker takes everything it runs
 // the class under from the frame it is executing, so no two frames depend
 // on each other and a link holds no per-job state. The class flags byte:
 // bit 0 always set (protocols 3 to 5 sent frames without the second line
 // and cleared it), bit 1 strict memory budget, bit 2 keep duplicate
-// reactions; a class with bit 0 clear or any other bit set is refused;
-// the result's reserved byte (protocol 4's cached flag) must be zero.
+// reactions; a class with bit 0 clear or any other bit set is refused.
 // The second line is the spec block, the wire image of the
 // parallel.Options the class runs under: eight reserved zero bytes
 // (protocol 3 carried a zero tolerance there; the block keeps its length
@@ -31,14 +30,15 @@
 // Core.Workers, Nodes, Core.MemBudget and Timeout in seconds (what a
 // remote class must share with a local one; the rest of that struct is
 // process-local and never travels), then the network text. Supports
-// travel as the core EFMS codec, or as its compressed EFMC form whenever
-// that is smaller — the codec magic tells the receiver which, so nothing
-// is negotiated. Several seq-tagged classes share a connection
+// travel as the core EFMS codec (core.EncodeSupportList), the one
+// support-list format the job cache stores too: on links faster than
+// ~40 Mb/s compressing them costs more CPU than it saves in transfer
+// (DESIGN.md §15). Several seq-tagged classes share a connection
 // (PoolOptions.Inflight credit slots), so the next class ships while the
 // worker computes the current one.
 //
-// The class and result layouts are frozen: bench/expected.json pins the
-// payload bytes they add up to.
+// The class layout is frozen: bench/expected.json pins the payload bytes
+// it and the result supports add up to.
 package distrib
 
 import (
@@ -55,7 +55,7 @@ import (
 
 // protoVersion is the protocol this build speaks. Bump on any wire
 // change; peers on another version are refused at hello.
-const protoVersion = 6
+const protoVersion = 7
 
 // helloMaxFrame bounds the hello frame, read before the peer has proven
 // it speaks the protocol at all.
@@ -147,7 +147,7 @@ type classResponse struct {
 	Pairs         int64
 	PeakNodeBytes int64
 	// Supports is the class's EFM supports over the reduced network's
-	// columns as they crossed the wire: flat EFMS or compressed EFMC.
+	// columns in the EFMS form of core.EncodeSupportList.
 	Supports []byte
 }
 
@@ -360,49 +360,38 @@ func decodeClass(body []byte) (req classRequest, err error) {
 	return req, r.done()
 }
 
-// encodeResult serializes a class response. payload is the support
-// bytes actually shipped (flat EFMS or compressed EFMC); rawLen is the
-// flat payload size, carried so the coordinator's payload-vs-wire
-// accounting never has to re-encode.
-func encodeResult(resp *classResponse, payload []byte, rawLen int) []byte {
-	out := make([]byte, 0, 32+len(payload))
+// encodeResult serializes a class response.
+func encodeResult(resp *classResponse) []byte {
+	out := make([]byte, 0, 32+len(resp.Error)+len(resp.Supports))
 	out = append(out, msgResult)
 	out = binary.AppendUvarint(out, resp.Seq)
 	out = append(out, byte(resp.Status))
-	out = append(out, 0) // reserved
 	out = appendBytes(out, []byte(resp.Error))
 	out = binary.AppendUvarint(out, uint64(resp.Pairs))
 	out = binary.AppendUvarint(out, uint64(resp.PeakNodeBytes))
-	out = binary.AppendUvarint(out, uint64(rawLen))
-	out = appendBytes(out, payload)
-	return out
+	return appendBytes(out, resp.Supports)
 }
 
-// decodeResult inverts encodeResult, returning the flat-equivalent
-// payload size alongside the response.
-func decodeResult(body []byte) (*classResponse, int64, error) {
+// decodeResult inverts encodeResult.
+func decodeResult(body []byte) (*classResponse, error) {
 	r := &wireReader{b: body}
 	if t := r.u8(); t != msgResult {
-		return nil, 0, fmt.Errorf("distrib: message type %#x is not a class result", t)
+		return nil, fmt.Errorf("distrib: message type %#x is not a class result", t)
 	}
 	resp := &classResponse{}
 	resp.Seq = r.uvarint()
 	resp.Status = status(r.u8())
 	if r.err == nil && resp.Status > statusError {
-		return nil, 0, fmt.Errorf("distrib: unknown status byte %d", byte(resp.Status))
-	}
-	if reserved := r.u8(); reserved != 0 {
-		r.fail("class result sets the reserved byte to %#x", reserved)
+		return nil, fmt.Errorf("distrib: unknown status byte %d", byte(resp.Status))
 	}
 	resp.Error = string(r.bytes())
 	resp.Pairs = int64(r.uvarint())
 	resp.PeakNodeBytes = int64(r.uvarint())
-	rawLen := int64(r.uvarint())
 	if payload := r.bytes(); len(payload) > 0 {
 		resp.Supports = payload
 	}
 	if err := r.done(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return resp, rawLen, nil
+	return resp, nil
 }

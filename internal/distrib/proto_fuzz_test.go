@@ -19,10 +19,9 @@ import (
 func FuzzDecodeFrame(f *testing.F) {
 	full := fullClass
 	f.Add(encodeClass(&full))
-	payload := []byte("EFMS-or-EFMC-payload-bytes")
 	f.Add(encodeResult(&classResponse{Seq: 9, Status: statusError, Error: "boom", Pairs: 12345,
-		PeakNodeBytes: 1 << 20}, payload, 4*len(payload)))
-	f.Add(encodeResult(&classResponse{Seq: 1, Status: statusOK}, nil, 0))
+		PeakNodeBytes: 1 << 20, Supports: []byte("EFMS-payload-bytes")}))
+	f.Add(encodeResult(&classResponse{Seq: 1, Status: statusOK}))
 	for _, h := range []hello{{Proto: protoVersion}, {Proto: protoVersion, Error: "peer speaks protocol 1"}} {
 		body, err := json.Marshal(h)
 		if err != nil {
@@ -32,9 +31,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	// Frames the decoder must refuse: sizes that would become allocation
 	// counts on the worker, a protocol-2 flag bit, a protocol-3 tolerance
-	// in the reserved spec slot, a protocol-4 cached flag in the result's
-	// reserved byte, and protocol 5's class without a spec block and its
-	// need-spec message.
+	// in the reserved spec slot, protocol 5's class without a spec block
+	// and its need-spec message, and protocol 6's result layout.
 	for _, mutate := range []func(*classRequest){
 		func(r *classRequest) { r.Exec.Nodes = 200000 },
 		func(r *classRequest) { r.Exec.Core.Workers = 50000000 },
@@ -47,9 +45,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	treeBit[2] |= 1 << 3
 	f.Add(treeBit)
 	f.Add(withReservedSlot(1e-9))
-	f.Add(withReservedResultByte(1))
+	f.Add(v6Result())
 	f.Add(withoutSpecBlock())
 	f.Add(appendBytes([]byte{0x03, 77}, []byte("some-job-key")))
+	if _, err := decodeResult(v6Result()); err == nil {
+		f.Fatal("protocol 6 result accepted")
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if req, err := decodeClass(b); err == nil {
@@ -72,7 +73,7 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("class does not round-trip:\n first %+v\nsecond %+v", req, again)
 			}
 		}
-		if resp, raw, err := decodeResult(b); err == nil {
+		if resp, err := decodeResult(b); err == nil {
 			if b[0] != msgResult {
 				t.Fatalf("frame of type %#x accepted as a result", b[0])
 			}
@@ -80,12 +81,12 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("result decoded from %d bytes holds %d error and %d support bytes",
 					len(b), len(resp.Error), len(resp.Supports))
 			}
-			enc := encodeResult(resp, resp.Supports, int(raw))
-			again, againRaw, err := decodeResult(enc)
+			enc := encodeResult(resp)
+			again, err := decodeResult(enc)
 			if err != nil {
 				t.Fatalf("re-encoded result rejected: %v", err)
 			}
-			if againRaw != raw || !bytes.Equal(encodeResult(again, again.Supports, int(againRaw)), enc) {
+			if !bytes.Equal(encodeResult(again), enc) {
 				t.Fatalf("result does not round-trip:\n first %+v\nsecond %+v", resp, again)
 			}
 		}

@@ -7,9 +7,11 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"elmocomp/internal/bitset"
 	"elmocomp/internal/cluster"
 	"elmocomp/internal/core"
 	"elmocomp/internal/dnc"
@@ -63,12 +65,19 @@ func withoutSpecBlock() []byte {
 	return body
 }
 
-// withReservedResultByte returns a valid result frame whose reserved byte
-// (after the type byte, the one-byte seq varint and the status) holds v.
-func withReservedResultByte(v byte) []byte {
-	body := encodeResult(&classResponse{Seq: 1, Status: statusOK}, []byte("EFMS"), 4)
-	body[3] = v
-	return body
+// v6Result returns a result frame in protocol 6's layout, which a worker
+// of that build would answer with: a reserved byte after the status and
+// the flat payload length before the supports.
+func v6Result() []byte {
+	one := bitset.New(3)
+	one.Set(1)
+	payload := core.EncodeSupportList([]bitset.Set{one}, 3)
+	body := []byte{msgResult, 9, byte(statusOK), 0}
+	body = appendBytes(body, nil)
+	body = binary.AppendUvarint(body, 12345)
+	body = binary.AppendUvarint(body, 1<<20)
+	body = binary.AppendUvarint(body, uint64(len(payload)))
+	return appendBytes(body, payload)
 }
 
 func TestClassCodecRoundTrip(t *testing.T) {
@@ -174,7 +183,7 @@ func TestClassSpecLimits(t *testing.T) {
 }
 
 func TestResultCodecRoundTrip(t *testing.T) {
-	payload := []byte("EFMS-or-EFMC-payload-bytes")
+	payload := []byte("EFMS-payload-bytes")
 	for _, st := range []status{statusOK, statusSkipped, statusBudget, statusMemBudget, statusError} {
 		in := classResponse{
 			Seq:           9,
@@ -184,34 +193,30 @@ func TestResultCodecRoundTrip(t *testing.T) {
 			PeakNodeBytes: 1 << 20,
 			Supports:      payload,
 		}
-		body := encodeResult(&in, payload, 4*len(payload))
-		got, rawLen, err := decodeResult(body)
+		got, err := decodeResult(encodeResult(&in))
 		if err != nil {
 			t.Fatalf("%s: %v", st, err)
-		}
-		if rawLen != int64(4*len(payload)) {
-			t.Fatalf("%s: rawLen %d, want %d", st, rawLen, 4*len(payload))
 		}
 		if !reflect.DeepEqual(*got, in) {
 			t.Fatalf("%s: round trip mangled:\n got %+v\nwant %+v", st, *got, in)
 		}
 	}
-	body := encodeResult(&classResponse{Seq: 1, Status: statusOK}, payload, len(payload))
+	body := encodeResult(&classResponse{Seq: 1, Status: statusOK, Supports: payload})
 	for cut := 0; cut < len(body); cut++ {
-		if _, _, err := decodeResult(body[:cut]); err == nil {
+		if _, err := decodeResult(body[:cut]); err == nil {
 			t.Fatalf("truncation at %d/%d accepted", cut, len(body))
 		}
 	}
 	// An unknown status byte is a protocol violation, not a guess.
 	bad := append([]byte(nil), body...)
 	bad[2] = 200
-	if _, _, err := decodeResult(bad); err == nil {
+	if _, err := decodeResult(bad); err == nil {
 		t.Fatal("unknown status byte accepted")
 	}
-	// The byte after the status was protocol 4's cached flag: no worker
-	// of this build answers from a cache, so a peer setting it is refused.
-	if _, _, err := decodeResult(withReservedResultByte(1)); err == nil {
-		t.Fatal("result with a non-zero reserved byte accepted")
+	// The hello keeps a protocol-6 worker off the link; were one let
+	// through, its two extra fields would not parse as a result.
+	if _, err := decodeResult(v6Result()); err == nil {
+		t.Fatal("protocol 6 result accepted")
 	}
 }
 
@@ -341,65 +346,70 @@ func TestPoolPipelinedPrefetch(t *testing.T) {
 	}
 }
 
-// TestPoolWireAccounting: payload bytes are the request bodies plus the
-// flat support payloads, wire bytes are every frame as it crossed, and the
-// only thing that makes wire smaller than payload is result compression.
+// TestPoolWireAccounting: every byte both link counters count is named.
+// Payload bytes are the request bodies plus the support payloads; wire
+// bytes are those, a length prefix on each of a class's two frames and
+// the result frame's header fields, nothing else. The toy job's classes
+// return a few dozen support bytes each; the synthetic job's largest
+// returns more than 512, the size from which protocol 6 shipped a result
+// compressed. Both ship flat and add up to the local result.
 func TestPoolWireAccounting(t *testing.T) {
-	// Toy classes return far less than wireCompressMin, so every byte of
-	// both counters can be named.
-	spec, _, seq := toyJob(t)
 	w := startWorker(t, WorkerOptions{})
-	pool := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second})
-	defer pool.Close()
-	var payload, wire int64
-	for id := uint64(0); id < 1<<uint(len(seq.Partition)); id++ {
-		out, err := pool.Bind(spec).Run(0, dnc.RemoteClass{ID: id, Partition: seq.Partition}, nil)
-		if err != nil {
-			t.Fatalf("class %d: %v", id, err)
-		}
-		req := encodeClass(&classRequest{Seq: id + 1, Key: spec.Key, Network: spec.Network,
-			Exec: spec.Exec, Partition: seq.Partition, Class: id})
-		resp := &classResponse{Seq: id + 1, Status: statusSkipped}
-		var flat []byte
-		if !out.Skipped {
-			resp.Status, resp.Pairs, resp.PeakNodeBytes = statusOK, out.Pairs, out.PeakNodeBytes
-			flat = core.EncodeSupportList(out.Supports, spec.Q)
-		}
-		if len(flat) >= wireCompressMin {
-			t.Fatalf("class %d returns %d support bytes: no longer a payload that must travel flat", id, len(flat))
-		}
-		payload += int64(len(req) + len(flat))
-		wire += int64(len(req)+len(encodeResult(resp, flat, len(flat)))) + 2*cluster.FrameHeaderLen
-	}
-	if st := pool.Stats()[0]; st.PayloadBytes != payload || st.WireBytes != wire {
-		t.Fatalf("link counted %d payload and %d wire bytes, the frames add up to %d and %d",
-			st.PayloadBytes, st.WireBytes, payload, wire)
-	}
-
-	// A job whose classes return compressible payloads ships them
-	// compressed, and the coordinator decodes them to the local result.
 	n, err := synth.Network(synth.Params{Layers: 5, Width: 5, CrossLinks: 10, ReversibleFraction: 0.25, MaxCoef: 2, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, red, local := jobOf(t, n)
-	bigPool := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second})
-	defer bigPool.Close()
-	res, err := dnc.Run(red.N, red.Reversibilities(), dnc.Options{Qsub: 2, Remote: bigPool.Bind(big)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp(res.Supports) != fp(local.Supports) {
-		t.Fatalf("fingerprint %x after the wire, %x locally", fp(res.Supports), fp(local.Supports))
-	}
-	var largest int
-	for _, sub := range res.Subproblems {
-		largest = max(largest, len(core.EncodeSupportList(sub.Supports, big.Q)))
-	}
-	if largest < wireCompressMin {
-		t.Fatalf("largest class returns %d support bytes, below wireCompressMin: the network proves nothing", largest)
-	}
-	if st := bigPool.Stats()[0]; st.WireBytes >= st.PayloadBytes {
-		t.Fatalf("the link shipped %d wire bytes for %d payload bytes: result compression is not live", st.WireBytes, st.PayloadBytes)
+	toy, _, toyLocal := toyJob(t)
+	big, _, bigLocal := jobOf(t, n)
+	for _, job := range []struct {
+		name       string
+		spec       JobSpec
+		local      *dnc.Result
+		minLargest int // support bytes the largest class must at least return
+	}{
+		{"toy", toy, toyLocal, 0},
+		{"synthetic", big, bigLocal, 512},
+	} {
+		t.Run(job.name, func(t *testing.T) {
+			spec, partition := job.spec, job.local.Partition
+			pool := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second})
+			defer pool.Close()
+			classes := uint64(1) << uint(len(partition))
+			var payload, headers int64
+			var largest int
+			var supports []bitset.Set
+			for id := uint64(0); id < classes; id++ {
+				out, err := pool.Bind(spec).Run(0, dnc.RemoteClass{ID: id, Partition: partition}, nil)
+				if err != nil {
+					t.Fatalf("class %d: %v", id, err)
+				}
+				req := encodeClass(&classRequest{Seq: id + 1, Key: spec.Key, Network: spec.Network,
+					Exec: spec.Exec, KeepDuplicates: spec.KeepDuplicates, Partition: partition, Class: id})
+				resp := &classResponse{Seq: id + 1, Status: statusSkipped}
+				if !out.Skipped {
+					resp.Status, resp.Pairs, resp.PeakNodeBytes = statusOK, out.Pairs, out.PeakNodeBytes
+					resp.Supports = core.EncodeSupportList(out.Supports, spec.Q)
+					supports = append(supports, out.Supports...)
+				}
+				largest = max(largest, len(resp.Supports))
+				payload += int64(len(req) + len(resp.Supports))
+				headers += int64(len(encodeResult(resp)) - len(resp.Supports))
+			}
+			st := pool.Stats()[0]
+			if st.PayloadBytes != payload {
+				t.Fatalf("link counted %d payload bytes, the request bodies and supports add up to %d", st.PayloadBytes, payload)
+			}
+			if want := st.PayloadBytes + 2*cluster.FrameHeaderLen*int64(classes) + headers; st.WireBytes != want {
+				t.Fatalf("link counted %d wire bytes, want %d payload + %d frame-length + %d result-header bytes = %d",
+					st.WireBytes, st.PayloadBytes, 2*cluster.FrameHeaderLen*int64(classes), headers, want)
+			}
+			slices.SortFunc(supports, bitset.Set.Compare)
+			if fp(supports) != fp(job.local.Supports) {
+				t.Fatalf("fingerprint %x after the wire, %x locally", fp(supports), fp(job.local.Supports))
+			}
+			if largest < job.minLargest {
+				t.Fatalf("largest class returns %d support bytes, want at least %d", largest, job.minLargest)
+			}
+		})
 	}
 }

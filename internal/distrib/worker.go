@@ -16,11 +16,6 @@ import (
 	"elmocomp/internal/reduce"
 )
 
-// wireCompressMin is the smallest flat support payload worth running
-// through the EFMC compressor: below it the codec's block headers eat
-// the win.
-const wireCompressMin = 512
-
 // helloTimeout bounds the hello exchange on an accepted connection, so a
 // peer that connects and says nothing cannot pin a goroutine and a
 // socket until Close. The coordinator bounds its half with dialTimeout.
@@ -245,43 +240,24 @@ func (w *Worker) serveConn(c net.Conn) {
 				return
 			}
 		}
-		resp, set := w.exec(req, closed)
-		if err := writeReply(c, resp, set); err != nil {
+		if err := cluster.WriteFrame(c, encodeResult(w.exec(req, closed))); err != nil {
 			return
 		}
 		atomic.AddInt64(&inflight, -1)
 	}
 }
 
-// writeReply ships one response with the class's support set, nil when
-// it has none. A large set goes through the EFMC compressor and travels
-// compressed when that is actually smaller than its flat EFMS form; it
-// stays flat otherwise (the codec magics disambiguate at the receiver).
-func writeReply(c net.Conn, resp *classResponse, set *core.ModeSet) error {
-	var payload []byte
-	if set != nil {
-		payload = set.Encode()
-	}
-	rawLen := len(payload)
-	if rawLen >= wireCompressMin && set.Q() < 1<<16 {
-		if enc := core.EncodeCompressed(set); len(enc) < rawLen {
-			payload = enc
-		}
-	}
-	return cluster.WriteFrame(c, encodeResult(resp, payload, rawLen))
-}
-
-// exec runs one class and returns its response with the class's support
-// set, nil unless the class completed. Everything it runs under comes
-// from the frame; the memo only spares re-deriving what the frame's
-// network determines.
-func (w *Worker) exec(req *classRequest, cancel <-chan struct{}) (*classResponse, *core.ModeSet) {
+// exec runs one class and returns its response, carrying the class's
+// supports when it completed. Everything it runs under comes from the
+// frame; the memo only spares re-deriving what the frame's network
+// determines.
+func (w *Worker) exec(req *classRequest, cancel <-chan struct{}) *classResponse {
 	resp := &classResponse{Seq: req.Seq}
 	red, err := w.reduced(req)
 	if err != nil {
 		resp.Status = statusError
 		resp.Error = err.Error()
-		return resp, nil
+		return resp
 	}
 	// The decoded options carry what the coordinator's local groups run
 	// under; only what must never come off the wire is set here.
@@ -300,23 +276,22 @@ func (w *Worker) exec(req *classRequest, cancel <-chan struct{}) (*classResponse
 			resp.Status = statusError
 			resp.Error = err.Error()
 		}
-		return resp, nil
+		return resp
 	}
 	atomic.AddInt64(&w.served, 1)
-	var set *core.ModeSet
 	if out.Skipped {
 		resp.Status = statusSkipped
 	} else {
 		resp.Status = statusOK
 		resp.Pairs = out.Pairs
 		resp.PeakNodeBytes = out.PeakNodeBytes
-		set = core.SupportSet(out.Supports, red.N.Cols())
+		resp.Supports = core.EncodeSupportList(out.Supports, red.N.Cols())
 	}
 	if w.opts.Logf != nil {
 		w.opts.Logf("class %d/%v: %s, %d modes in %v", req.Class, req.Partition, resp.Status,
 			len(out.Supports), time.Duration(out.Seconds*float64(time.Second)).Round(time.Millisecond))
 	}
-	return resp, set
+	return resp
 }
 
 // jobEntry is what a worker remembers about one job key: the reduction

@@ -166,8 +166,8 @@ type Stats struct {
 	Workers []distrib.WorkerStats `json:"workers,omitempty"`
 	// RemotePayloadBytes / RemoteWireBytes are the fleet-total logical
 	// payload vs framed wire bytes of the class data plane, summed over
-	// Workers — they differ by framing and by what result compression
-	// saves.
+	// Workers — they differ by framing and the result frames' header
+	// fields, nothing else.
 	RemotePayloadBytes int64 `json:"remote_payload_bytes,omitempty"`
 	RemoteWireBytes    int64 `json:"remote_wire_bytes,omitempty"`
 }

@@ -82,9 +82,10 @@ PAYLOAD=$(jq -r .remote_payload_bytes "$WORKDIR/varz1.json")
 WIRE=$(jq -r .remote_wire_bytes "$WORKDIR/varz1.json")
 [ "$PAYLOAD" -gt 0 ] || fail "remote_payload_bytes is $PAYLOAD after a distributed job"
 [ "$WIRE" -gt 0 ] || fail "remote_wire_bytes is $WIRE after a distributed job"
-# Toy classes return less than the 512 bytes result compression starts
-# at, so here wire is payload plus framing; internal/distrib's
-# TestPoolWireAccounting has the job where wire < payload.
+# Results ship flat, so wire is payload plus frame lengths and result
+# headers on every job; internal/distrib's TestPoolWireAccounting names
+# every byte.
+[ "$WIRE" -gt "$PAYLOAD" ] || fail "remote_wire_bytes $WIRE is not above remote_payload_bytes $PAYLOAD"
 echo "   $WIRE wire bytes for $PAYLOAD payload bytes"
 
 echo "== resubmit the identical request: no cache anywhere, every class recomputed"
