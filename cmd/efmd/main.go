@@ -1,6 +1,8 @@
 // Command efmd serves elementary-flux-mode enumeration over HTTP: a
-// bounded job queue in front of the library drivers, a content-addressed
-// result cache, NDJSON progress streaming, and cancellation.
+// bounded job queue in front of the library drivers, one content-addressed
+// result cache under -cache-mb (a bounded on-demand stream is cached once
+// per request family and serves any shorter k by truncation), NDJSON
+// progress streaming, and cancellation.
 //
 // Usage:
 //
@@ -50,7 +52,6 @@ func main() {
 		queue        = flag.Int("queue", 64, "admission queue capacity (submissions beyond it get 429)")
 		concurrency  = flag.Int("concurrency", 2, "concurrently running jobs (each may use many cores)")
 		cacheMB      = flag.Int("cache-mb", 64, "result cache budget in MiB (0 disables)")
-		prefixMB     = flag.Int("prefix-cache-mb", 16, "on-demand prefix cache budget in MiB: a completed ranked stream serves any shorter k by truncation (0 disables)")
 		keepJobs     = flag.Int("keep-jobs", 256, "terminal jobs kept addressable by ID")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace period for running jobs on shutdown before they are canceled")
 		memBudget    = flag.String("mem-budget", "", "default per-job resident-byte budget, e.g. 64M (jobs may pass their own mem_budget_bytes)")
@@ -85,10 +86,6 @@ func main() {
 	if *cacheMB <= 0 {
 		cacheBytes = -1
 	}
-	prefixBytes := int64(*prefixMB) << 20
-	if *prefixMB <= 0 {
-		prefixBytes = -1
-	}
 	parseSize := func(name, v string) int64 {
 		if v == "" {
 			return 0
@@ -116,7 +113,6 @@ func main() {
 		Queue:            *queue,
 		Workers:          *concurrency,
 		CacheBytes:       cacheBytes,
-		PrefixCacheBytes: prefixBytes,
 		KeepJobs:         *keepJobs,
 		DefaultMemBudget: parseSize("-mem-budget", *memBudget),
 		MaxResidentBytes: parseSize("-max-resident", *maxResident),

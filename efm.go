@@ -439,9 +439,9 @@ func (r *Result) Fingerprint() uint64 {
 // Truncate drops all modes past the first k, in the Result's stored
 // order. For on-demand results that order is the emission ranking, so
 // Truncate(k') of a k-mode stream is exactly the stream a MaxModes=k'
-// run would have produced — the property the job service's prefix cache
-// serves shorter requests with. No-op when k is negative or at least
-// Len().
+// run would have produced — the property that lets the job service serve
+// a shorter request from its family's cached stream. No-op when k is
+// negative or at least Len().
 func (r *Result) Truncate(k int) {
 	if k < 0 || k >= len(r.supports) {
 		return

@@ -357,9 +357,16 @@ func TestPoolRedialAcrossJobs(t *testing.T) {
 
 // TestWorkerProtocolMismatch: a hello on this build's version is
 // accepted; one on any other version gets a refusal naming both versions
-// and a closed connection — not a hung or misparsed one.
+// and a closed connection — not a hung or misparsed one — and the
+// worker's log gets the same refusal.
 func TestWorkerProtocolMismatch(t *testing.T) {
-	w := startWorker(t, WorkerOptions{})
+	var logMu sync.Mutex
+	var logged []string
+	w := startWorker(t, WorkerOptions{Logf: func(format string, args ...interface{}) {
+		logMu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	}})
 	for _, tc := range []struct {
 		proto  int
 		refuse bool
@@ -401,18 +408,29 @@ func TestWorkerProtocolMismatch(t *testing.T) {
 			if _, err := cluster.ReadFrame(conn, helloMaxFrame); !errors.Is(err, io.EOF) {
 				t.Fatalf("connection not closed after the refusal: %v", err)
 			}
+			// The worker logs a refusal before it writes it.
+			logMu.Lock()
+			last := ""
+			if len(logged) > 0 {
+				last = logged[len(logged)-1]
+			}
+			logMu.Unlock()
+			if !strings.Contains(last, "refused") || !strings.Contains(last, resp.Error) {
+				t.Fatalf("worker log ends %q, want the refusal %q", last, resp.Error)
+			}
 		})
 	}
 }
 
 // TestPoolProtoRefusal: the coordinator's half of the hello. A worker
 // that refuses the connection, or answers on another protocol version,
-// costs the link — reported as worker-lost with the reason (both
-// versions, when the worker answered with its own), marked dead, neither
+// costs the link — reported as worker-lost with the reason, which names
+// both versions, marked dead with that reason as its last_error, neither
 // wedged nor redialed in a loop.
 func TestPoolProtoRefusal(t *testing.T) {
 	for name, answer := range map[string]hello{
-		"refused":       {Proto: protoVersion + 1, Error: "coordinator speaks another protocol"},
+		"refused": {Proto: protoVersion + 1, Error: fmt.Sprintf(
+			"distrib: coordinator speaks protocol %d, this build speaks protocol %d", protoVersion, protoVersion+1)},
 		"other-version": {Proto: protoVersion + 1},
 		"proto-6":       {Proto: 6},
 	} {
@@ -447,15 +465,17 @@ func TestPoolProtoRefusal(t *testing.T) {
 			if !strings.Contains(err.Error(), "protocol") {
 				t.Fatalf("error %q does not say why the link was refused", err)
 			}
-			if answer.Error == "" {
-				for _, want := range []string{fmt.Sprint("protocol ", answer.Proto), fmt.Sprint("protocol ", protoVersion)} {
-					if !strings.Contains(err.Error(), want) {
-						t.Fatalf("error %q does not name %q", err, want)
-					}
-				}
-			}
-			if pool.Stats()[0].Alive {
+			st := pool.Stats()[0]
+			if st.Alive {
 				t.Fatal("refused link still marked alive")
+			}
+			if st.LastError != err.Error() {
+				t.Fatalf("last_error %q, want the refusal %q", st.LastError, err)
+			}
+			for _, want := range []string{fmt.Sprint("protocol ", answer.Proto), fmt.Sprint("protocol ", protoVersion)} {
+				if !strings.Contains(st.LastError, want) {
+					t.Fatalf("last_error %q does not name %q", st.LastError, want)
+				}
 			}
 		})
 	}

@@ -89,7 +89,9 @@ func (p *Pool) Close() {
 // on /varz. PayloadBytes counts the logical bytes of each class exchange
 // (the request body plus the support payload); WireBytes counts the
 // framed bytes actually sent and received, so the two differ by framing
-// and the result frame's header fields, nothing else.
+// and the result frame's header fields, nothing else. LastError is the
+// error of the link's latest failure, so a worker refused for speaking
+// another protocol version says so.
 type WorkerStats struct {
 	Addr         string `json:"addr"`
 	Alive        bool   `json:"alive"`
@@ -99,6 +101,7 @@ type WorkerStats struct {
 	Timeouts     int64  `json:"timeouts"`
 	PayloadBytes int64  `json:"payload_bytes"`
 	WireBytes    int64  `json:"wire_bytes"`
+	LastError    string `json:"last_error,omitempty"`
 }
 
 // Stats snapshots every worker's counters.
@@ -106,11 +109,12 @@ func (p *Pool) Stats() []WorkerStats {
 	out := make([]WorkerStats, len(p.workers))
 	for i, w := range p.workers {
 		w.mu.Lock()
-		alive := !w.down
+		alive, lastErr := !w.down, w.lastErr
 		w.mu.Unlock()
 		out[i] = WorkerStats{
 			Addr:         w.addr,
 			Alive:        alive,
+			LastError:    lastErr,
 			Dispatched:   atomic.LoadInt64(&w.dispatched),
 			Completed:    atomic.LoadInt64(&w.completed),
 			Failures:     atomic.LoadInt64(&w.failures),
@@ -157,6 +161,7 @@ type workerLink struct {
 	seq     uint64
 	down    bool // link failed; cleared by a successful redial
 	pending map[uint64]chan linkReply
+	lastErr string // the latest failure, for WorkerStats
 
 	dispatched   int64
 	completed    int64
@@ -212,8 +217,7 @@ func (e *boundExec) Run(slot int, c dnc.RemoteClass, cancel <-chan struct{}) (*d
 			// the worker) is unreliable: sever it and let the class rerun
 			// elsewhere rather than aborting the job.
 			w.teardown(derr)
-			atomic.AddInt64(&w.failures, 1)
-			return nil, fmt.Errorf("distrib: worker %s: %v: %w", w.addr, derr, dnc.ErrWorkerLost)
+			return nil, w.fail(derr, dnc.ErrWorkerLost)
 		}
 		return &dnc.ClassOutcome{
 			Supports:      supports,
@@ -245,8 +249,7 @@ func (w *workerLink) call(req *classRequest, cancel <-chan struct{}, opts PoolOp
 		w.down = true
 		w.mu.Unlock()
 		w.wmu.Unlock()
-		atomic.AddInt64(&w.failures, 1)
-		return nil, 0, fmt.Errorf("distrib: worker %s: %v: %w", w.addr, err, dnc.ErrWorkerLost)
+		return nil, 0, w.fail(err, dnc.ErrWorkerLost)
 	}
 	w.seq++
 	req.Seq = w.seq
@@ -262,8 +265,7 @@ func (w *workerLink) call(req *classRequest, cancel <-chan struct{}, opts PoolOp
 	w.wmu.Unlock()
 	if err != nil {
 		w.sever(gen, err)
-		atomic.AddInt64(&w.failures, 1)
-		return nil, 0, fmt.Errorf("distrib: worker %s: %v: %w", w.addr, err, dnc.ErrWorkerLost)
+		return nil, 0, w.fail(err, dnc.ErrWorkerLost)
 	}
 	atomic.AddInt64(&w.dispatched, 1)
 	atomic.AddInt64(&w.wireBytes, int64(len(body))+cluster.FrameHeaderLen)
@@ -278,19 +280,18 @@ func (w *workerLink) call(req *classRequest, cancel <-chan struct{}, opts PoolOp
 		w.sever(gen, errors.New("job canceled"))
 		rep = <-ch // sever delivered the error (or the pump beat it with a reply)
 	case <-timer.C:
-		if w.sever(gen, fmt.Errorf("no response within %v", opts.ClassTimeout)) {
+		late := fmt.Errorf("no response within %v", opts.ClassTimeout)
+		if w.sever(gen, late) {
 			// This caller performed the teardown: the worker is wedged.
-			atomic.AddInt64(&w.failures, 1)
 			atomic.AddInt64(&w.timeouts, 1)
-			return nil, 0, fmt.Errorf("distrib: worker %s: %w", w.addr, dnc.ErrWorkerTimeout)
+			return nil, 0, w.fail(late, dnc.ErrWorkerTimeout)
 		}
 		// Someone else already severed this connection (or the pump
 		// answered at the wire); the buffered reply says which.
 		rep = <-ch
 	}
 	if rep.err != nil {
-		atomic.AddInt64(&w.failures, 1)
-		return nil, 0, fmt.Errorf("distrib: worker %s: %v: %w", w.addr, rep.err, dnc.ErrWorkerLost)
+		return nil, 0, w.fail(rep.err, dnc.ErrWorkerLost)
 	}
 	atomic.AddInt64(&w.completed, 1)
 	atomic.AddInt64(&w.payloadBytes, int64(len(rep.resp.Supports)))
@@ -299,6 +300,18 @@ func (w *workerLink) call(req *classRequest, cancel <-chan struct{}, opts PoolOp
 		started = rep.prev
 	}
 	return rep.resp, rep.at.Sub(started).Seconds(), nil
+}
+
+// fail counts a failure of the link, records it for WorkerStats, and
+// returns it wrapped in kind: dnc.ErrWorkerLost or dnc.ErrWorkerTimeout.
+// Caller holds neither lock.
+func (w *workerLink) fail(cause, kind error) error {
+	err := fmt.Errorf("distrib: worker %s: %v: %w", w.addr, cause, kind)
+	atomic.AddInt64(&w.failures, 1)
+	w.mu.Lock()
+	w.lastErr = err.Error()
+	w.mu.Unlock()
+	return err
 }
 
 // ensureLocked dials and completes the hello exchange when the link has

@@ -36,7 +36,8 @@ type WorkerOptions struct {
 	// a test hook making compute slow enough to observe transfer
 	// pipelining deterministically.
 	DelayPerClass time.Duration
-	// Logf, when set, receives one line per served class.
+	// Logf, when set, receives one line per served class and one per
+	// refused connection.
 	Logf func(format string, args ...interface{})
 
 	// CrashOnClass, when > 0, injects a worker crash for tests: the
@@ -168,11 +169,14 @@ func (w *Worker) serveConn(c net.Conn) {
 	if err != nil {
 		return
 	}
-	// A refusal is written before closing, so the coordinator can
-	// report why.
+	// A refusal is logged, then written before closing, so both sides
+	// can report why.
 	answer := hello{Proto: protoVersion}
 	if err := peer.mismatch("coordinator"); err != nil {
 		answer.Error = err.Error()
+		if w.opts.Logf != nil {
+			w.opts.Logf("refused %s: %s", c.RemoteAddr(), answer.Error)
+		}
 	}
 	if err := writeHello(c, answer); err != nil || answer.Error != "" {
 		return

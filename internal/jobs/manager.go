@@ -1,17 +1,17 @@
 // Package jobs is the serving layer's job manager: a bounded admission
 // queue in front of the enumeration drivers, per-job lifecycle tracking
 // with streaming progress events, in-flight coalescing of identical
-// requests, and a content-addressed result cache.
+// requests, and one content-addressed result cache.
 //
 // The manager turns the one-shot library call into a long-lived service
 // substrate: submissions are admitted (or rejected when the queue is
 // full), identical concurrent submissions share a single driver run
 // (keyed by elmocomp.RequestKey), completed mode sets are stored as
-// EncodeSupports payloads beside their run's reduction in a byte-budget
-// LRU, and cancellation rides the same first-trip-wins abort latch the
-// cluster substrate uses — a DELETE trips the job's latch, the driver
-// unwinds at its next row boundary or collective, and the worker slot
-// frees for the next job.
+// EncodeSupports payloads beside their run's reduction in one
+// byte-budget LRU, and cancellation rides the same first-trip-wins abort
+// latch the cluster substrate uses — a DELETE trips the job's latch, the
+// driver unwinds at its next row boundary or collective, and the worker
+// slot frees for the next job.
 package jobs
 
 import (
@@ -73,12 +73,13 @@ type Config struct {
 	Workers int
 	// CacheBytes is the result cache's budget in resident bytes: an
 	// entry costs its payload plus the reduction it decodes over
-	// (Result.ShellBytes). 0 means 64 MiB; negative disables caching.
+	// (Result.ShellBytes). Bounded on-demand streams share it, one entry
+	// per request family. 0 means 64 MiB; negative disables caching,
+	// serving a shorter stream by truncation included.
 	CacheBytes int64
-	// PrefixCacheBytes is the on-demand prefix cache's budget, counted
-	// like CacheBytes: completed k-bounded streams stored by request
-	// family so a shorter request is served by truncation instead of a
-	// re-run. 0 means 16 MiB; negative disables it.
+	// PrefixCacheBytes is ignored: bounded on-demand streams live in the
+	// result cache under CacheBytes. The field stays so that callers
+	// setting it by name still compile.
 	PrefixCacheBytes int64
 	// KeepJobs bounds how many terminal jobs stay addressable by ID
 	// (results can hold megabytes of modes; without a bound the jobs map
@@ -117,9 +118,10 @@ type Config struct {
 type Counters struct {
 	Submitted int64 `json:"submitted"`
 	Coalesced int64 `json:"coalesced"`
-	CacheHits int64 `json:"cache_hits"`
-	// PrefixHits counts on-demand submissions served by truncating a
-	// stored longer stream of the same request family (no driver run).
+	// CacheHits counts hits on an entry made under the submission's own
+	// request key; PrefixHits counts every other hit, an on-demand
+	// submission served from a stream its family stored under another k.
+	CacheHits    int64 `json:"cache_hits"`
 	PrefixHits   int64 `json:"prefix_hits"`
 	Rejected     int64 `json:"rejected"`
 	RunsStarted  int64 `json:"runs_started"`
@@ -151,11 +153,9 @@ type Counters struct {
 type Stats struct {
 	Counters Counters  `json:"counters"`
 	Cache    lru.Stats `json:"cache"`
-	// PrefixCache snapshots the on-demand prefix cache.
-	PrefixCache lru.Stats `json:"prefix_cache"`
-	Queued      int       `json:"queued"`
-	Running     int       `json:"running"`
-	Jobs        int       `json:"jobs"`
+	Queued   int       `json:"queued"`
+	Running  int       `json:"running"`
+	Jobs     int       `json:"jobs"`
 	// ResidentBytes is the sum of the memory-budget reservations of all
 	// queued and running jobs — the in-flight resident-bytes gauge the
 	// MaxResidentBytes admission check compares against.
@@ -185,9 +185,12 @@ type stored struct {
 	// shellBytes is the shell's resident size, measured once when the
 	// entry is made: the cache's cost function must not change its mind.
 	shellBytes int64
-	// modes and complete are the prefix cache's policy inputs: the
-	// stream's length, and whether the run exhausted the family so the
-	// payload is its entire EFM set and serves ANY k.
+	// key is the request key of the run that made the entry, which tells
+	// a cache hit from a prefix hit.
+	key string
+	// modes is the stream's length; complete says the payload is the
+	// whole answer (a batch result, or an on-demand run that exhausted
+	// its family) and so serves any k.
 	modes    int
 	complete bool
 }
@@ -203,26 +206,40 @@ func (s stored) decode() (*elmocomp.Result, bool) {
 	return res, err == nil && res.Fingerprint() == s.fingerprint
 }
 
+// upgrades is the one store rule: a held entry is replaced only by a
+// complete one, or by a longer stream of the same family.
+func (s stored) upgrades(old stored) bool {
+	return !old.complete && (s.complete || s.modes > old.modes)
+}
+
+// cacheSlot returns where a request's result is cached and the stream
+// bound k it asks of that entry (0: the whole answer). A bounded
+// on-demand request shares its family's one entry
+// (elmocomp.OnDemandPrefixKey); every other request has its own key's.
+func cacheSlot(req Request, key string) (string, int) {
+	if k := req.Config.MaxModes; req.Config.Backend == elmocomp.OnDemandBackend && k > 0 {
+		return elmocomp.OnDemandPrefixKey(req.Network, req.Config), k
+	}
+	return key, 0
+}
+
 // Manager owns the job lifecycle. Construct with New, stop with
 // Shutdown.
 type Manager struct {
 	cfg     Config
 	compute ComputeFunc
-	// cache is the content-addressed result cache: request key → stored
-	// result, LRU-evicted under a byte budget. Identical networks are
-	// re-analyzed constantly in practice (knockout screens resubmit the
-	// same wild-type enumeration dozens of times), so a hit converts
-	// minutes of driver compute into a byte copy.
+	// cache is the one content-addressed result cache, LRU-evicted under
+	// a byte budget. Identical networks are re-analyzed constantly in
+	// practice (knockout screens resubmit the same wild-type enumeration
+	// dozens of times), so a hit converts minutes of driver compute into a
+	// byte copy. A batch result lives under its request key. A bounded
+	// on-demand stream lives under its request FAMILY's key (cacheSlot):
+	// the ranked stream is a pure function of (network, config,
+	// objective), so a k-mode run IS the first k modes of every longer
+	// run, and the family's one entry holds the longest stream seen so
+	// far, in emission order.
 	cache *lru.Cache[stored]
-	// prefix is the on-demand tier's second-chance cache. Bounded
-	// (MaxModes > 0) requests cannot share cache entries across k — each
-	// k is its own request key — but the ranked stream is a pure function
-	// of (network, config, objective), so a completed k-mode run IS the
-	// first k modes of every longer run. Entries are keyed by the request
-	// FAMILY (elmocomp.OnDemandPrefixKey, k elided) and hold the longest
-	// stream seen so far, in emission order.
-	prefix *lru.Cache[stored]
-	queue  chan *Job
+	queue chan *Job
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -250,9 +267,6 @@ func New(cfg Config) *Manager {
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = 64 << 20
 	}
-	if cfg.PrefixCacheBytes == 0 {
-		cfg.PrefixCacheBytes = 16 << 20
-	}
 	if cfg.KeepJobs == 0 {
 		cfg.KeepJobs = 256
 	}
@@ -260,7 +274,6 @@ func New(cfg Config) *Manager {
 		cfg:      cfg,
 		compute:  cfg.Compute,
 		cache:    lru.New(cfg.CacheBytes, stored.bytes),
-		prefix:   lru.New(cfg.PrefixCacheBytes, stored.bytes),
 		queue:    make(chan *Job, cfg.Queue),
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
@@ -326,27 +339,20 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	// submission. It does not reduce the network: the entry's shell holds
 	// the run's reduction, which costs ~20 ms of exact arithmetic on the
 	// benchmark's yeast1 knock-outs against a ~1.4 ms hit (2-CPU x86-64).
-	if hit, ok := m.cache.Get(key); ok {
+	// A family's stream longer than k serves this k by truncation; one
+	// shorter than k cannot, and the run that follows upgrades it.
+	ckey, k := cacheSlot(req, key)
+	if hit, ok := m.cache.Get(ckey); ok && (hit.complete || k > 0 && hit.modes >= k) {
 		if res, ok := hit.decode(); ok {
-			return m.adoptCacheHit(key, req, res, hit.fingerprint, false)
+			fp := hit.fingerprint
+			if k > 0 && res.Len() > k {
+				res.Truncate(k)
+				fp = res.Fingerprint()
+			}
+			return m.adoptCacheHit(key, req, res, fp, hit.key)
 		}
 		// Poisoned entry (stale format, corruption): drop it and run.
-		m.cache.Remove(key)
-	}
-	// Second chance for bounded on-demand requests: a stored LONGER
-	// stream of the same family serves this k by truncation — the
-	// ranked stream is a pure prefix function of k. A held stream shorter
-	// than k cannot serve it: the run must happen (and will upgrade the
-	// entry).
-	if k := req.Config.MaxModes; req.Config.Backend == elmocomp.OnDemandBackend && k > 0 {
-		pkey := elmocomp.OnDemandPrefixKey(req.Network, req.Config)
-		if hit, ok := m.prefix.Get(pkey); ok && (hit.complete || hit.modes >= k) {
-			if res, ok := hit.decode(); ok {
-				res.Truncate(k)
-				return m.adoptCacheHit(key, req, res, res.Fingerprint(), true)
-			}
-			m.prefix.Remove(pkey)
-		}
+		m.cache.Remove(ckey)
 	}
 
 	m.mu.Lock()
@@ -394,9 +400,10 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 }
 
 // adoptCacheHit registers a job that was born done from a cached
-// payload (prefix = served by truncating a stored on-demand stream).
-// It never occupies a queue slot or a worker.
-func (m *Manager) adoptCacheHit(key string, req Request, res *elmocomp.Result, fp uint64, prefix bool) (*Job, error) {
+// payload; madeBy is the request key of the run that stored it, and a
+// hit on another key's entry is a prefix hit. It never occupies a queue
+// slot or a worker.
+func (m *Manager) adoptCacheHit(key string, req Request, res *elmocomp.Result, fp uint64, madeBy string) (*Job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.draining {
@@ -406,17 +413,13 @@ func (m *Manager) adoptCacheHit(key string, req Request, res *elmocomp.Result, f
 	j.mu.Lock()
 	j.cached = true
 	j.mu.Unlock()
-	kind := "cache hit"
-	if prefix {
-		kind = "prefix cache hit"
+	kind, hits := "cache hit", &m.counters.CacheHits
+	if madeBy != key {
+		kind, hits = "prefix hit", &m.counters.PrefixHits
 	}
+	*hits++
 	j.finalize(StateDone, res, fp, nil, fmt.Sprintf("%s: %d modes, fingerprint %016x", kind, res.Len(), fp))
 	m.jobs[j.ID] = j
-	if prefix {
-		m.counters.PrefixHits++
-	} else {
-		m.counters.CacheHits++
-	}
 	m.retireLocked(j)
 	return j, nil
 }
@@ -514,17 +517,14 @@ func (m *Manager) runJob(j *Job) {
 		fp = res.Fingerprint()
 		state = StateDone
 		note = fmt.Sprintf("%d modes, fingerprint %016x", res.Len(), fp)
-		run := stored{payload: res.EncodeSupports(), fingerprint: fp, shell: res.Shell(), shellBytes: res.ShellBytes(), modes: res.Len()}
-		m.cache.Put(j.Key, run)
-		if req.Config.Backend == elmocomp.OnDemandBackend {
-			// Upgrade the family's prefix entry, never downgrade it: a
-			// complete stream (an exhausted run: every future k is served
-			// from cache) beats an incomplete one, and among incomplete
-			// streams the longer wins.
-			run.complete = res.OnDemand != nil && res.OnDemand.Exhausted
-			m.prefix.PutIf(elmocomp.OnDemandPrefixKey(req.Network, req.Config), run, func(old stored) bool {
-				return !old.complete && (run.complete || run.modes > old.modes)
-			})
+		ckey, k := cacheSlot(req, j.Key)
+		run := stored{payload: res.EncodeSupports(), fingerprint: fp, shell: res.Shell(), shellBytes: res.ShellBytes(),
+			key: j.Key, modes: res.Len(), complete: k == 0 || res.OnDemand != nil && res.OnDemand.Exhausted}
+		m.cache.PutIf(ckey, run, run.upgrades)
+		if k == 0 && req.Config.Backend == elmocomp.OnDemandBackend {
+			// An exhaustive stream also completes its family: every later
+			// k is served from it.
+			m.cache.PutIf(elmocomp.OnDemandPrefixKey(req.Network, req.Config), run, run.upgrades)
 		}
 	case j.latch.Cause() != nil:
 		// The latch tripped and the driver unwound: report the cancel
@@ -579,7 +579,6 @@ func (m *Manager) Stats() Stats {
 	s := Stats{
 		Counters:      m.counters,
 		Cache:         m.cache.Stats(),
-		PrefixCache:   m.prefix.Stats(),
 		Queued:        m.queued,
 		Running:       m.running,
 		Jobs:          len(m.jobs),

@@ -69,88 +69,117 @@ func TestOnDemandModeEventsStream(t *testing.T) {
 	}
 }
 
-// TestOnDemandPrefixCacheServesShorterK is the prefix-cache regression:
-// after a completed k=5 run, a k=3 submission of the same family is
-// served by truncation — no driver run — and returns exactly the first
-// 3 modes of the k=5 stream. A k beyond the stored stream still runs
-// (and upgrades the entry); an exhaustive run completes the family so
-// any k serves from cache thereafter.
+// TestOnDemandPrefixCacheServesShorterK is the one-cache regression for
+// bounded streams. A request family (elmocomp.OnDemandPrefixKey) has one
+// entry in the result cache, holding the longest stream seen so far:
+// after a completed k=5 run, a k=3 submission is served by truncation —
+// no driver run — and returns exactly the first 3 modes of the k=5
+// stream. A k beyond the stored stream still runs (and upgrades the
+// entry); an exhaustive run is stored under its batch key and completes
+// the family, so any k serves from cache thereafter.
 func TestOnDemandPrefixCacheServesShorterK(t *testing.T) {
-	m := New(Config{Workers: 1})
-	defer shutdown(t, m)
+	toy := toyRequest(t, elmocomp.Config{}).Network
 	od := func(k int) Request {
-		return toyRequest(t, elmocomp.Config{Backend: elmocomp.OnDemandBackend, MaxModes: k})
+		return Request{Network: toy, Config: elmocomp.Config{Backend: elmocomp.OnDemandBackend, MaxModes: k}}
 	}
-
-	j5 := submitWait(t, m, od(5))
-	res5, _ := j5.Result()
-	if got := m.Stats().Counters; got.RunsStarted != 1 || got.PrefixHits != 0 {
-		t.Fatalf("after k=5: %+v", got)
-	}
-
-	j3 := submitWait(t, m, od(3))
-	res3, err := j3.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Stats().Counters; got.RunsStarted != 1 || got.PrefixHits != 1 {
-		t.Fatalf("k=3 was not served from the prefix cache: %+v", got)
-	}
-	if !j3.Status().Cached {
-		t.Fatal("prefix-served job not marked cached")
-	}
-	if res3.Len() != 3 {
-		t.Fatalf("k=3 prefix serve returned %d modes", res3.Len())
-	}
-	for i := 0; i < 3; i++ {
-		a, b := res3.ReducedSupport(i), res5.ReducedSupport(i)
-		if len(a) != len(b) {
-			t.Fatalf("prefix mode %d diverges from the k=5 stream", i)
+	counters := func(t *testing.T, m *Manager, runs, hits, prefix int64) {
+		t.Helper()
+		if got := m.Stats().Counters; got.RunsStarted != runs || got.CacheHits != hits || got.PrefixHits != prefix {
+			t.Fatalf("runs_started %d, cache_hits %d, prefix_hits %d; want %d, %d, %d",
+				got.RunsStarted, got.CacheHits, got.PrefixHits, runs, hits, prefix)
 		}
-		for c := range a {
-			if a[c] != b[c] {
+	}
+
+	t.Run("shorter-k", func(t *testing.T) {
+		m := New(Config{Workers: 1})
+		defer shutdown(t, m)
+		j5 := submitWait(t, m, od(5))
+		res5, _ := j5.Result()
+		counters(t, m, 1, 0, 0)
+
+		j3 := submitWait(t, m, od(3))
+		res3, err := j3.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		counters(t, m, 1, 0, 1)
+		if !j3.Status().Cached {
+			t.Fatal("prefix-served job not marked cached")
+		}
+		if res3.Len() != 3 {
+			t.Fatalf("k=3 prefix serve returned %d modes", res3.Len())
+		}
+		for i := 0; i < 3; i++ {
+			a, b := res3.ReducedSupport(i), res5.ReducedSupport(i)
+			if len(a) != len(b) {
 				t.Fatalf("prefix mode %d diverges from the k=5 stream", i)
 			}
+			for c := range a {
+				if a[c] != b[c] {
+					t.Fatalf("prefix mode %d diverges from the k=5 stream", i)
+				}
+			}
 		}
-	}
 
-	// Beyond the stored stream: must run, then upgrade the entry.
-	j7 := submitWait(t, m, od(7))
-	res7, _ := j7.Result()
-	if got := m.Stats().Counters; got.RunsStarted != 2 || got.PrefixHits != 1 {
-		t.Fatalf("k=7 should have run: %+v", got)
-	}
-	if res7.Len() != 7 {
-		t.Fatalf("k=7 returned %d modes", res7.Len())
-	}
-	j6 := submitWait(t, m, od(6))
-	if got := m.Stats().Counters; got.RunsStarted != 2 || got.PrefixHits != 2 {
-		t.Fatalf("k=6 was not served from the upgraded entry: %+v", got)
-	}
-	res6, _ := j6.Result()
-	if res6.Len() != 6 {
-		t.Fatalf("k=6 returned %d modes", res6.Len())
-	}
+		// Beyond the stored stream: must run, then upgrade the entry.
+		j7 := submitWait(t, m, od(7))
+		res7, _ := j7.Result()
+		counters(t, m, 2, 0, 1)
+		if res7.Len() != 7 {
+			t.Fatalf("k=7 returned %d modes", res7.Len())
+		}
+		j6 := submitWait(t, m, od(6))
+		counters(t, m, 2, 0, 2)
+		res6, _ := j6.Result()
+		if res6.Len() != 6 {
+			t.Fatalf("k=6 returned %d modes", res6.Len())
+		}
 
-	// Exhaustive run (k=0, shares the batch key) completes the family:
-	// any k serves from the prefix cache afterwards.
-	jAll := submitWait(t, m, od(0))
-	resAll, _ := jAll.Result()
-	if got := m.Stats().Counters; got.RunsStarted != 3 {
-		t.Fatalf("exhaustive run missing: %+v", got)
-	}
-	jBig := submitWait(t, m, od(resAll.Len()+100))
-	resBig, _ := jBig.Result()
-	if got := m.Stats().Counters; got.RunsStarted != 3 || got.PrefixHits != 3 {
-		t.Fatalf("over-length k was not served from the completed family: %+v", got)
-	}
-	if resBig.Len() != resAll.Len() || resBig.Fingerprint() != resAll.Fingerprint() {
-		t.Fatalf("completed-family serve: %d modes fp %016x, want %d fp %016x",
-			resBig.Len(), resBig.Fingerprint(), resAll.Len(), resAll.Fingerprint())
-	}
-	if m.Stats().PrefixCache.Entries != 1 {
-		t.Fatalf("prefix cache holds %d entries, want 1 family", m.Stats().PrefixCache.Entries)
-	}
+		// Exhaustive run (k=0, shares the batch key) completes the family:
+		// any k serves from the cache afterwards.
+		jAll := submitWait(t, m, od(0))
+		resAll, _ := jAll.Result()
+		counters(t, m, 3, 0, 2)
+		jBig := submitWait(t, m, od(resAll.Len()+100))
+		resBig, _ := jBig.Result()
+		counters(t, m, 3, 0, 3)
+		if resBig.Len() != resAll.Len() || resBig.Fingerprint() != resAll.Fingerprint() {
+			t.Fatalf("completed-family serve: %d modes fp %016x, want %d fp %016x",
+				resBig.Len(), resBig.Fingerprint(), resAll.Len(), resAll.Fingerprint())
+		}
+		// The family's one entry and the exhaustive run's batch key.
+		if n := m.Stats().Cache.Entries; n != 2 {
+			t.Fatalf("cache holds %d entries, want 2 (the family and the batch key)", n)
+		}
+	})
+
+	// A hit counts as a cache hit when the entry was made under the
+	// submission's own request key, and as a prefix hit otherwise — also
+	// when an earlier run of the same k made it and a longer run has
+	// since upgraded the family's entry.
+	t.Run("counters", func(t *testing.T) {
+		m := New(Config{Workers: 1})
+		defer shutdown(t, m)
+		submitWait(t, m, od(5))
+		submitWait(t, m, od(5))
+		counters(t, m, 1, 1, 0)
+		submitWait(t, m, od(9))
+		counters(t, m, 2, 1, 0)
+		if res, _ := submitWait(t, m, od(5)).Result(); res.Len() != 5 {
+			t.Fatalf("k=5 from the k=9 entry returned %d modes", res.Len())
+		}
+		counters(t, m, 2, 1, 1)
+	})
+
+	// A disabled cache disables family serving too: there is no second
+	// budget to serve a shorter stream from.
+	t.Run("cache-disabled", func(t *testing.T) {
+		m := New(Config{Workers: 1, CacheBytes: -1})
+		defer shutdown(t, m)
+		submitWait(t, m, od(5))
+		submitWait(t, m, od(3))
+		counters(t, m, 2, 0, 0)
+	})
 }
 
 // TestOnDemandSubmitRejectsOwnedOnMode: OnMode is manager-owned like

@@ -4,8 +4,9 @@
 # stream, check the result fingerprint against a direct library run
 # (efmcalc -json emits the same summary schema), spill a budgeted job
 # and find the spill directory empty, resubmit to hit the
-# content-addressed cache without a driver run, exercise cancellation,
-# and shut down gracefully on SIGTERM.
+# content-addressed cache without a driver run, stream a ranked
+# on-demand job and serve a shorter k from its cache entry, exercise
+# cancellation, and shut down gracefully on SIGTERM.
 #
 # Needs curl and jq. Exits non-zero on the first failed assertion.
 set -euo pipefail
@@ -158,6 +159,16 @@ OD_MODES=$(jq -r .summary.modes "$WORKDIR/odresult.json")
 jq -e '.summary.ondemand.emitted == 3 and .summary.ondemand.bases > 0' "$WORKDIR/odresult.json" >/dev/null \
   || fail "on-demand summary lacks its ondemand block: $(jq -c .summary "$WORKDIR/odresult.json")"
 echo "   3 mode events (ranks $RANKS) before the terminal event"
+
+echo "== on-demand k=2 after k=3: served from the family's cache entry, no driver run"
+RUNS_BEFORE=$(curl -fsS "$BASE/varz" | jq -r .counters.runs_started)
+PHIT=$(curl -fsS "$BASE/v1/jobs" -d '{"model":"toy","options":{"backend":"ondemand","k":2}}')
+[ "$(echo "$PHIT" | jq -r .cached)" = true ] || fail "k=2 not served from the k=3 stream: $PHIT"
+curl -fsS "$BASE/varz" > "$WORKDIR/varz.json"
+[ "$(jq -r .counters.runs_started "$WORKDIR/varz.json")" = "$RUNS_BEFORE" ] || fail "k=2 started a driver run"
+[ "$(jq -r .counters.prefix_hits "$WORKDIR/varz.json")" = 1 ] || fail "prefix_hits counter != 1: $(jq -c .counters "$WORKDIR/varz.json")"
+jq -e 'has("prefix_cache") | not' "$WORKDIR/varz.json" >/dev/null || fail "/varz still has a prefix_cache block"
+echo "   cached, prefix_hits 1, runs_started stayed $RUNS_BEFORE, one cache block on /varz"
 
 echo "== on-demand cancel mid-stream resolves in under a second"
 CID2=$(curl -fsS "$BASE/v1/jobs" -d '{"model":"yeast1","options":{"backend":"ondemand","k":100000}}' | jq -r .id)

@@ -168,8 +168,9 @@ func canonicalObjective(obj map[string]string) string {
 // one (network, config, objective) triple shares this key, and — because
 // the ranked stream is a pure function of that triple — a completed run
 // of k modes is byte-for-byte the prefix of any longer run. The job
-// service's prefix cache exploits exactly that: a stored k=10 result
-// serves any k' <= 10 request by truncation, without recomputing.
+// service's result cache keeps a bounded stream under this key, one
+// entry per family holding the longest stream seen: a stored k=10
+// result serves any k' <= 10 request by truncation, without recomputing.
 func OnDemandPrefixKey(n *Network, cfg Config) string {
 	base := cfg
 	base.MaxModes = 0 // exhaustive request: hashes to the shared batch key
