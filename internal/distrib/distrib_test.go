@@ -372,6 +372,7 @@ func TestWorkerProtocolMismatch(t *testing.T) {
 		refuse bool
 	}{
 		{protoVersion, false},
+		{7, true}, // protocol 7 answered a class without the worker's clock on it
 		{6, true}, // protocol 6 shipped results compressed, in a frame with two more fields
 		{5, true}, // protocol 5 sent classes that leaned on an earlier frame's spec block
 		{4, true}, // protocol 4 marked results served from a worker's class cache
@@ -433,6 +434,7 @@ func TestPoolProtoRefusal(t *testing.T) {
 			"distrib: coordinator speaks protocol %d, this build speaks protocol %d", protoVersion, protoVersion+1)},
 		"other-version": {Proto: protoVersion + 1},
 		"proto-6":       {Proto: 6},
+		"proto-7":       {Proto: 7},
 	} {
 		t.Run(name, func(t *testing.T) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -568,5 +570,175 @@ func TestPoolResubmitRunsUnderItsOwnOptions(t *testing.T) {
 	spec.Exec.Core.MemBudget = 1
 	if _, err := pool.Bind(spec).Run(0, class, nil); !errors.Is(err, core.ErrMemBudget) {
 		t.Fatalf("the same key resubmitted with a 1-byte strict budget: err = %v, want core.ErrMemBudget", err)
+	}
+}
+
+// TestPoolCancelSparesSharedWorker: two jobs share a one-worker pool, as
+// the jobs of efmd -coordinator -concurrency 2 do, and job A is canceled
+// mid-run. A canceled call closes its own connection and nothing else:
+// job B runs all four of its classes on the worker without a requeue,
+// and the worker reads alive, with no failure counted against it.
+func TestPoolCancelSparesSharedWorker(t *testing.T) {
+	specA, red, seq := toyJob(t)
+	specB := specA
+	specB.Key = "test-job-2"
+	w := startWorker(t, WorkerOptions{DelayPerClass: 50 * time.Millisecond})
+	pool := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second, Inflight: 2})
+	defer pool.Close()
+
+	cancelA := make(chan struct{})
+	errA := make(chan error, 1)
+	go func() {
+		opts := dnc.Options{Qsub: 2, Remote: pool.Bind(specA)}
+		opts.Parallel.Cancel = cancelA
+		_, err := dnc.Run(red.N, red.Reversibilities(), opts)
+		errA <- err
+	}()
+	go func() {
+		// Cancel once the worker has answered a class: both jobs have
+		// classes in flight then, each job's four taking 50 ms apiece.
+		for w.Counters().Served == 0 {
+			time.Sleep(5 * time.Millisecond)
+		}
+		close(cancelA)
+	}()
+	resB, err := dnc.Run(red.N, red.Reversibilities(), dnc.Options{Qsub: 2, Remote: pool.Bind(specB)})
+	if err != nil {
+		t.Fatalf("job B: %v", err)
+	}
+	if err := <-errA; err == nil {
+		t.Fatal("job A finished though it was canceled")
+	}
+	if fp(resB.Supports) != fp(seq.Supports) {
+		t.Fatal("job B's fingerprint differs")
+	}
+	if resB.Sched.RemoteRequeues != 0 || resB.Sched.RemoteClasses != 4 {
+		t.Fatalf("job B: %d requeues, %d remote classes; want 0 and 4", resB.Sched.RemoteRequeues, resB.Sched.RemoteClasses)
+	}
+	if st := pool.Stats()[0]; !st.Alive || st.Failures != 0 {
+		t.Fatalf("job A's cancel cost the shared worker: %+v", st)
+	}
+}
+
+// TestPoolRemoteClassClock: a remote class carries the worker's own
+// clock over the wire, its phase times and the seconds around them, as a
+// local class does. One core per class keeps the phase times wall-clock
+// seconds inside the class's own.
+func TestPoolRemoteClassClock(t *testing.T) {
+	spec, red, _ := toyJob(t)
+	spec.Exec.Core.Workers = 1
+	w := startWorker(t, WorkerOptions{})
+	pool := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second})
+	defer pool.Close()
+
+	res, err := dnc.Run(red.N, red.Reversibilities(), dnc.Options{Qsub: 2, Remote: pool.Bind(spec)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seconds := map[string]float64{}
+	for _, c := range res.Sched.Classes {
+		seconds[c.Label] = c.Seconds
+	}
+	var checked int
+	res.Walk(func(s *dnc.Subproblem) {
+		if s.Skipped {
+			return
+		}
+		label := fmt.Sprintf("%0*b", len(s.Partition), s.ID)
+		sec, ok := seconds[label]
+		if !ok {
+			t.Fatalf("class %s ran but the scheduler lists no seconds for it", label)
+		}
+		if total := s.Phases.Total(); !(total > 0 && total <= sec) {
+			t.Errorf("class %s: phases %+v (total %.6fs) against %.6fs, want 0 < total <= seconds", label, s.Phases, total, sec)
+		}
+		checked++
+	})
+	if checked == 0 || int64(checked) > res.Sched.RemoteClasses {
+		t.Fatalf("checked %d classes, %d ran remotely", checked, res.Sched.RemoteClasses)
+	}
+}
+
+// TestWorkerOneClassPerConnection: a connection carries one class and
+// then its reply. A peer that sends a second class before the first is
+// answered loses the connection and both classes, rather than queueing
+// work on the worker; a pool's connections beside it keep serving.
+func TestWorkerOneClassPerConnection(t *testing.T) {
+	spec, red, seq := toyJob(t)
+	w := startWorker(t, WorkerOptions{DelayPerClass: 100 * time.Millisecond})
+	conn, err := net.DialTimeout("tcp", w.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := writeHello(conn, hello{Proto: protoVersion}); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := readHello(conn); err != nil || resp.Error != "" {
+		t.Fatalf("hello answered %+v, %v", resp, err)
+	}
+	for seqNo := uint64(1); seqNo <= 2; seqNo++ {
+		frame := encodeClass(&classRequest{Seq: seqNo, Key: spec.Key, Network: spec.Network, Partition: seq.Partition, Class: seqNo})
+		if err := cluster.WriteFrame(conn, frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if body, err := cluster.ReadFrame(conn, cluster.MaxFrame); !errors.Is(err, io.EOF) {
+		t.Fatalf("worker answered two classes on one connection with %d bytes, %v; want a closed connection", len(body), err)
+	}
+
+	pool := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second})
+	defer pool.Close()
+	res, err := dnc.Run(red.N, red.Reversibilities(), dnc.Options{Qsub: 2, Remote: pool.Bind(spec)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp(res.Supports) != fp(seq.Supports) || res.Sched.RemoteRequeues != 0 {
+		t.Fatalf("fingerprint %x (want %x), %d requeues after another connection's violation", fp(res.Supports), fp(seq.Supports), res.Sched.RemoteRequeues)
+	}
+}
+
+// TestPoolWorkerRestartBetweenJobs: a worker restarted between two jobs
+// closed the connections the pool kept idle. The next job's first calls
+// find theirs closed and retry on fresh connections, so the restarted
+// worker runs all four classes, without a requeue or a failure counted
+// against it.
+func TestPoolWorkerRestartBetweenJobs(t *testing.T) {
+	spec, red, seq := toyJob(t)
+	first, err := NewWorker("127.0.0.1:0", WorkerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := first.Addr()
+	go first.Serve()
+	pool := NewPool([]string{addr}, PoolOptions{ClassTimeout: 30 * time.Second})
+	defer pool.Close()
+	runJob := func(name string) *dnc.Result {
+		t.Helper()
+		res, err := dnc.Run(red.N, red.Reversibilities(), dnc.Options{Qsub: 2, Remote: pool.Bind(spec)})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if fp(res.Supports) != fp(seq.Supports) {
+			t.Fatalf("%s: fingerprint differs", name)
+		}
+		return res
+	}
+	runJob("job 1")
+	first.Close()
+
+	restarted, err := NewWorker(addr, WorkerOptions{})
+	if err != nil {
+		t.Skipf("the worker's port was taken: %v", err)
+	}
+	go restarted.Serve()
+	defer restarted.Close()
+	res := runJob("job 2")
+	if res.Sched.RemoteClasses != 4 || res.Sched.RemoteRequeues != 0 {
+		t.Fatalf("job 2: %d remote classes, %d requeues; want 4 and 0", res.Sched.RemoteClasses, res.Sched.RemoteRequeues)
+	}
+	if st := pool.Stats()[0]; !st.Alive || st.Failures != 0 {
+		t.Fatalf("the restart cost the worker: %+v", st)
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"elmocomp/internal/cluster"
@@ -21,14 +21,15 @@ const dialTimeout = 5 * time.Second
 // PoolOptions configure the coordinator's worker-connection pool.
 type PoolOptions struct {
 	// ClassTimeout is the per-class response deadline: a worker holding
-	// a class longer is declared wedged, its link severed, and the class
-	// requeued (default 2m). Must comfortably exceed the slowest class.
+	// a class longer is declared wedged, its connections closed, and the
+	// class requeued (default 2m). Must comfortably exceed the slowest
+	// class.
 	ClassTimeout time.Duration
-	// Inflight is the per-link credit: how many classes may be in flight
-	// on one worker connection at once (default 2). Credit 2 lets a
-	// runner ship the next class while the worker computes the
-	// current one, overlapping transfer with compute; the worker still
-	// executes serially per connection.
+	// Inflight is how many classes one job keeps in flight on one
+	// worker, each on a connection of its own (default 2). Two let a
+	// runner ship the next class while the worker computes the current
+	// one, overlapping transfer with compute; the worker still runs one
+	// class at a time.
 	Inflight int
 }
 
@@ -48,9 +49,9 @@ type JobSpec struct {
 }
 
 // Pool is a fixed fleet of worker links. It implements nothing itself;
-// Bind projects it onto one job as a dnc.RemoteExecutor. Links dial
-// lazily, multiplex up to Inflight seq-tagged classes each, and redial
-// on the next use after a failure — so a worker restarted between jobs
+// Bind projects it onto one job as a dnc.RemoteExecutor. A link dials
+// lazily, carries one class per connection at a time, and dials again on
+// the next use after a failure — so a worker restarted between jobs
 // rejoins the fleet without coordinator restarts, while within one job
 // the scheduler retires a failed slot after its requeue.
 type Pool struct {
@@ -69,7 +70,7 @@ func NewPool(addrs []string, opts PoolOptions) *Pool {
 	}
 	p := &Pool{opts: opts}
 	for _, a := range addrs {
-		p.workers = append(p.workers, &workerLink{addr: a})
+		p.workers = append(p.workers, &workerLink{addr: a, busy: make(map[net.Conn]bool), stats: WorkerStats{Addr: a, Alive: true}})
 	}
 	return p
 }
@@ -77,11 +78,11 @@ func NewPool(addrs []string, opts PoolOptions) *Pool {
 // Size returns the fleet size.
 func (p *Pool) Size() int { return len(p.workers) }
 
-// Close severs every link. Safe concurrently with in-flight classes:
-// they fail as worker-lost and the schedulers requeue.
+// Close closes every connection. Safe concurrently with in-flight
+// classes: they fail as worker-lost and the schedulers requeue.
 func (p *Pool) Close() {
 	for _, w := range p.workers {
-		w.teardown(errors.New("pool closed"))
+		w.drop(nil, true)
 	}
 }
 
@@ -109,19 +110,8 @@ func (p *Pool) Stats() []WorkerStats {
 	out := make([]WorkerStats, len(p.workers))
 	for i, w := range p.workers {
 		w.mu.Lock()
-		alive, lastErr := !w.down, w.lastErr
+		out[i] = w.stats
 		w.mu.Unlock()
-		out[i] = WorkerStats{
-			Addr:         w.addr,
-			Alive:        alive,
-			LastError:    lastErr,
-			Dispatched:   atomic.LoadInt64(&w.dispatched),
-			Completed:    atomic.LoadInt64(&w.completed),
-			Failures:     atomic.LoadInt64(&w.failures),
-			Timeouts:     atomic.LoadInt64(&w.timeouts),
-			PayloadBytes: atomic.LoadInt64(&w.payloadBytes),
-			WireBytes:    atomic.LoadInt64(&w.wireBytes),
-		}
 	}
 	return out
 }
@@ -131,44 +121,21 @@ func (p *Pool) Bind(spec JobSpec) dnc.RemoteExecutor {
 	return &boundExec{p: p, spec: spec}
 }
 
-// linkReply is what the reader pump delivers to a waiting call: a
-// response or the link failure that severed the connection. at is the
-// response's arrival and prev the arrival of the reply before it on the
-// same connection (zero for a connection's first): a worker runs one
-// connection's classes one at a time in arrival order, so it got to this
-// class no earlier than prev.
-type linkReply struct {
-	resp     *classResponse
-	err      error
-	at, prev time.Time
-}
-
-// workerLink is one worker's long-lived connection state. Up to
-// PoolOptions.Inflight classes multiplex over the connection, matched to
-// their callers by sequence number through the pending map; one reader
-// pump per connection delivers replies. gen numbers connections so a
-// sever is idempotent and a pump for a dead connection can never touch
-// its successor's state.
+// workerLink is one worker's connections. A call takes an idle one (or
+// dials a new one), carries exactly one class on it and puts it back, so
+// a link holds at most one connection per concurrent call: Inflight per
+// bound job. busy holds the connections carrying a call; a teardown
+// closes them and the idle ones alike.
 type workerLink struct {
 	addr string
 
-	// wmu serializes frame writes: two runners share one link.
-	wmu sync.Mutex
-
-	mu      sync.Mutex
-	conn    net.Conn
-	gen     uint64 // connection generation, bumped by every successful dial
-	seq     uint64
-	down    bool // link failed; cleared by a successful redial
-	pending map[uint64]chan linkReply
-	lastErr string // the latest failure, for WorkerStats
-
-	dispatched   int64
-	completed    int64
-	failures     int64
-	timeouts     int64
-	payloadBytes int64
-	wireBytes    int64
+	mu   sync.Mutex
+	idle []net.Conn
+	busy map[net.Conn]bool
+	seq  uint64
+	// stats are the link's counters. Alive goes false when the link
+	// fails and true again on a successful dial.
+	stats WorkerStats
 }
 
 // boundExec is a Pool bound to one JobSpec.
@@ -177,9 +144,9 @@ type boundExec struct {
 	spec JobSpec
 }
 
-// Slots exposes Inflight credit-slots per worker so the scheduler runs
-// that many runners against each link: while the worker computes one
-// class, the link's other runner is already shipping the next.
+// Slots exposes Inflight slots per worker, each a connection of its
+// own, so the scheduler runs that many runners against each worker:
+// while the worker computes one class, the next is already on the wire.
 func (e *boundExec) Slots() int { return len(e.p.workers) * e.p.opts.Inflight }
 
 func (e *boundExec) link(slot int) *workerLink {
@@ -190,7 +157,7 @@ func (e *boundExec) Alive(slot int) bool {
 	w := e.link(slot)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return !w.down
+	return w.stats.Alive
 }
 
 func (e *boundExec) Run(slot int, c dnc.RemoteClass, cancel <-chan struct{}) (*dnc.ClassOutcome, error) {
@@ -205,7 +172,7 @@ func (e *boundExec) Run(slot int, c dnc.RemoteClass, cancel <-chan struct{}) (*d
 		Depth:          c.Depth,
 		StrictMem:      c.StrictMem,
 	}
-	resp, seconds, err := w.call(req, cancel, e.p.opts)
+	resp, err := w.call(req, cancel, e.p.opts.ClassTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -216,14 +183,15 @@ func (e *boundExec) Run(slot int, c dnc.RemoteClass, cancel <-chan struct{}) (*d
 			// A payload the coordinator cannot decode means the link (or
 			// the worker) is unreliable: sever it and let the class rerun
 			// elsewhere rather than aborting the job.
-			w.teardown(derr)
+			w.drop(nil, true)
 			return nil, w.fail(derr, dnc.ErrWorkerLost)
 		}
 		return &dnc.ClassOutcome{
 			Supports:      supports,
 			Pairs:         resp.Pairs,
 			PeakNodeBytes: resp.PeakNodeBytes,
-			Seconds:       seconds,
+			Phases:        resp.Phases,
+			Seconds:       resp.Seconds,
 		}, nil
 	case statusSkipped:
 		return &dnc.ClassOutcome{Skipped: true}, nil
@@ -236,100 +204,169 @@ func (e *boundExec) Run(slot int, c dnc.RemoteClass, cancel <-chan struct{}) (*d
 	}
 }
 
-// call performs one request/reply exchange on the multiplexed link and
-// times the class as the worker ran it: from when the worker got to it
-// (its send, or the previous reply on the connection, whichever is
-// later) to its reply's arrival. Under in-flight credit the span from
-// send alone would count the wait behind the class the worker was
-// already running.
-func (w *workerLink) call(req *classRequest, cancel <-chan struct{}, opts PoolOptions) (*classResponse, float64, error) {
-	w.wmu.Lock()
-	w.mu.Lock()
-	if err := w.ensureLocked(); err != nil {
-		w.down = true
+// call performs one request/reply exchange on a connection of its own.
+// A closed cancel closes that connection and nothing else: the worker is
+// fine, the job is not. A connection that sat idle may have been closed
+// by its worker meanwhile (a worker restarted between jobs), so a call
+// that fails on one, other than by its deadline, drops the idle
+// connections and tries once more on a fresh one. Any other failure
+// severs every connection to the worker, so its other classes in flight
+// fail and requeue too; only the call whose connection was still open
+// does the teardown, and only it reports a deadline as
+// dnc.ErrWorkerTimeout.
+func (w *workerLink) call(req *classRequest, cancel <-chan struct{}, timeout time.Duration) (*classResponse, error) {
+	for retried := false; ; retried = true {
+		conn, reused, err := w.take(req)
+		if err != nil {
+			return nil, w.fail(err, dnc.ErrWorkerLost)
+		}
+		resp, err := w.exchange(conn, req, cancel, timeout)
+		select {
+		case <-cancel:
+			w.release(conn, false)
+			if err != nil {
+				return nil, fmt.Errorf("distrib: worker %s: job canceled: %w", w.addr, dnc.ErrWorkerLost)
+			}
+		default:
+			deadline := errors.Is(err, os.ErrDeadlineExceeded)
+			switch {
+			case err == nil:
+				w.release(conn, true)
+			case reused && !retried && !deadline && w.drop(conn, false):
+				continue
+			case w.drop(conn, true) && deadline:
+				return nil, w.fail(fmt.Errorf("no response within %v", timeout), dnc.ErrWorkerTimeout)
+			default:
+				return nil, w.fail(err, dnc.ErrWorkerLost)
+			}
+		}
+		w.mu.Lock()
+		w.stats.Completed++
+		w.stats.PayloadBytes += int64(len(resp.Supports))
 		w.mu.Unlock()
-		w.wmu.Unlock()
-		return nil, 0, w.fail(err, dnc.ErrWorkerLost)
+		return resp, nil
 	}
+}
+
+// exchange writes the class frame and reads its one reply, both under
+// one deadline; a closed cancel closes the connection under them.
+func (w *workerLink) exchange(conn net.Conn, req *classRequest, cancel <-chan struct{}, timeout time.Duration) (*classResponse, error) {
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		select {
+		case <-cancel:
+			conn.Close()
+		case <-stop:
+		}
+	}()
+	defer func() { close(stop); <-stopped }()
+	conn.SetDeadline(time.Now().Add(timeout))
+	body := encodeClass(req)
+	if err := cluster.WriteFrame(conn, body); err != nil {
+		return nil, err
+	}
+	w.mu.Lock()
+	w.stats.Dispatched++
+	w.stats.WireBytes += int64(len(body)) + cluster.FrameHeaderLen
+	w.stats.PayloadBytes += int64(len(body))
+	w.mu.Unlock()
+	reply, err := cluster.ReadFrame(conn, cluster.MaxFrame)
+	if err != nil {
+		return nil, err
+	}
+	w.mu.Lock()
+	w.stats.WireBytes += int64(len(reply)) + cluster.FrameHeaderLen
+	w.mu.Unlock()
+	resp, err := decodeResult(reply)
+	if err == nil && resp.Seq != req.Seq {
+		err = fmt.Errorf("reply %d to class request %d", resp.Seq, req.Seq)
+	}
+	return resp, err
+}
+
+// take numbers the request and hands it a connection: an idle one, or a
+// fresh dial. reused says which.
+func (w *workerLink) take(req *classRequest) (conn net.Conn, reused bool, err error) {
+	w.mu.Lock()
 	w.seq++
 	req.Seq = w.seq
-	gen := w.gen
-	conn := w.conn
-	ch := make(chan linkReply, 1)
-	w.pending[req.Seq] = ch
+	if n := len(w.idle); n > 0 {
+		conn = w.idle[n-1]
+		w.idle, w.busy[conn] = w.idle[:n-1], true
+		w.mu.Unlock()
+		return conn, true, nil
+	}
 	w.mu.Unlock()
-
-	body := encodeClass(req)
-	sent := time.Now()
-	err := cluster.WriteFrame(conn, body)
-	w.wmu.Unlock()
+	conn, err = dialHello(w.addr, dialTimeout)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.stats.Alive = err == nil
 	if err != nil {
-		w.sever(gen, err)
-		return nil, 0, w.fail(err, dnc.ErrWorkerLost)
+		return nil, false, err
 	}
-	atomic.AddInt64(&w.dispatched, 1)
-	atomic.AddInt64(&w.wireBytes, int64(len(body))+cluster.FrameHeaderLen)
-	atomic.AddInt64(&w.payloadBytes, int64(len(body)))
-
-	timer := time.NewTimer(opts.ClassTimeout)
-	defer timer.Stop()
-	var rep linkReply
-	select {
-	case rep = <-ch:
-	case <-cancel:
-		w.sever(gen, errors.New("job canceled"))
-		rep = <-ch // sever delivered the error (or the pump beat it with a reply)
-	case <-timer.C:
-		late := fmt.Errorf("no response within %v", opts.ClassTimeout)
-		if w.sever(gen, late) {
-			// This caller performed the teardown: the worker is wedged.
-			atomic.AddInt64(&w.timeouts, 1)
-			return nil, 0, w.fail(late, dnc.ErrWorkerTimeout)
-		}
-		// Someone else already severed this connection (or the pump
-		// answered at the wire); the buffered reply says which.
-		rep = <-ch
-	}
-	if rep.err != nil {
-		return nil, 0, w.fail(rep.err, dnc.ErrWorkerLost)
-	}
-	atomic.AddInt64(&w.completed, 1)
-	atomic.AddInt64(&w.payloadBytes, int64(len(rep.resp.Supports)))
-	started := sent
-	if rep.prev.After(sent) {
-		started = rep.prev
-	}
-	return rep.resp, rep.at.Sub(started).Seconds(), nil
+	w.busy[conn] = true
+	return conn, false, nil
 }
 
-// fail counts a failure of the link, records it for WorkerStats, and
-// returns it wrapped in kind: dnc.ErrWorkerLost or dnc.ErrWorkerTimeout.
-// Caller holds neither lock.
+// release ends a call's hold on its connection: back on the idle list
+// when keep, closed otherwise. A teardown that closed it meanwhile has
+// left nothing to do.
+func (w *workerLink) release(conn net.Conn, keep bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.busy[conn] {
+		return
+	}
+	delete(w.busy, conn)
+	if keep {
+		w.idle = append(w.idle, conn)
+	} else {
+		conn.Close()
+	}
+}
+
+// drop closes conn, the connection a call failed on, and the idle
+// connections; with all, every connection to the worker, marking it
+// down, so its other classes in flight fail and requeue too. It does so
+// only while conn is still open (nil: always) and reports whether it
+// did: the one call that tears the link down tells a timeout from a
+// loss, and a call that a teardown already failed leaves connections
+// dialed since alone.
+func (w *workerLink) drop(conn net.Conn, all bool) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if conn != nil && !w.busy[conn] {
+		return false
+	}
+	for c := range w.busy {
+		if all || c == conn {
+			c.Close()
+			delete(w.busy, c)
+		}
+	}
+	for _, c := range w.idle {
+		c.Close()
+	}
+	w.idle = nil
+	w.stats.Alive = w.stats.Alive && !all
+	return true
+}
+
+// fail counts a failure of the link, a timeout too when kind is
+// dnc.ErrWorkerTimeout, records it for WorkerStats, and returns it
+// wrapped in kind: dnc.ErrWorkerLost or dnc.ErrWorkerTimeout. Caller
+// holds no lock.
 func (w *workerLink) fail(cause, kind error) error {
 	err := fmt.Errorf("distrib: worker %s: %v: %w", w.addr, cause, kind)
-	atomic.AddInt64(&w.failures, 1)
 	w.mu.Lock()
-	w.lastErr = err.Error()
-	w.mu.Unlock()
+	defer w.mu.Unlock()
+	w.stats.Failures++
+	if kind == dnc.ErrWorkerTimeout {
+		w.stats.Timeouts++
+	}
+	w.stats.LastError = err.Error()
 	return err
-}
-
-// ensureLocked dials and completes the hello exchange when the link has
-// no live connection. Caller holds w.wmu and w.mu.
-func (w *workerLink) ensureLocked() error {
-	if w.conn != nil {
-		return nil
-	}
-	conn, err := dialHello(w.addr, dialTimeout)
-	if err != nil {
-		return err
-	}
-	w.conn = conn
-	w.gen++
-	w.down = false
-	w.pending = make(map[uint64]chan linkReply)
-	go w.readLoop(conn, w.gen)
-	return nil
 }
 
 // dialHello connects and completes the hello exchange, all within
@@ -361,76 +398,4 @@ func greet(conn net.Conn) error {
 		return fmt.Errorf("worker refused the connection: %s", answer.Error)
 	}
 	return answer.mismatch("worker")
-}
-
-// readLoop is the link's reader pump: it decodes frames off one
-// connection and delivers them to the pending calls by sequence number,
-// severing the connection (which fails every pending call) on any read
-// or decode error. It stamps each reply's arrival, and the previous
-// one's on this connection; a redial starts a new pump with no previous.
-func (w *workerLink) readLoop(conn net.Conn, gen uint64) {
-	var prev time.Time
-	for {
-		body, err := cluster.ReadFrame(conn, cluster.MaxFrame)
-		if err != nil {
-			w.sever(gen, err)
-			return
-		}
-		at := time.Now()
-		atomic.AddInt64(&w.wireBytes, int64(len(body))+cluster.FrameHeaderLen)
-		resp, err := decodeResult(body) // rejects every other type byte
-		if err != nil {
-			w.sever(gen, err)
-			return
-		}
-		w.mu.Lock()
-		var ch chan linkReply
-		if w.gen == gen && w.pending != nil {
-			ch = w.pending[resp.Seq]
-			delete(w.pending, resp.Seq)
-		}
-		w.mu.Unlock()
-		if ch != nil {
-			ch <- linkReply{resp: resp, at: at, prev: prev}
-		}
-		prev = at
-		// A reply with no pending call (a late answer for a timed-out
-		// class raced the sever) is dropped; the sever closes the
-		// connection either way.
-	}
-}
-
-// sever tears down the link's current connection if it still is the
-// generation the caller saw, failing every pending call with cause. It
-// reports whether this call performed the teardown — the discriminator
-// between "I timed this class out" and "the link died under me".
-func (w *workerLink) sever(gen uint64, cause error) bool {
-	w.mu.Lock()
-	if w.gen != gen || w.conn == nil {
-		w.mu.Unlock()
-		return false
-	}
-	w.conn.Close()
-	w.conn = nil
-	w.down = true
-	pend := w.pending
-	w.pending = nil
-	w.mu.Unlock()
-	for _, ch := range pend {
-		ch <- linkReply{err: cause}
-	}
-	return true
-}
-
-// teardown severs the link's current connection from outside a call
-// (Pool.Close, an undecodable payload) and marks the link down, dialed
-// or not.
-func (w *workerLink) teardown(cause error) {
-	w.mu.Lock()
-	gen := w.gen
-	w.mu.Unlock()
-	w.sever(gen, cause)
-	w.mu.Lock()
-	w.down = true
-	w.mu.Unlock()
 }

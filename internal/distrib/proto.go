@@ -1,9 +1,10 @@
 // Package distrib is the coordinator/worker fabric of the distributed
 // efmd deployment: one wire protocol for shipping divide-and-conquer
-// classes to remote worker processes, and a multiplexed connection pool
-// implementing the scheduler's RemoteExecutor on top of it. Nothing here
-// decides where a class runs: classes are independent subproblems and
-// every runner takes the class at the head of the scheduler's FIFO.
+// classes to remote worker processes, and a connection pool implementing
+// the scheduler's RemoteExecutor on top of it, one class per connection
+// at a time. Nothing here decides where a class runs: classes are
+// independent subproblems and every runner takes the class at the head
+// of the scheduler's FIFO.
 //
 // The wire (this file). Every message is a frame of the cluster
 // substrate's codec (cluster.WriteFrame: a 4-byte little-endian length,
@@ -15,7 +16,8 @@
 //
 //	class  0x01 seq flags key class depth |partition| partition...
 //	       reserved maxModes workers nodes memBudget commTimeout network
-//	result 0x02 seq status error pairs peakNodeBytes supports
+//	result 0x02 seq status error pairs peakNodeBytes
+//	       seconds genSeconds rankSeconds commSeconds mergeSeconds supports
 //
 // A class frame is the whole class: the worker takes everything it runs
 // the class under from the frame it is executing, so no two frames depend
@@ -33,9 +35,12 @@
 // travel as the core EFMS codec (core.EncodeSupportList), the one
 // support-list format the job cache stores too: on links faster than
 // ~40 Mb/s compressing them costs more CPU than it saves in transfer
-// (DESIGN.md §15). Several seq-tagged classes share a connection
-// (PoolOptions.Inflight credit slots), so the next class ships while the
-// worker computes the current one.
+// (DESIGN.md §15). A connection carries one class and then its one
+// result, which echoes the class's seq; the five float fields are the
+// worker's own clock on the class, from taking its run slot to the
+// reply, and the phase times inside it (parallel.PhaseTimes). A job
+// keeps PoolOptions.Inflight connections to each worker, so the next
+// class ships while the worker computes the current one.
 //
 // The class layout is frozen: bench/expected.json pins the payload bytes
 // it and the result supports add up to.
@@ -55,7 +60,7 @@ import (
 
 // protoVersion is the protocol this build speaks. Bump on any wire
 // change; peers on another version are refused at hello.
-const protoVersion = 7
+const protoVersion = 8
 
 // helloMaxFrame bounds the hello frame, read before the peer has proven
 // it speaks the protocol at all.
@@ -102,7 +107,8 @@ func (h hello) mismatch(peer string) error {
 }
 
 // classRequest ships one divide-and-conquer class: the job's spec and
-// the class coordinates. Seq pairs the response on the connection; Key
+// the class coordinates. Seq numbers the link's requests and its
+// response echoes it; Key
 // is the job's content-addressed RequestKey, shared by every class of
 // one job so the worker finds the network's reduction where the job's
 // first class left it. Network is the canonical network text (the worker
@@ -146,6 +152,10 @@ type classResponse struct {
 
 	Pairs         int64
 	PeakNodeBytes int64
+	// Seconds is the worker's clock on the class, from taking its run
+	// slot to the reply; Phases are ExecClass's phase times inside it.
+	Seconds float64
+	Phases  parallel.PhaseTimes
 	// Supports is the class's EFM supports over the reduced network's
 	// columns in the EFMS form of core.EncodeSupportList.
 	Supports []byte
@@ -369,6 +379,9 @@ func encodeResult(resp *classResponse) []byte {
 	out = appendBytes(out, []byte(resp.Error))
 	out = binary.AppendUvarint(out, uint64(resp.Pairs))
 	out = binary.AppendUvarint(out, uint64(resp.PeakNodeBytes))
+	for _, v := range [...]float64{resp.Seconds, resp.Phases.GenCand, resp.Phases.RankTest, resp.Phases.Communicate, resp.Phases.Merge} {
+		out = appendF64(out, v)
+	}
 	return appendBytes(out, resp.Supports)
 }
 
@@ -387,6 +400,8 @@ func decodeResult(body []byte) (*classResponse, error) {
 	resp.Error = string(r.bytes())
 	resp.Pairs = int64(r.uvarint())
 	resp.PeakNodeBytes = int64(r.uvarint())
+	resp.Seconds = r.f64()
+	resp.Phases = parallel.PhaseTimes{GenCand: r.f64(), RankTest: r.f64(), Communicate: r.f64(), Merge: r.f64()}
 	if payload := r.bytes(); len(payload) > 0 {
 		resp.Supports = payload
 	}

@@ -46,8 +46,8 @@ type WorkerOptions struct {
 	// without responding, like a kill -9.
 	CrashOnClass int
 	// WedgeOnClass, when > 0, injects a wedged worker: the matching
-	// request is held forever (until the peer disconnects), exercising
-	// the coordinator's per-class deadline.
+	// request holds the run slot forever (until its peer disconnects),
+	// exercising the coordinator's per-class deadline.
 	WedgeOnClass int
 }
 
@@ -66,11 +66,18 @@ type Worker struct {
 	conns  map[net.Conn]struct{}
 	closed bool
 
+	// run is the one-class run slot: connections run concurrently, but
+	// their classes take turns.
+	run chan struct{}
+
 	jobs *lru.Cache[*jobEntry] // by job key
 
-	reqCount     int64 // lifetime class requests (fault-injection trigger)
-	served       int64
-	maxPipelined int64 // high-water of classes queued on one connection
+	reqCount int64 // lifetime classes run (fault-injection trigger)
+	served   int64
+
+	// unanswered counts classes received but not yet answered, across
+	// connections; maxPipelined is its high-water. Both under mu.
+	unanswered, maxPipelined int64
 }
 
 // NewWorker listens on addr (host:port; ":0" picks a free port).
@@ -84,6 +91,7 @@ func NewWorker(addr string, opts WorkerOptions) (*Worker, error) {
 		ln:           ln,
 		helloTimeout: helloTimeout,
 		conns:        make(map[net.Conn]struct{}),
+		run:          make(chan struct{}, 1),
 		jobs:         newJobStore(jobStoreSize),
 	}, nil
 }
@@ -92,8 +100,8 @@ func NewWorker(addr string, opts WorkerOptions) (*Worker, error) {
 func (w *Worker) Addr() string { return w.ln.Addr().String() }
 
 // Serve accepts coordinator connections until Close. Each connection
-// executes classes one at a time (pipelined requests queue); concurrent
-// connections run concurrently.
+// carries one class at a time, and the worker runs one class at a time:
+// a class arriving while another runs waits for the run slot.
 func (w *Worker) Serve() error {
 	for {
 		c, err := w.ln.Accept()
@@ -143,16 +151,19 @@ func (w *Worker) Close() error {
 // WorkerCounters are the worker's own service counters.
 type WorkerCounters struct {
 	Served int64 `json:"served"`
-	// MaxPipelined is the high-water count of classes in flight on one
-	// connection (the one executing plus those queued behind it).
+	// MaxPipelined is the high-water count of classes received but not
+	// yet answered, over all connections: the one running plus those
+	// waiting for the run slot.
 	MaxPipelined int64 `json:"max_pipelined,omitempty"`
 }
 
 // Counters snapshots the served-class counters.
 func (w *Worker) Counters() WorkerCounters {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	return WorkerCounters{
 		Served:       atomic.LoadInt64(&w.served),
-		MaxPipelined: atomic.LoadInt64(&w.maxPipelined),
+		MaxPipelined: w.maxPipelined,
 	}
 }
 
@@ -183,72 +194,76 @@ func (w *Worker) serveConn(c net.Conn) {
 	}
 	c.SetDeadline(time.Time{})
 
-	// Reader pump: decodes frames into a buffered queue so the
-	// coordinator's in-flight credit can ship the next class while this
-	// connection computes the current one. The pump is the one blocked
-	// on the socket, so a severed connection is noticed mid-class and
-	// the compute canceled.
-	reqs := make(chan *classRequest, 16)
-	closed := make(chan struct{}) // pump saw a read error (peer gone)
-	done := make(chan struct{})   // this serving loop exited
-	defer close(done)
-	// inflight counts classes received but not yet answered on this
-	// connection; its high-water is the observed pipelining depth.
-	var inflight int64
-	go func() {
-		defer close(closed)
-		for {
-			body, err := cluster.ReadFrame(c, cluster.MaxFrame)
-			if err != nil {
-				return
-			}
-			req, derr := decodeClass(body)
-			if derr != nil {
-				return // garbage after a good hello: drop the connection
-			}
-			depth := atomic.AddInt64(&inflight, 1)
-			for {
-				cur := atomic.LoadInt64(&w.maxPipelined)
-				if depth <= cur || atomic.CompareAndSwapInt64(&w.maxPipelined, cur, depth) {
-					break
-				}
-			}
-			select {
-			case reqs <- &req:
-			case <-done:
-				return
-			}
-		}
-	}()
-
+	// Each class runs beside this loop, which goes back to waiting on
+	// the socket, so a peer that closes the connection mid-class is
+	// noticed and its class canceled. A connection carries one class at
+	// a time: a second class before the first is answered ends it.
+	closed := make(chan struct{})
+	defer close(closed)
+	var busy atomic.Bool
 	for {
-		var req *classRequest
-		select {
-		case req = <-reqs:
-		case <-closed:
+		body, err := cluster.ReadFrame(c, cluster.MaxFrame)
+		if err != nil {
 			return
 		}
-		n := atomic.AddInt64(&w.reqCount, 1)
-		if w.opts.CrashOnClass > 0 && n >= int64(w.opts.CrashOnClass) {
-			w.Close() // injected crash: vanish without responding
+		req, err := decodeClass(body)
+		if err != nil {
+			return // garbage after a good hello: drop the connection
+		}
+		if !busy.CompareAndSwap(false, true) {
 			return
 		}
-		if w.opts.WedgeOnClass > 0 && n >= int64(w.opts.WedgeOnClass) {
-			<-closed // injected wedge: hold the class until the peer gives up
-			return
-		}
-		if w.opts.DelayPerClass > 0 {
-			select {
-			case <-time.After(w.opts.DelayPerClass):
-			case <-closed:
-				return
+		w.pipelined(1)
+		go func() {
+			resp := w.serve(&req, closed)
+			w.pipelined(-1)
+			busy.Store(false)
+			if resp != nil && cluster.WriteFrame(c, encodeResult(resp)) != nil {
+				c.Close() // a reply that cannot go out ends the connection
 			}
-		}
-		if err := cluster.WriteFrame(c, encodeResult(w.exec(req, closed))); err != nil {
-			return
-		}
-		atomic.AddInt64(&inflight, -1)
+		}()
 	}
+}
+
+// serve waits for the run slot, runs the class and times it, from
+// taking the slot to the reply. It returns nil when the class goes
+// unanswered: its peer left, or a fault hook swallowed it.
+func (w *Worker) serve(req *classRequest, closed <-chan struct{}) *classResponse {
+	select {
+	case w.run <- struct{}{}:
+	case <-closed:
+		return nil
+	}
+	defer func() { <-w.run }()
+	start := time.Now()
+	n := atomic.AddInt64(&w.reqCount, 1)
+	if w.opts.CrashOnClass > 0 && n >= int64(w.opts.CrashOnClass) {
+		w.Close() // injected crash: vanish without responding
+		return nil
+	}
+	if w.opts.WedgeOnClass > 0 && n >= int64(w.opts.WedgeOnClass) {
+		<-closed // injected wedge: hold the run slot until the peer gives up
+		return nil
+	}
+	if w.opts.DelayPerClass > 0 {
+		select {
+		case <-time.After(w.opts.DelayPerClass):
+		case <-closed:
+			return nil
+		}
+	}
+	resp := w.exec(req, closed)
+	resp.Seconds = time.Since(start).Seconds()
+	return resp
+}
+
+// pipelined moves the count of classes received but not yet answered,
+// and its high-water.
+func (w *Worker) pipelined(delta int64) {
+	w.mu.Lock()
+	w.unanswered += delta
+	w.maxPipelined = max(w.maxPipelined, w.unanswered)
+	w.mu.Unlock()
 }
 
 // exec runs one class and returns its response, carrying the class's
@@ -289,6 +304,7 @@ func (w *Worker) exec(req *classRequest, cancel <-chan struct{}) *classResponse 
 		resp.Status = statusOK
 		resp.Pairs = out.Pairs
 		resp.PeakNodeBytes = out.PeakNodeBytes
+		resp.Phases = out.Phases
 		resp.Supports = core.EncodeSupportList(out.Supports, red.N.Cols())
 	}
 	if w.opts.Logf != nil {

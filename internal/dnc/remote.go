@@ -49,21 +49,23 @@ type RemoteClass struct {
 
 // ClassOutcome is what a completed class reports back, wherever it ran:
 // the class's canonical supports over the full input column space plus
-// the per-class counters the subproblem tree records. Phases and Store
-// are filled in-process only; the wire drops them. Budget overflows are
-// NOT outcomes — they surface as errors wrapping core.ErrBudget so the
-// scheduler applies its usual re-split policy.
+// the per-class counters the subproblem tree records. Store is filled
+// in-process only; the wire drops it. Budget overflows are NOT outcomes
+// — they surface as errors wrapping core.ErrBudget so the scheduler
+// applies its usual re-split policy.
 type ClassOutcome struct {
 	Supports      []bitset.Set
 	Pairs         int64
 	PeakNodeBytes int64
-	Phases        parallel.PhaseTimes
-	Store         core.StoreStats
-	// Seconds is the class's wall time where it ran, measured by the
-	// executor and never by the scheduler: ExecClass's own wall in
-	// process, and for a remote class the span the link saw the worker
-	// spend on it (distrib), not the wait behind the worker's earlier
-	// classes.
+	// Phases are ExecClass's phase times, wherever it ran: a remote
+	// worker sends them back with the result.
+	Phases parallel.PhaseTimes
+	Store  core.StoreStats
+	// Seconds is the class's wall time where it ran, measured by
+	// whoever ran it and never by the scheduler: ExecClass's own wall in
+	// process, and for a remote class the worker's own clock, from
+	// taking its run slot to its reply, not the wait behind the worker's
+	// earlier classes.
 	Seconds float64
 	// Skipped marks a class found infeasible where it runs (prepare
 	// admits no kernel), without enumerating.
@@ -74,9 +76,10 @@ type ClassOutcome struct {
 // are one (localExec); a coordinator's worker pool is the other:
 // Slots() fixed for the run, one in-flight class per slot, Run blocking
 // until the class completes, the cancel channel closes, or the slot's
-// worker is lost. A pool may expose several slots per worker connection
-// (in-flight credit): the scheduler then runs that many runners against
-// one link, prefetching the next class while the worker computes.
+// worker is lost. A pool may expose several slots per worker, each on a
+// connection of its own: the scheduler then runs that many runners
+// against one worker, so the next class is on the wire while the worker
+// computes the current one.
 type RemoteExecutor interface {
 	// Slots returns the number of concurrent class runners; the
 	// scheduler starts one goroutine per slot.

@@ -4,7 +4,7 @@
 // One pool of runners pulls classes from a shared work queue — a FIFO of
 // class coordinates whose root classes are pushed dearest first
 // (rootOrder). A runner is one slot of an executor: a local node group
-// is a slot of localExec, a remote credit slot one of Options.Remote,
+// is a slot of localExec, a remote worker slot one of Options.Remote,
 // and both run the same loop, serve, which hands each popped class to
 // its executor and converts budget-triggered re-splits into new queue
 // items. Nothing is prepared ahead of a pop: a class is prepared once,
@@ -50,11 +50,11 @@ type SchedClass struct {
 	Label string `json:"label"`
 	// Depth is the re-split depth (0 for the initial classes).
 	Depth int `json:"depth"`
-	// Seconds is the class's wall time where it ran, as its executor
+	// Seconds is the class's wall time where it ran, as whoever ran it
 	// measured it (ClassOutcome.Seconds): prepare plus enumeration on a
-	// local group, and on a remote worker the span the link saw the
-	// worker spend on it, without the wait behind the worker's earlier
-	// classes.
+	// local group, and on a remote worker the worker's own clock, from
+	// taking its run slot to its reply, without the wait behind the
+	// worker's earlier classes.
 	Seconds float64 `json:"seconds"`
 	// Pairs is the class's candidate-mode count.
 	Pairs int64 `json:"pairs"`

@@ -340,18 +340,30 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	// the run's reduction, which costs ~20 ms of exact arithmetic on the
 	// benchmark's yeast1 knock-outs against a ~1.4 ms hit (2-CPU x86-64).
 	// A family's stream longer than k serves this k by truncation; one
-	// shorter than k cannot, and the run that follows upgrades it.
+	// shorter than k cannot, and the run that follows upgrades it. The
+	// decode runs inside the lookup, under the cache's own lock, so a
+	// lookup that serves nothing counts as a miss and cache.hits equals
+	// cache_hits + prefix_hits.
 	ckey, k := cacheSlot(req, key)
-	if hit, ok := m.cache.Get(ckey); ok && (hit.complete || k > 0 && hit.modes >= k) {
-		if res, ok := hit.decode(); ok {
-			fp := hit.fingerprint
-			if k > 0 && res.Len() > k {
-				res.Truncate(k)
-				fp = res.Fingerprint()
-			}
-			return m.adoptCacheHit(key, req, res, fp, hit.key)
+	var res *elmocomp.Result
+	var served, poisoned bool
+	hit, ok := m.cache.GetIf(ckey, func(s stored) bool {
+		if s.complete || k > 0 && s.modes >= k {
+			res, served = s.decode()
+			poisoned = !served
 		}
-		// Poisoned entry (stale format, corruption): drop it and run.
+		return served
+	})
+	if ok {
+		fp := hit.fingerprint
+		if k > 0 && res.Len() > k {
+			res.Truncate(k)
+			fp = res.Fingerprint()
+		}
+		return m.adoptCacheHit(key, req, res, fp, hit.key)
+	}
+	if poisoned {
+		// Stale format or corruption: drop the entry and run.
 		m.cache.Remove(ckey)
 	}
 

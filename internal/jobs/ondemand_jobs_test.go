@@ -182,6 +182,49 @@ func TestOnDemandPrefixCacheServesShorterK(t *testing.T) {
 	})
 }
 
+// TestCacheHitsCountServedLookups: /varz cache.hits counts a lookup only
+// when it served the submission, so it equals cache_hits + prefix_hits.
+// A family stream shorter than k and a poisoned entry are both misses:
+// the submission runs.
+func TestCacheHitsCountServedLookups(t *testing.T) {
+	toy := toyRequest(t, elmocomp.Config{}).Network
+	od := func(k int) Request {
+		return Request{Network: toy, Config: elmocomp.Config{Backend: elmocomp.OnDemandBackend, MaxModes: k}}
+	}
+	check := func(t *testing.T, m *Manager, runs, hits int64) {
+		t.Helper()
+		st := m.Stats()
+		if st.Counters.RunsStarted != runs || st.Cache.Hits != hits || st.Cache.Hits != st.Counters.CacheHits+st.Counters.PrefixHits {
+			t.Fatalf("runs_started %d, cache.hits %d, cache_hits %d + prefix_hits %d; want %d runs and %d hits, both ways",
+				st.Counters.RunsStarted, st.Cache.Hits, st.Counters.CacheHits, st.Counters.PrefixHits, runs, hits)
+		}
+	}
+	m := New(Config{Workers: 1})
+	defer shutdown(t, m)
+	submitWait(t, m, od(3))
+	submitWait(t, m, od(6)) // the family's 3-mode stream cannot serve 6
+	check(t, m, 2, 0)
+	submitWait(t, m, od(3))
+	check(t, m, 2, 1)
+
+	// Poison the family's entry: its payload no longer has its run's
+	// fingerprint, so the lookup serves nothing and the entry goes.
+	req := od(3)
+	ckey, _ := cacheSlot(req, elmocomp.RequestKey(req.Network, req.Config))
+	bad, ok := m.cache.Get(ckey)
+	if !ok {
+		t.Fatal("no family entry to poison")
+	}
+	bad.fingerprint++
+	m.cache.Put(ckey, bad)
+	submitWait(t, m, od(3))
+	// The peek above is the one hit that served no submission.
+	if st := m.Stats(); st.Counters.RunsStarted != 3 || st.Cache.Hits != 2 || st.Counters.CacheHits+st.Counters.PrefixHits != 1 {
+		t.Fatalf("after a poisoned entry: runs_started %d, cache.hits %d, cache_hits %d + prefix_hits %d; want 3, 2 (one the test's peek), 1",
+			st.Counters.RunsStarted, st.Cache.Hits, st.Counters.CacheHits, st.Counters.PrefixHits)
+	}
+}
+
 // TestOnDemandSubmitRejectsOwnedOnMode: OnMode is manager-owned like
 // Progress.
 func TestOnDemandSubmitRejectsOwnedOnMode(t *testing.T) {

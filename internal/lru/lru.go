@@ -57,18 +57,24 @@ func New[V any](budget int64, cost func(V) int64) *Cache[V] {
 }
 
 // Get returns the value stored under key, marking it most recently used.
-func (c *Cache[V]) Get(key string) (V, bool) {
+func (c *Cache[V]) Get(key string) (V, bool) { return c.GetIf(key, nil) }
+
+// GetIf is Get, except that a value held under key is returned only when
+// usable(v) says so; otherwise the lookup is a miss and the entry keeps
+// its place. usable runs under the cache's lock, as PutIf's replace
+// does, so the hit counter counts only lookups that served something.
+func (c *Cache[V]) GetIf(key string, usable func(V) bool) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, found := c.items[key]
-	if !found {
-		c.misses++
-		var zero V
-		return zero, false
+	if found && (usable == nil || usable(el.Value.(*entry[V]).val)) {
+		c.hits++
+		c.ll.MoveToFront(el)
+		return el.Value.(*entry[V]).val, true
 	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*entry[V]).val, true
+	c.misses++
+	var zero V
+	return zero, false
 }
 
 // Put stores v under key, replacing any previous value, then evicts

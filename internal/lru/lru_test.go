@@ -159,3 +159,24 @@ func TestPutIfKeepsOrReplaces(t *testing.T) {
 		t.Error("PutIf that kept the held value did not refresh its recency")
 	}
 }
+
+// TestGetIfCountsServedLookups: a held value usable refuses is a miss
+// that leaves the entry's recency alone; one it accepts is a hit.
+func TestGetIfCountsServedLookups(t *testing.T) {
+	c := New(2, one)
+	c.Put("old", "x")
+	c.Put("new", "y")
+	if v, ok := c.GetIf("old", func(string) bool { return false }); ok || v != "" {
+		t.Fatalf("refused value served: %q, %v", v, ok)
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("refused lookup counted %d hits, %d misses; want 0, 1", st.Hits, st.Misses)
+	}
+	c.Put("third", "w")
+	if has(c, "old") {
+		t.Fatal("a refused lookup refreshed the entry's recency")
+	}
+	if v, ok := c.GetIf("new", func(v string) bool { return v == "y" }); !ok || v != "y" {
+		t.Fatalf("accepted value not served: %q, %v", v, ok)
+	}
+}

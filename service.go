@@ -41,7 +41,7 @@ func ComputeEFMsContext(ctx context.Context, n *Network, cfg Config) (*Result, e
 
 // ComputeEFMsDistributed runs the divide-and-conquer driver with its
 // class queue dispatched onto the pool's remote workers (the efmd
-// coordinator role). Each of a worker's credit slots is a runner like a
+// coordinator role). Each of a worker's slots is a runner like a
 // local node group: it takes the class at the head of the queue (root
 // classes dearest first, then re-split children and requeued classes in
 // arrival order), and the worker prepares and runs it: classes are
