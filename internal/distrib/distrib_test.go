@@ -120,6 +120,34 @@ func TestPoolEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPoolNoClassWaitsOnBusyWorker: a job has one runner per worker, so
+// a class leaves the queue only when a worker can start it. Worker A
+// takes 200 ms a class and worker B 10 ms: A starts one of the toy job's
+// four classes and B serves the other three meanwhile. A second runner
+// per worker would hand A two classes at once, the second waiting behind
+// the first while B idles.
+func TestPoolNoClassWaitsOnBusyWorker(t *testing.T) {
+	spec, red, seq := toyJob(t)
+	slow := startWorker(t, WorkerOptions{DelayPerClass: 200 * time.Millisecond})
+	fast := startWorker(t, WorkerOptions{DelayPerClass: 10 * time.Millisecond})
+	pool := NewPool([]string{slow.Addr(), fast.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second})
+	defer pool.Close()
+
+	res, err := dnc.Run(red.N, red.Reversibilities(), dnc.Options{Qsub: 2, Remote: pool.Bind(spec)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp(res.Supports) != fp(seq.Supports) {
+		t.Fatalf("distributed fingerprint %x != local %x", fp(res.Supports), fp(seq.Supports))
+	}
+	if res.Sched.RemoteClasses != 4 || res.Sched.RemoteRequeues != 0 {
+		t.Fatalf("%d remote classes, %d requeues; want 4 and 0", res.Sched.RemoteClasses, res.Sched.RemoteRequeues)
+	}
+	if a, b := slow.Counters().Served, fast.Counters().Served; a != 1 || b != 3 {
+		t.Fatalf("slow worker served %d classes, fast worker %d; want 1 and 3", a, b)
+	}
+}
+
 // TestPoolClassCacheHits: a worker keeps no class results, so the same
 // job run twice through one worker computes every class twice — on the
 // sequential fingerprint both times. The coordinator's request-key cache
@@ -228,12 +256,11 @@ func TestPoolWorkerCrash(t *testing.T) {
 		t.Fatalf("fingerprint differs after worker crash")
 	}
 	// The doomed worker crashes on the first class it receives; whether
-	// it receives one is a scheduling race, and the link's in-flight
-	// credit (default 2) may have pipelined a second class behind the
-	// fatal one — so the requeue count is 0..2, never more, and never a
-	// failed job.
-	if res.Sched.RemoteRequeues > 2 {
-		t.Fatalf("RemoteRequeues = %d, want <= 2", res.Sched.RemoteRequeues)
+	// it receives one is a scheduling race, and a job has one class in
+	// flight per worker — so the requeue count is 0 or 1, never more,
+	// and never a failed job.
+	if res.Sched.RemoteRequeues > 1 {
+		t.Fatalf("RemoteRequeues = %d, want <= 1", res.Sched.RemoteRequeues)
 	}
 }
 
@@ -283,14 +310,13 @@ func TestPoolWedgedWorkerTimeout(t *testing.T) {
 	if fp(res.Supports) != fp(seq.Supports) {
 		t.Fatal("fingerprint differs after wedge timeout")
 	}
-	// Exactly one caller wins the sever race and classifies as timeout;
-	// a class pipelined behind the wedged one on the link's second
-	// credit-slot fails as plain worker-lost, so requeues are 1 or 2.
+	// The job has one class in flight on the worker: it times out and
+	// is requeued, and nothing else was sent there.
 	if res.Sched.RemoteTimeouts != 1 {
 		t.Fatalf("RemoteTimeouts = %d, want 1", res.Sched.RemoteTimeouts)
 	}
-	if r := res.Sched.RemoteRequeues; r < 1 || r > 2 {
-		t.Fatalf("RemoteRequeues = %d, want 1 or 2", r)
+	if r := res.Sched.RemoteRequeues; r != 1 {
+		t.Fatalf("RemoteRequeues = %d, want 1", r)
 	}
 	if st := pool.Stats()[0]; st.Timeouts != 1 {
 		t.Fatalf("pool recorded %d timeouts, want 1", st.Timeouts)
@@ -316,7 +342,7 @@ func TestPoolRedialAcrossJobs(t *testing.T) {
 
 	pool := NewPool([]string{w1.Addr(), lateAddr}, PoolOptions{ClassTimeout: 30 * time.Second})
 	defer pool.Close()
-	const lateSlot = 1 // slot 1 is worker 1's first credit-slot
+	const lateSlot = 1 // slot 1 is the late worker's
 	exec := pool.Bind(spec)
 	class := dnc.RemoteClass{Partition: seq.Partition}
 	runJob := func(name string) {
@@ -583,7 +609,7 @@ func TestPoolCancelSparesSharedWorker(t *testing.T) {
 	specB := specA
 	specB.Key = "test-job-2"
 	w := startWorker(t, WorkerOptions{DelayPerClass: 50 * time.Millisecond})
-	pool := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second, Inflight: 2})
+	pool := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second})
 	defer pool.Close()
 
 	cancelA := make(chan struct{})

@@ -25,11 +25,9 @@ type PoolOptions struct {
 	// class requeued (default 2m). Must comfortably exceed the slowest
 	// class.
 	ClassTimeout time.Duration
-	// Inflight is how many classes one job keeps in flight on one
-	// worker, each on a connection of its own (default 2). Two let a
-	// runner ship the next class while the worker computes the current
-	// one, overlapping transfer with compute; the worker still runs one
-	// class at a time.
+	// Inflight is ignored: a job runs one class at a time on each
+	// worker, so a class leaves the queue only when a worker can start
+	// it. The field stays for callers that set it by name.
 	Inflight int
 }
 
@@ -64,9 +62,6 @@ type Pool struct {
 func NewPool(addrs []string, opts PoolOptions) *Pool {
 	if opts.ClassTimeout <= 0 {
 		opts.ClassTimeout = 2 * time.Minute
-	}
-	if opts.Inflight <= 0 {
-		opts.Inflight = 2
 	}
 	p := &Pool{opts: opts}
 	for _, a := range addrs {
@@ -123,9 +118,9 @@ func (p *Pool) Bind(spec JobSpec) dnc.RemoteExecutor {
 
 // workerLink is one worker's connections. A call takes an idle one (or
 // dials a new one), carries exactly one class on it and puts it back, so
-// a link holds at most one connection per concurrent call: Inflight per
-// bound job. busy holds the connections carrying a call; a teardown
-// closes them and the idle ones alike.
+// a link holds at most one connection per concurrent call: one per bound
+// job. busy holds the connections carrying a call; a teardown closes
+// them and the idle ones alike.
 type workerLink struct {
 	addr string
 
@@ -144,24 +139,20 @@ type boundExec struct {
 	spec JobSpec
 }
 
-// Slots exposes Inflight slots per worker, each a connection of its
-// own, so the scheduler runs that many runners against each worker:
-// while the worker computes one class, the next is already on the wire.
-func (e *boundExec) Slots() int { return len(e.p.workers) * e.p.opts.Inflight }
-
-func (e *boundExec) link(slot int) *workerLink {
-	return e.p.workers[slot%len(e.p.workers)]
-}
+// Slots exposes one slot per worker, so a job's runner pops a class
+// only when its worker can start it: no class waits behind a busy
+// worker while another worker idles.
+func (e *boundExec) Slots() int { return len(e.p.workers) }
 
 func (e *boundExec) Alive(slot int) bool {
-	w := e.link(slot)
+	w := e.p.workers[slot]
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.stats.Alive
 }
 
 func (e *boundExec) Run(slot int, c dnc.RemoteClass, cancel <-chan struct{}) (*dnc.ClassOutcome, error) {
-	w := e.link(slot)
+	w := e.p.workers[slot]
 	req := &classRequest{
 		Key:            e.spec.Key,
 		Network:        e.spec.Network,
@@ -172,10 +163,12 @@ func (e *boundExec) Run(slot int, c dnc.RemoteClass, cancel <-chan struct{}) (*d
 		Depth:          c.Depth,
 		StrictMem:      c.StrictMem,
 	}
+	start := time.Now()
 	resp, err := w.call(req, cancel, e.p.opts.ClassTimeout)
 	if err != nil {
 		return nil, err
 	}
+	call := time.Since(start).Seconds()
 	switch resp.Status {
 	case statusOK:
 		supports, derr := core.DecodeSupportList(resp.Supports, e.spec.Q)
@@ -192,6 +185,8 @@ func (e *boundExec) Run(slot int, c dnc.RemoteClass, cancel <-chan struct{}) (*d
 			PeakNodeBytes: resp.PeakNodeBytes,
 			Phases:        resp.Phases,
 			Seconds:       resp.Seconds,
+			Worker:        w.addr,
+			CallSeconds:   call,
 		}, nil
 	case statusSkipped:
 		return &dnc.ClassOutcome{Skipped: true}, nil

@@ -39,8 +39,8 @@
 // result, which echoes the class's seq; the five float fields are the
 // worker's own clock on the class, from taking its run slot to the
 // reply, and the phase times inside it (parallel.PhaseTimes). A job
-// keeps PoolOptions.Inflight connections to each worker, so the next
-// class ships while the worker computes the current one.
+// has one class at a time on each worker; jobs sharing a worker take
+// turns on its run slot.
 //
 // The class layout is frozen: bench/expected.json pins the payload bytes
 // it and the result supports add up to.

@@ -8,6 +8,7 @@ import (
 	"net"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -312,34 +313,58 @@ func TestWorkerRefusesReservedSpecSlot(t *testing.T) {
 	}
 }
 
-// TestPoolPipelinedPrefetch: with in-flight credit 2 and slow classes,
-// the link must ship the next class while the worker computes the
-// current one — the worker observes pipelining depth >= 2 — and each
-// class is still timed as the worker ran it: its 50 ms and a toy class's
-// compute, never the wait behind the class queued ahead of it (~0.1 s).
-func TestPoolPipelinedPrefetch(t *testing.T) {
-	spec, red, seq := toyJob(t)
+// TestPoolSharedWorkerClock: two jobs share a one-worker pool, as the
+// jobs of efmd -coordinator -concurrency 2 do, so a class of one job can
+// wait on the worker's run slot behind the other's. Each class is still
+// timed as the worker ran it: its 50 ms and a toy class's compute, never
+// that wait. The wait shows in the call around it instead: every class's
+// call_seconds covers its seconds, and some class waited a whole class
+// of the other job.
+func TestPoolSharedWorkerClock(t *testing.T) {
+	specA, red, seq := toyJob(t)
+	specB := specA
+	specB.Key = "test-job-2"
 	w := startWorker(t, WorkerOptions{DelayPerClass: 50 * time.Millisecond})
-	pool := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second, Inflight: 2})
+	pool := NewPool([]string{w.Addr()}, PoolOptions{ClassTimeout: 30 * time.Second})
 	defer pool.Close()
 
-	res, err := dnc.Run(red.N, red.Reversibilities(), dnc.Options{Qsub: 2, Remote: pool.Bind(spec)})
-	if err != nil {
-		t.Fatal(err)
+	results := make([]*dnc.Result, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i, spec := range []JobSpec{specA, specB} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = dnc.Run(red.N, red.Reversibilities(), dnc.Options{Qsub: 2, Remote: pool.Bind(spec)})
+		}()
 	}
-	if fp(res.Supports) != fp(seq.Supports) {
-		t.Fatal("fingerprint differs under pipelining")
-	}
-	if res.Sched.RemoteClasses < 2 {
-		t.Skipf("only %d remote classes; cannot observe pipelining", res.Sched.RemoteClasses)
-	}
-	if c := w.Counters(); c.MaxPipelined < 2 {
-		t.Fatalf("MaxPipelined = %d, want >= 2 (credit 2 never overlapped transfer with compute)", c.MaxPipelined)
-	}
-	for _, c := range res.Sched.Classes {
-		if c.Seconds < 0.050 || c.Seconds > 0.075 {
-			t.Errorf("class %s: %.3fs, want 0.050-0.075s (the worker's own time on it)", c.Label, c.Seconds)
+	wg.Wait()
+	var maxWait float64
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("job %d: %v", i, errs[i])
 		}
+		if fp(res.Supports) != fp(seq.Supports) {
+			t.Fatalf("job %d: fingerprint differs on a shared worker", i)
+		}
+		if res.Sched.RemoteClasses != 4 || res.Sched.RemoteRequeues != 0 {
+			t.Fatalf("job %d: %d remote classes, %d requeues; want 4 and 0", i, res.Sched.RemoteClasses, res.Sched.RemoteRequeues)
+		}
+		for _, c := range res.Sched.Classes {
+			if c.Seconds < 0.050 || c.Seconds > 0.075 {
+				t.Errorf("job %d class %s: %.3fs, want 0.050-0.075s (the worker's own time on it)", i, c.Label, c.Seconds)
+			}
+			if !(c.Seconds > 0 && c.Seconds <= c.CallSeconds) {
+				t.Errorf("job %d class %s: seconds %.6f, call_seconds %.6f; want 0 < seconds <= call_seconds", i, c.Label, c.Seconds, c.CallSeconds)
+			}
+			if c.Worker != w.Addr() {
+				t.Errorf("job %d class %s: worker %q, want %q", i, c.Label, c.Worker, w.Addr())
+			}
+			maxWait = max(maxWait, c.CallSeconds-c.Seconds)
+		}
+	}
+	if maxWait < 0.045 {
+		t.Fatalf("largest call_seconds - seconds is %.3fs; want >= 0.045s, the wait behind the other job's class", maxWait)
 	}
 }
 

@@ -32,9 +32,9 @@ type WorkerOptions struct {
 	// configuration, never taken from the wire — the same rule efmd's
 	// HTTP API enforces).
 	SpillDir string
-	// DelayPerClass, when > 0, sleeps before executing each class —
-	// a test hook making compute slow enough to observe transfer
-	// pipelining deterministically.
+	// DelayPerClass, when > 0, sleeps before executing each class,
+	// inside the run slot and the class's clock — a test hook making
+	// compute slow enough to observe scheduling deterministically.
 	DelayPerClass time.Duration
 	// Logf, when set, receives one line per served class and one per
 	// refused connection.
@@ -74,10 +74,6 @@ type Worker struct {
 
 	reqCount int64 // lifetime classes run (fault-injection trigger)
 	served   int64
-
-	// unanswered counts classes received but not yet answered, across
-	// connections; maxPipelined is its high-water. Both under mu.
-	unanswered, maxPipelined int64
 }
 
 // NewWorker listens on addr (host:port; ":0" picks a free port).
@@ -151,20 +147,11 @@ func (w *Worker) Close() error {
 // WorkerCounters are the worker's own service counters.
 type WorkerCounters struct {
 	Served int64 `json:"served"`
-	// MaxPipelined is the high-water count of classes received but not
-	// yet answered, over all connections: the one running plus those
-	// waiting for the run slot.
-	MaxPipelined int64 `json:"max_pipelined,omitempty"`
 }
 
 // Counters snapshots the served-class counters.
 func (w *Worker) Counters() WorkerCounters {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return WorkerCounters{
-		Served:       atomic.LoadInt64(&w.served),
-		MaxPipelined: w.maxPipelined,
-	}
+	return WorkerCounters{Served: atomic.LoadInt64(&w.served)}
 }
 
 func (w *Worker) serveConn(c net.Conn) {
@@ -213,10 +200,8 @@ func (w *Worker) serveConn(c net.Conn) {
 		if !busy.CompareAndSwap(false, true) {
 			return
 		}
-		w.pipelined(1)
 		go func() {
 			resp := w.serve(&req, closed)
-			w.pipelined(-1)
 			busy.Store(false)
 			if resp != nil && cluster.WriteFrame(c, encodeResult(resp)) != nil {
 				c.Close() // a reply that cannot go out ends the connection
@@ -255,15 +240,6 @@ func (w *Worker) serve(req *classRequest, closed <-chan struct{}) *classResponse
 	resp := w.exec(req, closed)
 	resp.Seconds = time.Since(start).Seconds()
 	return resp
-}
-
-// pipelined moves the count of classes received but not yet answered,
-// and its high-water.
-func (w *Worker) pipelined(delta int64) {
-	w.mu.Lock()
-	w.unanswered += delta
-	w.maxPipelined = max(w.maxPipelined, w.unanswered)
-	w.mu.Unlock()
 }
 
 // exec runs one class and returns its response, carrying the class's

@@ -67,6 +67,13 @@ type ClassOutcome struct {
 	// taking its run slot to its reply, not the wait behind the worker's
 	// earlier classes.
 	Seconds float64
+	// Worker names where the class ran: a worker's address, or "local".
+	Worker string
+	// CallSeconds is the executor's Run call around the class: Seconds
+	// in process, and for a remote class the coordinator's wall from
+	// sending it to reading its reply, so the link and any wait behind
+	// another job's class on the worker are CallSeconds − Seconds.
+	CallSeconds float64
 	// Skipped marks a class found infeasible where it runs (prepare
 	// admits no kernel), without enumerating.
 	Skipped bool
@@ -76,10 +83,8 @@ type ClassOutcome struct {
 // are one (localExec); a coordinator's worker pool is the other:
 // Slots() fixed for the run, one in-flight class per slot, Run blocking
 // until the class completes, the cancel channel closes, or the slot's
-// worker is lost. A pool may expose several slots per worker, each on a
-// connection of its own: the scheduler then runs that many runners
-// against one worker, so the next class is on the wire while the worker
-// computes the current one.
+// worker is lost. A pool exposes one slot per worker, so a class leaves
+// the queue only when a worker can start it.
 type RemoteExecutor interface {
 	// Slots returns the number of concurrent class runners; the
 	// scheduler starts one goroutine per slot.
@@ -149,5 +154,9 @@ func (e *localExec) Run(_ int, c RemoteClass, cancel <-chan struct{}) (*ClassOut
 	popts := e.popts
 	popts.Cancel = cancel
 	popts.Core.StrictMemBudget = c.StrictMem
-	return ExecClass(e.N, e.rev, c.Partition, c.ID, popts)
+	out, err := ExecClass(e.N, e.rev, c.Partition, c.ID, popts)
+	if out != nil {
+		out.Worker, out.CallSeconds = "local", out.Seconds
+	}
+	return out, err
 }

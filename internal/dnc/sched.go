@@ -56,6 +56,14 @@ type SchedClass struct {
 	// taking its run slot to its reply, without the wait behind the
 	// worker's earlier classes.
 	Seconds float64 `json:"seconds"`
+	// Worker is where the class ran: a worker's address, or "local".
+	Worker string `json:"worker"`
+	// CallSeconds is the runner's executor call around the class
+	// (ClassOutcome.CallSeconds): Seconds on a local group, and on a
+	// remote worker the coordinator's send-to-reply wall, so
+	// CallSeconds − Seconds is the link plus any wait behind another
+	// job's class on the worker.
+	CallSeconds float64 `json:"call_seconds"`
 	// Pairs is the class's candidate-mode count.
 	Pairs int64 `json:"pairs"`
 	// EFMs is the class's elementary-mode count.
@@ -348,11 +356,13 @@ func (s *scheduler) runClass(e RemoteExecutor, slot int, sub *Subproblem) (done 
 			}
 			if !sub.Skipped {
 				st.Classes = append(st.Classes, SchedClass{
-					Label:   c.Label,
-					Depth:   sub.Depth,
-					Seconds: out.Seconds,
-					Pairs:   sub.Pairs,
-					EFMs:    len(sub.Supports),
+					Label:       c.Label,
+					Depth:       sub.Depth,
+					Seconds:     out.Seconds,
+					Worker:      out.Worker,
+					CallSeconds: out.CallSeconds,
+					Pairs:       sub.Pairs,
+					EFMs:        len(sub.Supports),
 				})
 			}
 		})

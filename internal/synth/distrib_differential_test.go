@@ -101,10 +101,10 @@ func TestDifferentialDistributed(t *testing.T) {
 					t.Fatalf("crash changed the result: %d EFMs fp %016x, local %d fp %016x",
 						res.Len(), res.Fingerprint(), base.Len(), base.Fingerprint())
 				}
-				// The doomed link's in-flight credit (default 2) may have
-				// pipelined a second class behind the fatal one.
-				if res.Scheduler.RemoteRequeues > 2 {
-					t.Fatalf("RemoteRequeues = %d, want at most the crashed link's credit (2)",
+				// A job has one class in flight per worker: the crashed
+				// worker's, if it got one.
+				if res.Scheduler.RemoteRequeues > 1 {
+					t.Fatalf("RemoteRequeues = %d, want at most the crashed worker's one class",
 						res.Scheduler.RemoteRequeues)
 				}
 			})
@@ -132,13 +132,12 @@ func TestDifferentialDistributedWedge(t *testing.T) {
 	if res.Fingerprint() != base.Fingerprint() || res.Len() != base.Len() {
 		t.Fatal("wedge timeout changed the result")
 	}
-	// Exactly one caller wins the sever and classifies as timeout; a
-	// class pipelined behind the wedged one fails as plain worker-lost,
-	// so requeues are 1 or 2.
+	// The job's one class on the wedged worker times out and is
+	// requeued; nothing else was sent there.
 	if res.Scheduler.RemoteTimeouts != 1 {
 		t.Fatalf("RemoteTimeouts = %d, want exactly 1", res.Scheduler.RemoteTimeouts)
 	}
-	if r := res.Scheduler.RemoteRequeues; r < 1 || r > 2 {
-		t.Fatalf("RemoteRequeues = %d, want 1 or 2", r)
+	if r := res.Scheduler.RemoteRequeues; r != 1 {
+		t.Fatalf("RemoteRequeues = %d, want 1", r)
 	}
 }

@@ -41,8 +41,8 @@ func ComputeEFMsContext(ctx context.Context, n *Network, cfg Config) (*Result, e
 
 // ComputeEFMsDistributed runs the divide-and-conquer driver with its
 // class queue dispatched onto the pool's remote workers (the efmd
-// coordinator role). Each of a worker's slots is a runner like a
-// local node group: it takes the class at the head of the queue (root
+// coordinator role). Each worker is a runner like a local node group:
+// it takes the class at the head of the queue when it can start it (root
 // classes dearest first, then re-split children and requeued classes in
 // arrival order), and the worker prepares and runs it: classes are
 // independent, so where one runs carries no meaning and workers cache no
@@ -51,7 +51,8 @@ func ComputeEFMsContext(ctx context.Context, n *Network, cfg Config) (*Result, e
 // whole fleet is gone, the last dead slot carries on as a local group —
 // so worker failure degrades throughput, never correctness. A remote
 // class's Scheduler.Classes seconds are the time the worker spent on it,
-// not its wait behind the worker's earlier classes. The result is
+// not its wait behind another job's class there; its call_seconds are
+// the coordinator's call around it. The result is
 // fingerprint-identical to the local drivers (the differential harness
 // gates on exactly this).
 //
