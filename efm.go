@@ -215,7 +215,7 @@ type Config struct {
 	// Qsub). Reactions must survive network reduction and be linearly
 	// independent columns of the reduced stoichiometry: two names that
 	// reduce to one column, or a dependent set such as a cycle, are
-	// refused with an error naming them.
+	// refused with an error naming them (CheckPartition, before a run).
 	Partition []string
 	// KeepDuplicateReactions disables the duplicate-column merge during
 	// reduction (see package reduce for the semantics).
@@ -820,12 +820,8 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, pool *distrib.P
 			})
 		}
 		if len(cfg.Partition) > 0 {
-			for _, name := range cfg.Partition {
-				col := red.ColumnIndexByOriginal(name)
-				if col < 0 {
-					return nil, fmt.Errorf("elmocomp: partition reaction %q was eliminated by reduction (or does not exist)", name)
-				}
-				dopts.Partition = append(dopts.Partition, col)
+			if dopts.Partition, err = partitionColumns(red, cfg.Partition); err != nil {
+				return nil, err
 			}
 		}
 		if cfg.Progress != nil {
@@ -835,13 +831,6 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, pool *distrib.P
 			}
 		}
 		run, err := dnc.Run(red.N, red.Reversibilities(), dopts)
-		if perr := (*dnc.PartitionError)(nil); errors.As(err, &perr) && len(cfg.Partition) > 0 {
-			var names []string
-			for _, i := range perr.Positions {
-				names = append(names, cfg.Partition[i])
-			}
-			return nil, fmt.Errorf("elmocomp: partition reactions %s are linearly dependent in the reduced network (merged reactions count as one); Algorithm 3 needs independent partition reactions", strings.Join(names, ", "))
-		}
 		if err != nil {
 			return nil, err
 		}
@@ -862,6 +851,45 @@ func computeEFMs(n *Network, cfg Config, cancel <-chan struct{}, pool *distrib.P
 		return nil, fmt.Errorf("elmocomp: unknown algorithm %d", cfg.Algorithm)
 	}
 	return res, nil
+}
+
+// CheckPartition refuses cfg's explicit divide-and-conquer partition
+// before any run: a reaction that does not exist or that reduction
+// eliminated, or reactions that are linearly dependent in the reduced
+// network, with the error ComputeEFMs would fail on. It returns nil
+// for every other config, without reducing the network.
+func CheckPartition(n *Network, cfg Config) error {
+	if cfg.Backend != NullspaceBackend || cfg.Algorithm != DivideAndConquer || len(cfg.Partition) == 0 {
+		return nil
+	}
+	red, err := reduce.Network(n.inner, reduce.Options{MergeDuplicates: !cfg.KeepDuplicateReactions})
+	if err != nil || red.N.Cols() == 0 {
+		return err
+	}
+	_, err = partitionColumns(red, cfg.Partition)
+	return err
+}
+
+// partitionColumns maps an explicit partition's reaction names to
+// reduced columns Algorithm 3 can split the modes by.
+func partitionColumns(red *reduce.Reduced, names []string) ([]int, error) {
+	cols := make([]int, len(names))
+	for i, name := range names {
+		if cols[i] = red.ColumnIndexByOriginal(name); cols[i] < 0 {
+			return nil, fmt.Errorf("elmocomp: partition reaction %q was eliminated by reduction (or does not exist)", name)
+		}
+	}
+	var perr *dnc.PartitionError
+	if err := dnc.CheckPartition(red.N, cols); errors.As(err, &perr) {
+		var dep []string
+		for _, i := range perr.Positions {
+			dep = append(dep, names[i])
+		}
+		return nil, fmt.Errorf("elmocomp: partition reactions %s are linearly dependent in the reduced network (merged reactions count as one); Algorithm 3 needs independent partition reactions", strings.Join(dep, ", "))
+	} else if err != nil {
+		return nil, err
+	}
+	return cols, nil
 }
 
 // iterStats mirrors the engine's per-iteration statistics and totals

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -12,7 +13,7 @@ var transports = []struct {
 	name string
 	make func(n int) ([]Comm, error)
 }{
-	{"inproc", func(n int) ([]Comm, error) { return NewInProc(n, 0), nil }},
+	{"inproc", func(n int) ([]Comm, error) { return NewInProc(n, Options{}), nil }},
 	{"tcp", NewTCPGroup},
 }
 
@@ -79,7 +80,7 @@ func TestSendRecvOrdering(t *testing.T) {
 }
 
 func TestInvalidRanks(t *testing.T) {
-	comms := NewInProc(2, 0)
+	comms := NewInProc(2, Options{})
 	defer closeAll(comms)
 	if err := comms[0].send(2, nil); err == nil {
 		t.Error("send to out-of-range rank succeeded")
@@ -134,7 +135,7 @@ func TestAllgather(t *testing.T) {
 func TestAllgatherRepeatedRounds(t *testing.T) {
 	// Many rounds back-to-back: exercises buffering and ordering when
 	// fast nodes run ahead.
-	comms := NewInProc(4, 2)
+	comms := NewInProc(4, Options{Buffered: 2})
 	defer closeAll(comms)
 	const rounds = 200
 	var wg sync.WaitGroup
@@ -161,7 +162,7 @@ func TestAllgatherRepeatedRounds(t *testing.T) {
 }
 
 func TestByteAccounting(t *testing.T) {
-	comms := NewInProc(2, 0)
+	comms := NewInProc(2, Options{})
 	defer closeAll(comms)
 	done := make(chan struct{})
 	go func() {
@@ -188,7 +189,7 @@ func TestAllgatherDoesNotAliasLocal(t *testing.T) {
 	// The receiver owns every returned slice — including out[rank] and
 	// the copies delivered to peers. Mutating them must not corrupt the
 	// sender's buffer or a later round.
-	comms := NewInProc(2, 0)
+	comms := NewInProc(2, Options{})
 	defer closeAll(comms)
 	locals := [][]byte{[]byte{10, 11}, []byte{20, 21}}
 	var wg sync.WaitGroup
@@ -236,7 +237,7 @@ func TestAllgatherDoesNotAliasLocal(t *testing.T) {
 
 func TestWireByteAccounting(t *testing.T) {
 	// In-process delivery has no framing: wire == payload.
-	inproc := NewInProc(2, 0)
+	inproc := NewInProc(2, Options{})
 	done := make(chan struct{})
 	go func() { defer close(done); inproc[1].recv(0) }()
 	inproc[0].send(1, make([]byte, 100))
@@ -274,20 +275,29 @@ func TestWireByteAccounting(t *testing.T) {
 }
 
 func TestCloseUnblocksRecv(t *testing.T) {
-	comms := NewInProc(2, 0)
-	errc := make(chan error, 1)
-	go func() {
-		_, err := comms[0].recv(1)
-		errc <- err
-	}()
-	comms[0].Close()
-	if err := <-errc; err == nil {
-		t.Fatal("Recv returned nil error after Close")
+	// Close is group-wide: closing one endpoint releases a receive
+	// pending on another.
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			comms, err := tr.make(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			errc := make(chan error, 1)
+			go func() {
+				_, err := comms[0].recv(1)
+				errc <- err
+			}()
+			comms[1].Close()
+			if err := <-errc; !errors.Is(err, ErrClosed) {
+				t.Fatalf("recv after Close returned %v, want ErrClosed", err)
+			}
+		})
 	}
 }
 
 func TestSingleNodeGroup(t *testing.T) {
-	comms := NewInProc(1, 0)
+	comms := NewInProc(1, Options{})
 	defer closeAll(comms)
 	out, err := comms[0].Allgather([]byte("x"))
 	if err != nil || len(out) != 1 || string(out[0]) != "x" {

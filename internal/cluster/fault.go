@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -15,8 +14,12 @@ type DropRule struct {
 	From, To, Nth int
 }
 
-// FaultPlan describes deterministic failures for WrapFaulty to inject.
-// The zero value injects nothing.
+// FaultPlan describes deterministic failures for a group's endpoints
+// to inject (Options.Fault), on either wire. Crash points, drops and
+// delays apply to the collective's own sends and receives. Injection is
+// mechanism only: an injected failure does not abort the group by
+// itself — propagation is the driver's job, exactly as for organic
+// failures. The zero value injects nothing.
 type FaultPlan struct {
 	// FailRank selects the rank the crash-point fields below apply to.
 	FailRank int
@@ -38,78 +41,65 @@ type FaultPlan struct {
 	DelayTo   int
 }
 
-// WrapFaulty wraps every communicator of a group in a fault-injecting
-// layer driven by plan. The wrapped collectives run over the wrapped
-// send/recv, so crash points, drops and delays apply to collective
-// traffic too; counters, Abort and Close delegate to the underlying
-// transport. Wrapping is free of policy: injected failures do not abort
-// the group by themselves — propagation is the driver's job, exactly as
-// for organic failures.
-func WrapFaulty(comms []Comm, plan FaultPlan) []Comm {
-	out := make([]Comm, len(comms))
-	for i, c := range comms {
-		out[i] = &faultComm{Comm: c, plan: plan, sent: make([]int64, c.Size())}
-	}
-	return out
+// faultState is one endpoint's progress through its group's plan; only
+// the endpoint's own goroutine touches it.
+type faultState struct {
+	ops, collectives int
+	sent             []int // sends per destination, for Drop
 }
 
-type faultComm struct {
-	Comm
-	plan        FaultPlan
-	ops         atomic.Int64
-	collectives atomic.Int64
-	sent        []int64 // per-destination send counts; this rank's goroutine only
-}
-
-func (f *faultComm) collectiveTimeout() time.Duration { return timeoutOf(f.Comm) }
-
-// failOp charges one primitive operation against the plan's FailOp
+// injectOp charges one primitive operation against the plan's FailOp
 // crash point and returns the injected error when it is reached.
-func (f *faultComm) failOp() error {
-	if f.plan.FailOp <= 0 || f.Rank() != f.plan.FailRank {
+func (e *Endpoint) injectOp() error {
+	f := e.g.opts.Fault
+	if f == nil || f.FailOp <= 0 || e.rank != f.FailRank {
 		return nil
 	}
-	if f.ops.Add(1) == int64(f.plan.FailOp) {
-		return fmt.Errorf("%w: rank %d operation %d", ErrInjected, f.plan.FailRank, f.plan.FailOp)
+	if e.faults.ops++; e.faults.ops == f.FailOp {
+		return fmt.Errorf("%w: rank %d operation %d", ErrInjected, f.FailRank, f.FailOp)
 	}
 	return nil
 }
 
-func (f *faultComm) send(to int, msg []byte) error {
-	if err := f.failOp(); err != nil {
-		return err
+// injectCollective charges one Allgather against the plan's
+// FailCollective crash point.
+func (e *Endpoint) injectCollective() error {
+	f := e.g.opts.Fault
+	if f == nil || f.FailCollective <= 0 || e.rank != f.FailRank {
+		return nil
 	}
-	if to >= 0 && to < len(f.sent) {
-		f.sent[to]++
-		for _, d := range f.plan.Drop {
-			if d.From == f.Rank() && d.To == to && int64(d.Nth) == f.sent[to] {
-				return nil // dropped: reported delivered, never arrives
-			}
+	if e.faults.collectives++; e.faults.collectives == f.FailCollective {
+		return fmt.Errorf("%w: rank %d collective %d", ErrInjected, f.FailRank, f.FailCollective)
+	}
+	return nil
+}
+
+// dropped counts a send to rank to and reports whether the plan drops
+// it.
+func (e *Endpoint) dropped(to int) bool {
+	f := e.g.opts.Fault
+	if f == nil || len(f.Drop) == 0 {
+		return false
+	}
+	if e.faults.sent == nil {
+		e.faults.sent = make([]int, e.g.size)
+	}
+	e.faults.sent[to]++
+	for _, d := range f.Drop {
+		if d.From == e.rank && d.To == to && d.Nth == e.faults.sent[to] {
+			return true
 		}
 	}
-	return f.Comm.send(to, msg)
+	return false
 }
 
-func (f *faultComm) recv(from int) ([]byte, error) {
-	if err := f.failOp(); err != nil {
-		return nil, err
+// delay holds a message just received from rank from for the plan's
+// Delay when the link matches.
+func (e *Endpoint) delay(from int) {
+	f := e.g.opts.Fault
+	if f != nil && f.Delay > 0 &&
+		(f.DelayFrom < 0 || f.DelayFrom == from) &&
+		(f.DelayTo < 0 || f.DelayTo == e.rank) {
+		time.Sleep(f.Delay)
 	}
-	msg, err := f.Comm.recv(from)
-	if err != nil {
-		return nil, err
-	}
-	if d := f.plan.Delay; d > 0 &&
-		(f.plan.DelayFrom < 0 || f.plan.DelayFrom == from) &&
-		(f.plan.DelayTo < 0 || f.plan.DelayTo == f.Rank()) {
-		time.Sleep(d)
-	}
-	return msg, nil
-}
-
-func (f *faultComm) Allgather(local []byte) ([][]byte, error) {
-	if f.plan.FailCollective > 0 && f.Rank() == f.plan.FailRank &&
-		f.collectives.Add(1) == int64(f.plan.FailCollective) {
-		return nil, fmt.Errorf("%w: rank %d collective %d", ErrInjected, f.plan.FailRank, f.plan.FailCollective)
-	}
-	return allgather(f, timeoutOf(f.Comm), local)
 }

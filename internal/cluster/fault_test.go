@@ -14,7 +14,7 @@ func makeGroup(t *testing.T, transport string, n int, opts Options) []Comm {
 	t.Helper()
 	switch transport {
 	case "inproc":
-		return NewInProcOpts(n, opts)
+		return NewInProc(n, opts)
 	case "tcp":
 		comms, err := NewTCPGroupOpts(n, opts)
 		if err != nil {
@@ -78,7 +78,7 @@ func TestAbortUnblocksPendingRecv(t *testing.T) {
 
 func TestAbortUnblocksPendingSend(t *testing.T) {
 	// A sender blocked on a full in-process link must unblock on abort.
-	comms := NewInProcOpts(2, Options{Buffered: 1})
+	comms := NewInProc(2, Options{Buffered: 1})
 	defer closeAll(comms)
 	done := make(chan struct{})
 	var sendErr error
@@ -152,9 +152,8 @@ func TestInjectedCrashFailsGroupBounded(t *testing.T) {
 	for _, tr := range []string{"inproc", "tcp"} {
 		for _, n := range []int{2, 3, 5} {
 			t.Run(fmt.Sprintf("%s/n=%d", tr, n), func(t *testing.T) {
-				comms := makeGroup(t, tr, n, Options{})
+				comms := makeGroup(t, tr, n, Options{Fault: &FaultPlan{FailRank: n - 1, FailCollective: 2}})
 				defer closeAll(comms)
-				faulty := WrapFaulty(comms, FaultPlan{FailRank: n - 1, FailCollective: 2})
 				errs := make([]error, n)
 				done := make(chan struct{})
 				var wg sync.WaitGroup
@@ -162,7 +161,7 @@ func TestInjectedCrashFailsGroupBounded(t *testing.T) {
 					wg.Add(1)
 					go func(r int) {
 						defer wg.Done()
-						errs[r] = driverRound(faulty[r], 5)
+						errs[r] = driverRound(comms[r], 5)
 					}(r)
 				}
 				go func() { wg.Wait(); close(done) }()
@@ -190,9 +189,11 @@ func TestDroppedMessageTimesOutNotWedges(t *testing.T) {
 	// group deadline the receiver would wait forever.
 	for _, tr := range []string{"inproc", "tcp"} {
 		t.Run(tr, func(t *testing.T) {
-			comms := makeGroup(t, tr, 2, Options{Timeout: 100 * time.Millisecond})
+			comms := makeGroup(t, tr, 2, Options{
+				Timeout: 100 * time.Millisecond,
+				Fault:   &FaultPlan{Drop: []DropRule{{From: 0, To: 1, Nth: 1}}},
+			})
 			defer closeAll(comms)
-			faulty := WrapFaulty(comms, FaultPlan{Drop: []DropRule{{From: 0, To: 1, Nth: 1}}})
 			errs := make([]error, 2)
 			done := make(chan struct{})
 			var wg sync.WaitGroup
@@ -200,7 +201,7 @@ func TestDroppedMessageTimesOutNotWedges(t *testing.T) {
 				wg.Add(1)
 				go func(r int) {
 					defer wg.Done()
-					_, errs[r] = faulty[r].Allgather([]byte{byte(r)})
+					_, errs[r] = comms[r].Allgather([]byte{byte(r)})
 				}(r)
 			}
 			go func() { wg.Wait(); close(done) }()
@@ -215,58 +216,64 @@ func TestDroppedMessageTimesOutNotWedges(t *testing.T) {
 func TestDelayedDeliveryStillCorrect(t *testing.T) {
 	// A slow link delays but does not corrupt: the collective completes
 	// with the right payloads.
-	comms := NewInProc(3, 0)
-	defer closeAll(comms)
-	faulty := WrapFaulty(comms, FaultPlan{Delay: 5 * time.Millisecond, DelayFrom: -1, DelayTo: -1})
-	results := make([][][]byte, 3)
-	var wg sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			out, err := faulty[r].Allgather([]byte{byte(r), byte(r * 3)})
-			if err != nil {
-				t.Errorf("rank %d: %v", r, err)
-				return
+	for _, tr := range []string{"inproc", "tcp"} {
+		t.Run(tr, func(t *testing.T) {
+			comms := makeGroup(t, tr, 3, Options{Fault: &FaultPlan{Delay: 5 * time.Millisecond, DelayFrom: -1, DelayTo: -1}})
+			defer closeAll(comms)
+			results := make([][][]byte, 3)
+			var wg sync.WaitGroup
+			for r := 0; r < 3; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					out, err := comms[r].Allgather([]byte{byte(r), byte(r * 3)})
+					if err != nil {
+						t.Errorf("rank %d: %v", r, err)
+						return
+					}
+					results[r] = out
+				}(r)
 			}
-			results[r] = out
-		}(r)
-	}
-	wg.Wait()
-	for r := 0; r < 3; r++ {
-		for s := 0; s < 3; s++ {
-			if want := []byte{byte(s), byte(s * 3)}; !bytes.Equal(results[r][s], want) {
-				t.Fatalf("rank %d payload from %d = %v, want %v", r, s, results[r][s], want)
+			wg.Wait()
+			for r := 0; r < 3; r++ {
+				for s := 0; s < 3; s++ {
+					if want := []byte{byte(s), byte(s * 3)}; !bytes.Equal(results[r][s], want) {
+						t.Fatalf("rank %d payload from %d = %v, want %v", r, s, results[r][s], want)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
 func TestFailOpMidCollective(t *testing.T) {
 	// A crash between the sends and receives of one collective: peers
 	// are left partially delivered and must still be released.
-	comms := NewInProc(3, 0)
-	defer closeAll(comms)
-	faulty := WrapFaulty(comms, FaultPlan{FailRank: 0, FailOp: 3})
-	errs := make([]error, 3)
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			errs[r] = driverRound(faulty[r], 3)
-		}(r)
-	}
-	go func() { wg.Wait(); close(done) }()
-	waitOrWedge(t, done, 10*time.Second, "group with a mid-collective crash")
-	if !errors.Is(errs[0], ErrInjected) {
-		t.Errorf("crashed rank returned %v, want ErrInjected", errs[0])
-	}
-	for _, r := range []int{1, 2} {
-		if errs[r] == nil || !errors.Is(errs[r], ErrAborted) {
-			t.Errorf("rank %d returned %v, want ErrAborted", r, errs[r])
-		}
+	for _, tr := range []string{"inproc", "tcp"} {
+		t.Run(tr, func(t *testing.T) {
+			comms := makeGroup(t, tr, 3, Options{Fault: &FaultPlan{FailRank: 0, FailOp: 3}})
+			defer closeAll(comms)
+			errs := make([]error, 3)
+			done := make(chan struct{})
+			var wg sync.WaitGroup
+			for r := 0; r < 3; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					errs[r] = driverRound(comms[r], 3)
+				}(r)
+			}
+			go func() { wg.Wait(); close(done) }()
+			waitOrWedge(t, done, 10*time.Second, "group with a mid-collective crash")
+			if !errors.Is(errs[0], ErrInjected) {
+				t.Errorf("crashed rank returned %v, want ErrInjected", errs[0])
+			}
+			for _, r := range []int{1, 2} {
+				if errs[r] == nil || !errors.Is(errs[r], ErrAborted) {
+					t.Errorf("rank %d returned %v, want ErrAborted", r, errs[r])
+				}
+			}
+		})
 	}
 }
 

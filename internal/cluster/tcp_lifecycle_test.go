@@ -23,7 +23,7 @@ func TestTCPCloseJoinsPumpGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-done
-	closeAll(comms)
+	comms[2].Close() // one Close closes the whole group
 	// Close joins the pumps, but goroutine exit is observed asynchronously;
 	// poll with a deadline rather than asserting instantly.
 	deadline := time.Now().Add(5 * time.Second)
@@ -162,7 +162,7 @@ func TestTCPSendNoRetriesByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closeAll(comms)
-	comms[0].(*tcpComm).peers[1].Close()
+	comms[0].g.conns[0][1].Close()
 	err = comms[0].send(1, []byte("doomed"))
 	if !errors.Is(err, net.ErrClosed) {
 		t.Fatalf("send on a closed connection: %v, want net.ErrClosed", err)
@@ -182,7 +182,7 @@ func TestTCPPumpRefusesOversizedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closeAll(comms)
-	if _, err := comms[0].(*tcpComm).peers[1].Write([]byte{0xff, 0xff, 0xff, 0xff}); err != nil {
+	if _, err := comms[0].g.conns[0][1].Write([]byte{0xff, 0xff, 0xff, 0xff}); err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan error, 1)

@@ -230,15 +230,25 @@ func Run(N *ratmat.Matrix, rev []bool, opts Options) (*Result, error) {
 			return nil, err
 		}
 	}
+	if err := CheckPartition(N, partition); err != nil {
+		return nil, err
+	}
+	return runScheduled(N, rev, partition, opts)
+}
+
+// CheckPartition refuses a partition Run cannot split the modes by: a
+// column out of N's range, or linearly dependent columns
+// (PartitionError).
+func CheckPartition(N *ratmat.Matrix, partition []int) error {
 	for _, j := range partition {
 		if j < 0 || j >= N.Cols() {
-			return nil, fmt.Errorf("dnc: partition column %d out of range", j)
+			return fmt.Errorf("dnc: partition column %d out of range", j)
 		}
 	}
 	if circuit := dependentColumns(N, partition); circuit != nil {
-		return nil, &PartitionError{Positions: circuit}
+		return &PartitionError{Positions: circuit}
 	}
-	return runScheduled(N, rev, partition, opts)
+	return nil
 }
 
 // PartitionError is Run's refusal of a partition whose columns are

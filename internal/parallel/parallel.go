@@ -69,9 +69,11 @@ type Options struct {
 	// Cancel, when non-nil, aborts the run as soon as it is closed; Run
 	// then returns an error matching cluster.ErrCanceled.
 	Cancel <-chan struct{}
-	// Fault, when non-nil, wraps the transport in the fault-injection
-	// layer (cluster.WrapFaulty): deterministic crash points, message
-	// drops and delivery delays for failure-path tests and chaos runs.
+	// Fault, when non-nil, is the group's cluster.Options.Fault: every
+	// node's endpoint injects the plan's deterministic crash points,
+	// message drops and delivery delays, on either transport, for
+	// failure-path tests and chaos runs. One node builds no group and
+	// reads no plan.
 	Fault *cluster.FaultPlan
 	// MemGauge, when non-nil, receives every change of each node's
 	// resident mode-set payload as a signed delta (core.RunNode: the
@@ -203,11 +205,11 @@ func Run(p *nullspace.Problem, opts Options) (*Result, error) {
 // returns the group's traffic.
 func runGroup(p *nullspace.Problem, opts Options, results []*core.Result, commSeconds []float64) (cluster.GroupStats, error) {
 	nodes := len(results)
-	copts := cluster.Options{Timeout: opts.Timeout}
+	copts := cluster.Options{Timeout: opts.Timeout, Fault: opts.Fault}
 	var comms []cluster.Comm
 	switch opts.Transport {
 	case InProc:
-		comms = cluster.NewInProcOpts(nodes, copts)
+		comms = cluster.NewInProc(nodes, copts)
 	case TCP:
 		var err error
 		comms, err = cluster.NewTCPGroupOpts(nodes, copts)
@@ -217,14 +219,7 @@ func runGroup(p *nullspace.Problem, opts Options, results []*core.Result, commSe
 	default:
 		return cluster.GroupStats{}, fmt.Errorf("parallel: unknown transport %d", opts.Transport)
 	}
-	if opts.Fault != nil {
-		comms = cluster.WrapFaulty(comms, *opts.Fault)
-	}
-	defer func() {
-		for _, c := range comms {
-			c.Close()
-		}
-	}()
+	defer comms[0].Close() // closes the whole group
 	if opts.Cancel != nil {
 		stop := make(chan struct{})
 		defer close(stop)

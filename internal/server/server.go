@@ -83,6 +83,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cfg, err := req.Options.Config()
+	if err == nil {
+		// Only a request naming a partition pays a reduction here.
+		err = elmocomp.CheckPartition(net, cfg)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

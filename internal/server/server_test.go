@@ -557,6 +557,47 @@ func TestSubmitValidationAndBackpressure(t *testing.T) {
 	}
 }
 
+// TestDependentPartitionRefusedAtSubmit: an explicit partition whose
+// reactions are linearly dependent after reduction (u2 and u3 merge
+// into one column) is a 400 naming them, not a queued job that fails;
+// an independent one on the same network is admitted.
+func TestDependentPartitionRefusedAtSubmit(t *testing.T) {
+	ts, mgr := newTestServer(t, jobs.Config{Workers: 1, Queue: 4})
+	const net = "name partitions\n" +
+		"u1 : Aext => A\nu2 : A => B\nu3 : B => Bext\n" +
+		"c1 : A <=> C\nc2 : C <=> D\nc3 : D <=> A\n" +
+		"e1 : C => Cext\ne2 : D => Dext\n"
+	for part, want := range map[string]string{
+		"u2,u3": "partition reactions u2, u3 are linearly dependent",
+		"nope":  `partition reaction "nope" was eliminated by reduction`,
+	} {
+		body, err := json.Marshal(SubmitRequest{Network: net, Options: RunOptions{Algorithm: "dnc", Partition: strings.Split(part, ",")}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg struct{ Error string }
+		json.NewDecoder(resp.Body).Decode(&msg)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.Error, want) {
+			t.Errorf("partition %s: status %d, error %q; want a 400 containing %q", part, resp.StatusCode, msg.Error, want)
+		}
+	}
+	if n := mgr.Stats().Counters.Submitted; n != 0 {
+		t.Errorf("%d refused requests reached the job manager, want 0", n)
+	}
+	st, code := postJob(t, ts, SubmitRequest{Network: net, Options: RunOptions{Algorithm: "dnc", Partition: []string{"u1", "c1"}}})
+	if code != http.StatusAccepted && code != http.StatusOK {
+		t.Fatalf("independent partition: status %d, want 202 or 200", code)
+	}
+	if res, code := awaitResult(t, ts, st.ID); code != http.StatusOK || res.Summary.Modes != 6 {
+		t.Errorf("independent partition: status %d, %d modes; want 200 and serial's 6", code, res.Summary.Modes)
+	}
+}
+
 // TestRunOptionsLimits: every request size that becomes an allocation
 // count — node mesh links, worker workspaces, node groups, 2^partition
 // root classes — and every value the distrib class frame cannot carry (a
