@@ -282,6 +282,7 @@ type IterationStat struct {
 	Prefiltered    int64  `json:"prefiltered"`     // rejected by the support-size pre-test
 	Tested         int64  `json:"tested"`          // rank tests run
 	Eliminated     int64  `json:"eliminated"`      // of those, tests decided by an elimination, run or its verdict read from the worker's verdict table (the pattern decided the rest: live-row count or peel)
+	FullPasses     int64  `json:"full_passes"`     // pre-test survivors whose support the full value pass built, the shared rows leaving it undecided
 	Accepted       int64  `json:"accepted"`
 	Duplicates     int64  `json:"duplicates"`
 	ModesOut       int    `json:"modes_out"`
@@ -910,6 +911,7 @@ func iterStats(stats []core.IterStats, red *reduce.Reduced, p *nullspace.Problem
 			Prefiltered:    s.Prefiltered,
 			Tested:         s.Tested,
 			Eliminated:     s.Eliminated,
+			FullPasses:     s.FullPasses,
 			Accepted:       s.Accepted,
 			Duplicates:     s.Duplicates,
 			ModesOut:       s.ModesOut,

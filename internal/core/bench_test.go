@@ -51,7 +51,8 @@ func rankTestStream(it *RowIter) (stream *ModeSet, unions [][]uint64) {
 			if !it.unionFits(g.bp, pi, ni) {
 				continue
 			}
-			if cw := g.candidate(pi, ni); cw != nil {
+			if cw := g.support(kn); cw != nil {
+				g.valuePass(pi, ni)
 				stream.AppendMode(cw, g.newTail, g.newRev, zeroTol)
 				unions = append(unions, slices.Clone(g.liveRows(kn)))
 			}
@@ -60,31 +61,50 @@ func rankTestStream(it *RowIter) (stream *ModeSet, unions [][]uint64) {
 	return stream, unions
 }
 
-// BenchmarkPairLoopYeast measures candidate generation on that row, one
+// pairLoopDDRow is the same for the knock-out yeast-serial runs,
+// yeast1-dd-R19r: one word of support, after 20 iterations.
+func pairLoopDDRow(tb testing.TB) (*nullspace.Problem, *ModeSet) {
+	p := yeastDDProblem(tb)
+	res, err := Run(p, Options{LastRow: p.D + 20})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p, res.Modes
+}
+
+// BenchmarkPairLoopYeast measures candidate generation on those rows, one
 // whole row per iteration: the generation tree's walk, the pre-test on
-// the pairs it leaves, and the rank tests on the survivors.
+// the pairs it leaves, the support and rank test of the survivors, and
+// the values of the accepted.
 func BenchmarkPairLoopYeast(b *testing.B) {
-	p, set := pairLoopYeastRow(b)
-	it := BeginRow(p, set, set.FirstRow(), Options{})
-	pairs := it.Pairs()
-	if pairs == 0 {
-		b.Skip("no pairs at this row")
+	for _, row := range []struct {
+		name string
+		load func(testing.TB) (*nullspace.Problem, *ModeSet)
+	}{{"yeast1", pairLoopYeastRow}, {"yeast1-dd-R19r", pairLoopDDRow}} {
+		b.Run(row.name, func(b *testing.B) {
+			p, set := row.load(b)
+			it := BeginRow(p, set, set.FirstRow(), Options{})
+			pairs := it.Pairs()
+			if pairs == 0 {
+				b.Skip("no pairs at this row")
+			}
+			ws := linalg.NewWorkspace(p.M()+2, p.M()+2)
+			sc := &GenScratch{}
+			cands := it.NewCandidateSet()
+			var st IterStats
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cands = it.ResetCandidateSet(cands)
+				st = IterStats{}
+				sc.verdicts.p = nil // every row starts with a cold verdict table, as a run's first does
+				it.GenerateIntoScratch(cands, ws, 0, pairs, &st, sc)
+			}
+			b.ReportMetric(float64(pairs), "pairs/row")
+			b.ReportMetric(float64(st.Visited), "visited/row")
+			b.ReportMetric(float64(st.Tested), "rank-tests/row")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
+		})
 	}
-	ws := linalg.NewWorkspace(p.M()+2, p.M()+2)
-	sc := &GenScratch{}
-	cands := it.NewCandidateSet()
-	var st IterStats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cands = it.ResetCandidateSet(cands)
-		st = IterStats{}
-		sc.verdicts.p = nil // every row starts with a cold verdict table, as a run's first does
-		it.GenerateIntoScratch(cands, ws, 0, pairs, &st, sc)
-	}
-	b.ReportMetric(float64(pairs), "pairs/row")
-	b.ReportMetric(float64(st.Visited), "visited/row")
-	b.ReportMetric(float64(st.Tested), "rank-tests/row")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
 }
 
 // BenchmarkPairTreeBuild times what BeginRow adds on that row to open
@@ -92,11 +112,11 @@ func BenchmarkPairLoopYeast(b *testing.B) {
 func BenchmarkPairTreeBuild(b *testing.B) {
 	p, set := pairLoopYeastRow(b)
 	it := BeginRow(p, set, set.FirstRow(), Options{})
-	it.releaseGenTree()
+	it.release()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		it.buildGenTree()
-		it.releaseGenTree()
+		it.release()
 	}
 	b.ReportMetric(float64(len(it.Neg)), "neg-columns")
 }

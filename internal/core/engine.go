@@ -89,6 +89,7 @@ type IterStats struct {
 	TreeRejects    int64 // never set: the rank test is the one verdict; bench/ still reads it as core.tree_rejects, pinned at 0
 	Tested         int64 // rank tests run
 	Eliminated     int64 // rank tests decided by an elimination, run or its verdict read from the worker's verdict table; the rest were decided by the pattern (live-row count or peel)
+	FullPasses     int64 // pre-test survivors whose support the shared rows left undecided, so the full value pass built it
 	Accepted       int64 // candidates surviving the test
 	Duplicates     int64 // removed duplicate candidates
 	ModesOut       int   // columns entering the next iteration
@@ -289,6 +290,23 @@ type RowIter struct {
 	suppSize    []int32  // popcount(support) per current column
 	prefixSize  []int32  // popcount(support ∩ prefixMask) per current column
 	negLive     []uint64 // liveMask per negative position, set.words words each
+	// The support-first pass (genCall.sharedSupport): the rows a
+	// candidate's values are computed on — the tail rows past Row and the
+	// processed reversible rows — each row's value offset within a mode,
+	// and the value range per negative position (pooled storage).
+	evalMask []uint64
+	evalOff  []int32
+	negRange []valueRange
+	rangeBuf *[]valueRange
+}
+
+// valueRange is what the support-first pass knows of a column's values on
+// the rows of RowIter.evalMask: the smallest magnitude where its bit is
+// set, the largest anywhere, and whether some value is non-zero where its
+// bit is clear.
+type valueRange struct {
+	lo, hi float64
+	dirty  bool
 }
 
 // BeginRow partitions the current columns by their sign in the given
@@ -362,13 +380,63 @@ func BeginRow(p *nullspace.Problem, set *ModeSet, row int, opts Options) *RowIte
 				kn++
 			}
 		}
+		it.rangeColumns()
 		it.buildGenTree()
 	}
 	return it
 }
 
-// treePool recycles the generation tree's storage across rows and runs.
-var treePool = sync.Pool{New: func() any { return new(bptree.Tree) }}
+// rangeColumns readies the support-first pass: the evaluation mask and
+// offsets, and the value range of every negative column.
+func (it *RowIter) rangeColumns() {
+	set := it.Set
+	it.evalMask = make([]uint64, set.words)
+	it.evalOff = make([]int32, set.q)
+	for r := it.Row + 1; r < set.q; r++ {
+		it.evalMask[r/64] |= 1 << uint(r%64)
+		it.evalOff[r] = int32(r - it.Row)
+	}
+	for j, r := range set.revRows {
+		it.evalMask[r/64] |= 1 << uint(r%64)
+		it.evalOff[r] = int32(set.TailLen() + j)
+	}
+	it.rangeBuf = rangePool.Get().(*[]valueRange)
+	if cap(*it.rangeBuf) < len(it.Neg) {
+		*it.rangeBuf = make([]valueRange, len(it.Neg))
+	}
+	it.negRange = (*it.rangeBuf)[:len(it.Neg)]
+	for kn, i := range it.Neg {
+		it.negRange[kn] = it.valueRange(i)
+	}
+}
+
+// valueRange returns column i's value range on the rows of evalMask.
+func (it *RowIter) valueRange(i int) valueRange {
+	set := it.Set
+	stride := set.stride()
+	vals, w := set.vals[i*stride:(i+1)*stride], set.BitsWords(i)
+	vr := valueRange{lo: math.Inf(1)}
+	for k, m := range it.evalMask {
+		for ; m != 0; m &= m - 1 {
+			b := m & -m
+			a := abs(vals[it.evalOff[k*64+trailingZeros(b)]])
+			vr.hi = max(vr.hi, a)
+			if w[k]&b != 0 {
+				vr.lo = min(vr.lo, a)
+			} else if a != 0 {
+				vr.dirty = true
+			}
+		}
+	}
+	return vr
+}
+
+// treePool recycles the generation tree's storage across rows and runs,
+// rangePool the negative columns' value ranges'.
+var (
+	treePool  = sync.Pool{New: func() any { return new(bptree.Tree) }}
+	rangePool = sync.Pool{New: func() any { return new([]valueRange) }}
+)
 
 // buildGenTree opens the row's generation tree over its negative columns;
 // assemble hands it back to the pool.
@@ -378,12 +446,16 @@ func (it *RowIter) buildGenTree() {
 	it.genTree.Rebuild(set.Q(), len(it.Neg), func(kn int) []uint64 { return set.BitsWords(it.Neg[kn]) })
 }
 
-// releaseGenTree returns the row's generation tree to the pool; the row
-// generates nothing after this point.
-func (it *RowIter) releaseGenTree() {
+// release returns the row's generation tree and negative value ranges to
+// their pools; the row generates nothing after this point.
+func (it *RowIter) release() {
 	if it.genTree != nil {
 		treePool.Put(it.genTree)
 		it.genTree = nil
+	}
+	if it.rangeBuf != nil {
+		rangePool.Put(it.rangeBuf)
+		it.rangeBuf, it.negRange = nil, nil
 	}
 }
 
@@ -460,6 +532,8 @@ type genCall struct {
 	cand    []uint64 // the candidate's support: the parents' union, then its own
 	newTail []float64
 	newRev  []float64
+
+	posRange valueRange // the positive column's value range on evalMask
 
 	testSeconds              float64
 	sampledTests, timedTests int64
@@ -544,20 +618,21 @@ func (g *genCall) treeColumn(kp, knLo, knHi int) {
 	}
 }
 
-// column readies the pass for positive column pi: its support words and
-// its liveMask, L_a, taken once for all its pairs.
+// column readies the pass for positive column pi: its support words, its
+// liveMask, L_a, and its value range, taken once for all its pairs.
 func (g *genCall) column(pi int) {
 	g.pi, g.bp = pi, g.it.Set.BitsWords(pi)
 	liveMask(g.it.Problem, g.posLive, g.bp)
+	g.posRange = g.it.valueRange(pi)
 }
 
 // combine takes the pair of the current positive column and negative
 // position kn, which passed the pre-test, through the rest of the pass:
-// the combination into scratch, the exact support bounds, the rank test,
-// and only for an accepted candidate the append to cands. A rejected
-// pair leaves nothing behind.
+// its support, the exact support bounds, the rank test, and only for an
+// accepted candidate its values and the append to cands. A rejected pair
+// leaves nothing behind.
 func (g *genCall) combine(kn int) {
-	cw := g.candidate(g.pi, g.it.Neg[kn])
+	cw := g.support(kn)
 	if cw == nil {
 		return
 	}
@@ -585,7 +660,8 @@ func (g *genCall) combine(kn int) {
 		return
 	}
 	g.st.Accepted++
-	g.cands.AppendMode(cw, g.newTail, g.newRev, zeroTol)
+	g.valuePass(g.pi, g.it.Neg[kn])
+	g.cands.AppendMode(g.cand, g.newTail, g.newRev, zeroTol)
 }
 
 // liveRows returns the rows of T̄ the candidate of the current positive
@@ -602,18 +678,116 @@ func (g *genCall) liveRows(kn int) []uint64 {
 	return g.union
 }
 
-// candidate combines one pair into the call's scratch — numeric
-// combination, clamp, normalisation, support words, exact support bounds
-// — and returns the candidate's support words for the rank test, or nil
-// once the bounds reject it. The values are left in newTail and newRev.
-func (g *genCall) candidate(pi, ni int) []uint64 {
-	it, st := g.it, g.st
+// support builds the support words of the candidate of the current
+// positive column and negative position kn in the call's scratch — from
+// the rows its parents share when that decides them, by the full value
+// pass otherwise — and returns them for the rank test, or nil once the
+// exact support bounds reject them.
+func (g *genCall) support(kn int) []uint64 {
+	if !g.sharedSupport(kn) {
+		g.valuePass(g.pi, g.it.Neg[kn])
+		g.st.FullPasses++
+	}
+	if !g.it.supportFits(g.cand) {
+		g.st.Prefiltered++
+		return nil
+	}
+	return g.cand
+}
+
+// supportFits applies the exact support bounds to a candidate's support
+// words, cancellations included.
+func (it *RowIter) supportFits(cw []uint64) bool {
+	s, sPrefix := 0, 0
+	for w, v := range cw {
+		s += popcount(v)
+		sPrefix += popcount(v & it.prefixMask[w])
+	}
+	return s > 0 && s <= it.maxSupport && sPrefix <= it.prefixBound
+}
+
+// combination is the one float expression of a candidate's value on a
+// row, from its parents' values a and b there.
+func combination(alpha, a, beta, b float64) float64 { return alpha*a + beta*b }
+
+// sharedSupport writes to the call's scratch words the support the full
+// value pass would build for the pair of the current positive column and
+// negative position kn, and reports true, when the rows of
+// evalMask both parents share and the parents' value ranges decide every
+// bit; it reports false, having decided nothing, otherwise. Outside
+// evalMask the bits are the parents' union, Row cleared, as in the full
+// pass. On evalMask the full pass sets bit r iff the combination v_r
+// survives the clamp, |v_r| ≥ clamp = tol·(α+β), and its normalised value
+// does too, |fl(v_r·fl(1/m))| > tol, m the largest clamped |v_j|.
+//
+// The keep bound. Write u = 2⁻⁵³, A and B for the parents' largest |a_j|
+// and |b_j| on evalMask, and h = fl(fl(fl(α·A)+fl(β·B))·c), c =
+// fl(tol·(1+2⁻⁴⁰)). Each |v_j| ≤ (α·A+β·B)(1+u)², so m ≤ (α·A+β·B)(1+u)²,
+// while h ≥ (α·A+β·B)·tol·(1+2⁻⁴⁰)(1−u)⁴. A value with |v_r| ≥ clamp and
+// |v_r| > h makes m > 0 and |fl(v_r·fl(1/m))| ≥ (|v_r|/m)(1−u)² >
+// tol·(1+2⁻⁴⁰)(1−u)⁶/(1+u)² > tol: its bit is set. So on a shared row
+// the bit is cleared below the clamp, kept above h, and the band between
+// — where the normalisation alone decides — falls back.
+//
+// Rows one parent alone holds. A parent that is not dirty is exactly zero
+// wherever its bit is clear, so there v_r = fl(α·a_r + β·0) = fl(α·a_r),
+// and rounding is monotone: |v_r| ≥ fl(α·lo_a), lo_a the parent's
+// smallest |a_j| where its bit is set. When fl(α·lo_a) clears both the
+// clamp and h, every such row keeps its bit; otherwise the pair falls
+// back. Rows neither parent holds are 0 + 0 and stay clear. A dirty
+// parent — a value non-zero where its bit is clear — always falls back.
+func (g *genCall) sharedSupport(kn int) bool {
+	it := g.it
+	pi, ni := g.pi, it.Neg[kn]
+	ra, rb := &g.posRange, &it.negRange[kn]
+	if ra.dirty || rb.dirty {
+		return false
+	}
 	set := it.Set
-	words := set.words
+	stride := set.stride()
+	va, vb := set.vals[pi*stride:(pi+1)*stride], set.vals[ni*stride:(ni+1)*stride]
+	beta, alpha := va[0], -vb[0]
+	clamp := zeroTol * (alpha + beta)
+	keep := zeroTol * (1 + 0x1p-40) * (alpha*ra.hi + beta*rb.hi) // h
+	loA, loB := alpha*ra.lo, beta*rb.lo
+	aAlone := loA >= clamp && loA > keep // rows a alone holds keep their bits
+	bAlone := loB >= clamp && loB > keep
+	bp, bn := set.BitsWords(pi), set.BitsWords(ni)
+	cw := g.cand
+	for w, m := range it.evalMask {
+		if !aAlone && bp[w]&^bn[w]&m != 0 || !bAlone && bn[w]&^bp[w]&m != 0 {
+			return false
+		}
+		c := bp[w] | bn[w]
+		for s := bp[w] & bn[w] & m; s != 0; s &= s - 1 {
+			b := s & -s
+			o := it.evalOff[w*64+trailingZeros(b)]
+			switch v := abs(combination(alpha, va[o], beta, vb[o])); {
+			case v < clamp:
+				c &^= b
+			case v <= keep:
+				return false
+			}
+		}
+		cw[w] = c
+	}
+	cw[it.Row/64] &^= 1 << uint(it.Row%64)
+	return true
+}
+
+// valuePass is the full value pass over one pair: the numeric
+// combination, the clamp and the normalisation into the call's newTail and
+// newRev, and the support words ModeSet.supportBits builds from them into
+// its scratch words. It runs for a survivor whose support sharedSupport
+// left undecided, and for every accepted candidate, whose values are
+// stored.
+func (g *genCall) valuePass(pi, ni int) {
+	it := g.it
+	set := it.Set
 	tol := zeroTol
 	bp, bn := set.BitsWords(pi), set.BitsWords(ni)
 	cw := g.cand
-	for w := 0; w < words; w++ {
+	for w := range cw {
 		cw[w] = bp[w] | bn[w]
 	}
 	tp, tn := set.Tail(pi), set.Tail(ni)
@@ -629,7 +803,7 @@ func (g *genCall) candidate(pi, ni int) []uint64 {
 	maxAbs := 0.0
 	newTail, newRev := g.newTail, g.newRev
 	for j := 1; j < len(tp); j++ {
-		v := alpha*tp[j] + beta*tn[j]
+		v := combination(alpha, tp[j], beta, tn[j])
 		if math.Abs(v) < clamp {
 			v = 0
 		}
@@ -640,7 +814,7 @@ func (g *genCall) candidate(pi, ni int) []uint64 {
 	}
 	rp, rn := set.RevVals(pi), set.RevVals(ni)
 	for j := range rp {
-		v := alpha*rp[j] + beta*rn[j]
+		v := combination(alpha, rp[j], beta, rn[j])
 		if math.Abs(v) < clamp {
 			v = 0
 		}
@@ -663,18 +837,6 @@ func (g *genCall) candidate(pi, ni int) []uint64 {
 	}
 	cw[it.Row/64] &^= 1 << uint(it.Row%64)
 	g.cands.supportBits(cw, cw, newTail, newRev, tol)
-	// Exact support counts (cancellations included).
-	s := 0
-	sPrefix := 0
-	for w := 0; w < words; w++ {
-		s += popcount(cw[w])
-		sPrefix += popcount(cw[w] & it.prefixMask[w])
-	}
-	if s == 0 || s > it.maxSupport || sPrefix > it.prefixBound {
-		st.Prefiltered++
-		return nil
-	}
-	return cw
 }
 
 // scaleSampled extrapolates sampled seconds up to the full operation
@@ -756,7 +918,7 @@ func (it *RowIter) AssembleNext(candSets ...*ModeSet) (*ModeSet, error) {
 // assemble builds the next iteration's mode set from the survivors and a
 // support-sorted candidate order (deduplicating as it copies).
 func (it *RowIter) assemble(candSets []*ModeSet, refs []candRef, t0 time.Time) (*ModeSet, error) {
-	it.releaseGenTree()
+	it.release()
 	next := NewModeSet(it.Set.Q(), it.Row+1, it.nextRev)
 	survivors := len(it.Zero) + len(it.Pos)
 	if it.Reversible {
@@ -968,22 +1130,23 @@ func nullityIsOne(p *nullspace.Problem, ws *linalg.Workspace, support, union []u
 func peel(cols []int, rc, live, twos []uint64) (nc, free int) {
 	qw, n := len(live), len(cols)
 	for {
-		// Row singletons. A second one on the same column is empty once
-		// the first has pivoted it.
-		for k := range live {
-			for s := live[k] &^ twos[k]; s != 0; s &= s - 1 {
-				b := s & -s
-				for i := 0; i < n; i++ {
-					if cols[i] >= 0 && rc[i*qw+k]&b != 0 {
-						cols[i] = -1
-						break
-					}
+		// Row singletons, a word of rows at a time: the rows in one column
+		// are pivots and go, and so does every column holding one. Each
+		// is in exactly one column, so the scan stops once all are found;
+		// a column's second singleton is empty once the first has pivoted
+		// it, so it pivots nothing more.
+		for k, l := range live {
+			singles := l &^ twos[k]
+			live[k] = l &^ singles
+			for i := 0; singles != 0 && i < n; i++ {
+				if v := rc[i*qw+k] & singles; v != 0 {
+					cols[i] = -1
+					singles &^= v
 				}
-				live[k] &^= b
 			}
 		}
 		// One sweep over the columns drops the free ones and pivots the
-		// singletons.
+		// column singletons.
 		m := 0
 		for i := 0; i < n; i++ {
 			if cols[i] < 0 {

@@ -208,8 +208,12 @@ func (s *ModeSet) AppendMode(prefix []uint64, tail, rev []float64, tol float64) 
 // set's layout with the given tail and reversible values: bit r is set
 // iff abs(v) > tol for a tail or reversible row r's value v, and is
 // prefix's bit r (zero for a nil or short prefix) on every other row. It
-// is the one place a mode's bits are derived from its values. Each word
-// of tail rows is assembled from branch-free compares and stored once.
+// is the one builder of stored bits: every mode appended from values gets
+// its bits here. (The pair pass decides a survivor's support from its
+// parents' shared rows first, genCall.sharedSupport, but only to choose
+// which survivors reach the rank test; an accepted one's stored bits are
+// still built here.) Each word of tail rows is assembled from branch-free
+// compares and stored once.
 func (s *ModeSet) supportBits(dst, prefix []uint64, tail, rev []float64, tol float64) {
 	clear(dst[copy(dst, prefix):])
 	for j, r := 0, s.firstRow; j < len(tail); {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -8,30 +9,27 @@ import (
 	"elmocomp/internal/linalg"
 )
 
-// pairPassRows are the rows the pair-pass tests replay: a yeast1-dd-R19r
-// row, one word of support, and the two-word Network I row of
-// BenchmarkPairLoopYeast (q = 65), whose tail crosses the word boundary.
+// pairPassRows are the rows the pair-pass tests replay, those of
+// BenchmarkPairLoopYeast: a yeast1-dd-R19r row, one word of support, and
+// a two-word Network I row (q = 65), whose tail crosses the word boundary.
 func pairPassRows(t *testing.T) map[string]*RowIter {
 	t.Helper()
-	dd := yeastDDProblem(t)
-	res, err := Run(dd, Options{LastRow: dd.D + 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dd, ddSet := pairLoopDDRow(t)
 	yeast, yeastSet := pairLoopYeastRow(t)
 	if dd.Q() > 64 || yeast.Q() != 65 {
 		t.Fatalf("q = %d and %d, want one word and 65", dd.Q(), yeast.Q())
 	}
 	return map[string]*RowIter{
-		"yeast1-dd-R19r": BeginRow(dd, res.Modes, res.Modes.FirstRow(), Options{}),
+		"yeast1-dd-R19r": BeginRow(dd, ddSet, ddSet.FirstRow(), Options{}),
 		"yeast1":         BeginRow(yeast, yeastSet, yeastSet.FirstRow(), Options{}),
 	}
 }
 
-// forEachPreTestSurvivor combines every pair of the row that passes the
-// support pre-test into the call's scratch, and hands it to f with its
-// negative position.
-func forEachPreTestSurvivor(it *RowIter, f func(g *genCall, kn int)) {
+// forEachPreTestSurvivor hands f, with its negative position, every pair
+// of the row that passes the support pre-test, its positive column readied
+// in the call (g.pi, g.posLive); with full set, the full value pass has
+// combined the pair into the call's scratch first.
+func forEachPreTestSurvivor(it *RowIter, full bool, f func(g *genCall, kn int)) {
 	p := it.Problem
 	var st IterStats
 	g := newGenCall(it, it.NewCandidateSet(), linalg.NewWorkspace(p.M()+2, p.M()+2), &st, &GenScratch{})
@@ -39,7 +37,9 @@ func forEachPreTestSurvivor(it *RowIter, f func(g *genCall, kn int)) {
 		g.column(pi)
 		for kn, ni := range it.Neg {
 			if it.unionFits(g.bp, pi, ni) {
-				g.candidate(pi, ni)
+				if full {
+					g.valuePass(pi, ni)
+				}
 				f(&g, kn)
 			}
 		}
@@ -55,7 +55,7 @@ func TestLiveRowCountMatchesGather(t *testing.T) {
 		p := it.Problem
 		qw := (p.Q() + 63) / 64
 		checked, fromNeg := 0, 0
-		forEachPreTestSurvivor(it, func(g *genCall, kn int) {
+		forEachPreTestSurvivor(it, true, func(g *genCall, kn int) {
 			s := g.cand
 			gathered := make([]uint64, qw)
 			for c := 0; c < p.D; c++ {
@@ -117,7 +117,7 @@ func TestSupportBitsMatchPerEntry(t *testing.T) {
 	for name, it := range pairPassRows(t) {
 		cands := it.NewCandidateSet()
 		n := 0
-		forEachPreTestSurvivor(it, func(g *genCall, kn int) {
+		forEachPreTestSurvivor(it, true, func(g *genCall, kn int) {
 			prefix := slices.Clone(it.Set.BitsWords(g.pi))
 			for k, v := range it.Set.BitsWords(it.Neg[kn]) {
 				prefix[k] |= v
@@ -177,4 +177,162 @@ func TestSupportBitsMatchPerEntry(t *testing.T) {
 			}
 		}
 	}
+}
+
+// supportFirstChecker holds the pair pass's support to the full value
+// pass's, survivor by survivor: the words the rank test sees and the
+// bounds' nil verdict must be bit-equal, and the candidates a row stores
+// must be those the full pass would store, values included.
+type supportFirstChecker struct {
+	t                    *testing.T
+	survivors, fallbacks int64
+}
+
+// pair checks one pre-test survivor of the row, g's positive column
+// against negative position kn, through g's scratch and returns the full
+// pass's support words.
+func (c *supportFirstChecker) pair(label string, g *genCall, kn int) []uint64 {
+	c.t.Helper()
+	before := g.st.FullPasses
+	pi, ni := g.pi, g.it.Neg[kn]
+	cw := g.support(kn)
+	got := slices.Clone(g.cand)
+	g.valuePass(pi, ni)
+	if !slices.Equal(got, g.cand) || (cw == nil) != !g.it.supportFits(g.cand) {
+		c.t.Fatalf("%s: pair (%d, %d): support %x (nil %v), full pass %x (nil %v)", label, pi, ni, got, cw == nil, g.cand, !g.it.supportFits(g.cand))
+	}
+	c.survivors++
+	c.fallbacks += g.st.FullPasses - before
+	return g.cand
+}
+
+// row checks every pre-test survivor of the row, then generates the row
+// and compares what it stored with the full pass's candidates, rank-tested
+// in the same order.
+func (c *supportFirstChecker) row(label string, it *RowIter) {
+	c.t.Helper()
+	p := it.Problem
+	want := it.NewCandidateSet()
+	forEachPreTestSurvivor(it, false, func(g *genCall, kn int) {
+		cw := c.pair(label, g, kn)
+		if it.supportFits(cw) {
+			if ok, _ := nullityIsOne(p, g.ws, cw, g.liveRows(kn), zeroTol, g.sc.rankIdx, nil); ok {
+				want.AppendMode(cw, g.newTail, g.newRev, zeroTol)
+			}
+		}
+	})
+	got := it.NewCandidateSet()
+	var st IterStats
+	it.GenerateIntoScratch(got, linalg.NewWorkspace(p.M()+2, p.M()+2), 0, it.Pairs(), &st, nil)
+	if got.Len() != want.Len() || got.Fingerprint() != want.Fingerprint() {
+		c.t.Fatalf("%s: %d candidates stored, fingerprint %016x; the full pass stores %d, %016x", label, got.Len(), got.Fingerprint(), want.Len(), want.Fingerprint())
+	}
+}
+
+// TestSupportFirstMatchesFullPass: deciding a survivor's support from the
+// rows its parents share, and computing its values only once it is
+// accepted, stores what the full value pass stores and shows the rank test
+// the same words — on every pre-test survivor of both pair-pass rows and
+// of every row of a whole yeast1-dd-R19r run. Then sets built by hand
+// force each fallback: a dirty column, a shared row whose value sits in
+// the band, and a row one parent alone holds whose smallest value the
+// clamp removes. Each must fall back and still match.
+func TestSupportFirstMatchesFullPass(t *testing.T) {
+	c := &supportFirstChecker{t: t}
+	rows := pairPassRows(t)
+	for name, it := range rows {
+		c.survivors, c.fallbacks = 0, 0
+		c.row(name, it)
+		t.Logf("%s: %d survivors, %d full passes", name, c.survivors, c.fallbacks)
+	}
+
+	it := rows["yeast1-dd-R19r"]
+	p, words := it.Problem, it.Set.words
+	// A survivor with a row of evalMask both parents hold, another that
+	// neither holds, and a third that the positive parent alone holds.
+	var pi, kn, ni, shared, neither, alone int
+	forEachPreTestSurvivor(it, false, func(g *genCall, k int) {
+		if ni != 0 {
+			return
+		}
+		bp, bn := it.Set.BitsWords(g.pi), it.Set.BitsWords(it.Neg[k])
+		find := func(m func(w int) uint64) int {
+			for w := range words {
+				if v := m(w) & it.evalMask[w]; v != 0 {
+					return w*64 + trailingZeros(v)
+				}
+			}
+			return -1
+		}
+		s, n, a := find(func(w int) uint64 { return bp[w] & bn[w] }), find(func(w int) uint64 { return ^(bp[w] | bn[w]) }), find(func(w int) uint64 { return bp[w] &^ bn[w] })
+		if s >= 0 && n >= 0 && a >= 0 {
+			pi, kn, ni, shared, neither, alone = g.pi, k, it.Neg[k], s, n, a
+		}
+	})
+	if ni == 0 {
+		t.Fatal("yeast1-dd-R19r: no survivor with shared, unheld and positive-only rows")
+	}
+	stride := it.Set.stride()
+	for _, tc := range []struct {
+		name   string
+		edit   func(set *ModeSet, alpha, beta float64)
+		row    int
+		wantOn bool
+	}{
+		// Non-zero where its bit is clear: the combination there is not 0.
+		{"dirty column", func(set *ModeSet, alpha, beta float64) {
+			set.vals[ni*stride+int(it.evalOff[neither])] = 0.5
+		}, neither, true},
+		// A positive-only value of 1000·(1+β/α) makes the largest value
+		// 1000·(α+β); the shared row then combines to twice the clamp, in
+		// the band: above the clamp, and normalised below the tolerance.
+		{"shared value in the band", func(set *ModeSet, alpha, beta float64) {
+			set.vals[pi*stride+int(it.evalOff[alone])] = 1000 * (1 + beta/alpha)
+			o := int(it.evalOff[shared])
+			target := 2 * zeroTol * (alpha + beta)
+			set.vals[pi*stride+o] = (target - beta*set.vals[ni*stride+o]) / alpha
+		}, shared, false},
+		// A positive-only value the clamp removes.
+		{"lone value under the clamp", func(set *ModeSet, alpha, beta float64) {
+			set.vals[pi*stride+int(it.evalOff[alone])] = 1e-12
+		}, alone, false},
+	} {
+		set := *it.Set
+		set.bits, set.vals = slices.Clone(set.bits), slices.Clone(set.vals)
+		beta, alpha := set.Tail(pi)[0], -set.Tail(ni)[0]
+		tc.edit(&set, alpha, beta)
+		hand := BeginRow(p, &set, it.Row, Options{})
+		var st IterStats
+		g := newGenCall(hand, hand.NewCandidateSet(), linalg.NewWorkspace(p.M()+2, p.M()+2), &st, &GenScratch{})
+		g.column(pi)
+		if g.sharedSupport(kn) {
+			t.Fatalf("%s: the shared rows decided pair (%d, %d), want the full pass", tc.name, pi, ni)
+		}
+		full := c.pair(tc.name, &g, kn)
+		if on := full[tc.row/64]>>uint(tc.row%64)&1 != 0; on != tc.wantOn || st.FullPasses != 1 {
+			t.Fatalf("%s: the full pass sets row %d's bit %v, want %v; %d full passes, want 1", tc.name, tc.row, on, tc.wantOn, st.FullPasses)
+		}
+	}
+
+	if testing.Short() {
+		return
+	}
+	c.survivors, c.fallbacks = 0, 0
+	dd := rows["yeast1-dd-R19r"].Problem
+	pool := NewPool(dd, 1)
+	set := InitialModeSet(dd, zeroTol)
+	var stats IterStats
+	for row := dd.D; row < dd.Q(); row++ {
+		it := BeginRow(dd, set, row, Options{})
+		c.row(fmt.Sprintf("yeast1-dd-R19r row %d", row), it)
+		var err error
+		if set, err = pool.AssembleNext(it, pool.GenerateRange(it, 0, it.Pairs(), &it.Stats)); err != nil {
+			t.Fatal(err)
+		}
+		AddGenStats(&stats, &it.Stats)
+	}
+	if stats.Tested != 596450 || c.survivors < stats.Tested {
+		t.Fatalf("whole run: %d survivors checked, %d rank tests, want 596,450", c.survivors, stats.Tested)
+	}
+	t.Logf("yeast1-dd-R19r, whole run: %d survivors, %d full passes (the run: %d)", c.survivors, c.fallbacks, stats.FullPasses)
 }

@@ -113,6 +113,7 @@ func AddGenStats(dst, src *IterStats) {
 	dst.Prefiltered += src.Prefiltered
 	dst.Tested += src.Tested
 	dst.Eliminated += src.Eliminated
+	dst.FullPasses += src.FullPasses
 	dst.Accepted += src.Accepted
 	dst.GenSeconds += src.GenSeconds
 	dst.TestSeconds += src.TestSeconds

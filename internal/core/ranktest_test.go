@@ -476,3 +476,137 @@ func TestRankTestVerdictTable(t *testing.T) {
 	}
 	t.Logf("yeast1-dd-R19r at one worker: the table answered %d of %d eliminations (%.1f%%)", table.hits, eliminated, 100*float64(table.hits)/float64(eliminated))
 }
+
+// peelPerBit is the peel as it stripped row singletons before they went a
+// word at a time: one bit at a time, each pivoting the first kept column
+// that holds it. TestPeelMatchesPerBit holds peel to it.
+func peelPerBit(cols []int, rc, live, twos []uint64) (nc, free int) {
+	qw, n := len(live), len(cols)
+	for {
+		for k := range live {
+			for s := live[k] &^ twos[k]; s != 0; s &= s - 1 {
+				b := s & -s
+				for i := 0; i < n; i++ {
+					if cols[i] >= 0 && rc[i*qw+k]&b != 0 {
+						cols[i] = -1
+						break
+					}
+				}
+				live[k] &^= b
+			}
+		}
+		m := 0
+		for i := 0; i < n; i++ {
+			if cols[i] < 0 {
+				continue
+			}
+			x := rc[i*qw : i*qw+qw]
+			cnt := 0
+			for k, v := range x {
+				cnt += popcount(v & live[k])
+			}
+			switch cnt {
+			case 0:
+				if free++; free > 1 {
+					return m, free
+				}
+			case 1:
+				for k, v := range x {
+					live[k] &^= v
+				}
+			default:
+				y := rc[m*qw : m*qw+qw]
+				for k, v := range x {
+					y[k] = v & live[k]
+				}
+				cols[m] = cols[i]
+				m++
+			}
+		}
+		n = m
+		again := false
+		for k := range live {
+			l := live[k]
+			var one, two, lost uint64
+			for i := k; i < n*qw; i += qw {
+				v := rc[i]
+				lost |= v &^ l
+				v &= l
+				rc[i] = v
+				two |= one & v
+				one |= v
+			}
+			live[k], twos[k] = one, two
+			again = again || lost != 0 || one&^two != 0
+		}
+		if !again {
+			return n, free
+		}
+	}
+}
+
+// peelInput is the block nullityIsOne hands the peel for a support: J's
+// columns, each one's rows of T̄, the rows in ≥ 1 of them and in ≥ 2.
+func peelInput(p *nullspace.Problem, support []uint64) (cols []int, rc, live, twos []uint64) {
+	qw := len(support)
+	for c := 0; c < p.D; c++ {
+		if support[c/64]>>uint(c%64)&1 != 0 {
+			cols = append(cols, c)
+		}
+	}
+	rc = make([]uint64, len(cols)*qw)
+	live, twos = make([]uint64, qw), make([]uint64, qw)
+	for k := range live {
+		for i, c := range cols {
+			v := p.ColMask[c*qw+k] &^ support[k]
+			rc[i*qw+k] = v
+			twos[k] |= live[k] & v
+			live[k] |= v
+		}
+	}
+	return cols, rc, live, twos
+}
+
+// TestPeelMatchesPerBit: the word-parallel peel leaves what the per-bit
+// one leaves — the same columns kept, in order, the same free count, the
+// same live rows and kept columns' rows — on random supports over the
+// hand kernels at one and two words of rows, and on every rank-test input
+// of the pair-pass rows.
+func TestPeelMatchesPerBit(t *testing.T) {
+	check := func(label string, p *nullspace.Problem, support []uint64) {
+		t.Helper()
+		cols, rc, live, twos := peelInput(p, support)
+		wc, wrc, wlive, wtwos := slices.Clone(cols), slices.Clone(rc), slices.Clone(live), slices.Clone(twos)
+		nc, free := peel(cols, rc, live, twos)
+		wnc, wfree := peelPerBit(wc, wrc, wlive, wtwos)
+		qw := len(live)
+		if nc != wnc || free != wfree || !slices.Equal(cols[:nc], wc[:wnc]) || !slices.Equal(live, wlive) || !slices.Equal(rc[:nc*qw], wrc[:wnc*qw]) {
+			t.Fatalf("%s: support %x: peel (nc %d, free %d, cols %v, live %x), per bit (%d, %d, %v, %x)",
+				label, support, nc, free, cols[:nc], live, wnc, wfree, wc[:wnc], wlive)
+		}
+	}
+	rng := rand.New(rand.NewSource(53))
+	for _, d := range []int{5, 40, 63, 64} {
+		p, used := peelProblem(rng, d)
+		q := p.Q()
+		for trial := 0; trial < 2000; trial++ {
+			support := make([]uint64, (q+63)/64)
+			for _, j := range rng.Perm(len(used))[:1+rng.Intn(len(used))] {
+				support[used[j]/64] |= 1 << uint(used[j]%64)
+			}
+			for r := d; r < q; r++ {
+				if rng.Intn(3) == 0 {
+					support[r/64] |= 1 << uint(r%64)
+				}
+			}
+			check(fmt.Sprintf("hand kernel D=%d (%d words) trial %d", d, len(support), trial), p, support)
+		}
+	}
+	for name, it := range pairPassRows(t) {
+		stream, _ := rankTestStream(it)
+		for i := 0; i < stream.Len(); i++ {
+			check(fmt.Sprintf("%s: rank-test input %d", name, i), it.Problem, stream.BitsWords(i))
+		}
+		t.Logf("%s: %d rank-test inputs", name, stream.Len())
+	}
+}
