@@ -1126,8 +1126,13 @@ func nullityIsOne(p *nullspace.Problem, ws *linalg.Workspace, support, union []u
 // columns (qw = len(live) words each). peel returns the columns left,
 // compacted in order to the front of cols and rc, and the free columns
 // found; it stops once there are two of them. live is left holding the
-// rows not peeled.
+// rows not peeled. A block of one word of rows, every network of the
+// benchmark, takes peelWord, the same steps on scalar masks.
 func peel(cols []int, rc, live, twos []uint64) (nc, free int) {
+	if len(live) == 1 {
+		nc, free, live[0] = peelWord(cols, rc, live[0], twos[0])
+		return nc, free
+	}
 	qw, n := len(live), len(cols)
 	for {
 		// Row singletons, a word of rows at a time: the rows in one column
@@ -1195,6 +1200,54 @@ func peel(cols []int, rc, live, twos []uint64) (nc, free int) {
 		}
 		if !again {
 			return n, free
+		}
+	}
+}
+
+// peelWord is peel on a block of one word of rows, live and twos held in
+// registers; it returns the rows not peeled.
+func peelWord(cols []int, rc []uint64, live, twos uint64) (nc, free int, left uint64) {
+	n := len(cols)
+	for {
+		// Row singletons, as in peel; the rows in ≥ 2 columns stay.
+		singles := live &^ twos
+		live = twos
+		for i := 0; singles != 0 && i < n; i++ {
+			if v := rc[i] & singles; v != 0 {
+				cols[i] = -1
+				singles &^= v
+			}
+		}
+		m := 0
+		for i := 0; i < n; i++ {
+			if cols[i] < 0 {
+				continue
+			}
+			switch x := rc[i] & live; {
+			case x == 0:
+				if free++; free > 1 {
+					return m, free, live
+				}
+			case x&(x-1) == 0:
+				live &^= x
+			default:
+				rc[m] = x
+				cols[m] = cols[i]
+				m++
+			}
+		}
+		n = m
+		var one, two, lost uint64
+		for i, v := range rc[:n] {
+			lost |= v &^ live
+			v &= live
+			rc[i] = v
+			two |= one & v
+			one |= v
+		}
+		live, twos = one, two
+		if lost == 0 && one&^two == 0 {
+			return n, free, live
 		}
 	}
 }
