@@ -53,6 +53,25 @@ func FromWords(n int, words []uint64) Set {
 	return s
 }
 
+// Views returns the sets of width n laid end to end in words, ⌈n/64⌉
+// words each, which must be a whole number of them. The sets share
+// words, so many supports can live in one allocation; bits past n must
+// be clear.
+func Views(n int, words []uint64) []Set {
+	w := (n + wordBits - 1) / wordBits
+	if w == 0 || len(words)%w != 0 {
+		panic("bitset: views over a partial set")
+	}
+	if len(words) == 0 {
+		return nil
+	}
+	out := make([]Set, len(words)/w)
+	for i := range out {
+		out[i] = Set{words: words[i*w : (i+1)*w : (i+1)*w], n: n}
+	}
+	return out
+}
+
 // Len returns the width of the set in bits.
 func (s Set) Len() int { return s.n }
 

@@ -109,6 +109,9 @@ type Result struct {
 	// Store counts the between-rounds store's spill activity (zero for
 	// unbudgeted runs — the store is then an inert pass-through).
 	Store StoreStats
+	// workers is RunNode's pool size: the CPUs CanonicalSupports may
+	// shard its fold over. Zero on a Result built elsewhere (one shard).
+	workers int
 }
 
 // TotalPairs sums the candidate modes generated across iterations (the
@@ -206,8 +209,8 @@ func RunNode(p *nullspace.Problem, opts Options, rank, size int, exchange func(m
 	if last <= 0 || last > p.Q() {
 		last = p.Q()
 	}
-	res := &Result{Problem: p}
 	pool := NewPool(p, opts.Workers)
+	res := &Result{Problem: p, workers: pool.Workers()}
 	// The between-rounds store: under a memory budget the surviving set
 	// is spilled while a node waits at its next collective instead of
 	// staying flat on every replica at once. The deferred Release covers

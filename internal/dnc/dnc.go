@@ -22,6 +22,7 @@ package dnc
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 
@@ -89,7 +90,8 @@ type Subproblem struct {
 	Partition []int  // partition reactions (input column indices)
 	Depth     int
 
-	// EFM results: canonical supports over the input columns.
+	// EFM results: canonical supports over the input columns, sorted
+	// by bitset.Set.Compare.
 	Supports []bitset.Set
 	// Pairs is the subproblem's candidate-mode count (the paper's
 	// per-subset "# candidate modes").
@@ -391,8 +393,15 @@ func enumerate(pr *prepared, copts parallel.Options, fullCols int) (*ClassOutcom
 	if err != nil {
 		return nil, err
 	}
+	// The class's CPU grant: every node's workers, all idle once the
+	// group has exited.
+	workers := copts.Core.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	shards := core.FoldShards(max(copts.Nodes, 1)*workers, run.Modes.Len())
 	return &ClassOutcome{
-		Supports:      extract(run.Result, pr.p, pr.keep, pr.nzfLocal, fullCols),
+		Supports:      extract(run.Result, pr.p, pr.keep, pr.nzfLocal, fullCols, shards),
 		Pairs:         run.TotalPairs(),
 		PeakNodeBytes: run.PeakNodeBytes,
 		Phases:        run.MaxPhases(),
@@ -428,8 +437,10 @@ func nextPartitionReaction(N *ratmat.Matrix, rev []bool, partition []int) (int, 
 
 // extract applies Proposition 1: keep intermediate columns with non-zero
 // flux in every must-be-non-zero row, then map supports back to the full
-// input column space (must-be-zero reactions contribute zero rows).
-func extract(run *core.Result, p *nullspace.Problem, keep []int, nzfLocal []int, fullQ int) []bitset.Set {
+// input column space (must-be-zero reactions contribute zero rows). The
+// list is sorted and pairwise distinct; the fold runs over shards ranges
+// of the columns at once, each shard filtering its own.
+func extract(run *core.Result, p *nullspace.Problem, keep []int, nzfLocal []int, fullQ, shards int) []bitset.Set {
 	set := run.Modes
 	inv := p.InvPerm()
 	// Permuted row indices that must be non-zero. With splitting, a
@@ -444,51 +455,35 @@ func extract(run *core.Result, p *nullspace.Problem, keep []int, nzfLocal []int,
 			}
 		}
 	}
-	var out []bitset.Set
-	var seen bitset.Distinct
-	// One shared elimination workspace and support-index scratch for the
-	// whole re-validation sweep: the early-stop point re-checks every
-	// extracted column, and a per-column workspace allocation would
-	// dominate the loop on large classes.
-	ws := linalg.NewWorkspace(p.M()+2, p.M()+2)
-	scratch := make([]int, 0, p.Q())
-	for i := 0; i < set.Len(); i++ {
-		ok := true
-		for _, r := range mustRows {
-			if !set.Test(i, r) {
-				ok = false
-				break
+	filter := func() func(i int) bool {
+		// One elimination workspace and support-index scratch per shard
+		// for its whole re-validation sweep: a per-column allocation
+		// would dominate the loop on large classes.
+		ws := linalg.NewWorkspace(p.M()+2, p.M()+2)
+		scratch := make([]int, 0, p.Q())
+		return func(i int) bool {
+			for _, r := range mustRows {
+				if !set.Test(i, r) {
+					return false
+				}
+				// Sign feasibility: a negative value in an irreversible
+				// must-be-non-zero row marks a column the skipped
+				// iterations would have removed.
+				if !p.Rev[r] && set.Tail(i)[r-set.FirstRow()] < 0 {
+					return false
+				}
 			}
-			// Sign feasibility: a negative value in an irreversible
-			// must-be-non-zero row marks a column the skipped
-			// iterations would have removed.
-			if !p.Rev[r] && set.Tail(i)[r-set.FirstRow()] < 0 {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		// Exact elementarity: all unprocessed rows are in the support
-		// here, so the full-support rank test is the precise EFM
-		// condition (the mid-run test is narrower and can let columns
-		// through that later iterations would have eliminated; initial
-		// kernel basis columns were never tested at all).
-		if !core.IsElementaryWS(p, set, i, 0, ws, scratch) {
-			continue
-		}
-		fold, ok := p.Fold(set.BitsWords(i))
-		if !ok {
-			continue
-		}
-		b := bitset.New(fullQ)
-		for _, c := range fold.Indices(scratch[:0]) {
-			b.Set(keep[c])
-		}
-		if seen.Add(b) {
-			out = append(out, b)
+			// Exact elementarity, decided again. A column here is an
+			// initial kernel column, elementary by construction, or was
+			// accepted by its row's full-support rank test on the support
+			// it still has (later rows copy its bits unchanged). So the
+			// test re-decides, without the workers' verdict tables, what
+			// the run already decided: it rejected none of the columns
+			// measured in DESIGN §12, and it stays, so that a class's
+			// list never rests on a cached verdict alone.
+			return core.IsElementaryWS(p, set, i, 0, ws, scratch)
 		}
 	}
-	return out
+	f := core.Fold{Problem: p, Modes: set, Width: fullQ, Out: keep, Filter: filter}
+	return f.Supports(shards)
 }

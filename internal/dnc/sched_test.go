@@ -44,12 +44,14 @@ func treeKey(res *Result) string {
 
 // Frozen references for the re-split fixtures: SHA-256 of treeKey as the
 // sequential divide-and-conquer loop (solve/resplit, deleted in PR 17)
-// built it on the toy network at commit 0d14ba4. That loop recursed
-// inline in class-ID order with no queue at all, so a tree that still
-// hashes to these literals has not been reshaped by scheduling.
+// built it on the toy network at commit 0d14ba4, with each class's
+// supports in Compare order, the order a class's list arrives in since
+// the sharded fold. That loop recursed inline in class-ID order with no
+// queue at all, so a tree that still hashes to these literals has not
+// been reshaped by scheduling.
 const (
 	// Options{Qsub: 1, MaxDepth: 6, Core.MaxModes: 4}
-	pinModeResplitTree = "5f7471cc03fcd1703456a0e5132f476baf90fa2d959598229395614d8423ac43"
+	pinModeResplitTree = "c2ed483c2cd1483d36902dd5b16e3543ad9e043e7a75799e8d2ad02e59457f51"
 	// Options{Qsub: 1, MaxDepth: 2, Core.MemBudget: 1}
 	pinMemResplitTree = "7956507f6d54335690f1dd315da40d09f3e8337c89f7b3c7574cdc1a7807cb0e"
 )

@@ -131,22 +131,40 @@ func (p *Problem) OrigCol(c int) int {
 }
 
 // Fold maps a support over the permuted problem columns (bit i is
-// permuted index i) to the caller's columns. It is the one fold of a
-// split problem back to the reactions it was prepared from: a split
-// reaction's forward/backward two-cycle folds to the zero flux vector,
-// reported as false, and the ± orientations of a fully reversible mode
-// fold to equal sets, which callers dedup with bitset.Distinct. On an
-// unsplit problem it is the Perm map.
+// permuted index i) to the caller's columns: FoldInto over FoldCols. A
+// split reaction's forward/backward two-cycle folds to the zero flux
+// vector, reported as false, and the ± orientations of a fully
+// reversible mode fold to equal sets, which callers dedup. On an unsplit
+// problem it is the Perm map.
 func (p *Problem) Fold(words []uint64) (bitset.Set, bool) {
 	b := bitset.New(p.OrigQ())
+	return b, p.FoldInto(b, words, p.FoldCols())
+}
+
+// FoldCols is the fold's column map: permuted row i goes to the caller's
+// column of problem column Perm[i].
+func (p *Problem) FoldCols() []int {
+	cols := make([]int, len(p.Perm))
+	for i, c := range p.Perm {
+		cols[i] = p.OrigCol(c)
+	}
+	return cols
+}
+
+// FoldInto is the one fold of a split problem back to the reactions it
+// was prepared from. It sets in dst, which must be clear, bit cols[i]
+// for every permuted row i in words — cols is FoldCols, or FoldCols
+// composed with a map into wider output columns — and reports false for
+// a split reaction's forward/backward two-cycle.
+func (p *Problem) FoldInto(dst bitset.Set, words []uint64, cols []int) bool {
 	n := 0
 	for w, word := range words {
 		for ; word != 0; word &= word - 1 {
-			b.Set(p.OrigCol(p.Perm[w*64+bits.TrailingZeros64(word)]))
+			dst.Set(cols[w*64+bits.TrailingZeros64(word)])
 			n++
 		}
 	}
-	return b, p.Split == nil || n != 2 || b.Count() != 1
+	return p.Split == nil || n != 2 || dst.Count() != 1
 }
 
 // InvPerm returns the inverse permutation: problem column index ->
